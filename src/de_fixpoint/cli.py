@@ -11,8 +11,9 @@ Exit codes: 0 when the property holds / a matching state is found / the
 command succeeds; 1 when a checked formula fails or a search finds
 nothing; 2 for usage and syntax errors; 3 for semantic errors (causality
 cycles, nondeterministic machines, exhausted state budgets, names a
-formula mentions that the model lacks); 141 when the output pipe closes
-early.
+formula mentions that the model lacks); 4 for internal errors (a bug, or
+an input nested too deeply to process), so that a crash is never read as
+a verdict; 141 when the output pipe closes early.
 
 Results go to stdout, diagnostics to stderr.  `DE_FIXPOINT_COLOR=1`
 forces ANSI color on the human-readable output, `=0` disables it; by
@@ -37,6 +38,8 @@ from .parser import parse_model, print_model
 from .postfire import initialize
 from .props import validate_prop
 from .state import SystemState, fsm_locations
+
+log = logging.getLogger(__name__)
 
 
 def _time_bound(text: str) -> Fraction:
@@ -120,9 +123,7 @@ def _cmd_search(args) -> int:
     state = _load_initial(args.model)
     prop = parse_prop(args.prop)
     validate_prop(state, prop)
-    graph = build_state_graph(
-        state, time_bound=args.until, max_states=args.max_states, workers=args.workers
-    )
+    graph = build_state_graph(state, time_bound=args.until, max_states=args.max_states)
     hit = search(graph, prop)
     color = _use_color()
     if hit is None:
@@ -139,7 +140,6 @@ def _cmd_check(args) -> int:
         state,
         time_bound=args.until,
         max_states=args.max_states,
-        workers=args.workers,
         bottom_as_absent=args.bottom_as_absent,
     )
     verdict = check_ltl(graph, formula)
@@ -197,7 +197,7 @@ def _add_bound_flags(sub: argparse.ArgumentParser) -> None:
         type=_positive,
         default=1,
         metavar="N",
-        help="worker threads for graph construction (default 1)",
+        help="ignored; accepted for compatibility and removed in the next release",
     )
 
 
@@ -284,6 +284,14 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 141  # 128 + SIGPIPE
+    except Exception as err:  # noqa: BLE001 - the last line of defence
+        # Anything else is a bug (the checker's cross-checks raise
+        # AssertionError) or a resource limit such as RecursionError on
+        # deeply nested input.  Neither is an answer, so it must not exit 1.
+        log.debug("internal error", exc_info=True)
+        detail = " ".join(str(err).split())
+        print(_red(f"internal error: {type(err).__name__}: {detail}", color), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

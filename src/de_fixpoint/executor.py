@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyQueue
-from .fire import clear_ports, compute_fixpoint, deliver_events
+# clear_ports and deliver_events are re-exported: step fuses them into
+# compute_fixpoint, but they stay the names for those two phases.
+from .fire import clear_ports, compute_fixpoint, deliver_events  # noqa: F401
 from .postfire import commit_requests, postfire
 from .state import SystemState, collect_variables, fsm_locations
 from .util import rational_json
@@ -64,8 +66,10 @@ def step(state: SystemState, bottom_as_absent: bool = False, rng=None):
             Microstep(microstep),
         )
     events, queue = state.queue.pop_ready()
-    top = deliver_events(clear_ports(state.top), events)
-    result = compute_fixpoint(top, bottom_as_absent=bottom_as_absent, rng=rng)
+    # Clear, deliver and resolve in one pass over a flat status table.
+    result = compute_fixpoint(
+        state.top, bottom_as_absent=bottom_as_absent, rng=rng, events=events
+    )
     top, requests = postfire(result.top, result.decisions)
     queue = commit_requests(queue, requests)
     return (
@@ -174,10 +178,6 @@ def trace_json(trace: Trace) -> list:
     return [trace_step_json(ts) for ts in trace.steps]
 
 
-def format_value(v) -> str:
-    return literal_text(v)
-
-
 def trace_step_text(ts: TraceStep) -> str:
     state = ts.state
     kind = ts.kind
@@ -189,6 +189,6 @@ def trace_step_text(ts: TraceStep) -> str:
         head = "iteration"
     parts = [f"t={state.elapsed} m={state.microstep_of_instant} {head}"]
     for path, delta in sorted(ts.changed_variables.items()):
-        assigns = ", ".join(f"{k}={format_value(v)}" for k, v in sorted(delta.items()))
+        assigns = ", ".join(f"{k}={literal_text(v)}" for k, v in sorted(delta.items()))
         parts.append(f"    {path}: {assigns}")
     return "\n".join(parts)

@@ -3,7 +3,9 @@
 Expressions appear in transition guards, transition outputs and variable
 updates.  They read the owning machine's variables, parameters and input
 ports.  Evaluation is strict: reading an unknown port raises, which is why
-the fixed-point engine asks `guard_evaluable` before evaluating anything.
+the fixed-point engine evaluates nothing before every port it reads
+(`referenced_ports`, collected once per model) is known; `guard_evaluable`
+is that test for a single expression.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Mapping
 
 from .errors import AbsentPortRead, TypeMismatch, UnboundIdentifier, UnknownPortRead
 from .values import (
+    FALSE,
+    TRUE,
     Absent,
     BoolVal,
     IntVal,
@@ -76,6 +80,10 @@ def _as_bool(v: Value, what: str) -> bool:
     return v.value
 
 
+def _bool(value: bool) -> BoolVal:
+    return TRUE if value else FALSE
+
+
 def eval_expr(
     expr: Expr,
     variables: Mapping[str, Value],
@@ -83,19 +91,25 @@ def eval_expr(
     ports: Mapping[str, PortStatus],
 ) -> Value:
     """Evaluate an expression.  Variables shadow parameters of the same name."""
-    if isinstance(expr, Lit):
-        return expr.value
+    # Most frequent node kinds first: guards are mostly binary operators
+    # over port tests, variables and literals.
+    if isinstance(expr, Binary):
+        lhs = eval_expr(expr.left, variables, parameters, ports)
+        rhs = eval_expr(expr.right, variables, parameters, ports)
+        return _apply_binary(expr.op, lhs, rhs)
+    if isinstance(expr, IsPresent):
+        status = ports.get(expr.port)
+        if status is None or isinstance(status, Unknown):
+            raise UnknownPortRead(expr.port)
+        return _bool(isinstance(status, Present))
     if isinstance(expr, Var):
         if expr.name in variables:
             return variables[expr.name]
         if expr.name in parameters:
             return parameters[expr.name]
         raise UnboundIdentifier(expr.name)
-    if isinstance(expr, IsPresent):
-        status = ports.get(expr.port)
-        if status is None or isinstance(status, Unknown):
-            raise UnknownPortRead(expr.port)
-        return BoolVal(isinstance(status, Present))
+    if isinstance(expr, Lit):
+        return expr.value
     if isinstance(expr, PortValue):
         status = ports.get(expr.port)
         if status is None or isinstance(status, Unknown):
@@ -106,28 +120,24 @@ def eval_expr(
     if isinstance(expr, Unary):
         v = eval_expr(expr.operand, variables, parameters, ports)
         if expr.op == "!":
-            return BoolVal(not _as_bool(v, "'!'"))
+            return _bool(not _as_bool(v, "'!'"))
         if expr.op == "-":
             if isinstance(v, IntVal):
                 return IntVal(-v.value)
             raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
         raise TypeMismatch(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, Binary):
-        lhs = eval_expr(expr.left, variables, parameters, ports)
-        rhs = eval_expr(expr.right, variables, parameters, ports)
-        return _apply_binary(expr.op, lhs, rhs)
     raise TypeMismatch(f"not an expression: {expr!r}")
 
 
 def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
     if op == "&&":
-        return BoolVal(_as_bool(lhs, "'&&'") and _as_bool(rhs, "'&&'"))
+        return _bool(_as_bool(lhs, "'&&'") and _as_bool(rhs, "'&&'"))
     if op == "||":
-        return BoolVal(_as_bool(lhs, "'||'") or _as_bool(rhs, "'||'"))
+        return _bool(_as_bool(lhs, "'||'") or _as_bool(rhs, "'||'"))
     if op in ("==", "!="):
         if type(lhs) is not type(rhs):
             raise TypeMismatch(f"cannot compare {lhs!r} with {rhs!r}")
-        return BoolVal((lhs == rhs) if op == "==" else (lhs != rhs))
+        return _bool((lhs == rhs) if op == "==" else (lhs != rhs))
     if op in _COMPARISONS:
         if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
             a, b = lhs.value, rhs.value
@@ -135,13 +145,13 @@ def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
             a, b = lhs.value, rhs.value
         else:
             raise TypeMismatch(f"cannot order {lhs!r} and {rhs!r}")
-        result = {
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[op]
-        return BoolVal(result)
+        if op == "<":
+            return _bool(a < b)
+        if op == "<=":
+            return _bool(a <= b)
+        if op == ">":
+            return _bool(a > b)
+        return _bool(a >= b)
     if op in _ARITHMETIC:
         if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
             a, b = lhs.value, rhs.value

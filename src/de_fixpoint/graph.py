@@ -17,7 +17,6 @@ the price is a graph that grows with the bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,57 +72,35 @@ def build_state_graph(
 ) -> StateGraph:
     """Explore every reachable state.
 
-    ``workers`` sizes a thread pool used to expand the frontier.  The
-    expansion of a state is a pure function, so the resulting graph is
-    identical for any worker count; and since a deterministic system's
-    frontier never holds more than one state, extra workers buy little
-    here — the knob exists for interface parity, not speed.
+    A deterministic system's run is a single chain, so the states are
+    expanded one after another.  ``workers`` is accepted and ignored: it
+    once sized a thread pool over a frontier that never held more than
+    one state, and stays for one release so existing callers keep working.
     """
     if time_bound is not None:
         time_bound = Fraction(time_bound)
     bounded = time_bound is not None
 
-    nodes = []
+    nodes = [initial]
     kinds = []
     succ = []
-    ids = {}
-
-    def expand(state: SystemState):
+    ids = {_identity(initial, bounded): 0}
+    while True:
+        if len(nodes) > max_states:
+            raise StateSpaceExceeded(max_states)
+        state = nodes[-1]
         if state.queue.is_empty() or _cut_by_bound(state, time_bound):
-            return None  # terminal: self-loop
-        return step(state, bottom_as_absent=bottom_as_absent)
-
-    pool = ThreadPoolExecutor(max_workers=max(1, workers)) if workers > 1 else None
-    try:
-        state = initial
-        ids[_identity(state, bounded)] = 0
-        nodes.append(state)
-        while True:
-            if len(nodes) > max_states:
-                raise StateSpaceExceeded(max_states)
-            frontier = [nodes[-1]]
-            if pool is not None:
-                results = list(pool.map(expand, frontier))
-            else:
-                results = [expand(s) for s in frontier]
-            outcome = results[0]
-            if outcome is None:
-                succ.append(len(nodes) - 1)
-                kinds.append(Stutter())
-                break
-            nxt, kind = outcome
-            key = _identity(nxt, bounded)
-            if key in ids:
-                succ.append(ids[key])
-                kinds.append(kind)
-                break
-            ids[key] = len(nodes)
-            succ.append(len(nodes))
-            kinds.append(kind)
-            nodes.append(nxt)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            succ.append(len(nodes) - 1)  # terminal: self-loop
+            kinds.append(Stutter())
+            break
+        nxt, kind = step(state, bottom_as_absent=bottom_as_absent)
+        kinds.append(kind)
+        # One lookup interns a new state or finds the one that closes the lasso.
+        known = ids.setdefault(_identity(nxt, bounded), len(nodes))
+        succ.append(known)
+        if known < len(nodes):
+            break
+        nodes.append(nxt)
 
     return StateGraph(nodes, succ, kinds, bounded, bottom_as_absent)
 

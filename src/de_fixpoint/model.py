@@ -10,11 +10,18 @@ All nodes are immutable snapshots.  Collections are sorted at
 construction, so two trees describing the same model compare equal no
 matter the declaration order, and a tree can be used directly as a hash
 key when deduplicating system states.
+
+Collections are canonical once built.  The engine relies on that: it
+derives each new state's tree with ``ActorNode.with_state`` (through
+``network.map_ports`` and postfire), which keeps the existing port,
+transition and child tuples in their order and never re-sorts them, and
+it shares every node (and port) whose contents did not change.  A node
+caches its hash, so hashing a new tree costs only its new nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -23,7 +30,7 @@ from .errors import (
     NondeterministicFsm,
     ValidationError,
 )
-from .expr import Expr, eval_expr, expr_text, guard_evaluable, referenced_names, referenced_ports
+from .expr import Expr, eval_expr, expr_text, referenced_names, referenced_ports
 from .util import EMPTY_MAP, FrozenMap
 from .values import (
     UNKNOWN,
@@ -33,6 +40,7 @@ from .values import (
     Present,
     StringVal,
     TimeVal,
+    Unknown,
     is_known,
 )
 
@@ -159,6 +167,60 @@ class ActorNode:
         )
         object.__setattr__(self, "refinements", FrozenMap(self.refinements))
 
+    # Caches, deliberately not dataclass fields: they take no part in
+    # equality, and ``replace`` (which may change structure) drops them.
+    # Read them as attributes; an unset one falls back to these defaults.
+    _hash = None
+    _static_hash = None  # hash of the fields with_state never changes
+    _network = None  # the compiled static structure, see network.py
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            static = self._static_hash
+            if static is None:
+                static = hash(tuple(getattr(self, name) for name in _STATIC_FIELDS))
+                object.__setattr__(self, "_static_hash", static)
+            h = hash(
+                (static, self.ports, self.enabled, self.curr_location, self.variables, self.inner)
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def with_state(
+        self, ports=None, inner=None, enabled=None, curr_location=None, variables=None
+    ) -> "ActorNode":
+        """This node with new dynamic contents and the same static structure.
+
+        ``ports`` and ``inner`` must be the node's own tuples with only
+        statuses or descendants' state changed, in the same (canonical)
+        order; they are taken as they are, not sorted again.  Arguments
+        left at None keep the current value.  The static caches carry
+        over, since nothing static changed.
+        """
+        node = object.__new__(ActorNode)
+        put = object.__setattr__
+        # Field by field, in declaration order, as __init__ would.
+        put(node, "name", self.name)
+        put(node, "kind", self.kind)
+        put(node, "ports", self.ports if ports is None else ports)
+        put(node, "parameters", self.parameters)
+        put(node, "enabled", self.enabled if enabled is None else enabled)
+        put(node, "locations", self.locations)
+        put(node, "init_location", self.init_location)
+        put(node, "curr_location", self.curr_location if curr_location is None else curr_location)
+        put(node, "variables", self.variables if variables is None else variables)
+        put(node, "transitions", self.transitions)
+        put(node, "inner", self.inner if inner is None else inner)
+        put(node, "connections", self.connections)
+        put(node, "controller", self.controller)
+        put(node, "refinements", self.refinements)
+        if self._static_hash is not None:
+            put(node, "_static_hash", self._static_hash)
+        if self._network is not None:
+            put(node, "_network", self._network)
+        return node
+
     # Convenience lookups (linear scans; the trees here are small). --------
 
     def child(self, name: str) -> Optional["ActorNode"]:
@@ -183,6 +245,10 @@ class ActorNode:
         return tuple(t for t in self.transitions if t.source == location)
 
 
+_DYNAMIC_FIELDS = ("ports", "enabled", "curr_location", "variables", "inner")
+_STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
+
+
 def resolve(top: ActorNode, path) -> ActorNode:
     """Follow an absolute actor path (starting with the top actor's name)."""
     path = tuple(path)
@@ -205,27 +271,15 @@ def iter_actors(top: ActorNode, live_only: bool = False) -> Iterator:
     ``live_only`` those frozen subtrees are skipped entirely.
     """
 
-    def walk(node, path, live):
+    stack = [(top, (top.name,), True)]
+    while stack:
+        node, path, live = stack.pop()
         live = live and node.enabled
         if live_only and not live:
-            return
+            continue
         yield path, node, live
-        for child in node.inner:
-            yield from walk(child, path + (child.name,), live)
-
-    yield from walk(top, (top.name,), True)
-
-
-def controller_of(modal: ActorNode) -> ActorNode:
-    node = modal.child(modal.controller)
-    if node is None:
-        raise NoSuchActor(f"{modal.name}.{modal.controller}")
-    return node
-
-
-def coupled_port_names(modal: ActorNode) -> tuple:
-    """The modal actor's output ports, mirrored as in/out pairs on its controller."""
-    return modal.port_names(OUT)
+        for child in reversed(node.inner):
+            stack.append((child, path + (child.name,), live))
 
 
 # State-machine firing decision (shared by the fixed point and postfire). ---
@@ -240,22 +294,39 @@ def fsm_decision(node: ActorNode, input_statuses, label: str):
     guard.  The decision is stable: once it returns a non-None verdict,
     growing port knowledge can never change it.
     """
-    outgoing = node.transitions_from(node.curr_location)
-    any_present = any(isinstance(s, Present) for s in input_statuses.values())
-    all_known = all(is_known(s) for s in input_statuses.values())
-    if not all(guard_evaluable(t.guard, input_statuses) for t in outgoing):
-        # Guards only mention the machine's own inputs, so all_known would
-        # imply evaluable; nothing can be decided yet.
-        return (None, None)
+    outgoing = [(t, referenced_ports(t.guard)) for t in node.transitions_from(node.curr_location)]
+    verdict, entry = decide_firing(outgoing, node, input_statuses, label)
+    return verdict, (entry[0] if entry is not None else None)
+
+
+def decide_firing(outgoing, node: ActorNode, input_statuses, label: str):
+    """fsm_decision over precompiled transitions.
+
+    ``outgoing`` holds one entry per transition leaving the current
+    location, in canonical order; an entry starts with the transition and
+    the ports its guard reads.  Returns the verdict and the firing entry
+    (None unless the verdict is "fire").
+    """
+    statuses = input_statuses.values()
+    any_present = any(isinstance(s, Present) for s in statuses)
+    all_known = all(is_known(s) for s in statuses)
+    for entry in outgoing:
+        for port in entry[1]:
+            status = input_statuses.get(port)
+            if status is None or isinstance(status, Unknown):
+                # Guards only mention the machine's own inputs, so all_known
+                # would imply evaluable; nothing can be decided yet.
+                return (None, None)
     trues = []
-    for t in outgoing:
+    for entry in outgoing:
+        t = entry[0]
         v = eval_expr(t.guard, node.variables, node.parameters, input_statuses)
         if not isinstance(v, BoolVal):
             raise ValidationError([f"{label}: guard of {t.source}->{t.target} is not boolean"])
         if v.value:
-            trues.append(t)
+            trues.append(entry)
     if len(trues) >= 2 and any_present:
-        raise NondeterministicFsm(label, [(t.source, t.target) for t in trues])
+        raise NondeterministicFsm(label, [(e[0].source, e[0].target) for e in trues])
     if not trues:
         return ("nofire", None)
     if len(trues) == 1 and any_present:
@@ -541,23 +612,3 @@ def _validate_modal(node: ActorNode, prefix: str, problems) -> None:
             f"{prefix}: modal actors take no explicit connections (wiring is implied "
             "by the port lists)"
         )
-
-
-# Whole-tree port editing helpers (used by the engines). ---------------------
-
-
-def map_ports(node: ActorNode, fn) -> ActorNode:
-    """Rebuild a tree with every port's status replaced by fn(path, port)."""
-
-    def walk(n, path):
-        ports = tuple(
-            Port(p.name, p.direction, fn(path, p)) for p in n.ports
-        )
-        inner = tuple(walk(c, path + (c.name,)) for c in n.inner)
-        return replace(n, ports=ports, inner=inner)
-
-    return walk(node, (node.name,))
-
-
-def clear_all_ports(node: ActorNode) -> ActorNode:
-    return map_ports(node, lambda path, port: UNKNOWN)

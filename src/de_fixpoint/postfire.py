@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import UnknownVariableTarget
 from .events import EMPTY_QUEUE, Event, EventQueue
 from .expr import eval_expr
-from .fire import clear_ports
 from .model import (
     CLOCK,
     COMPOSITE,
@@ -29,11 +28,13 @@ from .model import (
     OUT,
     SETVAR,
     ActorNode,
+    Port,
     PortRef,
     iter_actors,
     normalize,
     validate,
 )
+from .network import network_of
 from .state import SystemState
 from .util import FrozenMap, time_amount
 from .values import IntVal, Present, TimeVal
@@ -47,15 +48,17 @@ def _amount(value) -> Fraction:
 
 
 def _reset(node: ActorNode) -> ActorNode:
+    """Every port unknown, every actor enabled, machines in their initial locations."""
+    ports = tuple(Port(p.name, p.direction) for p in node.ports)
     if node.kind == FSM:
-        return replace(node, curr_location=node.init_location, enabled=True)
+        return replace(node, ports=ports, curr_location=node.init_location, enabled=True)
     if node.kind in (COMPOSITE, MODAL):
         inner = tuple(_reset(c) for c in node.inner)
-        node = replace(node, inner=inner, enabled=True)
+        node = replace(node, ports=ports, inner=inner, enabled=True)
         if node.kind == MODAL:
             node = _apply_mode(node, node.child(node.controller).curr_location)
         return node
-    return replace(node, enabled=True)
+    return replace(node, ports=ports, enabled=True)
 
 
 def _apply_mode(modal: ActorNode, location: str) -> ActorNode:
@@ -79,7 +82,8 @@ def initialize(top: ActorNode) -> SystemState:
     """
     top = normalize(top)
     validate(top)
-    top = clear_ports(_reset(top))
+    # The structure is compiled on the first step, not here.
+    top = _reset(top)
     queue = EMPTY_QUEUE
     for path, node, _ in iter_actors(top, live_only=True):
         if node.kind == CLOCK:
@@ -95,27 +99,44 @@ def postfire(top: ActorNode, decisions):
     firing decision per machine, both produced by compute_fixpoint.  The
     requests are (delay, microstep, event) triples in tree order; commit
     them with commit_requests to preserve the deterministic ordering.
+
+    Only actors whose state changes are rebuilt, along with their
+    ancestors; every other subtree is shared with ``top``.
     """
-    fsm_commits = {}  # path -> (new location, new variables)
-    composite_writes = {}  # path -> {variable: value}
+    network = network_of(top)
+    nodes = network.nodes_of(top)
+    live = network.live(nodes)
+    changes = {}  # actor index -> with_state arguments
+    composite_writes = {}  # composite index -> {variable: value}
     requests = []
 
-    for path, node, _ in iter_actors(top, live_only=True):
-        if node.kind == FSM:
+    for i in network.preorder:
+        if not live[i]:
+            continue
+        node = nodes[i]
+        kind = node.kind
+        path = network.paths[i]
+        if kind == FSM:
             verdict, transition = decisions.get(path, ("nofire", None))
             if verdict != "fire":
                 continue
-            env = node.statuses(IN)
-            variables = dict(node.variables)
-            for var, expr in transition.sets.items():
-                variables[var] = eval_expr(expr, node.variables, node.parameters, env)
-            fsm_commits[path] = (transition.target, variables)
-        elif node.kind == CLOCK:
+            change = {}
+            if transition.sets:
+                env = node.statuses(IN)
+                variables = dict(node.variables)
+                for var, expr in transition.sets.items():
+                    variables[var] = eval_expr(expr, node.variables, node.parameters, env)
+                change["variables"] = FrozenMap(variables)
+            if transition.target != node.curr_location:
+                change["curr_location"] = transition.target
+            if change:
+                changes[i] = change
+        elif kind == CLOCK:
             status = node.port("output", OUT).status
             if isinstance(status, Present):
                 event = Event(PortRef(path, "output"), node.parameters["emit"])
                 requests.append((_amount(node.parameters["period"]), 0, event))
-        elif node.kind == DELAY:
+        elif kind == DELAY:
             status = node.port("input", IN).status
             if isinstance(status, Present):
                 delay = _amount(node.parameters["delay"])
@@ -123,52 +144,57 @@ def postfire(top: ActorNode, decisions):
                 # superdense time, same timestamp.
                 microstep = 1 if delay == 0 else 0
                 requests.append((delay, microstep, Event(PortRef(path, "output"), status.value)))
-        elif node.kind == SETVAR:
+        elif kind == SETVAR:
             status = node.port("input", IN).status
             if isinstance(status, Present):
                 target = node.parameters["target"].value
-                scope = _enclosing_composite(path, top)
+                scope = network.scope[i]
                 if scope is None:
                     raise UnknownVariableTarget(f"{'.'.join(path)}: no enclosing composite")
                 composite_writes.setdefault(scope, {})[target] = status.value
 
-    def rebuild(node, path):
-        if node.kind == FSM:
-            if path in fsm_commits:
-                location, variables = fsm_commits[path]
-                return replace(node, curr_location=location, variables=FrozenMap(variables))
-            return node
-        if node.kind in (COMPOSITE, MODAL):
-            inner = tuple(rebuild(c, path + (c.name,)) for c in node.inner)
-            node = replace(node, inner=inner)
-            if node.kind == COMPOSITE and path in composite_writes:
-                variables = dict(node.variables)
-                for var, value in composite_writes[path].items():
-                    if var not in variables:
-                        raise UnknownVariableTarget(f"{'.'.join(path)} has no variable '{var}'")
-                    variables[var] = value
-                node = replace(node, variables=FrozenMap(variables))
-            if node.kind == MODAL:
-                # The refinement that matches the controller's new location
-                # becomes live from the next iteration on.
-                node = _apply_mode(node, node.child(node.controller).curr_location)
-            return node
-        return node
+    # The refinement that matches each controller's new location becomes
+    # live from the next iteration on (frozen modal actors included).
+    for info in network.modals:
+        ctrl = info.controller
+        location = changes.get(ctrl, {}).get("curr_location", nodes[ctrl].curr_location)
+        active = info.refinements.get(location)
+        for child, name in info.others:
+            enabled = name == active
+            if nodes[child].enabled != enabled:
+                changes.setdefault(child, {})["enabled"] = enabled
 
-    return rebuild(top, (top.name,)), requests
+    # Rebuild the changed actors and their ancestors, bottom up; every
+    # other subtree is shared.
+    dirty = set()
+    for i in (*changes, *composite_writes):
+        while i >= 0 and i not in dirty:
+            dirty.add(i)
+            i = network.parent[i]
+    if not dirty:
+        return top, requests
 
+    def rebuild(i):
+        node = nodes[i]
+        change = changes.get(i, {})
+        kids = [c for c in network.children[i] if c in dirty]
+        if kids:
+            inner = list(node.inner)
+            first = network.children[i][0]
+            for c in kids:
+                inner[c - first] = rebuild(c)
+            change["inner"] = tuple(inner)
+        if i in composite_writes:
+            variables = dict(node.variables)
+            for var, value in composite_writes[i].items():
+                if var not in variables:
+                    path = ".".join(network.paths[i])
+                    raise UnknownVariableTarget(f"{path} has no variable '{var}'")
+                variables[var] = value
+            change["variables"] = FrozenMap(variables)
+        return node.with_state(**change)
 
-def _enclosing_composite(path, top: ActorNode):
-    """The nearest proper ancestor of ``path`` that is a composite."""
-    node = top
-    chain = [((top.name,), top)]
-    for name in path[1:]:
-        node = node.child(name)
-        chain.append((chain[-1][0] + (name,), node))
-    for ancestor_path, ancestor in reversed(chain[:-1]):
-        if ancestor.kind == COMPOSITE:
-            return ancestor_path
-    return None
+    return rebuild(0), requests
 
 
 def commit_requests(queue: EventQueue, requests) -> EventQueue:

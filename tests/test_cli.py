@@ -290,6 +290,26 @@ def test_check_workers_flag_changes_nothing(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_deeply_nested_formula_is_an_internal_error_not_a_verdict(capsys):
+    formula = "~ " * 1200 + "True"
+    code, out, err = run(capsys, "check", FLAT, "--formula", formula)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert len(err.splitlines()) == 1
+
+
+def test_checker_safety_net_is_an_internal_error(capsys, monkeypatch):
+    def disagree(graph, formula):
+        raise AssertionError("model-checking routes disagree")
+
+    monkeypatch.setattr("de_fixpoint.cli.check_ltl", disagree)
+    code, out, err = run(capsys, "check", FLAT, "--formula", "True")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: AssertionError: model-checking routes disagree\n"
+
+
 def test_check_state_budget_exhaustion_is_semantic(capsys):
     code, _, err = run(
         capsys,

@@ -25,6 +25,7 @@ from de_fixpoint.model import (
     resolve,
 )
 from de_fixpoint.executor import Iteration, step
+from de_fixpoint.network import network_of
 from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import (
     ABSENT,
@@ -289,3 +290,50 @@ def test_step_matches_manual_fire_pipeline(flat_state):
         else:
             expected[".".join(path)] = resolve(manual.top, path).curr_location
     assert fsm_locations(stepped) == expected
+
+
+# The compiled network. --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixture", ["flat_traffic_light.model", "hierarchical_traffic_light.model"]
+)
+def test_fused_instant_matches_clear_then_deliver(fixture):
+    state = initial_state(fixture)
+    seen = 0
+    while state.elapsed <= 20:
+        if state.queue.head_tag() == (Fraction(0), 0):
+            events, _ = state.queue.pop_ready()
+            staged = compute_fixpoint(deliver_events(clear_ports(state.top), events))
+            fused = compute_fixpoint(state.top, events=events)
+            assert fused.top == staged.top
+            assert fused.decisions == staged.decisions
+            assert fused.applications == staged.applications
+            seen += 1
+        state, _ = step(state)
+    assert seen >= 20
+
+
+def test_rules_are_built_once_per_mode_configuration(hier_state):
+    state = hier_state
+    for _ in range(200):
+        state, _ = step(state)
+    # Normal and error mode, each with its own set of live actors.
+    assert len(network_of(state.top).rule_sets) == 2
+    assert network_of(state.top) is network_of(hier_state.top)
+
+
+def test_a_step_shares_the_subtrees_it_does_not_change(hier_state):
+    state = hier_state
+    while not (state.elapsed == 17 and state.queue.head_tag() == (Fraction(0), 0)):
+        state, _ = step(state)
+    # The normal refinement froze at 15 and its ports were cleared at 16;
+    # from then on an iteration has nothing to change in it.
+    normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
+    frozen = resolve(state.top, normal)
+    assert frozen.enabled is False
+    assert all(p.status is UNKNOWN for _, n, _ in iter_actors(frozen) for p in n.ports)
+    nxt, kind = step(state)
+    assert isinstance(kind, Iteration)
+    assert resolve(nxt.top, normal) is frozen
+    assert nxt.top is not state.top

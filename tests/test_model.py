@@ -6,6 +6,8 @@ import pytest
 
 from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
 from de_fixpoint.expr import Binary, IsPresent, Lit, Var
+from de_fixpoint.executor import step
+from de_fixpoint.fire import clear_ports
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -20,8 +22,6 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    clear_all_ports,
-    coupled_port_names,
     fsm_decision,
     iter_actors,
     normalize,
@@ -84,7 +84,7 @@ def test_normalize_is_idempotent_on_fixtures(hier_state, flat_state):
 def test_modal_controller_mirrors_outputs_as_coupled_pairs(hier_state):
     modal = resolve(hier_state.top, ("HierarchicalTrafficLight", "TrafficLight"))
     lights = ("Cgrn", "Cred", "Cyel", "Pgrn", "Pred")
-    assert coupled_port_names(modal) == lights
+    assert modal.port_names(OUT) == lights
     ctrl = modal.child("Ctrl")
     for name in lights:
         assert ctrl.port(name, IN) is not None
@@ -146,8 +146,10 @@ def test_iter_actors_reports_liveness_of_frozen_subtrees(hier_state):
     assert tl + ("error", "ErrorLight") not in live_paths
 
 
-def test_clear_all_ports_resets_statuses(hier_state):
-    cleared = clear_all_ports(hier_state.top)
+def test_clear_ports_resets_statuses(hier_state):
+    state, _ = step(hier_state)
+    assert any(p.status is not UNKNOWN for _, n, _ in iter_actors(state.top) for p in n.ports)
+    cleared = clear_ports(state.top)
     for _, node, _ in iter_actors(cleared):
         assert all(p.status is UNKNOWN for p in node.ports)
 
@@ -419,3 +421,21 @@ def test_inout_pairs_reserved_for_controllers():
 def test_fixture_models_validate(hier_state, flat_state, mutant_state):
     for state in (hier_state, flat_state, mutant_state):
         validate(state.top)
+
+
+def test_derived_trees_hash_like_freshly_built_ones(hier_graph):
+    def rebuilt(node):
+        # Through the constructor: sorts again and caches nothing.
+        return ActorNode(
+            **{
+                f.name: getattr(node, f.name)
+                for f in node.__dataclass_fields__.values()
+                if f.name != "inner"
+            },
+            inner=tuple(rebuilt(c) for c in node.inner),
+        )
+
+    for state in hier_graph.nodes[::7]:
+        fresh = rebuilt(state.top)
+        assert fresh == state.top
+        assert hash(fresh) == hash(state.top)
