@@ -240,7 +240,6 @@ class BuchiAutomaton:
     accepting: frozenset
     guards: dict  # id -> ((prop, expected: bool), ...)
     successors: dict  # id -> (id, ...)
-    atoms: tuple  # all propositions appearing in guards
 
     def guard_holds(self, sid, valuation) -> bool:
         """valuation: mapping proposition -> bool."""
@@ -316,17 +315,10 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
     for sid in range(len(states)):
         successors.setdefault(sid, ())
 
-    atoms = []
-    for sid in range(len(states)):
-        for prop, _ in guards.get(sid, ()):
-            if prop not in atoms:
-                atoms.append(prop)
-
     return BuchiAutomaton(
         states=tuple(range(len(states))),
         initial=initial,
         accepting=frozenset(accepting),
         guards=guards,
         successors=successors,
-        atoms=tuple(atoms),
     )

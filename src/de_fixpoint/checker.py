@@ -13,6 +13,15 @@ the lasso — an independent second route.  A counterexample additionally
 has to follow real graph edges and violate the formula when replayed.
 Disagreement between the routes is a bug and raises immediately rather
 than returning a possibly-wrong verdict.
+
+Atom truth is computed once per graph (``StateGraph.atom_row``) and
+shared by both routes and by every later check on the same graph; the
+routes share nothing past that.  Nodes with the same truth vector over a
+formula's atoms form a valuation class, and the product search asks
+whether an automaton state's guard holds once per (state, class), not
+once per product edge.  Replay does not use the shared truth: it
+evaluates the formula afresh on the witness states and re-executes the
+run to reproduce them.
 """
 
 from __future__ import annotations
@@ -61,14 +70,16 @@ class Verdict:
 # Direct evaluation of a formula on a lasso. ---------------------------------
 
 
-def eval_on_lasso(states, cycle_start: int, formula: Formula) -> bool:
+def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool:
     """Truth of ``formula`` at position 0 of the run states[0..] where
     position len(states)-1 loops back to ``cycle_start``.
 
     Works by computing, per subformula, its truth at every position:
     boolean connectives pointwise, until as a least fixpoint and always
     as a greatest fixpoint iterated around the loop until stable.  This
-    deliberately shares nothing with the automaton construction.
+    deliberately shares nothing with the automaton construction beyond
+    ``rows``: when given, a mapping from each atom's proposition to its
+    truth at every position, read instead of evaluating the states.
     """
     n = len(states)
     if not (0 <= cycle_start < n):
@@ -82,6 +93,8 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula) -> bool:
         if isinstance(f, FalseF):
             return [False] * n
         if isinstance(f, Atom):
+            if rows is not None:
+                return rows[f.prop]
             return [prop_holds(s, f.prop) for s in states]
         if isinstance(f, Not):
             return [not v for v in table(f.operand)]
@@ -130,24 +143,27 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula) -> bool:
 _CYAN, _BLUE = 1, 2
 
 
-def _product_successors(graph: StateGraph, ba: BuchiAutomaton, vals):
+def _find_accepting_lasso(graph: StateGraph, ba: BuchiAutomaton, classes, valuations):
+    """Nested DFS (blue/red with a cyan stack) over the product.
+
+    ``classes[node]`` is the node's valuation class and ``valuations[c]``
+    the truth of every atom on class ``c``.  Returns (prefix, cycle) as
+    lists of product states, or None when the product has no reachable
+    accepting cycle.
+    """
+    enters = {}  # (automaton state, class) -> its guard holds there
+
+    def can_enter(q, node):
+        key = (q, classes[node])
+        ok = enters.get(key)
+        if ok is None:
+            ok = enters[key] = ba.guard_holds(q, valuations[key[1]])
+        return ok
+
     def successors(ps):
         node, q = ps
         nxt = graph.succ[node]
-        return [
-            (nxt, q2) for q2 in ba.successors[q] if ba.guard_holds(q2, vals[nxt])
-        ]
-
-    return successors
-
-
-def _find_accepting_lasso(graph: StateGraph, ba: BuchiAutomaton, vals):
-    """Nested DFS (blue/red with a cyan stack) over the product.
-
-    Returns (prefix, cycle) as lists of product states, or None when the
-    product has no reachable accepting cycle.
-    """
-    successors = _product_successors(graph, ba, vals)
+        return [(nxt, q2) for q2 in ba.successors[q] if can_enter(q2, nxt)]
 
     def accepting(ps):
         return ps[1] in ba.accepting
@@ -155,7 +171,7 @@ def _find_accepting_lasso(graph: StateGraph, ba: BuchiAutomaton, vals):
     color = {}
     red = set()
 
-    initial = [(0, q) for q in ba.initial if ba.guard_holds(q, vals[0])]
+    initial = [(0, q) for q in ba.initial if can_enter(q, 0)]
     for start in initial:
         if color.get(start) == _BLUE:
             continue
@@ -238,18 +254,21 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     f = desugar(formula)
     # Surface bad actor paths / variables / locations immediately, and on
     # every node: propositions must be evaluable over the whole graph.
-    vals = []
     atoms = collect_atoms(f)
-    for state in graph.nodes:
-        vals.append({prop: prop_holds(state, prop) for prop in atoms})
-
-    ba = ltl_to_buchi(Not(f))
+    rows = {prop: graph.atom_row(prop) for prop in atoms}
+    # Valuation classes: the distinct truth vectors over the atoms.
+    vectors = zip(*rows.values()) if atoms else [()] * len(graph.nodes)
+    class_ids = {}
+    classes = [class_ids.setdefault(vector, len(class_ids)) for vector in vectors]
     # The automaton may constrain only a subset of the atoms; valuations
     # carry them all.
-    hit = _find_accepting_lasso(graph, ba, vals)
+    valuations = [dict(zip(atoms, vector)) for vector in class_ids]
+
+    ba = ltl_to_buchi(Not(f))
+    hit = _find_accepting_lasso(graph, ba, classes, valuations)
 
     # Second route: evaluate the formula directly on the unique run.
-    direct = eval_on_lasso(graph.nodes, graph.cycle_entry(), f)
+    direct = eval_on_lasso(graph.nodes, graph.cycle_entry(), f, rows)
     if (hit is None) != direct:
         raise AssertionError(
             "model-checking routes disagree (automaton vs direct evaluation); "

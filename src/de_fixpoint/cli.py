@@ -192,13 +192,6 @@ def _add_bound_flags(sub: argparse.ArgumentParser) -> None:
         metavar="N",
         help=f"abort after this many states (default {DEFAULT_MAX_STATES})",
     )
-    sub.add_argument(
-        "--workers",
-        type=_positive,
-        default=1,
-        metavar="N",
-        help="ignored; accepted for compatibility and removed in the next release",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,7 @@ Expressions appear in transition guards, transition outputs and variable
 updates.  They read the owning machine's variables, parameters and input
 ports.  Evaluation is strict: reading an unknown port raises, which is why
 the fixed-point engine evaluates nothing before every port it reads
-(`referenced_ports`, collected once per model) is known; `guard_evaluable`
-is that test for a single expression.
+(`referenced_ports`, collected once per model) is known.
 """
 
 from __future__ import annotations
@@ -197,19 +196,6 @@ def referenced_names(expr: Expr) -> frozenset:
 
     walk(expr)
     return frozenset(found)
-
-
-def guard_evaluable(expr: Expr, ports: Mapping[str, PortStatus]) -> bool:
-    """True when every port the expression reads has a known status.
-
-    Once this holds, the expression's value can no longer change within the
-    current iteration, because port knowledge only grows.
-    """
-    for name in referenced_ports(expr):
-        status = ports.get(name)
-        if status is None or isinstance(status, Unknown):
-            return False
-    return True
 
 
 # Rendering (shared by the model printer and error messages). ---------------

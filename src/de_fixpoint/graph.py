@@ -17,7 +17,7 @@ the price is a graph that grows with the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StateSpaceExceeded
@@ -38,16 +38,37 @@ class Stutter:
 
 @dataclass
 class StateGraph:
+    """The lasso of reachable states, as ``build_state_graph`` returns it.
+
+    A graph is fixed once it is built: nothing changes ``nodes``,
+    ``succ`` or ``kinds`` afterwards.  That is what lets it keep the truth
+    of each proposition on every node once computed, so every check run
+    against the same graph shares it.
+    """
+
     nodes: list  # SystemState, id = index, id 0 = initial
     succ: list  # node id -> unique successor id
     kinds: list  # node id -> step kind taken out of it (Stutter on self-loops)
     bounded: bool
     bottom_as_absent: bool = False
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def cycle_entry(self) -> int:
         """First node id that lies on the lasso's cycle."""
         # The last computed successor points back into the node list.
         return self.succ[len(self.nodes) - 1]
+
+    def atom_row(self, prop) -> tuple:
+        """Truth of ``prop`` on every node, indexed by node id.
+
+        Computed with ``prop_holds`` on first use and kept; a bad actor
+        path, variable or location raises its error on every call, since
+        a row that fails is not kept.
+        """
+        row = self._rows.get(prop)
+        if row is None:
+            row = self._rows[prop] = tuple(prop_holds(state, prop) for state in self.nodes)
+        return row
 
 
 def _identity(state: SystemState, bounded: bool):
@@ -67,15 +88,12 @@ def build_state_graph(
     initial: SystemState,
     time_bound=None,
     max_states: int = DEFAULT_MAX_STATES,
-    workers: int = 1,
     bottom_as_absent: bool = False,
 ) -> StateGraph:
     """Explore every reachable state.
 
     A deterministic system's run is a single chain, so the states are
-    expanded one after another.  ``workers`` is accepted and ignored: it
-    once sized a thread pool over a frontier that never held more than
-    one state, and stays for one release so existing callers keep working.
+    expanded one after another.
     """
     if time_bound is not None:
         time_bound = Fraction(time_bound)

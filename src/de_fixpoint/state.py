@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .events import EMPTY_QUEUE, EventQueue
-from .model import COMPOSITE, FSM, MODAL, ActorNode, iter_actors
+from .model import COMPOSITE, FSM, ActorNode, iter_actors
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,4 @@ def fsm_locations(state: SystemState) -> dict:
     for path, node, _ in iter_actors(state.top):
         if node.kind == FSM and node.curr_location is not None:
             out[".".join(path)] = node.curr_location
-    return out
-
-
-def modal_modes(state: SystemState) -> dict:
-    """Current controller location of every modal actor."""
-    out = {}
-    for path, node, _ in iter_actors(state.top):
-        if node.kind == MODAL:
-            ctrl = node.child(node.controller)
-            if ctrl is not None and ctrl.curr_location is not None:
-                out[".".join(path)] = ctrl.curr_location
     return out

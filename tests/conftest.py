@@ -1,8 +1,17 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from de_fixpoint import build_state_graph, initialize, parse_model
+
+# Property tests draw the same examples on every run (no example
+# database, no random seed), so a failure reproduces and the suite's
+# running time stays fixed.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=40
+)
+settings.load_profile("deterministic")
 
 MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
 

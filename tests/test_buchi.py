@@ -155,7 +155,6 @@ def test_construction_is_deterministic(text):
     assert one.accepting == two.accepting
     assert one.guards == two.guards
     assert one.successors == two.successors
-    assert one.atoms == two.atoms
 
 
 def test_automaton_shape_is_well_formed():
@@ -165,4 +164,4 @@ def test_automaton_shape_is_well_formed():
         assert all(t in ba.states for t in ba.successors[sid])
     assert set(ba.initial) <= set(ba.states)
     assert ba.accepting <= set(ba.states)
-    assert set(ba.atoms) == {P}
+    assert {prop for sid in ba.states for prop, _ in ba.guards[sid]} == {P}

@@ -1,6 +1,10 @@
 """Temporal checking: dual-route verdicts, witnesses, bounded semantics."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from de_fixpoint.checker import check_ltl, eval_on_lasso
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
@@ -190,3 +194,100 @@ def test_unbounded_check_sees_the_real_cycle(flat_graph):
     assert not check_ltl(flat_graph, stuck_red).holds
     recur_yellow = parse_formula("[] <> ('FlatTrafficLight | 'Cyel = 1)")
     assert check_ltl(flat_graph, recur_yellow).holds
+
+
+# Generated formulas against the reference semantics. ------------------------------
+
+# graph fixture -> (atoms to build formulas from, (bad atom, the error it raises))
+GENERATED = {
+    "flat": (
+        (
+            "'FlatTrafficLight | 'Cred = 1",
+            "'FlatTrafficLight | ('Pgrn = 1, 'Cred = 1)",
+            "'FlatTrafficLight . 'CarLight @ 'Cgrn",
+            "'FlatTrafficLight . 'PedestrianLight @ 'Pgreen",
+        ),
+        (
+            ("'Ghost @ 'x", NoSuchActor),
+            ("'FlatTrafficLight | 'ghost = 1", NoSuchVariable),
+            ("'FlatTrafficLight @ 'x", NotAnFsm),
+        ),
+    ),
+    "hier": (
+        (
+            "'HierarchicalTrafficLight | 'Cred = 1",
+            "'HierarchicalTrafficLight . 'Decision @ 'Abnormal",
+            "'HierarchicalTrafficLight . 'TrafficLight @ 'error",
+            "'HierarchicalTrafficLight . 'TrafficLight . 'normal . 'PedestrianLight @ 'Pgreen",
+        ),
+        (
+            ("'HierarchicalTrafficLight . 'Ghost @ 'x", NoSuchActor),
+            ("'HierarchicalTrafficLight | 'ghost = 1", NoSuchVariable),
+            ("'HierarchicalTrafficLight @ 'x", NotAnFsm),
+        ),
+    ),
+}
+
+
+def formula_texts(atoms, depth=4):
+    """Formula source text over ``atoms``, nested at most ``depth`` deep."""
+    leaf = st.sampled_from(tuple(atoms) + ("True", "False"))
+    if depth == 0:
+        return leaf
+    sub = formula_texts(atoms, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("{} ({})".format, st.sampled_from(("~", "[]", "<>")), sub),
+        st.builds(
+            "({}) {} ({})".format, sub, st.sampled_from(("/\\", "\\/", "->", "U")), sub
+        ),
+    )
+
+
+@st.composite
+def generated_checks(draw):
+    """A fixture, a formula over its atoms, and one of its bad atoms."""
+    name = draw(st.sampled_from(sorted(GENERATED)))
+    atoms, bads = GENERATED[name]
+    return name, draw(formula_texts(atoms)), draw(st.sampled_from(bads))
+
+
+def _outcome(verdict):
+    if verdict.witness is None:
+        return verdict.holds, None, None
+    return verdict.holds, verdict.witness.prefix_ids, verdict.witness.cycle_ids
+
+
+# The session's graphs are warm: other tests and earlier examples have
+# checked formulas on them.  replace() gives the same graph with no check
+# run on it yet.
+
+
+@given(case=generated_checks())
+def test_generated_formulas_agree_with_reference_on_warm_and_fresh_graphs(
+    flat_graph, hier_graph, case
+):
+    name, text, _ = case
+    warm = {"flat": flat_graph, "hier": hier_graph}[name]
+    f = fm(text)
+    vals = [{prop: prop_holds(s, prop) for prop in collect_atoms(f)} for s in warm.nodes]
+    expected = ltl_ref.eval_word(vals, warm.cycle_entry(), f)
+    on_warm = _outcome(check_ltl(warm, parse_formula(text)))
+    assert on_warm[0] == expected
+    assert _outcome(check_ltl(replace(warm), parse_formula(text))) == on_warm
+
+
+@given(
+    case=generated_checks(),
+    shape=st.sampled_from(("({}) /\\ ({})", "({}) U ({})", "[] (({}) -> <> ({}))")),
+)
+def test_generated_bad_names_raise_the_same_error_warm_and_fresh(
+    flat_graph, hier_graph, case, shape
+):
+    name, text, (bad_text, error) = case
+    text = shape.format(text, bad_text)
+    warm = {"flat": flat_graph, "hier": hier_graph}[name]
+    # Twice on the warm graph: a row that failed must fail again, not be kept.
+    for graph in (warm, warm, replace(warm)):
+        with pytest.raises(error):
+            check_ltl(graph, parse_formula(text))

@@ -283,13 +283,6 @@ def test_check_failure_prints_lasso_counterexample(capsys):
     assert any(line.strip().startswith("[") for line in lines[cycle_at + 1 :])
 
 
-def test_check_workers_flag_changes_nothing(capsys):
-    formula = "[] <> ('HierarchicalTrafficLight . 'Decision @ 'Normal)"
-    code1, out1, _ = run(capsys, "check", HIER, "--formula", formula)
-    code2, out2, _ = run(capsys, "check", HIER, "--formula", formula, "--workers", "2")
-    assert (code1, out1) == (code2, out2)
-
-
 def test_deeply_nested_formula_is_an_internal_error_not_a_verdict(capsys):
     formula = "~ " * 1200 + "True"
     code, out, err = run(capsys, "check", FLAT, "--formula", formula)

@@ -19,7 +19,6 @@ from de_fixpoint.expr import (
     Var,
     eval_expr,
     expr_text,
-    guard_evaluable,
     referenced_names,
     referenced_ports,
 )
@@ -118,12 +117,6 @@ def test_referenced_ports_and_names():
     e = Binary("&&", IsPresent("A"), Binary("<", PortValue("B"), Var("n")))
     assert referenced_ports(e) == {"A", "B"}
     assert referenced_names(e) == {"n"}
-
-
-def test_guard_evaluable_tracks_port_knowledge():
-    e = Binary("&&", IsPresent("A"), IsPresent("B"))
-    assert not guard_evaluable(e, {"A": Present(IntVal(1)), "B": UNKNOWN})
-    assert guard_evaluable(e, {"A": Present(IntVal(1)), "B": ABSENT})
 
 
 def test_expr_text_parenthesizes_by_precedence():

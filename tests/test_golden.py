@@ -1,12 +1,15 @@
-"""Byte-exact pins on traces and state graphs.
+"""Byte-exact pins on traces, state graphs and check verdicts.
 
-Each digest is a sha256 of CLI `simulate` output (text and JSON) or of a
+Each digest is a sha256 of CLI `simulate` output (text and JSON), of a
 dump of every node of a model's state graph: FSM locations, variables,
 enabled flags, port statuses (stale ones from the previous iteration
 included, since they are part of state identity), queue summary, the
-step kind taken out of the node, and its successor.  Any change to the
+step kind taken out of the node, and its successor, or of CLI `check`
+output and library `check_ltl` witness node ids.  Any change to the
 engine that alters a trace, a graph, or the statuses ports are left
-with shows up here, even when the verdicts built on top stay the same.
+with shows up here, even when the verdicts built on top stay the same;
+any change to the checker's search order shows up as a different
+counterexample.
 
 Regenerate a digest only for a deliberate change of semantics, and say
 so where the change is recorded.
@@ -17,7 +20,7 @@ import json
 
 import pytest
 
-from de_fixpoint import build_state_graph, initialize, parse_model
+from de_fixpoint import build_state_graph, check_ltl, initialize, parse_formula, parse_model
 from de_fixpoint.cli import main
 from de_fixpoint.model import iter_actors
 from de_fixpoint.state import collect_variables, fsm_locations
@@ -256,6 +259,67 @@ GRAPH = {
 }
 
 
+MUTUAL_EXCLUSION = "[] ~ ('HierarchicalTrafficLight | ('Pgrn = 1, 'Cgrn = 1))"
+
+# name -> (model, formula, extra flags, exit code: 0 holds, 1 fails)
+CHECKS = {
+    "flat-holds": ("flat", "[] <> ('FlatTrafficLight | 'Cyel = 1)", (), 0),
+    "flat-fails": ("flat", "<> [] ('FlatTrafficLight | 'Cred = 1)", (), 1),
+    "flat-until-holds": ("flat", "<> [] ('FlatTrafficLight | 'Cred = 1)", ("--until", "2"), 0),
+    "flat-until-fails": ("flat", "[] <> ('FlatTrafficLight | 'Cyel = 1)", ("--until", "2"), 1),
+    "hier-holds": ("hier", MUTUAL_EXCLUSION, (), 0),
+    "hier-fails": ("hier", "[] <> 'HierarchicalTrafficLight . 'Decision @ 'Dinit", (), 1),
+    "hier-until-fails": (
+        "hier",
+        "[] ('HierarchicalTrafficLight . 'Decision @ 'Abnormal -> <> 'HierarchicalTrafficLight . 'Decision @ 'Normal)",
+        ("--until", "18"),
+        1,
+    ),
+    "mutant-holds": ("mutant", "<> 'HierarchicalTrafficLight . 'Decision @ 'Abnormal", (), 0),
+    "mutant-fails": ("mutant", MUTUAL_EXCLUSION, (), 1),
+    "cycle-holds": ("cycle", "[] ('FeedbackLoop . 'A @ 'S /\\ 'FeedbackLoop . 'B @ 'S)", ("--bottom-as-absent",), 0),
+    "cycle-fails": ("cycle", "<> ~ 'FeedbackLoop . 'B @ 'S", ("--bottom-as-absent",), 1),
+}
+
+# Recorded before atom truth was computed once per graph (as are the
+# witness pins below).
+CHECK_TEXT = {
+    "cycle-fails": "1286a8823fa9589245bb017f6461a7cb7e686f0bca91ad0454e07bb9d848be3f",
+    "cycle-holds": "32ef2b7733764110bff0971aa9b4cd324ba6ef99ce87da1105d4c0793e81f29c",
+    "flat-fails": "13285f89d6edf2f3f90feb7eb928bba10b95d8fb9b46a5d4ad44020d8262cc12",
+    "flat-holds": "0b5ff1e100b982fc60a5ceb057776e82dcf9e05942dce45be88b6318b75e1815",
+    "flat-until-fails": "c68c7b781211e4724d81773d1e61e41abfed75179a364581d501bf37ef066fd7",
+    "flat-until-holds": "eec5f551cf46b6ee613de6a0276d708e70004cb9603495f5f8b053c9e2ca4301",
+    "hier-fails": "315f661b8f97a9a26e2c308a9ec37670fe70d18d495ed9dc2be24c1434877fcf",
+    "hier-holds": "e129082aae9e3b1f04dcebe4dcdeca800dd7fa99067bca652104b253964438b3",
+    "hier-until-fails": "df8fd1095d5f8dc23c0258584b27ee9e4cf274bfb3bd7d60e362e9718dad4f73",
+    "mutant-fails": "bbf25038cbcbf5ef96cabe2bd6b858fc5991c55d4e0deaf04b3a19238d23e4b6",
+    "mutant-holds": "e129082aae9e3b1f04dcebe4dcdeca800dd7fa99067bca652104b253964438b3",
+}
+
+# Failing formulas on the mutant graph, all checked against one graph.
+WITNESS_FORMULAS = [
+    MUTUAL_EXCLUSION,
+    "[] 'HierarchicalTrafficLight . 'Decision @ 'Normal",
+    "<> [] ('HierarchicalTrafficLight | 'Cred = 1)",
+    "[] ('HierarchicalTrafficLight | 'Pgrn = 1 -> 'HierarchicalTrafficLight . 'Decision @ 'Abnormal)",
+    "[] ('HierarchicalTrafficLight . 'Decision @ 'Abnormal -> 'HierarchicalTrafficLight | ('Pgrn = 1, 'Cgrn = 1))",
+    "[] ('HierarchicalTrafficLight . 'Decision @ 'Abnormal -> 'HierarchicalTrafficLight | 'Cred = 1)",
+    "[] ('HierarchicalTrafficLight | ('Pgrn = 1, 'Cgrn = 1) -> 'HierarchicalTrafficLight . 'Decision @ 'Abnormal)",
+    "[] ('HierarchicalTrafficLight | 'Pgrn = 1 -> ('HierarchicalTrafficLight | 'Pgrn = 1 U 'HierarchicalTrafficLight | 'Cred = 1))",
+]
+WITNESS_IDS = [
+    "84de96253386a1e1a73a958d18b932aeb3436afdb3f4dc208ae37350cc01a977",
+    "44e068b5cda6fba616f17f6278848b7257fd3e9a765dabfb4b96080315fde04b",
+    "44e068b5cda6fba616f17f6278848b7257fd3e9a765dabfb4b96080315fde04b",
+    "bca3dde9a861cdf37314e1758205a0c8ce43a184b5ac0e9f7c9a6dec6123edda",
+    "eeafee41cc7c9f76b0b278ef41422bf75fdd7918b2890cbc643bfaf9e549071e",
+    "84de96253386a1e1a73a958d18b932aeb3436afdb3f4dc208ae37350cc01a977",
+    "804ea284ccbc5dede7050972036061db6a4fde9b5ffd8467464e2b302a8eaca8",
+    "8378390f2e05f9cb1c39714865a87f89881c1f0c9ec23798d340b36431602ffa",
+]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -284,6 +348,18 @@ def simulate_output(name, fmt, tmp_path, capsys) -> str:
         argv.append("--bottom-as-absent")
     assert main(argv) == 0
     return capsys.readouterr().out
+
+
+def check_output(name, tmp_path, capsys) -> str:
+    model, formula, flags, code = CHECKS[name]
+    argv = ["check", _model_file(model, tmp_path), "--formula", formula, *flags]
+    assert main(argv) == code
+    return capsys.readouterr().out
+
+
+def witness_ids(graph, text) -> str:
+    witness = check_ltl(graph, parse_formula(text)).witness
+    return f"prefix={witness.prefix_ids} cycle={witness.cycle_ids}"
 
 
 def graph_dump(name) -> str:
@@ -326,3 +402,13 @@ def test_state_graph_is_pinned(name):
 def test_fixture_graphs_keep_their_documented_sizes():
     sizes = {name: graph_dump(name).count("\nnode ") + 1 for name in ("flat", "hier")}
     assert sizes == {"flat": 25, "hier": 63}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_output_is_pinned(name, tmp_path, capsys):
+    assert _sha(check_output(name, tmp_path, capsys)) == CHECK_TEXT[name]
+
+
+def test_check_witnesses_are_pinned(mutant_graph):
+    # One graph serves every check, as in a session of library calls.
+    assert [_sha(witness_ids(mutant_graph, text)) for text in WITNESS_FORMULAS] == WITNESS_IDS

@@ -78,14 +78,6 @@ def test_max_states_guard(flat_state):
         build_state_graph(flat_state, max_states=5)
 
 
-def test_worker_count_does_not_change_the_graph(hier_state):
-    solo = build_state_graph(hier_state)
-    pooled = build_state_graph(hier_state, workers=2)
-    assert solo.nodes == pooled.nodes
-    assert solo.succ == pooled.succ
-    assert solo.kinds == pooled.kinds
-
-
 def test_kinds_record_the_step_taken(flat_graph):
     kinds = flat_graph.kinds
     assert any(isinstance(k, Tick) for k in kinds)

@@ -24,7 +24,7 @@ from de_fixpoint.model import (
     resolve,
 )
 from de_fixpoint.postfire import commit_requests, initialize, postfire
-from de_fixpoint.state import fsm_locations, modal_modes
+from de_fixpoint.state import fsm_locations
 from de_fixpoint.executor import step
 from de_fixpoint.values import (
     ABSENT,
@@ -53,9 +53,13 @@ def test_initialize_validates_and_resets(hier_state):
     assert (
         locations["HierarchicalTrafficLight.TrafficLight.error.ErrorLight"] == "Einit"
     )
-    assert modal_modes(hier_state) == {
-        "HierarchicalTrafficLight.TrafficLight": "normal"
-    }
+    # The one modal actor's controller picks its mode.
+    modals = [
+        (".".join(path), node.child(node.controller).curr_location)
+        for path, node, _ in iter_actors(hier_state.top)
+        if node.kind == MODAL
+    ]
+    assert modals == [("HierarchicalTrafficLight.TrafficLight", "normal")]
     for _, node, _ in iter_actors(hier_state.top):
         assert all(p.status is UNKNOWN for p in node.ports)
 
