@@ -300,10 +300,11 @@ def _replay(graph: StateGraph, witness: Witness, formula: Formula) -> None:
     states = witness.prefix + witness.cycle
     if eval_on_lasso(states, len(witness.prefix), formula):
         raise AssertionError("counterexample replay does not violate the formula")
-    # Re-execute the run (prefix plus one lap of the cycle) and demand the
-    # very same states, so a reported witness is something a simulation
-    # reproduces and not an artifact of graph bookkeeping.
-    loop = ids + witness.cycle_ids
+    # Re-execute the run, closing edge included, and demand the very same
+    # states, so a reported witness is something a simulation reproduces
+    # and not an artifact of graph bookkeeping.  One lap is enough: steps
+    # are deterministic, so a second would repeat the first.
+    loop = ids + witness.cycle_ids[:1]
     current = graph.nodes[0]
     if graph.nodes[loop[0]] != current:
         raise AssertionError("counterexample does not start at the initial state")

@@ -9,11 +9,12 @@ Four subcommands:
 
 Exit codes: 0 when the property holds / a matching state is found / the
 command succeeds; 1 when a checked formula fails or a search finds
-nothing; 2 for usage and syntax errors; 3 for semantic errors (causality
+nothing; 2 for usage and syntax errors (a formula or expression nested
+more than 100 levels deep included); 3 for semantic errors (causality
 cycles, nondeterministic machines, exhausted state budgets, names a
-formula mentions that the model lacks); 4 for internal errors (a bug, or
-an input nested too deeply to process), so that a crash is never read as
-a verdict; 141 when the output pipe closes early.
+formula mentions that the model lacks); 4 for internal errors, which are
+bugs, so that a crash is never read as a verdict; 141 when the output
+pipe closes early.
 
 Results go to stdout, diagnostics to stderr.  `DE_FIXPOINT_COLOR=1`
 forces ANSI color on the human-readable output, `=0` disables it; by
@@ -36,7 +37,7 @@ from .formula_parser import parse_formula, parse_prop
 from .graph import DEFAULT_MAX_STATES, build_state_graph, search
 from .parser import parse_model, print_model
 from .postfire import initialize
-from .props import validate_prop
+from .props import prop_holds
 from .state import SystemState, fsm_locations
 
 log = logging.getLogger(__name__)
@@ -122,7 +123,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_search(args) -> int:
     state = _load_initial(args.model)
     prop = parse_prop(args.prop)
-    validate_prop(state, prop)
+    prop_holds(state, prop)  # a bad name is an error before any exploring
     graph = build_state_graph(state, time_bound=args.until, max_states=args.max_states)
     hit = search(graph, prop)
     color = _use_color()
@@ -279,8 +280,7 @@ def main(argv=None) -> int:
         return 141  # 128 + SIGPIPE
     except Exception as err:  # noqa: BLE001 - the last line of defence
         # Anything else is a bug (the checker's cross-checks raise
-        # AssertionError) or a resource limit such as RecursionError on
-        # deeply nested input.  Neither is an answer, so it must not exit 1.
+        # AssertionError).  That is not an answer, so it must not exit 1.
         log.debug("internal error", exc_info=True)
         detail = " ".join(str(err).split())
         print(_red(f"internal error: {type(err).__name__}: {detail}", color), file=sys.stderr)

@@ -122,6 +122,8 @@ def simulate(
     initial = state
     steps = []
     truncated = False
+    # Only iterations change variables, so the table is refreshed after each.
+    variables = collect_variables(state)
     while True:
         if state.queue.is_empty():
             break
@@ -131,13 +133,11 @@ def simulate(
         time, _ = state.queue.head_tag()
         if time_bound is not None and time > 0 and state.elapsed + time > time_bound:
             break
-        prev = collect_variables(state)
         state, kind = step(state, bottom_as_absent=bottom_as_absent)
-        changed = (
-            _diff_variables(prev, collect_variables(state))
-            if isinstance(kind, Iteration)
-            else {}
-        )
+        changed = {}
+        if isinstance(kind, Iteration):
+            prev, variables = variables, collect_variables(state)
+            changed = _diff_variables(prev, variables)
         steps.append(TraceStep(kind, state, changed))
     return Trace(initial, steps, truncated)
 

@@ -273,8 +273,7 @@ def build_rules(network: Network, live, selected) -> RuleSet:
 def _rule_set(network: Network, nodes, live) -> RuleSet:
     """The cached rules for the tree's mode configuration."""
     selected = tuple(
-        info.by_name.get(info.refinements.get(nodes[info.controller].curr_location))
-        for info in network.modals
+        info.refinement(nodes[info.controller].curr_location) for info in network.modals
     )
     mode = (tuple(live), selected)
     rule_set = network.rule_sets.get(mode)

@@ -16,6 +16,9 @@ Names are quoted with a leading apostrophe.  Assignment values are
 integers, rationals or decimals (time amounts), True/False, or quoted
 strings; a `#` before a numeric value is accepted and ignored.  A
 single assignment may omit the parentheses: `'A | 'x = 1`.
+
+A formula nested more than ``util.MAX_DEPTH`` levels deep is a
+ParseError (see ``util.NestingLimit``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .formula import (
     Until,
 )
 from .props import LocProp, VarProp
+from .util import NestingLimit
 from .values import BoolVal, IntVal, StringVal, TimeVal
 
 _TOKEN_RE = re.compile(
@@ -85,7 +89,7 @@ def _tokenize(text: str):
     return tokens
 
 
-class _FormulaParser:
+class _FormulaParser(NestingLimit):
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -135,41 +139,42 @@ class _FormulaParser:
     def _implies(self) -> Formula:
         left = self._or()
         if self.accept("->"):
-            return Implies(left, self._implies())
+            return Implies(left, self.nested(self._implies, self.depth))
         return left
 
     def _or(self) -> Formula:
         f = self._and()
         while self.accept("\\/"):
-            f = Or(f, self._and())
+            f = Or(f, self.nested(self._and, self.depth))
         return f
 
     def _and(self) -> Formula:
         f = self._until()
         while self.accept("/\\"):
-            f = And(f, self._until())
+            f = And(f, self.nested(self._until, self.depth))
         return f
 
     def _until(self) -> Formula:
         f = self._unary()
         while self.accept("U"):
-            f = Until(f, self._unary())
+            f = Until(f, self.nested(self._unary, self.depth))
         return f
 
     def _unary(self) -> Formula:
         if self.accept("~"):
-            return Not(self._unary())
+            return Not(self.nested(self._unary))
         if self.accept("[]"):
-            return Always(self._unary())
+            return Always(self.nested(self._unary))
         if self.accept("<>"):
-            return Eventually(self._unary())
+            return Eventually(self.nested(self._unary))
         return self._primary()
 
     def _primary(self) -> Formula:
+        self.depth = 0
         tok = self.peek()
         if tok.text == "(" and tok.kind == "op":
             self.next()
-            f = self._implies()
+            f = self.nested(self._implies)
             self.expect(")")
             return f
         if tok.kind == "word" and tok.text == "True":
@@ -192,7 +197,7 @@ class _FormulaParser:
         if self.accept("|"):
             return Atom(VarProp(tuple(path), self._assignments()))
         if self.accept(":"):
-            return Scope(tuple(path), self._unary())
+            return Scope(tuple(path), self.nested(self._unary))
         self.fail("expected '|', '@', or ':' after the name")
 
     def _assignments(self) -> tuple:

@@ -13,7 +13,7 @@ key when deduplicating system states.
 
 Collections are canonical once built.  The engine relies on that: it
 derives each new state's tree with ``ActorNode.with_state`` (through
-``network.map_ports`` and postfire), which keeps the existing port,
+``network.map_ports``), which keeps the existing port,
 transition and child tuples in their order and never re-sorts them, and
 it shares every node (and port) whose contents did not change.  A node
 caches its hash, so hashing a new tree costs only its new nodes.
@@ -241,9 +241,6 @@ class ActorNode:
     def statuses(self, direction: str) -> dict:
         return {p.name: p.status for p in self.ports if p.direction == direction}
 
-    def transitions_from(self, location: str) -> tuple:
-        return tuple(t for t in self.transitions if t.source == location)
-
 
 _DYNAMIC_FIELDS = ("ports", "enabled", "curr_location", "variables", "inner")
 _STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
@@ -282,30 +279,20 @@ def iter_actors(top: ActorNode, live_only: bool = False) -> Iterator:
             stack.append((child, path + (child.name,), live))
 
 
-# State-machine firing decision (shared by the fixed point and postfire). ---
-
-
-def fsm_decision(node: ActorNode, input_statuses, label: str):
-    """Decide whether a state machine fires this iteration.
-
-    Returns ("fire", transition), ("nofire", None), or (None, None) when the
-    decision still depends on ports that are unknown.  Raises
-    NondeterministicFsm when the machine would fire with more than one true
-    guard.  The decision is stable: once it returns a non-None verdict,
-    growing port knowledge can never change it.
-    """
-    outgoing = [(t, referenced_ports(t.guard)) for t in node.transitions_from(node.curr_location)]
-    verdict, entry = decide_firing(outgoing, node, input_statuses, label)
-    return verdict, (entry[0] if entry is not None else None)
+# State-machine firing decision. ---------------------------------------------
 
 
 def decide_firing(outgoing, node: ActorNode, input_statuses, label: str):
-    """fsm_decision over precompiled transitions.
+    """Decide whether a state machine fires this iteration.
 
     ``outgoing`` holds one entry per transition leaving the current
     location, in canonical order; an entry starts with the transition and
-    the ports its guard reads.  Returns the verdict and the firing entry
-    (None unless the verdict is "fire").
+    the ports its guard reads (see ``network.FsmInfo``).  Returns
+    ("fire", entry) for the firing entry, ("nofire", None), or
+    (None, None) when the decision still depends on ports that are
+    unknown.  Raises NondeterministicFsm when the machine would fire with
+    more than one true guard.  The decision is stable: once it returns a
+    non-None verdict, growing port knowledge can never change it.
     """
     statuses = input_statuses.values()
     any_present = any(isinstance(s, Present) for s in statuses)

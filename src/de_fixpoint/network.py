@@ -10,9 +10,13 @@ the ports each of its transitions reads; the wiring of modal actors; and
 the composite each variable setter writes.  The fixed point caches its
 rule sets here too, one per mode configuration.
 
-The network is cached on the tree's root, and ``ActorNode.with_state``
-carries it to every tree the engine derives from that root; a tree built
-any other way compiles its own on first use.
+``initialize`` compiles the network and caches it on the starting
+tree's root, and ``ActorNode.with_state`` carries it to every tree the
+engine derives from there; a tree built any other way compiles its own
+on first use.  :func:`map_ports` is the one rebuild of a tree's dynamic
+state: the fixed point writes port statuses through it, and
+``initialize`` and ``postfire`` write locations, variables and enabled
+flags through it, so every commit is one rebuild.
 """
 
 from __future__ import annotations
@@ -47,14 +51,16 @@ class ModalInfo:
         by_name = {node.inner[k].name: c for k, c in enumerate(children)}
         self.index = index
         self.controller = by_name.get(node.controller)
-        self.refinements = dict(node.refinements)  # location -> child name
-        self.by_name = by_name
-        # (index, name) of every child but the controller: the refinements,
-        # of which only the one for the controller's location is enabled.
-        self.others = tuple(
-            (c, name) for name, c in by_name.items() if c != self.controller
-        )
+        # location -> index of the child that refines it
+        self.refinements = {loc: by_name.get(name) for loc, name in node.refinements.items()}
+        # Every child but the controller: the refinements, of which only
+        # the one for the controller's location is enabled.
+        self.others = tuple(c for c in children if c != self.controller)
         self.outputs = node.port_names(OUT)
+
+    def refinement(self, location):
+        """The index of the child that refines ``location``, or None."""
+        return self.refinements.get(location)
 
 
 class Network:
@@ -172,16 +178,21 @@ def network_of(top: ActorNode) -> Network:
     return network
 
 
-def map_ports(top: ActorNode, statuses) -> ActorNode:
-    """Rebuild a tree with every port's status replaced by ``statuses[id]``.
+def map_ports(top: ActorNode, statuses=None, changes=None) -> ActorNode:
+    """Rebuild a tree with new dynamic state; the one way a tree is rewritten.
 
-    ``statuses`` is indexed by port id (see Network).  The rebuild relies
-    on collections being canonical once built: it keeps every port and
-    child tuple in its order and never re-sorts.  Ports, and whole
-    subtrees, whose statuses come back equal are shared with the old tree
-    rather than copied.
+    ``statuses``, when given, is every port's new status, indexed by port
+    id (see Network).  ``changes`` maps an actor index to the other
+    ``ActorNode.with_state`` arguments for that actor (``curr_location``,
+    ``variables``, ``enabled``).  The rebuild relies on collections being
+    canonical once built: it keeps every port and child tuple in its
+    order and never re-sorts.  Ports, and whole subtrees, that come back
+    unchanged are shared with the old tree rather than copied.
     """
+    if statuses is None and not changes:
+        return top
     network = network_of(top)
+    changes = changes or {}
     nodes = network.nodes_of(top)
     rebuilt = list(nodes)
     children = network.children
@@ -189,13 +200,14 @@ def map_ports(top: ActorNode, statuses) -> ActorNode:
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
         new_ports = None
-        for j, (p, pid) in enumerate(zip(node.ports, port_ids[i])):
-            old = p.status
-            status = statuses[pid]
-            if status is not old and status != old:
-                if new_ports is None:
-                    new_ports = list(node.ports)
-                new_ports[j] = Port(p.name, p.direction, status)
+        if statuses is not None:
+            for j, (p, pid) in enumerate(zip(node.ports, port_ids[i])):
+                old = p.status
+                status = statuses[pid]
+                if status is not old and status != old:
+                    if new_ports is None:
+                        new_ports = list(node.ports)
+                    new_ports[j] = Port(p.name, p.direction, status)
         inner = None
         kids = children[i]
         for c in kids:
@@ -203,8 +215,11 @@ def map_ports(top: ActorNode, statuses) -> ActorNode:
                 # Children have consecutive indices.
                 inner = tuple(rebuilt[kids[0] : kids[-1] + 1])
                 break
-        if new_ports is not None or inner is not None:
+        change = changes.get(i)
+        if new_ports is not None or inner is not None or change:
             rebuilt[i] = node.with_state(
-                ports=tuple(new_ports) if new_ports is not None else None, inner=inner
+                ports=tuple(new_ports) if new_ports is not None else None,
+                inner=inner,
+                **(change or {}),
             )
     return rebuilt[0]

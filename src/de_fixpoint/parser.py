@@ -27,7 +27,8 @@ fixed ports (a clock's `output`, a delay's `input`/`output`, a setvar's
 controller location; their internal wiring is implied by the port lists,
 so `connect` is not accepted there.  Decimal literals like `1.5` are
 exact time values (no floating point anywhere); `3/2` means the same
-number, and a bare integer is an integer.
+number, and a bare integer is an integer.  An expression nested more
+than ``util.MAX_DEPTH`` levels deep is a ParseError.
 
 The printer emits one canonical form: parsing its output reproduces the
 same tree, and printing is idempotent on any parse result.
@@ -56,6 +57,7 @@ from .model import (
     PortRef,
     Transition,
 )
+from .util import NestingLimit
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
 _KINDS = {
@@ -126,7 +128,7 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
+class _Parser(NestingLimit):
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -203,45 +205,46 @@ class _Parser:
         e = self._parse_and()
         while self.peek().text == "||" and self.peek().kind == "op":
             self.next()
-            e = Binary("||", e, self._parse_and())
+            e = Binary("||", e, self.nested(self._parse_and, self.depth))
         return e
 
     def _parse_and(self) -> Expr:
         e = self._parse_cmp()
         while self.peek().text == "&&" and self.peek().kind == "op":
             self.next()
-            e = Binary("&&", e, self._parse_cmp())
+            e = Binary("&&", e, self.nested(self._parse_cmp, self.depth))
         return e
 
     def _parse_cmp(self) -> Expr:
         e = self._parse_add()
         while self.peek().kind == "op" and self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
             op = self.next().text
-            e = Binary(op, e, self._parse_add())
+            e = Binary(op, e, self.nested(self._parse_add, self.depth))
         return e
 
     def _parse_add(self) -> Expr:
         e = self._parse_mul()
         while self.peek().kind == "op" and self.peek().text in ("+", "-"):
             op = self.next().text
-            e = Binary(op, e, self._parse_mul())
+            e = Binary(op, e, self.nested(self._parse_mul, self.depth))
         return e
 
     def _parse_mul(self) -> Expr:
         e = self._parse_unary()
         while self.peek().kind == "op" and self.peek().text == "*":
             self.next()
-            e = Binary("*", e, self._parse_unary())
+            e = Binary("*", e, self.nested(self._parse_unary, self.depth))
         return e
 
     def _parse_unary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("!", "-"):
             self.next()
-            return Unary(tok.text, self._parse_unary())
+            return Unary(tok.text, self.nested(self._parse_unary))
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
+        self.depth = 0
         tok = self.peek()
         if tok.kind == "number":
             return Lit(self.parse_literal())
@@ -251,7 +254,7 @@ class _Parser:
             return Lit(self.parse_literal())
         if tok.text == "(":
             self.next()
-            e = self.parse_expr()
+            e = self.nested(self._parse_or)
             self.expect(")")
             return e
         if tok.text in ("isPresent", "value"):

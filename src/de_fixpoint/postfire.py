@@ -8,36 +8,24 @@ within one transition are simultaneous).  Clocks that ticked reschedule
 themselves, delays forward their input as a future event, and
 variable-setting actors write into the enclosing composite's store.
 Frozen refinements commit nothing.
+
+``initialize`` compiles the model's network (see network.py), which
+every later state carries, and one rebuild, ``network.map_ports``,
+serves every commit: initialization and each postfire alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import UnknownVariableTarget
 from .events import EMPTY_QUEUE, Event, EventQueue
 from .expr import eval_expr
-from .model import (
-    CLOCK,
-    COMPOSITE,
-    DELAY,
-    FSM,
-    IN,
-    MODAL,
-    OUT,
-    SETVAR,
-    ActorNode,
-    Port,
-    PortRef,
-    iter_actors,
-    normalize,
-    validate,
-)
-from .network import network_of
+from .model import CLOCK, DELAY, FSM, IN, OUT, SETVAR, ActorNode, PortRef, normalize, validate
+from .network import Network, map_ports, network_of
 from .state import SystemState
 from .util import FrozenMap, time_amount
-from .values import IntVal, Present, TimeVal
+from .values import UNKNOWN, IntVal, Present, TimeVal
 
 
 def _amount(value) -> Fraction:
@@ -47,49 +35,48 @@ def _amount(value) -> Fraction:
     return time_amount(value)
 
 
-def _reset(node: ActorNode) -> ActorNode:
-    """Every port unknown, every actor enabled, machines in their initial locations."""
-    ports = tuple(Port(p.name, p.direction) for p in node.ports)
-    if node.kind == FSM:
-        return replace(node, ports=ports, curr_location=node.init_location, enabled=True)
-    if node.kind in (COMPOSITE, MODAL):
-        inner = tuple(_reset(c) for c in node.inner)
-        node = replace(node, ports=ports, inner=inner, enabled=True)
-        if node.kind == MODAL:
-            node = _apply_mode(node, node.child(node.controller).curr_location)
-        return node
-    return replace(node, ports=ports, enabled=True)
-
-
-def _apply_mode(modal: ActorNode, location: str) -> ActorNode:
-    """Enable exactly the refinement of ``location``; freeze the others."""
-    active = modal.refinements.get(location)
-    inner = []
-    for child in modal.inner:
-        if child.name == modal.controller:
-            inner.append(child)
-        else:
-            inner.append(replace(child, enabled=(child.name == active)))
-    return replace(modal, inner=tuple(inner))
-
-
 def initialize(top: ActorNode) -> SystemState:
-    """Normalize, validate, and produce the starting state.
+    """Normalize, validate, compile, and produce the starting state.
 
     Machines stand in their initial locations, each modal actor has the
-    matching refinement live, every port is unknown, and each live clock
-    has its first tick scheduled at its offset.
+    matching refinement live, every port is unknown, variables keep
+    their values, and each live clock has its first tick scheduled at
+    its offset.  The tree carries its compiled network from here on.
     """
     top = normalize(top)
     validate(top)
-    # The structure is compiled on the first step, not here.
-    top = _reset(top)
+    network = network_of(top)
+    nodes = network.nodes_of(top)
+    changes = {i: {"enabled": True} for i in range(len(nodes))}
+    for i in network.fsms:
+        changes[i]["curr_location"] = nodes[i].init_location
+    _select_modes(network, nodes, changes)
+    top = map_ports(top, [UNKNOWN] * network.size, changes)
+    nodes = network.nodes_of(top)
+    live = network.live(nodes)
     queue = EMPTY_QUEUE
-    for path, node, _ in iter_actors(top, live_only=True):
-        if node.kind == CLOCK:
-            event = Event(PortRef(path, "output"), node.parameters["emit"])
+    for i in network.preorder:
+        node = nodes[i]
+        if live[i] and node.kind == CLOCK:
+            event = Event(PortRef(network.paths[i], "output"), node.parameters["emit"])
             queue = queue.add(_amount(node.parameters["offset"]), 0, event)
     return SystemState(top, queue)
+
+
+def _select_modes(network: Network, nodes, changes) -> None:
+    """Enable the refinement each controller's location picks; freeze the others.
+
+    Locations and enabled flags are read from ``changes`` where it has
+    them, else from ``nodes``; only flags that differ are written back.
+    """
+    for info in network.modals:
+        ctrl = info.controller
+        location = changes.get(ctrl, {}).get("curr_location", nodes[ctrl].curr_location)
+        active = info.refinement(location)
+        for child in info.others:
+            enabled = child == active
+            if changes.get(child, {}).get("enabled", nodes[child].enabled) != enabled:
+                changes.setdefault(child, {})["enabled"] = enabled
 
 
 def postfire(top: ActorNode, decisions):
@@ -153,48 +140,19 @@ def postfire(top: ActorNode, decisions):
                     raise UnknownVariableTarget(f"{'.'.join(path)}: no enclosing composite")
                 composite_writes.setdefault(scope, {})[target] = status.value
 
+    for i, writes in composite_writes.items():
+        variables = dict(nodes[i].variables)
+        for var, value in writes.items():
+            if var not in variables:
+                path = ".".join(network.paths[i])
+                raise UnknownVariableTarget(f"{path} has no variable '{var}'")
+            variables[var] = value
+        changes[i] = {"variables": FrozenMap(variables)}
+
     # The refinement that matches each controller's new location becomes
     # live from the next iteration on (frozen modal actors included).
-    for info in network.modals:
-        ctrl = info.controller
-        location = changes.get(ctrl, {}).get("curr_location", nodes[ctrl].curr_location)
-        active = info.refinements.get(location)
-        for child, name in info.others:
-            enabled = name == active
-            if nodes[child].enabled != enabled:
-                changes.setdefault(child, {})["enabled"] = enabled
-
-    # Rebuild the changed actors and their ancestors, bottom up; every
-    # other subtree is shared.
-    dirty = set()
-    for i in (*changes, *composite_writes):
-        while i >= 0 and i not in dirty:
-            dirty.add(i)
-            i = network.parent[i]
-    if not dirty:
-        return top, requests
-
-    def rebuild(i):
-        node = nodes[i]
-        change = changes.get(i, {})
-        kids = [c for c in network.children[i] if c in dirty]
-        if kids:
-            inner = list(node.inner)
-            first = network.children[i][0]
-            for c in kids:
-                inner[c - first] = rebuild(c)
-            change["inner"] = tuple(inner)
-        if i in composite_writes:
-            variables = dict(node.variables)
-            for var, value in composite_writes[i].items():
-                if var not in variables:
-                    path = ".".join(network.paths[i])
-                    raise UnknownVariableTarget(f"{path} has no variable '{var}'")
-                variables[var] = value
-            change["variables"] = FrozenMap(variables)
-        return node.with_state(**change)
-
-    return rebuild(0), requests
+    _select_modes(network, nodes, changes)
+    return map_ports(top, changes=changes), requests
 
 
 def commit_requests(queue: EventQueue, requests) -> EventQueue:

@@ -77,8 +77,3 @@ def prop_holds(state: SystemState, prop) -> bool:
                 return False
         return True
     raise TypeError(f"not a proposition: {prop!r}")
-
-
-def validate_prop(state: SystemState, prop) -> None:
-    """Raise the same errors prop_holds would, without caring about the answer."""
-    prop_holds(state, prop)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from de_fixpoint import checker
 from de_fixpoint.checker import check_ltl, eval_on_lasso
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
 from de_fixpoint.events import EMPTY_QUEUE
+from de_fixpoint.executor import step
 from de_fixpoint.formula import collect_atoms, desugar
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.graph import build_state_graph
@@ -146,6 +148,33 @@ def test_witness_is_a_replayable_run(mutant_graph):
         if prop_holds(s, desugar(bad).prop)
     ]
     assert bad_prop_states, "witness must actually exhibit the violation"
+
+
+MUTEX = "[] ~ ('HierarchicalTrafficLight | ('Pgrn = 1, 'Cgrn = 1))"
+
+
+def test_replay_steps_through_the_witness_once(mutant_graph, monkeypatch):
+    steps = []
+
+    def counting_step(state, **kwargs):
+        steps.append(state)
+        return step(state, **kwargs)
+
+    monkeypatch.setattr(checker, "step", counting_step)
+    witness = check_ltl(mutant_graph, parse_formula(MUTEX)).witness
+    # One step per witness edge, the edge that closes the cycle included.
+    assert len(steps) == len(witness.prefix) + len(witness.cycle)
+
+
+def test_replay_rejects_a_witness_the_executor_does_not_reproduce(mutant_graph):
+    witness = check_ltl(mutant_graph, parse_formula(MUTEX)).witness
+    nodes = list(mutant_graph.nodes)
+    last = witness.cycle_ids[-1]
+    assert nodes[0] != nodes[last]
+    nodes[last] = nodes[0]  # reachable, but not where the run is at that point
+    forged = replace(mutant_graph, nodes=nodes)
+    with pytest.raises(AssertionError, match="replay diverged"):
+        check_ltl(forged, parse_formula(MUTEX))
 
 
 def test_safety_violation_surfaces_in_finite_prefix(mutant_graph):

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from de_fixpoint.cli import main
+from de_fixpoint.util import MAX_DEPTH
 
 from conftest import model_path
 
@@ -283,13 +284,61 @@ def test_check_failure_prints_lasso_counterexample(capsys):
     assert any(line.strip().startswith("[") for line in lines[cycle_at + 1 :])
 
 
-def test_deeply_nested_formula_is_an_internal_error_not_a_verdict(capsys):
-    formula = "~ " * 1200 + "True"
-    code, out, err = run(capsys, "check", FLAT, "--formula", formula)
-    assert code == 4
+def nested(kind, depth):
+    """A formula nested ``depth`` levels deep by prefix, group or chain."""
+    if kind == "prefix":
+        return "~ " * depth + "True"
+    if kind == "group":
+        return "(" * depth + "True" + ")" * depth
+    return " /\\ ".join(["True"] * (depth + 1))
+
+
+@pytest.mark.parametrize("kind, depth", [("prefix", 1200), ("group", 1200), ("chain", 1500)])
+def test_deeply_nested_formula_is_a_syntax_error_not_a_verdict(capsys, kind, depth):
+    code, out, err = run(capsys, "check", FLAT, "--formula", nested(kind, depth))
+    assert code == 2
     assert out == ""
-    assert err.startswith("internal error: RecursionError")
+    assert err.startswith("syntax error:") and f"more than {MAX_DEPTH} levels" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["prefix", "group", "chain"])
+def test_formula_nesting_limit_is_exact(capsys, kind):
+    code, out, _ = run(capsys, "check", FLAT, "--formula", nested(kind, MAX_DEPTH))
+    assert code == 0 and out.startswith("holds")
+    code, _, err = run(capsys, "check", FLAT, "--formula", nested(kind, MAX_DEPTH + 1))
+    assert code == 2 and err.startswith("syntax error:")
+
+
+@pytest.mark.parametrize("kind", ["prefix", "group", "chain"])
+def test_deeply_nested_guard_is_a_syntax_error(capsys, tmp_path, kind):
+    def model(depth):
+        guard = nested(kind, depth).replace("~", "!").replace("/\\", "&&")
+        guard = guard.replace("True", "isPresent(In)")
+        path = tmp_path / f"deep{depth}.model"
+        path.write_text(
+            f"""format 1
+
+composite Deep {{
+  clock Clock {{ period = 1 }}
+  fsm M {{
+    input In
+    initial s
+    transition s -> s {{ guard {guard} }}
+  }}
+  connect Clock.output -> M.In
+}}
+""",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    code, _, err = run(capsys, "simulate", model(1500), "--until", "1")
+    assert code == 2 and err.startswith("syntax error:")
+    code, _, err = run(capsys, "simulate", model(MAX_DEPTH + 1), "--until", "1")
+    assert code == 2 and err.startswith("syntax error:")
+    code, _, _ = run(capsys, "simulate", model(MAX_DEPTH), "--until", "1")
+    assert code == 0
 
 
 def test_checker_safety_net_is_an_internal_error(capsys, monkeypatch):

@@ -22,12 +22,13 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    fsm_decision,
+    decide_firing,
     iter_actors,
     normalize,
     resolve,
     validate,
 )
+from de_fixpoint.network import network_of
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -170,27 +171,34 @@ def machine(*transitions, variables=None):
     )
 
 
+def decide(node, input_statuses, label):
+    """decide_firing over the machine's compiled transitions: (verdict, transition)."""
+    outgoing = network_of(node).fsms[0].outgoing.get(node.curr_location, ())
+    verdict, entry = decide_firing(outgoing, node, input_statuses, label)
+    return verdict, (entry[0] if entry is not None else None)
+
+
 def test_decision_waits_for_guard_ports():
     node = machine(Transition("s", "t", IsPresent("In")))
-    assert fsm_decision(node, {"In": UNKNOWN, "Aux": ABSENT}, "M") == (None, None)
-    verdict, t = fsm_decision(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+    assert decide(node, {"In": UNKNOWN, "Aux": ABSENT}, "M") == (None, None)
+    verdict, t = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
     assert verdict == "fire" and t.target == "t"
-    assert fsm_decision(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
 
 
 def test_true_guard_still_needs_a_present_input():
     # A machine reacts to events; a tautological guard alone cannot fire it.
     node = machine(Transition("s", "t", TRUE))
-    assert fsm_decision(node, {"In": UNKNOWN, "Aux": UNKNOWN}, "M") == (None, None)
-    assert fsm_decision(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
-    verdict, t = fsm_decision(node, {"In": ABSENT, "Aux": Present(IntVal(1))}, "M")
+    assert decide(node, {"In": UNKNOWN, "Aux": UNKNOWN}, "M") == (None, None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
+    verdict, t = decide(node, {"In": ABSENT, "Aux": Present(IntVal(1))}, "M")
     assert verdict == "fire" and t is not None
 
 
 def test_decision_can_fire_before_every_port_is_known():
     # The guard only reads In; Aux being unknown must not delay the verdict.
     node = machine(Transition("s", "t", IsPresent("In")))
-    verdict, _ = fsm_decision(node, {"In": Present(IntVal(1)), "Aux": UNKNOWN}, "M")
+    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": UNKNOWN}, "M")
     assert verdict == "fire"
 
 
@@ -200,9 +208,9 @@ def test_two_true_guards_raise_only_when_firing():
         Transition("s", "s", TRUE),
     )
     with pytest.raises(NondeterministicFsm):
-        fsm_decision(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
     # With no input present the machine does not fire, so the overlap is moot.
-    assert fsm_decision(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
 
 
 def test_guards_read_variables_and_parameters():
@@ -216,14 +224,14 @@ def test_guards_read_variables_and_parameters():
             "parameters": {"cap": IntVal(5)},
         }
     )
-    verdict, _ = fsm_decision(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
     assert verdict == "fire"
 
 
 def test_non_boolean_guard_rejected_at_decision_time():
     node = machine(Transition("s", "t", Lit(IntVal(3))))
     with pytest.raises(ValidationError):
-        fsm_decision(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
 
 
 # Validation. ------------------------------------------------------------------

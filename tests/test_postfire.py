@@ -23,8 +23,9 @@ from de_fixpoint.model import (
     iter_actors,
     resolve,
 )
+from de_fixpoint.network import network_of
 from de_fixpoint.postfire import commit_requests, initialize, postfire
-from de_fixpoint.state import fsm_locations
+from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.executor import step
 from de_fixpoint.values import (
     ABSENT,
@@ -35,6 +36,8 @@ from de_fixpoint.values import (
     StringVal,
     TimeVal,
 )
+
+from conftest import initial_state
 
 TRUE = Lit(BoolVal(True))
 
@@ -62,6 +65,34 @@ def test_initialize_validates_and_resets(hier_state):
     assert modals == [("HierarchicalTrafficLight.TrafficLight", "normal")]
     for _, node, _ in iter_actors(hier_state.top):
         assert all(p.status is UNKNOWN for p in node.ports)
+
+
+def test_initialize_resets_a_mid_run_tree(hier_state):
+    modal_path = ("HierarchicalTrafficLight", "TrafficLight")
+    state = hier_state
+    while not resolve(state.top, modal_path).child("error").enabled:
+        state, _ = step(state)
+    assert any(p.status is not UNKNOWN for _, n, _ in iter_actors(state.top) for p in n.ports)
+
+    again = initialize(state.top)
+    for _, node, _ in iter_actors(again.top):
+        assert all(p.status is UNKNOWN for p in node.ports)
+        if node.kind == FSM:
+            assert node.curr_location == node.init_location
+    modal = resolve(again.top, modal_path)
+    assert modal.child("normal").enabled and not modal.child("error").enabled
+    assert collect_variables(again) == collect_variables(state)
+    # A frozen refinement stays frozen: initializing again changes nothing.
+    assert initialize(again.top) == again
+
+
+def test_initialize_compiles_the_network_every_step_reuses():
+    state = initial_state("hierarchical_traffic_light.model")
+    network = state.top._network
+    assert network is not None
+    for _ in range(20):
+        state, _ = step(state)
+        assert network_of(state.top) is network
 
 
 def test_initialize_rejects_invalid_models():

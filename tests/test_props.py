@@ -3,7 +3,7 @@
 import pytest
 
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
-from de_fixpoint.props import LocProp, VarProp, prop_holds, validate_prop
+from de_fixpoint.props import LocProp, VarProp, prop_holds
 from de_fixpoint.values import BoolVal, IntVal, TimeVal
 from fractions import Fraction
 
@@ -70,10 +70,10 @@ def test_kind_mismatched_value_is_just_false(hier_state):
     assert not prop_holds(hier_state, VarProp(HTL, (("Cred", BoolVal(False)),)))
 
 
-def test_validate_prop_checks_names_not_truth(hier_state):
-    validate_prop(hier_state, VarProp(HTL, (("Cred", IntVal(999)),)))
+def test_false_prop_on_known_names_is_not_an_error(hier_state):
+    assert not prop_holds(hier_state, VarProp(HTL, (("Cred", IntVal(999)),)))
     with pytest.raises(NoSuchVariable):
-        validate_prop(hier_state, VarProp(HTL, (("nope", IntVal(0)),)))
+        prop_holds(hier_state, VarProp(HTL, (("nope", IntVal(0)),)))
 
 
 def test_repr_is_reparseable(hier_state):

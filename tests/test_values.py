@@ -93,12 +93,6 @@ class TestFrozenMap:
         assert list(a) == ["a", "b"]
         assert list(a.items()) == [("a", 1), ("b", 2)]
 
-    def test_set_returns_new_map(self):
-        a = FrozenMap({"x": 1})
-        b = a.set("y", 2)
-        assert "y" not in a
-        assert b["y"] == 2 and b["x"] == 1
-
     def test_empty_map_is_falsy(self):
         assert not EMPTY_MAP
         assert len(EMPTY_MAP) == 0
