@@ -200,6 +200,7 @@ def referenced_names(expr: Expr) -> frozenset:
 
 # Rendering (shared by the model printer and error messages). ---------------
 
+#: Binary operator precedence, loosest first; the model parser reads it too.
 _PRECEDENCE = {
     "||": 1,
     "&&": 2,

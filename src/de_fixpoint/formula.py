@@ -129,11 +129,17 @@ def collect_atoms(f: Formula):
 
 # Canonical printing (used by the dump command and by error messages). -------
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
+#: Binary connectives: symbol, precedence (loosest first) and whether
+#: they group to the right.  The formula parser reads this table too.
+_BINARY = {
+    Implies: ("->", 1, True),
+    Or: ("\\/", 2, False),
+    And: ("/\\", 3, False),
+    Until: ("U", 4, False),
+}
+#: Prefix connectives, binding tighter than every binary one.
+_PREFIX = {Not: "~", Always: "[]", Eventually: "<>"}
+_PREFIX_PREC = 5
 
 
 def formula_text(f: Formula, parent: int = 0) -> str:
@@ -143,38 +149,17 @@ def formula_text(f: Formula, parent: int = 0) -> str:
         return "True"
     if isinstance(f, FalseF):
         return "False"
-    if isinstance(f, Not):
-        return "~ " + formula_text(f.operand, _PREC_UNARY)
-    if isinstance(f, Always):
-        return "[] " + formula_text(f.operand, _PREC_UNARY)
-    if isinstance(f, Eventually):
-        return "<> " + formula_text(f.operand, _PREC_UNARY)
     if isinstance(f, Scope):
         path = " . ".join(f"'{n}" for n in f.path)
         return f"{path} : ({formula_text(f.body)})"
-    if isinstance(f, Implies):
-        # Right-associative: the left operand needs parens at equal precedence.
-        text = (
-            formula_text(f.left, _PREC_IMPLIES + 1)
-            + " -> "
-            + formula_text(f.right, _PREC_IMPLIES)
-        )
-        prec = _PREC_IMPLIES
-    elif isinstance(f, Or):
-        text = formula_text(f.left, _PREC_OR) + " \\/ " + formula_text(f.right, _PREC_OR + 1)
-        prec = _PREC_OR
-    elif isinstance(f, And):
-        text = formula_text(f.left, _PREC_AND) + " /\\ " + formula_text(f.right, _PREC_AND + 1)
-        prec = _PREC_AND
-    elif isinstance(f, Until):
-        text = (
-            formula_text(f.left, _PREC_UNTIL)
-            + " U "
-            + formula_text(f.right, _PREC_UNTIL + 1)
-        )
-        prec = _PREC_UNTIL
-    else:
+    if type(f) in _PREFIX:
+        return f"{_PREFIX[type(f)]} {formula_text(f.operand, _PREFIX_PREC)}"
+    if type(f) not in _BINARY:
         raise TypeError(f"not a formula: {f!r}")
+    symbol, prec, right = _BINARY[type(f)]
+    # The operand on the grouping side takes equal precedence bare.
+    left = formula_text(f.left, prec + 1 if right else prec)
+    text = f"{left} {symbol} {formula_text(f.right, prec if right else prec + 1)}"
     if prec < parent:
         return f"({text})"
     return text

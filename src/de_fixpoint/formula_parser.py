@@ -17,8 +17,9 @@ integers, rationals or decimals (time amounts), True/False, or quoted
 strings; a `#` before a numeric value is accepted and ignored.  A
 single assignment may omit the parentheses: `'A | 'x = 1`.
 
-A formula nested more than ``util.MAX_DEPTH`` levels deep is a
-ParseError (see ``util.NestingLimit``).
+The connectives' symbols and precedences come from ``formula._BINARY``
+and ``formula._PREFIX``, which the printer reads too.  A formula nested
+more than ``syntax.MAX_DEPTH`` levels deep is a ParseError.
 """
 
 from __future__ import annotations
@@ -27,166 +28,48 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .formula import (
-    Always,
-    And,
-    Atom,
-    Eventually,
-    FalseF,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Scope,
-    TrueF,
-    Until,
-)
+from .formula import _BINARY, _PREFIX, _PREFIX_PREC, Atom, FalseF, Formula, Scope, TrueF
 from .props import LocProp, VarProp
-from .util import NestingLimit
+from .syntax import Parser, unescape
 from .values import BoolVal, IntVal, StringVal, TimeVal
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<qident>'[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<op>->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-])
-    """,
-    re.VERBOSE,
-)
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "ws":
-            line += tok.count("\n")
-            col = len(tok) - tok.rfind("\n") if "\n" in tok else col + len(tok)
-        else:
-            tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
-class _FormulaParser(NestingLimit):
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token = None):
-        tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, message)
-
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind in ("op", "word") and tok.text == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, text: str):
-        tok = self.peek()
-        if tok.kind == "string" or tok.text != text:
-            shown = tok.text if tok.text else "end of input"
-            self.fail(f"expected {text!r}, found {shown!r}")
-        return self.next()
+class _FormulaParser(Parser):
+    token_re = re.compile(
+        r"""
+        (?P<ws>\s+)
+      | (?P<qident>'[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"(?:\\.|[^"\\\n])*")
+      | (?P<op>->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-])
+        """,
+        re.VERBOSE,
+    )
+    skip = frozenset(("ws",))
+    binary = {symbol: (prec, right, cls) for cls, (symbol, prec, right) in _BINARY.items()}
+    prefix = {symbol: cls for cls, symbol in _PREFIX.items()}
 
     def quoted_name(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "qident":
-            shown = tok.text if tok.text else "end of input"
-            self.fail(f"expected {what} (a quoted name like 'X), found {shown!r}")
-        self.next()
-        return tok.text[1:]
-
-    # Formula grammar. -----------------------------------------------------
+        return self.take("qident", f"{what} (a quoted name like 'X)").text[1:]
 
     def parse_formula(self) -> Formula:
-        f = self._implies()
+        f = self.climb()
         if self.peek().kind != "eof":
             self.fail(f"unexpected {self.peek().text!r} after the formula")
         return f
 
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self.accept("->"):
-            return Implies(left, self.nested(self._implies, self.depth))
-        return left
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.accept("\\/"):
-            f = Or(f, self.nested(self._and, self.depth))
-        return f
-
-    def _and(self) -> Formula:
-        f = self._until()
-        while self.accept("/\\"):
-            f = And(f, self.nested(self._until, self.depth))
-        return f
-
-    def _until(self) -> Formula:
-        f = self._unary()
-        while self.accept("U"):
-            f = Until(f, self.nested(self._unary, self.depth))
-        return f
-
-    def _unary(self) -> Formula:
-        if self.accept("~"):
-            return Not(self.nested(self._unary))
-        if self.accept("[]"):
-            return Always(self.nested(self._unary))
-        if self.accept("<>"):
-            return Eventually(self.nested(self._unary))
-        return self._primary()
-
-    def _primary(self) -> Formula:
-        self.depth = 0
+    def primary(self) -> Formula:
         tok = self.peek()
-        if tok.text == "(" and tok.kind == "op":
-            self.next()
-            f = self.nested(self._implies)
-            self.expect(")")
-            return f
-        if tok.kind == "word" and tok.text == "True":
+        if tok.text == "True":
             self.next()
             return TrueF()
-        if tok.kind == "word" and tok.text == "False":
+        if tok.text == "False":
             self.next()
             return FalseF()
         if tok.kind == "qident":
             return self._path_form()
-        shown = tok.text if tok.text else "end of input"
-        self.fail(f"expected a formula, found {shown!r}")
+        self.expected("a formula")
 
     def _path_form(self) -> Formula:
         path = [self.quoted_name("an actor name")]
@@ -197,7 +80,10 @@ class _FormulaParser(NestingLimit):
         if self.accept("|"):
             return Atom(VarProp(tuple(path), self._assignments()))
         if self.accept(":"):
-            return Scope(tuple(path), self.nested(self._unary))
+            self.enter()
+            body = self.climb(_PREFIX_PREC)
+            self.leave()
+            return Scope(tuple(path), body)
         self.fail("expected '|', '@', or ':' after the name")
 
     def _assignments(self) -> tuple:
@@ -216,20 +102,15 @@ class _FormulaParser(NestingLimit):
 
     def _value(self):
         self.accept("#")
+        negative = self.accept("-")
         tok = self.peek()
-        negative = False
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            negative = True
-            tok = self.peek()
         if tok.kind == "number":
             self.next()
             if "." in tok.text:
                 if negative:
                     self.fail("time values are non-negative")
                 return TimeVal(Fraction(tok.text))
-            if self.peek().text == "/" and self.peek().kind == "op":
-                self.next()
+            if self.accept("/"):
                 denom = self.peek()
                 if denom.kind != "number" or "." in denom.text or int(denom.text) == 0:
                     self.fail("rational values are integer/integer")
@@ -241,14 +122,13 @@ class _FormulaParser(NestingLimit):
             return IntVal(-n if negative else n)
         if negative:
             self.fail("expected a number after '-'")
-        if tok.kind == "word" and tok.text in ("True", "False"):
+        if tok.text in ("True", "False"):
             self.next()
             return BoolVal(tok.text == "True")
         if tok.kind == "string":
             self.next()
-            return StringVal(_unescape_string(tok.text))
-        shown = tok.text if tok.text else "end of input"
-        self.fail(f"expected a value, found {shown!r}")
+            return StringVal(unescape(tok.text))
+        self.expected("a value")
 
     # Bare propositions (for searches). -------------------------------------
 
@@ -259,21 +139,6 @@ class _FormulaParser(NestingLimit):
         if not isinstance(f, Atom):
             self.fail("expected a variable or location proposition, not a scoped formula")
         return f.prop
-
-
-def _unescape_string(text: str) -> str:
-    body = text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(body[i], body[i]))
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
 
 
 def parse_formula(text: str) -> Formula:

@@ -27,8 +27,11 @@ fixed ports (a clock's `output`, a delay's `input`/`output`, a setvar's
 controller location; their internal wiring is implied by the port lists,
 so `connect` is not accepted there.  Decimal literals like `1.5` are
 exact time values (no floating point anywhere); `3/2` means the same
-number, and a bare integer is an integer.  An expression nested more
-than ``util.MAX_DEPTH`` levels deep is a ParseError.
+number, and a bare integer is an integer.  In expressions `||` binds
+loosest, then `&&`, the comparisons (one level), `+ -`, `*`, and the
+prefix `!` and `-` tightest (``expr._PRECEDENCE``); binary operators
+group to the left.  An expression nested more than ``syntax.MAX_DEPTH``
+levels deep is a ParseError.
 
 The printer emits one canonical form: parsing its output reproduces the
 same tree, and printing is idempotent on any parse result.
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError
-from .expr import Binary, Expr, IsPresent, Lit, PortValue, Unary, Var, expr_text
+from .expr import _PRECEDENCE, Binary, Expr, IsPresent, Lit, PortValue, Unary, Var, expr_text
 from .model import (
     CLOCK,
     COMPOSITE,
@@ -57,7 +61,7 @@ from .model import (
     PortRef,
     Transition,
 )
-from .util import NestingLimit
+from .syntax import Parser, unescape
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
 _KINDS = {
@@ -75,93 +79,22 @@ _FIXED_PORTS = {
     SETVAR: (Port("input", IN),),
 }
 
-# Tokenizer. ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<op>->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/])
-    """,
-    re.VERBOSE,
-)
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.text!r}@{self.line}:{self.col}"
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos] == '"':
-                raise ParseError(line, col, "unterminated string")
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-class _Parser(NestingLimit):
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Token = None):
-        tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, message)
-
-    def accept(self, text: str) -> bool:
-        if self.peek().text == text and self.peek().kind != "string":
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "string":
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
-        return self.next()
-
-    def expect_ident(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
-        return self.next()
+class _ModelParser(Parser):
+    token_re = re.compile(
+        r"""
+        (?P<ws>[ \t\r\n]+)
+      | (?P<comment>//[^\n]*)
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"(?:\\.|[^"\\\n])*")
+      | (?P<op>->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/])
+        """,
+        re.VERBOSE,
+    )
+    skip = frozenset(("ws", "comment"))
+    binary = {op: (prec, False, partial(Binary, op)) for op, prec in _PRECEDENCE.items()}
+    prefix = {op: partial(Unary, op) for op in ("!", "-")}
 
     # Literals. ----------------------------------------------------------
 
@@ -193,114 +126,28 @@ class _Parser(NestingLimit):
             return BoolVal(False)
         if tok.kind == "string":
             self.next()
-            return StringVal(_unescape(tok))
-        self.fail(f"expected a literal, found {tok.text!r}")
+            return StringVal(unescape(tok.text))
+        self.expected("a literal")
 
-    # Expressions (precedence climbing). ----------------------------------
+    # Expressions. --------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
-        e = self._parse_and()
-        while self.peek().text == "||" and self.peek().kind == "op":
-            self.next()
-            e = Binary("||", e, self.nested(self._parse_and, self.depth))
-        return e
-
-    def _parse_and(self) -> Expr:
-        e = self._parse_cmp()
-        while self.peek().text == "&&" and self.peek().kind == "op":
-            self.next()
-            e = Binary("&&", e, self.nested(self._parse_cmp, self.depth))
-        return e
-
-    def _parse_cmp(self) -> Expr:
-        e = self._parse_add()
-        while self.peek().kind == "op" and self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next().text
-            e = Binary(op, e, self.nested(self._parse_add, self.depth))
-        return e
-
-    def _parse_add(self) -> Expr:
-        e = self._parse_mul()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            e = Binary(op, e, self.nested(self._parse_mul, self.depth))
-        return e
-
-    def _parse_mul(self) -> Expr:
-        e = self._parse_unary()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.next()
-            e = Binary("*", e, self.nested(self._parse_unary, self.depth))
-        return e
-
-    def _parse_unary(self) -> Expr:
+    def primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "op" and tok.text in ("!", "-"):
-            self.next()
-            return Unary(tok.text, self.nested(self._parse_unary))
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Expr:
-        self.depth = 0
-        tok = self.peek()
-        if tok.kind == "number":
+        if tok.kind in ("number", "string") or tok.text in ("true", "false"):
             return Lit(self.parse_literal())
-        if tok.kind == "string":
-            return Lit(self.parse_literal())
-        if tok.text in ("true", "false"):
-            return Lit(self.parse_literal())
-        if tok.text == "(":
-            self.next()
-            e = self.nested(self._parse_or)
-            self.expect(")")
-            return e
         if tok.text in ("isPresent", "value"):
             self.next()
             self.expect("(")
-            port = self.expect_ident("a port name")
+            port = self.take("ident", "a port name").text
             self.expect(")")
-            return IsPresent(port.text) if tok.text == "isPresent" else PortValue(port.text)
+            return IsPresent(port) if tok.text == "isPresent" else PortValue(port)
         if tok.kind == "ident":
             self.next()
             return Var(tok.text)
-        self.fail(f"expected an expression, found {tok.text!r}")
+        self.expected("an expression")
 
+    # The model grammar. ------------------------------------------------------
 
-def _unescape(tok: Token) -> str:
-    body = tok.text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            esc = body[i]
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(esc, esc))
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
-
-
-# The model grammar. -----------------------------------------------------------
-
-_STRUCTURE_KEYWORDS = {
-    "input",
-    "output",
-    "var",
-    "initial",
-    "location",
-    "transition",
-    "controller",
-    "refine",
-    "connect",
-}
-
-
-class _ModelParser(_Parser):
     def parse_model(self) -> ActorNode:
         self.expect("format")
         version = self.peek()
@@ -319,7 +166,7 @@ class _ModelParser(_Parser):
                 self.fail("expected an actor block")
             self.fail(f"expected an actor kind (one of {', '.join(sorted(_KINDS))})")
         kind = _KINDS[self.next().text]
-        name = self.expect_ident("an actor name").text
+        name = self.take("ident", "an actor name").text
         self.expect("{")
 
         ports = list(_FIXED_PORTS.get(kind, ()))
@@ -346,27 +193,27 @@ class _ModelParser(_Parser):
                 self.next()
                 if kind in _FIXED_PORTS:
                     self.fail(f"a {kind} actor's ports are fixed and not declared")
-                pname = self.expect_ident("a port name").text
+                pname = self.take("ident", "a port name").text
                 direction = IN if word == "input" else OUT
                 ports.append(Port(pname, direction))
             elif word == "var":
                 self.next()
                 if kind not in (FSM, COMPOSITE):
                     self.fail("only state machines and composites hold variables")
-                vname = self.expect_ident("a variable name").text
+                vname = self.take("ident", "a variable name").text
                 self.expect("=")
                 variables[vname] = self.parse_literal()
             elif word == "initial":
                 self.next()
                 if kind != FSM:
                     self.fail("'initial' belongs in a state machine")
-                initial = self.expect_ident("a location name").text
+                initial = self.take("ident", "a location name").text
                 locations.add(initial)
             elif word == "location":
                 self.next()
                 if kind != FSM:
                     self.fail("'location' belongs in a state machine")
-                locations.add(self.expect_ident("a location name").text)
+                locations.add(self.take("ident", "a location name").text)
             elif word == "transition":
                 if kind != FSM:
                     self.fail("'transition' belongs in a state machine")
@@ -375,14 +222,14 @@ class _ModelParser(_Parser):
                 self.next()
                 if kind != MODAL:
                     self.fail("'controller' belongs in a modal actor")
-                controller = self.expect_ident("an actor name").text
+                controller = self.take("ident", "an actor name").text
             elif word == "refine":
                 self.next()
                 if kind != MODAL:
                     self.fail("'refine' belongs in a modal actor")
-                loc = self.expect_ident("a location name").text
+                loc = self.take("ident", "a location name").text
                 self.expect("->")
-                target = self.expect_ident("an actor name").text
+                target = self.take("ident", "an actor name").text
                 if loc in refinements:
                     self.fail(f"location '{loc}' refined twice")
                 refinements[loc] = target
@@ -419,9 +266,9 @@ class _ModelParser(_Parser):
 
     def parse_transition(self, locations: set) -> Transition:
         self.expect("transition")
-        src = self.expect_ident("a location name").text
+        src = self.take("ident", "a location name").text
         self.expect("->")
-        dst = self.expect_ident("a location name").text
+        dst = self.take("ident", "a location name").text
         locations.update((src, dst))
         self.expect("{")
         guard = Lit(BoolVal(True))
@@ -431,21 +278,21 @@ class _ModelParser(_Parser):
             tok = self.peek()
             if tok.text == "guard":
                 self.next()
-                guard = self.parse_expr()
+                guard = self.climb()
             elif tok.text == "output":
                 self.next()
-                port = self.expect_ident("a port name").text
+                port = self.take("ident", "a port name").text
                 self.expect("=")
                 if port in outputs:
                     self.fail(f"output '{port}' assigned twice", tok)
-                outputs[port] = self.parse_expr()
+                outputs[port] = self.climb()
             elif tok.text == "set":
                 self.next()
-                var = self.expect_ident("a variable name").text
+                var = self.take("ident", "a variable name").text
                 self.expect("=")
                 if var in sets:
                     self.fail(f"variable '{var}' set twice", tok)
-                sets[var] = self.parse_expr()
+                sets[var] = self.climb()
             elif tok.kind == "eof":
                 self.fail("unterminated transition block")
             else:
@@ -461,9 +308,9 @@ class _ModelParser(_Parser):
         return Connection(source, tuple(sinks))
 
     def parse_endpoint(self) -> PortRef:
-        actor = self.expect_ident("an actor name (or 'parent')").text
+        actor = self.take("ident", "an actor name (or 'parent')").text
         self.expect(".")
-        port = self.expect_ident("a port name").text
+        port = self.take("ident", "a port name").text
         if actor == "parent":
             return PortRef(PARENT, port)
         return PortRef((actor,), port)

@@ -1,5 +1,4 @@
-"""Small shared utilities: an immutable sorted mapping, exact time helpers,
-and the nesting limit both parsers enforce."""
+"""Small shared utilities: an immutable sorted mapping and exact time helpers."""
 
 from __future__ import annotations
 
@@ -56,35 +55,6 @@ class FrozenMap(Mapping):
 
 
 EMPTY_MAP = FrozenMap()
-
-#: The deepest syntax tree the parsers accept.  Every prefix operator,
-#: binary operator and parenthesised group is one level.  Deeper input is
-#: a ParseError, not a stack overflow here or in the layers that walk
-#: formulas and expressions recursively.
-MAX_DEPTH = 100
-
-
-class NestingLimit:
-    """Depth bookkeeping for a recursive-descent parser with ``fail(message)``.
-
-    ``depth`` is the depth of the tree parsed last; a parser sets it to 0
-    at each leaf and parses every operand or group through ``nested``.
-    """
-
-    depth = 0
-    _open = 0  # levels entered and not yet left
-
-    def nested(self, parse, *siblings):
-        """``parse()`` one level down; ``siblings`` are depths of operands beside it."""
-        self._open += 1
-        if self._open > MAX_DEPTH:
-            self.fail(f"nested more than {MAX_DEPTH} levels deep")
-        tree = parse()
-        self._open -= 1
-        self.depth = max((self.depth, *siblings)) + 1
-        if self.depth > MAX_DEPTH:
-            self.fail(f"nested more than {MAX_DEPTH} levels deep")
-        return tree
 
 
 def time_amount(value) -> Fraction:

@@ -8,7 +8,8 @@ import jsonschema
 import pytest
 
 from de_fixpoint.cli import main
-from de_fixpoint.util import MAX_DEPTH
+from de_fixpoint.formula_parser import parse_formula
+from de_fixpoint.syntax import MAX_DEPTH
 
 from conftest import model_path
 
@@ -339,6 +340,36 @@ composite Deep {{
     assert code == 2 and err.startswith("syntax error:")
     code, _, _ = run(capsys, "simulate", model(MAX_DEPTH), "--until", "1")
     assert code == 0
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("kind", ["prefix", "group"])
+def test_nesting_limit_parses_within_a_small_stack(capsys, tmp_path, kind):
+    # A caller already deep in its own stack must still be able to parse
+    # anything the limit accepts: a few frames per level, not one per rule.
+    guard = nested(kind, MAX_DEPTH).replace("~", "!").replace("True", "isPresent(In)")
+    path = tmp_path / "deep.model"
+    path.write_text(
+        "format 1\n\ncomposite Deep {\n  clock Clock { period = 1 }\n  fsm M {\n"
+        f"    input In\n    initial s\n    transition s -> s {{ guard {guard} }}\n  }}\n"
+        "  connect Clock.output -> M.In\n}\n",
+        encoding="utf-8",
+    )
+    formula = nested(kind, MAX_DEPTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 450)
+    try:
+        code, _, err = run(capsys, "simulate", str(path), "--until", "1")
+        parse_formula(formula)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
 
 
 def test_checker_safety_net_is_an_internal_error(capsys, monkeypatch):

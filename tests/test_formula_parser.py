@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from de_fixpoint.errors import ParseError
 from de_fixpoint.formula import (
@@ -170,7 +172,41 @@ def test_error_positions_and_messages():
     assert err_of("'T | 'x = ") is not None
     assert err_of("('A @ 'a") is not None
     assert err_of("'T | 'x = -0.5") is not None  # negative time has no meaning
+    assert err_of("'T | 's = \"open") == "1:11: unterminated string"
 
 
 def test_trailing_input_rejected():
     assert err_of("'A @ 'a 'B @ 'b") is not None
+
+
+# Round trips over generated formulas. ------------------------------------------
+
+PATHS = st.lists(st.sampled_from(["A", "Top", "m_1", "U"]), min_size=1, max_size=3).map(tuple)
+VALUES = st.one_of(
+    st.integers(-1000, 1000).map(IntVal),
+    st.fractions(0, 1000, max_denominator=40).map(TimeVal),
+    st.booleans().map(BoolVal),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).map(StringVal),
+)
+ATOMS = st.one_of(
+    st.builds(LocProp, PATHS, st.sampled_from(["idle", "True", "x"])).map(Atom),
+    st.builds(
+        VarProp, PATHS, st.lists(st.tuples(st.sampled_from(["x", "y"]), VALUES), min_size=1, max_size=3)
+    ).map(Atom),
+)
+FORMULAS = st.recursive(
+    st.one_of(ATOMS, st.just(TrueF()), st.just(FalseF())),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from([Not, Always, Eventually]), inner).map(lambda t: t[0](t[1])),
+        st.tuples(st.sampled_from([And, Or, Implies, Until]), inner, inner).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        st.builds(Scope, PATHS, inner),
+    ),
+    max_leaves=10,
+)
+
+
+@given(FORMULAS)
+def test_generated_formulas_round_trip(f):
+    assert parse_formula(formula_text(f)) == f

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from de_fixpoint.errors import ParseError
-from de_fixpoint.expr import Binary, IsPresent, Lit
-from de_fixpoint.model import IN, OUT, resolve
+from de_fixpoint.expr import _PRECEDENCE, Binary, IsPresent, Lit, PortValue, Unary, Var
+from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition, resolve
 from de_fixpoint.parser import parse_model, print_model
 from de_fixpoint.values import BoolVal, IntVal, StringVal, TimeVal
 
@@ -256,3 +258,59 @@ def test_dump_is_canonical_for_fixture_files():
             text = handle.read()
         body = text[text.index("format 1") :]
         assert print_model(parse_model(text)) == body
+
+
+# Round trips over generated models. --------------------------------------------
+
+NAMES = st.sampled_from(["n", "count", "Go", "x_1"])
+PORTS = st.sampled_from(["In", "Out"])
+STRINGS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).map(StringVal)
+LITERALS = st.one_of(
+    st.integers(0, 10**6).map(IntVal),  # '-3' in an expression is Unary('-', 3)
+    st.fractions(0, 1000, max_denominator=40).map(TimeVal),
+    st.booleans().map(BoolVal),
+    STRINGS,
+)
+EXPRS = st.recursive(
+    st.one_of(
+        LITERALS.map(Lit), NAMES.map(Var), PORTS.map(IsPresent), PORTS.map(PortValue)
+    ),
+    lambda inner: st.one_of(
+        st.builds(Unary, st.sampled_from(["!", "-"]), inner),
+        st.builds(Binary, st.sampled_from(sorted(_PRECEDENCE)), inner, inner),
+    ),
+    max_leaves=10,
+)
+DECLARED = st.dictionaries(NAMES, st.one_of(LITERALS, st.integers(-99, -1).map(IntVal)), max_size=3)
+LOCATIONS = st.sampled_from(["s", "t"])
+TRANSITIONS = st.builds(
+    Transition,
+    LOCATIONS,
+    LOCATIONS,
+    EXPRS,
+    st.dictionaries(PORTS, EXPRS, max_size=2),
+    st.dictionaries(NAMES, EXPRS, max_size=2),
+)
+
+
+@st.composite
+def models(draw):
+    fsm = ActorNode(
+        name="M",
+        kind=FSM,
+        ports=(Port("In", IN), Port("Out", OUT)),
+        locations=("s", "t"),
+        init_location="s",
+        variables=draw(DECLARED),
+        transitions=tuple(draw(st.lists(TRANSITIONS, max_size=3))),
+    )
+    return ActorNode(
+        name="T", kind=COMPOSITE, parameters=draw(DECLARED), variables=draw(DECLARED), inner=(fsm,)
+    )
+
+
+@given(models())
+def test_generated_models_round_trip(model):
+    text = print_model(model)
+    assert parse_model(text) == model
+    assert print_model(parse_model(text)) == text
