@@ -1,11 +1,16 @@
 """Translation of temporal formulas into Büchi automata.
 
-The classic node-expansion tableau: rewrite the formula into negation
-normal form (negations pushed onto propositions, using until/release
-duality), expand it into a graph of obligation sets, read off a
-generalized Büchi automaton with one fairness set per until subformula,
-and finally degeneralize with a counter so the emptiness check only
-needs a single accepting set.
+The classic node-expansion tableau (Gerth, Peled, Vardi & Wolper, PSTV
+1995): rewrite the formula into negation normal form, expand it into a
+graph of obligation sets, read off a generalized Büchi automaton with
+one fairness set per until subformula, and finally degeneralize with a
+counter so the emptiness check only needs a single accepting set.
+
+Negation normal form is built from the formula classes themselves:
+negations sit only on atoms, and until/release duality removes them
+from everything else.  ``Release`` is the one class added for it.  The
+tableau is expanded from an explicit stack, so its depth costs no
+Python frames.
 
 States carry their literal constraints (proposition, expected truth);
 an execution step may enter a state exactly when the new system state
@@ -16,6 +21,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .formula import (
@@ -38,101 +44,62 @@ from .formula import (
 
 
 @dataclass(frozen=True)
-class LTrue:
-    def key(self):
-        return "1"
+class Release(Formula):
+    """``left R right``, the dual of until.
+
+    ``right`` holds up to and including the first point where ``left``
+    holds, or forever if ``left`` never does.  Only negation normal form
+    uses it; the formula language has no release connective.
+    """
+
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class LFalse:
-    def key(self):
-        return "0"
+def nnf(f: Formula, negated: bool = False) -> Formula:
+    """``f`` (negated if asked) with every negation on an atom.
 
-
-@dataclass(frozen=True)
-class LAtom:
-    prop: object
-    positive: bool
-
-    def key(self):
-        return ("" if self.positive else "!") + repr(self.prop)
-
-
-@dataclass(frozen=True)
-class LAnd:
-    left: object
-    right: object
-
-    def key(self):
-        return f"({self.left.key()})&({self.right.key()})"
-
-
-@dataclass(frozen=True)
-class LOr:
-    left: object
-    right: object
-
-    def key(self):
-        return f"({self.left.key()})|({self.right.key()})"
-
-
-@dataclass(frozen=True)
-class LUntil:
-    left: object
-    right: object
-
-    def key(self):
-        return f"({self.left.key()})U({self.right.key()})"
-
-
-@dataclass(frozen=True)
-class LRelease:
-    left: object
-    right: object
-
-    def key(self):
-        return f"({self.left.key()})R({self.right.key()})"
-
-
-def nnf(f: Formula, negated: bool = False):
+    The result is built from atoms, negated atoms, true, false, and,
+    or, until and ``Release``.
+    """
     if isinstance(f, Scope):
         raise TypeError("scopes must be desugared before translation")
     if isinstance(f, Atom):
-        return LAtom(f.prop, not negated)
+        return Not(f) if negated else f
     if isinstance(f, TrueF):
-        return LFalse() if negated else LTrue()
+        return FalseF() if negated else f
     if isinstance(f, FalseF):
-        return LTrue() if negated else LFalse()
+        return TrueF() if negated else f
     if isinstance(f, Not):
         return nnf(f.operand, not negated)
     if isinstance(f, And):
-        cls = LOr if negated else LAnd
+        cls = Or if negated else And
         return cls(nnf(f.left, negated), nnf(f.right, negated))
     if isinstance(f, Or):
-        cls = LAnd if negated else LOr
+        cls = And if negated else Or
         return cls(nnf(f.left, negated), nnf(f.right, negated))
     if isinstance(f, Implies):
         if negated:  # ~(a -> b) == a /\ ~b
-            return LAnd(nnf(f.left, False), nnf(f.right, True))
-        return LOr(nnf(f.left, True), nnf(f.right, False))
+            return And(nnf(f.left, False), nnf(f.right, True))
+        return Or(nnf(f.left, True), nnf(f.right, False))
     if isinstance(f, Until):
-        cls = LRelease if negated else LUntil
+        cls = Release if negated else Until
         return cls(nnf(f.left, negated), nnf(f.right, negated))
     if isinstance(f, Always):  # [] g == false R g
         if negated:
-            return LUntil(LTrue(), nnf(f.operand, True))
-        return LRelease(LFalse(), nnf(f.operand, False))
+            return Until(TrueF(), nnf(f.operand, True))
+        return Release(FalseF(), nnf(f.operand, False))
     if isinstance(f, Eventually):  # <> g == true U g
         if negated:
-            return LRelease(LFalse(), nnf(f.operand, True))
-        return LUntil(LTrue(), nnf(f.operand, False))
+            return Release(FalseF(), nnf(f.operand, True))
+        return Until(TrueF(), nnf(f.operand, False))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _until_subformulas(g, acc):
-    if isinstance(g, LUntil) and g not in acc:
+    if isinstance(g, Until) and g not in acc:
         acc.append(g)
-    if isinstance(g, (LAnd, LOr, LUntil, LRelease)):
+    if isinstance(g, (And, Or, Until, Release)):
         _until_subformulas(g.left, acc)
         _until_subformulas(g.right, acc)
     return acc
@@ -155,45 +122,56 @@ class _Node:
 _INIT = -1  # virtual predecessor marking initial states
 
 
-def _expand(node, nodes, counter):
-    while True:
+def _tableau(formula_nnf):
+    """The finished tableau nodes of an NNF formula, in the order they finished.
+
+    Depth first from a seed node: the top of ``stack`` is the node being
+    expanded.  A split pushes its copy, so the node resumes once the copy
+    is done; a finished node is replaced by its successor, or dropped when
+    a node with the same ``old`` and ``next`` sets exists (its incoming
+    edges go to that twin).
+    """
+    counter = itertools.count(1)  # 0 is the seed
+    nodes = {}  # (old, next) -> finished node
+    stack = [_Node(0, [_INIT], [formula_nnf], [], [])]
+    while stack:
+        node = stack[-1]
         if not node.new:
-            for other in nodes:
-                if frozenset(other.old) == frozenset(node.old) and frozenset(
-                    other.next
-                ) == frozenset(node.next):
-                    other.incoming.update(node.incoming)
-                    return
-            nodes.append(node)
-            succ = _Node(next(counter), [node.nid], list(node.next), [], [])
-            _expand(succ, nodes, counter)
-            return
+            key = (frozenset(node.old), frozenset(node.next))
+            twin = nodes.get(key)
+            if twin is not None:
+                twin.incoming.update(node.incoming)
+                stack.pop()
+            else:
+                nodes[key] = node
+                stack[-1] = _Node(next(counter), [node.nid], list(node.next), [], [])
+            continue
         f = next(iter(node.new))
         del node.new[f]
-        if f in node.old:
+        if f in node.old or isinstance(f, TrueF):
             continue
-        if isinstance(f, LFalse):
-            return  # contradiction: drop this node
-        if isinstance(f, LTrue):
+        if isinstance(f, FalseF):
+            stack.pop()  # contradiction: drop this node
             continue
-        if isinstance(f, LAtom):
+        if isinstance(f, (Atom, Not)):
             # A literal clashing with one already assumed kills the node.
-            if LAtom(f.prop, not f.positive) in node.old:
-                return
-            node.old[f] = None
+            if (f.operand if isinstance(f, Not) else Not(f)) in node.old:
+                stack.pop()
+            else:
+                node.old[f] = None
             continue
-        if isinstance(f, LAnd):
+        if isinstance(f, And):
             node.old[f] = None
             for g in (f.left, f.right):
                 if g not in node.old:
                     node.new[g] = None
             continue
         # The splitting cases: try one obligation set, then the other.
-        if isinstance(f, LOr):
+        if isinstance(f, Or):
             first, second, extra_next = [f.left], [f.right], []
-        elif isinstance(f, LUntil):
+        elif isinstance(f, Until):
             first, second, extra_next = [f.left], [f.right], [f]
-        elif isinstance(f, LRelease):
+        elif isinstance(f, Release):
             first, second, extra_next = [f.right], [f.left, f.right], [f]
         else:
             raise TypeError(f"unexpected formula in tableau: {f!r}")
@@ -210,17 +188,8 @@ def _expand(node, nodes, counter):
                 node.new[g] = None
         for g in extra_next:
             node.next[g] = None
-        _expand(copy, nodes, counter)
-        # loop to keep expanding the current node
-
-
-def _tableau(formula_nnf):
-    counter = iter(range(10**9))
-    next(counter)  # 0 is reserved for the seed node below
-    nodes = []
-    seed = _Node(0, [_INIT], [formula_nnf], [], [])
-    _expand(seed, nodes, counter)
-    return nodes
+        stack.append(copy)
+    return list(nodes.values())
 
 
 # The automaton. --------------------------------------------------------------
@@ -251,11 +220,6 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
     nodes = _tableau(g)
     untils = _until_subformulas(g, [])
 
-    # Generalized acceptance: one set per until; a node is fair for
-    # (a U b) when it satisfies b or no longer owes (a U b).
-    def fair(node, u):
-        return u.right in node.old or u not in node.old
-
     by_id = {n.nid: n for n in nodes}
     edges = {n.nid: [] for n in nodes}
     lgba_initial = []
@@ -263,57 +227,51 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
         for pred in n.incoming:
             if pred == _INIT:
                 lgba_initial.append(n.nid)
-            elif pred in by_id:
+            else:
                 edges[pred].append(n.nid)
 
-    k = max(1, len(untils))
-
-    def fair_at(node, level):
+    # Generalized acceptance: one set per until; a node is fair for
+    # (a U b) when it satisfies b or no longer owes (a U b).
+    def fair(node, level):
         if not untils:
             return True
-        return fair(node, untils[level])
+        u = untils[level]
+        return u.right in node.old or u not in node.old
 
-    # Counter degeneralization: track which fairness set we are waiting on.
-    states = []
+    # Counter degeneralization: a state is a node and the fairness set it
+    # waits on, and it is accepting when it meets set 0.
+    k = max(1, len(untils))
+    states = []  # (node id, level), numbered in order of first reach
     ids = {}
     guards = {}
-    successors = {}
-    accepting = set()
 
     def intern(nid, level):
         key = (nid, level)
         if key not in ids:
             ids[key] = len(states)
             states.append(key)
-            node = by_id[nid]
             guards[ids[key]] = tuple(
                 sorted(
-                    ((f.prop, f.positive) for f in node.old if isinstance(f, LAtom)),
+                    (
+                        (f.prop, True) if isinstance(f, Atom) else (f.operand.prop, False)
+                        for f in by_id[nid].old
+                        if isinstance(f, (Atom, Not))
+                    ),
                     key=lambda lit: (repr(lit[0]), lit[1]),
                 )
             )
         return ids[key]
 
     initial = tuple(intern(nid, 0) for nid in lgba_initial)
-    frontier = list(initial)
-    seen = set(frontier)
-    while frontier:
-        sid = frontier.pop(0)
-        nid, level = states[sid]
-        node = by_id[nid]
-        nxt_level = (level + 1) % k if fair_at(node, level) else level
-        if level == 0 and fair_at(node, 0):
+    successors = {}
+    accepting = set()
+    # Breadth first: interning a new successor appends it to ``states``.
+    for sid, (nid, level) in enumerate(states):
+        met = fair(by_id[nid], level)
+        if met and level == 0:
             accepting.add(sid)
-        succs = []
-        for succ_nid in edges[nid]:
-            tid = intern(succ_nid, nxt_level)
-            succs.append(tid)
-            if tid not in seen:
-                seen.add(tid)
-                frontier.append(tid)
-        successors[sid] = tuple(succs)
-    for sid in range(len(states)):
-        successors.setdefault(sid, ())
+        nxt = (level + 1) % k if met else level
+        successors[sid] = tuple(intern(t, nxt) for t in edges[nid])
 
     return BuchiAutomaton(
         states=tuple(range(len(states))),

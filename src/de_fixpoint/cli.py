@@ -78,13 +78,14 @@ def _red(text: str, color: bool) -> str:
     return _paint(text, "31", color)
 
 
-def _load_initial(path: str) -> SystemState:
+def _read_model(path: str):
+    """The model tree in the file at ``path``; an unreadable file is an EngineError."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise EngineError(f"cannot read {path}: {err.strerror or err}") from err
-    return initialize(parse_model(text))
+    return parse_model(text)
 
 
 def _state_line(state: SystemState) -> str:
@@ -97,7 +98,7 @@ def _state_line(state: SystemState) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    state = _load_initial(args.model)
+    state = initialize(_read_model(args.model))
     trace = simulate(
         state,
         time_bound=args.until,
@@ -121,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    state = _load_initial(args.model)
+    state = initialize(_read_model(args.model))
     prop = parse_prop(args.prop)
     prop_holds(state, prop)  # a bad name is an error before any exploring
     graph = build_state_graph(state, time_bound=args.until, max_states=args.max_states)
@@ -135,7 +136,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    state = _load_initial(args.model)
+    state = initialize(_read_model(args.model))
     formula = parse_formula(args.formula)
     graph = build_state_graph(
         state,
@@ -160,12 +161,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    try:
-        with open(args.model, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise EngineError(f"cannot read {args.model}: {err.strerror or err}") from err
-    sys.stdout.write(print_model(parse_model(text)))
+    sys.stdout.write(print_model(_read_model(args.model)))
     return 0
 
 

@@ -46,15 +46,16 @@ class QueueEntry:
         return (self.time, self.microstep)
 
 
-def _merge(events, new: Event, where: str):
-    """Insert ``new`` into a batch, replacing any event for the same port."""
+def _merge(events, new: Event, tag):
+    """Insert ``new`` into the batch at ``tag``, replacing any event for the same port."""
     kept = []
     for ev in events:
         if ev.target == new.target:
             log.warning(
-                "replacing event for %r at %s: %r superseded by %r",
+                "replacing event for %r at (%s, %s): %r superseded by %r",
                 ev.target,
-                where,
+                format_rational(tag[0]),
+                tag[1],
                 ev.value,
                 new.value,
             )
@@ -67,11 +68,6 @@ def _merge(events, new: Event, where: str):
 @dataclass(frozen=True)
 class EventQueue:
     entries: tuple = ()  # QueueEntry, strictly increasing (time, microstep)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=QueueEntry.tag))
-        )
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -86,18 +82,16 @@ class EventQueue:
         time = time_amount(time)
         if microstep < 0:
             raise ValueError("microstep must be non-negative")
-        where = f"({format_rational(time)}, {microstep})"
-        entries = []
-        placed = False
-        for entry in self.entries:
-            if entry.tag() == (time, microstep):
-                entries.append(
-                    QueueEntry(time, microstep, _merge(entry.events, event, where))
-                )
-                placed = True
-            else:
-                entries.append(entry)
-        if not placed:
+        tag = (time, microstep)
+        entries = list(self.entries)
+        for i, entry in enumerate(entries):
+            if entry.tag() == tag:
+                entries[i] = QueueEntry(time, microstep, _merge(entry.events, event, tag))
+                break
+            if entry.tag() > tag:
+                entries.insert(i, QueueEntry(time, microstep, (event,)))
+                break
+        else:
             entries.append(QueueEntry(time, microstep, (event,)))
         return EventQueue(tuple(entries))
 

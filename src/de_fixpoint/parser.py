@@ -27,10 +27,11 @@ fixed ports (a clock's `output`, a delay's `input`/`output`, a setvar's
 controller location; their internal wiring is implied by the port lists,
 so `connect` is not accepted there.  Decimal literals like `1.5` are
 exact time values (no floating point anywhere); `3/2` means the same
-number, and a bare integer is an integer.  In expressions `||` binds
-loosest, then `&&`, the comparisons (one level), `+ -`, `*`, and the
-prefix `!` and `-` tightest (``expr._PRECEDENCE``); binary operators
-group to the left.  An expression nested more than ``syntax.MAX_DEPTH``
+number, and a bare integer is an integer.  There is no division: a `/`
+anywhere but inside such a literal is a ParseError.  In expressions
+`||` binds loosest, then `&&`, the comparisons (one level), `+ -`, `*`,
+and the prefix `!` and `-` tightest (``expr._PRECEDENCE``); binary
+operators group to the left.  An expression nested more than ``syntax.MAX_DEPTH``
 levels deep is a ParseError.
 
 The printer emits one canonical form: parsing its output reproduces the
@@ -96,6 +97,13 @@ class _ModelParser(Parser):
     binary = {op: (prec, False, partial(Binary, op)) for op, prec in _PRECEDENCE.items()}
     prefix = {op: partial(Unary, op) for op in ("!", "-")}
 
+    def expected(self, what: str):
+        # '/' is a token only for rational literals, so finding it anywhere
+        # else (`n / 2`) means a division the language does not have.
+        if self.peek().text == "/":
+            self.fail("'/' only forms rational literals like 3/2")
+        super().expected(what)
+
     # Literals. ----------------------------------------------------------
 
     def parse_literal(self):
@@ -151,6 +159,8 @@ class _ModelParser(Parser):
     def parse_model(self) -> ActorNode:
         self.expect("format")
         version = self.peek()
+        if version.kind == "eof":
+            self.expected("a format version")
         if version.kind != "number" or version.text != "1":
             self.fail(f"unsupported format version {version.text!r}")
         self.next()
@@ -296,7 +306,7 @@ class _ModelParser(Parser):
             elif tok.kind == "eof":
                 self.fail("unterminated transition block")
             else:
-                self.fail(f"expected guard/output/set, found {tok.text!r}")
+                self.expected("guard/output/set")
         return Transition(src, dst, guard, outputs, sets)
 
     def parse_connection(self) -> Connection:

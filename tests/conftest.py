@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 from hypothesis import settings
@@ -18,6 +19,13 @@ MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def model_path(name: str) -> str:
     return os.path.join(MODELS, name)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def load_model(name: str):

@@ -1,19 +1,12 @@
 """Temporal-formula automata, cross-checked against direct word semantics."""
 
+import hashlib
 import random
+import sys
 
 import pytest
 
-from de_fixpoint.buchi import (
-    LAnd,
-    LAtom,
-    LFalse,
-    LRelease,
-    LTrue,
-    LUntil,
-    ltl_to_buchi,
-    nnf,
-)
+from de_fixpoint.buchi import Release, ltl_to_buchi, nnf
 from de_fixpoint.formula import (
     Always,
     And,
@@ -25,11 +18,13 @@ from de_fixpoint.formula import (
     Or,
     TrueF,
     Until,
+    formula_text,
 )
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.props import LocProp
 
 import ltl_ref
+from conftest import stack_depth
 
 P = LocProp(("M",), "a")
 Q = LocProp(("M",), "b")
@@ -41,18 +36,18 @@ q = Atom(Q)
 
 
 def test_nnf_pushes_negations_to_atoms():
-    assert nnf(Not(Not(p))) == LAtom(P, True)
-    assert nnf(Not(p)) == LAtom(P, False)
+    assert nnf(Not(Not(p))) == p
+    assert nnf(Not(p)) == Not(p)
     assert nnf(Not(And(p, q))) == nnf(Or(Not(p), Not(q)))
-    assert nnf(Not(TrueF())) == LFalse()
+    assert nnf(Not(TrueF())) == FalseF()
 
 
 def test_nnf_rewrites_derived_operators():
-    assert nnf(Eventually(p)) == LUntil(LTrue(), LAtom(P, True))
-    assert nnf(Always(p)) == LRelease(LFalse(), LAtom(P, True))
-    assert nnf(Not(Until(p, q))) == LRelease(LAtom(P, False), LAtom(Q, False))
+    assert nnf(Eventually(p)) == Until(TrueF(), p)
+    assert nnf(Always(p)) == Release(FalseF(), p)
+    assert nnf(Not(Until(p, q))) == Release(Not(p), Not(q))
     assert nnf(Implies(p, q)) == nnf(Or(Not(p), q))
-    assert nnf(Not(Implies(p, q))) == LAnd(LAtom(P, True), LAtom(Q, False))
+    assert nnf(Not(Implies(p, q))) == And(p, Not(q))
 
 
 # Degenerate automata. -----------------------------------------------------------
@@ -165,3 +160,49 @@ def test_automaton_shape_is_well_formed():
     assert set(ba.initial) <= set(ba.states)
     assert ba.accepting <= set(ba.states)
     assert {prop for sid in ba.states for prop, _ in ba.guards[sid]} == {P}
+
+
+# Byte-exact pin and stack use. ----------------------------------------------------
+
+
+def nested_until(depth):
+    """``'M @ 'a0 U ('M @ 'a1 U ... 'M @ 'a<depth>)``."""
+    return " U (".join(f"'M @ 'a{i}" for i in range(depth + 1)) + ")" * depth
+
+
+def automaton_text(ba) -> str:
+    lines = [f"initial {ba.initial} accepting {sorted(ba.accepting)}"]
+    lines += [f"{sid} {ba.guards[sid]} -> {ba.successors[sid]}" for sid in ba.states]
+    return "\n".join(lines) + "\n"
+
+
+# Every formula above and its negation (the checker translates negations),
+# then nested until and always, which grow the tableau fastest.
+PINNED = (
+    FORMULAS
+    + [nested_until(d) for d in range(1, 8)]
+    + ["[] " * d + "'M @ 'a" for d in range(1, 8)]
+)
+AUTOMATA = "d81df7cc1c4bcba114fe62ef88578957a8c45849ea4a443e4bd2a02ebd2c9e02"
+
+
+def test_automata_are_pinned():
+    text = []
+    for source in PINNED:
+        formula = parse_formula(source)
+        for f in (formula, Not(formula)):
+            text.append(f"{formula_text(f)}\n{automaton_text(ltl_to_buchi(f))}")
+    assert hashlib.sha256("".join(text).encode("utf-8")).hexdigest() == AUTOMATA
+
+
+def test_tableau_runs_in_a_small_stack():
+    # The tableau has hundreds of nodes here; expanding them must not take
+    # a Python frame each.
+    formula = Not(parse_formula(nested_until(6)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        ba = ltl_to_buchi(formula)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(ba.states) == 127

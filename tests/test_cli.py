@@ -11,7 +11,7 @@ from de_fixpoint.cli import main
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.syntax import MAX_DEPTH
 
-from conftest import model_path
+from conftest import model_path, stack_depth
 
 FLAT = model_path("flat_traffic_light.model")
 HIER = model_path("hierarchical_traffic_light.model")
@@ -342,13 +342,6 @@ composite Deep {{
     assert code == 0
 
 
-def stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 @pytest.mark.parametrize("kind", ["prefix", "group"])
 def test_nesting_limit_parses_within_a_small_stack(capsys, tmp_path, kind):
     # A caller already deep in its own stack must still be able to parse
@@ -442,9 +435,15 @@ def test_dump_reports_syntax_errors_with_position(capsys, tmp_path):
 
 
 def test_missing_file_is_a_semantic_error(capsys):
-    code, _, err = run(capsys, "dump", "no/such/file.model")
-    assert code == 3
-    assert "error: cannot read" in err
+    for command, *flags in (
+        ("dump",),
+        ("simulate", "--until", "1"),
+        ("search", "--prop", "'T | 'x = 1"),
+        ("check", "--formula", "True"),
+    ):
+        code, _, err = run(capsys, command, "no/such/file.model", *flags)
+        assert code == 3
+        assert err.startswith("error: cannot read no/such/file.model: "), command
 
 
 def test_invalid_model_is_a_semantic_error(capsys, tmp_path):

@@ -40,7 +40,7 @@ MODEL_ERRORS = [
     ('format 1\ncomposite 3 { }', "2:11: expected an actor name, found '3'"),
     ('format 1\ncomposite', "2:10: expected an actor name, found 'end of input'"),
     ('composite T { }', "1:1: expected 'format', found 'composite'"),
-    ('format', "1:7: unsupported format version ''"),
+    ('format', "1:7: expected a format version, found 'end of input'"),
     ('format 2\ncomposite T { }', "1:8: unsupported format version '2'"),
     ('format 1\ncomposite T { } extra', "2:17: unexpected 'extra' after the top-level actor"),
     ('format 1\n', '2:1: expected an actor block'),
@@ -89,7 +89,9 @@ GUARD_ERRORS = [
     ("value In", "6:37: expected '(', found 'In'"),
     ("(isPresent(In)", "6:46: expected ')', found '}'"),
     ("isPresent(In) } }", "7:3: unexpected '}' after the top-level actor"),
-    ("1 / x", "6:33: expected guard/output/set, found '/'"),
+    ("1 / x", "6:33: '/' only forms rational literals like 3/2"),
+    ("n / 2", "6:33: '/' only forms rational literals like 3/2"),
+    ("true output Out = n / 2", "6:51: '/' only forms rational literals like 3/2"),
     ('isPresent("In")', '6:41: expected a port name, found \'"In"\''),
     (prefix("!", 101, "true"), '6:233: nested more than 100 levels deep'),
     (group(101, "true"), '6:132: nested more than 100 levels deep'),

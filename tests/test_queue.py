@@ -44,6 +44,8 @@ def test_pop_orders_by_time_then_microstep_regardless_of_add_order():
         queue = EMPTY_QUEUE
         for i, (t, m) in enumerate(shuffled):
             queue = queue.add(t, m, ev("a", f"p{i}"))
+            entry_tags = [e.tag() for e in queue.entries]
+            assert all(a < b for a, b in zip(entry_tags, entry_tags[1:]))
         seen = [(t, m) for t, m, _ in drain(queue)]
         assert seen == sorted(tags)
 
