@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import StateSpaceExceeded
 from .formula import (
     Always,
     And,
@@ -38,12 +39,14 @@ from .formula import (
     TrueF,
     Until,
     desugar,
+    formula_class,
 )
+from .graph import DEFAULT_MAX_STATES
 
 # Negation normal form. -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@formula_class
 class Release(Formula):
     """``left R right``, the dual of until.
 
@@ -122,7 +125,7 @@ class _Node:
 _INIT = -1  # virtual predecessor marking initial states
 
 
-def _tableau(formula_nnf):
+def _tableau(formula_nnf, max_nodes):
     """The finished tableau nodes of an NNF formula, in the order they finished.
 
     Depth first from a seed node: the top of ``stack`` is the node being
@@ -130,8 +133,18 @@ def _tableau(formula_nnf):
     is done; a finished node is replaced by its successor, or dropped when
     a node with the same ``old`` and ``next`` sets exists (its incoming
     edges go to that twin).
+
+    The tableau can grow exponentially in the formula, so creating more
+    than ``max_nodes`` nodes raises ``StateSpaceExceeded``.
     """
     counter = itertools.count(1)  # 0 is the seed
+
+    def fresh(incoming, new, old, nxt):
+        nid = next(counter)
+        if nid > max_nodes:
+            raise StateSpaceExceeded(max_nodes, "tableau nodes")
+        return _Node(nid, incoming, new, old, nxt)
+
     nodes = {}  # (old, next) -> finished node
     stack = [_Node(0, [_INIT], [formula_nnf], [], [])]
     while stack:
@@ -144,7 +157,7 @@ def _tableau(formula_nnf):
                 stack.pop()
             else:
                 nodes[key] = node
-                stack[-1] = _Node(next(counter), [node.nid], list(node.next), [], [])
+                stack[-1] = fresh([node.nid], list(node.next), [], [])
             continue
         f = next(iter(node.new))
         del node.new[f]
@@ -175,8 +188,7 @@ def _tableau(formula_nnf):
             first, second, extra_next = [f.right], [f.left, f.right], [f]
         else:
             raise TypeError(f"unexpected formula in tableau: {f!r}")
-        copy = _Node(
-            next(counter),
+        copy = fresh(
             list(node.incoming),
             list(node.new) + [g for g in second if g not in node.old],
             list(node.old) + [f],
@@ -215,9 +227,10 @@ class BuchiAutomaton:
         return all(valuation[prop] is expected for prop, expected in self.guards[sid])
 
 
-def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
+def ltl_to_buchi(f: Formula, max_nodes: int = DEFAULT_MAX_STATES) -> BuchiAutomaton:
+    """The automaton of ``f``, from a tableau of at most ``max_nodes`` nodes."""
     g = nnf(desugar(f))
-    nodes = _tableau(g)
+    nodes = _tableau(g, max_nodes)
     untils = _until_subformulas(g, [])
 
     by_id = {n.nid: n for n in nodes}

@@ -6,6 +6,14 @@ shaped) state graph, and run a nested depth-first search for a reachable
 accepting cycle.  A non-empty product yields a counterexample run,
 reported as a prefix plus a repeating cycle of actual system states.
 
+The formula language has no next operator, so every formula is
+stutter-invariant (Peled & Wilke, IPL 1997): a word and the word with
+each run of equal letters cut to one satisfy the same formulas.  The
+verdict is therefore decided on the product with the compressed lasso
+of valuation classes, which is much shorter than the graph.  Only when
+that product has an accepting lasso is the full product searched, and
+its accepting lasso is the witness, so witnesses name real graph nodes.
+
 Every answer is cross-checked before it is returned.  The system has
 exactly one infinite run (each state has one successor), so the formula
 can also be evaluated directly on that run by fixpoint iteration around
@@ -19,14 +27,16 @@ shared by both routes and by every later check on the same graph; the
 routes share nothing past that.  Nodes with the same truth vector over a
 formula's atoms form a valuation class, and the product search asks
 whether an automaton state's guard holds once per (state, class), not
-once per product edge.  Replay does not use the shared truth: it
-evaluates the formula afresh on the witness states and re-executes the
-run to reproduce them.
+once per product edge; the compressed and the full search share those
+answers.  Replay does not use the shared truth: it evaluates the
+formula afresh on the witness states and re-executes the run to
+reproduce them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .buchi import BuchiAutomaton, ltl_to_buchi
@@ -143,15 +153,36 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool
 _CYAN, _BLUE = 1, 2
 
 
-def _find_accepting_lasso(graph: StateGraph, ba: BuchiAutomaton, classes, valuations):
+def _stutter_lasso(classes, cycle_entry: int):
+    """The lasso word ``classes`` with each run of equal letters cut to one.
+
+    The word is ``classes[:cycle_entry]`` followed by ``classes[cycle_entry:]``
+    repeating.  Runs are collapsed in the stem and in the cycle, a cycle
+    whose last letter equals its first loses the last, and a stem whose
+    last letter equals the cycle's first loses it.  Returns (succ, letters):
+    the short lasso's successor list and the class at each position.
+    """
+    stem = [c for c, _ in groupby(classes[:cycle_entry])]
+    cycle = [c for c, _ in groupby(classes[cycle_entry:])]
+    if len(cycle) > 1 and cycle[-1] == cycle[0]:
+        cycle.pop()
+    if stem and stem[-1] == cycle[0]:
+        stem.pop()
+    succ = list(range(1, len(stem) + len(cycle))) + [len(stem)]
+    return succ, stem + cycle
+
+
+def _find_accepting_lasso(succ, classes, ba: BuchiAutomaton, valuations, enters):
     """Nested DFS (blue/red with a cyan stack) over the product.
 
-    ``classes[node]`` is the node's valuation class and ``valuations[c]``
-    the truth of every atom on class ``c``.  Returns (prefix, cycle) as
-    lists of product states, or None when the product has no reachable
-    accepting cycle.
+    The word is a lasso of positions: ``succ[i]`` is position ``i``'s one
+    successor, ``classes[i]`` its valuation class, and ``valuations[c]``
+    the truth of every atom on class ``c``.  ``enters`` memoizes whether
+    an automaton state's guard holds on a class, keyed by (state, class),
+    and may be shared between searches over words of the same classes.
+    Returns (prefix, cycle) as lists of product states, or None when the
+    product has no reachable accepting cycle.
     """
-    enters = {}  # (automaton state, class) -> its guard holds there
 
     def can_enter(q, node):
         key = (q, classes[node])
@@ -162,7 +193,7 @@ def _find_accepting_lasso(graph: StateGraph, ba: BuchiAutomaton, classes, valuat
 
     def successors(ps):
         node, q = ps
-        nxt = graph.succ[node]
+        nxt = succ[node]
         return [(nxt, q2) for q2 in ba.successors[q] if can_enter(q2, nxt)]
 
     def accepting(ps):
@@ -249,7 +280,8 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     The formula is checked on the given graph (build it first; bounded
     graphs give bounded-horizon answers).  The verdict is validated
     against an independent evaluation of the system's single infinite
-    run before being returned.
+    run before being returned.  The automaton gets the graph's budget:
+    its tableau may create at most ``graph.max_states`` nodes.
     """
     f = desugar(formula)
     # Surface bad actor paths / variables / locations immediately, and on
@@ -264,11 +296,24 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     # carry them all.
     valuations = [dict(zip(atoms, vector)) for vector in class_ids]
 
-    ba = ltl_to_buchi(Not(f))
-    hit = _find_accepting_lasso(graph, ba, classes, valuations)
+    ba = ltl_to_buchi(Not(f), graph.max_states)
+    # Stutter invariance: the compressed product is empty exactly when the
+    # full one is.  Only a failing formula searches the full product, whose
+    # accepting lasso is the witness.
+    entry = graph.cycle_entry()
+    enters = {}
+    hit = None
+    short_succ, letters = _stutter_lasso(classes, entry)
+    if _find_accepting_lasso(short_succ, letters, ba, valuations, enters) is not None:
+        hit = _find_accepting_lasso(graph.succ, classes, ba, valuations, enters)
+        if hit is None:
+            raise AssertionError(
+                "model-checking routes disagree (compressed vs full product); "
+                "this is a bug in the checker"
+            )
 
     # Second route: evaluate the formula directly on the unique run.
-    direct = eval_on_lasso(graph.nodes, graph.cycle_entry(), f, rows)
+    direct = eval_on_lasso(graph.nodes, entry, f, rows)
     if (hit is None) != direct:
         raise AssertionError(
             "model-checking routes disagree (automaton vs direct evaluation); "

@@ -101,8 +101,8 @@ class UnknownVariableTarget(EngineError):
 
 
 class StateSpaceExceeded(EngineError):
-    """State-graph construction hit the configured state limit."""
+    """State-graph or automaton construction hit the configured state limit."""
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, what: str = "states"):
         self.limit = limit
-        super().__init__(f"state space exceeded {limit} states")
+        super().__init__(f"state space exceeded {limit} {what}")

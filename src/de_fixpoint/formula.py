@@ -18,61 +18,90 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def formula_class(cls):
+    """Declare a connective: a frozen dataclass that hashes each node once.
+
+    A frozen dataclass hashes its whole subtree again on every set, dict
+    or frozenset use.  The value kept is the one the dataclass computes
+    (the hash of the field tuple), so set and dict orders do not change.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# The connectives below have no next operator, so every formula is
+# stutter-invariant: it has the same truth on a word with each run of
+# equal letters cut to one letter.  The checker relies on that to decide
+# verdicts on the stutter-compressed lasso; a next operator would void
+# the compression.
+
+
+@formula_class
 class Atom(Formula):
     prop: object  # VarProp | LocProp
 
 
-@dataclass(frozen=True)
+@formula_class
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@formula_class
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@formula_class
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Always(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@formula_class
 class Scope(Formula):
     """Evaluate the body with every proposition path prefixed by ``path``."""
 

@@ -1,17 +1,34 @@
 """Temporal checking: dual-route verdicts, witnesses, bounded semantics."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from de_fixpoint import checker
+from de_fixpoint.buchi import Release, ltl_to_buchi
 from de_fixpoint.checker import check_ltl, eval_on_lasso
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
 from de_fixpoint.events import EMPTY_QUEUE
 from de_fixpoint.executor import step
-from de_fixpoint.formula import collect_atoms, desugar
+from de_fixpoint.formula import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    FalseF,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Scope,
+    TrueF,
+    Until,
+    collect_atoms,
+    desugar,
+)
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.graph import build_state_graph
 from de_fixpoint.model import COMPOSITE, FSM, ActorNode
@@ -320,3 +337,114 @@ def test_generated_bad_names_raise_the_same_error_warm_and_fresh(
     for graph in (warm, warm, replace(warm)):
         with pytest.raises(error):
             check_ltl(graph, parse_formula(text))
+
+
+# The stutter-compressed product. ---------------------------------------------------
+
+CONNECTIVES = {
+    Atom, TrueF, FalseF, Not, And, Or, Implies, Until, Always, Eventually, Scope, Release
+}
+
+
+def test_every_formula_class_is_stutter_invariant():
+    found, todo = set(), [Formula]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    unknown = sorted(cls.__qualname__ for cls in found - CONNECTIVES)
+    assert not unknown, (
+        f"unknown formula classes {unknown}: a next operator would void the "
+        "stutter compression check_ltl decides verdicts on"
+    )
+
+
+WORD_ATOMS = ("'M @ 'a", "'M @ 'b")
+WORD_PROPS = tuple(desugar(parse_formula(text)).prop for text in WORD_ATOMS)
+# Class c is the valuation of the atoms spelled by c's bits.
+WORD_VALUATIONS = [
+    dict(zip(WORD_PROPS, bits)) for bits in product((False, True), repeat=len(WORD_PROPS))
+]
+
+
+def product_verdicts(word, entry, valuations, f):
+    """(compressed, full): does ``f`` hold by the short and by the full product?"""
+    ba = ltl_to_buchi(Not(f))
+    short_succ, letters = checker._stutter_lasso(word, entry)
+    succ = list(range(1, len(word))) + [entry]
+    compressed = checker._find_accepting_lasso(short_succ, letters, ba, valuations, {})
+    full = checker._find_accepting_lasso(succ, word, ba, valuations, {})
+    return compressed is None, full is None
+
+
+def spelled(succ, letters, steps):
+    """The letters of the first ``steps`` positions of a lasso, runs cut to one."""
+    out, i = [], 0
+    for _ in range(steps):
+        if not out or out[-1] != letters[i]:
+            out.append(letters[i])
+        i = succ[i]
+    return out
+
+
+@st.composite
+def lasso_words(draw, shape):
+    """A word of class ids and its cycle entry, with a stutter where ``shape`` says."""
+    letter = st.integers(0, len(WORD_VALUATIONS) - 1)
+    stem = draw(st.lists(letter, max_size=6))
+    if shape == "one-letter cycle":
+        cycle = [draw(letter)]
+    elif shape == "all-equal cycle":
+        cycle = [draw(letter)] * draw(st.integers(2, 5))
+    else:
+        cycle = draw(st.lists(letter, min_size=1, max_size=8))
+    if shape == "stem ends in the cycle's first letter":
+        stem.append(cycle[0])
+    return stem + cycle, len(stem)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["free", "one-letter cycle", "all-equal cycle", "stem ends in the cycle's first letter"],
+)
+@given(data=st.data())
+def test_compressed_product_agrees_with_full_product_and_reference(shape, data):
+    word, entry = data.draw(lasso_words(shape))
+    f = fm(data.draw(formula_texts(WORD_ATOMS, depth=3)))
+    succ = list(range(1, len(word))) + [entry]
+    short_succ, letters = checker._stutter_lasso(word, entry)
+    # The short lasso spells the same word up to stutter, and has no
+    # stutter left but a one-letter cycle's self-loop.
+    want = spelled(succ, word, 3 * len(word))
+    assert spelled(short_succ, letters, 3 * len(word))[: len(want)] == want
+    assert (short_succ[-1] == len(letters) - 1) == (len(set(word[entry:])) == 1)
+    assert all(letters[i] != letters[j] for i, j in enumerate(short_succ) if i != j)
+    compressed, full = product_verdicts(word, entry, WORD_VALUATIONS, f)
+    expected = ltl_ref.eval_word([WORD_VALUATIONS[c] for c in word], entry, f)
+    assert compressed == full == expected
+
+
+@pytest.fixture(scope="module")
+def bounded_graphs(flat_state, hier_state):
+    return {
+        "flat": build_state_graph(flat_state, time_bound=2),
+        "hier": build_state_graph(hier_state, time_bound=18),
+    }
+
+
+@given(case=generated_checks())
+def test_compressed_verdict_on_bounded_graphs(bounded_graphs, case):
+    name, text, _ = case
+    graph = bounded_graphs[name]
+    last = len(graph.nodes) - 1
+    assert graph.succ[last] == last  # the cut run stutters on its last state
+    f = fm(text)
+    atoms = collect_atoms(f)
+    vals = [{prop: prop_holds(s, prop) for prop in atoms} for s in graph.nodes]
+    ids = {}
+    word = [ids.setdefault(tuple(v.values()), len(ids)) for v in vals]
+    valuations = [dict(zip(atoms, key)) for key in ids]
+    compressed, full = product_verdicts(word, last, valuations, f)
+    expected = ltl_ref.eval_word(vals, last, f)
+    assert compressed == full == expected == check_ltl(graph, parse_formula(text)).holds

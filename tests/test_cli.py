@@ -9,6 +9,7 @@ import pytest
 
 from de_fixpoint.cli import main
 from de_fixpoint.formula_parser import parse_formula
+from de_fixpoint.graph import DEFAULT_MAX_STATES
 from de_fixpoint.syntax import MAX_DEPTH
 
 from conftest import model_path, stack_depth
@@ -388,6 +389,18 @@ def test_check_state_budget_exhaustion_is_semantic(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_check_stops_an_automaton_past_the_state_budget(capsys):
+    # The tableau of 100 nested [] outgrows any budget; it used to run for
+    # minutes.  It gets the graph's budget, --max-states.
+    always = "[] " * MAX_DEPTH + "'HierarchicalTrafficLight . 'Decision @ 'Normal"
+    code, out, err = run(capsys, "check", HIER, "--formula", always)
+    assert (code, out) == (3, "")
+    assert err == f"error: state space exceeded {DEFAULT_MAX_STATES} tableau nodes\n"
+    code, out, err = run(capsys, "check", HIER, "--formula", always, "--max-states", "1000")
+    assert (code, out) == (3, "")
+    assert err == "error: state space exceeded 1000 tableau nodes\n"
 
 
 def test_check_bad_formula_syntax(capsys):
