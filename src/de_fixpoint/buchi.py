@@ -41,7 +41,6 @@ from .formula import (
     desugar,
     formula_class,
 )
-from .graph import DEFAULT_MAX_STATES
 
 # Negation normal form. -------------------------------------------------------
 
@@ -123,9 +122,10 @@ class _Node:
 
 
 _INIT = -1  # virtual predecessor marking initial states
+MAX_TABLEAU_NODES = 100_000  # nodes a tableau may create
 
 
-def _tableau(formula_nnf, max_nodes):
+def _tableau(formula_nnf):
     """The finished tableau nodes of an NNF formula, in the order they finished.
 
     Depth first from a seed node: the top of ``stack`` is the node being
@@ -135,14 +135,14 @@ def _tableau(formula_nnf, max_nodes):
     edges go to that twin).
 
     The tableau can grow exponentially in the formula, so creating more
-    than ``max_nodes`` nodes raises ``StateSpaceExceeded``.
+    than ``MAX_TABLEAU_NODES`` nodes raises ``StateSpaceExceeded``.
     """
     counter = itertools.count(1)  # 0 is the seed
 
     def fresh(incoming, new, old, nxt):
         nid = next(counter)
-        if nid > max_nodes:
-            raise StateSpaceExceeded(max_nodes, "tableau nodes")
+        if nid > MAX_TABLEAU_NODES:
+            raise StateSpaceExceeded(MAX_TABLEAU_NODES, "tableau nodes")
         return _Node(nid, incoming, new, old, nxt)
 
     nodes = {}  # (old, next) -> finished node
@@ -227,10 +227,9 @@ class BuchiAutomaton:
         return all(valuation[prop] is expected for prop, expected in self.guards[sid])
 
 
-def ltl_to_buchi(f: Formula, max_nodes: int = DEFAULT_MAX_STATES) -> BuchiAutomaton:
-    """The automaton of ``f``, from a tableau of at most ``max_nodes`` nodes."""
+def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
     g = nnf(desugar(f))
-    nodes = _tableau(g, max_nodes)
+    nodes = _tableau(g)
     untils = _until_subformulas(g, [])
 
     by_id = {n.nid: n for n in nodes}

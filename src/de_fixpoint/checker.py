@@ -280,8 +280,7 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     The formula is checked on the given graph (build it first; bounded
     graphs give bounded-horizon answers).  The verdict is validated
     against an independent evaluation of the system's single infinite
-    run before being returned.  The automaton gets the graph's budget:
-    its tableau may create at most ``graph.max_states`` nodes.
+    run before being returned.
     """
     f = desugar(formula)
     # Surface bad actor paths / variables / locations immediately, and on
@@ -296,7 +295,7 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     # carry them all.
     valuations = [dict(zip(atoms, vector)) for vector in class_ids]
 
-    ba = ltl_to_buchi(Not(f), graph.max_states)
+    ba = ltl_to_buchi(Not(f))
     # Stutter invariance: the compressed product is empty exactly when the
     # full one is.  Only a failing formula searches the full product, whose
     # accepting lasso is the witness.

@@ -51,7 +51,6 @@ class StateGraph:
     kinds: list  # node id -> step kind taken out of it (Stutter on self-loops)
     bounded: bool
     bottom_as_absent: bool = False
-    max_states: int = DEFAULT_MAX_STATES  # the budget it was built with
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def cycle_entry(self) -> int:
@@ -121,7 +120,7 @@ def build_state_graph(
             break
         nodes.append(nxt)
 
-    return StateGraph(nodes, succ, kinds, bounded, bottom_as_absent, max_states)
+    return StateGraph(nodes, succ, kinds, bounded, bottom_as_absent)
 
 
 @dataclass

@@ -397,6 +397,12 @@ def lasso_words(draw, shape):
         cycle = [draw(letter)]
     elif shape == "all-equal cycle":
         cycle = [draw(letter)] * draw(st.integers(2, 5))
+    elif shape == "cycle wraps on the stem's last letter":
+        # Both ends of the short lasso drop a letter: [.., c] + [c, .., c].
+        c = draw(letter)
+        middle = draw(st.lists(letter.filter(lambda x: x != c), min_size=1, max_size=4))
+        stem.append(c)
+        cycle = [c, *middle, c]
     else:
         cycle = draw(st.lists(letter, min_size=1, max_size=8))
     if shape == "stem ends in the cycle's first letter":
@@ -406,7 +412,13 @@ def lasso_words(draw, shape):
 
 @pytest.mark.parametrize(
     "shape",
-    ["free", "one-letter cycle", "all-equal cycle", "stem ends in the cycle's first letter"],
+    [
+        "free",
+        "one-letter cycle",
+        "all-equal cycle",
+        "stem ends in the cycle's first letter",
+        "cycle wraps on the stem's last letter",
+    ],
 )
 @given(data=st.data())
 def test_compressed_product_agrees_with_full_product_and_reference(shape, data):

@@ -7,9 +7,9 @@ import sys
 import jsonschema
 import pytest
 
+from de_fixpoint.buchi import MAX_TABLEAU_NODES
 from de_fixpoint.cli import main
 from de_fixpoint.formula_parser import parse_formula
-from de_fixpoint.graph import DEFAULT_MAX_STATES
 from de_fixpoint.syntax import MAX_DEPTH
 
 from conftest import model_path, stack_depth
@@ -391,16 +391,23 @@ def test_check_state_budget_exhaustion_is_semantic(capsys):
     assert "error:" in err
 
 
-def test_check_stops_an_automaton_past_the_state_budget(capsys):
-    # The tableau of 100 nested [] outgrows any budget; it used to run for
-    # minutes.  It gets the graph's budget, --max-states.
+def test_check_stops_an_automaton_past_the_tableau_bound(capsys):
+    # The tableau of 100 nested [] outgrows any bound; it used to run for
+    # minutes.
     always = "[] " * MAX_DEPTH + "'HierarchicalTrafficLight . 'Decision @ 'Normal"
     code, out, err = run(capsys, "check", HIER, "--formula", always)
     assert (code, out) == (3, "")
-    assert err == f"error: state space exceeded {DEFAULT_MAX_STATES} tableau nodes\n"
-    code, out, err = run(capsys, "check", HIER, "--formula", always, "--max-states", "1000")
-    assert (code, out) == (3, "")
-    assert err == "error: state space exceeded 1000 tableau nodes\n"
+    assert err == f"error: state space exceeded {MAX_TABLEAU_NODES} tableau nodes\n"
+
+
+def test_check_state_budget_does_not_bound_the_tableau(capsys):
+    # --max-states bounds the graph (63 states) only: this formula's tableau
+    # creates hundreds of nodes, as the benchmark's formulas do.
+    locations = ["'Dinit", "'Normal", "'Abnormal"] * 3
+    chain = " U (".join(f"'HierarchicalTrafficLight . 'Decision @ {loc}" for loc in locations[:7])
+    formula = f"[] <> 'HierarchicalTrafficLight . 'Decision @ 'Normal \\/ ({chain}{')' * 6})"
+    code, out, err = run(capsys, "check", HIER, "--formula", formula, "--max-states", "64")
+    assert (code, out, err) == (0, "holds (63 states explored)\n", "")
 
 
 def test_check_bad_formula_syntax(capsys):
