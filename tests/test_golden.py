@@ -17,6 +17,7 @@ so where the change is recorded.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from de_fixpoint.model import iter_actors
 from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import literal_text
 
+import families
 from conftest import model_path
 
 # A clock feeding three zero-delay hops into a wrapping counter.
@@ -364,7 +366,10 @@ def witness_ids(graph, text) -> str:
 
 def graph_dump(name) -> str:
     bottom = MODELS[name][2]
-    graph = build_state_graph(initialize(parse_model(_model_text(name))), bottom_as_absent=bottom)
+    return dump(build_state_graph(initialize(parse_model(_model_text(name))), bottom_as_absent=bottom))
+
+
+def dump(graph) -> str:
     lines = []
     for i, state in enumerate(graph.nodes):
         lines.append(f"node {i} -> {graph.succ[i]} by {json.dumps(graph.kinds[i].json())}")
@@ -412,3 +417,232 @@ def test_check_output_is_pinned(name, tmp_path, capsys):
 def test_check_witnesses_are_pinned(mutant_graph):
     # One graph serves every check, as in a session of library calls.
     assert [_sha(witness_ids(mutant_graph, text)) for text in WITNESS_FORMULAS] == WITNESS_IDS
+
+
+# Generated families. ---------------------------------------------------------
+#
+# Recorded before the engine moved onto flat state, integer time and
+# compiled expressions.  The models come from ``families.py`` with fixed
+# parameters: the three-crossing lasso has 968 states, the chains cost
+# one microstep per hop, and the modals nest one to four levels deep.
+
+# name -> (model text, simulate bound)
+GENERATED = {
+    "crossings357": (families.crossings((3, 5, 7), 6, 1), "40"),
+    **{f"chain{k}": (families.chain(k, 2 + k % 3, k % 3), str(12 + k % 3)) for k in range(2, 10)},
+    **{f"modal{d}": (families.modal([2, 3, 4, 2][:d], d % 2), str(25 + d % 2)) for d in range(1, 5)},
+}
+# name -> (generated model, time bound of its graph)
+BOUNDED = {
+    "crossings357": ("crossings357", "30"),
+    "chain5": ("chain5", "7"),
+    "modal3": ("modal3", "11"),
+}
+
+GENERATED_TEXT = {
+    "chain2": "7a1fd595c9400ef5e5c57197b3c49df77ad4d9314f1c669a189c4568323833e8",
+    "chain3": "265f584a99b06bbc7c31f7e2124cfb687c5e6c692ef0f9d020cb58dcbd0ab54c",
+    "chain4": "8fe82176b1fa9ce5d31693c8feedc6cb8b2b08a5641d31e90040fab471db3e51",
+    "chain5": "9bb37b8ab5fe5e551d7efd2c3e21f5db95b5c99cb4f896de5ebbee7fda4e1fff",
+    "chain6": "0a00e8496a3f39280436951c0bf034663434dd74b9463ddb71f85813136cc9bd",
+    "chain7": "48e6a1a37041b604a07474319d947486b42fbf8d7073180a15ad07e586ff2d0c",
+    "chain8": "c51abbd0c96a5fa50b3bbbf23b9c30d530b5d47fff6e904337d0ef9a99ad370b",
+    "chain9": "3e1810ad07b50bb1eade7ba4c18d2f90e71c4f5d346ed24c218486b36d34d271",
+    "crossings357": "f4b224dcdb7322763ef3a6d4af2594260dc769cfc687fe995806d59bd766101d",
+    "modal1": "f69ec43f17d5f7039badbfe03198cb60fb23b799a61bf1fe5f144e11e91660b2",
+    "modal2": "99cafdbab6e0b4a2519f62b5b0e5ba8a08df28aa32857030a6fc536f3ed9a1e6",
+    "modal3": "0489d244c50ce634317d0fc8c7fdaa85b1280a805f714bda7a4f3314a5903f4b",
+    "modal4": "a993e76485a4a4bab54d758463ca9b60e19295a6f28ac93578d410db6eafbc51",
+}
+GENERATED_JSON = {
+    "chain2": "4124bf6059ad660e4c8a9d00c780e4a6678587ab1f9a1d4eb210d1d61470f92b",
+    "chain3": "58ea1fd4c6254f285809d519d0be312ba925f58d202a8f72b7953c60a3e09c28",
+    "chain4": "47c3da10fa3ed8b251a071e92b4d7a1740523d08215770d0d001bf2e9c506301",
+    "chain5": "392b3294d91f4fe7197d667571756edc9b5c0de76c9319640a7e06d1088e72c9",
+    "chain6": "002ccee0c5fe8dfc73cccacc6d33e96d8381050c88d0fa08c646f7b1ea34f002",
+    "chain7": "d90ebf18cbd50feeb463bacf17736a5722e608b43d2278492278c23ed512a255",
+    "chain8": "b88e2ea4474e48ba90b079b3ab2aff5391ea1b27a7450ce0b6cf242c565f8e6d",
+    "chain9": "07901e545a4c0b27bb5d09985d8fb0c29449f390bc4b3e045b2311f9ec73fbc2",
+    "crossings357": "113e0e0fb018a76a624f241fd802ccc59bb5bed4f04dbbf1c40655544b6bd19d",
+    "modal1": "6ee44ed660bd05c2a039461524b0cd73a6bfb932814dab581c0bb4f2613e2dbc",
+    "modal2": "80387aedee0e9f9c1a9fd684adf994e404cca38b44d4892b42ecdedbd0476b43",
+    "modal3": "de8e10aceb2beb9b7e1fbcd3791048b7883faaf984b673b785eb28ab9359b0f7",
+    "modal4": "466e1f14b8bec6f7823a85b3cd834c86e42b5591327108591e079322682e6be0",
+}
+GENERATED_GRAPH = {
+    "chain2": "d7a7c4ed8f9ebe1357de23a2373a168698419aed50be64c144e8a98fcf6316bf",
+    "chain3": "4aea63a3f75cf0f911294093f687e103e666cfb44696072b4b3f63eab83a562f",
+    "chain4": "af1cddf967a7f9035f7430fbbea47d66effd5b6ec51c46639e4c54c09ad8beb1",
+    "chain5": "71388fc2f9057e7db4a2199552799ee2e6de2b9095416d8c9372e654bcea563f",
+    "chain6": "7f3fc6981eb59c04c22703525f80a0b83b1d5fcc7f011a540ea76d8cb9d6c364",
+    "chain7": "b03be3ad0b222a81368efb67193fa0ccd10865e4efd88d8b84401770e42e9b1d",
+    "chain8": "86998ba01dd5a7708833657d0e14d59215a9a7d71b8404facc9dcec3e241ae99",
+    "chain9": "06416121e7e9e3f5c7d13e1afd2706f6c716d80bc34a8a00597f94a8d6b010aa",
+    "crossings357": "66339912448e5934ae9ed665b424c64e406e69f8746da5dc856109cdcabbc869",
+    "modal1": "b8950319bf16803b873972621c9a30abd6fcb2d206ba3b917060fe2208e7578d",
+    "modal2": "77adc0cbdf0809ce6485dd93bf928f81a232e365e2569bae1918b98868daa8d7",
+    "modal3": "69a244510a4bce584577845c1c71277abe7438e1aab91cadd48cbc8987b727bd",
+    "modal4": "50987cb8f26c8f4f1eb6bfeeeff78bd50214252d7d6cf3558d30269673baa591",
+}
+BOUNDED_GRAPH = {
+    "chain5": "1f3e1e4e2c2731ef529c93edb1327cb009ff79bd2d12c35fcaa02d897b3875fc",
+    "crossings357": "9637c2f07d639836ce737acc03c16795241967d09d9cd1c448e4f111abc245e1",
+    "modal3": "38bb85e5c9e2490891e839655a453e699e072d9e75a6d702278be58bb122d171",
+}
+
+
+def _cli(argv, code, capsys) -> str:
+    assert main(argv) == code
+    return capsys.readouterr().out
+
+
+def _write(text, name, tmp_path) -> str:
+    path = tmp_path / f"{name}.model"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def generated_simulate(name, fmt, tmp_path, capsys) -> str:
+    text, until = GENERATED[name]
+    argv = ["simulate", _write(text, name, tmp_path), "--until", until, "--format", fmt]
+    return _cli(argv, 0, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_simulate_text_is_pinned(name, tmp_path, capsys):
+    assert _sha(generated_simulate(name, "text", tmp_path, capsys)) == GENERATED_TEXT[name]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_simulate_json_is_pinned(name, tmp_path, capsys):
+    assert _sha(generated_simulate(name, "json", tmp_path, capsys)) == GENERATED_JSON[name]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_state_graph_is_pinned(name):
+    graph = build_state_graph(initialize(parse_model(GENERATED[name][0])))
+    assert _sha(dump(graph)) == GENERATED_GRAPH[name]
+
+
+def test_three_crossings_make_the_benchmark_lasso():
+    graph = build_state_graph(initialize(parse_model(GENERATED["crossings357"][0])))
+    assert (len(graph.nodes), graph.cycle_entry()) == (968, 20)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_bounded_generated_graph_is_pinned(name):
+    model, until = BOUNDED[name]
+    graph = build_state_graph(initialize(parse_model(GENERATED[model][0])), time_bound=Fraction(until))
+    assert _sha(dump(graph)) == BOUNDED_GRAPH[name]
+
+
+# Bounds off the model's timebase. --------------------------------------------
+#
+# Times are exact rationals at the edge (``--until``, ``t=``, tick sizes,
+# queue summaries), whatever the engine counts in.  A bound between two
+# events, on the integer-period fixtures and on a model whose clocks tick
+# at thirds, halves and three quarters, must cut the run at the same
+# place and print the same times.
+
+RATIONAL = """\
+format 1
+
+composite Rational {
+  var n = 0
+  clock Third {
+    period = 1/3
+  }
+  clock Half {
+    period = 0.5
+    offset = 1/4
+  }
+  clock ThreeQuarters {
+    period = 0.75
+    offset = 1/6
+  }
+  fsm Mix {
+    input A
+    input B
+    input C
+    output Out
+    var k = 0
+    initial s
+    transition s -> t { guard isPresent(A) set k = k + 1 }
+    transition t -> u { guard isPresent(B) output Out = k }
+    transition u -> s { guard isPresent(C) && k < 3 }
+    transition u -> s { guard isPresent(C) && k == 3 set k = 0 }
+  }
+  delay Hop {
+    delay = 0
+  }
+  setvar SetN {
+    target = "n"
+  }
+  connect Third.output -> Mix.A
+  connect Half.output -> Mix.B
+  connect ThreeQuarters.output -> Mix.C
+  connect Mix.Out -> Hop.input
+  connect Hop.output -> SetN.input
+}
+"""
+
+FLAT_CYEL = "[] <> ('FlatTrafficLight | 'Cyel = 1)"
+RATIONAL_N = "[] ~ ('Rational | 'n = 3)"
+
+# name -> (model, arguments after the model file, exit code)
+OFF_BASE = {
+    "flat-simulate-7/3-text": ("flat", ["simulate", "--until", "7/3"], 0),
+    "flat-simulate-7/3-json": ("flat", ["simulate", "--until", "7/3", "--format", "json"], 0),
+    "flat-simulate-2.5-text": ("flat", ["simulate", "--until", "2.5"], 0),
+    "flat-simulate-2.5-json": ("flat", ["simulate", "--until", "2.5", "--format", "json"], 0),
+    "hier-simulate-31/2-text": ("hier", ["simulate", "--until", "31/2"], 0),
+    "flat-check-7/3": ("flat", ["check", "--formula", FLAT_CYEL, "--until", "7/3"], 1),
+    "flat-check-2.5": ("flat", ["check", "--formula", FLAT_CYEL, "--until", "2.5"], 1),
+    "rational-simulate-17/7-text": ("rational", ["simulate", "--until", "17/7"], 0),
+    "rational-simulate-17/7-json": ("rational", ["simulate", "--until", "17/7", "--format", "json"], 0),
+    "rational-simulate-2.45-text": ("rational", ["simulate", "--until", "2.45"], 0),
+    "rational-check": ("rational", ["check", "--formula", RATIONAL_N], 1),
+    "rational-check-17/7": ("rational", ["check", "--formula", RATIONAL_N, "--until", "17/7"], 1),
+    "rational-search-5/7": ("rational", ["search", "--prop", "'Rational . 'Mix @ 'u", "--until", "5/7"], 0),
+}
+
+OFF_BASE_OUTPUT = {
+    "flat-check-2.5": "c68c7b781211e4724d81773d1e61e41abfed75179a364581d501bf37ef066fd7",
+    "flat-check-7/3": "c68c7b781211e4724d81773d1e61e41abfed75179a364581d501bf37ef066fd7",
+    "flat-simulate-2.5-json": "c6b352f79cdd66fafafb0a4d6915a536d3edde5c61c98040dff0310c27c2b78d",
+    "flat-simulate-2.5-text": "d49c26806c6e9fef7c1f5894c2a57dcc33720794c3db8b3262f2b046498a6d4b",
+    "flat-simulate-7/3-json": "c6b352f79cdd66fafafb0a4d6915a536d3edde5c61c98040dff0310c27c2b78d",
+    "flat-simulate-7/3-text": "1f5014cf6dc7aeae21335405e64c0829c42582009a97f00014b1a4dc29e185d4",
+    "hier-simulate-31/2-text": "de117e1478ba2c3f23524273955e993f4629e7489a1ae35535a73b530977af0f",
+    "rational-check": "b2f8a0440a69966e3ef7067bb1770604709931f520d3fbc704bda08dde851f01",
+    "rational-check-17/7": "edc7811bf832b6ff756785c72faf6c22233bec19ab384b19c7f38798fa4b91d1",
+    "rational-search-5/7": "0d19544b16e9f8da4582fb09e27fe2c84d03a46696e0d28ebd6aa545041c5233",
+    "rational-simulate-17/7-json": "0e0e9dfcfd02d4aa54615136453ca7218d5f45b8e96ccc540b1790774f74ba87",
+    "rational-simulate-17/7-text": "904a1939a0d7d7158028c11471dd94489d5b5ef06241ea3a7f2ec085b102cbab",
+    "rational-simulate-2.45-text": "a6d69189c65b05da8df22545dad313e414c9d9885ac3a7ada64c1aa938ead3bb",
+}
+
+
+RATIONAL_GRAPH = "d55534857b9df4b3b80f36a99e2032add56fe1df3512c05d2e096a871415ca5c"
+RATIONAL_BOUNDED_GRAPH = "962afa372590edcce385889a6a98316a00b55e66402211c8b5050b7b209f15be"
+
+def off_base_output(name, tmp_path, capsys) -> str:
+    model, args, code = OFF_BASE[name]
+    path = _write(RATIONAL, model, tmp_path) if model == "rational" else MODELS[model][0]
+    return _cli([args[0], path, *args[1:]], code, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(OFF_BASE))
+def test_bound_off_the_timebase_is_pinned(name, tmp_path, capsys):
+    assert _sha(off_base_output(name, tmp_path, capsys)) == OFF_BASE_OUTPUT[name]
+
+
+def test_rational_graph_is_pinned():
+    graph = build_state_graph(initialize(parse_model(RATIONAL)))
+    assert _sha(dump(graph)) == RATIONAL_GRAPH
+
+
+def test_rational_bounded_graph_is_pinned():
+    graph = build_state_graph(initialize(parse_model(RATIONAL)), time_bound=Fraction(17, 7))
+    assert _sha(dump(graph)) == RATIONAL_BOUNDED_GRAPH
+
