@@ -113,7 +113,7 @@ def _cmd_simulate(args) -> int:
         print(trace_step_text(step))
     if trace.truncated:
         print(_red(f"stopped: step limit ({args.max_steps}) reached", color))
-    elif not trace.final.queue.entries:
+    elif not trace.final.entries:
         print(_green("stopped: event queue exhausted", color))
     else:
         print(_green(f"stopped: time bound {args.until} reached", color))

@@ -11,6 +11,15 @@ a batch, at most one event per target port is kept: scheduling a second
 event for a port that already has one at the same tag replaces the old
 value (a diagnostic is logged, since this usually means two sources race
 on one port).
+
+The engine keeps its queue flat, as a tuple of ``(time, microstep,
+events)`` entries: times are integers in ticks of the model's timebase
+(see network.py), and a batch is a tuple of ``(port id, Present status)``
+pairs sorted by port id.  The functions below work on that form; an
+entry changes only when its time or microstep does.  :class:`EventQueue`
+is the same queue with exact rational times and :class:`Event` objects:
+the view a system state shows its callers (``SystemState.queue``), and
+the queue of the tree-level entry points.
 """
 
 from __future__ import annotations
@@ -151,3 +160,63 @@ class EventQueue:
 
 
 EMPTY_QUEUE = EventQueue()
+
+
+# The engine's flat queue. ---------------------------------------------------
+
+
+def schedule(entries: tuple, time: int, microstep: int, event, network) -> tuple:
+    """The flat queue with ``event`` (port id, status) added ``time`` ticks from now.
+
+    ``network`` names the port and the time in the diagnostic for a
+    replaced event.
+    """
+    pid = event[0]
+    for i, (t, m, events) in enumerate(entries):
+        if t == time and m == microstep:
+            kept = []
+            for old in events:
+                if old[0] == pid:
+                    path, port, _ = network.keys[pid]
+                    log.warning(
+                        "replacing event for %r at (%s, %s): %r superseded by %r",
+                        PortRef(path, port),
+                        format_rational(Fraction(time, network.timebase)),
+                        microstep,
+                        old[1].value,
+                        event[1].value,
+                    )
+                else:
+                    kept.append(old)
+            kept.append(event)
+            kept.sort(key=_port_id)
+            return entries[:i] + ((t, m, tuple(kept)),) + entries[i + 1 :]
+        if t > time or (t == time and m > microstep):
+            return entries[:i] + ((time, microstep, (event,)),) + entries[i:]
+    return entries + ((time, microstep, (event,)),)
+
+
+def _port_id(event):
+    return event[0]
+
+
+def advance_time(entries: tuple, dt: int) -> tuple:
+    """Let ``dt`` ticks pass; the caller advances exactly to the head entry."""
+    return tuple((t - dt, m, events) for t, m, events in entries)
+
+
+def advance_microstep(entries: tuple, n: int) -> tuple:
+    """Jump ``n`` microsteps, to the head entry's; only entries due now move."""
+    return tuple(entry if entry[0] else (0, entry[1] - n, entry[2]) for entry in entries)
+
+
+def queue_view(entries: tuple, network) -> EventQueue:
+    """The flat queue as an EventQueue: rational times, Events sorted by target."""
+    base = network.timebase
+    keys = network.keys
+    out = []
+    for t, m, events in entries:
+        batch = [Event(PortRef(keys[pid][0], keys[pid][1]), status.value) for pid, status in events]
+        batch.sort(key=Event.sort_key)
+        out.append(QueueEntry(Fraction(t, base), m, tuple(batch)))
+    return EventQueue(tuple(out))

@@ -7,19 +7,27 @@ the head is at the current timestamp but a later microstep, it advances
 the microstep counter.  Otherwise it lets time pass up to the head.
 Every step is deterministic, so a run is fully determined by the initial
 state.
+
+A step reads and writes the state's flat slots and counts time in ticks
+of the model's timebase (see state.py and network.py).  Exact rationals
+appear only where a time is shown: a Tick's ``dt``, trace output, and
+the time bound, which ``simulate`` converts to ticks once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .errors import EmptyQueue
+from .events import advance_microstep, advance_time
+
 # clear_ports and deliver_events are re-exported: step fuses them into
 # compute_fixpoint, but they stay the names for those two phases.
 from .fire import clear_ports, compute_fixpoint, deliver_events  # noqa: F401
 from .postfire import commit_requests, postfire
-from .state import SystemState, collect_variables, fsm_locations
+from .state import SystemState, collect_variables, fsm_locations, make_state
 from .util import rational_json
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
@@ -48,34 +56,67 @@ class Iteration:
         return {"type": "iteration"}
 
 
+_ITERATION = Iteration()
+
+
+def _tick(network, dt: int) -> Tick:
+    """The Tick for ``dt`` ticks; one per distinct size and network."""
+    tick = network._ticks.get(dt)
+    if tick is None:
+        tick = network._ticks[dt] = Tick(Fraction(dt, network.timebase))
+    return tick
+
+
 def step(state: SystemState, bottom_as_absent: bool = False, rng=None):
     """Process the head of the queue.  Returns (next state, step kind)."""
-    if state.queue.is_empty():
+    entries = state.entries
+    if not entries:
         raise EmptyQueue("nothing left to do")
-    time, microstep = state.queue.head_tag()
+    time, microstep, events = entries[0]
+    network = state.network
     if time > 0:
-        queue = state.queue.advance_time(time)
-        return (
-            SystemState(state.top, queue, state.elapsed + time, 0),
-            Tick(time),
+        nxt = make_state(
+            network,
+            state.locations,
+            state.values,
+            state.enabled,
+            state.statuses,
+            advance_time(entries, time),
+            state.now + time,
+            0,
         )
+        return nxt, _tick(network, time)
     if microstep > 0:
-        queue = state.queue.advance_microstep()
-        return (
-            SystemState(state.top, queue, state.elapsed, state.microstep_of_instant + microstep),
-            Microstep(microstep),
+        nxt = make_state(
+            network,
+            state.locations,
+            state.values,
+            state.enabled,
+            state.statuses,
+            advance_microstep(entries, microstep),
+            state.now,
+            state.microstep_of_instant + microstep,
         )
-    events, queue = state.queue.pop_ready()
+        return nxt, Microstep(microstep)
+    popped = make_state(
+        network,
+        state.locations,
+        state.values,
+        state.enabled,
+        state.statuses,
+        entries[1:],
+        state.now,
+        state.microstep_of_instant,
+    )
     # Clear, deliver and resolve in one pass over a flat status table.
-    result = compute_fixpoint(
-        state.top, bottom_as_absent=bottom_as_absent, rng=rng, events=events
-    )
-    top, requests = postfire(result.top, result.decisions)
-    queue = commit_requests(queue, requests)
-    return (
-        SystemState(top, queue, state.elapsed, state.microstep_of_instant),
-        Iteration(),
-    )
+    result = compute_fixpoint(popped, bottom_as_absent=bottom_as_absent, rng=rng, events=events)
+    nxt, requests = postfire(result.state, result.decisions)
+    return commit_requests(nxt, requests), _ITERATION
+
+
+def ticks_within(state: SystemState, time_bound) -> int:
+    """The last tick of ``state``'s timebase at or before ``time_bound``."""
+    return floor(Fraction(time_bound) * state.network.timebase)
 
 
 @dataclass
@@ -117,25 +158,28 @@ def simulate(
     The time bound is inclusive: a tick landing exactly on the bound is
     taken, one that would pass it is not (the run stops just before).
     """
-    if time_bound is not None:
-        time_bound = Fraction(time_bound)
+    # A tick lands at most on the bound; both sides count in ticks.
+    bound = None if time_bound is None else ticks_within(state, time_bound)
     initial = state
     steps = []
     truncated = False
-    # Only iterations change variables, so the table is refreshed after each.
+    # Only iterations change variables, so the table is refreshed after
+    # each one that changed a value.
     variables = collect_variables(state)
     while True:
-        if state.queue.is_empty():
+        entries = state.entries
+        if not entries:
             break
         if len(steps) >= max_steps:
             truncated = True
             break
-        time, _ = state.queue.head_tag()
-        if time_bound is not None and time > 0 and state.elapsed + time > time_bound:
+        time = entries[0][0]
+        if bound is not None and time > 0 and state.now + time > bound:
             break
+        before = state.values
         state, kind = step(state, bottom_as_absent=bottom_as_absent)
         changed = {}
-        if isinstance(kind, Iteration):
+        if state.values is not before:
             prev, variables = variables, collect_variables(state)
             changed = _diff_variables(prev, variables)
         steps.append(TraceStep(kind, state, changed))
@@ -169,7 +213,7 @@ def trace_step_json(ts: TraceStep) -> dict:
         },
         "fsmLocations": dict(sorted(fsm_locations(state).items())),
         "queueSummary": [
-            [rational_json(t), n, count] for t, n, count in state.queue.summary()
+            [rational_json(t), n, count] for t, n, count in state.queue_summary()
         ],
     }
 

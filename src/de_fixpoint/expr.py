@@ -5,10 +5,18 @@ updates.  They read the owning machine's variables, parameters and input
 ports.  Evaluation is strict: reading an unknown port raises, which is why
 the fixed-point engine evaluates nothing before every port it reads
 (`referenced_ports`, collected once per model) is known.
+
+The engine does not walk expression trees.  :func:`compile_expr` turns
+an expression into a closure over port-status and variable slots once
+per network (Feeley & Lapalme, "Using closures for code generation",
+1987); parameters, being static, are folded in as constants.
+:func:`eval_expr` is the reference the compiled form is tested against:
+both give the same value, or raise the same error with the same message.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -162,6 +170,177 @@ def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
             return TimeVal(result)
         raise TypeMismatch(f"cannot apply {op!r} to {lhs!r} and {rhs!r}")
     raise TypeMismatch(f"unknown operator {op!r}")
+
+
+# Compilation to closures. ---------------------------------------------------
+#
+# A compiled expression is called as ``fn(statuses, values)``: ``statuses``
+# holds port statuses indexed by port id and ``values`` variable values
+# indexed by slot.  Each operator evaluates both operands, left first, and
+# then takes a fast path for the operand kinds it expects; anything else
+# goes to ``_apply_binary``, so mistyped operands fail exactly as in
+# ``eval_expr``.
+
+
+def compile_expr(expr: Expr, slots: Mapping[str, int], parameters: Mapping[str, Value], ports: Mapping[str, int]):
+    """A closure computing ``expr``, as ``eval_expr`` would.
+
+    ``slots`` maps the machine's variable names to value slots, ``ports``
+    its input port names to port ids; ``parameters`` are read now.
+    Variables shadow parameters of the same name.  A name or port that
+    is bound nowhere raises when (and only if) it is evaluated.
+    """
+    if isinstance(expr, Binary):
+        return _compile_binary(
+            expr.op,
+            compile_expr(expr.left, slots, parameters, ports),
+            compile_expr(expr.right, slots, parameters, ports),
+        )
+    if isinstance(expr, IsPresent):
+        return _compile_port(expr.port, ports, value=False)
+    if isinstance(expr, PortValue):
+        return _compile_port(expr.port, ports, value=True)
+    if isinstance(expr, Var):
+        name = expr.name
+        if name in slots:
+            slot = slots[name]
+            return lambda st, vs: vs[slot]
+        if name in parameters:
+            return _constant(parameters[name])
+
+        def unbound(st, vs):
+            raise UnboundIdentifier(name)
+
+        return unbound
+    if isinstance(expr, Lit):
+        return _constant(expr.value)
+    if isinstance(expr, Unary):
+        return _compile_unary(expr.op, compile_expr(expr.operand, slots, parameters, ports))
+    text = f"not an expression: {expr!r}"
+
+    def invalid(st, vs):
+        raise TypeMismatch(text)
+
+    return invalid
+
+
+def _constant(value: Value):
+    return lambda st, vs: value
+
+
+def _compile_port(port: str, ports: Mapping[str, int], value: bool):
+    """``isPresent(port)``, or ``value(port)`` when ``value``."""
+    pid = ports.get(port)
+    if pid is None:
+        # Not an input of this machine: never known.
+        def unknown(st, vs):
+            raise UnknownPortRead(port)
+
+        return unknown
+    if value:
+
+        def read(st, vs):
+            status = st[pid]
+            if isinstance(status, Present):
+                return status.value
+            if isinstance(status, Unknown):
+                raise UnknownPortRead(port)
+            raise AbsentPortRead(port)
+
+        return read
+
+    def present(st, vs):
+        status = st[pid]
+        if isinstance(status, Present):
+            return TRUE
+        if isinstance(status, Unknown):
+            raise UnknownPortRead(port)
+        return FALSE
+
+    return present
+
+
+def _compile_unary(op: str, operand):
+    if op == "!":
+
+        def negate(st, vs):
+            return FALSE if _as_bool(operand(st, vs), "'!'") else TRUE
+
+        return negate
+    if op == "-":
+
+        def minus(st, vs):
+            v = operand(st, vs)
+            if isinstance(v, IntVal):
+                return IntVal(-v.value)
+            raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
+
+        return minus
+    text = f"unknown unary operator {op!r}"
+
+    def unknown(st, vs):
+        operand(st, vs)
+        raise TypeMismatch(text)
+
+    return unknown
+
+
+def _compile_binary(op: str, left, right):
+    if op in ("&&", "||"):
+        conjunction = op == "&&"
+
+        def logic(st, vs):
+            a = left(st, vs)
+            b = right(st, vs)
+            if a.__class__ is BoolVal and b.__class__ is BoolVal:
+                if conjunction:
+                    return TRUE if a.value and b.value else FALSE
+                return TRUE if a.value or b.value else FALSE
+            return _apply_binary(op, a, b)
+
+        return logic
+    if op in ("==", "!="):
+        equal = op == "=="
+
+        def compare(st, vs):
+            a = left(st, vs)
+            b = right(st, vs)
+            if a.__class__ is b.__class__:
+                return TRUE if (a == b) == equal else FALSE
+            return _apply_binary(op, a, b)
+
+        return compare
+    order = _ORDERS.get(op)
+    if order is not None:
+
+        def ordered(st, vs):
+            a = left(st, vs)
+            b = right(st, vs)
+            if a.__class__ is IntVal and b.__class__ is IntVal:
+                return TRUE if order(a.value, b.value) else FALSE
+            return _apply_binary(op, a, b)
+
+        return ordered
+    arithmetic = _INT_ARITHMETIC.get(op)
+    if arithmetic is not None:
+
+        def calculate(st, vs):
+            a = left(st, vs)
+            b = right(st, vs)
+            if a.__class__ is IntVal and b.__class__ is IntVal:
+                return IntVal(arithmetic(a.value, b.value))
+            return _apply_binary(op, a, b)
+
+        return calculate
+
+    def fallback(st, vs):
+        return _apply_binary(op, left(st, vs), right(st, vs))
+
+    return fallback
+
+
+_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_INT_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def referenced_ports(expr: Expr) -> frozenset:

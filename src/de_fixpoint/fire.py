@@ -18,7 +18,14 @@ events addressed into them land on the port but drive nothing.
 Rules are static.  They are built from the compiled network (see
 network.py) once per mode configuration, i.e. per set of live actors,
 and a port -> rule index tells the fixed point which rules to run again
-when a port resolves.
+when a port resolves.  They read and write a flat list of port statuses
+indexed by port id, and state machines read their location and
+variables from the state's slots; guards and outputs are compiled
+closures (see expr.compile_expr).
+
+``compute_fixpoint`` takes a system state, as the executor passes it.
+Given a tree, it and ``clear_ports`` / ``deliver_events`` read the
+tree's slots, run the same core, and write the result back into a tree.
 """
 
 from __future__ import annotations
@@ -26,22 +33,13 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import CausalityCycle, NoSuchPort
-from .expr import eval_expr
-from .model import (
-    CLOCK,
-    COMPOSITE,
-    DELAY,
-    FSM,
-    IN,
-    MODAL,
-    OUT,
-    ActorNode,
-    decide_firing,
-)
-from .network import Network, map_ports, network_of
-from .values import ABSENT, UNKNOWN, Present, Unknown, is_known
+from .errors import CausalityCycle, NondeterministicFsm, ValidationError
+from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT, ActorNode
+from .network import FsmInfo, Network, map_ports, network_of
+from .state import SystemState, make_state
+from .values import ABSENT, UNKNOWN, BoolVal, Present, Unknown
 
 log = logging.getLogger(__name__)
 
@@ -68,38 +66,96 @@ def deliver_events(top: ActorNode, events) -> ActorNode:
     value is genuinely there) but nothing reacts to it.
     """
     network = network_of(top)
-    nodes = network.nodes_of(top)
-    deliveries = _deliveries(network, network.live(nodes), events)
+    _, _, enabled, statuses = network.flatten(top)
+    deliveries = _event_ports(network, events)
     if not deliveries:
         return top
-    statuses = network.statuses_of(nodes)
-    for pid, status in deliveries:
-        statuses[pid] = status
+    statuses = list(statuses)
+    _deliver(network, network.mode(enabled).live, deliveries, statuses)
     return map_ports(top, statuses)
 
 
-def _deliveries(network: Network, live, events) -> list:
-    """[(port id, Present(value))] for the events, each target checked."""
-    out = []
-    for ev in events:
-        i = network.index.get(ev.target.actor)
-        if i is None:
-            raise NoSuchPort(repr(ev.target))
-        pid = network.ids.get((ev.target.actor, ev.target.port, OUT))
-        if pid is None:
-            raise NoSuchPort(f"{ev.target!r} is not an output port")
-        if not live[i]:
-            log.info("event for %r lands in a frozen refinement; it will drive nothing", ev.target)
-        out.append((pid, Present(ev.value)))
-    return out
+def _event_ports(network: Network, events) -> tuple:
+    """The events as (port id, Present(value)) pairs, each target checked;
+    of two events for one port, the later one."""
+    return tuple({network.event_port(ev.target): Present(ev.value) for ev in events}.items())
+
+
+def _deliver(network: Network, live, events, statuses) -> None:
+    actor = network.port_actor
+    for pid, status in events:
+        if not live[actor[pid]]:
+            _frozen_delivery(network, pid)
+        statuses[pid] = status
+
+
+def _frozen_delivery(network: Network, pid: int) -> None:
+    path, port, _ = network.keys[pid]
+    log.info("event for %s.%s lands in a frozen refinement; it will drive nothing", ".".join(path), port)
+
+
+# Firing decisions. ----------------------------------------------------------
+
+_UNDECIDED = (None, None)
+_NOFIRE = ("nofire", None)
+
+
+def decide_firing(info: FsmInfo, location, st, values):
+    """Decide whether a state machine fires this iteration.
+
+    ``st`` holds every port's status by port id and ``values`` every
+    variable's value by slot.  Returns ("fire", transition) with the
+    compiled transition that fires, ("nofire", None), or (None, None)
+    when the decision still depends on ports that are unknown.  Raises
+    NondeterministicFsm when the machine would fire with more than one
+    true guard.  The decision is stable: once it returns a non-None
+    verdict, growing port knowledge can never change it.
+    """
+    outgoing = info.outgoing[location]
+    for entry in outgoing:
+        if entry.blind:
+            return _UNDECIDED
+        for pid in entry.reads:
+            if isinstance(st[pid], Unknown):
+                # Guards only mention the machine's own inputs, so all
+                # inputs known would imply evaluable; nothing can be
+                # decided yet.
+                return _UNDECIDED
+    any_present = False
+    all_known = True
+    for pid in info.in_pids:
+        status = st[pid]
+        if isinstance(status, Present):
+            any_present = True
+        elif isinstance(status, Unknown):
+            all_known = False
+    trues = []
+    for entry in outgoing:
+        v = entry.guard(st, values)
+        if not isinstance(v, BoolVal):
+            t = entry.transition
+            raise ValidationError([f"{info.label}: guard of {t.source}->{t.target} is not boolean"])
+        if v.value:
+            trues.append(entry)
+    if len(trues) >= 2 and any_present:
+        raise NondeterministicFsm(info.label, [(e.transition.source, e.target) for e in trues])
+    if not trues:
+        return _NOFIRE
+    if len(trues) == 1 and any_present:
+        return ("fire", trues[0])
+    if all_known and not any_present:
+        # Every input is known absent: the machine cannot fire.
+        return _NOFIRE
+    return _UNDECIDED
 
 
 # Rules. ---------------------------------------------------------------------
 #
-# Every rule exposes step(statuses, nodes, decided) -> [(port id, status), ...];
-# it may only propose assignments for currently-unknown ports, and must
-# propose the same ultimate value no matter when it runs.  ``reads`` lists
-# the ports whose resolution can change what it proposes.
+# Every rule exposes step(statuses, locations, values, decided) ->
+# [(port id, status), ...]; it may only propose assignments for
+# currently-unknown ports, and must propose the same ultimate value no
+# matter when it runs.  ``reads`` lists the ports whose resolution can
+# change what it proposes.
 
 
 class _CopyRule:
@@ -111,7 +167,7 @@ class _CopyRule:
         self.depth = depth
         self.reads = (src,)
 
-    def step(self, st, nodes, decided):
+    def step(self, st, locations, values, decided):
         s = st[self.src]
         if isinstance(s, Unknown):
             return ()
@@ -133,58 +189,46 @@ class _FsmRule:
     taken transition they relay the refinement's value, so they copy the
     twin input port instead of going absent.
 
-    The machine's current location and variables come from ``nodes``;
-    the decision, once made, is kept in ``decided`` for the rest of the
-    iteration, since growing port knowledge can no longer change it.
+    The machine's current location and variables come from the state's
+    slots; the decision, once made, is kept in ``decided`` for the rest
+    of the iteration, since growing port knowledge can no longer change it.
     """
 
     def __init__(self, index: int, path, network: Network):
         info = network.fsms[index]
+        self.info = info
         self.index = index
         self.path = path
         self.depth = len(path)
-        self.coupled = frozenset(network.coupled.get(index, ()))
-        self.label = ".".join(path)
-        self.in_ids = info.in_ids
-        self.out_ids = info.out_ids
-        self.outgoing = info.outgoing
-        self.reads = tuple(info.in_ids.values())
+        coupled = frozenset(network.coupled.get(index, ()))
+        # (output name, its port id, the twin input's port id when coupled)
+        self.outputs = tuple(
+            (name, pid, info.in_ids[name] if name in coupled else None)
+            for name, pid in info.out_ids.items()
+        )
+        self.reads = info.in_pids
 
-    def inputs(self, st):
-        return {name: st[pid] for name, pid in self.in_ids.items()}
-
-    def decide(self, st, node, decided):
-        verdict = decided.get(self.index)
+    def step(self, st, locations, values, decided):
+        index = self.index
+        verdict = decided.get(index)
         if verdict is None or verdict[0] is None:
-            outgoing = self.outgoing.get(node.curr_location, ())
-            verdict = decide_firing(outgoing, node, self.inputs(st), self.label)
-            decided[self.index] = verdict
-        return verdict
-
-    def step(self, st, nodes, decided):
-        node = nodes[self.index]
-        verdict, entry = self.decide(st, node, decided)
-        if verdict is None:
+            verdict = decided[index] = decide_firing(self.info, locations[index], st, values)
+        kind, entry = verdict
+        if kind is None:
             return ()
-        if verdict == "fire":
-            named, reads = entry[0].outputs, entry[2]
-        else:
-            named, reads = {}, {}
-        inputs = None
+        named = entry.outputs if kind == "fire" else {}
         out = []
-        for name, pid in self.out_ids.items():
+        for name, pid, twin in self.outputs:
             if not isinstance(st[pid], Unknown):
                 continue
             if name in named:
-                if inputs is None:
-                    inputs = self.inputs(st)
-                if all(is_known(inputs.get(p, UNKNOWN)) for p in reads[name]):
-                    value = eval_expr(named[name], node.variables, node.parameters, inputs)
-                    out.append((pid, Present(value)))
-            elif name in self.coupled:
-                twin = st[self.in_ids[name]]
-                if is_known(twin):
-                    out.append((pid, twin))
+                fn, reads = named[name]
+                if reads is not None and not any(isinstance(st[p], Unknown) for p in reads):
+                    out.append((pid, Present(fn(st, values))))
+            elif twin is not None:
+                status = st[twin]
+                if not isinstance(status, Unknown):
+                    out.append((pid, status))
             else:
                 out.append((pid, ABSENT))
         return out
@@ -210,6 +254,19 @@ class RuleSet:
             for pid in rule.reads:
                 dependents[pid].append(n)
         self.dependents = [tuple(ns) for ns in dependents]
+        # A fresh instant starts from ``blank`` with the events delivered:
+        # every unwritten port absent, every other port unknown.  If no
+        # event lands on a live port outside ``unwritten``, it also starts
+        # from ``schedule``: the machines and the readers of unwritten ports.
+        self.blank = [UNKNOWN] * network.size
+        for pid in self.unwritten:
+            self.blank[pid] = ABSENT
+        self.unwritten_set = frozenset(self.unwritten)
+        self.port_set = frozenset(self.ports)
+        initial = set(self.machines)
+        for pid in self.unwritten:
+            initial.update(self.dependents[pid])
+        self.schedule = tuple(sorted(initial))
 
 
 def build_rules(network: Network, live, selected) -> RuleSet:
@@ -249,7 +306,7 @@ def build_rules(network: Network, live, selected) -> RuleSet:
         elif kind == FSM:
             rule = _FsmRule(i, path, network)
             rules.append(rule)
-            produced.update(rule.out_ids.values())
+            produced.update(rule.info.out_ids.values())
         if kind in (COMPOSITE, MODAL):
             for src, sinks in network.copies[i]:
                 add_copy(src, sinks, len(network.keys[src][0]))
@@ -270,12 +327,10 @@ def build_rules(network: Network, live, selected) -> RuleSet:
     return RuleSet(network, rules, ports, unwritten)
 
 
-def _rule_set(network: Network, nodes, live) -> RuleSet:
-    """The cached rules for the tree's mode configuration."""
-    selected = tuple(
-        info.refinement(nodes[info.controller].curr_location) for info in network.modals
-    )
-    mode = (tuple(live), selected)
+def _rule_set(network: Network, enabled, live, locations) -> RuleSet:
+    """The cached rules for a mode configuration."""
+    selected = tuple(info.refinement(locations[info.controller]) for info in network.modals)
+    mode = (enabled, selected)
     rule_set = network.rule_sets.get(mode)
     if rule_set is None:
         rule_set = network.rule_sets[mode] = build_rules(network, live, selected)
@@ -284,25 +339,35 @@ def _rule_set(network: Network, nodes, live) -> RuleSet:
 
 @dataclass
 class FixpointResult:
-    top: ActorNode
-    decisions: dict  # fsm path -> ("fire", Transition) | ("nofire", None)
+    """One resolved instant.
+
+    From a system state: ``state`` is that state with the resolved port
+    statuses, and ``decisions`` maps each firing machine's actor index to
+    its compiled transition.  From a tree: ``top`` is the resolved tree,
+    and ``decisions`` maps each live machine's path to ("fire",
+    Transition) or ("nofire", None).
+    """
+
+    decisions: dict
     applications: int
-    stalled_ports: tuple  # ports that needed the absent fallback ((),) if none
+    stalled_ports: tuple  # ports that needed the absent fallback, () if none
+    state: Optional[SystemState] = None
+    top: Optional[ActorNode] = None
 
 
-def compute_fixpoint(
-    top: ActorNode, bottom_as_absent: bool = False, rng=None, events=None
-) -> FixpointResult:
-    """Resolve one instant and return the resolved tree and decisions.
+def compute_fixpoint(subject, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
+    """Resolve one instant of a system state or a tree.
 
-    Without ``events`` the tree's live port statuses are the starting
-    point (as prepared by clear_ports and deliver_events).  With them,
-    the instant starts afresh: every port is unknown except the targets
-    of ``events``, exactly as clear_ports then deliver_events would leave
-    it, without building either tree.  Ports no rule writes (event-sourced
-    outputs with no event due, unconnected ports) are then set absent.
+    Without ``events`` the subject's port statuses are the starting point
+    (as prepared by clear_ports and deliver_events).  With them, the
+    instant starts afresh: every port is unknown except the targets of
+    ``events``, exactly as clear_ports then deliver_events would leave it.
+    A state takes its events as (port id, Present(value)) pairs, the
+    entries of its queue; a tree takes Event objects.  Ports no rule
+    writes (event-sourced outputs with no event due, unconnected ports)
+    are then set absent.
 
-    The fixed point is a worklist over the rule set of the tree's mode
+    The fixed point is a worklist over the rule set of the subject's mode
     configuration, built once and cached.  The initial schedule holds
     every state machine's rule and every rule that reads a port already
     known, deepest actors first.  When a rule resolves a port, the rules
@@ -314,51 +379,116 @@ def compute_fixpoint(
 
     Unknown ports at quiescence raise CausalityCycle unless
     ``bottom_as_absent``, in which case they are forced absent and any
-    still-undecided machine counts as not firing.
+    still-undecided machine counts as not firing.  Frozen ports keep what
+    they started with: their own statuses, or, for a fresh instant,
+    unknown unless an event was delivered there.
     """
+    if isinstance(subject, ActorNode):
+        return _tree_fixpoint(subject, bottom_as_absent, rng, events)
+    network = subject.network
+    statuses, fired, applications, stalled = _resolve(
+        network,
+        subject.locations,
+        subject.values,
+        subject.enabled,
+        subject.statuses if events is None else None,
+        events,
+        bottom_as_absent,
+        rng,
+    )
+    resolved = make_state(
+        network,
+        subject.locations,
+        subject.values,
+        subject.enabled,
+        tuple(statuses),
+        subject.entries,
+        subject.now,
+        subject.microstep_of_instant,
+    )
+    return FixpointResult(fired, applications, stalled, state=resolved)
+
+
+def _tree_fixpoint(top: ActorNode, bottom_as_absent, rng, events) -> FixpointResult:
     network = network_of(top)
-    nodes = network.nodes_of(top)
-    live = network.live(nodes)
-    rule_set = _rule_set(network, nodes, live)
-    if events is None:
-        statuses = network.statuses_of(nodes)
-    else:
-        statuses = [UNKNOWN] * network.size
-        for pid, status in _deliveries(network, live, events):
-            statuses[pid] = status
+    locations, values, enabled, statuses = network.flatten(top)
+    if events is not None:
+        statuses, events = None, _event_ports(network, events)
+    statuses, fired, applications, stalled = _resolve(
+        network, locations, values, enabled, statuses, events, bottom_as_absent, rng
+    )
+    live = network.mode(enabled).live
+    decisions = {
+        network.paths[i]: ("fire", fired[i].transition) if i in fired else _NOFIRE
+        for i in network.fsms
+        if live[i]
+    }
+    return FixpointResult(decisions, applications, stalled, top=map_ports(top, statuses))
 
-    applications = 0
-    for pid in rule_set.unwritten:
-        if isinstance(statuses[pid], Unknown):
-            statuses[pid] = ABSENT
-            applications += 1
 
-    rules = rule_set.rules
+def _resolve(network: Network, locations, values, enabled, statuses, events, bottom_as_absent, rng):
+    """The fixed point on slots: (statuses, firing machines, applications, stalled ports).
+
+    ``statuses`` is the starting point, or None for a fresh instant with
+    ``events`` delivered.
+    """
+    live = network.mode(enabled).live
+    rule_set = _rule_set(network, enabled, live, locations)
     dependents = rule_set.dependents
-    initial = set(rule_set.machines)
-    for pid in rule_set.ports:
-        if not isinstance(statuses[pid], Unknown):
-            initial.update(dependents[pid])
-    schedule = sorted(initial)
+    if statuses is None:
+        # A fresh instant: delivery, the absent fill and the initial
+        # schedule as the general case below would make them.
+        st = list(rule_set.blank)
+        applications = known = len(rule_set.unwritten)
+        extra = None
+        actor = network.port_actor
+        for pid, status in events:
+            if not live[actor[pid]]:
+                _frozen_delivery(network, pid)
+            elif pid in rule_set.unwritten_set:
+                applications -= 1
+            elif pid in rule_set.port_set:
+                known += 1
+                extra = (extra or set()).union(dependents[pid])
+            st[pid] = status
+        schedule = list(rule_set.schedule) if extra is None else sorted(extra.union(rule_set.schedule))
+    else:
+        st = list(statuses)
+        applications = 0
+        for pid in rule_set.unwritten:
+            if isinstance(st[pid], Unknown):
+                st[pid] = ABSENT
+                applications += 1
+        initial = set(rule_set.machines)
+        known = 0
+        for pid in rule_set.ports:
+            if not isinstance(st[pid], Unknown):
+                known += 1
+                initial.update(dependents[pid])
+        schedule = sorted(initial)
     if rng is not None:
         rng.shuffle(schedule)
+    rules = rule_set.rules
     pending = deque(schedule)
     queued = [False] * len(rules)
     for n in schedule:
         queued[n] = True
     decided = {}
+    # Rules write only live ports, each at most once: every application
+    # from here on resolves one more of ``rule_set.ports``.
+    known -= applications
     while pending:
         n = pending.popleft()
         queued[n] = False
-        for pid, status in rules[n].step(statuses, nodes, decided):
-            old = statuses[pid]
+        for pid, status in rules[n].step(st, locations, values, decided):
+            old = st[pid]
             if not isinstance(old, Unknown):
                 if old != status:
                     raise AssertionError(
                         f"port {_key_text(network.keys[pid])} driven to two different statuses"
                     )
                 continue
-            statuses[pid] = status
+            st[pid] = status
             applications += 1
             for d in dependents[pid]:
                 if not queued[d]:
@@ -368,14 +498,15 @@ def compute_fixpoint(
     # Firing decisions are read off at quiescence, before any fallback:
     # a machine that could not decide did not fire.  Each machine's rule
     # ran after its last input resolved, so its last verdict is final.
-    decisions = {}
+    fired = {}
     for n in rule_set.machines:
-        rule = rules[n]
-        verdict, entry = decided[rule.index]
-        decisions[rule.path] = ("fire", entry[0]) if verdict == "fire" else ("nofire", None)
+        index = rules[n].index
+        kind, entry = decided[index]
+        if kind == "fire":
+            fired[index] = entry
 
-    stalled = [pid for pid in rule_set.ports if isinstance(statuses[pid], Unknown)]
-    if stalled:
+    if known + applications < len(rule_set.ports):
+        stalled = [pid for pid in rule_set.ports if isinstance(st[pid], Unknown)]
         keys = sorted(network.keys[pid] for pid in stalled)
         if not bottom_as_absent:
             raise CausalityCycle([_key_text(k) for k in keys])
@@ -385,11 +516,8 @@ def compute_fixpoint(
             ", ".join(_key_text(k) for k in keys),
         )
         for pid in stalled:
-            statuses[pid] = ABSENT
+            st[pid] = ABSENT
         stalled = tuple(keys)
     else:
         stalled = ()
-
-    # Frozen ports keep what they started with: their own statuses, or,
-    # for a fresh instant, unknown unless an event was delivered there.
-    return FixpointResult(map_ports(top, statuses), decisions, applications, stalled)
+    return st, fired, applications, stalled

@@ -18,10 +18,9 @@ the price is a graph that grows with the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import StateSpaceExceeded
-from .executor import step
+from .executor import step, ticks_within
 from .props import prop_holds
 from .state import SystemState
 
@@ -73,15 +72,16 @@ class StateGraph:
 
 def _identity(state: SystemState, bounded: bool):
     if bounded:
-        return (state, state.elapsed, state.microstep_of_instant)
+        return (state, state.now, state.microstep_of_instant)
     return state
 
 
-def _cut_by_bound(state: SystemState, time_bound) -> bool:
-    if time_bound is None or state.queue.is_empty():
+def _cut_by_bound(state: SystemState, bound) -> bool:
+    """The next tick passes ``bound`` (in ticks; None for no bound)."""
+    if bound is None or not state.entries:
         return False
-    time, _ = state.queue.head_tag()
-    return time > 0 and state.elapsed + time > time_bound
+    time = state.entries[0][0]
+    return time > 0 and state.now + time > bound
 
 
 def build_state_graph(
@@ -95,9 +95,8 @@ def build_state_graph(
     A deterministic system's run is a single chain, so the states are
     expanded one after another.
     """
-    if time_bound is not None:
-        time_bound = Fraction(time_bound)
     bounded = time_bound is not None
+    bound = ticks_within(initial, time_bound) if bounded else None
 
     nodes = [initial]
     kinds = []
@@ -107,7 +106,7 @@ def build_state_graph(
         if len(nodes) > max_states:
             raise StateSpaceExceeded(max_states)
         state = nodes[-1]
-        if state.queue.is_empty() or _cut_by_bound(state, time_bound):
+        if not state.entries or _cut_by_bound(state, bound):
             succ.append(len(nodes) - 1)  # terminal: self-loop
             kinds.append(Stutter())
             break

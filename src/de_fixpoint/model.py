@@ -8,15 +8,15 @@ exactly one is live at any time).
 
 All nodes are immutable snapshots.  Collections are sorted at
 construction, so two trees describing the same model compare equal no
-matter the declaration order, and a tree can be used directly as a hash
-key when deduplicating system states.
+matter the declaration order.
 
-Collections are canonical once built.  The engine relies on that: it
-derives each new state's tree with ``ActorNode.with_state`` (through
-``network.map_ports``), which keeps the existing port,
-transition and child tuples in their order and never re-sorts them, and
-it shares every node (and port) whose contents did not change.  A node
-caches its hash, so hashing a new tree costs only its new nodes.
+A tree is the model as parsed, and an edge view of a running system: the
+engine compiles a tree's static side once (see network.py) and keeps the
+dynamic side (port statuses, locations, variables, enabled flags) in flat
+slots.  It writes slots back into a tree only for callers that ask for
+one, with ``ActorNode.with_state`` (through ``network.map_ports``), which
+keeps the existing port, transition and child tuples in their order and
+never re-sorts them, and shares every node whose contents did not change.
 """
 
 from __future__ import annotations
@@ -25,24 +25,10 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import (
-    NoSuchActor,
-    NondeterministicFsm,
-    ValidationError,
-)
-from .expr import Expr, eval_expr, expr_text, referenced_names, referenced_ports
+from .errors import NoSuchActor, ValidationError
+from .expr import Expr, expr_text, referenced_names, referenced_ports
 from .util import EMPTY_MAP, FrozenMap
-from .values import (
-    UNKNOWN,
-    BoolVal,
-    IntVal,
-    PortStatus,
-    Present,
-    StringVal,
-    TimeVal,
-    Unknown,
-    is_known,
-)
+from .values import UNKNOWN, IntVal, PortStatus, StringVal, TimeVal
 
 IN = "in"
 OUT = "out"
@@ -167,25 +153,10 @@ class ActorNode:
         )
         object.__setattr__(self, "refinements", FrozenMap(self.refinements))
 
-    # Caches, deliberately not dataclass fields: they take no part in
-    # equality, and ``replace`` (which may change structure) drops them.
-    # Read them as attributes; an unset one falls back to these defaults.
-    _hash = None
-    _static_hash = None  # hash of the fields with_state never changes
-    _network = None  # the compiled static structure, see network.py
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            static = self._static_hash
-            if static is None:
-                static = hash(tuple(getattr(self, name) for name in _STATIC_FIELDS))
-                object.__setattr__(self, "_static_hash", static)
-            h = hash(
-                (static, self.ports, self.enabled, self.curr_location, self.variables, self.inner)
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
+    # The compiled static structure (see network.py), deliberately not a
+    # dataclass field: it takes no part in equality, and ``replace`` (which
+    # may change structure) drops it.  Unset, it reads as this default.
+    _network = None
 
     def with_state(
         self, ports=None, inner=None, enabled=None, curr_location=None, variables=None
@@ -195,8 +166,8 @@ class ActorNode:
         ``ports`` and ``inner`` must be the node's own tuples with only
         statuses or descendants' state changed, in the same (canonical)
         order; they are taken as they are, not sorted again.  Arguments
-        left at None keep the current value.  The static caches carry
-        over, since nothing static changed.
+        left at None keep the current value.  The compiled network
+        carries over, since nothing static changed.
         """
         node = object.__new__(ActorNode)
         put = object.__setattr__
@@ -215,8 +186,6 @@ class ActorNode:
         put(node, "connections", self.connections)
         put(node, "controller", self.controller)
         put(node, "refinements", self.refinements)
-        if self._static_hash is not None:
-            put(node, "_static_hash", self._static_hash)
         if self._network is not None:
             put(node, "_network", self._network)
         return node
@@ -243,7 +212,8 @@ class ActorNode:
 
 
 _DYNAMIC_FIELDS = ("ports", "enabled", "curr_location", "variables", "inner")
-_STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
+#: The fields a running model never changes.
+STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
 
 
 def resolve(top: ActorNode, path) -> ActorNode:
@@ -277,51 +247,6 @@ def iter_actors(top: ActorNode, live_only: bool = False) -> Iterator:
         yield path, node, live
         for child in reversed(node.inner):
             stack.append((child, path + (child.name,), live))
-
-
-# State-machine firing decision. ---------------------------------------------
-
-
-def decide_firing(outgoing, node: ActorNode, input_statuses, label: str):
-    """Decide whether a state machine fires this iteration.
-
-    ``outgoing`` holds one entry per transition leaving the current
-    location, in canonical order; an entry starts with the transition and
-    the ports its guard reads (see ``network.FsmInfo``).  Returns
-    ("fire", entry) for the firing entry, ("nofire", None), or
-    (None, None) when the decision still depends on ports that are
-    unknown.  Raises NondeterministicFsm when the machine would fire with
-    more than one true guard.  The decision is stable: once it returns a
-    non-None verdict, growing port knowledge can never change it.
-    """
-    statuses = input_statuses.values()
-    any_present = any(isinstance(s, Present) for s in statuses)
-    all_known = all(is_known(s) for s in statuses)
-    for entry in outgoing:
-        for port in entry[1]:
-            status = input_statuses.get(port)
-            if status is None or isinstance(status, Unknown):
-                # Guards only mention the machine's own inputs, so all_known
-                # would imply evaluable; nothing can be decided yet.
-                return (None, None)
-    trues = []
-    for entry in outgoing:
-        t = entry[0]
-        v = eval_expr(t.guard, node.variables, node.parameters, input_statuses)
-        if not isinstance(v, BoolVal):
-            raise ValidationError([f"{label}: guard of {t.source}->{t.target} is not boolean"])
-        if v.value:
-            trues.append(entry)
-    if len(trues) >= 2 and any_present:
-        raise NondeterministicFsm(label, [(e[0].source, e[0].target) for e in trues])
-    if not trues:
-        return ("nofire", None)
-    if len(trues) == 1 and any_present:
-        return ("fire", trues[0])
-    if all_known and not any_present:
-        # Every input is known absent: the machine cannot fire.
-        return ("nofire", None)
-    return (None, None)
 
 
 # Normalization. ------------------------------------------------------------

@@ -5,43 +5,131 @@ kinds, ports, parameters, transitions, connections, refinement maps)
 with what every iteration rewrites (port statuses, locations, variables,
 enabled flags).  A :class:`Network` indexes the static side once: actors
 with their paths, parents and children; every port as an integer id;
-connection copy tables; each state machine's input and output ports and
-the ports each of its transitions reads; the wiring of modal actors; and
-the composite each variable setter writes.  The fixed point caches its
-rule sets here too, one per mode configuration.
+every variable as an integer value slot; connection copy tables; each
+state machine's ports and compiled transitions; the wiring of modal
+actors; the composite each variable setter writes; and the model's
+timebase.  The fixed point caches its rule sets here too, one per mode
+configuration.
 
-``initialize`` compiles the network and caches it on the starting
-tree's root, and ``ActorNode.with_state`` carries it to every tree the
-engine derives from there; a tree built any other way compiles its own
-on first use.  :func:`map_ports` is the one rebuild of a tree's dynamic
-state: the fixed point writes port statuses through it, and
-``initialize`` and ``postfire`` write locations, variables and enabled
-flags through it, so every commit is one rebuild.
+The timebase is the least common multiple of the denominators of every
+clock period and offset and every delay.  The engine counts time in
+ticks of ``1/timebase``, so every time it schedules is an integer, and
+exact rationals appear only at the edge (printed times, ``--until``).
+Ptolemy II counts model time the same way, as a multiple of a time
+resolution (Ptolemaeus, ed., *System Design, Modeling, and Simulation
+using Ptolemy II*, 2014, DE chapter).
+
+A system state (see state.py) holds its dynamic side as flat tuples
+indexed by actor, port id and value slot.  Trees remain the model's
+input and an edge view of a state: :meth:`Network.flatten` reads a
+tree's dynamic side into slots, and :func:`map_ports` writes slots back
+into a tree.  ``initialize`` compiles the network of the normalized
+tree and caches it on that tree's root; every tree built from slots
+carries it too, and a tree built any other way compiles its own on
+first use.
 """
 
 from __future__ import annotations
 
-from .expr import referenced_ports
-from .model import COMPOSITE, FSM, IN, MODAL, OUT, PARENT, SETVAR, ActorNode, Port
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+
+from .errors import NoSuchActor, NoSuchPort
+from .expr import compile_expr, referenced_ports
+from .model import (
+    CLOCK,
+    COMPOSITE,
+    DELAY,
+    FSM,
+    IN,
+    MODAL,
+    OUT,
+    PARENT,
+    SETVAR,
+    STATIC_FIELDS,
+    ActorNode,
+    Port,
+    path_text,
+)
+from .util import FrozenMap, time_amount
+from .values import UNKNOWN, IntVal, Present, TimeVal, Unknown
+
+
+def time_param(value) -> Fraction:
+    """The exact rational inside a time-like parameter value."""
+    if isinstance(value, (IntVal, TimeVal)):
+        return time_amount(value.value)
+    return time_amount(value)
+
+
+class CompiledTransition:
+    """A transition with its guard, outputs and updates compiled to closures.
+
+    ``reads`` holds the port ids the guard reads; ``blind`` is set when
+    it reads a port that is not one of the machine's inputs, which is
+    never known.  ``outputs`` maps an output name to (closure, port ids
+    it reads, or None when it reads a port that is never known).
+    ``updates`` lists (value slot, variable name, closure) in name order;
+    the slot is None for a name the machine does not declare.
+    """
+
+    __slots__ = ("transition", "target", "guard", "reads", "blind", "outputs", "updates")
+
+    def __init__(self, t, slots, parameters, in_ids):
+        self.transition = t
+        self.target = t.target
+        self.guard = compile_expr(t.guard, slots, parameters, in_ids)
+        self.reads, self.blind = _port_ids(t.guard, in_ids)
+        self.outputs = {}
+        for name, expr in t.outputs.items():
+            reads, blind = _port_ids(expr, in_ids)
+            self.outputs[name] = (compile_expr(expr, slots, parameters, in_ids), None if blind else reads)
+        self.updates = tuple(
+            (slots.get(var), var, compile_expr(expr, slots, parameters, in_ids))
+            for var, expr in t.sets.items()
+        )
+
+
+def _port_ids(expr, in_ids):
+    names = referenced_ports(expr)
+    return tuple(in_ids[n] for n in sorted(names) if n in in_ids), not names <= in_ids.keys()
 
 
 class FsmInfo:
     """A state machine's port ids and compiled transitions."""
 
-    def __init__(self, path, node: ActorNode, ids):
+    def __init__(self, path, node: ActorNode, ids, slots):
+        self.label = ".".join(path)
+        self.init_location = node.init_location
         self.in_ids = {n: ids[(path, n, IN)] for n in node.port_names(IN)}
         self.out_ids = {n: ids[(path, n, OUT)] for n in node.port_names(OUT)}
-        # location -> ((transition, ports its guard reads,
-        #               {output: ports its expression reads}), ...)
-        outgoing = {}
-        for t in node.transitions:
-            entry = (
-                t,
-                referenced_ports(t.guard),
-                {name: referenced_ports(expr) for name, expr in t.outputs.items()},
-            )
-            outgoing.setdefault(t.source, []).append(entry)
-        self.outgoing = {loc: tuple(entries) for loc, entries in outgoing.items()}
+        self.in_pids = tuple(self.in_ids.values())
+        # location -> compiled transitions leaving it, in canonical order
+        self.outgoing = _Outgoing(node.transitions, slots, node.parameters, self.in_ids)
+
+    def compiled(self, transition) -> CompiledTransition:
+        """The compiled form of one of this machine's transitions, or of any other."""
+        for entry in self.outgoing[transition.source]:
+            if entry.transition == transition:
+                return entry
+        return self.outgoing.compile(transition)
+
+
+class _Outgoing(dict):
+    """Compiled transitions by source location, compiled on first lookup."""
+
+    def __init__(self, transitions, slots, parameters, in_ids):
+        super().__init__()
+        self.transitions = transitions
+        self.env = (slots, parameters, in_ids)
+
+    def compile(self, transition) -> CompiledTransition:
+        return CompiledTransition(transition, *self.env)
+
+    def __missing__(self, location):
+        entries = self[location] = tuple(self.compile(t) for t in self.transitions if t.source == location)
+        return entries
 
 
 class ModalInfo:
@@ -63,13 +151,74 @@ class ModalInfo:
         return self.refinements.get(location)
 
 
+class ClockInfo:
+    """A clock's output port, emitted status and times, in ticks."""
+
+    def __init__(self, path, node: ActorNode, ids, timebase: int):
+        params = node.parameters
+        self.out = ids[(path, "output", OUT)]
+        self.emit = Present(params["emit"]) if "emit" in params else None
+        self.period = _ticks(params.get("period"), timebase)
+        self.offset = _ticks(params.get("offset"), timebase)
+
+
+class DelayInfo:
+    """A delay's ports and delay in ticks; a zero delay costs one microstep."""
+
+    def __init__(self, path, node: ActorNode, ids, timebase: int):
+        self.inp = ids[(path, "input", IN)]
+        self.out = ids[(path, "output", OUT)]
+        self.delay = _ticks(node.parameters.get("delay"), timebase)
+        self.microstep = 1 if self.delay == 0 else 0
+
+
+def _ticks(value, timebase: int):
+    if value is None:
+        return None
+    amount = time_param(value) * timebase
+    return amount.numerator  # integral: the timebase divides every time parameter
+
+
+def _timebase(nodes) -> int:
+    """The least common multiple of every clock's and delay's time denominators."""
+    base = 1
+    for node in nodes:
+        names = ("period", "offset") if node.kind == CLOCK else ("delay",) if node.kind == DELAY else ()
+        for name in names:
+            value = node.parameters.get(name)
+            if isinstance(value, (IntVal, TimeVal)):
+                base = lcm(base, time_param(value).denominator)
+    return base
+
+
+class Mode:
+    """What follows from one tuple of enabled flags: which actors are live,
+    and, in preorder, the live actors a commit visits."""
+
+    def __init__(self, network: "Network", enabled):
+        self.live = live = []
+        parent = network.parent
+        for i, flag in enumerate(enabled):
+            p = parent[i]
+            live.append(flag and (p < 0 or live[p]))
+        self.committers = tuple(
+            (i, network.kinds[i])
+            for i in network.preorder
+            if live[i] and network.kinds[i] in (FSM, CLOCK, DELAY, SETVAR)
+        )
+
+
 class Network:
     def __init__(self, top: ActorNode):
         # Actors are numbered breadth first, so a tree's actors come out in
         # index order from one cheap sweep (see nodes_of); ``preorder``
         # lists them depth first, the order iter_actors reports them in.
         # Ports are numbered actor by actor, each actor's in canonical order,
-        # so a tree's port statuses come out in id order the same way.
+        # and value slots the same way, each actor's in variable-name order.
+        # The tree compiled, which trees are rebuilt from.  A copy of its
+        # root, so that the network, which network_of caches on ``top``,
+        # is not reachable from itself.
+        self.template = top.with_state()
         self.paths = []  # actor paths
         self.kinds = []
         self.parent = []  # index of the parent actor, -1 for the root
@@ -77,7 +226,10 @@ class Network:
         self.index = {}  # actor path -> index
         self.keys = []  # port id -> port key (path, name, direction)
         self.port_ids = []  # per actor: its port ids, in canonical port order
+        self.port_actor = []  # port id -> index of its actor
         self.ids = {}  # port key -> port id
+        self.slots = []  # per actor: {variable name: value slot}
+        self.slot_count = 0
         nodes = []
         pending = [(top, (top.name,), -1)]
         for node, path, parent in pending:
@@ -96,28 +248,53 @@ class Network:
                 self.ids[key] = len(self.keys)
                 ids.append(len(self.keys))
                 self.keys.append(key)
+                self.port_actor.append(i)
             self.port_ids.append(tuple(ids))
+            self.slots.append({name: self.slot_count + k for k, name in enumerate(node.variables)})
+            self.slot_count += len(node.variables)
         self.size = len(self.keys)
-
-        self.fsms = {}  # index -> FsmInfo
-        self.copies = {}  # composite/modal index -> ((source id, sink ids), ...)
-        self.modals = []  # ModalInfo, in actor order
-        self.coupled = {}  # controller index -> the modal's output names
-        self.scope = {}  # variable-setter index -> enclosing composite index or None
-        self.rule_sets = {}  # mode configuration -> rule set (filled by fire)
-        for i, node in enumerate(nodes):
-            self._compile(i, node, self.paths[i])
         self.preorder = []
         stack = [0]
         while stack:
             i = stack.pop()
             self.preorder.append(i)
             stack.extend(reversed(self.children[i]))
+        self.timebase = _timebase(nodes)
+
+        self.fsms = {}  # index -> FsmInfo
+        self.clocks = {}  # index -> ClockInfo
+        self.delays = {}  # index -> DelayInfo
+        self.setters = {}  # variable-setter index -> (input port id, target name)
+        self.copies = {}  # composite/modal index -> ((source id, sink ids), ...)
+        self.modals = []  # ModalInfo, in actor order
+        self.coupled = {}  # controller index -> the modal's output names
+        self.scope = {}  # variable-setter index -> enclosing composite index or None
+        self.rule_sets = {}  # mode configuration -> rule set (filled by fire)
+        self.modes = {}  # enabled flags -> Mode
+        self._ticks = {}  # ticks -> Tick step kind (filled by the executor)
+        self._props = {}  # proposition -> compiled reader (filled by props)
+        for i, node in enumerate(nodes):
+            self._compile(i, node, self.paths[i])
+        # Printing and propositions, in preorder.
+        self.fsm_paths = tuple((i, ".".join(self.paths[i])) for i in self.preorder if self.kinds[i] == FSM)
+        self.variable_groups = tuple(
+            (".".join(self.paths[i]), tuple(self.slots[i].items()))
+            for i in self.preorder
+            if self.kinds[i] in (COMPOSITE, FSM) and self.slots[i]
+        )
 
     def _compile(self, i: int, node: ActorNode, path) -> None:
         ids = self.ids
         if node.kind == FSM:
-            self.fsms[i] = FsmInfo(path, node, ids)
+            self.fsms[i] = FsmInfo(path, node, ids, self.slots[i])
+        elif node.kind == CLOCK:
+            self.clocks[i] = ClockInfo(path, node, ids, self.timebase)
+        elif node.kind == DELAY:
+            self.delays[i] = DelayInfo(path, node, ids, self.timebase)
+        elif node.kind == SETVAR:
+            target = node.parameters["target"].value if "target" in node.parameters else None
+            self.setters[i] = (ids[(path, "input", IN)], target)
+            self.scope[i] = self._enclosing_composite(i)
         if node.kind in (COMPOSITE, MODAL):
             self.copies[i] = tuple(
                 (
@@ -138,8 +315,6 @@ class Network:
             self.modals.append(info)
             if info.controller is not None:
                 self.coupled[info.controller] = info.outputs
-        if node.kind == SETVAR:
-            self.scope[i] = self._enclosing_composite(i)
 
     def _enclosing_composite(self, i: int):
         """The nearest proper ancestor of actor ``i`` that is a composite."""
@@ -148,6 +323,48 @@ class Network:
             j = self.parent[j]
         return j if j >= 0 else None
 
+    @cached_property
+    def signature(self) -> tuple:
+        """The static structure; equal signatures mean equal slot layouts."""
+        return tuple(
+            (
+                tuple(getattr(node, name) for name in STATIC_FIELDS),
+                tuple((p.name, p.direction) for p in node.ports),
+                tuple(node.variables),
+                self.children[i],
+            )
+            for i, node in enumerate(self.nodes_of(self.template))
+        )
+
+    def mode(self, enabled) -> Mode:
+        """The live flags and commit order for a tuple of enabled flags."""
+        mode = self.modes.get(enabled)
+        if mode is None:
+            mode = self.modes[enabled] = Mode(self, enabled)
+        return mode
+
+    def actor(self, path) -> int:
+        """The index of the actor at an absolute path, as ``model.resolve`` finds it."""
+        path = tuple(path)
+        i = self.index.get(path)
+        if i is not None:
+            return i
+        if not path or path[0] != self.paths[0][0]:
+            raise NoSuchActor(path_text(path) if path else "<empty path>")
+        for k in range(2, len(path) + 1):
+            if path[:k] not in self.index:
+                raise NoSuchActor(path_text(path[:k]))
+        raise NoSuchActor(path_text(path))
+
+    def event_port(self, target) -> int:
+        """The port an event for ``target`` lands on, which must be an output."""
+        if target.actor not in self.index:
+            raise NoSuchPort(repr(target))
+        pid = self.ids.get((target.actor, target.port, OUT))
+        if pid is None:
+            raise NoSuchPort(f"{target!r} is not an output port")
+        return pid
+
     def nodes_of(self, top: ActorNode) -> list:
         """The actors of a tree with this structure, in index order."""
         nodes = [top]
@@ -155,18 +372,27 @@ class Network:
             nodes.extend(node.inner)
         return nodes
 
-    def statuses_of(self, nodes) -> list:
-        """Every port's status, in port id order."""
-        return [p.status for node in nodes for p in node.ports]
+    def flatten(self, top: ActorNode):
+        """A tree's dynamic side as (locations, values, enabled flags, statuses)."""
+        nodes = self.nodes_of(top)
+        locations = tuple(node.curr_location if node.kind == FSM else None for node in nodes)
+        values = tuple(v for node in nodes for _, v in node.variables.items())
+        enabled = tuple(node.enabled for node in nodes)
+        statuses = tuple(UNKNOWN if isinstance(p.status, Unknown) else p.status for node in nodes for p in node.ports)
+        return locations, values, enabled, statuses
 
-    def live(self, nodes) -> list:
-        """Per actor: it and all its ancestors are enabled."""
-        live = []
-        parent = self.parent
-        for i, node in enumerate(nodes):
-            p = parent[i]
-            live.append(node.enabled and (p < 0 or live[p]))
-        return live
+    def tree(self, locations, values, enabled, statuses) -> ActorNode:
+        """The tree with this structure and the given dynamic side."""
+        changes = {}
+        for i, node in enumerate(self.nodes_of(self.template)):
+            change = changes[i] = {"enabled": enabled[i]}
+            if node.kind == FSM:
+                change["curr_location"] = locations[i]
+            if node.variables:
+                change["variables"] = FrozenMap({name: values[slot] for name, slot in self.slots[i].items()})
+        top = _rebuild(self, self.template, statuses, changes)
+        object.__setattr__(top, "_network", self)
+        return top
 
 
 def network_of(top: ActorNode) -> Network:
@@ -191,8 +417,10 @@ def map_ports(top: ActorNode, statuses=None, changes=None) -> ActorNode:
     """
     if statuses is None and not changes:
         return top
-    network = network_of(top)
-    changes = changes or {}
+    return _rebuild(network_of(top), top, statuses, changes or {})
+
+
+def _rebuild(network: Network, top: ActorNode, statuses, changes) -> ActorNode:
     nodes = network.nodes_of(top)
     rebuilt = list(nodes)
     children = network.children

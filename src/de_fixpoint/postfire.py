@@ -9,9 +9,15 @@ themselves, delays forward their input as a future event, and
 variable-setting actors write into the enclosing composite's store.
 Frozen refinements commit nothing.
 
+A commit reads and writes a state's slots by actor index, port id and
+value slot (see state.py), and its scheduling requests are (ticks,
+microstep, (port id, status)) triples.  ``postfire`` given a tree reads
+the tree's slots, commits the same way, and writes the changes back
+into the tree with one ``network.map_ports``; its requests then carry
+exact times and Event objects.
+
 ``initialize`` compiles the model's network (see network.py), which
-every later state carries, and one rebuild, ``network.map_ports``,
-serves every commit: initialization and each postfire alike.
+every later state carries.
 """
 
 from __future__ import annotations
@@ -19,20 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnknownVariableTarget
-from .events import EMPTY_QUEUE, Event, EventQueue
-from .expr import eval_expr
-from .model import CLOCK, DELAY, FSM, IN, OUT, SETVAR, ActorNode, PortRef, normalize, validate
+from .events import Event, EventQueue, schedule
+from .model import CLOCK, DELAY, FSM, ActorNode, PortRef, normalize, validate
 from .network import Network, map_ports, network_of
-from .state import SystemState
-from .util import FrozenMap, time_amount
-from .values import UNKNOWN, IntVal, Present, TimeVal
-
-
-def _amount(value) -> Fraction:
-    """The exact rational inside a time-like parameter value."""
-    if isinstance(value, (IntVal, TimeVal)):
-        return time_amount(value.value)
-    return time_amount(value)
+from .state import SystemState, make_state
+from .util import FrozenMap
+from .values import UNKNOWN, Present
 
 
 def initialize(top: ActorNode) -> SystemState:
@@ -41,122 +39,183 @@ def initialize(top: ActorNode) -> SystemState:
     Machines stand in their initial locations, each modal actor has the
     matching refinement live, every port is unknown, variables keep
     their values, and each live clock has its first tick scheduled at
-    its offset.  The tree carries its compiled network from here on.
+    its offset.
     """
     top = normalize(top)
     validate(top)
     network = network_of(top)
-    nodes = network.nodes_of(top)
-    changes = {i: {"enabled": True} for i in range(len(nodes))}
-    for i in network.fsms:
-        changes[i]["curr_location"] = nodes[i].init_location
-    _select_modes(network, nodes, changes)
-    top = map_ports(top, [UNKNOWN] * network.size, changes)
-    nodes = network.nodes_of(top)
-    live = network.live(nodes)
-    queue = EMPTY_QUEUE
+    locations, values, enabled, _ = network.flatten(top)
+    locations = list(locations)
+    for i, info in network.fsms.items():
+        locations[i] = info.init_location
+    enabled = _select_modes(network, locations, (True,) * len(enabled))
+    live = network.mode(enabled).live
+    entries = ()
     for i in network.preorder:
-        node = nodes[i]
-        if live[i] and node.kind == CLOCK:
-            event = Event(PortRef(network.paths[i], "output"), node.parameters["emit"])
-            queue = queue.add(_amount(node.parameters["offset"]), 0, event)
-    return SystemState(top, queue)
+        if live[i] and i in network.clocks:
+            clock = network.clocks[i]
+            entries = schedule(entries, clock.offset, 0, (clock.out, clock.emit), network)
+    return make_state(network, tuple(locations), values, enabled, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
-def _select_modes(network: Network, nodes, changes) -> None:
+def _select_modes(network: Network, locations, enabled) -> tuple:
     """Enable the refinement each controller's location picks; freeze the others.
 
-    Locations and enabled flags are read from ``changes`` where it has
-    them, else from ``nodes``; only flags that differ are written back.
+    Returns ``enabled`` itself when no flag changes.
     """
+    changed = None
     for info in network.modals:
-        ctrl = info.controller
-        location = changes.get(ctrl, {}).get("curr_location", nodes[ctrl].curr_location)
-        active = info.refinement(location)
+        active = info.refinement(locations[info.controller])
         for child in info.others:
-            enabled = child == active
-            if changes.get(child, {}).get("enabled", nodes[child].enabled) != enabled:
-                changes.setdefault(child, {})["enabled"] = enabled
+            flag = child == active
+            if (changed or enabled)[child] != flag:
+                if changed is None:
+                    changed = list(enabled)
+                changed[child] = flag
+    return enabled if changed is None else tuple(changed)
 
 
-def postfire(top: ActorNode, decisions):
-    """Commit one iteration.  Returns (next tree, scheduling requests).
+def postfire(subject, decisions):
+    """Commit one iteration.  Returns (next state or tree, scheduling requests).
 
-    ``top`` must carry the resolved port statuses and ``decisions`` the
-    firing decision per machine, both produced by compute_fixpoint.  The
-    requests are (delay, microstep, event) triples in tree order; commit
-    them with commit_requests to preserve the deterministic ordering.
-
-    Only actors whose state changes are rebuilt, along with their
-    ancestors; every other subtree is shared with ``top``.
+    ``subject`` must carry the resolved port statuses and ``decisions``
+    the firing decisions, both as compute_fixpoint produced them: for a
+    state, its ``state`` and its firing machines by actor index; for a
+    tree, its ``top`` and its verdicts by path.  The requests are in
+    actor order; commit them with commit_requests to preserve the
+    deterministic ordering.
     """
-    network = network_of(top)
-    nodes = network.nodes_of(top)
-    live = network.live(nodes)
-    changes = {}  # actor index -> with_state arguments
+    if isinstance(subject, ActorNode):
+        return _tree_postfire(subject, decisions)
+    network = subject.network
+    locations, values, requests = _commit(
+        network, subject.locations, subject.values, subject.enabled, subject.statuses, decisions
+    )
+    enabled = _select_modes(network, locations, subject.enabled)
+    nxt = make_state(
+        network,
+        locations,
+        values,
+        enabled,
+        subject.statuses,
+        subject.entries,
+        subject.now,
+        subject.microstep_of_instant,
+    )
+    return nxt, requests
+
+
+def _commit(network: Network, locations, values, enabled, statuses, fired):
+    """(locations, values, requests) after the firing machines and live
+    clocks, delays and setters commit; unchanged slots come back as given."""
+    new_locations = new_values = None
     composite_writes = {}  # composite index -> {variable: value}
     requests = []
-
-    for i in network.preorder:
-        if not live[i]:
-            continue
-        node = nodes[i]
-        kind = node.kind
-        path = network.paths[i]
+    for i, kind in network.mode(enabled).committers:
         if kind == FSM:
-            verdict, transition = decisions.get(path, ("nofire", None))
-            if verdict != "fire":
+            entry = fired.get(i)
+            if entry is None:
                 continue
-            change = {}
-            if transition.sets:
-                env = node.statuses(IN)
-                variables = dict(node.variables)
-                for var, expr in transition.sets.items():
-                    variables[var] = eval_expr(expr, node.variables, node.parameters, env)
-                change["variables"] = FrozenMap(variables)
-            if transition.target != node.curr_location:
-                change["curr_location"] = transition.target
-            if change:
-                changes[i] = change
+            if entry.updates:
+                if new_values is None:
+                    new_values = list(values)
+                for slot, var, fn in entry.updates:
+                    value = fn(statuses, values)
+                    if slot is None:
+                        raise UnknownVariableTarget(f"{network.fsms[i].label} has no variable '{var}'")
+                    new_values[slot] = value
+            if entry.target != locations[i]:
+                if new_locations is None:
+                    new_locations = list(locations)
+                new_locations[i] = entry.target
         elif kind == CLOCK:
-            status = node.port("output", OUT).status
-            if isinstance(status, Present):
-                event = Event(PortRef(path, "output"), node.parameters["emit"])
-                requests.append((_amount(node.parameters["period"]), 0, event))
+            clock = network.clocks[i]
+            if isinstance(statuses[clock.out], Present):
+                requests.append((clock.period, 0, (clock.out, clock.emit)))
         elif kind == DELAY:
-            status = node.port("input", IN).status
+            delay = network.delays[i]
+            status = statuses[delay.inp]
             if isinstance(status, Present):
-                delay = _amount(node.parameters["delay"])
                 # A zero delay still takes one microstep: strictly later in
                 # superdense time, same timestamp.
-                microstep = 1 if delay == 0 else 0
-                requests.append((delay, microstep, Event(PortRef(path, "output"), status.value)))
-        elif kind == SETVAR:
-            status = node.port("input", IN).status
+                requests.append((delay.delay, delay.microstep, (delay.out, status)))
+        else:
+            pid, target = network.setters[i]
+            status = statuses[pid]
             if isinstance(status, Present):
-                target = node.parameters["target"].value
                 scope = network.scope[i]
                 if scope is None:
-                    raise UnknownVariableTarget(f"{'.'.join(path)}: no enclosing composite")
+                    raise UnknownVariableTarget(f"{'.'.join(network.paths[i])}: no enclosing composite")
                 composite_writes.setdefault(scope, {})[target] = status.value
 
     for i, writes in composite_writes.items():
-        variables = dict(nodes[i].variables)
+        slots = network.slots[i]
+        if new_values is None:
+            new_values = list(values)
         for var, value in writes.items():
-            if var not in variables:
-                path = ".".join(network.paths[i])
-                raise UnknownVariableTarget(f"{path} has no variable '{var}'")
-            variables[var] = value
-        changes[i] = {"variables": FrozenMap(variables)}
+            if var not in slots:
+                raise UnknownVariableTarget(f"{'.'.join(network.paths[i])} has no variable '{var}'")
+            new_values[slots[var]] = value
+    return (
+        locations if new_locations is None else tuple(new_locations),
+        values if new_values is None else tuple(new_values),
+        requests,
+    )
 
-    # The refinement that matches each controller's new location becomes
-    # live from the next iteration on (frozen modal actors included).
-    _select_modes(network, nodes, changes)
+
+def _tree_postfire(top: ActorNode, decisions):
+    network = network_of(top)
+    locations, values, enabled, statuses = network.flatten(top)
+    live = network.mode(enabled).live
+    fired = {}
+    for i, info in network.fsms.items():
+        verdict, transition = decisions.get(network.paths[i], ("nofire", None))
+        if live[i] and verdict == "fire":
+            fired[i] = info.compiled(transition)
+    new_locations, new_values, requests = _commit(network, locations, values, enabled, statuses, fired)
+    new_enabled = _select_modes(network, new_locations, enabled)
+    # Only actors whose state changes are rebuilt, along with their
+    # ancestors; every other subtree is shared with ``top``.
+    changes = {}
+    for i, slots in enumerate(network.slots):
+        change = {}
+        if new_locations[i] != locations[i]:
+            change["curr_location"] = new_locations[i]
+        if any(new_values[slot] != values[slot] for slot in slots.values()):
+            change["variables"] = FrozenMap({name: new_values[slot] for name, slot in slots.items()})
+        if new_enabled[i] != enabled[i]:
+            change["enabled"] = new_enabled[i]
+        if change:
+            changes[i] = change
+    base = network.timebase
+    requests = [
+        (Fraction(time, base), microstep, Event(PortRef(*network.keys[pid][:2]), status.value))
+        for time, microstep, (pid, status) in requests
+    ]
     return map_ports(top, changes=changes), requests
 
 
-def commit_requests(queue: EventQueue, requests) -> EventQueue:
-    """Fold scheduling requests into the queue, in the order given."""
-    for delay, microstep, event in requests:
-        queue = queue.add(delay, microstep, event)
-    return queue
+def commit_requests(queue, requests):
+    """Fold scheduling requests into a queue, in the order given.
+
+    ``queue`` is a system state, whose flat queue takes the requests of
+    a state's postfire, or an EventQueue, which takes a tree's.
+    """
+    if isinstance(queue, EventQueue):
+        for delay, microstep, event in requests:
+            queue = queue.add(delay, microstep, event)
+        return queue
+    network = queue.network
+    entries = queue.entries
+    for time, microstep, event in requests:
+        entries = schedule(entries, time, microstep, event, network)
+    return make_state(
+        network,
+        queue.locations,
+        queue.values,
+        queue.enabled,
+        queue.statuses,
+        entries,
+        queue.now,
+        queue.microstep_of_instant,
+    )

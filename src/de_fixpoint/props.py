@@ -5,7 +5,8 @@ these values", where parameters serve as fallback for names the actor
 never reassigns) and location propositions ("this state machine stands
 in this location"; on a modal actor it asks about the controller).
 Propositions are evaluated against full system snapshots and are the
-only way formulas observe a run.
+only way formulas observe a run.  Each proposition is compiled once per
+network into a reader of the state's location or value slots.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoSuchVariable, NotAnFsm
-from .model import FSM, MODAL, resolve
+from .model import MODAL
 from .state import SystemState
 from .values import BoolVal, literal_text
 
@@ -58,22 +59,55 @@ class LocProp:
 
 
 def prop_holds(state: SystemState, prop) -> bool:
-    node = resolve(state.top, prop.actor)
+    network = state.network
+    reader = network._props.get(prop)
+    if reader is None:
+        reader = _compile(network, prop)
+        network._props[prop] = reader
+    return reader(state)
+
+
+def _compile(network, prop):
+    """A function of a state that decides ``prop``, or raises as it would.
+
+    A bad actor path raises here; a bad location or variable raises when
+    the reader reaches it, as the check goes name by name.
+    """
+    i = network.actor(prop.actor)
     if isinstance(prop, LocProp):
-        if node.kind == MODAL:
-            node = node.child(node.controller)
-        if node.kind != FSM or node.curr_location is None:
-            raise NotAnFsm(f"{'.'.join(prop.actor)} has no locations")
-        return node.curr_location == prop.location
+        if network.kinds[i] == MODAL:
+            i = next(m.controller for m in network.modals if m.index == i)
+        location = prop.location
+        label = ".".join(prop.actor)
+
+        def at(state):
+            actual = state.locations[i]
+            if actual is None:
+                raise NotAnFsm(f"{label} has no locations")
+            return actual == location
+
+        return at
     if isinstance(prop, VarProp):
+        slots = network.slots[i]
+        parameters = network.nodes_of(network.template)[i].parameters
+        checks = []  # (value slot or None, wanted value, parameter value or None, missing name)
         for name, value in prop.assignments:
-            if name in node.variables:
-                actual = node.variables[name]
-            elif name in node.parameters:
-                actual = node.parameters[name]
+            if name in slots:
+                checks.append((slots[name], value, None, None))
+            elif name in parameters:
+                checks.append((None, value, parameters[name], None))
             else:
-                raise NoSuchVariable(f"{'.'.join(prop.actor)} has no variable '{name}'")
-            if actual != value:
-                return False
-        return True
+                checks.append((None, value, None, name))
+
+        def holds(state):
+            values = state.values
+            for slot, value, fixed, missing in checks:
+                if missing is not None:
+                    raise NoSuchVariable(f"{'.'.join(prop.actor)} has no variable '{missing}'")
+                actual = fixed if slot is None else values[slot]
+                if actual != value:
+                    return False
+            return True
+
+        return holds
     raise TypeError(f"not a proposition: {prop!r}")

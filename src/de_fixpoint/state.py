@@ -1,4 +1,18 @@
-"""Complete system snapshots: the actor tree plus the pending-event queue.
+"""Complete system snapshots: every actor's dynamic state plus the event queue.
+
+A state is a flat record over its model's compiled network (see
+network.py).  It holds, indexed by actor, port id or value slot:
+
+* ``locations``: each state machine's current location (None for other
+  actors);
+* ``values``: each variable's value;
+* ``enabled``: each actor's enabled flag;
+* ``statuses``: each port's status as the last iteration left it, stale
+  statuses of ports that have not been resolved since included;
+* ``entries``: the pending-event queue, in ticks of the timebase (see
+  events.py);
+* ``now`` and ``microstep_of_instant``: the absolute time in ticks and
+  the microstep index within the current instant.
 
 Equality and hashing deliberately ignore how much time has elapsed and
 the microstep index within the current instant.  Two states that agree
@@ -6,42 +20,160 @@ on every actor's mode, variables, and port contents, and on the relative
 schedule of future events, behave identically forever — that is the
 identification that makes periodic models have finite state graphs.
 Searches that need real timestamps keep them separately (see graph.py).
+The hash is computed once per state, over every slot but the port
+statuses: states that differ only there are rare (two of the 63 of the
+hierarchical traffic light), and equality still tells them apart, while
+hashing the statuses would cost more than the rest together.
+
+The actor tree (``top``), the queue with exact rational times
+(``queue``) and the elapsed time as a rational (``elapsed``) are views
+for printers, tests and library callers.  They are built on first use
+and kept; the engine never needs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .events import EMPTY_QUEUE, EventQueue
-from .model import COMPOSITE, FSM, ActorNode, iter_actors
+from .events import EMPTY_QUEUE, EventQueue, queue_view
+from .model import ActorNode
+from .network import Network, network_of
+from .values import Present
 
 
-@dataclass(frozen=True)
 class SystemState:
-    top: ActorNode
-    queue: EventQueue = EMPTY_QUEUE
-    elapsed: Fraction = field(default=Fraction(0), compare=False)
-    microstep_of_instant: int = field(default=0, compare=False)
+    __slots__ = (
+        "network",
+        "locations",
+        "values",
+        "enabled",
+        "statuses",
+        "entries",
+        "now",
+        "microstep_of_instant",
+        "_hash",
+        "_top",
+        "_queue",
+    )
+
+    def __init__(
+        self,
+        top: ActorNode,
+        queue: EventQueue = EMPTY_QUEUE,
+        elapsed: Fraction = Fraction(0),
+        microstep_of_instant: int = 0,
+    ):
+        """The state a tree and a queue describe.
+
+        Every time (queue entries and ``elapsed``) must be a multiple of
+        the tree's timebase.
+        """
+        network = network_of(top)
+        self.network = network
+        self.locations, self.values, self.enabled, self.statuses = network.flatten(top)
+        self.entries = tuple(
+            (_ticks(e.time, network), e.microstep, _flat_events(e.events, network))
+            for e in queue.entries
+        )
+        self.now = _ticks(Fraction(elapsed), network)
+        self.microstep_of_instant = microstep_of_instant
+        self._hash = None
+        self._top = top
+        self._queue = queue
+
+    @property
+    def top(self) -> ActorNode:
+        """The actor tree with this state's dynamic side."""
+        if self._top is None:
+            self._top = self.network.tree(self.locations, self.values, self.enabled, self.statuses)
+        return self._top
+
+    @property
+    def queue(self) -> EventQueue:
+        """The pending events, at exact rational times."""
+        if self._queue is None:
+            self._queue = queue_view(self.entries, self.network)
+        return self._queue
+
+    @property
+    def elapsed(self) -> Fraction:
+        """The absolute time, as an exact rational."""
+        return Fraction(self.now, self.network.timebase)
+
+    def queue_summary(self) -> list:
+        """``self.queue.summary()``, without building the events."""
+        base = self.network.timebase
+        return [(Fraction(t, base), m, len(events)) for t, m, events in self.entries]
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.locations, self.values, self.enabled, self.entries))
+        return h
+
+    def __eq__(self, other):
+        if other.__class__ is not SystemState:
+            return NotImplemented
+        return self is other or (
+            (self.network is other.network or self.network.signature == other.network.signature)
+            and self.statuses == other.statuses
+            and self.entries == other.entries
+            and self.locations == other.locations
+            and self.values == other.values
+            and self.enabled == other.enabled
+        )
+
+    def __repr__(self):
+        return (
+            f"SystemState(t={self.elapsed}, m={self.microstep_of_instant}, "
+            f"locations={fsm_locations(self)}, queue={self.queue_summary()})"
+        )
+
+
+def make_state(network: Network, locations, values, enabled, statuses, entries, now, microstep) -> SystemState:
+    """A state from its slots, as the engine builds them."""
+    state = _new(SystemState)
+    state.network = network
+    state.locations = locations
+    state.values = values
+    state.enabled = enabled
+    state.statuses = statuses
+    state.entries = entries
+    state.now = now
+    state.microstep_of_instant = microstep
+    state._hash = state._top = state._queue = None
+    return state
+
+
+_new = object.__new__
+
+
+def _ticks(time: Fraction, network: Network) -> int:
+    ticks = time * network.timebase
+    if ticks.denominator != 1:
+        raise ValueError(f"time {time} is not a multiple of the model's timebase 1/{network.timebase}")
+    return ticks.numerator
+
+
+def _flat_events(events, network: Network) -> tuple:
+    return tuple(sorted((network.event_port(ev.target), Present(ev.value)) for ev in events))
 
 
 def collect_variables(state: SystemState) -> dict:
-    """Variable stores of every actor that has one, keyed by dotted path.
+    """Variable stores of every composite and state machine that has one,
+    keyed by dotted path.
 
     Frozen refinements are included: their variables are still state,
     they just cannot change until the refinement is live again.
     """
-    out = {}
-    for path, node, _ in iter_actors(state.top):
-        if node.kind in (COMPOSITE, FSM) and node.variables:
-            out[".".join(path)] = dict(node.variables)
-    return out
+    values = state.values
+    return {
+        path: {name: values[slot] for name, slot in slots}
+        for path, slots in state.network.variable_groups
+    }
 
 
 def fsm_locations(state: SystemState) -> dict:
     """Current location of every state machine (live or frozen)."""
-    out = {}
-    for path, node, _ in iter_actors(state.top):
-        if node.kind == FSM and node.curr_location is not None:
-            out[".".join(path)] = node.curr_location
-    return out
+    locations = state.locations
+    return {path: locations[i] for i, path in state.network.fsm_paths if locations[i] is not None}

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from de_fixpoint.errors import (
     AbsentPortRead,
+    EngineError,
     TypeMismatch,
     UnboundIdentifier,
     UnknownPortRead,
@@ -17,6 +20,7 @@ from de_fixpoint.expr import (
     PortValue,
     Unary,
     Var,
+    compile_expr,
     eval_expr,
     expr_text,
     referenced_names,
@@ -31,6 +35,9 @@ from de_fixpoint.values import (
     StringVal,
     TimeVal,
 )
+from de_fixpoint.network import Network
+
+from test_parser import EXPRS, LITERALS, NAMES, PORTS, models
 
 TRUE = Lit(BoolVal(True))
 
@@ -135,3 +142,88 @@ def test_expr_text_literals_disambiguate_kind():
     assert expr_text(Lit(TimeVal(Fraction(1)))) == "1.0"
     assert expr_text(Lit(IntVal(1))) == "1"
     assert expr_text(Lit(BoolVal(False))) == "false"
+
+
+# Compiled expressions against the reference evaluator. ------------------------
+
+
+def outcome(thunk):
+    """("value", the value) or (error type, message)."""
+    try:
+        return ("value", thunk())
+    except EngineError as err:
+        return (type(err), str(err))
+
+
+def compiled(expr, variables, parameters, ports):
+    """Compile against slots laid out behind unrelated ones, then run."""
+    slots = {name: 3 + k for k, name in enumerate(variables)}
+    values = (IntVal(-1),) * 3 + tuple(variables.values())
+    pids = {name: 2 * k + 1 for k, name in enumerate(ports)}
+    statuses = [UNKNOWN] * (2 * len(ports) + 1)
+    for name, pid in pids.items():
+        statuses[pid] = ports[name]
+    fn = compile_expr(expr, slots, parameters, pids)
+    return fn(statuses, values)
+
+
+STATUSES = st.one_of(st.just(UNKNOWN), st.just(ABSENT), LITERALS.map(Present))
+ENVIRONMENTS = st.dictionaries(NAMES, LITERALS, max_size=3)
+
+
+@settings(max_examples=400)
+@given(EXPRS, ENVIRONMENTS, ENVIRONMENTS, st.dictionaries(PORTS, STATUSES, max_size=2))
+def test_compiled_expression_matches_eval_expr(expr, variables, parameters, ports):
+    want = outcome(lambda: eval_expr(expr, variables, parameters, ports))
+    got = outcome(lambda: compiled(expr, variables, parameters, ports))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Binary("%", Lit(IntVal(1)), Lit(IntVal(2))),
+        Binary("%", IsPresent("P"), Lit(IntVal(2))),
+        Unary("~", Lit(BoolVal(True))),
+        Unary("~", Var("ghost")),
+        Binary("&&", Lit(BoolVal(False)), Lit(IntVal(3))),
+        Binary("||", Lit(BoolVal(True)), Lit(IntVal(3))),
+        Binary("+", Lit(TimeVal(Fraction(1, 3))), Lit(TimeVal(Fraction(1, 6)))),
+        Binary("<", Lit(TimeVal(Fraction(1, 3))), Lit(TimeVal(Fraction(1, 6)))),
+        "not an expression",
+    ],
+)
+def test_compiled_expression_matches_eval_expr_off_the_grammar(expr):
+    ports = {"P": Present(IntVal(1))}
+    want = outcome(lambda: eval_expr(expr, {}, {}, ports))
+    assert outcome(lambda: compiled(expr, {}, {}, ports)) == want
+
+
+@given(models(), STATUSES)
+def test_compiled_transitions_match_eval_expr(model, status):
+    # The network compiles each transition of the machine M over its own
+    # value slots and input port ids; Out is an output, never readable.
+    network = Network(model)
+    m = network.index[("T", "M")]
+    node = model.inner[0]
+    info = network.fsms[m]
+    statuses = [UNKNOWN] * network.size
+    statuses[info.in_ids["In"]] = status
+    values = network.flatten(model)[1]
+    env = {"In": status}
+    for t in node.transitions:
+        entry = info.compiled(t)
+        assert entry.transition == t
+        assert outcome(lambda: entry.guard(statuses, values)) == outcome(
+            lambda: eval_expr(t.guard, node.variables, node.parameters, env)
+        )
+        for name, (fn, _) in entry.outputs.items():
+            assert outcome(lambda: fn(statuses, values)) == outcome(
+                lambda: eval_expr(t.outputs[name], node.variables, node.parameters, env)
+            )
+        assert [var for _, var, _ in entry.updates] == list(t.sets)
+        for slot, var, fn in entry.updates:
+            assert slot == network.slots[m].get(var)
+            assert outcome(lambda: fn(statuses, values)) == outcome(
+                lambda: eval_expr(t.sets[var], node.variables, node.parameters, env)
+            )

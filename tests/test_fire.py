@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from de_fixpoint.errors import CausalityCycle, NoSuchPort
 from de_fixpoint.events import Event
@@ -25,6 +27,8 @@ from de_fixpoint.model import (
     resolve,
 )
 from de_fixpoint.executor import Iteration, step
+from de_fixpoint.parser import parse_model
+from de_fixpoint.postfire import initialize
 from de_fixpoint.network import network_of
 from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import (
@@ -36,6 +40,7 @@ from de_fixpoint.values import (
     TimeVal,
 )
 
+import families
 from conftest import initial_state
 
 
@@ -74,6 +79,31 @@ def test_fixpoint_confluent_under_shuffled_rule_order(fixture):
         for seed in range(20):
             shuffled = compute_fixpoint(prepared, rng=random.Random(seed))
             assert fixpoint_signature(shuffled) == baseline
+
+
+def flat_signature(result):
+    decisions = sorted((i, entry.transition.target) for i, entry in result.decisions.items())
+    return (result.state.statuses, decisions, result.applications, result.stalled_ports)
+
+
+@settings(max_examples=30)
+@given(families.MODELS, st.integers(0, 2**32 - 1))
+def test_fixpoint_confluent_on_generated_models(text, seed):
+    # Crossings, zero-delay chains and nested modals, on the flat core: every
+    # instant of a run resolves the same under shuffled rule orders.
+    rng = random.Random(seed)
+    state = initialize(parse_model(text))
+    instants = 0
+    for _ in range(120):
+        time, microstep, events = state.entries[0]
+        if (time, microstep) == (0, 0):
+            baseline = flat_signature(compute_fixpoint(state, events=events))
+            for _ in range(4):
+                assert flat_signature(compute_fixpoint(state, events=events, rng=rng)) == baseline
+            assert step(state, rng=rng) == step(state)
+            instants += 1
+        state, _ = step(state)
+    assert instants >= 10
 
 
 @pytest.mark.parametrize(
@@ -323,17 +353,25 @@ def test_rules_are_built_once_per_mode_configuration(hier_state):
     assert network_of(state.top) is network_of(hier_state.top)
 
 
-def test_a_step_shares_the_subtrees_it_does_not_change(hier_state):
+def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     state = hier_state
     while not (state.elapsed == 17 and state.queue.head_tag() == (Fraction(0), 0)):
         state, _ = step(state)
     # The normal refinement froze at 15 and its ports were cleared at 16;
     # from then on an iteration has nothing to change in it.
+    network = state.network
     normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
+    inside = [i for i, path in enumerate(network.paths) if path[: len(normal)] == normal]
+    ports = [pid for i in inside for pid in network.port_ids[i]]
     frozen = resolve(state.top, normal)
     assert frozen.enabled is False
-    assert all(p.status is UNKNOWN for _, n, _ in iter_actors(frozen) for p in n.ports)
+    assert all(state.statuses[pid] is UNKNOWN for pid in ports)
     nxt, kind = step(state)
     assert isinstance(kind, Iteration)
-    assert resolve(nxt.top, normal) is frozen
-    assert nxt.top is not state.top
+    assert all(nxt.statuses[pid] is UNKNOWN for pid in ports)
+    assert [nxt.locations[i] for i in inside] == [state.locations[i] for i in inside]
+    assert resolve(nxt.top, normal) == frozen
+    assert nxt.top != state.top
+    # No mode switch: the enabled flags are the same tuple.
+    assert nxt.enabled is state.enabled
+    assert nxt.statuses != state.statuses

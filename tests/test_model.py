@@ -7,7 +7,7 @@ import pytest
 from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
 from de_fixpoint.expr import Binary, IsPresent, Lit, Var
 from de_fixpoint.executor import step
-from de_fixpoint.fire import clear_ports
+from de_fixpoint.fire import clear_ports, decide_firing
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -22,7 +22,6 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    decide_firing,
     iter_actors,
     normalize,
     resolve,
@@ -171,34 +170,36 @@ def machine(*transitions, variables=None):
     )
 
 
-def decide(node, input_statuses, label):
+def decide(node, input_statuses):
     """decide_firing over the machine's compiled transitions: (verdict, transition)."""
-    outgoing = network_of(node).fsms[0].outgoing.get(node.curr_location, ())
-    verdict, entry = decide_firing(outgoing, node, input_statuses, label)
-    return verdict, (entry[0] if entry is not None else None)
+    network = network_of(node)
+    statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
+    values = network.flatten(node)[1]
+    verdict, entry = decide_firing(network.fsms[0], node.curr_location, statuses, values)
+    return verdict, (entry.transition if entry is not None else None)
 
 
 def test_decision_waits_for_guard_ports():
     node = machine(Transition("s", "t", IsPresent("In")))
-    assert decide(node, {"In": UNKNOWN, "Aux": ABSENT}, "M") == (None, None)
-    verdict, t = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+    assert decide(node, {"In": UNKNOWN, "Aux": ABSENT}) == (None, None)
+    verdict, t = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT})
     assert verdict == "fire" and t.target == "t"
-    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}) == ("nofire", None)
 
 
 def test_true_guard_still_needs_a_present_input():
     # A machine reacts to events; a tautological guard alone cannot fire it.
     node = machine(Transition("s", "t", TRUE))
-    assert decide(node, {"In": UNKNOWN, "Aux": UNKNOWN}, "M") == (None, None)
-    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
-    verdict, t = decide(node, {"In": ABSENT, "Aux": Present(IntVal(1))}, "M")
+    assert decide(node, {"In": UNKNOWN, "Aux": UNKNOWN}) == (None, None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}) == ("nofire", None)
+    verdict, t = decide(node, {"In": ABSENT, "Aux": Present(IntVal(1))})
     assert verdict == "fire" and t is not None
 
 
 def test_decision_can_fire_before_every_port_is_known():
     # The guard only reads In; Aux being unknown must not delay the verdict.
     node = machine(Transition("s", "t", IsPresent("In")))
-    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": UNKNOWN}, "M")
+    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": UNKNOWN})
     assert verdict == "fire"
 
 
@@ -208,9 +209,9 @@ def test_two_true_guards_raise_only_when_firing():
         Transition("s", "s", TRUE),
     )
     with pytest.raises(NondeterministicFsm):
-        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT})
     # With no input present the machine does not fire, so the overlap is moot.
-    assert decide(node, {"In": ABSENT, "Aux": ABSENT}, "M") == ("nofire", None)
+    assert decide(node, {"In": ABSENT, "Aux": ABSENT}) == ("nofire", None)
 
 
 def test_guards_read_variables_and_parameters():
@@ -224,14 +225,14 @@ def test_guards_read_variables_and_parameters():
             "parameters": {"cap": IntVal(5)},
         }
     )
-    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+    verdict, _ = decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT})
     assert verdict == "fire"
 
 
 def test_non_boolean_guard_rejected_at_decision_time():
     node = machine(Transition("s", "t", Lit(IntVal(3))))
     with pytest.raises(ValidationError):
-        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT}, "M")
+        decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT})
 
 
 # Validation. ------------------------------------------------------------------
