@@ -61,9 +61,9 @@ _ITERATION = Iteration()
 
 def _tick(network, dt: int) -> Tick:
     """The Tick for ``dt`` ticks; one per distinct size and network."""
-    tick = network._ticks.get(dt)
+    tick = network.tick_kinds.get(dt)
     if tick is None:
-        tick = network._ticks[dt] = Tick(Fraction(dt, network.timebase))
+        tick = network.tick_kinds[dt] = Tick(Fraction(dt, network.timebase))
     return tick
 
 
@@ -119,6 +119,14 @@ def ticks_within(state: SystemState, time_bound) -> int:
     return floor(Fraction(time_bound) * state.network.timebase)
 
 
+def passes_bound(state: SystemState, bound) -> bool:
+    """The next step lets time pass ``bound`` (in ticks; None for no bound)."""
+    if bound is None or not state.entries:
+        return False
+    time = state.entries[0][0]
+    return time > 0 and state.now + time > bound
+
+
 @dataclass
 class TraceStep:
     kind: object  # Tick | Microstep | Iteration
@@ -158,7 +166,6 @@ def simulate(
     The time bound is inclusive: a tick landing exactly on the bound is
     taken, one that would pass it is not (the run stops just before).
     """
-    # A tick lands at most on the bound; both sides count in ticks.
     bound = None if time_bound is None else ticks_within(state, time_bound)
     initial = state
     steps = []
@@ -167,14 +174,12 @@ def simulate(
     # each one that changed a value.
     variables = collect_variables(state)
     while True:
-        entries = state.entries
-        if not entries:
+        if not state.entries:
             break
         if len(steps) >= max_steps:
             truncated = True
             break
-        time = entries[0][0]
-        if bound is not None and time > 0 and state.now + time > bound:
+        if passes_bound(state, bound):
             break
         before = state.values
         state, kind = step(state, bottom_as_absent=bottom_as_absent)

@@ -19,9 +19,10 @@ Rules are static.  They are built from the compiled network (see
 network.py) once per mode configuration, i.e. per set of live actors,
 and a port -> rule index tells the fixed point which rules to run again
 when a port resolves.  They read and write a flat list of port statuses
-indexed by port id, and state machines read their location and
-variables from the state's slots; guards and outputs are compiled
-closures (see expr.compile_expr).
+indexed by port id, in which an unknown port always holds the one
+UNKNOWN object (``Network.flatten`` sees to that for trees), and state
+machines read their location and variables from the state's slots;
+guards and outputs are compiled closures (see expr.compile_expr).
 
 ``compute_fixpoint`` takes a system state, as the executor passes it.
 Given a tree, it and ``clear_ports`` / ``deliver_events`` read the
@@ -39,7 +40,7 @@ from .errors import CausalityCycle, NondeterministicFsm, ValidationError
 from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT, ActorNode
 from .network import FsmInfo, Network, map_ports, network_of
 from .state import SystemState, make_state
-from .values import ABSENT, UNKNOWN, BoolVal, Present, Unknown
+from .values import ABSENT, UNKNOWN, BoolVal, Present
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +117,7 @@ def decide_firing(info: FsmInfo, location, st, values):
         if entry.blind:
             return _UNDECIDED
         for pid in entry.reads:
-            if isinstance(st[pid], Unknown):
+            if st[pid] is UNKNOWN:
                 # Guards only mention the machine's own inputs, so all
                 # inputs known would imply evaluable; nothing can be
                 # decided yet.
@@ -127,7 +128,7 @@ def decide_firing(info: FsmInfo, location, st, values):
         status = st[pid]
         if isinstance(status, Present):
             any_present = True
-        elif isinstance(status, Unknown):
+        elif status is UNKNOWN:
             all_known = False
     trues = []
     for entry in outgoing:
@@ -169,7 +170,7 @@ class _CopyRule:
 
     def step(self, st, locations, values, decided):
         s = st[self.src]
-        if isinstance(s, Unknown):
+        if s is UNKNOWN:
             return ()
         # Known sinks are proposed too: the driver loop cross-checks them,
         # so a second writer racing a port is caught instead of silently
@@ -219,15 +220,15 @@ class _FsmRule:
         named = entry.outputs if kind == "fire" else {}
         out = []
         for name, pid, twin in self.outputs:
-            if not isinstance(st[pid], Unknown):
+            if st[pid] is not UNKNOWN:
                 continue
             if name in named:
                 fn, reads = named[name]
-                if reads is not None and not any(isinstance(st[p], Unknown) for p in reads):
+                if reads is not None and all(st[p] is not UNKNOWN for p in reads):
                     out.append((pid, Present(fn(st, values))))
             elif twin is not None:
                 status = st[twin]
-                if not isinstance(status, Unknown):
+                if status is not UNKNOWN:
                     out.append((pid, status))
             else:
                 out.append((pid, ABSENT))
@@ -456,13 +457,13 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
         st = list(statuses)
         applications = 0
         for pid in rule_set.unwritten:
-            if isinstance(st[pid], Unknown):
+            if st[pid] is UNKNOWN:
                 st[pid] = ABSENT
                 applications += 1
         initial = set(rule_set.machines)
         known = 0
         for pid in rule_set.ports:
-            if not isinstance(st[pid], Unknown):
+            if st[pid] is not UNKNOWN:
                 known += 1
                 initial.update(dependents[pid])
         schedule = sorted(initial)
@@ -470,6 +471,7 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
         rng.shuffle(schedule)
     rules = rule_set.rules
     pending = deque(schedule)
+    pop, push = pending.popleft, pending.append
     queued = [False] * len(rules)
     for n in schedule:
         queued[n] = True
@@ -478,11 +480,11 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
     # from here on resolves one more of ``rule_set.ports``.
     known -= applications
     while pending:
-        n = pending.popleft()
+        n = pop()
         queued[n] = False
         for pid, status in rules[n].step(st, locations, values, decided):
             old = st[pid]
-            if not isinstance(old, Unknown):
+            if old is not UNKNOWN:
                 if old != status:
                     raise AssertionError(
                         f"port {_key_text(network.keys[pid])} driven to two different statuses"
@@ -493,7 +495,7 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
             for d in dependents[pid]:
                 if not queued[d]:
                     queued[d] = True
-                    pending.append(d)
+                    push(d)
 
     # Firing decisions are read off at quiescence, before any fallback:
     # a machine that could not decide did not fire.  Each machine's rule
@@ -506,7 +508,7 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
             fired[index] = entry
 
     if known + applications < len(rule_set.ports):
-        stalled = [pid for pid in rule_set.ports if isinstance(st[pid], Unknown)]
+        stalled = [pid for pid in rule_set.ports if st[pid] is UNKNOWN]
         keys = sorted(network.keys[pid] for pid in stalled)
         if not bottom_as_absent:
             raise CausalityCycle([_key_text(k) for k in keys])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StateSpaceExceeded
-from .executor import step, ticks_within
+from .executor import passes_bound, step, ticks_within
 from .props import prop_holds
 from .state import SystemState
 
@@ -76,14 +76,6 @@ def _identity(state: SystemState, bounded: bool):
     return state
 
 
-def _cut_by_bound(state: SystemState, bound) -> bool:
-    """The next tick passes ``bound`` (in ticks; None for no bound)."""
-    if bound is None or not state.entries:
-        return False
-    time = state.entries[0][0]
-    return time > 0 and state.now + time > bound
-
-
 def build_state_graph(
     initial: SystemState,
     time_bound=None,
@@ -106,7 +98,7 @@ def build_state_graph(
         if len(nodes) > max_states:
             raise StateSpaceExceeded(max_states)
         state = nodes[-1]
-        if not state.entries or _cut_by_bound(state, bound):
+        if not state.entries or passes_bound(state, bound):
             succ.append(len(nodes) - 1)  # terminal: self-loop
             kinds.append(Stutter())
             break

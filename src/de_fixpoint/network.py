@@ -158,8 +158,8 @@ class ClockInfo:
         params = node.parameters
         self.out = ids[(path, "output", OUT)]
         self.emit = Present(params["emit"]) if "emit" in params else None
-        self.period = _ticks(params.get("period"), timebase)
-        self.offset = _ticks(params.get("offset"), timebase)
+        self.period = _param_ticks(params.get("period"), timebase)
+        self.offset = _param_ticks(params.get("offset"), timebase)
 
 
 class DelayInfo:
@@ -168,15 +168,20 @@ class DelayInfo:
     def __init__(self, path, node: ActorNode, ids, timebase: int):
         self.inp = ids[(path, "input", IN)]
         self.out = ids[(path, "output", OUT)]
-        self.delay = _ticks(node.parameters.get("delay"), timebase)
+        self.delay = _param_ticks(node.parameters.get("delay"), timebase)
         self.microstep = 1 if self.delay == 0 else 0
 
 
-def _ticks(value, timebase: int):
-    if value is None:
-        return None
-    amount = time_param(value) * timebase
-    return amount.numerator  # integral: the timebase divides every time parameter
+def to_ticks(time, timebase: int) -> int:
+    """``time`` in ticks of ``1/timebase``, which must divide it."""
+    ticks = Fraction(time) * timebase
+    if ticks.denominator != 1:
+        raise ValueError(f"time {time} is not a multiple of the model's timebase 1/{timebase}")
+    return ticks.numerator
+
+
+def _param_ticks(value, timebase: int):
+    return None if value is None else to_ticks(time_param(value), timebase)
 
 
 def _timebase(nodes) -> int:
@@ -192,8 +197,11 @@ def _timebase(nodes) -> int:
 
 
 class Mode:
-    """What follows from one tuple of enabled flags: which actors are live,
-    and, in preorder, the live actors a commit visits."""
+    """What one tuple of enabled flags decides.
+
+    ``live`` flags each actor whose ancestors and itself are enabled;
+    ``committers`` lists, in preorder, the live actors a commit visits.
+    """
 
     def __init__(self, network: "Network", enabled):
         self.live = live = []
@@ -210,15 +218,15 @@ class Mode:
 
 class Network:
     def __init__(self, top: ActorNode):
+        # The tree compiled, which trees are rebuilt from: a copy of its
+        # root, so that the network, which network_of caches on ``top``,
+        # is not reachable from itself.
+        self.template = top.with_state()
         # Actors are numbered breadth first, so a tree's actors come out in
         # index order from one cheap sweep (see nodes_of); ``preorder``
         # lists them depth first, the order iter_actors reports them in.
         # Ports are numbered actor by actor, each actor's in canonical order,
         # and value slots the same way, each actor's in variable-name order.
-        # The tree compiled, which trees are rebuilt from.  A copy of its
-        # root, so that the network, which network_of caches on ``top``,
-        # is not reachable from itself.
-        self.template = top.with_state()
         self.paths = []  # actor paths
         self.kinds = []
         self.parent = []  # index of the parent actor, -1 for the root
@@ -229,7 +237,7 @@ class Network:
         self.port_actor = []  # port id -> index of its actor
         self.ids = {}  # port key -> port id
         self.slots = []  # per actor: {variable name: value slot}
-        self.slot_count = 0
+        slot_count = 0
         nodes = []
         pending = [(top, (top.name,), -1)]
         for node, path, parent in pending:
@@ -250,8 +258,8 @@ class Network:
                 self.keys.append(key)
                 self.port_actor.append(i)
             self.port_ids.append(tuple(ids))
-            self.slots.append({name: self.slot_count + k for k, name in enumerate(node.variables)})
-            self.slot_count += len(node.variables)
+            self.slots.append({name: slot_count + k for k, name in enumerate(node.variables)})
+            slot_count += len(node.variables)
         self.size = len(self.keys)
         self.preorder = []
         stack = [0]
@@ -264,15 +272,16 @@ class Network:
         self.fsms = {}  # index -> FsmInfo
         self.clocks = {}  # index -> ClockInfo
         self.delays = {}  # index -> DelayInfo
-        self.setters = {}  # variable-setter index -> (input port id, target name)
+        # variable-setter index -> (input port id, target name, index of the
+        # enclosing composite or None)
+        self.setters = {}
         self.copies = {}  # composite/modal index -> ((source id, sink ids), ...)
         self.modals = []  # ModalInfo, in actor order
         self.coupled = {}  # controller index -> the modal's output names
-        self.scope = {}  # variable-setter index -> enclosing composite index or None
         self.rule_sets = {}  # mode configuration -> rule set (filled by fire)
         self.modes = {}  # enabled flags -> Mode
-        self._ticks = {}  # ticks -> Tick step kind (filled by the executor)
-        self._props = {}  # proposition -> compiled reader (filled by props)
+        self.tick_kinds = {}  # ticks -> Tick step kind (filled by the executor)
+        self.prop_readers = {}  # proposition -> compiled reader (filled by props)
         for i, node in enumerate(nodes):
             self._compile(i, node, self.paths[i])
         # Printing and propositions, in preorder.
@@ -293,8 +302,7 @@ class Network:
             self.delays[i] = DelayInfo(path, node, ids, self.timebase)
         elif node.kind == SETVAR:
             target = node.parameters["target"].value if "target" in node.parameters else None
-            self.setters[i] = (ids[(path, "input", IN)], target)
-            self.scope[i] = self._enclosing_composite(i)
+            self.setters[i] = (ids[(path, "input", IN)], target, self._enclosing_composite(i))
         if node.kind in (COMPOSITE, MODAL):
             self.copies[i] = tuple(
                 (

@@ -140,10 +140,9 @@ def _commit(network: Network, locations, values, enabled, statuses, fired):
                 # superdense time, same timestamp.
                 requests.append((delay.delay, delay.microstep, (delay.out, status)))
         else:
-            pid, target = network.setters[i]
+            pid, target, scope = network.setters[i]
             status = statuses[pid]
             if isinstance(status, Present):
-                scope = network.scope[i]
                 if scope is None:
                     raise UnknownVariableTarget(f"{'.'.join(network.paths[i])}: no enclosing composite")
                 composite_writes.setdefault(scope, {})[target] = status.value

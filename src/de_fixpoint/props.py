@@ -60,10 +60,10 @@ class LocProp:
 
 def prop_holds(state: SystemState, prop) -> bool:
     network = state.network
-    reader = network._props.get(prop)
+    reader = network.prop_readers.get(prop)
     if reader is None:
         reader = _compile(network, prop)
-        network._props[prop] = reader
+        network.prop_readers[prop] = reader
     return reader(state)
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .events import EMPTY_QUEUE, EventQueue, queue_view
 from .model import ActorNode
-from .network import Network, network_of
+from .network import Network, network_of, to_ticks
 from .values import Present
 
 
@@ -72,10 +72,10 @@ class SystemState:
         self.network = network
         self.locations, self.values, self.enabled, self.statuses = network.flatten(top)
         self.entries = tuple(
-            (_ticks(e.time, network), e.microstep, _flat_events(e.events, network))
+            (to_ticks(e.time, network.timebase), e.microstep, _flat_events(e.events, network))
             for e in queue.entries
         )
-        self.now = _ticks(Fraction(elapsed), network)
+        self.now = to_ticks(elapsed, network.timebase)
         self.microstep_of_instant = microstep_of_instant
         self._hash = None
         self._top = top
@@ -146,13 +146,6 @@ def make_state(network: Network, locations, values, enabled, statuses, entries, 
 
 
 _new = object.__new__
-
-
-def _ticks(time: Fraction, network: Network) -> int:
-    ticks = time * network.timebase
-    if ticks.denominator != 1:
-        raise ValueError(f"time {time} is not a multiple of the model's timebase 1/{network.timebase}")
-    return ticks.numerator
 
 
 def _flat_events(events, network: Network) -> tuple:

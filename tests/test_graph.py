@@ -5,13 +5,18 @@ from fractions import Fraction
 import pytest
 
 from de_fixpoint.errors import StateSpaceExceeded
+from de_fixpoint.events import EMPTY_QUEUE, Event
 from de_fixpoint.executor import Iteration, Tick, step
 from de_fixpoint.graph import Stutter, build_state_graph, search
+from de_fixpoint.model import PortRef
+from de_fixpoint.parser import parse_model
+from de_fixpoint.postfire import initialize
 from de_fixpoint.props import LocProp, VarProp
-from de_fixpoint.state import fsm_locations
+from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import IntVal
 
 from conftest import initial_state
+from test_golden import RATIONAL
 
 
 def test_every_node_has_exactly_one_successor(hier_graph):
@@ -125,3 +130,23 @@ def test_frozen_window_keeps_queue_clear_of_stale_events(hier_graph):
             for entry in state.queue.entries:
                 for event in entry.events:
                     assert "normal" not in event.target.actor
+
+
+@pytest.mark.parametrize("model", ["hier", "rational"])
+def test_a_state_and_its_tree_and_queue_describe_each_other(model, hier_state):
+    initial = hier_state if model == "hier" else initialize(parse_model(RATIONAL))
+    graph = build_state_graph(initial)
+    for state in graph.nodes:
+        again = SystemState(state.top, state.queue, state.elapsed, state.microstep_of_instant)
+        assert again == state and hash(again) == hash(state)
+        assert (again.now, again.microstep_of_instant) == (state.now, state.microstep_of_instant)
+        assert state.queue_summary() == state.queue.summary()
+
+
+def test_a_state_takes_only_times_on_its_timebase(flat_state):
+    clock = PortRef(("FlatTrafficLight", "Clock"), "output")
+    off = EMPTY_QUEUE.add(Fraction(1, 3), 0, Event(clock, IntVal(1)))
+    with pytest.raises(ValueError):
+        SystemState(flat_state.top, off)
+    with pytest.raises(ValueError):
+        SystemState(flat_state.top, EMPTY_QUEUE, Fraction(5, 2))
