@@ -25,8 +25,9 @@ machines read their location and variables from the state's slots;
 guards and outputs are compiled closures (see expr.compile_expr).
 
 ``compute_fixpoint`` takes a system state, as the executor passes it.
-Given a tree, it and ``clear_ports`` / ``deliver_events`` read the
-tree's slots, run the same core, and write the result back into a tree.
+Given a tree (as ``clear_ports`` and ``deliver_events`` prepare one), it
+reads the tree's slots, runs the same core, and writes the result back
+into a tree.
 """
 
 from __future__ import annotations

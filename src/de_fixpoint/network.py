@@ -109,7 +109,8 @@ class FsmInfo:
         self.outgoing = _Outgoing(node.transitions, slots, node.parameters, self.in_ids)
 
     def compiled(self, transition) -> CompiledTransition:
-        """The compiled form of one of this machine's transitions, or of any other."""
+        """The compiled form of ``transition``: the machine's own, or, for a
+        transition a tree-level caller made up, one compiled now."""
         for entry in self.outgoing[transition.source]:
             if entry.transition == transition:
                 return entry

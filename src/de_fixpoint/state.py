@@ -21,9 +21,10 @@ schedule of future events, behave identically forever — that is the
 identification that makes periodic models have finite state graphs.
 Searches that need real timestamps keep them separately (see graph.py).
 The hash is computed once per state, over every slot but the port
-statuses: states that differ only there are rare (two of the 63 of the
-hierarchical traffic light), and equality still tells them apart, while
-hashing the statuses would cost more than the rest together.
+statuses: states that differ only there are rare (the 63 states of the
+hierarchical traffic light have 61 distinct hash inputs), equality still
+tells them apart, and hashing the statuses would cost more than the rest
+together.
 
 The actor tree (``top``), the queue with exact rational times
 (``queue``) and the elapsed time as a rational (``elapsed``) are views
