@@ -27,7 +27,7 @@ from .events import advance_microstep, advance_time
 # compute_fixpoint, but they stay the names for those two phases.
 from .fire import clear_ports, compute_fixpoint, deliver_events  # noqa: F401
 from .postfire import commit_requests, postfire
-from .state import SystemState, collect_variables, fsm_locations, make_state
+from .state import SystemState, collect_variables, fsm_locations
 from .util import rational_json
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
@@ -73,41 +73,14 @@ def step(state: SystemState, bottom_as_absent: bool = False, rng=None):
     if not entries:
         raise EmptyQueue("nothing left to do")
     time, microstep, events = entries[0]
-    network = state.network
     if time > 0:
-        nxt = make_state(
-            network,
-            state.locations,
-            state.values,
-            state.enabled,
-            state.statuses,
-            advance_time(entries, time),
-            state.now + time,
-            0,
-        )
-        return nxt, _tick(network, time)
+        return state.requeued(advance_time(entries, time), state.now + time, 0), _tick(state.network, time)
     if microstep > 0:
-        nxt = make_state(
-            network,
-            state.locations,
-            state.values,
-            state.enabled,
-            state.statuses,
-            advance_microstep(entries, microstep),
-            state.now,
-            state.microstep_of_instant + microstep,
+        nxt = state.requeued(
+            advance_microstep(entries, microstep), state.now, state.microstep_of_instant + microstep
         )
         return nxt, Microstep(microstep)
-    popped = make_state(
-        network,
-        state.locations,
-        state.values,
-        state.enabled,
-        state.statuses,
-        entries[1:],
-        state.now,
-        state.microstep_of_instant,
-    )
+    popped = state.requeued(entries[1:], state.now, state.microstep_of_instant)
     # Clear, deliver and resolve in one pass over a flat status table.
     result = compute_fixpoint(popped, bottom_as_absent=bottom_as_absent, rng=rng, events=events)
     nxt, requests = postfire(result.state, result.decisions)

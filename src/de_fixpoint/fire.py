@@ -69,18 +69,12 @@ def deliver_events(top: ActorNode, events) -> ActorNode:
     """
     network = network_of(top)
     _, _, enabled, statuses = network.flatten(top)
-    deliveries = _event_ports(network, events)
+    deliveries = network.flat_events(events)
     if not deliveries:
         return top
     statuses = list(statuses)
     _deliver(network, network.mode(enabled).live, deliveries, statuses)
     return map_ports(top, statuses)
-
-
-def _event_ports(network: Network, events) -> tuple:
-    """The events as (port id, Present(value)) pairs, each target checked;
-    of two events for one port, the later one."""
-    return tuple({network.event_port(ev.target): Present(ev.value) for ev in events}.items())
 
 
 def _deliver(network: Network, live, events, statuses) -> None:
@@ -415,7 +409,7 @@ def _tree_fixpoint(top: ActorNode, bottom_as_absent, rng, events) -> FixpointRes
     network = network_of(top)
     locations, values, enabled, statuses = network.flatten(top)
     if events is not None:
-        statuses, events = None, _event_ports(network, events)
+        statuses, events = None, network.flat_events(events)
     statuses, fired, applications, stalled = _resolve(
         network, locations, values, enabled, statuses, events, bottom_as_absent, rng
     )

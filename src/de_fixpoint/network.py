@@ -365,14 +365,22 @@ class Network:
                 raise NoSuchActor(path_text(path[:k]))
         raise NoSuchActor(path_text(path))
 
-    def event_port(self, target) -> int:
-        """The port an event for ``target`` lands on, which must be an output."""
-        if target.actor not in self.index:
-            raise NoSuchPort(repr(target))
-        pid = self.ids.get((target.actor, target.port, OUT))
-        if pid is None:
-            raise NoSuchPort(f"{target!r} is not an output port")
-        return pid
+    def flat_events(self, events) -> tuple:
+        """Events as the engine queues them: (port id, Present(value)) pairs
+        sorted by port id, the later of two events for one port kept.
+
+        Every event must target an output port, where it lands.
+        """
+        out = {}
+        for ev in events:
+            target = ev.target
+            if target.actor not in self.index:
+                raise NoSuchPort(repr(target))
+            pid = self.ids.get((target.actor, target.port, OUT))
+            if pid is None:
+                raise NoSuchPort(f"{target!r} is not an output port")
+            out[pid] = Present(ev.value)
+        return tuple(sorted(out.items()))
 
     def nodes_of(self, top: ActorNode) -> list:
         """The actors of a tree with this structure, in index order."""

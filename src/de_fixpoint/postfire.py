@@ -204,17 +204,7 @@ def commit_requests(queue, requests):
         for delay, microstep, event in requests:
             queue = queue.add(delay, microstep, event)
         return queue
-    network = queue.network
     entries = queue.entries
     for time, microstep, event in requests:
-        entries = schedule(entries, time, microstep, event, network)
-    return make_state(
-        network,
-        queue.locations,
-        queue.values,
-        queue.enabled,
-        queue.statuses,
-        entries,
-        queue.now,
-        queue.microstep_of_instant,
-    )
+        entries = schedule(entries, time, microstep, event, queue.network)
+    return queue.requeued(entries, queue.now, queue.microstep_of_instant)

@@ -39,7 +39,6 @@ from fractions import Fraction
 from .events import EMPTY_QUEUE, EventQueue, queue_view
 from .model import ActorNode
 from .network import Network, network_of, to_ticks
-from .values import Present
 
 
 class SystemState:
@@ -73,7 +72,7 @@ class SystemState:
         self.network = network
         self.locations, self.values, self.enabled, self.statuses = network.flatten(top)
         self.entries = tuple(
-            (to_ticks(e.time, network.timebase), e.microstep, _flat_events(e.events, network))
+            (to_ticks(e.time, network.timebase), e.microstep, network.flat_events(e.events))
             for e in queue.entries
         )
         self.now = to_ticks(elapsed, network.timebase)
@@ -100,6 +99,12 @@ class SystemState:
     def elapsed(self) -> Fraction:
         """The absolute time, as an exact rational."""
         return Fraction(self.now, self.network.timebase)
+
+    def requeued(self, entries, now: int, microstep: int) -> "SystemState":
+        """This state with another queue, time and microstep."""
+        return make_state(
+            self.network, self.locations, self.values, self.enabled, self.statuses, entries, now, microstep
+        )
 
     def queue_summary(self) -> list:
         """``self.queue.summary()``, without building the events."""
@@ -147,10 +152,6 @@ def make_state(network: Network, locations, values, enabled, statuses, entries, 
 
 
 _new = object.__new__
-
-
-def _flat_events(events, network: Network) -> tuple:
-    return tuple(sorted((network.event_port(ev.target), Present(ev.value)) for ev in events))
 
 
 def collect_variables(state: SystemState) -> dict:
