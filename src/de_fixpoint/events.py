@@ -19,7 +19,8 @@ pairs sorted by port id.  The functions below work on that form; an
 entry changes only when its time or microstep does.  :class:`EventQueue`
 is the same queue with exact rational times and :class:`Event` objects:
 the view a system state shows its callers (``SystemState.queue``), and
-the queue of the tree-level entry points.
+how a caller describes the queue of a state it builds from a tree
+(``SystemState(top, queue)``).
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ UNKNOWN object (``Network.flatten`` sees to that for trees), and state
 machines read their location and variables from the state's slots;
 guards and outputs are compiled closures (see expr.compile_expr).
 
-``compute_fixpoint`` takes a system state, as the executor passes it.
-Given a tree (as ``clear_ports`` and ``deliver_events`` prepare one), it
-reads the tree's slots, runs the same core, and writes the result back
-into a tree.
+Every phase takes a system state and nothing else.  The executor runs
+a fresh instant in one call, ``compute_fixpoint(state, events=...)``;
+``clear_ports`` then ``deliver_events`` reach the same starting point in
+two stages, and are the reference the fused call is tested against.
 """
 
 from __future__ import annotations
@@ -35,13 +35,16 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
-from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT, ActorNode
-from .network import FsmInfo, Network, map_ports, network_of
+from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT
+from .network import FsmInfo, Network
 from .state import SystemState, make_state
 from .values import ABSENT, UNKNOWN, BoolVal, Present
+
+# Bound only for bench/spans.py, which wraps it by this name, until the
+# bench reads counters instead (ROADMAP item 3); no step calls it.
+from .network import map_ports  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -54,35 +57,42 @@ def _key_text(key: PortKey) -> str:
     return f"{'.'.join(path)}.{name}({direction})"
 
 
-def clear_ports(top: ActorNode) -> ActorNode:
+def _with_statuses(state: SystemState, statuses) -> SystemState:
+    return make_state(
+        state.network,
+        state.locations,
+        state.values,
+        state.enabled,
+        statuses,
+        state.entries,
+        state.now,
+        state.microstep_of_instant,
+    )
+
+
+def clear_ports(state: SystemState) -> SystemState:
     """Reset every port (frozen subtrees included) to unknown."""
-    return map_ports(top, [UNKNOWN] * network_of(top).size)
+    return _with_statuses(state, (UNKNOWN,) * state.network.size)
 
 
-def deliver_events(top: ActorNode, events) -> ActorNode:
+def deliver_events(state: SystemState, events) -> SystemState:
     """Write the values of due events onto their target output ports.
 
-    Every scheduled event addresses the output port of the actor that
-    produced it (clocks and delays); propagation to readers is the fixed
-    point's job.  Deliveries into frozen subtrees still set the port (the
-    value is genuinely there) but nothing reacts to it.
+    ``events`` are (port id, Present(value)) pairs, as a queue entry
+    holds them.  Every scheduled event addresses the output port of the
+    actor that produced it (clocks and delays); propagation to readers is
+    the fixed point's job.  Deliveries into frozen subtrees still set the
+    port (the value is genuinely there) but nothing reacts to it.
     """
-    network = network_of(top)
-    _, _, enabled, statuses = network.flatten(top)
-    deliveries = network.flat_events(events)
-    if not deliveries:
-        return top
-    statuses = list(statuses)
-    _deliver(network, network.mode(enabled).live, deliveries, statuses)
-    return map_ports(top, statuses)
-
-
-def _deliver(network: Network, live, events, statuses) -> None:
+    network = state.network
+    live = network.mode(state.enabled).live
     actor = network.port_actor
+    statuses = list(state.statuses)
     for pid, status in events:
         if not live[actor[pid]]:
             _frozen_delivery(network, pid)
         statuses[pid] = status
+    return _with_statuses(state, tuple(statuses))
 
 
 def _frozen_delivery(network: Network, pid: int) -> None:
@@ -335,35 +345,28 @@ def _rule_set(network: Network, enabled, live, locations) -> RuleSet:
 
 @dataclass
 class FixpointResult:
-    """One resolved instant.
-
-    From a system state: ``state`` is that state with the resolved port
-    statuses, and ``decisions`` maps each firing machine's actor index to
-    its compiled transition.  From a tree: ``top`` is the resolved tree,
-    and ``decisions`` maps each live machine's path to ("fire",
-    Transition) or ("nofire", None).
-    """
+    """One resolved instant: ``state`` with the resolved port statuses, and
+    ``decisions`` mapping each firing machine's actor index to its compiled
+    transition."""
 
     decisions: dict
     applications: int
     stalled_ports: tuple  # ports that needed the absent fallback, () if none
-    state: Optional[SystemState] = None
-    top: Optional[ActorNode] = None
+    state: SystemState
 
 
-def compute_fixpoint(subject, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
-    """Resolve one instant of a system state or a tree.
+def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
+    """Resolve one instant of a system state.
 
-    Without ``events`` the subject's port statuses are the starting point
+    Without ``events`` the state's port statuses are the starting point
     (as prepared by clear_ports and deliver_events).  With them, the
     instant starts afresh: every port is unknown except the targets of
-    ``events``, exactly as clear_ports then deliver_events would leave it.
-    A state takes its events as (port id, Present(value)) pairs, the
-    entries of its queue; a tree takes Event objects.  Ports no rule
-    writes (event-sourced outputs with no event due, unconnected ports)
-    are then set absent.
+    ``events``, (port id, Present(value)) pairs, exactly as clear_ports
+    then deliver_events would leave it.  Ports no rule writes
+    (event-sourced outputs with no event due, unconnected ports) are then
+    set absent.
 
-    The fixed point is a worklist over the rule set of the subject's mode
+    The fixed point is a worklist over the rule set of the state's mode
     configuration, built once and cached.  The initial schedule holds
     every state machine's rule and every rule that reads a port already
     known, deepest actors first.  When a rule resolves a port, the rules
@@ -379,59 +382,12 @@ def compute_fixpoint(subject, bottom_as_absent: bool = False, rng=None, events=N
     they started with: their own statuses, or, for a fresh instant,
     unknown unless an event was delivered there.
     """
-    if isinstance(subject, ActorNode):
-        return _tree_fixpoint(subject, bottom_as_absent, rng, events)
-    network = subject.network
-    statuses, fired, applications, stalled = _resolve(
-        network,
-        subject.locations,
-        subject.values,
-        subject.enabled,
-        subject.statuses if events is None else None,
-        events,
-        bottom_as_absent,
-        rng,
-    )
-    resolved = make_state(
-        network,
-        subject.locations,
-        subject.values,
-        subject.enabled,
-        tuple(statuses),
-        subject.entries,
-        subject.now,
-        subject.microstep_of_instant,
-    )
-    return FixpointResult(fired, applications, stalled, state=resolved)
-
-
-def _tree_fixpoint(top: ActorNode, bottom_as_absent, rng, events) -> FixpointResult:
-    network = network_of(top)
-    locations, values, enabled, statuses = network.flatten(top)
-    if events is not None:
-        statuses, events = None, network.flat_events(events)
-    statuses, fired, applications, stalled = _resolve(
-        network, locations, values, enabled, statuses, events, bottom_as_absent, rng
-    )
-    live = network.mode(enabled).live
-    decisions = {
-        network.paths[i]: ("fire", fired[i].transition) if i in fired else _NOFIRE
-        for i in network.fsms
-        if live[i]
-    }
-    return FixpointResult(decisions, applications, stalled, top=map_ports(top, statuses))
-
-
-def _resolve(network: Network, locations, values, enabled, statuses, events, bottom_as_absent, rng):
-    """The fixed point on slots: (statuses, firing machines, applications, stalled ports).
-
-    ``statuses`` is the starting point, or None for a fresh instant with
-    ``events`` delivered.
-    """
-    live = network.mode(enabled).live
-    rule_set = _rule_set(network, enabled, live, locations)
+    network = state.network
+    locations, values = state.locations, state.values
+    live = network.mode(state.enabled).live
+    rule_set = _rule_set(network, state.enabled, live, locations)
     dependents = rule_set.dependents
-    if statuses is None:
+    if events is not None:
         # A fresh instant: delivery, the absent fill and the initial
         # schedule as the general case below would make them.
         st = list(rule_set.blank)
@@ -449,7 +405,7 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
             st[pid] = status
         schedule = list(rule_set.schedule) if extra is None else sorted(extra.union(rule_set.schedule))
     else:
-        st = list(statuses)
+        st = list(state.statuses)
         applications = 0
         for pid in rule_set.unwritten:
             if st[pid] is UNKNOWN:
@@ -517,4 +473,4 @@ def _resolve(network: Network, locations, values, enabled, statuses, events, bot
         stalled = tuple(keys)
     else:
         stalled = ()
-    return st, fired, applications, stalled
+    return FixpointResult(fired, applications, stalled, _with_statuses(state, tuple(st)))

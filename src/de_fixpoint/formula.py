@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .props import LocProp, VarProp
+from .util import hash_once
 
 
 class Formula:
@@ -19,25 +20,9 @@ class Formula:
 
 
 def formula_class(cls):
-    """Declare a connective: a frozen dataclass that hashes each node once.
-
-    A frozen dataclass hashes its whole subtree again on every set, dict
-    or frozenset use.  The value kept is the one the dataclass computes
-    (the hash of the field tuple), so set and dict orders do not change.
-    """
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = field_hash(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    cls.__hash__ = __hash__
-    return cls
+    """Declare a connective: a frozen dataclass that hashes each node once,
+    rather than its whole subtree on every set, dict or frozenset use."""
+    return hash_once(dataclass(frozen=True)(cls))
 
 
 # The connectives below have no next operator, so every formula is

@@ -10,13 +10,13 @@ All nodes are immutable snapshots.  Collections are sorted at
 construction, so two trees describing the same model compare equal no
 matter the declaration order.
 
-A tree is the model as parsed, and an edge view of a running system: the
-engine compiles a tree's static side once (see network.py) and keeps the
-dynamic side (port statuses, locations, variables, enabled flags) in flat
-slots.  It writes slots back into a tree only for callers that ask for
-one, with ``ActorNode.with_state`` (through ``network.map_ports``), which
-keeps the existing port, transition and child tuples in their order and
-never re-sorts them, and shares every node whose contents did not change.
+A tree is the model as parsed, and a read-only view of a running
+system: the engine compiles a tree's static side once (see network.py)
+and keeps the dynamic side (port statuses, locations, variables, enabled
+flags) in flat slots.  It builds a tree from slots only when a caller
+reads ``SystemState.top``, with ``ActorNode.with_state``, which keeps the
+existing port, transition and child tuples in their order and never
+re-sorts them.
 """
 
 from __future__ import annotations

@@ -20,13 +20,14 @@ resolution (Ptolemaeus, ed., *System Design, Modeling, and Simulation
 using Ptolemy II*, 2014, DE chapter).
 
 A system state (see state.py) holds its dynamic side as flat tuples
-indexed by actor, port id and value slot.  Trees remain the model's
-input and an edge view of a state: :meth:`Network.flatten` reads a
-tree's dynamic side into slots, and :func:`map_ports` writes slots back
-into a tree.  ``initialize`` compiles the network of the normalized
-tree and caches it on that tree's root; every tree built from slots
-carries it too, and a tree built any other way compiles its own on
-first use.
+indexed by actor, port id and value slot, and every engine phase works
+on those.  Trees remain the model's input and a read-only view of a
+state: :meth:`Network.flatten` reads a tree's dynamic side into slots,
+:meth:`Network.flat_events` turns Events into port ids, and
+:meth:`Network.tree` (through :func:`map_ports`, the one tree writer)
+builds the view ``SystemState.top`` shows.  ``network_of`` compiles a
+tree's network on first use and caches it on the tree's root; every
+tree built from slots carries it too.
 """
 
 from __future__ import annotations
@@ -108,14 +109,6 @@ class FsmInfo:
         # location -> compiled transitions leaving it, in canonical order
         self.outgoing = _Outgoing(node.transitions, slots, node.parameters, self.in_ids)
 
-    def compiled(self, transition) -> CompiledTransition:
-        """The compiled form of ``transition``: the machine's own, or, for a
-        transition a tree-level caller made up, one compiled now."""
-        for entry in self.outgoing[transition.source]:
-            if entry.transition == transition:
-                return entry
-        return self.outgoing.compile(transition)
-
 
 class _Outgoing(dict):
     """Compiled transitions by source location, compiled on first lookup."""
@@ -125,11 +118,10 @@ class _Outgoing(dict):
         self.transitions = transitions
         self.env = (slots, parameters, in_ids)
 
-    def compile(self, transition) -> CompiledTransition:
-        return CompiledTransition(transition, *self.env)
-
     def __missing__(self, location):
-        entries = self[location] = tuple(self.compile(t) for t in self.transitions if t.source == location)
+        entries = self[location] = tuple(
+            CompiledTransition(t, *self.env) for t in self.transitions if t.source == location
+        )
         return entries
 
 
@@ -400,16 +392,7 @@ class Network:
 
     def tree(self, locations, values, enabled, statuses) -> ActorNode:
         """The tree with this structure and the given dynamic side."""
-        changes = {}
-        for i, node in enumerate(self.nodes_of(self.template)):
-            change = changes[i] = {"enabled": enabled[i]}
-            if node.kind == FSM:
-                change["curr_location"] = locations[i]
-            if node.variables:
-                change["variables"] = FrozenMap({name: values[slot] for name, slot in self.slots[i].items()})
-        top = _rebuild(self, self.template, statuses, changes)
-        object.__setattr__(top, "_network", self)
-        return top
+        return map_ports(self, locations, values, enabled, statuses)
 
 
 def network_of(top: ActorNode) -> Network:
@@ -421,50 +404,31 @@ def network_of(top: ActorNode) -> Network:
     return network
 
 
-def map_ports(top: ActorNode, statuses=None, changes=None) -> ActorNode:
-    """Rebuild a tree with new dynamic state; the one way a tree is rewritten.
+def map_ports(network: Network, locations, values, enabled, statuses) -> ActorNode:
+    """Write slots into a tree: the one way a tree is built from a state.
 
-    ``statuses``, when given, is every port's new status, indexed by port
-    id (see Network).  ``changes`` maps an actor index to the other
-    ``ActorNode.with_state`` arguments for that actor (``curr_location``,
-    ``variables``, ``enabled``).  The rebuild relies on collections being
-    canonical once built: it keeps every port and child tuple in its
-    order and never re-sorts.  Ports, and whole subtrees, that come back
-    unchanged are shared with the old tree rather than copied.
+    Rebuilds the network's template bottom up.  Every port and child
+    tuple keeps its canonical order and is never sorted again; ports
+    whose status is the template's are shared with it.  The tree carries
+    the network.
     """
-    if statuses is None and not changes:
-        return top
-    return _rebuild(network_of(top), top, statuses, changes or {})
-
-
-def _rebuild(network: Network, top: ActorNode, statuses, changes) -> ActorNode:
-    nodes = network.nodes_of(top)
-    rebuilt = list(nodes)
-    children = network.children
-    port_ids = network.port_ids
+    nodes = network.nodes_of(network.template)
+    rebuilt = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
-        new_ports = None
-        if statuses is not None:
-            for j, (p, pid) in enumerate(zip(node.ports, port_ids[i])):
-                old = p.status
-                status = statuses[pid]
-                if status is not old and status != old:
-                    if new_ports is None:
-                        new_ports = list(node.ports)
-                    new_ports[j] = Port(p.name, p.direction, status)
-        inner = None
-        kids = children[i]
-        for c in kids:
-            if rebuilt[c] is not nodes[c]:
-                # Children have consecutive indices.
-                inner = tuple(rebuilt[kids[0] : kids[-1] + 1])
-                break
-        change = changes.get(i)
-        if new_ports is not None or inner is not None or change:
-            rebuilt[i] = node.with_state(
-                ports=tuple(new_ports) if new_ports is not None else None,
-                inner=inner,
-                **(change or {}),
-            )
-    return rebuilt[0]
+        ports = tuple(
+            p if statuses[pid] == p.status else Port(p.name, p.direction, statuses[pid])
+            for p, pid in zip(node.ports, network.port_ids[i])
+        )
+        change = {"enabled": enabled[i]}
+        if node.kind == FSM:
+            change["curr_location"] = locations[i]
+        if node.variables:
+            change["variables"] = FrozenMap({name: values[slot] for name, slot in network.slots[i].items()})
+        kids = network.children[i]
+        # Children have consecutive indices.
+        inner = tuple(rebuilt[kids[0] : kids[-1] + 1]) if kids else None
+        rebuilt[i] = node.with_state(ports=ports, inner=inner, **change)
+    top = rebuilt[0]
+    object.__setattr__(top, "_network", network)
+    return top

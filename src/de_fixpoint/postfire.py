@@ -11,10 +11,8 @@ Frozen refinements commit nothing.
 
 A commit reads and writes a state's slots by actor index, port id and
 value slot (see state.py), and its scheduling requests are (ticks,
-microstep, (port id, status)) triples.  ``postfire`` given a tree reads
-the tree's slots, commits the same way, and writes the changes back
-into the tree with one ``network.map_ports``; its requests then carry
-exact times and Event objects.
+microstep, (port id, status)) triples, which ``commit_requests`` folds
+into the state's queue.
 
 ``initialize`` compiles the model's network (see network.py), which
 every later state carries.
@@ -22,14 +20,11 @@ every later state carries.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UnknownVariableTarget
-from .events import Event, EventQueue, schedule
-from .model import CLOCK, DELAY, FSM, ActorNode, PortRef, normalize, validate
-from .network import Network, map_ports, network_of
+from .events import schedule
+from .model import CLOCK, DELAY, FSM, ActorNode, normalize, validate
+from .network import Network, network_of
 from .state import SystemState, make_state
-from .util import FrozenMap
 from .values import UNKNOWN, Present
 
 
@@ -75,45 +70,25 @@ def _select_modes(network: Network, locations, enabled) -> tuple:
     return enabled if changed is None else tuple(changed)
 
 
-def postfire(subject, decisions):
-    """Commit one iteration.  Returns (next state or tree, scheduling requests).
+def postfire(state: SystemState, decisions):
+    """Commit one iteration.  Returns (next state, scheduling requests).
 
-    ``subject`` must carry the resolved port statuses and ``decisions``
-    the firing decisions, both as compute_fixpoint produced them: for a
-    state, its ``state`` and its firing machines by actor index; for a
-    tree, its ``top`` and its verdicts by path.  The requests are in
-    actor order; commit them with commit_requests to preserve the
-    deterministic ordering.
+    ``state`` must carry the resolved port statuses and ``decisions`` the
+    firing machines' compiled transitions by actor index, both as
+    compute_fixpoint produced them.  Machines that fired move and update
+    their variables; live clocks, delays and setters commit.  Slots that
+    do not change are shared with ``state``.  The requests are in actor
+    order; commit them with commit_requests to preserve the deterministic
+    ordering.
     """
-    if isinstance(subject, ActorNode):
-        return _tree_postfire(subject, decisions)
-    network = subject.network
-    locations, values, requests = _commit(
-        network, subject.locations, subject.values, subject.enabled, subject.statuses, decisions
-    )
-    enabled = _select_modes(network, locations, subject.enabled)
-    nxt = make_state(
-        network,
-        locations,
-        values,
-        enabled,
-        subject.statuses,
-        subject.entries,
-        subject.now,
-        subject.microstep_of_instant,
-    )
-    return nxt, requests
-
-
-def _commit(network: Network, locations, values, enabled, statuses, fired):
-    """(locations, values, requests) after the firing machines and live
-    clocks, delays and setters commit; unchanged slots come back as given."""
+    network = state.network
+    locations, values, statuses = state.locations, state.values, state.statuses
     new_locations = new_values = None
     composite_writes = {}  # composite index -> {variable: value}
     requests = []
-    for i, kind in network.mode(enabled).committers:
+    for i, kind in network.mode(state.enabled).committers:
         if kind == FSM:
-            entry = fired.get(i)
+            entry = decisions.get(i)
             if entry is None:
                 continue
             if entry.updates:
@@ -155,56 +130,24 @@ def _commit(network: Network, locations, values, enabled, statuses, fired):
             if var not in slots:
                 raise UnknownVariableTarget(f"{'.'.join(network.paths[i])} has no variable '{var}'")
             new_values[slots[var]] = value
-    return (
-        locations if new_locations is None else tuple(new_locations),
+    if new_locations is not None:
+        locations = tuple(new_locations)
+    nxt = make_state(
+        network,
+        locations,
         values if new_values is None else tuple(new_values),
-        requests,
+        _select_modes(network, locations, state.enabled),
+        statuses,
+        state.entries,
+        state.now,
+        state.microstep_of_instant,
     )
+    return nxt, requests
 
 
-def _tree_postfire(top: ActorNode, decisions):
-    network = network_of(top)
-    locations, values, enabled, statuses = network.flatten(top)
-    live = network.mode(enabled).live
-    fired = {}
-    for i, info in network.fsms.items():
-        verdict, transition = decisions.get(network.paths[i], ("nofire", None))
-        if live[i] and verdict == "fire":
-            fired[i] = info.compiled(transition)
-    new_locations, new_values, requests = _commit(network, locations, values, enabled, statuses, fired)
-    new_enabled = _select_modes(network, new_locations, enabled)
-    # Only actors whose state changes are rebuilt, along with their
-    # ancestors; every other subtree is shared with ``top``.
-    changes = {}
-    for i, slots in enumerate(network.slots):
-        change = {}
-        if new_locations[i] != locations[i]:
-            change["curr_location"] = new_locations[i]
-        if any(new_values[slot] != values[slot] for slot in slots.values()):
-            change["variables"] = FrozenMap({name: new_values[slot] for name, slot in slots.items()})
-        if new_enabled[i] != enabled[i]:
-            change["enabled"] = new_enabled[i]
-        if change:
-            changes[i] = change
-    base = network.timebase
-    requests = [
-        (Fraction(time, base), microstep, Event(PortRef(*network.keys[pid][:2]), status.value))
-        for time, microstep, (pid, status) in requests
-    ]
-    return map_ports(top, changes=changes), requests
-
-
-def commit_requests(queue, requests):
-    """Fold scheduling requests into a queue, in the order given.
-
-    ``queue`` is a system state, whose flat queue takes the requests of
-    a state's postfire, or an EventQueue, which takes a tree's.
-    """
-    if isinstance(queue, EventQueue):
-        for delay, microstep, event in requests:
-            queue = queue.add(delay, microstep, event)
-        return queue
-    entries = queue.entries
+def commit_requests(state: SystemState, requests) -> SystemState:
+    """Fold a postfire's scheduling requests into the state's queue, in the order given."""
+    entries = state.entries
     for time, microstep, event in requests:
-        entries = schedule(entries, time, microstep, event, queue.network)
-    return queue.requeued(entries, queue.now, queue.microstep_of_instant)
+        entries = schedule(entries, time, microstep, event, state.network)
+    return state.requeued(entries, state.now, state.microstep_of_instant)

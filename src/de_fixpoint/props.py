@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import NoSuchVariable, NotAnFsm
 from .model import MODAL
 from .state import SystemState
+from .util import hash_once
 from .values import BoolVal, literal_text
 
 
@@ -26,6 +27,7 @@ def _value_text(v) -> str:
     return literal_text(v)
 
 
+@hash_once
 @dataclass(frozen=True)
 class VarProp:
     """Holds when every listed variable of the actor equals its value."""
@@ -43,6 +45,7 @@ class VarProp:
         return f"{path} | ({pairs})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class LocProp:
     """Holds when the state machine (or modal controller) is in the location."""

@@ -1,4 +1,5 @@
-"""Small shared utilities: an immutable sorted mapping and exact time helpers."""
+"""Small shared utilities: an immutable sorted mapping, hash-once
+dataclasses and exact time helpers."""
 
 from __future__ import annotations
 
@@ -55,6 +56,27 @@ class FrozenMap(Mapping):
 
 
 EMPTY_MAP = FrozenMap()
+
+
+def hash_once(cls):
+    """Make a frozen dataclass hash each instance once.
+
+    A frozen dataclass hashes its fields again on every set or dict use.
+    The value kept is the one the dataclass computes (the hash of the
+    field tuple), so set and dict orders do not change.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 def time_amount(value) -> Fraction:

@@ -123,7 +123,3 @@ class Present(PortStatus):
 
 UNKNOWN = Unknown()
 ABSENT = Absent()
-
-
-def is_known(status: PortStatus) -> bool:
-    return not isinstance(status, Unknown)

@@ -211,9 +211,11 @@ def test_compiled_transitions_match_eval_expr(model, status):
     statuses[info.in_ids["In"]] = status
     values = network.flatten(model)[1]
     env = {"In": status}
-    for t in node.transitions:
-        entry = info.compiled(t)
-        assert entry.transition == t
+    # By source location, in canonical order: every transition of M, once.
+    entries = [e for source in sorted({t.source for t in node.transitions}) for e in info.outgoing[source]]
+    assert [entry.transition for entry in entries] == list(node.transitions)
+    for entry in entries:
+        t = entry.transition
         assert outcome(lambda: entry.guard(statuses, values)) == outcome(
             lambda: eval_expr(t.guard, node.variables, node.parameters, env)
         )

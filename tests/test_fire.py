@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from de_fixpoint.errors import CausalityCycle, NoSuchPort
-from de_fixpoint.events import Event
+from de_fixpoint.events import Event, EventQueue, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, Unary
 from de_fixpoint.fire import clear_ports, compute_fixpoint, deliver_events
 from de_fixpoint.model import (
@@ -34,7 +34,6 @@ from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
-    BoolVal,
     IntVal,
     Present,
     TimeVal,
@@ -44,28 +43,57 @@ import families
 from conftest import initial_state
 
 
+def pop_due(state):
+    """(the state with its due batch popped, the batch), as a step pops it."""
+    _, _, events = state.entries[0]
+    return state.requeued(state.entries[1:], state.now, state.microstep_of_instant), events
+
+
+def staged(state):
+    """The staged reference for a due instant: the due batch popped, every
+    port cleared, then the batch delivered."""
+    popped, events = pop_due(state)
+    return deliver_events(clear_ports(popped), events)
+
+
+def fused_matches_staged(state, steps):
+    """Step ``steps`` times; at every due instant, resolving it in one call
+    must equal resolving the staged reference.  Returns the instants seen."""
+    seen = 0
+    for _ in range(steps):
+        if is_due(state):
+            popped, events = pop_due(state)
+            fused = compute_fixpoint(popped, events=events)
+            reference = compute_fixpoint(staged(state))
+            assert fixpoint_signature(fused) == fixpoint_signature(reference)
+            assert fused.state == reference.state
+            assert fused.state.top == reference.state.top
+            assert fused.decisions == reference.decisions
+            seen += 1
+        state, _ = step(state)
+    return seen
+
+
+def is_due(state):
+    return state.entries[0][:2] == (0, 0)
+
+
 def iteration_instants(state, *, max_elapsed):
-    """[(tree with events delivered, live port count)] per fire instant."""
+    """[(state with events delivered, live port count)] per fire instant."""
     out = []
-    while not state.queue.is_empty() and state.elapsed <= max_elapsed:
-        if state.queue.head_tag() == (Fraction(0), 0):
-            events, _ = state.queue.pop_ready()
-            prepared = deliver_events(clear_ports(state.top), events)
+    while state.entries and state.elapsed <= max_elapsed:
+        if is_due(state):
             live_ports = sum(
                 len(node.ports) for _, node, _ in iter_actors(state.top, live_only=True)
             )
-            out.append((prepared, live_ports))
+            out.append((staged(state), live_ports))
         state, _ = step(state)
     return out
 
 
 def fixpoint_signature(result):
-    statuses = tuple(
-        (path, p.name, p.direction, p.status)
-        for path, node, _ in iter_actors(result.top)
-        for p in node.ports
-    )
-    return (statuses, tuple(sorted(result.decisions.items())), result.applications)
+    decisions = sorted((i, entry.transition) for i, entry in result.decisions.items())
+    return (result.state.statuses, decisions, result.applications, result.stalled_ports)
 
 
 @pytest.mark.parametrize(
@@ -81,11 +109,6 @@ def test_fixpoint_confluent_under_shuffled_rule_order(fixture):
             assert fixpoint_signature(shuffled) == baseline
 
 
-def flat_signature(result):
-    decisions = sorted((i, entry.transition.target) for i, entry in result.decisions.items())
-    return (result.state.statuses, decisions, result.applications, result.stalled_ports)
-
-
 @settings(max_examples=30)
 @given(families.MODELS, st.integers(0, 2**32 - 1))
 def test_fixpoint_confluent_on_generated_models(text, seed):
@@ -97,13 +120,21 @@ def test_fixpoint_confluent_on_generated_models(text, seed):
     for _ in range(120):
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
-            baseline = flat_signature(compute_fixpoint(state, events=events))
+            baseline = fixpoint_signature(compute_fixpoint(state, events=events))
             for _ in range(4):
-                assert flat_signature(compute_fixpoint(state, events=events, rng=rng)) == baseline
+                assert fixpoint_signature(compute_fixpoint(state, events=events, rng=rng)) == baseline
             assert step(state, rng=rng) == step(state)
             instants += 1
         state, _ = step(state)
     assert instants >= 10
+
+
+@settings(max_examples=20)
+@given(families.MODELS)
+def test_fused_instant_matches_staged_on_generated_models(text):
+    # A fresh instant in one call resolves exactly as clearing the ports,
+    # delivering the due events and resolving from there.
+    assert fused_matches_staged(initialize(parse_model(text)), 120) >= 10
 
 
 @pytest.mark.parametrize(
@@ -119,7 +150,7 @@ def test_all_live_ports_known_at_quiescence(flat_state):
     for prepared, _ in iteration_instants(flat_state, max_elapsed=5):
         result = compute_fixpoint(prepared)
         assert result.stalled_ports == ()
-        for _, node, _ in iter_actors(result.top, live_only=True):
+        for _, node, _ in iter_actors(result.state.top, live_only=True):
             for p in node.ports:
                 assert p.status is not UNKNOWN
 
@@ -127,7 +158,7 @@ def test_all_live_ports_known_at_quiescence(flat_state):
 def test_unwritten_outputs_default_to_absent(flat_state):
     prepared, _ = iteration_instants(flat_state, max_elapsed=0)[0]
     result = compute_fixpoint(prepared)
-    car = resolve(result.top, ("FlatTrafficLight", "CarLight"))
+    car = resolve(result.state.top, ("FlatTrafficLight", "CarLight"))
     # The initial transition writes the lamp outputs but not the
     # pedestrian go/stop commands; those resolve to absent, not an error.
     assert car.port("Pgo", OUT).status is ABSENT
@@ -135,29 +166,29 @@ def test_unwritten_outputs_default_to_absent(flat_state):
     assert car.port("Cred", OUT).status == Present(IntVal(1))
 
 
-def test_frozen_subtree_takes_no_part(hier_state):
-    state = hier_state
-    while not (
-        state.elapsed == 16 and state.queue.head_tag() == (Fraction(0), 0)
-    ):
+def due_at(state, elapsed):
+    while not (state.elapsed == elapsed and is_due(state)):
         state, _ = step(state)
+    return state
+
+
+def test_frozen_subtree_takes_no_part(hier_state):
+    state = due_at(hier_state, 16)
     modal = resolve(state.top, ("HierarchicalTrafficLight", "TrafficLight"))
     assert modal.child("normal").enabled is False
-    events, _ = state.queue.pop_ready()
-    result = compute_fixpoint(deliver_events(clear_ports(state.top), events))
+    result = compute_fixpoint(staged(state))
     normal_path = ("HierarchicalTrafficLight", "TrafficLight", "normal")
-    assert all(not path[: len(normal_path)] == normal_path for path in result.decisions)
-    frozen_car = resolve(result.top, normal_path + ("CarLight",))
+    paths = [state.network.paths[i] for i in result.decisions]
+    assert all(not path[: len(normal_path)] == normal_path for path in paths)
+    frozen_car = resolve(result.state.top, normal_path + ("CarLight",))
     assert all(p.status is UNKNOWN for p in frozen_car.ports)
-    live_error = resolve(result.top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))
+    live_error = resolve(result.state.top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))
     assert all(p.status is not UNKNOWN for p in live_error.ports)
 
 
 def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
-    state = hier_state
-    while not (state.elapsed == 16 and state.queue.head_tag() == (Fraction(0), 0)):
-        state, _ = step(state)
-    events, _ = state.queue.pop_ready()
+    state = due_at(hier_state, 16)
+    _, _, events = state.entries[0]
     stray = Event(
         PortRef(
             ("HierarchicalTrafficLight", "TrafficLight", "normal", "TimedDelay1"),
@@ -166,33 +197,33 @@ def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
         IntVal(1),
     )
     with caplog.at_level(logging.INFO, logger="de_fixpoint.fire"):
-        prepared = deliver_events(clear_ports(state.top), list(events) + [stray])
+        prepared = deliver_events(clear_ports(state), events + state.network.flat_events([stray]))
     assert any("frozen refinement" in r.message for r in caplog.records)
-    before = fsm_locations(SystemState(state.top, state.queue))
+    before = fsm_locations(state)
     result = compute_fixpoint(prepared)
     # The value sits on the port but drives nothing; the run is unaffected.
-    delay = resolve(result.top, stray.target.actor)
+    delay = resolve(result.state.top, stray.target.actor)
     assert delay.port("output", OUT).status == Present(IntVal(1))
-    after = fsm_locations(SystemState(result.top, state.queue))
+    after = fsm_locations(result.state)
     frozen = {k: v for k, v in before.items() if "normal" in k}
     assert {k: v for k, v in after.items() if "normal" in k} == frozen
 
 
 def test_delivery_to_unknown_target_rejected(flat_state):
+    # Events become port ids once, where a state is built from a queue.
     bad = Event(PortRef(("FlatTrafficLight", "Ghost"), "output"), IntVal(1))
     with pytest.raises(NoSuchPort):
-        deliver_events(flat_state.top, [bad])
+        SystemState(flat_state.top, EventQueue((QueueEntry(Fraction(1), 0, (bad,)),)))
     not_output = Event(PortRef(("FlatTrafficLight", "CarLight"), "Sec"), IntVal(1))
     with pytest.raises(NoSuchPort):
-        deliver_events(flat_state.top, [not_output])
+        SystemState(flat_state.top, EventQueue((QueueEntry(Fraction(1), 0, (not_output,)),)))
 
 
 # Causality cycles. -----------------------------------------------------------
 
 
 def test_causality_cycle_reports_every_stuck_port(cycle_state):
-    events, _ = cycle_state.queue.pop_ready()
-    prepared = deliver_events(clear_ports(cycle_state.top), events)
+    prepared = staged(cycle_state)
     with pytest.raises(CausalityCycle) as err:
         compute_fixpoint(prepared)
     text = str(err.value)
@@ -202,16 +233,13 @@ def test_causality_cycle_reports_every_stuck_port(cycle_state):
 
 
 def test_bottom_as_absent_forces_stuck_ports_after_decisions(cycle_state):
-    events, _ = cycle_state.queue.pop_ready()
-    prepared = deliver_events(clear_ports(cycle_state.top), events)
-    result = compute_fixpoint(prepared, bottom_as_absent=True)
+    result = compute_fixpoint(staged(cycle_state), bottom_as_absent=True)
     assert len(result.stalled_ports) == 4
-    a = resolve(result.top, ("FeedbackLoop", "A"))
+    a = resolve(result.state.top, ("FeedbackLoop", "A"))
     assert a.port("In", IN).status is ABSENT
     assert a.port("Out", OUT).status is ABSENT
-    for path, decision in result.decisions.items():
-        if path[-1] in ("A", "B"):
-            assert decision == ("nofire", None)
+    # Neither machine of the loop fired.
+    assert all(cycle_state.network.paths[i][-1] not in ("A", "B") for i in result.decisions)
 
 
 def test_decisions_are_read_before_the_absent_fallback():
@@ -240,7 +268,7 @@ def test_decisions_are_read_before_the_absent_fallback():
         locations=("s",),
         init_location="s",
         curr_location="s",
-        transitions=(dummy_copy := Transition("s", "s", IsPresent("In"), outputs={"Out": Lit(IntVal(1))}),),
+        transitions=(Transition("s", "s", IsPresent("In"), outputs={"Out": Lit(IntVal(1))}),),
     )
     clock = ActorNode(
         "Clock",
@@ -259,10 +287,11 @@ def test_decisions_are_read_before_the_absent_fallback():
         ),
     )
     tick = Event(PortRef(("Loop", "Clock"), "output"), IntVal(1))
-    prepared = deliver_events(clear_ports(top), [tick])
+    state = SystemState(top)
+    prepared = deliver_events(clear_ports(state), state.network.flat_events([tick]))
     result = compute_fixpoint(prepared, bottom_as_absent=True)
-    assert result.decisions[("Loop", "A")] == ("nofire", None)
-    assert resolve(result.top, ("Loop", "A")).port("Out", OUT).status is ABSENT
+    assert state.network.index[("Loop", "A")] not in result.decisions
+    assert resolve(result.state.top, ("Loop", "A")).port("Out", OUT).status is ABSENT
 
 
 def test_conflicting_drives_are_a_hard_error():
@@ -296,29 +325,29 @@ def test_conflicting_drives_are_a_hard_error():
             Event(PortRef(("Top", "C1"), "output"), IntVal(1)),
             Event(PortRef(("Top", "C2"), "output"), top.child("C2").parameters["emit"]),
         ]
-        return compute_fixpoint(deliver_events(clear_ports(top), events))
+        state = SystemState(top)
+        return compute_fixpoint(deliver_events(clear_ports(state), state.network.flat_events(events)))
 
     with pytest.raises(AssertionError):
         fire_both(two_clock_top(emit2=2))
     # Identical drives agree, so the race is benign.
     result = fire_both(two_clock_top(emit2=1))
-    assert resolve(result.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
+    assert resolve(result.state.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
 
 
 def test_step_matches_manual_fire_pipeline(flat_state):
     state = flat_state
-    while state.queue.head_tag() != (Fraction(0), 0):
+    while not is_due(state):
         state, _ = step(state)
-    events, _ = state.queue.pop_ready()
-    manual = compute_fixpoint(deliver_events(clear_ports(state.top), events))
+    manual = compute_fixpoint(staged(state))
     stepped, kind = step(state, rng=random.Random(3))
     assert isinstance(kind, Iteration)
     expected = {}
-    for path, (verdict, transition) in manual.decisions.items():
-        if verdict == "fire":
-            expected[".".join(path)] = transition.target
+    for i, path in state.network.fsm_paths:
+        if i in manual.decisions:
+            expected[path] = manual.decisions[i].transition.target
         else:
-            expected[".".join(path)] = resolve(manual.top, path).curr_location
+            expected[path] = manual.state.locations[i]
     assert fsm_locations(stepped) == expected
 
 
@@ -329,19 +358,7 @@ def test_step_matches_manual_fire_pipeline(flat_state):
     "fixture", ["flat_traffic_light.model", "hierarchical_traffic_light.model"]
 )
 def test_fused_instant_matches_clear_then_deliver(fixture):
-    state = initial_state(fixture)
-    seen = 0
-    while state.elapsed <= 20:
-        if state.queue.head_tag() == (Fraction(0), 0):
-            events, _ = state.queue.pop_ready()
-            staged = compute_fixpoint(deliver_events(clear_ports(state.top), events))
-            fused = compute_fixpoint(state.top, events=events)
-            assert fused.top == staged.top
-            assert fused.decisions == staged.decisions
-            assert fused.applications == staged.applications
-            seen += 1
-        state, _ = step(state)
-    assert seen >= 20
+    assert fused_matches_staged(initial_state(fixture), 200) >= 20
 
 
 def test_rules_are_built_once_per_mode_configuration(hier_state):

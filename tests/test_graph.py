@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from de_fixpoint.errors import StateSpaceExceeded
 from de_fixpoint.events import EMPTY_QUEUE, Event
-from de_fixpoint.executor import Iteration, Tick, step
+from de_fixpoint.executor import Iteration, Tick, simulate, step
 from de_fixpoint.graph import Stutter, build_state_graph, search
 from de_fixpoint.model import PortRef
 from de_fixpoint.parser import parse_model
@@ -15,6 +16,7 @@ from de_fixpoint.props import LocProp, VarProp
 from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import IntVal
 
+import families
 from conftest import initial_state
 from test_golden import RATIONAL
 
@@ -150,3 +152,25 @@ def test_a_state_takes_only_times_on_its_timebase(flat_state):
         SystemState(flat_state.top, off)
     with pytest.raises(ValueError):
         SystemState(flat_state.top, EMPTY_QUEUE, Fraction(5, 2))
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_simulate_trace_is_the_graph_up_to_the_lasso(text):
+    # A run is the lasso's chain: the trace's states are the graph's nodes
+    # in order, at the same times, with the same step kinds, and the step
+    # after the last node lands on the cycle's entry.  Every generated
+    # model runs forever, so the lasso closes on a real step.
+    initial = initialize(parse_model(text))
+    graph = build_state_graph(initial)
+    n = len(graph.nodes)
+    trace = simulate(initial, max_steps=n)
+    assert len(trace.steps) == n
+    states = [initial] + [ts.state for ts in trace.steps]
+    assert states[:n] == graph.nodes
+    assert [(s.now, s.microstep_of_instant) for s in states[:n]] == [
+        (s.now, s.microstep_of_instant) for s in graph.nodes
+    ]
+    assert [ts.kind for ts in trace.steps] == graph.kinds
+    assert states[n] == graph.nodes[graph.cycle_entry()]
+

@@ -149,8 +149,8 @@ def test_iter_actors_reports_liveness_of_frozen_subtrees(hier_state):
 def test_clear_ports_resets_statuses(hier_state):
     state, _ = step(hier_state)
     assert any(p.status is not UNKNOWN for _, n, _ in iter_actors(state.top) for p in n.ports)
-    cleared = clear_ports(state.top)
-    for _, node, _ in iter_actors(cleared):
+    cleared = clear_ports(state)
+    for _, node, _ in iter_actors(cleared.top):
         assert all(p.status is UNKNOWN for p in node.ports)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from de_fixpoint.errors import UnknownVariableTarget, ValidationError
-from de_fixpoint.events import EMPTY_QUEUE, Event
+from de_fixpoint.events import Event, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, PortValue, Var
 from de_fixpoint.model import (
     CLOCK,
@@ -23,9 +23,9 @@ from de_fixpoint.model import (
     iter_actors,
     resolve,
 )
-from de_fixpoint.network import network_of
+from de_fixpoint.network import network_of, to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
-from de_fixpoint.state import collect_variables, fsm_locations
+from de_fixpoint.state import SystemState, collect_variables, fsm_locations
 from de_fixpoint.executor import step
 from de_fixpoint.values import (
     ABSENT,
@@ -158,6 +158,12 @@ def test_initialize_honors_custom_emit_and_offset():
 # State-machine commits. --------------------------------------------------------
 
 
+def committed(state, decisions=None):
+    """The state after postfire and commit_requests, and postfire's requests."""
+    nxt, requests = postfire(state, decisions or {})
+    return commit_requests(nxt, requests), requests
+
+
 def test_variable_updates_are_simultaneous():
     transition = Transition(
         "s",
@@ -175,11 +181,15 @@ def test_variable_updates_are_simultaneous():
         variables={"x": IntVal(1), "y": IntVal(5)},
         transitions=(transition,),
     )
-    top, requests = postfire(wrap(fsm), {("Top", "M"): ("fire", transition)})
-    committed = resolve(top, ("Top", "M"))
-    assert committed.curr_location == "t"
-    assert committed.variables["x"] == IntVal(15)  # old y, not the new one
-    assert committed.variables["y"] == IntVal(1)  # old x
+    state = SystemState(wrap(fsm))
+    m = state.network.index[("Top", "M")]
+    (entry,) = state.network.fsms[m].outgoing["s"]
+    assert entry.transition == transition
+    nxt, requests = committed(state, {m: entry})
+    assert fsm_locations(nxt)["Top.M"] == "t"
+    variables = collect_variables(nxt)["Top.M"]
+    assert variables["x"] == IntVal(15)  # old y, not the new one
+    assert variables["y"] == IntVal(1)  # old x
     assert requests == []
 
 
@@ -194,10 +204,10 @@ def test_nofire_commits_nothing():
         variables={"x": IntVal(1)},
         transitions=(Transition("s", "t", TRUE, sets={"x": Lit(IntVal(9))}),),
     )
-    top, requests = postfire(wrap(fsm), {("Top", "M"): ("nofire", None)})
-    committed = resolve(top, ("Top", "M"))
-    assert committed.curr_location == "s"
-    assert committed.variables["x"] == IntVal(1)
+    # A machine that does not fire has no entry among the decisions.
+    nxt, requests = committed(SystemState(wrap(fsm)))
+    assert fsm_locations(nxt)["Top.M"] == "s"
+    assert collect_variables(nxt)["Top.M"]["x"] == IntVal(1)
     assert requests == []
 
 
@@ -217,21 +227,26 @@ def clock_with(status):
     )
 
 
+def scheduled(node):
+    """The queue entries committing ``Top``'s postfire leaves, and the requests."""
+    nxt, requests = committed(SystemState(wrap(node)))
+    return nxt.queue.entries, requests
+
+
 def test_ticked_clock_reschedules_one_period_out():
-    _, requests = postfire(wrap(clock_with(Present(IntVal(7)))), {})
-    assert requests == [
-        (Fraction(5, 2), 0, Event(PortRef(("Top", "C"), "output"), IntVal(7)))
-    ]
+    entries, _ = scheduled(clock_with(Present(IntVal(7))))
+    assert entries == (
+        QueueEntry(Fraction(5, 2), 0, (Event(PortRef(("Top", "C"), "output"), IntVal(7)),)),
+    )
 
 
 def test_silent_clock_does_not_reschedule():
-    _, requests = postfire(wrap(clock_with(ABSENT)), {})
-    assert requests == []
+    assert scheduled(clock_with(ABSENT)) == ((), [])
 
 
-def delay_with(amount, status):
+def delay_with(amount, status, name="D"):
     return ActorNode(
-        "D",
+        name,
         DELAY,
         ports=(Port("input", IN, status), Port("output", OUT, ABSENT)),
         parameters={"delay": TimeVal(Fraction(amount))},
@@ -239,22 +254,19 @@ def delay_with(amount, status):
 
 
 def test_delay_forwards_its_input_value_after_the_delay():
-    node = delay_with(Fraction(3, 2), Present(StringVal("payload")))
-    _, requests = postfire(wrap(node), {})
-    assert requests == [
-        (Fraction(3, 2), 0, Event(PortRef(("Top", "D"), "output"), StringVal("payload")))
-    ]
+    entries, _ = scheduled(delay_with(Fraction(3, 2), Present(StringVal("payload"))))
+    assert entries == (
+        QueueEntry(Fraction(3, 2), 0, (Event(PortRef(("Top", "D"), "output"), StringVal("payload")),)),
+    )
 
 
 def test_zero_delay_moves_one_microstep_later():
-    node = delay_with(0, Present(IntVal(4)))
-    _, requests = postfire(wrap(node), {})
-    assert requests == [(Fraction(0), 1, Event(PortRef(("Top", "D"), "output"), IntVal(4)))]
+    entries, _ = scheduled(delay_with(0, Present(IntVal(4))))
+    assert entries == (QueueEntry(Fraction(0), 1, (Event(PortRef(("Top", "D"), "output"), IntVal(4)),)),)
 
 
 def test_idle_delay_schedules_nothing():
-    _, requests = postfire(wrap(delay_with(1, ABSENT)), {})
-    assert requests == []
+    assert scheduled(delay_with(1, ABSENT)) == ((), [])
 
 
 # Variable setters. ---------------------------------------------------------------
@@ -276,9 +288,9 @@ def test_setter_writes_nearest_enclosing_composite():
         inner=(setter("x", Present(IntVal(42))),),
         variables={"x": IntVal(0)},
     )
-    top, _ = postfire(wrap(inner, variables={"x": IntVal(0)}), {})
-    assert resolve(top, ("Top", "Inner")).variables["x"] == IntVal(42)
-    assert resolve(top, ("Top",)).variables["x"] == IntVal(0)
+    nxt, _ = committed(SystemState(wrap(inner, variables={"x": IntVal(0)})))
+    assert collect_variables(nxt)["Top.Inner"]["x"] == IntVal(42)
+    assert collect_variables(nxt)["Top"]["x"] == IntVal(0)
 
 
 def test_setter_refining_a_modal_skips_past_it():
@@ -290,18 +302,18 @@ def test_setter_refining_a_modal_skips_past_it():
         controller="Ctrl",
         refinements={"a": "S"},
     )
-    top, _ = postfire(wrap(modal, variables={"x": IntVal(0)}), {})
-    assert resolve(top, ("Top",)).variables["x"] == IntVal(9)
+    nxt, _ = committed(SystemState(wrap(modal, variables={"x": IntVal(0)})))
+    assert collect_variables(nxt)["Top"]["x"] == IntVal(9)
 
 
 def test_setter_with_undeclared_target_raises():
     with pytest.raises(UnknownVariableTarget):
-        postfire(wrap(setter("ghost", Present(IntVal(1))), variables={"x": IntVal(0)}), {})
+        postfire(SystemState(wrap(setter("ghost", Present(IntVal(1))), variables={"x": IntVal(0)})), {})
 
 
 def test_silent_setter_writes_nothing():
-    top, _ = postfire(wrap(setter("x", ABSENT), variables={"x": IntVal(5)}), {})
-    assert resolve(top, ("Top",)).variables["x"] == IntVal(5)
+    nxt, _ = committed(SystemState(wrap(setter("x", ABSENT), variables={"x": IntVal(5)})))
+    assert collect_variables(nxt)["Top"]["x"] == IntVal(5)
 
 
 # Mode switches. --------------------------------------------------------------------
@@ -336,9 +348,14 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
 
 
 def test_commit_requests_folds_in_given_order():
+    state = SystemState(wrap(delay_with(1, ABSENT, "D1"), delay_with(Fraction(1, 2), ABSENT, "D2")))
+    network = state.network
     d1 = Event(PortRef(("Top", "D1"), "output"), IntVal(1))
     d2 = Event(PortRef(("Top", "D2"), "output"), IntVal(2))
-    queue = commit_requests(EMPTY_QUEUE, [(Fraction(1), 0, d1), (Fraction(1), 0, d2)])
-    assert queue.summary() == [(Fraction(1), 0, 2)]
-    later = commit_requests(queue, [(Fraction(1, 2), 0, d1)])
-    assert later.head_tag() == (Fraction(1, 2), 0)
+    ((p1, s1),), ((p2, s2),) = network.flat_events([d1]), network.flat_events([d2])
+    one, half = to_ticks(1, network.timebase), to_ticks(Fraction(1, 2), network.timebase)
+    queued = commit_requests(state, [(one, 0, (p1, s1)), (one, 0, (p2, s2))])
+    assert queued.queue.summary() == [(Fraction(1), 0, 2)]
+    assert queued.queue.entries[0].events == (d1, d2)
+    later = commit_requests(queued, [(half, 0, (p1, s1))])
+    assert later.queue.head_tag() == (Fraction(1, 2), 0)

@@ -85,3 +85,28 @@ def test_repr_is_reparseable(hier_state):
         VarProp(HTL, (("ok", BoolVal(True)),)),
     ):
         assert parse_prop(repr(prop)) == prop
+
+
+class Counted:
+    """A value that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        Counted.calls += 1
+        return 7
+
+
+def test_a_proposition_hashes_once_as_its_field_tuple():
+    # Propositions key compiled readers and graph rows, so they are hashed
+    # on every check; the hash is computed once and is the frozen
+    # dataclass's field-tuple hash, so dict and set orders stay as they were.
+    value = Counted()
+    prop = VarProp(list(HTL), [("n", value)])
+    want = hash((HTL, (("n", value),)))
+    Counted.calls = 0
+    assert [hash(prop) for _ in range(3)] == [want] * 3
+    assert Counted.calls == 1
+    loc = LocProp(HTL + ("Decision",), "Dinit")
+    assert hash(loc) == hash(loc) == hash((HTL + ("Decision",), "Dinit"))
+    assert loc == LocProp(list(HTL + ("Decision",)), "Dinit")

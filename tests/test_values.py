@@ -15,13 +15,11 @@ from de_fixpoint.util import (
 )
 from de_fixpoint.values import (
     ABSENT,
-    UNKNOWN,
     BoolVal,
     IntVal,
     Present,
     StringVal,
     TimeVal,
-    is_known,
     literal_text,
     value_key,
 )
@@ -63,9 +61,6 @@ def test_time_decimal_text_exact_decimals():
 
 
 def test_status_lattice():
-    assert not is_known(UNKNOWN)
-    assert is_known(ABSENT)
-    assert is_known(Present(IntVal(1)))
     assert Present(IntVal(1)) == Present(IntVal(1))
     assert Present(IntVal(1)) != Present(IntVal(2))
     assert Present(IntVal(1)) != ABSENT
