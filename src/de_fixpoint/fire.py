@@ -16,13 +16,14 @@ are built for them, their state machines make no firing decision, and
 events addressed into them land on the port but drive nothing.
 
 Rules are static.  They are built from the compiled network (see
-network.py) once per mode configuration, i.e. per set of live actors,
-and a port -> rule index tells the fixed point which rules to run again
-when a port resolves.  They read and write a flat list of port statuses
-indexed by port id, in which an unknown port always holds the one
-UNKNOWN object (``Network.flatten`` sees to that for trees), and state
-machines read their location and variables from the state's slots;
-guards and outputs are compiled closures (see expr.compile_expr).
+network.py) once per mode, when a state in it first resolves an instant,
+and kept on the mode; a port -> rule index tells the fixed point which
+rules to run again when a port resolves.  They read and write a flat
+list of port statuses indexed by port id, in which an unknown port
+always holds the one UNKNOWN object (``Network.flatten`` sees to that
+for trees), and state machines read their location and variables from
+the state's slots; guards and outputs are compiled closures (see
+expr.compile_expr).
 
 Every phase takes a system state and nothing else.  The executor runs
 a fresh instant in one call, ``compute_fixpoint(state, events=...)``;
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
 from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT
-from .network import FsmInfo, Network
+from .network import FsmInfo, Mode, Network
 from .state import SystemState, make_state
 from .values import ABSENT, UNKNOWN, BoolVal, Present
 
@@ -60,9 +61,9 @@ def _key_text(key: PortKey) -> str:
 def _with_statuses(state: SystemState, statuses) -> SystemState:
     return make_state(
         state.network,
+        state.mode,
         state.locations,
         state.values,
-        state.enabled,
         statuses,
         state.entries,
         state.now,
@@ -85,7 +86,7 @@ def deliver_events(state: SystemState, events) -> SystemState:
     port (the value is genuinely there) but nothing reacts to it.
     """
     network = state.network
-    live = network.mode(state.enabled).live
+    live = state.mode.live
     actor = network.port_actor
     statuses = list(state.statuses)
     for pid, status in events:
@@ -241,7 +242,7 @@ class _FsmRule:
 
 
 class RuleSet:
-    """The rules of one mode configuration, and what they depend on."""
+    """The rules of one mode, and what they depend on."""
 
     def __init__(self, network: Network, rules, ports, unwritten):
         # Deeper actors get their turn first; the result does not depend on
@@ -275,12 +276,9 @@ class RuleSet:
         self.schedule = tuple(sorted(initial))
 
 
-def build_rules(network: Network, live, selected) -> RuleSet:
-    """Compile the live region of the network into rules plus the port universe.
-
-    ``live`` flags each actor as live; ``selected`` names, per modal actor,
-    the refinement its controller's location picks (None if none).
-    """
+def build_rules(network: Network, mode: Mode) -> RuleSet:
+    """Compile the live region of a mode into rules plus the port universe."""
+    live = mode.live
     rules = []
     ports = []
     produced = set()
@@ -299,7 +297,7 @@ def build_rules(network: Network, live, selected) -> RuleSet:
             produced.update(sinks)
 
     ids = network.ids
-    modals = {info.index: (info, refinement) for info, refinement in zip(network.modals, selected)}
+    modals = {info.index: (info, refinement) for info, refinement in zip(network.modals, mode.selected)}
     for i in network.preorder:
         if not live[i]:
             continue
@@ -333,16 +331,6 @@ def build_rules(network: Network, live, selected) -> RuleSet:
     return RuleSet(network, rules, ports, unwritten)
 
 
-def _rule_set(network: Network, enabled, live, locations) -> RuleSet:
-    """The cached rules for a mode configuration."""
-    selected = tuple(info.refinement(locations[info.controller]) for info in network.modals)
-    mode = (enabled, selected)
-    rule_set = network.rule_sets.get(mode)
-    if rule_set is None:
-        rule_set = network.rule_sets[mode] = build_rules(network, live, selected)
-    return rule_set
-
-
 @dataclass
 class FixpointResult:
     """One resolved instant: ``state`` with the resolved port statuses, and
@@ -366,10 +354,10 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
     (event-sourced outputs with no event due, unconnected ports) are then
     set absent.
 
-    The fixed point is a worklist over the rule set of the state's mode
-    configuration, built once and cached.  The initial schedule holds
-    every state machine's rule and every rule that reads a port already
-    known, deepest actors first.  When a rule resolves a port, the rules
+    The fixed point is a worklist over the rule set of the state's mode,
+    built once and kept on the mode.  The initial schedule holds every
+    state machine's rule and every rule that reads a port already known,
+    deepest actors first.  When a rule resolves a port, the rules
     that read it (looked up in the rule set's port -> rule index) are
     queued again unless already pending, so a rule runs only when
     something it reads has changed.  The worklist empties exactly when
@@ -384,8 +372,10 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
     """
     network = state.network
     locations, values = state.locations, state.values
-    live = network.mode(state.enabled).live
-    rule_set = _rule_set(network, state.enabled, live, locations)
+    mode = state.mode
+    rule_set = mode.rules
+    if rule_set is None:
+        rule_set = mode.rules = build_rules(network, mode)
     dependents = rule_set.dependents
     if events is not None:
         # A fresh instant: delivery, the absent fill and the initial
@@ -395,7 +385,7 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
         extra = None
         actor = network.port_actor
         for pid, status in events:
-            if not live[actor[pid]]:
+            if not mode.live[actor[pid]]:
                 _frozen_delivery(network, pid)
             elif pid in rule_set.unwritten_set:
                 applications -= 1

@@ -207,9 +207,6 @@ class ActorNode:
     def port_names(self, direction: str) -> tuple:
         return tuple(p.name for p in self.ports if p.direction == direction)
 
-    def statuses(self, direction: str) -> dict:
-        return {p.name: p.status for p in self.ports if p.direction == direction}
-
 
 _DYNAMIC_FIELDS = ("ports", "enabled", "curr_location", "variables", "inner")
 #: The fields a running model never changes.

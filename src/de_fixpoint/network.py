@@ -8,8 +8,9 @@ with their paths, parents and children; every port as an integer id;
 every variable as an integer value slot; connection copy tables; each
 state machine's ports and compiled transitions; the wiring of modal
 actors; the composite each variable setter writes; and the model's
-timebase.  The fixed point caches its rule sets here too, one per mode
-configuration.
+timebase.  Which part of the model runs follows from the controllers'
+locations alone: :meth:`Network.mode` turns them into a :class:`Mode`,
+once per tuple of locations, which every state in that mode shares.
 
 The timebase is the least common multiple of the denominators of every
 clock period and offset and every delay.  The engine counts time in
@@ -139,10 +140,6 @@ class ModalInfo:
         self.others = tuple(c for c in children if c != self.controller)
         self.outputs = node.port_names(OUT)
 
-    def refinement(self, location):
-        """The index of the child that refines ``location``, or None."""
-        return self.refinements.get(location)
-
 
 class ClockInfo:
     """A clock's output port, emitted status and times, in ticks."""
@@ -190,13 +187,24 @@ def _timebase(nodes) -> int:
 
 
 class Mode:
-    """What one tuple of enabled flags decides.
+    """What one tuple of controller locations decides.
 
-    ``live`` flags each actor whose ancestors and itself are enabled;
-    ``committers`` lists, in preorder, the live actors a commit visits.
+    ``selected``: per modal actor, the child its controller's location
+    picks, or None; ``enabled``: every actor but the children not picked;
+    ``live``: each actor that is enabled and whose ancestors are;
+    ``committers``: in preorder, the live actors a commit visits;
+    ``rules``: the fixed point's rule set, built by fire.py on first use.
     """
 
-    def __init__(self, network: "Network", enabled):
+    def __init__(self, network: "Network", key):
+        # Keeps no reference to the network, which must not be reachable
+        # from itself (see Network.template): it goes with its last state.
+        self.selected = tuple(info.refinements.get(loc) for info, loc in zip(network.modals, key))
+        enabled = [True] * len(network.kinds)
+        for info, active in zip(network.modals, self.selected):
+            for child in info.others:
+                enabled[child] = child == active
+        self.enabled = tuple(enabled)
         self.live = live = []
         parent = network.parent
         for i, flag in enumerate(enabled):
@@ -207,6 +215,7 @@ class Mode:
             for i in network.preorder
             if live[i] and network.kinds[i] in (FSM, CLOCK, DELAY, SETVAR)
         )
+        self.rules = None
 
 
 class Network:
@@ -271,8 +280,7 @@ class Network:
         self.copies = {}  # composite/modal index -> ((source id, sink ids), ...)
         self.modals = []  # ModalInfo, in actor order
         self.coupled = {}  # controller index -> the modal's output names
-        self.rule_sets = {}  # mode configuration -> rule set (filled by fire)
-        self.modes = {}  # enabled flags -> Mode
+        self.modes = {}  # controller locations, one per modal -> Mode
         self.tick_kinds = {}  # ticks -> Tick step kind (filled by the executor)
         self.prop_readers = {}  # proposition -> compiled reader (filled by props)
         for i, node in enumerate(nodes):
@@ -337,11 +345,12 @@ class Network:
             for i, node in enumerate(self.nodes_of(self.template))
         )
 
-    def mode(self, enabled) -> Mode:
-        """The live flags and commit order for a tuple of enabled flags."""
-        mode = self.modes.get(enabled)
+    def mode(self, locations) -> Mode:
+        """The mode that a state's locations put the model in."""
+        key = tuple(locations[info.controller] for info in self.modals)
+        mode = self.modes.get(key)
         if mode is None:
-            mode = self.modes[enabled] = Mode(self, enabled)
+            mode = self.modes[key] = Mode(self, key)
         return mode
 
     def actor(self, path) -> int:

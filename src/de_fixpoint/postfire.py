@@ -7,7 +7,9 @@ expressions are evaluated against the pre-commit environment, so updates
 within one transition are simultaneous).  Clocks that ticked reschedule
 themselves, delays forward their input as a future event, and
 variable-setting actors write into the enclosing composite's store.
-Frozen refinements commit nothing.
+Frozen refinements commit nothing.  Which refinements are frozen
+follows from the controllers' locations: a commit that moves a machine
+looks up the mode of the new locations (see ``Network.mode``).
 
 A commit reads and writes a state's slots by actor index, port id and
 value slot (see state.py), and its scheduling requests are (ticks,
@@ -23,7 +25,7 @@ from __future__ import annotations
 from .errors import UnknownVariableTarget
 from .events import schedule
 from .model import CLOCK, DELAY, FSM, ActorNode, normalize, validate
-from .network import Network, network_of
+from .network import network_of
 from .state import SystemState, make_state
 from .values import UNKNOWN, Present
 
@@ -39,35 +41,17 @@ def initialize(top: ActorNode) -> SystemState:
     top = normalize(top)
     validate(top)
     network = network_of(top)
-    locations, values, enabled, _ = network.flatten(top)
+    locations, values, _, _ = network.flatten(top)
     locations = list(locations)
     for i, info in network.fsms.items():
         locations[i] = info.init_location
-    enabled = _select_modes(network, locations, (True,) * len(enabled))
-    live = network.mode(enabled).live
+    mode = network.mode(locations)
     entries = ()
-    for i in network.preorder:
-        if live[i] and i in network.clocks:
+    for i, kind in mode.committers:
+        if kind == CLOCK:
             clock = network.clocks[i]
             entries = schedule(entries, clock.offset, 0, (clock.out, clock.emit), network)
-    return make_state(network, tuple(locations), values, enabled, (UNKNOWN,) * network.size, entries, 0, 0)
-
-
-def _select_modes(network: Network, locations, enabled) -> tuple:
-    """Enable the refinement each controller's location picks; freeze the others.
-
-    Returns ``enabled`` itself when no flag changes.
-    """
-    changed = None
-    for info in network.modals:
-        active = info.refinement(locations[info.controller])
-        for child in info.others:
-            flag = child == active
-            if (changed or enabled)[child] != flag:
-                if changed is None:
-                    changed = list(enabled)
-                changed[child] = flag
-    return enabled if changed is None else tuple(changed)
+    return make_state(network, mode, tuple(locations), values, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
 def postfire(state: SystemState, decisions):
@@ -81,12 +65,12 @@ def postfire(state: SystemState, decisions):
     order; commit them with commit_requests to preserve the deterministic
     ordering.
     """
-    network = state.network
+    network, mode = state.network, state.mode
     locations, values, statuses = state.locations, state.values, state.statuses
     new_locations = new_values = None
     composite_writes = {}  # composite index -> {variable: value}
     requests = []
-    for i, kind in network.mode(state.enabled).committers:
+    for i, kind in mode.committers:
         if kind == FSM:
             entry = decisions.get(i)
             if entry is None:
@@ -132,11 +116,12 @@ def postfire(state: SystemState, decisions):
             new_values[slots[var]] = value
     if new_locations is not None:
         locations = tuple(new_locations)
+        mode = network.mode(locations)
     nxt = make_state(
         network,
+        mode,
         locations,
         values if new_values is None else tuple(new_values),
-        _select_modes(network, locations, state.enabled),
         statuses,
         state.entries,
         state.now,

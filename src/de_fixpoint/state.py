@@ -6,7 +6,8 @@ network.py).  It holds, indexed by actor, port id or value slot:
 * ``locations``: each state machine's current location (None for other
   actors);
 * ``values``: each variable's value;
-* ``enabled``: each actor's enabled flag;
+* ``mode``: the :class:`~network.Mode` its locations select, with the
+  enabled flags (``state.enabled``), live actors and fixed-point rules;
 * ``statuses``: each port's status as the last iteration left it, stale
   statuses of ports that have not been resolved since included;
 * ``entries``: the pending-event queue, in ticks of the timebase (see
@@ -20,11 +21,12 @@ on every actor's mode, variables, and port contents, and on the relative
 schedule of future events, behave identically forever — that is the
 identification that makes periodic models have finite state graphs.
 Searches that need real timestamps keep them separately (see graph.py).
-The hash is computed once per state, over every slot but the port
-statuses: states that differ only there are rare (the 63 states of the
-hierarchical traffic light have 61 distinct hash inputs), equality still
-tells them apart, and hashing the statuses would cost more than the rest
-together.
+The mode follows from the locations, so neither equality nor the hash
+looks at it.  The hash is computed once per state, over every other
+slot but the port statuses: states that differ only there are rare (the
+63 states of the hierarchical traffic light have 61 distinct hash
+inputs), equality still tells them apart, and hashing the statuses
+would cost more than the rest together.
 
 The actor tree (``top``), the queue with exact rational times
 (``queue``) and the elapsed time as a rational (``elapsed``) are views
@@ -36,9 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ValidationError
 from .events import EMPTY_QUEUE, EventQueue, queue_view
 from .model import ActorNode
-from .network import Network, network_of, to_ticks
+from .network import Mode, Network, network_of, to_ticks
 
 
 class SystemState:
@@ -46,7 +49,7 @@ class SystemState:
         "network",
         "locations",
         "values",
-        "enabled",
+        "mode",
         "statuses",
         "entries",
         "now",
@@ -66,11 +69,19 @@ class SystemState:
         """The state a tree and a queue describe.
 
         Every time (queue entries and ``elapsed``) must be a multiple of
-        the tree's timebase.
+        the tree's timebase.  The tree's enabled flags must be the ones
+        its controllers' locations imply; ValidationError names every
+        actor whose flag is not.
         """
         network = network_of(top)
         self.network = network
-        self.locations, self.values, self.enabled, self.statuses = network.flatten(top)
+        self.locations, self.values, enabled, self.statuses = network.flatten(top)
+        self.mode = network.mode(self.locations)
+        if enabled != self.mode.enabled:
+            raise ValidationError(
+                f"{'.'.join(network.paths[i])}: enabled={flag} contradicts its controller's location"
+                for i, flag in enumerate(enabled) if flag != self.mode.enabled[i]
+            )
         self.entries = tuple(
             (to_ticks(e.time, network.timebase), e.microstep, network.flat_events(e.events))
             for e in queue.entries
@@ -85,8 +96,13 @@ class SystemState:
     def top(self) -> ActorNode:
         """The actor tree with this state's dynamic side."""
         if self._top is None:
-            self._top = self.network.tree(self.locations, self.values, self.enabled, self.statuses)
+            self._top = self.network.tree(self.locations, self.values, self.mode.enabled, self.statuses)
         return self._top
+
+    @property
+    def enabled(self) -> tuple:
+        """Each actor's enabled flag, as the locations imply it."""
+        return self.mode.enabled
 
     @property
     def queue(self) -> EventQueue:
@@ -103,7 +119,7 @@ class SystemState:
     def requeued(self, entries, now: int, microstep: int) -> "SystemState":
         """This state with another queue, time and microstep."""
         return make_state(
-            self.network, self.locations, self.values, self.enabled, self.statuses, entries, now, microstep
+            self.network, self.mode, self.locations, self.values, self.statuses, entries, now, microstep
         )
 
     def queue_summary(self) -> list:
@@ -114,7 +130,7 @@ class SystemState:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.locations, self.values, self.enabled, self.entries))
+            h = self._hash = hash((self.locations, self.values, self.entries))
         return h
 
     def __eq__(self, other):
@@ -126,7 +142,6 @@ class SystemState:
             and self.entries == other.entries
             and self.locations == other.locations
             and self.values == other.values
-            and self.enabled == other.enabled
         )
 
     def __repr__(self):
@@ -136,13 +151,14 @@ class SystemState:
         )
 
 
-def make_state(network: Network, locations, values, enabled, statuses, entries, now, microstep) -> SystemState:
-    """A state from its slots, as the engine builds them."""
+def make_state(network: Network, mode: Mode, locations, values, statuses, entries, now, microstep) -> SystemState:
+    """A state from its slots, as the engine builds them; ``mode`` must be
+    ``network.mode(locations)``."""
     state = _new(SystemState)
     state.network = network
+    state.mode = mode
     state.locations = locations
     state.values = values
-    state.enabled = enabled
     state.statuses = statuses
     state.entries = entries
     state.now = now

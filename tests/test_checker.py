@@ -1,10 +1,11 @@
 """Temporal checking: dual-route verdicts, witnesses, bounded semantics."""
 
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from de_fixpoint import checker
@@ -31,10 +32,13 @@ from de_fixpoint.formula import (
 )
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.graph import build_state_graph
-from de_fixpoint.model import COMPOSITE, FSM, ActorNode
+from de_fixpoint.model import COMPOSITE, FSM, ActorNode, iter_actors
+from de_fixpoint.parser import parse_model
+from de_fixpoint.postfire import initialize
 from de_fixpoint.props import prop_holds
-from de_fixpoint.state import SystemState
+from de_fixpoint.state import SystemState, collect_variables
 
+import families
 import ltl_ref
 
 
@@ -460,3 +464,54 @@ def test_compressed_verdict_on_bounded_graphs(bounded_graphs, case):
     compressed, full = product_verdicts(word, last, valuations, f)
     expected = ltl_ref.eval_word(vals, last, f)
     assert compressed == full == expected == check_ltl(graph, parse_formula(text)).holds
+
+
+# Generated models. ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def generated_graph(text):
+    return build_state_graph(initialize(parse_model(text)))
+
+
+def proposition_atoms(graph):
+    """Source text of every location proposition of a graph's machines, and
+    of each value every variable takes on the graph."""
+    def actor(path):
+        return " . ".join(f"'{name}" for name in path)
+
+    atoms = [
+        f"{actor(path)} @ '{location}"
+        for path, node, _ in iter_actors(graph.nodes[0].top)
+        if node.kind == FSM
+        for location in node.locations
+    ]
+    seen = {}
+    for state in graph.nodes:
+        for path, variables in collect_variables(state).items():
+            for name, value in variables.items():
+                seen.setdefault((path, name), set()).add(value.value)
+    for (path, name), values in seen.items():
+        atoms += [f"{actor(path.split('.'))} | '{name} = {value}" for value in sorted(values)]
+    return atoms
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_generated_models_agree_with_reference_and_full_product(data):
+    # Crossings, zero-delay chains and nested modals: the verdict on the
+    # graph's lasso is the reference's, and the stutter-compressed product
+    # search agrees with the full one.
+    graph = generated_graph(data.draw(families.MODELS))
+    atoms = st.lists(st.sampled_from(proposition_atoms(graph)), min_size=1, max_size=3, unique=True)
+    text = data.draw(formula_texts(data.draw(atoms), depth=3))
+    f = fm(text)
+    props = collect_atoms(f)
+    vals = [{prop: prop_holds(s, prop) for prop in props} for s in graph.nodes]
+    entry = graph.cycle_entry()
+    expected = ltl_ref.eval_word(vals, entry, f)
+    assert check_ltl(graph, parse_formula(text)).holds == expected
+    ids = {}
+    word = [ids.setdefault(tuple(v.values()), len(ids)) for v in vals]
+    valuations = [dict(zip(props, key)) for key in ids]
+    assert product_verdicts(word, entry, valuations, f) == (expected, expected)

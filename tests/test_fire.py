@@ -1,7 +1,9 @@
 """Fixed-point port resolution: confluence, bounds, freezing, causality."""
 
+import gc
 import logging
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from de_fixpoint.errors import CausalityCycle, NoSuchPort
 from de_fixpoint.events import Event, EventQueue, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, Unary
-from de_fixpoint.fire import clear_ports, compute_fixpoint, deliver_events
+from de_fixpoint import fire
+from de_fixpoint.fire import build_rules, clear_ports, compute_fixpoint, deliver_events
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -29,7 +32,6 @@ from de_fixpoint.model import (
 from de_fixpoint.executor import Iteration, step
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.network import network_of
 from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import (
     ABSENT,
@@ -361,13 +363,46 @@ def test_fused_instant_matches_clear_then_deliver(fixture):
     assert fused_matches_staged(initial_state(fixture), 200) >= 20
 
 
-def test_rules_are_built_once_per_mode_configuration(hier_state):
-    state = hier_state
+def test_rules_are_built_once_per_mode_configuration(monkeypatch):
+    built = []
+
+    def counting_build_rules(network, mode):
+        built.append(mode)
+        return build_rules(network, mode)
+
+    monkeypatch.setattr(fire, "build_rules", counting_build_rules)
+    # A fresh network, so that no other test has built its rules yet.
+    state = initial_state("hierarchical_traffic_light.model")
+    network = state.network
+    rules = {}
     for _ in range(200):
+        mode = state.mode
         state, _ = step(state)
+        # The step resolved an instant in ``mode``: from then on its rules
+        # are the same object.
+        if mode.rules is not None:
+            assert rules.setdefault(mode, mode.rules) is mode.rules
+        assert state.network is network
     # Normal and error mode, each with its own set of live actors.
-    assert len(network_of(state.top).rule_sets) == 2
-    assert network_of(state.top) is network_of(hier_state.top)
+    assert len(network.modes) == 2
+    assert set(rules) == set(network.modes.values())
+    assert sorted(map(id, built)) == sorted(map(id, rules))
+
+
+def test_a_network_is_freed_with_its_last_state():
+    # No reference cycle runs through a network or its modes, so a network
+    # goes with its last state, without waiting for the cycle collector.
+    gc.disable()
+    try:
+        state = initial_state("hierarchical_traffic_light.model")
+        for _ in range(60):
+            state, _ = step(state)
+        assert len(state.network.modes) == 2
+        network = weakref.ref(state.network)
+        del state
+        assert network() is None
+    finally:
+        gc.enable()
 
 
 def test_a_step_shares_the_slots_it_does_not_change(hier_state):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from de_fixpoint.errors import UnknownVariableTarget, ValidationError
 from de_fixpoint.events import Event, QueueEntry
@@ -26,7 +27,8 @@ from de_fixpoint.model import (
 from de_fixpoint.network import network_of, to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
 from de_fixpoint.state import SystemState, collect_variables, fsm_locations
-from de_fixpoint.executor import step
+from de_fixpoint.executor import simulate, step
+from de_fixpoint.parser import parse_model
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -37,6 +39,7 @@ from de_fixpoint.values import (
     TimeVal,
 )
 
+import families
 from conftest import initial_state
 
 TRUE = Lit(BoolVal(True))
@@ -342,6 +345,38 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
         locations["HierarchicalTrafficLight.TrafficLight.normal.PedestrianLight"]
         == "Pgreen"
     )
+
+
+def flags_from_locations(top):
+    """Each actor's enabled flag by path, read off the tree's controllers.
+
+    A modal actor's child other than its controller is enabled exactly
+    when the controller's location maps to it; every other actor is
+    enabled.
+    """
+    flags = {}
+    for path, node, _ in iter_actors(top):
+        flags.setdefault(path, True)
+        if node.kind == MODAL:
+            picked = node.refinements.get(node.child(node.controller).curr_location)
+            for child in node.inner:
+                if child.name != node.controller:
+                    flags[path + (child.name,)] = child.name == picked
+    return flags
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_enabled_flags_follow_the_controllers_on_generated_models(text):
+    state = initialize(parse_model(text))
+    network = state.network
+    states = [state] + [ts.state for ts in simulate(state, max_steps=60).steps]
+    for state in states:
+        flags = flags_from_locations(state.top)
+        assert [flags[path] for path in network.paths] == list(state.enabled)
+        assert [node.enabled for node in network.nodes_of(state.top)] == list(state.enabled)
+    # Nested modals freeze and thaw refinements within the run.
+    assert len({state.enabled for state in states}) > 1 or not network.modals
 
 
 # Queue commitment. -------------------------------------------------------------------
