@@ -96,56 +96,63 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool
         raise ValueError("cycle start out of range")
     succ = [i + 1 for i in range(n)]
     succ[n - 1] = cycle_start
+    return _table(formula, states, succ, rows)[0]
 
-    def table(f) -> list:
-        if isinstance(f, TrueF):
-            return [True] * n
-        if isinstance(f, FalseF):
-            return [False] * n
-        if isinstance(f, Atom):
-            if rows is not None:
-                return rows[f.prop]
-            return [prop_holds(s, f.prop) for s in states]
-        if isinstance(f, Not):
-            return [not v for v in table(f.operand)]
-        if isinstance(f, And):
-            left, right = table(f.left), table(f.right)
-            return [a and b for a, b in zip(left, right)]
-        if isinstance(f, Or):
-            left, right = table(f.left), table(f.right)
-            return [a or b for a, b in zip(left, right)]
-        if isinstance(f, Implies):
-            left, right = table(f.left), table(f.right)
-            return [(not a) or b for a, b in zip(left, right)]
-        if isinstance(f, Until):
-            left, right = table(f.left), table(f.right)
-            vals = [False] * n  # least fixpoint: start from nowhere
-            changed = True
-            while changed:
-                changed = False
-                for i in reversed(range(n)):
-                    v = right[i] or (left[i] and vals[succ[i]])
-                    if v != vals[i]:
-                        vals[i] = v
-                        changed = True
-            return vals
-        if isinstance(f, Eventually):
-            return table(Until(TrueF(), f.operand))
-        if isinstance(f, Always):
-            inner = table(f.operand)
-            vals = [True] * n  # greatest fixpoint: start from everywhere
-            changed = True
-            while changed:
-                changed = False
-                for i in reversed(range(n)):
-                    v = inner[i] and vals[succ[i]]
-                    if v != vals[i]:
-                        vals[i] = v
-                        changed = True
-            return vals
-        raise TypeError(f"not a formula: {f!r}")
 
-    return table(formula)[0]
+def _table(f, states, succ, rows) -> list:
+    """The truth of ``f`` at every position of eval_on_lasso's run.
+
+    Not a closure: a recursive closure refers to itself, and that cycle
+    would keep the run's states, and their network, alive until the
+    cycle collector runs.
+    """
+    n = len(states)
+    if isinstance(f, TrueF):
+        return [True] * n
+    if isinstance(f, FalseF):
+        return [False] * n
+    if isinstance(f, Atom):
+        if rows is not None:
+            return rows[f.prop]
+        return [prop_holds(s, f.prop) for s in states]
+    if isinstance(f, Not):
+        return [not v for v in _table(f.operand, states, succ, rows)]
+    if isinstance(f, And):
+        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
+        return [a and b for a, b in zip(left, right)]
+    if isinstance(f, Or):
+        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
+        return [a or b for a, b in zip(left, right)]
+    if isinstance(f, Implies):
+        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
+        return [(not a) or b for a, b in zip(left, right)]
+    if isinstance(f, Until):
+        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
+        vals = [False] * n  # least fixpoint: start from nowhere
+        changed = True
+        while changed:
+            changed = False
+            for i in reversed(range(n)):
+                v = right[i] or (left[i] and vals[succ[i]])
+                if v != vals[i]:
+                    vals[i] = v
+                    changed = True
+        return vals
+    if isinstance(f, Eventually):
+        return _table(Until(TrueF(), f.operand), states, succ, rows)
+    if isinstance(f, Always):
+        inner = _table(f.operand, states, succ, rows)
+        vals = [True] * n  # greatest fixpoint: start from everywhere
+        changed = True
+        while changed:
+            changed = False
+            for i in reversed(range(n)):
+                v = inner[i] and vals[succ[i]]
+                if v != vals[i]:
+                    vals[i] = v
+                    changed = True
+        return vals
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # Product emptiness via nested depth-first search. ----------------------------

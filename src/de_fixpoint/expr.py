@@ -363,18 +363,18 @@ def _walk_ports(expr: Expr, found: set):
 def referenced_names(expr: Expr) -> frozenset:
     """All variable/parameter identifiers an expression reads."""
     found = set()
-
-    def walk(e):
-        if isinstance(e, Var):
-            found.add(e.name)
-        elif isinstance(e, Unary):
-            walk(e.operand)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-
-    walk(expr)
+    _walk_names(expr, found)
     return frozenset(found)
+
+
+def _walk_names(expr: Expr, found: set):
+    if isinstance(expr, Var):
+        found.add(expr.name)
+    elif isinstance(expr, Unary):
+        _walk_names(expr.operand, found)
+    elif isinstance(expr, Binary):
+        _walk_names(expr.left, found)
+        _walk_names(expr.right, found)
 
 
 # Rendering (shared by the model printer and error messages). ---------------

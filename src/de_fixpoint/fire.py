@@ -1,34 +1,43 @@
 """Per-instant port resolution as a monotone fixed point.
 
 Each iteration starts with every port unknown, delivers the events due
-now, and then applies propagation rules until nothing changes.  Ports
-move at most once, from unknown to present-with-a-value or absent, and
-no rule ever looks at anything but port statuses (and the state of the
-machine it drives), so the final assignment is independent of rule
-application order (checked by the test suite with randomized orders).
+now, and then resolves ports until nothing changes.  Ports move at most
+once, from unknown to present-with-a-value or absent, and nothing that
+resolves them looks at anything but port statuses (and the state of the
+machine it drives), so the final assignment is independent of the order
+in which it happens (checked by the test suite with randomized orders).
 
 A port left unknown at the fixed point means the model has a genuine
 causality cycle; that is an error unless the caller opts into treating
 the leftovers as absent.
 
-Frozen refinements (and everything below them) take no part: no rules
-are built for them, their state machines make no firing decision, and
+Frozen refinements (and everything below them) take no part: their
+ports are in no net, their state machines make no firing decision, and
 events addressed into them land on the port but drive nothing.
 
-Rules are static.  They are built from the compiled network (see
-network.py) once per mode, when a state in it first resolves an instant,
-and kept on the mode; a port -> rule index tells the fixed point which
-rules to run again when a port resolves.  They read and write a flat
-list of port statuses indexed by port id, in which an unknown port
-always holds the one UNKNOWN object (``Network.flatten`` sees to that
-for trees), and state machines read their location and variables from
-the state's slots; guards and outputs are compiled closures (see
+Wires only move a status along, so they are not rules.  The network
+records every wire once, as a (source port id, sink port id) pair (see
+network.py); in a mode a wire is live when both its ports' actors are.
+The live wires fold into each port's *reach*: the port itself, then
+every live port downstream of it.  Writing a status anywhere (a
+delivered event, the absent fill of a port nothing writes, a machine's
+output) sets the port's whole reach at once.  The only rules are the
+state machines, and each runs at least once per instant.
+
+Reaches and rules are static.  They are built from the compiled network
+once per mode, when a state in it first resolves an instant, and kept
+on the mode; a port -> rule index tells the fixed point which rules to
+run again when a port resolves.  They read and write a flat list of
+port statuses indexed by port id, in which an unknown port always holds
+the one UNKNOWN object (``Network.flatten`` sees to that for trees),
+and state machines read their location and variables from the state's
+slots; guards and outputs are compiled closures (see
 expr.compile_expr).
 
 Every phase takes a system state and nothing else.  The executor runs
 a fresh instant in one call, ``compute_fixpoint(state, events=...)``;
 ``clear_ports`` then ``deliver_events`` reach the same starting point in
-two stages, and are the reference the fused call is tested against.
+two stages, from which ``compute_fixpoint(state)`` runs the same body.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
-from .model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT
+from .model import FSM
 from .network import FsmInfo, Mode, Network
 from .state import SystemState, make_state
 from .values import ABSENT, UNKNOWN, BoolVal, Present
@@ -157,35 +166,15 @@ def decide_firing(info: FsmInfo, location, st, values):
 
 
 # Rules. ---------------------------------------------------------------------
-#
-# Every rule exposes step(statuses, locations, values, decided) ->
-# [(port id, status), ...]; it may only propose assignments for
-# currently-unknown ports, and must propose the same ultimate value no
-# matter when it runs.  ``reads`` lists the ports whose resolution can
-# change what it proposes.
-
-
-class _CopyRule:
-    """Connection propagation: a known source status flows to its sinks."""
-
-    def __init__(self, src: int, sinks, depth: int):
-        self.src = src
-        self.sinks = tuple(sinks)
-        self.depth = depth
-        self.reads = (src,)
-
-    def step(self, st, locations, values, decided):
-        s = st[self.src]
-        if s is UNKNOWN:
-            return ()
-        # Known sinks are proposed too: the driver loop cross-checks them,
-        # so a second writer racing a port is caught instead of silently
-        # making the result order-dependent.
-        return [(k, s) for k in self.sinks]
 
 
 class _FsmRule:
     """Drive a state machine's outputs from its (stable) firing decision.
+
+    ``step(statuses, locations, values, decided)`` returns [(port id,
+    status), ...] for outputs it can resolve now; it proposes only
+    currently-unknown ports, and the same status whenever it runs.
+    ``reads`` lists the ports whose resolution can change what it proposes.
 
     Until the decision resolves, outputs stay unknown.  Once it does:
     on a firing, each output named by the transition gets the evaluated
@@ -201,18 +190,14 @@ class _FsmRule:
     of the iteration, since growing port knowledge can no longer change it.
     """
 
-    def __init__(self, index: int, path, network: Network):
+    def __init__(self, index: int, network: Network):
         info = network.fsms[index]
         self.info = info
         self.index = index
-        self.path = path
-        self.depth = len(path)
-        coupled = frozenset(network.coupled.get(index, ()))
+        self.depth = len(network.paths[index])
+        twins = network.coupled.get(index, {})
         # (output name, its port id, the twin input's port id when coupled)
-        self.outputs = tuple(
-            (name, pid, info.in_ids[name] if name in coupled else None)
-            for name, pid in info.out_ids.items()
-        )
+        self.outputs = tuple((name, pid, twins.get(name)) for name, pid in info.out_ids.items())
         self.reads = info.in_pids
 
     def step(self, st, locations, values, decided):
@@ -241,94 +226,64 @@ class _FsmRule:
         return out
 
 
+@dataclass
 class RuleSet:
-    """The rules of one mode, and what they depend on."""
+    """What the fixed point needs of one mode, built once by build_rules.
 
-    def __init__(self, network: Network, rules, ports, unwritten):
-        # Deeper actors get their turn first; the result does not depend on
-        # this (confluence), it just settles inner models before their parents.
-        self.rules = sorted(rules, key=lambda r: -r.depth)
-        self.ports = tuple(ports)  # every port id the fixed point must resolve
-        # Ports no rule writes: event-sourced outputs (clocks, delays) with
-        # no event due, and ports nothing is connected to.  They are absent.
-        self.unwritten = tuple(unwritten)
-        # State machines may decide before any input resolves (a guard can
-        # read no port), so their rules always run at least once.
-        self.machines = tuple(n for n, r in enumerate(self.rules) if isinstance(r, _FsmRule))
-        # Port id -> the rules that read it.
-        dependents = [[] for _ in range(network.size)]
-        for n, rule in enumerate(self.rules):
-            for pid in rule.reads:
-                dependents[pid].append(n)
-        self.dependents = [tuple(ns) for ns in dependents]
-        # A fresh instant starts from ``blank`` with the events delivered:
-        # every unwritten port absent, every other port unknown.  If no
-        # event lands on a live port outside ``unwritten``, it also starts
-        # from ``schedule``: the machines and the readers of unwritten ports.
-        self.blank = [UNKNOWN] * network.size
-        for pid in self.unwritten:
-            self.blank[pid] = ABSENT
-        self.unwritten_set = frozenset(self.unwritten)
-        self.port_set = frozenset(self.ports)
-        initial = set(self.machines)
-        for pid in self.unwritten:
-            initial.update(self.dependents[pid])
-        self.schedule = tuple(sorted(initial))
+    ``rules``: one rule per live state machine, deepest actors first;
+    ``ports``: every live port, each of which the fixed point must resolve;
+    ``unwritten``: the live ports that no machine writes and no live wire
+    feeds (clock and delay outputs, unconnected ports), absent unless an
+    event lands there;
+    ``reach``: by port id, for each live port, the port itself and then
+    every live port downstream of it (None for frozen ports);
+    ``dependents``: by port id, the indices of the rules that read it.
+    """
+
+    rules: tuple
+    ports: tuple
+    unwritten: tuple
+    reach: list
+    dependents: list
 
 
 def build_rules(network: Network, mode: Mode) -> RuleSet:
-    """Compile the live region of a mode into rules plus the port universe."""
+    """Compile the live region of a mode: its machines' rules and its nets.
+
+    A wire is live when both its ports' actors are.  Live wires only ever
+    move a status along, so they are folded into each port's reach, and
+    a write sets a whole net at once; a loop of wires stays unknown.
+    """
     live = mode.live
-    rules = []
-    ports = []
-    produced = set()
-    event_sourced = []
-
-    for i in network.preorder:
-        if live[i]:
-            ports.extend(network.port_ids[i])
-    live_ports = set(ports)
-
-    def add_copy(src, sinks, depth):
-        # Sinks inside frozen refinements are simply not fed.
-        sinks = [k for k in sinks if k in live_ports]
-        if sinks:
-            rules.append(_CopyRule(src, sinks, depth))
-            produced.update(sinks)
-
-    ids = network.ids
-    modals = {info.index: (info, refinement) for info, refinement in zip(network.modals, mode.selected)}
-    for i in network.preorder:
-        if not live[i]:
-            continue
-        path = network.paths[i]
-        kind = network.kinds[i]
-        if kind in (CLOCK, DELAY):
-            pid = ids[(path, "output", OUT)]
-            event_sourced.append(pid)
-            produced.add(pid)
-        elif kind == FSM:
-            rule = _FsmRule(i, path, network)
-            rules.append(rule)
-            produced.update(rule.info.out_ids.values())
-        if kind in (COMPOSITE, MODAL):
-            for src, sinks in network.copies[i]:
-                add_copy(src, sinks, len(network.keys[src][0]))
-        if kind == MODAL:
-            info, refinement = modals[i]
-            ctrl = network.paths[info.controller]
-            for q in info.outputs:
-                # The live refinement's output feeds the controller's twin input,
-                # and the controller's output is what the modal actor shows.
-                if refinement is not None and live[refinement]:
-                    inner = network.paths[refinement]
-                    add_copy(ids[(inner, q, OUT)], [ids[(ctrl, q, IN)]], len(inner))
-                add_copy(ids[(ctrl, q, OUT)], [ids[(path, q, OUT)]], len(ctrl))
-
-    # Event-sourced outputs (clocks, delays) are fed by delivery before the
-    # fixed point starts; unknown there means no event was due, i.e. absent.
-    unwritten = tuple(event_sourced) + tuple(k for k in ports if k not in produced)
-    return RuleSet(network, rules, ports, unwritten)
+    actor = network.port_actor
+    ports = tuple(pid for i in network.preorder if live[i] for pid in network.port_ids[i])
+    # Deeper actors get their turn first; the result does not depend on
+    # this (confluence), it just settles inner models before their parents.
+    rules = sorted(
+        (_FsmRule(i, network) for i in network.preorder if live[i] and network.kinds[i] == FSM),
+        key=lambda r: -r.depth,
+    )
+    downstream = {}
+    for src, sink in network.wires:
+        if live[actor[src]] and live[actor[sink]]:
+            downstream.setdefault(src, []).append(sink)
+    written = {sink for sinks in downstream.values() for sink in sinks}
+    for rule in rules:
+        written.update(rule.info.out_ids.values())
+    reach = [None] * network.size
+    for pid in ports:
+        net = [pid]
+        for p in net:
+            for q in downstream.get(p, ()):
+                if q not in net:
+                    net.append(q)
+        reach[pid] = tuple(net)
+    dependents = [[] for _ in range(network.size)]
+    for n, rule in enumerate(rules):
+        for pid in rule.reads:
+            dependents[pid].append(n)
+    unwritten = tuple(pid for pid in ports if pid not in written)
+    return RuleSet(tuple(rules), ports, unwritten, reach, [tuple(ns) for ns in dependents])
 
 
 @dataclass
@@ -346,23 +301,24 @@ class FixpointResult:
 def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
     """Resolve one instant of a system state.
 
-    Without ``events`` the state's port statuses are the starting point
-    (as prepared by clear_ports and deliver_events).  With them, the
-    instant starts afresh: every port is unknown except the targets of
-    ``events``, (port id, Present(value)) pairs, exactly as clear_ports
-    then deliver_events would leave it.  Ports no rule writes
-    (event-sourced outputs with no event due, unconnected ports) are then
-    set absent.
+    The instant starts from what is known before the absent fill.
+    Without ``events`` that is the state's port statuses (as prepared by
+    clear_ports and deliver_events).  With them, the instant starts
+    afresh: every port is unknown except the targets of ``events``,
+    (port id, Present(value)) pairs, exactly as clear_ports then
+    deliver_events would leave it.  From either start one body runs.
 
-    The fixed point is a worklist over the rule set of the state's mode,
-    built once and kept on the mode.  The initial schedule holds every
-    state machine's rule and every rule that reads a port already known,
-    deepest actors first.  When a rule resolves a port, the rules
-    that read it (looked up in the rule set's port -> rule index) are
-    queued again unless already pending, so a rule runs only when
-    something it reads has changed.  The worklist empties exactly when
-    no rule can change anything more.  ``rng`` (a random.Random) shuffles
-    the initial schedule; the result must not depend on it.
+    Every live port known at the start is written through its reach,
+    and so is ABSENT on every unwritten port still unknown.  Then the
+    machines' rules of the state's mode (built once and kept on the
+    mode) run from a worklist that starts with all of them, deepest
+    actors first; ``rng`` (a random.Random) shuffles that start, and the
+    result must not depend on it.  Each status a rule proposes is
+    written through the port's reach, and every port it resolves queues
+    the rules that read it unless already pending.  A write that finds a
+    port of its reach known with another status raises AssertionError:
+    two drivers disagree.  ``applications`` counts the ports resolved
+    after the start.
 
     Unknown ports at quiescence raise CausalityCycle unless
     ``bottom_as_absent``, in which case they are forced absent and any
@@ -371,84 +327,64 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
     unknown unless an event was delivered there.
     """
     network = state.network
-    locations, values = state.locations, state.values
     mode = state.mode
     rule_set = mode.rules
     if rule_set is None:
         rule_set = mode.rules = build_rules(network, mode)
-    dependents = rule_set.dependents
-    if events is not None:
-        # A fresh instant: delivery, the absent fill and the initial
-        # schedule as the general case below would make them.
-        st = list(rule_set.blank)
-        applications = known = len(rule_set.unwritten)
-        extra = None
-        actor = network.port_actor
-        for pid, status in events:
-            if not mode.live[actor[pid]]:
-                _frozen_delivery(network, pid)
-            elif pid in rule_set.unwritten_set:
-                applications -= 1
-            elif pid in rule_set.port_set:
-                known += 1
-                extra = (extra or set()).union(dependents[pid])
-            st[pid] = status
-        schedule = list(rule_set.schedule) if extra is None else sorted(extra.union(rule_set.schedule))
-    else:
+    if events is None:
         st = list(state.statuses)
-        applications = 0
-        for pid in rule_set.unwritten:
-            if st[pid] is UNKNOWN:
-                st[pid] = ABSENT
-                applications += 1
-        initial = set(rule_set.machines)
-        known = 0
-        for pid in rule_set.ports:
-            if st[pid] is not UNKNOWN:
-                known += 1
-                initial.update(dependents[pid])
-        schedule = sorted(initial)
+        known = [(pid, st[pid]) for pid in rule_set.ports if st[pid] is not UNKNOWN]
+    else:
+        st = [UNKNOWN] * network.size
+        known = []
+        live, actor = mode.live, network.port_actor
+        for pid, status in events:
+            st[pid] = status
+            if live[actor[pid]]:
+                known.append((pid, status))
+            else:
+                _frozen_delivery(network, pid)
+    resolved = len(known)
+    writes = known + [(pid, ABSENT) for pid in rule_set.unwritten if st[pid] is UNKNOWN]
+    rules, reach, dependents = rule_set.rules, rule_set.reach, rule_set.dependents
+    schedule = list(range(len(rules)))
     if rng is not None:
         rng.shuffle(schedule)
-    rules = rule_set.rules
     pending = deque(schedule)
     pop, push = pending.popleft, pending.append
-    queued = [False] * len(rules)
-    for n in schedule:
-        queued[n] = True
+    queued = [True] * len(rules)
+    locations, values = state.locations, state.values
     decided = {}
-    # Rules write only live ports, each at most once: every application
-    # from here on resolves one more of ``rule_set.ports``.
-    known -= applications
-    while pending:
+    while True:
+        for pid, status in writes:
+            for q in reach[pid]:
+                old = st[q]
+                if old is UNKNOWN:
+                    st[q] = status
+                    resolved += 1
+                    for d in dependents[q]:
+                        if not queued[d]:
+                            queued[d] = True
+                            push(d)
+                elif old != status:
+                    raise AssertionError(f"port {_key_text(network.keys[q])} driven to two different statuses")
+        if not pending:
+            break
         n = pop()
         queued[n] = False
-        for pid, status in rules[n].step(st, locations, values, decided):
-            old = st[pid]
-            if old is not UNKNOWN:
-                if old != status:
-                    raise AssertionError(
-                        f"port {_key_text(network.keys[pid])} driven to two different statuses"
-                    )
-                continue
-            st[pid] = status
-            applications += 1
-            for d in dependents[pid]:
-                if not queued[d]:
-                    queued[d] = True
-                    push(d)
+        writes = rules[n].step(st, locations, values, decided)
 
     # Firing decisions are read off at quiescence, before any fallback:
     # a machine that could not decide did not fire.  Each machine's rule
     # ran after its last input resolved, so its last verdict is final.
     fired = {}
-    for n in rule_set.machines:
-        index = rules[n].index
-        kind, entry = decided[index]
+    for rule in rules:
+        kind, entry = decided[rule.index]
         if kind == "fire":
-            fired[index] = entry
+            fired[rule.index] = entry
 
-    if known + applications < len(rule_set.ports):
+    applications = resolved - len(known)
+    if resolved < len(rule_set.ports):
         stalled = [pid for pid in rule_set.ports if st[pid] is UNKNOWN]
         keys = sorted(network.keys[pid] for pid in stalled)
         if not bottom_as_absent:

@@ -5,9 +5,10 @@ kinds, ports, parameters, transitions, connections, refinement maps)
 with what every iteration rewrites (port statuses, locations, variables,
 enabled flags).  A :class:`Network` indexes the static side once: actors
 with their paths, parents and children; every port as an integer id;
-every variable as an integer value slot; connection copy tables; each
-state machine's ports and compiled transitions; the wiring of modal
-actors; the composite each variable setter writes; and the model's
+every variable as an integer value slot; every wire, from a composite's
+connections and a modal actor's implied wiring, as a (source port id,
+sink port id) pair; each state machine's ports and compiled
+transitions; the composite each variable setter writes; and the model's
 timebase.  Which part of the model runs follows from the controllers'
 locations alone: :meth:`Network.mode` turns them into a :class:`Mode`,
 once per tuple of locations, which every state in that mode shares.
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NoSuchActor, NoSuchPort
+from .errors import NoSuchActor, NoSuchPort, ValidationError
 from .expr import compile_expr, referenced_ports
 from .model import (
     CLOCK,
@@ -277,9 +278,11 @@ class Network:
         # variable-setter index -> (input port id, target name, index of the
         # enclosing composite or None)
         self.setters = {}
-        self.copies = {}  # composite/modal index -> ((source id, sink ids), ...)
+        # (source port id, sink port id): every connection of a composite or
+        # modal actor, and every modal actor's output wiring
+        self.wires = []
         self.modals = []  # ModalInfo, in actor order
-        self.coupled = {}  # controller index -> the modal's output names
+        self.coupled = {}  # controller index -> {modal output name: the twin input's id}
         self.modes = {}  # controller locations, one per modal -> Mode
         self.tick_kinds = {}  # ticks -> Tick step kind (filled by the executor)
         self.prop_readers = {}  # proposition -> compiled reader (filled by props)
@@ -305,25 +308,39 @@ class Network:
             target = node.parameters["target"].value if "target" in node.parameters else None
             self.setters[i] = (ids[(path, "input", IN)], target, self._enclosing_composite(i))
         if node.kind in (COMPOSITE, MODAL):
-            self.copies[i] = tuple(
-                (
-                    ids[
-                        (path, c.source.port, IN)
-                        if c.source.actor == PARENT
-                        else (path + c.source.actor, c.source.port, OUT)
-                    ],
-                    tuple(
-                        ids[(path, s.port, OUT) if s.actor == PARENT else (path + s.actor, s.port, IN)]
-                        for s in c.sinks
-                    ),
-                )
-                for c in node.connections
-            )
+            for c in node.connections:
+                source = c.source
+                if source.actor == PARENT:
+                    src = self._port(path, (path, source.port, IN))
+                else:
+                    src = self._port(path, (path + source.actor, source.port, OUT))
+                for s in c.sinks:
+                    sink = (path, s.port, OUT) if s.actor == PARENT else (path + s.actor, s.port, IN)
+                    self.wires.append((src, self._port(path, sink)))
         if node.kind == MODAL:
             info = ModalInfo(i, node, self.children[i])
+            if info.controller is None:
+                raise ValidationError([f"{path_text(path)}: controller {node.controller!r} is not an inner actor"])
             self.modals.append(info)
-            if info.controller is not None:
-                self.coupled[info.controller] = info.outputs
+            ctrl = self.paths[info.controller]
+            twins = self.coupled[info.controller] = {}
+            refinements = sorted({r for r in info.refinements.values() if r is not None})
+            for q in info.outputs:
+                # Each refinement's output feeds the controller's twin input,
+                # and the controller's output is what the modal actor shows.
+                twins[q] = self._port(path, (ctrl, q, IN))
+                for r in refinements:
+                    self.wires.append((self._port(path, (self.paths[r], q, OUT)), twins[q]))
+                self.wires.append((self._port(path, (ctrl, q, OUT)), self.ids[(path, q, OUT)]))
+
+    def _port(self, owner, key) -> int:
+        """The id of a port the wiring of actor ``owner`` names; it must exist."""
+        pid = self.ids.get(key)
+        if pid is None:
+            actor, name, direction = key
+            port = f"{path_text(actor)}.{name} ({direction})"
+            raise ValidationError([f"{path_text(owner)}: its wiring names {port}, which does not exist"])
+        return pid
 
     def _enclosing_composite(self, i: int):
         """The nearest proper ancestor of actor ``i`` that is a composite."""

@@ -14,7 +14,14 @@ settings.register_profile(
 )
 settings.load_profile("deterministic")
 
-MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODELS = os.path.join(ROOT, "models")
+
+# pyproject.toml puts src/ on this process's path; the CLI tests' child
+# processes import the package from the same checkout.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")))
+)
 
 
 def model_path(name: str) -> str:

@@ -1,0 +1,152 @@
+"""Reference semantics for one instant's port fixed point.
+
+This is the engine's earlier design, kept as the reference the nets are
+tested against: every connection of a live composite or modal actor,
+and each live modal actor's implied wiring, is a copy rule that moves a
+known source status to its live sinks, and every live state machine is
+a ``fire._FsmRule``.  Rules run from a worklist: a rule runs again only
+when a port it reads resolves, and ``rng`` shuffles the initial
+schedule.  The wiring is read from the tree, not from
+``Network.wires``; what it shares with the engine is the firing
+decision (``fire._FsmRule`` and ``fire.decide_firing``), the port-name
+format of ``fire._key_text``, port ids and the mode's live flags.
+
+``reference_fixpoint(state)`` starts from the state's port statuses,
+as clear_ports and deliver_events prepare them.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from de_fixpoint.errors import CausalityCycle
+from de_fixpoint.fire import _FsmRule, _key_text
+from de_fixpoint.model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT, PARENT
+from de_fixpoint.values import ABSENT, UNKNOWN
+
+
+class _CopyRule:
+    """Connection propagation: a known source status flows to its sinks."""
+
+    def __init__(self, src: int, sinks, depth: int):
+        self.src = src
+        self.sinks = tuple(sinks)
+        self.depth = depth
+        self.reads = (src,)
+
+    def step(self, st, locations, values, decided):
+        s = st[self.src]
+        if s is UNKNOWN:
+            return ()
+        # Known sinks are proposed too: the driver loop cross-checks them.
+        return [(k, s) for k in self.sinks]
+
+
+def _rules(network, mode):
+    """(rules deepest first, live ports, unwritten ports) of a mode."""
+    live = mode.live
+    ids = network.ids
+    nodes = network.nodes_of(network.template)
+    ports = [pid for i in network.preorder if live[i] for pid in network.port_ids[i]]
+    live_ports = set(ports)
+    rules = []
+    produced = set()
+    event_sourced = []
+
+    def add_copy(src, sinks, depth):
+        sinks = [k for k in sinks if k in live_ports]
+        if sinks:
+            rules.append(_CopyRule(src, sinks, depth))
+            produced.update(sinks)
+
+    selected = {info.index: (info, r) for info, r in zip(network.modals, mode.selected)}
+    for i in network.preorder:
+        if not live[i]:
+            continue
+        path, kind, node = network.paths[i], network.kinds[i], nodes[i]
+        if kind in (CLOCK, DELAY):
+            pid = ids[(path, "output", OUT)]
+            event_sourced.append(pid)
+            produced.add(pid)
+        elif kind == FSM:
+            rule = _FsmRule(i, network)
+            rules.append(rule)
+            produced.update(rule.info.out_ids.values())
+        if kind in (COMPOSITE, MODAL):
+            for c in node.connections:
+                if c.source.actor == PARENT:
+                    src = ids[(path, c.source.port, IN)]
+                else:
+                    src = ids[(path + c.source.actor, c.source.port, OUT)]
+                sinks = [
+                    ids[(path, s.port, OUT) if s.actor == PARENT else (path + s.actor, s.port, IN)]
+                    for s in c.sinks
+                ]
+                add_copy(src, sinks, len(network.keys[src][0]))
+        if kind == MODAL:
+            info, refinement = selected[i]
+            ctrl = network.paths[info.controller]
+            for q in info.outputs:
+                if refinement is not None and live[refinement]:
+                    inner = network.paths[refinement]
+                    add_copy(ids[(inner, q, OUT)], [ids[(ctrl, q, IN)]], len(inner))
+                add_copy(ids[(ctrl, q, OUT)], [ids[(path, q, OUT)]], len(ctrl))
+    unwritten = event_sourced + [k for k in ports if k not in produced]
+    return sorted(rules, key=lambda r: -r.depth), ports, unwritten
+
+
+def reference_fixpoint(state, bottom_as_absent=False, rng=None):
+    """(statuses, {actor index: compiled transition} of the machines that
+    fire, applications, stalled port keys) for the instant ``state``
+    starts; raises CausalityCycle as ``fire.compute_fixpoint`` does."""
+    network = state.network
+    rules, ports, unwritten = _rules(network, state.mode)
+    dependents = [[] for _ in range(network.size)]
+    for n, rule in enumerate(rules):
+        for pid in rule.reads:
+            dependents[pid].append(n)
+    st = list(state.statuses)
+    applications = 0
+    for pid in unwritten:
+        if st[pid] is UNKNOWN:
+            st[pid] = ABSENT
+            applications += 1
+    initial = {n for n, rule in enumerate(rules) if isinstance(rule, _FsmRule)}
+    for pid in ports:
+        if st[pid] is not UNKNOWN:
+            initial.update(dependents[pid])
+    schedule = sorted(initial)
+    if rng is not None:
+        rng.shuffle(schedule)
+    pending = deque(schedule)
+    queued = [False] * len(rules)
+    for n in schedule:
+        queued[n] = True
+    decided = {}
+    while pending:
+        n = pending.popleft()
+        queued[n] = False
+        for pid, status in rules[n].step(st, state.locations, state.values, decided):
+            old = st[pid]
+            if old is not UNKNOWN:
+                if old != status:
+                    raise AssertionError(f"port {_key_text(network.keys[pid])} driven to two different statuses")
+                continue
+            st[pid] = status
+            applications += 1
+            for d in dependents[pid]:
+                if not queued[d]:
+                    queued[d] = True
+                    pending.append(d)
+    fired = {}
+    for rule in rules:
+        if isinstance(rule, _FsmRule):
+            kind, entry = decided[rule.index]
+            if kind == "fire":
+                fired[rule.index] = entry
+    stalled = sorted(network.keys[pid] for pid in ports if st[pid] is UNKNOWN)
+    if stalled and not bottom_as_absent:
+        raise CausalityCycle([_key_text(k) for k in stalled])
+    for key in stalled:
+        st[network.ids[key]] = ABSENT
+    return tuple(st), fired, applications, tuple(stalled)

@@ -1,5 +1,7 @@
 """Temporal checking: dual-route verdicts, witnesses, bounded semantics."""
 
+import gc
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 from itertools import product
@@ -40,6 +42,7 @@ from de_fixpoint.state import SystemState, collect_variables
 
 import families
 import ltl_ref
+from conftest import initial_state
 
 
 def lasso_state(location):
@@ -185,6 +188,21 @@ def test_replay_steps_through_the_witness_once(mutant_graph, monkeypatch):
     witness = check_ltl(mutant_graph, parse_formula(MUTEX)).witness
     # One step per witness edge, the edge that closes the cycle included.
     assert len(steps) == len(witness.prefix) + len(witness.cycle)
+
+
+def test_a_checked_graph_is_freed_with_its_last_reference():
+    # Checking builds no reference cycle through the graph's states, so
+    # their network goes with the graph, without the cycle collector.
+    gc.disable()
+    try:
+        graph = build_state_graph(initial_state("hierarchical_traffic_light_mutant.model"))
+        assert check_ltl(graph, parse_formula(HOLDS[1])).holds
+        assert not check_ltl(graph, parse_formula(MUTEX)).holds
+        network = weakref.ref(graph.nodes[0].network)
+        del graph
+        assert network() is None
+    finally:
+        gc.enable()
 
 
 def test_replay_rejects_a_witness_the_executor_does_not_reproduce(mutant_graph):

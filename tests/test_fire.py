@@ -4,13 +4,14 @@ import gc
 import logging
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from de_fixpoint.errors import CausalityCycle, NoSuchPort
+from de_fixpoint.errors import CausalityCycle, NoSuchPort, ValidationError
 from de_fixpoint.events import Event, EventQueue, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, Unary
 from de_fixpoint import fire
@@ -27,6 +28,7 @@ from de_fixpoint.model import (
     PortRef,
     Transition,
     iter_actors,
+    normalize,
     resolve,
 )
 from de_fixpoint.executor import Iteration, step
@@ -43,6 +45,7 @@ from de_fixpoint.values import (
 
 import families
 from conftest import initial_state
+from fixpoint_ref import reference_fixpoint
 
 
 def pop_due(state):
@@ -137,6 +140,59 @@ def test_fused_instant_matches_staged_on_generated_models(text):
     # A fresh instant in one call resolves exactly as clearing the ports,
     # delivering the due events and resolving from there.
     assert fused_matches_staged(initialize(parse_model(text)), 120) >= 10
+
+
+def matches_reference(state, steps, rng):
+    """Step ``steps`` times (absent fallback on); at every due instant,
+    both starts of compute_fixpoint, with and without bottom_as_absent,
+    must resolve as the copy-rule reference does under a shuffled order.
+    Returns the instants seen."""
+    seen = 0
+    for _ in range(steps):
+        if not state.entries:
+            break
+        if is_due(state):
+            popped, events = pop_due(state)
+            prepared = staged(state)
+            for bottom in (False, True):
+                starts = (
+                    lambda: compute_fixpoint(popped, bottom, events=events),
+                    lambda: compute_fixpoint(prepared, bottom),
+                )
+                try:
+                    expected = reference_fixpoint(prepared, bottom, rng)
+                except CausalityCycle as cycle:
+                    for start in starts:
+                        with pytest.raises(CausalityCycle) as err:
+                            start()
+                        assert err.value.ports == cycle.ports
+                    continue
+                for start in starts:
+                    result = start()
+                    got = (result.state.statuses, result.decisions, result.applications, result.stalled_ports)
+                    assert got == expected
+            seen += 1
+        state, _ = step(state, bottom_as_absent=True)
+    return seen
+
+
+@settings(max_examples=20)
+@given(families.MODELS, st.integers(0, 2**32 - 1))
+def test_nets_resolve_as_the_copy_rule_reference_on_generated_models(text, seed):
+    assert matches_reference(initialize(parse_model(text)), 120, random.Random(seed)) >= 10
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "flat_traffic_light.model",
+        "hierarchical_traffic_light.model",
+        "hierarchical_traffic_light_mutant.model",
+        "causality_cycle.model",
+    ],
+)
+def test_nets_resolve_as_the_copy_rule_reference_on_fixtures(fixture):
+    assert matches_reference(initial_state(fixture), 200, random.Random(fixture)) >= 20
 
 
 @pytest.mark.parametrize(
@@ -242,6 +298,41 @@ def test_bottom_as_absent_forces_stuck_ports_after_decisions(cycle_state):
     assert a.port("Out", OUT).status is ABSENT
     # Neither machine of the loop fired.
     assert all(cycle_state.network.paths[i][-1] not in ("A", "B") for i in result.decisions)
+
+
+WIRE_LOOP = """format 1
+
+composite Top {
+  composite Sub {
+    input i
+    output o
+    connect parent.i -> parent.o
+  }
+  fsm M {
+    input W
+    initial s
+    transition s -> s { guard isPresent(W) }
+  }
+  clock Clock {
+    period = 1
+  }
+  connect Sub.o -> Sub.i, M.W
+}
+"""
+
+
+def test_a_loop_of_wires_through_a_composite_stalls():
+    # Sub.o feeds Sub.i, which feeds Sub.o again: nothing ever writes the
+    # net, so it is a causality cycle, however its reach is computed.
+    state = initialize(parse_model(WIRE_LOOP))
+    with pytest.raises(CausalityCycle) as err:
+        step(state)
+    assert err.value.ports == ("Top.M.W(in)", "Top.Sub.i(in)", "Top.Sub.o(out)")
+    popped, events = pop_due(state)
+    result = compute_fixpoint(popped, bottom_as_absent=True, events=events)
+    stuck = ((("Top", "M"), "W", IN), (("Top", "Sub"), "i", IN), (("Top", "Sub"), "o", OUT))
+    assert result.stalled_ports == stuck
+    assert all(result.state.statuses[state.network.ids[key]] is ABSENT for key in stuck)
 
 
 def test_decisions_are_read_before_the_absent_fallback():
@@ -387,6 +478,37 @@ def test_rules_are_built_once_per_mode_configuration(monkeypatch):
     assert len(network.modes) == 2
     assert set(rules) == set(network.modes.values())
     assert sorted(map(id, built)) == sorted(map(id, rules))
+
+
+def one_level_modal(edit):
+    """The one-level modal family member, normalized, with ``edit``
+    applied to its modal actor M0; refinement A is the one selected."""
+    top = normalize(parse_model(families.modal((2,), 0)))
+    modal = edit(top.child("M0"))
+    return replace(top, inner=tuple(modal if c.name == "M0" else c for c in top.inner))
+
+
+def test_a_modal_without_its_controller_is_rejected_when_compiled():
+    top = one_level_modal(lambda m: replace(m, controller="Nope"))
+    with pytest.raises(ValidationError, match=r"^Nested\.M0: controller 'Nope' is not an inner actor$"):
+        SystemState(top)
+
+
+def test_a_refinement_without_a_modal_port_is_rejected_when_compiled():
+    def drop_out(refinement):
+        return replace(
+            refinement,
+            ports=tuple(p for p in refinement.ports if p.name != "Out"),
+            connections=tuple(c for c in refinement.connections if c.source.port != "Out"),
+        )
+
+    def edit(modal):
+        # B is frozen while the controller is in ``a``, as its flag says.
+        inner = (drop_out(c) if c.name == "A" else replace(c, enabled=c.name != "B") for c in modal.inner)
+        return replace(modal, inner=tuple(inner))
+
+    with pytest.raises(ValidationError, match=r"^Nested\.M0: its wiring names Nested\.M0\.A\.Out \(out\)"):
+        SystemState(one_level_modal(edit))
 
 
 def test_a_network_is_freed_with_its_last_state():
