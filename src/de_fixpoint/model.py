@@ -12,18 +12,20 @@ matter the declaration order.
 
 A tree is the model as parsed, and a read-only view of a running
 system: the engine compiles a tree's static side once (see network.py)
-and keeps the dynamic side (port statuses, locations, variables, enabled
-flags) in flat slots.  It builds a tree from slots only when a caller
-reads ``SystemState.top``, with ``ActorNode.with_state``, which keeps the
+and keeps the dynamic side (port statuses, locations, variables) in flat
+slots.  It builds a tree from slots only when a caller reads
+``SystemState.top``, with ``ActorNode.with_state``, which keeps the
 existing port, transition and child tuples in their order and never
-re-sorts them.
+re-sorts them.  Which refinements run, and how a modal actor's inputs
+reach its children, follow from the tree; the network derives both, and
+no tree records either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import NoSuchActor, ValidationError
 from .expr import Expr, expr_text, referenced_names, referenced_ports
@@ -121,7 +123,6 @@ class ActorNode:
     kind: str
     ports: tuple = ()
     parameters: FrozenMap = EMPTY_MAP
-    enabled: bool = True
     # State-machine payload.
     locations: tuple = ()
     init_location: Optional[str] = None
@@ -158,9 +159,7 @@ class ActorNode:
     # may change structure) drops it.  Unset, it reads as this default.
     _network = None
 
-    def with_state(
-        self, ports=None, inner=None, enabled=None, curr_location=None, variables=None
-    ) -> "ActorNode":
+    def with_state(self, ports=None, inner=None, curr_location=None, variables=None) -> "ActorNode":
         """This node with new dynamic contents and the same static structure.
 
         ``ports`` and ``inner`` must be the node's own tuples with only
@@ -176,7 +175,6 @@ class ActorNode:
         put(node, "kind", self.kind)
         put(node, "ports", self.ports if ports is None else ports)
         put(node, "parameters", self.parameters)
-        put(node, "enabled", self.enabled if enabled is None else enabled)
         put(node, "locations", self.locations)
         put(node, "init_location", self.init_location)
         put(node, "curr_location", self.curr_location if curr_location is None else curr_location)
@@ -208,7 +206,7 @@ class ActorNode:
         return tuple(p.name for p in self.ports if p.direction == direction)
 
 
-_DYNAMIC_FIELDS = ("ports", "enabled", "curr_location", "variables", "inner")
+_DYNAMIC_FIELDS = ("ports", "curr_location", "variables", "inner")
 #: The fields a running model never changes.
 STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
 
@@ -227,25 +225,6 @@ def resolve(top: ActorNode, path) -> ActorNode:
     return node
 
 
-def iter_actors(top: ActorNode, live_only: bool = False) -> Iterator:
-    """Yield (path, node, live) for every actor, depth first.
-
-    ``live`` is true when the node and all of its ancestors are enabled;
-    frozen refinements and everything beneath them report false.  With
-    ``live_only`` those frozen subtrees are skipped entirely.
-    """
-
-    stack = [(top, (top.name,), True)]
-    while stack:
-        node, path, live = stack.pop()
-        live = live and node.enabled
-        if live_only and not live:
-            continue
-        yield path, node, live
-        for child in reversed(node.inner):
-            stack.append((child, path + (child.name,), live))
-
-
 # Normalization. ------------------------------------------------------------
 
 
@@ -253,11 +232,12 @@ def normalize(top: ActorNode) -> ActorNode:
     """Fill in defaults and derived structure.  Idempotent.
 
     Clocks get their default offset/emit parameters, state machines a
-    current location, and modal actors get the full wiring implied by
-    their port lists: the controller mirrors every modal output as an
-    input/output pair (its coupled ports) and sees every modal input,
-    each refinement carries exactly the modal's ports, and the modal's
-    connection list is the canonical fan-out of its inputs.
+    current location, and the children of modal actors the ports their
+    implied wiring names: the controller mirrors every modal output as
+    an input/output pair (its coupled ports) and sees every modal input,
+    and each refinement carries exactly the modal's ports.  The wiring
+    itself, a modal input fanned out to the controller and every
+    refinement, is the network's to derive (see network.py).
     """
     return _normalize(top)
 
@@ -303,12 +283,7 @@ def _normalize_modal(modal: ActorNode) -> ActorNode:
             wanted = [(n, IN) for n in in_names] + [(n, OUT) for n in out_names]
             child = _complete_ports(child, wanted)
         inner.append(child)
-    connections = []
-    sink_names = sorted(refinement_names | {modal.controller} if modal.controller else set())
-    for name in in_names:
-        sinks = tuple(PortRef((a,), name) for a in sink_names)
-        connections.append(Connection(PortRef(PARENT, name), sinks))
-    return replace(modal, inner=tuple(inner), connections=tuple(connections))
+    return replace(modal, inner=tuple(inner))
 
 
 # Validation. ---------------------------------------------------------------
@@ -515,8 +490,7 @@ def _validate_modal(node: ActorNode, prefix: str, problems) -> None:
                 f"{prefix}: inner actor '{child.name}' is neither the controller nor "
                 "a refinement"
             )
-    expected = _normalize_modal(node).connections
-    if node.connections != expected:
+    if node.connections:
         problems.append(
             f"{prefix}: modal actors take no explicit connections (wiring is implied "
             "by the port lists)"

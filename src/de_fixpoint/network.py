@@ -2,16 +2,17 @@
 
 A tree mixes what never changes while a model runs (actor names and
 kinds, ports, parameters, transitions, connections, refinement maps)
-with what every iteration rewrites (port statuses, locations, variables,
-enabled flags).  A :class:`Network` indexes the static side once: actors
+with what every iteration rewrites (port statuses, locations,
+variables).  A :class:`Network` indexes the static side once: actors
 with their paths, parents and children; every port as an integer id;
 every variable as an integer value slot; every wire, from a composite's
-connections and a modal actor's implied wiring, as a (source port id,
-sink port id) pair; each state machine's ports and compiled
-transitions; the composite each variable setter writes; and the model's
-timebase.  Which part of the model runs follows from the controllers'
-locations alone: :meth:`Network.mode` turns them into a :class:`Mode`,
-once per tuple of locations, which every state in that mode shares.
+connections and the wiring a modal actor's port lists imply, as a
+(source port id, sink port id) pair; each state machine's ports and
+compiled transitions; the composite each variable setter writes; and the
+model's timebase.  Which part of the model runs follows from the
+controllers' locations alone, and no tree records it: :meth:`Network.mode`
+turns them into a :class:`Mode`, once per tuple of locations, which
+every state in that mode shares.
 
 The timebase is the least common multiple of the denominators of every
 clock period and offset and every delay.  The engine counts time in
@@ -24,8 +25,8 @@ using Ptolemy II*, 2014, DE chapter).
 A system state (see state.py) holds its dynamic side as flat tuples
 indexed by actor, port id and value slot, and every engine phase works
 on those.  Trees remain the model's input and a read-only view of a
-state: :meth:`Network.flatten` reads a tree's dynamic side into slots,
-:meth:`Network.flat_events` turns Events into port ids, and
+state: :meth:`Network.flatten` reads a normalized tree's dynamic side
+into slots, :meth:`Network.flat_events` turns Events into port ids, and
 :meth:`Network.tree` (through :func:`map_ports`, the one tree writer)
 builds the view ``SystemState.top`` shows.  ``network_of`` compiles a
 tree's network on first use and caches it on the tree's root; every
@@ -130,12 +131,15 @@ class _Outgoing(dict):
 class ModalInfo:
     """Which child is the controller and which refines each location."""
 
-    def __init__(self, index: int, node: ActorNode, children):
+    def __init__(self, index: int, path, node: ActorNode, children):
         by_name = {node.inner[k].name: c for k, c in enumerate(children)}
+        for role, name in (("controller", node.controller), *(("refinement", n) for n in node.refinements.values())):
+            if name not in by_name:
+                raise ValidationError([f"{path_text(path)}: {role} {name!r} is not an inner actor"])
         self.index = index
-        self.controller = by_name.get(node.controller)
+        self.controller = by_name[node.controller]
         # location -> index of the child that refines it
-        self.refinements = {loc: by_name.get(name) for loc, name in node.refinements.items()}
+        self.refinements = {loc: by_name[name] for loc, name in node.refinements.items()}
         # Every child but the controller: the refinements, of which only
         # the one for the controller's location is enabled.
         self.others = tuple(c for c in children if c != self.controller)
@@ -227,7 +231,7 @@ class Network:
         self.template = top.with_state()
         # Actors are numbered breadth first, so a tree's actors come out in
         # index order from one cheap sweep (see nodes_of); ``preorder``
-        # lists them depth first, the order iter_actors reports them in.
+        # lists them depth first, children in canonical order.
         # Ports are numbered actor by actor, each actor's in canonical order,
         # and value slots the same way, each actor's in variable-name order.
         self.paths = []  # actor paths
@@ -278,8 +282,8 @@ class Network:
         # variable-setter index -> (input port id, target name, index of the
         # enclosing composite or None)
         self.setters = {}
-        # (source port id, sink port id): every connection of a composite or
-        # modal actor, and every modal actor's output wiring
+        # (source port id, sink port id): every connection of a composite,
+        # and every modal actor's implied wiring
         self.wires = []
         self.modals = []  # ModalInfo, in actor order
         self.coupled = {}  # controller index -> {modal output name: the twin input's id}
@@ -307,7 +311,7 @@ class Network:
         elif node.kind == SETVAR:
             target = node.parameters["target"].value if "target" in node.parameters else None
             self.setters[i] = (ids[(path, "input", IN)], target, self._enclosing_composite(i))
-        if node.kind in (COMPOSITE, MODAL):
+        if node.kind == COMPOSITE:
             for c in node.connections:
                 source = c.source
                 if source.actor == PARENT:
@@ -318,13 +322,17 @@ class Network:
                     sink = (path, s.port, OUT) if s.actor == PARENT else (path + s.actor, s.port, IN)
                     self.wires.append((src, self._port(path, sink)))
         if node.kind == MODAL:
-            info = ModalInfo(i, node, self.children[i])
-            if info.controller is None:
-                raise ValidationError([f"{path_text(path)}: controller {node.controller!r} is not an inner actor"])
+            info = ModalInfo(i, path, node, self.children[i])
             self.modals.append(info)
             ctrl = self.paths[info.controller]
             twins = self.coupled[info.controller] = {}
-            refinements = sorted({r for r in info.refinements.values() if r is not None})
+            refinements = sorted(set(info.refinements.values()))
+            # Children are numbered in name order: each modal input feeds
+            # the same input of the controller and of every refinement.
+            sinks = [self.paths[c] for c in sorted({info.controller, *refinements})]
+            for q in node.port_names(IN):
+                src = self.ids[(path, q, IN)]
+                self.wires.extend((src, self._port(path, (sink, q, IN))) for sink in sinks)
             for q in info.outputs:
                 # Each refinement's output feeds the controller's twin input,
                 # and the controller's output is what the modal actor shows.
@@ -408,17 +416,16 @@ class Network:
         return nodes
 
     def flatten(self, top: ActorNode):
-        """A tree's dynamic side as (locations, values, enabled flags, statuses)."""
+        """A normalized tree's dynamic side as (locations, values, statuses)."""
         nodes = self.nodes_of(top)
         locations = tuple(node.curr_location if node.kind == FSM else None for node in nodes)
         values = tuple(v for node in nodes for _, v in node.variables.items())
-        enabled = tuple(node.enabled for node in nodes)
         statuses = tuple(UNKNOWN if isinstance(p.status, Unknown) else p.status for node in nodes for p in node.ports)
-        return locations, values, enabled, statuses
+        return locations, values, statuses
 
-    def tree(self, locations, values, enabled, statuses) -> ActorNode:
+    def tree(self, locations, values, statuses) -> ActorNode:
         """The tree with this structure and the given dynamic side."""
-        return map_ports(self, locations, values, enabled, statuses)
+        return map_ports(self, locations, values, statuses)
 
 
 def network_of(top: ActorNode) -> Network:
@@ -430,7 +437,7 @@ def network_of(top: ActorNode) -> Network:
     return network
 
 
-def map_ports(network: Network, locations, values, enabled, statuses) -> ActorNode:
+def map_ports(network: Network, locations, values, statuses) -> ActorNode:
     """Write slots into a tree: the one way a tree is built from a state.
 
     Rebuilds the network's template bottom up.  Every port and child
@@ -446,7 +453,7 @@ def map_ports(network: Network, locations, values, enabled, statuses) -> ActorNo
             p if statuses[pid] == p.status else Port(p.name, p.direction, statuses[pid])
             for p, pid in zip(node.ports, network.port_ids[i])
         )
-        change = {"enabled": enabled[i]}
+        change = {}
         if node.kind == FSM:
             change["curr_location"] = locations[i]
         if node.variables:

@@ -41,7 +41,7 @@ def initialize(top: ActorNode) -> SystemState:
     top = normalize(top)
     validate(top)
     network = network_of(top)
-    locations, values, _, _ = network.flatten(top)
+    locations, values, _ = network.flatten(top)
     locations = list(locations)
     for i, info in network.fsms.items():
         locations[i] = info.init_location

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
 from .events import EMPTY_QUEUE, EventQueue, queue_view
 from .model import ActorNode
 from .network import Mode, Network, network_of, to_ticks
@@ -66,22 +65,18 @@ class SystemState:
         elapsed: Fraction = Fraction(0),
         microstep_of_instant: int = 0,
     ):
-        """The state a tree and a queue describe.
+        """The state a normalized tree and a queue describe.
 
-        Every time (queue entries and ``elapsed``) must be a multiple of
-        the tree's timebase.  The tree's enabled flags must be the ones
-        its controllers' locations imply; ValidationError names every
-        actor whose flag is not.
+        ``top`` must be normalized (see ``model.normalize``): every state
+        machine stands in a location, and every port a modal actor's
+        implied wiring names exists.  Every time (queue entries and
+        ``elapsed``) must be a multiple of the tree's timebase.  Which
+        actors are enabled follows from the locations (``self.enabled``).
         """
         network = network_of(top)
         self.network = network
-        self.locations, self.values, enabled, self.statuses = network.flatten(top)
+        self.locations, self.values, self.statuses = network.flatten(top)
         self.mode = network.mode(self.locations)
-        if enabled != self.mode.enabled:
-            raise ValidationError(
-                f"{'.'.join(network.paths[i])}: enabled={flag} contradicts its controller's location"
-                for i, flag in enumerate(enabled) if flag != self.mode.enabled[i]
-            )
         self.entries = tuple(
             (to_ticks(e.time, network.timebase), e.microstep, network.flat_events(e.events))
             for e in queue.entries
@@ -96,7 +91,7 @@ class SystemState:
     def top(self) -> ActorNode:
         """The actor tree with this state's dynamic side."""
         if self._top is None:
-            self._top = self.network.tree(self.locations, self.values, self.mode.enabled, self.statuses)
+            self._top = self.network.tree(self.locations, self.values, self.statuses)
         return self._top
 
     @property

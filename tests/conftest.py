@@ -44,6 +44,18 @@ def initial_state(name: str):
     return initialize(load_model(name))
 
 
+def actors(state):
+    """Yield (path, node of ``state.top``, live) for every actor, depth first.
+
+    ``live`` is the state's mode's: the actor and all its ancestors are
+    enabled, so frozen refinements and everything beneath them read false.
+    """
+    network = state.network
+    nodes = network.nodes_of(state.top)
+    for i in network.preorder:
+        yield network.paths[i], nodes[i], state.mode.live[i]
+
+
 @pytest.fixture(scope="session")
 def flat_state():
     return initial_state("flat_traffic_light.model")

@@ -1,12 +1,13 @@
 """Reference semantics for one instant's port fixed point.
 
 This is the engine's earlier design, kept as the reference the nets are
-tested against: every connection of a live composite or modal actor,
-and each live modal actor's implied wiring, is a copy rule that moves a
-known source status to its live sinks, and every live state machine is
-a ``fire._FsmRule``.  Rules run from a worklist: a rule runs again only
+tested against: every connection of a live composite, and each live
+modal actor's implied wiring, is a copy rule that moves a known source
+status to its live sinks, and every live state machine is a
+``fire._FsmRule``.  Rules run from a worklist: a rule runs again only
 when a port it reads resolves, and ``rng`` shuffles the initial
-schedule.  The wiring is read from the tree, not from
+schedule.  The wiring is read from the tree, a modal actor's from its
+port lists, controller and refinement map, not from
 ``Network.wires``; what it shares with the engine is the firing
 decision (``fire._FsmRule`` and ``fire.decide_firing``), the port-name
 format of ``fire._key_text``, port ids and the mode's live flags.
@@ -72,7 +73,7 @@ def _rules(network, mode):
             rule = _FsmRule(i, network)
             rules.append(rule)
             produced.update(rule.info.out_ids.values())
-        if kind in (COMPOSITE, MODAL):
+        if kind == COMPOSITE:
             for c in node.connections:
                 if c.source.actor == PARENT:
                     src = ids[(path, c.source.port, IN)]
@@ -84,6 +85,11 @@ def _rules(network, mode):
                 ]
                 add_copy(src, sinks, len(network.keys[src][0]))
         if kind == MODAL:
+            # Each modal input feeds the same input of the controller and
+            # of every refinement.
+            children = sorted({node.controller, *node.refinements.values()})
+            for q in node.port_names(IN):
+                add_copy(ids[(path, q, IN)], [ids[(path + (c,), q, IN)] for c in children], len(path))
             info, refinement = selected[i]
             ctrl = network.paths[info.controller]
             for q in info.outputs:

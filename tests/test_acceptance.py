@@ -54,13 +54,12 @@ from de_fixpoint.cli import main as cli_main
 from de_fixpoint.executor import Iteration
 from de_fixpoint.fire import clear_ports, compute_fixpoint, deliver_events
 from de_fixpoint.formula import collect_atoms, desugar
-from de_fixpoint.model import iter_actors, resolve
 from de_fixpoint.postfire import initialize
 from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import IntVal
 
 import ltl_ref
-from conftest import initial_state, model_path
+from conftest import actors, initial_state, model_path
 
 BUDGET_SECONDS = 10.0
 
@@ -251,9 +250,7 @@ def _fire_instants(name, *, max_elapsed):
         if (time, microstep) == (0, 0):
             popped = state.requeued(state.entries[1:], state.now, state.microstep_of_instant)
             prepared = deliver_events(clear_ports(popped), events)
-            live = sum(
-                len(node.ports) for _, node, _ in iter_actors(state.top, live_only=True)
-            )
+            live = sum(len(node.ports) for _, node, live in actors(state) if live)
             out.append((prepared, live))
         state, _ = step(state)
     return out
@@ -262,7 +259,7 @@ def _fire_instants(name, *, max_elapsed):
 def _port_snapshot(result):
     return tuple(
         (path, port.name, port.direction, port.status)
-        for path, node, _ in iter_actors(result.state.top)
+        for path, node, _ in actors(result.state)
         for port in node.ports
     )
 
@@ -335,8 +332,7 @@ def test_criterion_09_frozen_refinement_bit_identical(hier_state):
             return locations, variables
 
         def normal_enabled(state):
-            modal = resolve(state.top, ("HierarchicalTrafficLight", "TrafficLight"))
-            return modal.child("normal").enabled
+            return state.enabled[state.network.actor(("HierarchicalTrafficLight", "TrafficLight", "normal"))]
 
         state = hier_state
         frozen_steps = 0

@@ -34,7 +34,7 @@ from de_fixpoint.formula import (
 )
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.graph import build_state_graph
-from de_fixpoint.model import COMPOSITE, FSM, ActorNode, iter_actors
+from de_fixpoint.model import COMPOSITE, FSM, ActorNode
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.props import prop_holds
@@ -42,7 +42,7 @@ from de_fixpoint.state import SystemState, collect_variables
 
 import families
 import ltl_ref
-from conftest import initial_state
+from conftest import actors, initial_state
 
 
 def lasso_state(location):
@@ -500,7 +500,7 @@ def proposition_atoms(graph):
 
     atoms = [
         f"{actor(path)} @ '{location}"
-        for path, node, _ in iter_actors(graph.nodes[0].top)
+        for path, node, _ in actors(graph.nodes[0])
         if node.kind == FSM
         for location in node.locations
     ]

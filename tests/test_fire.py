@@ -27,7 +27,6 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    iter_actors,
     normalize,
     resolve,
 )
@@ -44,7 +43,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import initial_state
+from conftest import actors, initial_state
 from fixpoint_ref import reference_fixpoint
 
 
@@ -88,9 +87,7 @@ def iteration_instants(state, *, max_elapsed):
     out = []
     while state.entries and state.elapsed <= max_elapsed:
         if is_due(state):
-            live_ports = sum(
-                len(node.ports) for _, node, _ in iter_actors(state.top, live_only=True)
-            )
+            live_ports = sum(len(node.ports) for _, node, live in actors(state) if live)
             out.append((staged(state), live_ports))
         state, _ = step(state)
     return out
@@ -208,9 +205,8 @@ def test_all_live_ports_known_at_quiescence(flat_state):
     for prepared, _ in iteration_instants(flat_state, max_elapsed=5):
         result = compute_fixpoint(prepared)
         assert result.stalled_ports == ()
-        for _, node, _ in iter_actors(result.state.top, live_only=True):
-            for p in node.ports:
-                assert p.status is not UNKNOWN
+        for _, node, live in actors(result.state):
+            assert not live or all(p.status is not UNKNOWN for p in node.ports)
 
 
 def test_unwritten_outputs_default_to_absent(flat_state):
@@ -232,10 +228,9 @@ def due_at(state, elapsed):
 
 def test_frozen_subtree_takes_no_part(hier_state):
     state = due_at(hier_state, 16)
-    modal = resolve(state.top, ("HierarchicalTrafficLight", "TrafficLight"))
-    assert modal.child("normal").enabled is False
-    result = compute_fixpoint(staged(state))
     normal_path = ("HierarchicalTrafficLight", "TrafficLight", "normal")
+    assert state.enabled[state.network.actor(normal_path)] is False
+    result = compute_fixpoint(staged(state))
     paths = [state.network.paths[i] for i in result.decisions]
     assert all(not path[: len(normal_path)] == normal_path for path in paths)
     frozen_car = resolve(result.state.top, normal_path + ("CarLight",))
@@ -494,6 +489,12 @@ def test_a_modal_without_its_controller_is_rejected_when_compiled():
         SystemState(top)
 
 
+def test_a_refinement_naming_no_child_is_rejected_when_compiled():
+    top = one_level_modal(lambda m: replace(m, refinements={"a": "A", "b": "Ghost"}))
+    with pytest.raises(ValidationError, match=r"^Nested\.M0: refinement 'Ghost' is not an inner actor$"):
+        SystemState(top)
+
+
 def test_a_refinement_without_a_modal_port_is_rejected_when_compiled():
     def drop_out(refinement):
         return replace(
@@ -503,9 +504,7 @@ def test_a_refinement_without_a_modal_port_is_rejected_when_compiled():
         )
 
     def edit(modal):
-        # B is frozen while the controller is in ``a``, as its flag says.
-        inner = (drop_out(c) if c.name == "A" else replace(c, enabled=c.name != "B") for c in modal.inner)
-        return replace(modal, inner=tuple(inner))
+        return replace(modal, inner=tuple(drop_out(c) if c.name == "A" else c for c in modal.inner))
 
     with pytest.raises(ValidationError, match=r"^Nested\.M0: its wiring names Nested\.M0\.A\.Out \(out\)"):
         SystemState(one_level_modal(edit))
@@ -538,7 +537,7 @@ def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     inside = [i for i, path in enumerate(network.paths) if path[: len(normal)] == normal]
     ports = [pid for i in inside for pid in network.port_ids[i]]
     frozen = resolve(state.top, normal)
-    assert frozen.enabled is False
+    assert state.enabled[network.actor(normal)] is False
     assert all(state.statuses[pid] is UNKNOWN for pid in ports)
     nxt, kind = step(state)
     assert isinstance(kind, Iteration)

@@ -23,12 +23,11 @@ import pytest
 
 from de_fixpoint import build_state_graph, check_ltl, initialize, parse_formula, parse_model
 from de_fixpoint.cli import main
-from de_fixpoint.model import iter_actors
 from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import literal_text
 
 import families
-from conftest import model_path
+from conftest import actors, model_path
 
 # A clock feeding three zero-delay hops into a wrapping counter.
 CHAIN3 = """\
@@ -377,9 +376,10 @@ def dump(graph) -> str:
         for path, variables in sorted(collect_variables(state).items()):
             assigns = ", ".join(f"{k}={literal_text(v)}" for k, v in sorted(variables.items()))
             lines.append(f"  vars {path}: {assigns}")
-        for path, node, live in iter_actors(state.top):
+        for path, node, live in actors(state):
             ports = " ".join(f"{p.name}/{p.direction}={p.status!r}" for p in node.ports)
-            lines.append(f"  {'.'.join(path)} enabled={node.enabled} live={live} {ports}")
+            enabled = state.enabled[state.network.actor(path)]
+            lines.append(f"  {'.'.join(path)} enabled={enabled} live={live} {ports}")
         lines.append(f"  queue {state.queue.summary()}")
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from de_fixpoint.errors import StateSpaceExceeded, ValidationError
+from de_fixpoint.errors import StateSpaceExceeded
 from de_fixpoint.events import EMPTY_QUEUE, Event
 from de_fixpoint.executor import Iteration, Tick, simulate, step
 from de_fixpoint.graph import Stutter, build_state_graph, search
@@ -143,37 +143,6 @@ def test_a_state_and_its_tree_and_queue_describe_each_other(model, hier_state):
         assert again == state and hash(again) == hash(state)
         assert (again.now, again.microstep_of_instant) == (state.now, state.microstep_of_instant)
         assert state.queue_summary() == state.queue.summary()
-
-
-def with_flag(node, path, flag):
-    """``node``'s tree with the actor at ``path`` (below ``node``) flagged ``flag``."""
-    if not path:
-        return node.with_state(enabled=flag)
-    inner = tuple(with_flag(c, path[1:], flag) if c.name == path[0] else c for c in node.inner)
-    return node.with_state(inner=inner)
-
-
-def test_a_tree_whose_flags_contradict_its_controllers_is_rejected(hier_state):
-    # The controller stands in ``normal``: freezing ``normal`` or thawing
-    # ``error`` describes no state the model can be in.
-    top = hier_state.top
-    assert fsm_locations(hier_state)["HierarchicalTrafficLight.TrafficLight.Ctrl"] == "normal"
-    frozen = with_flag(top, ("TrafficLight", "normal"), False)
-    with pytest.raises(ValidationError) as info:
-        SystemState(frozen, hier_state.queue)
-    assert info.value.problems == (
-        "HierarchicalTrafficLight.TrafficLight.normal: enabled=False contradicts its controller's location",
-    )
-    both = with_flag(frozen, ("TrafficLight", "error"), True)
-    with pytest.raises(ValidationError) as info:
-        SystemState(both, hier_state.queue)
-    named = [problem.split(":")[0] for problem in info.value.problems]
-    assert sorted(named) == [
-        "HierarchicalTrafficLight.TrafficLight.error",
-        "HierarchicalTrafficLight.TrafficLight.normal",
-    ]
-    mended = with_flag(with_flag(both, ("TrafficLight", "normal"), True), ("TrafficLight", "error"), False)
-    assert SystemState(mended, hier_state.queue) == hier_state
 
 
 def test_a_state_takes_only_times_on_its_timebase(flat_state):

@@ -1,5 +1,6 @@
 """Model normalization, validation, lookup helpers, and firing decisions."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    iter_actors,
     normalize,
     resolve,
     validate,
@@ -37,6 +37,8 @@ from de_fixpoint.values import (
     StringVal,
     TimeVal,
 )
+
+from conftest import actors
 
 TRUE = Lit(BoolVal(True))
 
@@ -103,15 +105,17 @@ def test_modal_refinements_carry_the_modal_port_lists(hier_state):
 
 
 def test_modal_connections_fan_each_input_to_all_children(hier_state):
-    modal = resolve(hier_state.top, ("HierarchicalTrafficLight", "TrafficLight"))
-    expected = tuple(
-        Connection(
-            PortRef((), name),
-            tuple(PortRef((child,), name) for child in ("Ctrl", "error", "normal")),
-        )
+    path = ("HierarchicalTrafficLight", "TrafficLight")
+    network = hier_state.network
+    inputs = {network.ids[(path, name, IN)] for name in ("Error", "Ok", "Sec")}
+    expected = [
+        (network.ids[(path, name, IN)], network.ids[(path + (child,), name, IN)])
         for name in ("Error", "Ok", "Sec")
-    )
-    assert modal.connections == expected
+        for child in ("Ctrl", "error", "normal")
+    ]
+    assert [wire for wire in network.wires if wire[0] in inputs] == expected
+    # The tree spells none of it out.
+    assert resolve(hier_state.top, path).connections == ()
 
 
 # Lookup helpers. -------------------------------------------------------------
@@ -132,15 +136,15 @@ def test_resolve_follows_absolute_paths(hier_state):
         resolve(top, ())
 
 
-def test_iter_actors_reports_liveness_of_frozen_subtrees(hier_state):
-    paths = {path: live for path, _, live in iter_actors(hier_state.top)}
+def test_live_flags_report_frozen_subtrees(hier_state):
+    paths = {path: live for path, _, live in actors(hier_state)}
     tl = ("HierarchicalTrafficLight", "TrafficLight")
     assert paths[tl]
     assert paths[tl + ("normal",)]
     assert paths[tl + ("normal", "CarLight")]
     assert not paths[tl + ("error",)]
     assert not paths[tl + ("error", "ErrorLight")]
-    live_paths = {path for path, _, _ in iter_actors(hier_state.top, live_only=True)}
+    live_paths = {path for path, _, live in actors(hier_state) if live}
     assert tl + ("normal", "CarLight") in live_paths
     assert tl + ("error",) not in live_paths
     assert tl + ("error", "ErrorLight") not in live_paths
@@ -148,9 +152,9 @@ def test_iter_actors_reports_liveness_of_frozen_subtrees(hier_state):
 
 def test_clear_ports_resets_statuses(hier_state):
     state, _ = step(hier_state)
-    assert any(p.status is not UNKNOWN for _, n, _ in iter_actors(state.top) for p in n.ports)
+    assert any(p.status is not UNKNOWN for _, n, _ in actors(state) for p in n.ports)
     cleared = clear_ports(state)
-    for _, node, _ in iter_actors(cleared.top):
+    for _, node, _ in actors(cleared):
         assert all(p.status is UNKNOWN for p in node.ports)
 
 
@@ -403,16 +407,10 @@ def test_modal_controller_and_refinements_checked():
 
 
 def test_modal_rejects_explicit_connections():
-    broken = modal_fixture()
-    modal = broken.inner[0]
-    tampered = wrap(
-        ActorNode(
-            **{
-                **{f.name: getattr(modal, f.name) for f in modal.__dataclass_fields__.values()},
-                "connections": modal.connections[:-1],
-            }
-        )
-    )
+    modal = modal_fixture().inner[0]
+    validate(wrap(modal))
+    explicit = Connection(PortRef((), "Go"), (PortRef(("Ctrl",), "Go"),))
+    tampered = wrap(replace(modal, connections=(explicit,)))
     assert "no explicit connections" in problems_of(tampered)
 
 

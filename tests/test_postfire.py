@@ -1,5 +1,6 @@
 """Post-iteration commitment: moves, updates, rescheduling, mode switches."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from de_fixpoint.model import (
     Port,
     PortRef,
     Transition,
-    iter_actors,
+    normalize,
     resolve,
 )
 from de_fixpoint.network import network_of, to_ticks
@@ -40,7 +41,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import initial_state
+from conftest import MODELS, actors, initial_state
 
 TRUE = Lit(BoolVal(True))
 
@@ -62,28 +63,28 @@ def test_initialize_validates_and_resets(hier_state):
     # The one modal actor's controller picks its mode.
     modals = [
         (".".join(path), node.child(node.controller).curr_location)
-        for path, node, _ in iter_actors(hier_state.top)
+        for path, node, _ in actors(hier_state)
         if node.kind == MODAL
     ]
     assert modals == [("HierarchicalTrafficLight.TrafficLight", "normal")]
-    for _, node, _ in iter_actors(hier_state.top):
+    for _, node, _ in actors(hier_state):
         assert all(p.status is UNKNOWN for p in node.ports)
 
 
 def test_initialize_resets_a_mid_run_tree(hier_state):
     modal_path = ("HierarchicalTrafficLight", "TrafficLight")
+    normal, error = (hier_state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
     state = hier_state
-    while not resolve(state.top, modal_path).child("error").enabled:
+    while not state.enabled[error]:
         state, _ = step(state)
-    assert any(p.status is not UNKNOWN for _, n, _ in iter_actors(state.top) for p in n.ports)
+    assert any(p.status is not UNKNOWN for _, n, _ in actors(state) for p in n.ports)
 
     again = initialize(state.top)
-    for _, node, _ in iter_actors(again.top):
+    for _, node, _ in actors(again):
         assert all(p.status is UNKNOWN for p in node.ports)
         if node.kind == FSM:
             assert node.curr_location == node.init_location
-    modal = resolve(again.top, modal_path)
-    assert modal.child("normal").enabled and not modal.child("error").enabled
+    assert again.enabled[normal] and not again.enabled[error]
     assert collect_variables(again) == collect_variables(state)
     # A frozen refinement stays frozen: initializing again changes nothing.
     assert initialize(again.top) == again
@@ -326,16 +327,15 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
     state = hier_state
     while not (state.elapsed == 15 and state.queue.head_tag() == (Fraction(0), 0)):
         state, _ = step(state)
-    modal_before = resolve(
-        state.top, ("HierarchicalTrafficLight", "TrafficLight")
-    )
-    assert modal_before.child("normal").enabled is True
-    assert modal_before.child("error").enabled is False
+    modal_path = ("HierarchicalTrafficLight", "TrafficLight")
+    normal, error = (state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
+    assert state.enabled[normal] is True
+    assert state.enabled[error] is False
     state, _ = step(state)  # the iteration that carries the Error event
-    modal_after = resolve(state.top, ("HierarchicalTrafficLight", "TrafficLight"))
+    modal_after = resolve(state.top, modal_path)
     assert modal_after.child("Ctrl").curr_location == "error"
-    assert modal_after.child("normal").enabled is False
-    assert modal_after.child("error").enabled is True
+    assert state.enabled[normal] is False
+    assert state.enabled[error] is True
     # The machines inside the now-frozen refinement kept their positions.
     locations = fsm_locations(state)
     assert (
@@ -347,15 +347,16 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
     )
 
 
-def flags_from_locations(top):
-    """Each actor's enabled flag by path, read off the tree's controllers.
+def flags_from_locations(state):
+    """Each actor's enabled flag by path, read off the controllers of the
+    state's tree.
 
     A modal actor's child other than its controller is enabled exactly
     when the controller's location maps to it; every other actor is
     enabled.
     """
     flags = {}
-    for path, node, _ in iter_actors(top):
+    for path, node, _ in actors(state):
         flags.setdefault(path, True)
         if node.kind == MODAL:
             picked = node.refinements.get(node.child(node.controller).curr_location)
@@ -372,9 +373,8 @@ def test_enabled_flags_follow_the_controllers_on_generated_models(text):
     network = state.network
     states = [state] + [ts.state for ts in simulate(state, max_steps=60).steps]
     for state in states:
-        flags = flags_from_locations(state.top)
+        flags = flags_from_locations(state)
         assert [flags[path] for path in network.paths] == list(state.enabled)
-        assert [node.enabled for node in network.nodes_of(state.top)] == list(state.enabled)
     # Nested modals freeze and thaw refinements within the run.
     assert len({state.enabled for state in states}) > 1 or not network.modals
 
@@ -394,3 +394,29 @@ def test_commit_requests_folds_in_given_order():
     assert queued.queue.entries[0].events == (d1, d2)
     later = commit_requests(queued, [(half, 0, (p1, s1))])
     assert later.queue.head_tag() == (Fraction(1, 2), 0)
+
+
+def assert_a_normalized_tree_is_its_initial_state(text):
+    """A normalized tree with its machines in their initial locations
+    describes the state ``initialize`` makes, and both run alike."""
+    init = initialize(parse_model(text))
+    state = SystemState(normalize(parse_model(text)), init.queue)
+    assert state == init and state.top == init.top and state.enabled == init.enabled
+    for _ in range(50):
+        if not init.entries:
+            break
+        init, _ = step(init, bottom_as_absent=True)
+        state, _ = step(state, bottom_as_absent=True)
+        assert state == init
+
+
+@pytest.mark.parametrize("fixture", sorted(name for name in os.listdir(MODELS) if name.endswith(".model")))
+def test_a_normalized_fixture_tree_is_its_initial_state(fixture):
+    with open(os.path.join(MODELS, fixture), encoding="utf-8") as handle:
+        assert_a_normalized_tree_is_its_initial_state(handle.read())
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_a_normalized_generated_tree_is_its_initial_state(text):
+    assert_a_normalized_tree_is_its_initial_state(text)
