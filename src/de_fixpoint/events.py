@@ -20,7 +20,8 @@ entry changes only when its time or microstep does.  :class:`EventQueue`
 is the same queue with exact rational times and :class:`Event` objects:
 the view a system state shows its callers (``SystemState.queue``), and
 how a caller describes the queue of a state it builds from a tree
-(``SystemState(top, queue)``).
+(``SystemState(top, queue)``, which reads it event by event through
+:func:`schedule`).
 """
 
 from __future__ import annotations

@@ -10,15 +10,14 @@ All nodes are immutable snapshots.  Collections are sorted at
 construction, so two trees describing the same model compare equal no
 matter the declaration order.
 
-A tree is the model as parsed, and a read-only view of a running
-system: the engine compiles a tree's static side once (see network.py)
-and keeps the dynamic side (port statuses, locations, variables) in flat
-slots.  It builds a tree from slots only when a caller reads
-``SystemState.top``, with ``ActorNode.with_state``, which keeps the
-existing port, transition and child tuples in their order and never
-re-sorts them.  Which refinements run, and how a modal actor's inputs
-reach its children, follow from the tree; the network derives both, and
-no tree records either.
+A tree is plain data: the model as parsed, and a read-only view of a
+running system.  The engine reads a tree once, compiling its static side
+(see network.py) and keeping the dynamic side (port statuses, locations,
+variables) in flat slots; no tree refers back to what was compiled from
+it.  A tree is built from slots only when a caller reads
+``SystemState.top``.  Which refinements run, and how a modal actor's
+inputs reach its children, follow from the tree; the network derives
+both, and no tree records either.
 """
 
 from __future__ import annotations
@@ -153,40 +152,6 @@ class ActorNode:
             tuple(sorted(self.connections, key=lambda c: (c.source.actor, c.source.port))),
         )
         object.__setattr__(self, "refinements", FrozenMap(self.refinements))
-
-    # The compiled static structure (see network.py), deliberately not a
-    # dataclass field: it takes no part in equality, and ``replace`` (which
-    # may change structure) drops it.  Unset, it reads as this default.
-    _network = None
-
-    def with_state(self, ports=None, inner=None, curr_location=None, variables=None) -> "ActorNode":
-        """This node with new dynamic contents and the same static structure.
-
-        ``ports`` and ``inner`` must be the node's own tuples with only
-        statuses or descendants' state changed, in the same (canonical)
-        order; they are taken as they are, not sorted again.  Arguments
-        left at None keep the current value.  The compiled network
-        carries over, since nothing static changed.
-        """
-        node = object.__new__(ActorNode)
-        put = object.__setattr__
-        # Field by field, in declaration order, as __init__ would.
-        put(node, "name", self.name)
-        put(node, "kind", self.kind)
-        put(node, "ports", self.ports if ports is None else ports)
-        put(node, "parameters", self.parameters)
-        put(node, "locations", self.locations)
-        put(node, "init_location", self.init_location)
-        put(node, "curr_location", self.curr_location if curr_location is None else curr_location)
-        put(node, "variables", self.variables if variables is None else variables)
-        put(node, "transitions", self.transitions)
-        put(node, "inner", self.inner if inner is None else inner)
-        put(node, "connections", self.connections)
-        put(node, "controller", self.controller)
-        put(node, "refinements", self.refinements)
-        if self._network is not None:
-            put(node, "_network", self._network)
-        return node
 
     # Convenience lookups (linear scans; the trees here are small). --------
 

@@ -24,17 +24,17 @@ using Ptolemy II*, 2014, DE chapter).
 
 A system state (see state.py) holds its dynamic side as flat tuples
 indexed by actor, port id and value slot, and every engine phase works
-on those.  Trees remain the model's input and a read-only view of a
+on those.  Trees remain plain input data and a read-only view of a
 state: :meth:`Network.flatten` reads a normalized tree's dynamic side
 into slots, :meth:`Network.flat_events` turns Events into port ids, and
-:meth:`Network.tree` (through :func:`map_ports`, the one tree writer)
-builds the view ``SystemState.top`` shows.  ``network_of`` compiles a
-tree's network on first use and caches it on the tree's root; every
-tree built from slots carries it too.
+:func:`map_ports`, the one tree writer, builds the view
+``SystemState.top`` shows.  A network keeps the tree it was compiled
+from, and no tree refers to a network.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -202,8 +202,8 @@ class Mode:
     """
 
     def __init__(self, network: "Network", key):
-        # Keeps no reference to the network, which must not be reachable
-        # from itself (see Network.template): it goes with its last state.
+        # Keeps no reference to the network, which holds its modes: with no
+        # reference cycle, a network goes with its last state.
         self.selected = tuple(info.refinements.get(loc) for info, loc in zip(network.modals, key))
         enabled = [True] * len(network.kinds)
         for info, active in zip(network.modals, self.selected):
@@ -225,10 +225,8 @@ class Mode:
 
 class Network:
     def __init__(self, top: ActorNode):
-        # The tree compiled, which trees are rebuilt from: a copy of its
-        # root, so that the network, which network_of caches on ``top``,
-        # is not reachable from itself.
-        self.template = top.with_state()
+        # The tree compiled, which views are rebuilt from (see map_ports).
+        self.template = top
         # Actors are numbered breadth first, so a tree's actors come out in
         # index order from one cheap sweep (see nodes_of); ``preorder``
         # lists them depth first, children in canonical order.
@@ -423,27 +421,13 @@ class Network:
         statuses = tuple(UNKNOWN if isinstance(p.status, Unknown) else p.status for node in nodes for p in node.ports)
         return locations, values, statuses
 
-    def tree(self, locations, values, statuses) -> ActorNode:
-        """The tree with this structure and the given dynamic side."""
-        return map_ports(self, locations, values, statuses)
-
-
-def network_of(top: ActorNode) -> Network:
-    """The compiled structure of ``top``'s tree, compiled on first use."""
-    network = top._network
-    if network is None:
-        network = Network(top)
-        object.__setattr__(top, "_network", network)
-    return network
-
 
 def map_ports(network: Network, locations, values, statuses) -> ActorNode:
     """Write slots into a tree: the one way a tree is built from a state.
 
-    Rebuilds the network's template bottom up.  Every port and child
-    tuple keeps its canonical order and is never sorted again; ports
-    whose status is the template's are shared with it.  The tree carries
-    the network.
+    Rebuilds the network's template bottom up, each node with
+    ``dataclasses.replace``.  Ports whose status is the template's are
+    shared with it.
     """
     nodes = network.nodes_of(network.template)
     rebuilt = [None] * len(nodes)
@@ -453,15 +437,14 @@ def map_ports(network: Network, locations, values, statuses) -> ActorNode:
             p if statuses[pid] == p.status else Port(p.name, p.direction, statuses[pid])
             for p, pid in zip(node.ports, network.port_ids[i])
         )
-        change = {}
+        change = {"ports": ports}
         if node.kind == FSM:
             change["curr_location"] = locations[i]
         if node.variables:
             change["variables"] = FrozenMap({name: values[slot] for name, slot in network.slots[i].items()})
         kids = network.children[i]
-        # Children have consecutive indices.
-        inner = tuple(rebuilt[kids[0] : kids[-1] + 1]) if kids else None
-        rebuilt[i] = node.with_state(ports=ports, inner=inner, **change)
-    top = rebuilt[0]
-    object.__setattr__(top, "_network", network)
-    return top
+        if kids:
+            # Children have consecutive indices.
+            change["inner"] = tuple(rebuilt[kids[0] : kids[-1] + 1])
+        rebuilt[i] = replace(node, **change)
+    return rebuilt[0]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import UnknownVariableTarget
 from .events import schedule
 from .model import CLOCK, DELAY, FSM, ActorNode, normalize, validate
-from .network import network_of
+from .network import Network
 from .state import SystemState, make_state
 from .values import UNKNOWN, Present
 
@@ -40,7 +40,7 @@ def initialize(top: ActorNode) -> SystemState:
     """
     top = normalize(top)
     validate(top)
-    network = network_of(top)
+    network = Network(top)
     locations, values, _ = network.flatten(top)
     locations = list(locations)
     for i, info in network.fsms.items():

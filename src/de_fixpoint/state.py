@@ -30,17 +30,20 @@ would cost more than the rest together.
 
 The actor tree (``top``), the queue with exact rational times
 (``queue``) and the elapsed time as a rational (``elapsed``) are views
-for printers, tests and library callers.  They are built on first use
-and kept; the engine never needs them.
+for printers, tests and library callers.  They are built from the slots
+on first use and kept; the engine never needs them.  A state built from
+a tree and a queue reads both once, as the engine would have built them,
+and keeps neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .events import EMPTY_QUEUE, EventQueue, queue_view
-from .model import ActorNode
-from .network import Mode, Network, network_of, to_ticks
+from .events import EMPTY_QUEUE, EventQueue, queue_view, schedule
+from .model import ActorNode, normalize
+from .network import Mode, Network, map_ports, to_ticks
+from .util import time_amount
 
 
 class SystemState:
@@ -65,33 +68,39 @@ class SystemState:
         elapsed: Fraction = Fraction(0),
         microstep_of_instant: int = 0,
     ):
-        """The state a normalized tree and a queue describe.
+        """The state a tree and a queue describe.
 
-        ``top`` must be normalized (see ``model.normalize``): every state
-        machine stands in a location, and every port a modal actor's
-        implied wiring names exists.  Every time (queue entries and
-        ``elapsed``) must be a multiple of the tree's timebase.  Which
-        actors are enabled follows from the locations (``self.enabled``).
+        ``top`` is normalized first (see ``model.normalize``), so a state
+        machine with no current location stands in its initial one.  The
+        queue is read event by event, as ``EventQueue.add`` would have
+        scheduled each: entries come out in tag order, one per tag, and a
+        later event for a port replaces an earlier one at the same tag.
+        A negative time raises ``NegativeTimer`` and a negative microstep
+        ``ValueError``.  Every time (queue entries and ``elapsed``) must
+        be a multiple of the tree's timebase.  Which actors are enabled
+        follows from the locations (``self.enabled``).
         """
-        network = network_of(top)
-        self.network = network
-        self.locations, self.values, self.statuses = network.flatten(top)
+        network = self.network = Network(normalize(top))
+        self.locations, self.values, self.statuses = network.flatten(network.template)
         self.mode = network.mode(self.locations)
-        self.entries = tuple(
-            (to_ticks(e.time, network.timebase), e.microstep, network.flat_events(e.events))
-            for e in queue.entries
-        )
+        entries = ()
+        for entry in queue.entries:
+            if entry.microstep < 0:
+                raise ValueError("microstep must be non-negative")
+            time = to_ticks(time_amount(entry.time), network.timebase)
+            for event in entry.events:
+                (flat,) = network.flat_events((event,))
+                entries = schedule(entries, time, entry.microstep, flat, network)
+        self.entries = entries
         self.now = to_ticks(elapsed, network.timebase)
         self.microstep_of_instant = microstep_of_instant
-        self._hash = None
-        self._top = top
-        self._queue = queue
+        self._hash = self._top = self._queue = None
 
     @property
     def top(self) -> ActorNode:
         """The actor tree with this state's dynamic side."""
         if self._top is None:
-            self._top = self.network.tree(self.locations, self.values, self.statuses)
+            self._top = map_ports(self.network, self.locations, self.values, self.statuses)
         return self._top
 
     @property

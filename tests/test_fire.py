@@ -43,7 +43,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import actors, initial_state
+from conftest import actors, initial_state, load_model
 from fixpoint_ref import reference_fixpoint
 
 
@@ -495,7 +495,7 @@ def test_a_refinement_naming_no_child_is_rejected_when_compiled():
         SystemState(top)
 
 
-def test_a_refinement_without_a_modal_port_is_rejected_when_compiled():
+def test_a_refinement_without_a_modal_port_has_it_completed():
     def drop_out(refinement):
         return replace(
             refinement,
@@ -506,8 +506,18 @@ def test_a_refinement_without_a_modal_port_is_rejected_when_compiled():
     def edit(modal):
         return replace(modal, inner=tuple(drop_out(c) if c.name == "A" else c for c in modal.inner))
 
-    with pytest.raises(ValidationError, match=r"^Nested\.M0: its wiring names Nested\.M0\.A\.Out \(out\)"):
-        SystemState(one_level_modal(edit))
+    # A state normalizes its tree, which gives the refinement its port back.
+    top = one_level_modal(edit)
+    assert SystemState(top) == SystemState(normalize(top))
+
+
+def test_a_connection_naming_a_missing_port_is_rejected_when_compiled():
+    top = load_model("flat_traffic_light.model")
+    ghost = Connection(PortRef(("Clock",), "output"), (PortRef(("CarLight",), "Ghost"),))
+    top = replace(top, connections=top.connections + (ghost,))
+    message = r"^FlatTrafficLight: its wiring names FlatTrafficLight\.CarLight\.Ghost \(in\), which does not exist$"
+    with pytest.raises(ValidationError, match=message):
+        SystemState(top)
 
 
 def test_a_network_is_freed_with_its_last_state():

@@ -27,7 +27,7 @@ from de_fixpoint.model import (
     resolve,
     validate,
 )
-from de_fixpoint.network import network_of
+from de_fixpoint.network import Network
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -176,7 +176,7 @@ def machine(*transitions, variables=None):
 
 def decide(node, input_statuses):
     """decide_firing over the machine's compiled transitions: (verdict, transition)."""
-    network = network_of(node)
+    network = Network(node)
     statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
     values = network.flatten(node)[1]
     verdict, entry = decide_firing(network.fsms[0], node.curr_location, statuses, values)

@@ -25,7 +25,7 @@ from de_fixpoint.model import (
     normalize,
     resolve,
 )
-from de_fixpoint.network import network_of, to_ticks
+from de_fixpoint.network import to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
 from de_fixpoint.state import SystemState, collect_variables, fsm_locations
 from de_fixpoint.executor import simulate, step
@@ -92,11 +92,10 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
 
 def test_initialize_compiles_the_network_every_step_reuses():
     state = initial_state("hierarchical_traffic_light.model")
-    network = state.top._network
-    assert network is not None
+    network = state.network
     for _ in range(20):
         state, _ = step(state)
-        assert network_of(state.top) is network
+        assert state.network is network
 
 
 def test_initialize_rejects_invalid_models():
@@ -397,17 +396,20 @@ def test_commit_requests_folds_in_given_order():
 
 
 def assert_a_normalized_tree_is_its_initial_state(text):
-    """A normalized tree with its machines in their initial locations
-    describes the state ``initialize`` makes, and both run alike."""
-    init = initialize(parse_model(text))
-    state = SystemState(normalize(parse_model(text)), init.queue)
-    assert state == init and state.top == init.top and state.enabled == init.enabled
-    for _ in range(50):
-        if not init.entries:
-            break
-        init, _ = step(init, bottom_as_absent=True)
-        state, _ = step(state, bottom_as_absent=True)
-        assert state == init
+    """A tree with its machines in their initial locations, normalized or
+    as parsed, describes the state ``initialize`` makes, and both run
+    alike."""
+    start = initialize(parse_model(text))
+    for top in (normalize(parse_model(text)), parse_model(text)):
+        init = start
+        state = SystemState(top, init.queue)
+        assert state == init and state.top == init.top and state.enabled == init.enabled
+        for _ in range(50):
+            if not init.entries:
+                break
+            init, _ = step(init, bottom_as_absent=True)
+            state, _ = step(state, bottom_as_absent=True)
+            assert state == init
 
 
 @pytest.mark.parametrize("fixture", sorted(name for name in os.listdir(MODELS) if name.endswith(".model")))

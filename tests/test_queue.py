@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from de_fixpoint.errors import EmptyQueue, NotAtMicrostepBoundary, NotReady
-from de_fixpoint.events import EMPTY_QUEUE, Event, EventQueue
+from de_fixpoint.errors import EmptyQueue, NegativeTimer, NotAtMicrostepBoundary, NotReady
+from de_fixpoint.events import EMPTY_QUEUE, Event, EventQueue, QueueEntry
 from de_fixpoint.model import PortRef
+from de_fixpoint.state import SystemState
 from de_fixpoint.values import IntVal, StringVal
+
+from conftest import load_model
 
 
 def ev(actor, port, val=0):
@@ -166,3 +169,49 @@ def test_value_kinds_sort_within_batch():
     queue = EMPTY_QUEUE.add(0, 0, e1).add(0, 0, e2)
     events, _ = queue.pop_ready()
     assert [e.target.port for e in events] == ["p", "q"]
+
+
+# A state built from a hand-made queue. ----------------------------------------
+
+TOP = "FlatTrafficLight"
+CLOCK = Event(PortRef((TOP, "Clock"), "output"), IntVal(1))
+LIGHT = Event(PortRef((TOP, "CarLight"), "Cgrn"), IntVal(1))
+LATER = Event(CLOCK.target, IntVal(2))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # out of tag order
+        [(2, 0, (CLOCK,)), (1, 0, (LIGHT,))],
+        # one tag split over two entries
+        [(1, 0, (CLOCK,)), (1, 0, (LIGHT,))],
+        # two events for one port at one tag: the later one stays
+        [(1, 0, (CLOCK, LATER))],
+    ],
+    ids=["unsorted", "split", "duplicate-port"],
+)
+def test_a_state_reads_a_hand_built_queue_as_add_builds_it(entries, caplog):
+    top = load_model("flat_traffic_light.model")
+    expected = EMPTY_QUEUE
+    with caplog.at_level(logging.WARNING, logger="de_fixpoint.events"):
+        for time, microstep, events in entries:
+            for event in events:
+                expected = expected.add(time, microstep, event)
+        added = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        queue = EventQueue(tuple(QueueEntry(Fraction(t), m, events) for t, m, events in entries))
+        state = SystemState(top, queue)
+    # A replaced event is reported as add reports it.
+    assert [r.getMessage() for r in caplog.records] == added
+    assert state == SystemState(top, expected)
+    assert state.queue == expected
+    assert state.queue.summary() == state.queue_summary()
+
+
+def test_a_state_rejects_negative_queue_tags():
+    top = load_model("flat_traffic_light.model")
+    with pytest.raises(NegativeTimer):
+        SystemState(top, EventQueue((QueueEntry(Fraction(-1), 0, (CLOCK,)),)))
+    with pytest.raises(ValueError, match="microstep must be non-negative"):
+        SystemState(top, EventQueue((QueueEntry(Fraction(0), -1, (CLOCK,)),)))
