@@ -96,10 +96,6 @@ class CausalityCycle(EngineError):
         super().__init__(f"ports never resolved: {names}")
 
 
-class UnknownVariableTarget(EngineError):
-    """A variable-setting actor targets a variable its enclosing composite lacks."""
-
-
 class StateSpaceExceeded(EngineError):
     """State-graph or automaton construction hit the configured state limit."""
 

@@ -126,11 +126,12 @@ def decide_firing(info: FsmInfo, location, st, values):
     NondeterministicFsm when the machine would fire with more than one
     true guard.  The decision is stable: once it returns a non-None
     verdict, growing port knowledge can never change it.
+
+    The machine comes from a validated tree, so every port a guard
+    reads is one of its inputs, and ``reads`` lists them all.
     """
     outgoing = info.outgoing[location]
     for entry in outgoing:
-        if entry.blind:
-            return _UNDECIDED
         for pid in entry.reads:
             if st[pid] is UNKNOWN:
                 # Guards only mention the machine's own inputs, so all
@@ -215,7 +216,7 @@ class _FsmRule:
                 continue
             if name in named:
                 fn, reads = named[name]
-                if reads is not None and all(st[p] is not UNKNOWN for p in reads):
+                if all(st[p] is not UNKNOWN for p in reads):
                     out.append((pid, Present(fn(st, values))))
             elif twin is not None:
                 status = st[twin]

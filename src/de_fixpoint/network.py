@@ -8,8 +8,8 @@ with their paths, parents and children; every port as an integer id;
 every variable as an integer value slot; every wire, from a composite's
 connections and the wiring a modal actor's port lists imply, as a
 (source port id, sink port id) pair; each state machine's ports and
-compiled transitions; the composite each variable setter writes; and the
-model's timebase.  Which part of the model runs follows from the
+compiled transitions; the value slot each variable setter writes; and
+the model's timebase.  Which part of the model runs follows from the
 controllers' locations alone, and no tree records it: :meth:`Network.mode`
 turns them into a :class:`Mode`, once per tuple of locations, which
 every state in that mode shares.
@@ -30,6 +30,12 @@ into slots, :meth:`Network.flat_events` turns Events into port ids, and
 :func:`map_ports`, the one tree writer, builds the view
 ``SystemState.top`` shows.  A network keeps the tree it was compiled
 from, and no tree refers to a network.
+
+Networks are compiled from normalized trees that ``model.validate``
+accepts (``initialize`` and ``SystemState`` both validate first), so
+compiling looks ports, children, parameters and setter targets up
+without checking them.  A lone state machine compiles unvalidated too
+(see :class:`CompiledTransition`).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NoSuchActor, NoSuchPort, ValidationError
+from .errors import NoSuchActor, NoSuchPort
 from .expr import compile_expr, referenced_ports
 from .model import (
     CLOCK,
@@ -56,39 +62,38 @@ from .model import (
     Port,
     path_text,
 )
-from .util import FrozenMap, time_amount
-from .values import UNKNOWN, IntVal, Present, TimeVal, Unknown
+from .util import FrozenMap
+from .values import UNKNOWN, Present, Unknown
 
 
 def time_param(value) -> Fraction:
-    """The exact rational inside a time-like parameter value."""
-    if isinstance(value, (IntVal, TimeVal)):
-        return time_amount(value.value)
-    return time_amount(value)
+    """The exact rational inside a time parameter (an IntVal or a TimeVal)."""
+    return Fraction(value.value)
 
 
 class CompiledTransition:
     """A transition with its guard, outputs and updates compiled to closures.
 
-    ``reads`` holds the port ids the guard reads; ``blind`` is set when
-    it reads a port that is not one of the machine's inputs, which is
-    never known.  ``outputs`` maps an output name to (closure, port ids
-    it reads, or None when it reads a port that is never known).
-    ``updates`` lists (value slot, variable name, closure) in name order;
-    the slot is None for a name the machine does not declare.
+    ``reads`` holds the port ids of the inputs the guard reads, and
+    ``outputs`` maps an output name to (closure, port ids of the inputs
+    it reads).  ``updates`` lists (value slot, variable name, closure) in
+    name order.  In a validated tree every port an expression reads is
+    an input and every variable a transition sets is declared; a tree
+    that is not validated gets None for the slot of an undeclared
+    variable and no id for a port that is not an input.
     """
 
-    __slots__ = ("transition", "target", "guard", "reads", "blind", "outputs", "updates")
+    __slots__ = ("transition", "target", "guard", "reads", "outputs", "updates")
 
     def __init__(self, t, slots, parameters, in_ids):
         self.transition = t
         self.target = t.target
         self.guard = compile_expr(t.guard, slots, parameters, in_ids)
-        self.reads, self.blind = _port_ids(t.guard, in_ids)
-        self.outputs = {}
-        for name, expr in t.outputs.items():
-            reads, blind = _port_ids(expr, in_ids)
-            self.outputs[name] = (compile_expr(expr, slots, parameters, in_ids), None if blind else reads)
+        self.reads = _port_ids(t.guard, in_ids)
+        self.outputs = {
+            name: (compile_expr(expr, slots, parameters, in_ids), _port_ids(expr, in_ids))
+            for name, expr in t.outputs.items()
+        }
         self.updates = tuple(
             (slots.get(var), var, compile_expr(expr, slots, parameters, in_ids))
             for var, expr in t.sets.items()
@@ -96,8 +101,7 @@ class CompiledTransition:
 
 
 def _port_ids(expr, in_ids):
-    names = referenced_ports(expr)
-    return tuple(in_ids[n] for n in sorted(names) if n in in_ids), not names <= in_ids.keys()
+    return tuple(in_ids[n] for n in sorted(referenced_ports(expr)) if n in in_ids)
 
 
 class FsmInfo:
@@ -131,11 +135,8 @@ class _Outgoing(dict):
 class ModalInfo:
     """Which child is the controller and which refines each location."""
 
-    def __init__(self, index: int, path, node: ActorNode, children):
+    def __init__(self, index: int, node: ActorNode, children):
         by_name = {node.inner[k].name: c for k, c in enumerate(children)}
-        for role, name in (("controller", node.controller), *(("refinement", n) for n in node.refinements.values())):
-            if name not in by_name:
-                raise ValidationError([f"{path_text(path)}: {role} {name!r} is not an inner actor"])
         self.index = index
         self.controller = by_name[node.controller]
         # location -> index of the child that refines it
@@ -152,9 +153,9 @@ class ClockInfo:
     def __init__(self, path, node: ActorNode, ids, timebase: int):
         params = node.parameters
         self.out = ids[(path, "output", OUT)]
-        self.emit = Present(params["emit"]) if "emit" in params else None
-        self.period = _param_ticks(params.get("period"), timebase)
-        self.offset = _param_ticks(params.get("offset"), timebase)
+        self.emit = Present(params["emit"])
+        self.period = to_ticks(time_param(params["period"]), timebase)
+        self.offset = to_ticks(time_param(params["offset"]), timebase)
 
 
 class DelayInfo:
@@ -163,7 +164,7 @@ class DelayInfo:
     def __init__(self, path, node: ActorNode, ids, timebase: int):
         self.inp = ids[(path, "input", IN)]
         self.out = ids[(path, "output", OUT)]
-        self.delay = _param_ticks(node.parameters.get("delay"), timebase)
+        self.delay = to_ticks(time_param(node.parameters["delay"]), timebase)
         self.microstep = 1 if self.delay == 0 else 0
 
 
@@ -175,19 +176,13 @@ def to_ticks(time, timebase: int) -> int:
     return ticks.numerator
 
 
-def _param_ticks(value, timebase: int):
-    return None if value is None else to_ticks(time_param(value), timebase)
-
-
 def _timebase(nodes) -> int:
     """The least common multiple of every clock's and delay's time denominators."""
     base = 1
     for node in nodes:
         names = ("period", "offset") if node.kind == CLOCK else ("delay",) if node.kind == DELAY else ()
         for name in names:
-            value = node.parameters.get(name)
-            if isinstance(value, (IntVal, TimeVal)):
-                base = lcm(base, time_param(value).denominator)
+            base = lcm(base, time_param(node.parameters[name]).denominator)
     return base
 
 
@@ -195,7 +190,7 @@ class Mode:
     """What one tuple of controller locations decides.
 
     ``selected``: per modal actor, the child its controller's location
-    picks, or None; ``enabled``: every actor but the children not picked;
+    picks; ``enabled``: every actor but the children not picked;
     ``live``: each actor that is enabled and whose ancestors are;
     ``committers``: in preorder, the live actors a commit visits;
     ``rules``: the fixed point's rule set, built by fire.py on first use.
@@ -204,7 +199,7 @@ class Mode:
     def __init__(self, network: "Network", key):
         # Keeps no reference to the network, which holds its modes: with no
         # reference cycle, a network goes with its last state.
-        self.selected = tuple(info.refinements.get(loc) for info, loc in zip(network.modals, key))
+        self.selected = tuple(info.refinements[loc] for info, loc in zip(network.modals, key))
         enabled = [True] * len(network.kinds)
         for info, active in zip(network.modals, self.selected):
             for child in info.others:
@@ -277,8 +272,8 @@ class Network:
         self.fsms = {}  # index -> FsmInfo
         self.clocks = {}  # index -> ClockInfo
         self.delays = {}  # index -> DelayInfo
-        # variable-setter index -> (input port id, target name, index of the
-        # enclosing composite or None)
+        # variable-setter index -> (input port id, value slot of its target
+        # in the nearest enclosing composite)
         self.setters = {}
         # (source port id, sink port id): every connection of a composite,
         # and every modal actor's implied wiring
@@ -307,20 +302,23 @@ class Network:
         elif node.kind == DELAY:
             self.delays[i] = DelayInfo(path, node, ids, self.timebase)
         elif node.kind == SETVAR:
-            target = node.parameters["target"].value if "target" in node.parameters else None
-            self.setters[i] = (ids[(path, "input", IN)], target, self._enclosing_composite(i))
+            scope = self.parent[i]
+            while self.kinds[scope] != COMPOSITE:
+                scope = self.parent[scope]
+            target = node.parameters["target"].value
+            self.setters[i] = (ids[(path, "input", IN)], self.slots[scope][target])
         if node.kind == COMPOSITE:
             for c in node.connections:
                 source = c.source
                 if source.actor == PARENT:
-                    src = self._port(path, (path, source.port, IN))
+                    src = ids[(path, source.port, IN)]
                 else:
-                    src = self._port(path, (path + source.actor, source.port, OUT))
+                    src = ids[(path + source.actor, source.port, OUT)]
                 for s in c.sinks:
                     sink = (path, s.port, OUT) if s.actor == PARENT else (path + s.actor, s.port, IN)
-                    self.wires.append((src, self._port(path, sink)))
+                    self.wires.append((src, ids[sink]))
         if node.kind == MODAL:
-            info = ModalInfo(i, path, node, self.children[i])
+            info = ModalInfo(i, node, self.children[i])
             self.modals.append(info)
             ctrl = self.paths[info.controller]
             twins = self.coupled[info.controller] = {}
@@ -329,31 +327,15 @@ class Network:
             # the same input of the controller and of every refinement.
             sinks = [self.paths[c] for c in sorted({info.controller, *refinements})]
             for q in node.port_names(IN):
-                src = self.ids[(path, q, IN)]
-                self.wires.extend((src, self._port(path, (sink, q, IN))) for sink in sinks)
+                src = ids[(path, q, IN)]
+                self.wires.extend((src, ids[(sink, q, IN)]) for sink in sinks)
             for q in info.outputs:
                 # Each refinement's output feeds the controller's twin input,
                 # and the controller's output is what the modal actor shows.
-                twins[q] = self._port(path, (ctrl, q, IN))
+                twins[q] = ids[(ctrl, q, IN)]
                 for r in refinements:
-                    self.wires.append((self._port(path, (self.paths[r], q, OUT)), twins[q]))
-                self.wires.append((self._port(path, (ctrl, q, OUT)), self.ids[(path, q, OUT)]))
-
-    def _port(self, owner, key) -> int:
-        """The id of a port the wiring of actor ``owner`` names; it must exist."""
-        pid = self.ids.get(key)
-        if pid is None:
-            actor, name, direction = key
-            port = f"{path_text(actor)}.{name} ({direction})"
-            raise ValidationError([f"{path_text(owner)}: its wiring names {port}, which does not exist"])
-        return pid
-
-    def _enclosing_composite(self, i: int):
-        """The nearest proper ancestor of actor ``i`` that is a composite."""
-        j = self.parent[i]
-        while j >= 0 and self.kinds[j] != COMPOSITE:
-            j = self.parent[j]
-        return j if j >= 0 else None
+                    self.wires.append((ids[(self.paths[r], q, OUT)], twins[q]))
+                self.wires.append((ids[(ctrl, q, OUT)], ids[(path, q, OUT)]))
 
     @cached_property
     def signature(self) -> tuple:

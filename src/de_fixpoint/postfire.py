@@ -6,7 +6,9 @@ to their target location and apply their variable updates (all update
 expressions are evaluated against the pre-commit environment, so updates
 within one transition are simultaneous).  Clocks that ticked reschedule
 themselves, delays forward their input as a future event, and
-variable-setting actors write into the enclosing composite's store.
+variable-setting actors write into the enclosing composite's store
+(the value slot the network resolved for them; of two setters that
+write one variable in the same iteration, the later in preorder wins).
 Frozen refinements commit nothing.  Which refinements are frozen
 follows from the controllers' locations: a commit that moves a machine
 looks up the mode of the new locations (see ``Network.mode``).
@@ -16,13 +18,14 @@ value slot (see state.py), and its scheduling requests are (ticks,
 microstep, (port id, status)) triples, which ``commit_requests`` folds
 into the state's queue.
 
-``initialize`` compiles the model's network (see network.py), which
-every later state carries.
+``initialize`` validates the model and compiles its network (see
+network.py), which every later state carries.  Every state's network
+comes from a validated tree, so a commit finds each variable it writes
+declared and checks nothing.
 """
 
 from __future__ import annotations
 
-from .errors import UnknownVariableTarget
 from .events import schedule
 from .model import CLOCK, DELAY, FSM, ActorNode, normalize, validate
 from .network import Network
@@ -68,7 +71,6 @@ def postfire(state: SystemState, decisions):
     network, mode = state.network, state.mode
     locations, values, statuses = state.locations, state.values, state.statuses
     new_locations = new_values = None
-    composite_writes = {}  # composite index -> {variable: value}
     requests = []
     for i, kind in mode.committers:
         if kind == FSM:
@@ -78,11 +80,8 @@ def postfire(state: SystemState, decisions):
             if entry.updates:
                 if new_values is None:
                     new_values = list(values)
-                for slot, var, fn in entry.updates:
-                    value = fn(statuses, values)
-                    if slot is None:
-                        raise UnknownVariableTarget(f"{network.fsms[i].label} has no variable '{var}'")
-                    new_values[slot] = value
+                for slot, _, fn in entry.updates:
+                    new_values[slot] = fn(statuses, values)
             if entry.target != locations[i]:
                 if new_locations is None:
                     new_locations = list(locations)
@@ -99,21 +98,12 @@ def postfire(state: SystemState, decisions):
                 # superdense time, same timestamp.
                 requests.append((delay.delay, delay.microstep, (delay.out, status)))
         else:
-            pid, target, scope = network.setters[i]
+            pid, slot = network.setters[i]
             status = statuses[pid]
             if isinstance(status, Present):
-                if scope is None:
-                    raise UnknownVariableTarget(f"{'.'.join(network.paths[i])}: no enclosing composite")
-                composite_writes.setdefault(scope, {})[target] = status.value
-
-    for i, writes in composite_writes.items():
-        slots = network.slots[i]
-        if new_values is None:
-            new_values = list(values)
-        for var, value in writes.items():
-            if var not in slots:
-                raise UnknownVariableTarget(f"{'.'.join(network.paths[i])} has no variable '{var}'")
-            new_values[slots[var]] = value
+                if new_values is None:
+                    new_values = list(values)
+                new_values[slot] = status.value
     if new_locations is not None:
         locations = tuple(new_locations)
         mode = network.mode(locations)

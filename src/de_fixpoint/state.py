@@ -33,7 +33,9 @@ The actor tree (``top``), the queue with exact rational times
 for printers, tests and library callers.  They are built from the slots
 on first use and kept; the engine never needs them.  A state built from
 a tree and a queue reads both once, as the engine would have built them,
-and keeps neither.
+and keeps neither.  It validates the whole tree first, as ``initialize``
+does, so every state the engine runs on has a network compiled from a
+validated tree.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .events import EMPTY_QUEUE, EventQueue, queue_view, schedule
-from .model import ActorNode, normalize
+from .model import ActorNode, normalize, validate
 from .network import Mode, Network, map_ports, to_ticks
 from .util import time_amount
 
@@ -70,17 +72,22 @@ class SystemState:
     ):
         """The state a tree and a queue describe.
 
-        ``top`` is normalized first (see ``model.normalize``), so a state
-        machine with no current location stands in its initial one.  The
+        ``top`` is normalized (see ``model.normalize``), so a state
+        machine with no current location stands in its initial one, and
+        then validated as ``initialize`` validates it: an ill-formed tree
+        raises the same ``ValidationError``, with every problem.  The
         queue is read event by event, as ``EventQueue.add`` would have
         scheduled each: entries come out in tag order, one per tag, and a
         later event for a port replaces an earlier one at the same tag.
-        A negative time raises ``NegativeTimer`` and a negative microstep
-        ``ValueError``.  Every time (queue entries and ``elapsed``) must
-        be a multiple of the tree's timebase.  Which actors are enabled
+        A negative time (a queue entry's or ``elapsed``) raises
+        ``NegativeTimer`` and a negative microstep (a queue entry's or
+        ``microstep_of_instant``) ``ValueError``.  Every time must be a
+        multiple of the tree's timebase.  Which actors are enabled
         follows from the locations (``self.enabled``).
         """
-        network = self.network = Network(normalize(top))
+        top = normalize(top)
+        validate(top)
+        network = self.network = Network(top)
         self.locations, self.values, self.statuses = network.flatten(network.template)
         self.mode = network.mode(self.locations)
         entries = ()
@@ -92,7 +99,9 @@ class SystemState:
                 (flat,) = network.flat_events((event,))
                 entries = schedule(entries, time, entry.microstep, flat, network)
         self.entries = entries
-        self.now = to_ticks(elapsed, network.timebase)
+        self.now = to_ticks(time_amount(elapsed), network.timebase)
+        if microstep_of_instant < 0:
+            raise ValueError("microstep must be non-negative")
         self.microstep_of_instant = microstep_of_instant
         self._hash = self._top = self._queue = None
 

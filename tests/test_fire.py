@@ -33,7 +33,8 @@ from de_fixpoint.model import (
 from de_fixpoint.executor import Iteration, step
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.state import SystemState, fsm_locations
+from de_fixpoint.network import Network
+from de_fixpoint.state import SystemState, fsm_locations, make_state
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -409,13 +410,19 @@ def test_conflicting_drives_are_a_hard_error():
         )
 
     def fire_both(top):
+        # Validation rejects a port with two writers, so the state is built
+        # past SystemState, straight from the compiled network.
+        network = Network(normalize(top))
+        locations, values, statuses = network.flatten(network.template)
+        state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
         events = [
             Event(PortRef(("Top", "C1"), "output"), IntVal(1)),
             Event(PortRef(("Top", "C2"), "output"), top.child("C2").parameters["emit"]),
         ]
-        state = SystemState(top)
         return compute_fixpoint(deliver_events(clear_ports(state), state.network.flat_events(events)))
 
+    with pytest.raises(ValidationError, match=r"^Top: port M\.In has more than one writer$"):
+        SystemState(two_clock_top(emit2=1))
     with pytest.raises(AssertionError):
         fire_both(two_clock_top(emit2=2))
     # Identical drives agree, so the race is benign.
@@ -483,16 +490,21 @@ def one_level_modal(edit):
     return replace(top, inner=tuple(modal if c.name == "M0" else c for c in top.inner))
 
 
+def rejected(top) -> tuple:
+    """The problems ``SystemState(top)`` reports."""
+    with pytest.raises(ValidationError) as error:
+        SystemState(top)
+    return error.value.problems
+
+
 def test_a_modal_without_its_controller_is_rejected_when_compiled():
     top = one_level_modal(lambda m: replace(m, controller="Nope"))
-    with pytest.raises(ValidationError, match=r"^Nested\.M0: controller 'Nope' is not an inner actor$"):
-        SystemState(top)
+    assert "Nested.M0: controller 'Nope' is not an inner actor" in rejected(top)
 
 
 def test_a_refinement_naming_no_child_is_rejected_when_compiled():
     top = one_level_modal(lambda m: replace(m, refinements={"a": "A", "b": "Ghost"}))
-    with pytest.raises(ValidationError, match=r"^Nested\.M0: refinement 'Ghost' is not an inner actor$"):
-        SystemState(top)
+    assert "Nested.M0: refinement 'Ghost' is not an inner actor" in rejected(top)
 
 
 def test_a_refinement_without_a_modal_port_has_it_completed():
@@ -515,9 +527,7 @@ def test_a_connection_naming_a_missing_port_is_rejected_when_compiled():
     top = load_model("flat_traffic_light.model")
     ghost = Connection(PortRef(("Clock",), "output"), (PortRef(("CarLight",), "Ghost"),))
     top = replace(top, connections=top.connections + (ghost,))
-    message = r"^FlatTrafficLight: its wiring names FlatTrafficLight\.CarLight\.Ghost \(in\), which does not exist$"
-    with pytest.raises(ValidationError, match=message):
-        SystemState(top)
+    assert "FlatTrafficLight: connection sink CarLight.Ghost is not an input port" in rejected(top)
 
 
 def test_a_network_is_freed_with_its_last_state():

@@ -28,6 +28,8 @@ from de_fixpoint.model import (
     validate,
 )
 from de_fixpoint.network import Network
+from de_fixpoint.postfire import initialize
+from de_fixpoint.state import SystemState
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -38,7 +40,7 @@ from de_fixpoint.values import (
     TimeVal,
 )
 
-from conftest import actors
+from conftest import actors, load_model
 
 TRUE = Lit(BoolVal(True))
 
@@ -428,6 +430,62 @@ def test_inout_pairs_reserved_for_controllers():
 def test_fixture_models_validate(hier_state, flat_state, mutant_state):
     for state in (hier_state, flat_state, mutant_state):
         validate(state.top)
+
+
+def flat_with(name, edit):
+    """The flat fixture with ``edit`` applied to its actor ``name``."""
+    top = load_model("flat_traffic_light.model")
+    return replace(top, inner=tuple(edit(c) if c.name == name else c for c in top.inner))
+
+
+def first_guard_reads_nope(fsm):
+    first, *rest = fsm.transitions
+    return replace(fsm, transitions=(replace(first, guard=IsPresent("Nope")), *rest))
+
+
+def second_writer(top):
+    extra = Connection(PortRef(("TimedDelay1",), "output"), (PortRef(("CarLight",), "Sec"),))
+    return replace(top, connections=top.connections + (extra,))
+
+
+@pytest.mark.parametrize(
+    "tree, problem",
+    [
+        (
+            flat_with("Clock", lambda c: replace(c, parameters={"emit": IntVal(1)})),
+            "FlatTrafficLight.Clock: missing parameter 'period'",
+        ),
+        (
+            flat_with("Clock", lambda c: replace(c, parameters={"period": StringVal("x")})),
+            "FlatTrafficLight.Clock: parameter 'period' must be a time amount",
+        ),
+        (
+            flat_with("CarLight", first_guard_reads_nope),
+            "FlatTrafficLight.CarLight: guard of transition Cgrn->Cgrn reads unknown port 'Nope'",
+        ),
+        (
+            flat_with("CarLight", lambda c: replace(c, init_location="Zzz")),
+            "FlatTrafficLight.CarLight: initial location 'Zzz' undeclared",
+        ),
+        (
+            flat_with("SetCgrn", lambda c: replace(c, parameters={"target": StringVal("Ghost")})),
+            "FlatTrafficLight.SetCgrn: target variable 'Ghost' is not declared by the enclosing composite",
+        ),
+        (
+            second_writer(load_model("flat_traffic_light.model")),
+            "FlatTrafficLight: port CarLight.Sec has more than one writer",
+        ),
+    ],
+    ids=["no-period", "string-period", "undeclared-port", "undeclared-initial", "undeclared-target", "two-writers"],
+)
+def test_a_state_validates_its_tree_as_initialize_does(tree, problem):
+    queue = initialize(load_model("flat_traffic_light.model")).queue
+    with pytest.raises(ValidationError) as at_initialize:
+        initialize(tree)
+    with pytest.raises(ValidationError) as at_state:
+        SystemState(tree, queue)
+    assert problem in at_state.value.problems
+    assert at_state.value.problems == at_initialize.value.problems
 
 
 def test_derived_trees_hash_like_freshly_built_ones(hier_graph):

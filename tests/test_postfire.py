@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from de_fixpoint.errors import UnknownVariableTarget, ValidationError
+from de_fixpoint.errors import ValidationError
 from de_fixpoint.events import Event, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, PortValue, Var
 from de_fixpoint.model import (
@@ -310,8 +310,10 @@ def test_setter_refining_a_modal_skips_past_it():
 
 
 def test_setter_with_undeclared_target_raises():
-    with pytest.raises(UnknownVariableTarget):
-        postfire(SystemState(wrap(setter("ghost", Present(IntVal(1))), variables={"x": IntVal(0)})), {})
+    # The state validates its tree, so the setter is rejected before it runs.
+    message = r"^Top\.S: target variable 'ghost' is not declared by the enclosing composite$"
+    with pytest.raises(ValidationError, match=message):
+        SystemState(wrap(setter("ghost", Present(IntVal(1))), variables={"x": IntVal(0)}))
 
 
 def test_silent_setter_writes_nothing():

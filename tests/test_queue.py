@@ -9,6 +9,7 @@ import pytest
 from de_fixpoint.errors import EmptyQueue, NegativeTimer, NotAtMicrostepBoundary, NotReady
 from de_fixpoint.events import EMPTY_QUEUE, Event, EventQueue, QueueEntry
 from de_fixpoint.model import PortRef
+from de_fixpoint.postfire import initialize
 from de_fixpoint.state import SystemState
 from de_fixpoint.values import IntVal, StringVal
 
@@ -215,3 +216,12 @@ def test_a_state_rejects_negative_queue_tags():
         SystemState(top, EventQueue((QueueEntry(Fraction(-1), 0, (CLOCK,)),)))
     with pytest.raises(ValueError, match="microstep must be non-negative"):
         SystemState(top, EventQueue((QueueEntry(Fraction(0), -1, (CLOCK,)),)))
+
+
+def test_a_state_rejects_a_negative_time_or_microstep():
+    top = load_model("flat_traffic_light.model")
+    queue = initialize(top).queue
+    with pytest.raises(NegativeTimer):
+        SystemState(top, queue, elapsed=Fraction(-3))
+    with pytest.raises(ValueError, match="microstep must be non-negative"):
+        SystemState(top, queue, microstep_of_instant=-2)
