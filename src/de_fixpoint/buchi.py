@@ -122,7 +122,8 @@ class _Node:
 
 
 _INIT = -1  # virtual predecessor marking initial states
-MAX_TABLEAU_NODES = 100_000  # nodes a tableau may create
+#: Nodes a tableau may create, and states its degeneralized automaton may have.
+MAX_TABLEAU_NODES = 100_000
 
 
 def _tableau(formula_nnf):
@@ -228,6 +229,12 @@ class BuchiAutomaton:
 
 
 def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
+    """The automaton of ``f``: one state per reached (tableau node, fairness set).
+
+    More than ``MAX_TABLEAU_NODES`` states raise ``StateSpaceExceeded``,
+    as more tableau nodes do: a tableau under its bound can still have
+    many nodes, each waiting on many fairness sets.
+    """
     g = nnf(desugar(f))
     nodes = _tableau(g)
     untils = _until_subformulas(g, [])
@@ -260,6 +267,8 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
     def intern(nid, level):
         key = (nid, level)
         if key not in ids:
+            if len(states) == MAX_TABLEAU_NODES:
+                raise StateSpaceExceeded(MAX_TABLEAU_NODES, "automaton states")
             ids[key] = len(states)
             states.append(key)
             guards[ids[key]] = tuple(

@@ -24,6 +24,7 @@ default color follows whether stdout is a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -246,11 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process uses.
+
+    ``parse_args`` keeps nothing from one call to the next (each call
+    fills a fresh namespace), so building the parser once is safe.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     color = _use_color() if sys.stderr.isatty() else False

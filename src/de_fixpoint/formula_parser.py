@@ -35,18 +35,20 @@ from .values import BoolVal, IntVal, StringVal, TimeVal
 
 
 class _FormulaParser(Parser):
+    # Whitespace, then one token.
     token_re = re.compile(
         r"""
-        (?P<ws>\s+)
-      | (?P<qident>'[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>\d+\.\d+|\d+)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<string>"(?:\\.|[^"\\\n])*")
-      | (?P<op>->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-])
+        \s*
+        (?:
+          (?P<qident>'[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<number>\d+\.\d+|\d+)
+        | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<string>"(?:\\.|[^"\\\n])*")
+        | (?P<op>->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-])
+        )?
         """,
         re.VERBOSE,
     )
-    skip = frozenset(("ws",))
     binary = {symbol: (prec, right, cls) for cls, (symbol, prec, right) in _BINARY.items()}
     prefix = {symbol: cls for cls, symbol in _PREFIX.items()}
 

@@ -22,7 +22,7 @@ both, and no tree records either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -101,19 +101,20 @@ class Transition:
     guard: Expr
     outputs: FrozenMap = EMPTY_MAP  # port name -> expression
     sets: FrozenMap = EMPTY_MAP  # variable name -> expression
+    # The key of the canonical order, rendered once per transition.
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", FrozenMap(self.outputs))
         object.__setattr__(self, "sets", FrozenMap(self.sets))
-
-    def sort_key(self):
-        return (
+        key = (
             self.source,
             self.target,
             expr_text(self.guard),
             tuple((k, expr_text(v)) for k, v in self.outputs.items()),
             tuple((k, expr_text(v)) for k, v in self.sets.items()),
         )
+        object.__setattr__(self, "sort_key", key)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class ActorNode:
         object.__setattr__(self, "locations", tuple(sorted(self.locations)))
         object.__setattr__(self, "variables", FrozenMap(self.variables))
         object.__setattr__(
-            self, "transitions", tuple(sorted(self.transitions, key=Transition.sort_key))
+            self, "transitions", tuple(sorted(self.transitions, key=lambda t: t.sort_key))
         )
         object.__setattr__(self, "inner", tuple(sorted(self.inner, key=lambda a: a.name)))
         object.__setattr__(
@@ -207,48 +208,52 @@ def normalize(top: ActorNode) -> ActorNode:
     return _normalize(top)
 
 
-def _normalize(node: ActorNode) -> ActorNode:
+_CLOCK_DEFAULTS = {"offset": TimeVal(Fraction(0)), "emit": IntVal(1)}
+
+
+def _normalize(node: ActorNode, wanted=()) -> ActorNode:
+    """``node`` normalized, with the (name, direction) ports in ``wanted`` added.
+
+    A node is rebuilt only when something changes, and then once, from
+    fields already in canonical order.
+    """
+    changes = {}
     if node.kind == CLOCK:
-        params = dict(node.parameters)
-        params.setdefault("offset", TimeVal(Fraction(0)))
-        params.setdefault("emit", IntVal(1))
-        return replace(node, parameters=FrozenMap(params))
-    if node.kind == FSM:
+        missing = {k: v for k, v in _CLOCK_DEFAULTS.items() if k not in node.parameters}
+        if missing:
+            changes["parameters"] = FrozenMap({**node.parameters, **missing})
+    elif node.kind == FSM:
         if node.curr_location is None and node.init_location is not None:
-            node = replace(node, curr_location=node.init_location)
+            changes["curr_location"] = node.init_location
+    elif node.kind in (COMPOSITE, MODAL):
+        inner = tuple(_normalize(child, _implied_ports(node, child)) for child in node.inner)
+        if any(new is not old for new, old in zip(inner, node.inner)):
+            changes["inner"] = inner
+    if wanted:
+        have = {(p.name, p.direction) for p in node.ports}
+        extra = tuple(Port(n, d) for n, d in wanted if (n, d) not in have)
+        if extra:
+            ports = node.ports + extra
+            changes["ports"] = tuple(sorted(ports, key=lambda p: (p.name, p.direction)))
+    if not changes:
         return node
-    if node.kind == COMPOSITE:
-        return replace(node, inner=tuple(_normalize(a) for a in node.inner))
-    if node.kind == MODAL:
-        return _normalize_modal(node)
-    return node
+    # ``replace`` would run __post_init__ and sort every field again.
+    rebuilt = object.__new__(ActorNode)
+    rebuilt.__dict__.update(vars(node), **changes)
+    return rebuilt
 
 
-def _complete_ports(node: ActorNode, wanted) -> ActorNode:
-    ports = list(node.ports)
-    have = {(p.name, p.direction) for p in ports}
-    for name, direction in wanted:
-        if (name, direction) not in have:
-            ports.append(Port(name, direction))
-    return replace(node, ports=tuple(ports))
-
-
-def _normalize_modal(modal: ActorNode) -> ActorNode:
-    in_names = modal.port_names(IN)
-    out_names = modal.port_names(OUT)
-    inner = []
-    refinement_names = set(modal.refinements.values())
-    for child in modal.inner:
-        child = _normalize(child)
-        if child.name == modal.controller:
-            wanted = [(n, IN) for n in in_names]
-            wanted += [(n, IN) for n in out_names] + [(n, OUT) for n in out_names]
-            child = _complete_ports(child, wanted)
-        elif child.name in refinement_names:
-            wanted = [(n, IN) for n in in_names] + [(n, OUT) for n in out_names]
-            child = _complete_ports(child, wanted)
-        inner.append(child)
-    return replace(modal, inner=tuple(inner))
+def _implied_ports(parent: ActorNode, child: ActorNode) -> list:
+    """The (name, direction) ports a modal actor's wiring gives ``child``."""
+    if parent.kind != MODAL:
+        return []
+    ins = [(n, IN) for n in parent.port_names(IN)]
+    outs = [(n, OUT) for n in parent.port_names(OUT)]
+    if child.name == parent.controller:
+        return ins + [(n, IN) for n, _ in outs] + outs
+    if child.name in parent.refinements.values():
+        return ins + outs
+    return []
 
 
 # Validation. ---------------------------------------------------------------

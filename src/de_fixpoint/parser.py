@@ -82,18 +82,19 @@ _FIXED_PORTS = {
 
 
 class _ModelParser(Parser):
+    # Whitespace and `//` comments, then one token.
     token_re = re.compile(
         r"""
-        (?P<ws>[ \t\r\n]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<number>\d+\.\d+|\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<string>"(?:\\.|[^"\\\n])*")
-      | (?P<op>->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/])
+        [ \t\r\n]* (?://[^\n]*[ \t\r\n]*)*
+        (?:
+          (?P<number>\d+\.\d+|\d+)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<string>"(?:\\.|[^"\\\n])*")
+        | (?P<op>->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/])
+        )?
         """,
         re.VERBOSE,
     )
-    skip = frozenset(("ws", "comment"))
     binary = {op: (prec, False, partial(Binary, op)) for op, prec in _PRECEDENCE.items()}
     prefix = {op: partial(Unary, op) for op in ("!", "-")}
 

@@ -1,9 +1,9 @@
 """The front end the model and formula parsers share.
 
-A grammar subclasses ``Parser`` and supplies its token regex (one named
-group per token kind), the token kinds to drop, its operator tables and
-``primary``, which parses one leaf of an operator expression.  This
-module owns the rest: tokenizing, the cursor over the tokens, string
+A grammar subclasses ``Parser`` and supplies its token regex (what may
+precede a token, then one named group per token kind), its operator
+tables and ``primary``, which parses one leaf of an operator expression.
+This module owns the rest: tokenizing, the cursor over the tokens, string
 unescaping, source positions in errors, and one precedence-climbing loop
 (Pratt, "Top down operator precedence", 1973) for operator expressions.
 
@@ -38,26 +38,26 @@ class Token:
         self.pos = pos  # offset into the source text
 
 
-def tokenize(text: str, pattern, skip) -> list:
-    """Split ``text`` into tokens by ``pattern``, dropping the kinds in ``skip``.
+def tokenize(text: str, pattern) -> list:
+    """Split ``text`` into tokens by ``pattern``.
 
-    The list ends with an ``eof`` token.  Text no token matches is a
-    ParseError: an unterminated string when it starts with a quote.
+    ``pattern`` matches what may precede a token (whitespace, comments)
+    and then, optionally, one token, a named group per kind, so each
+    match yields at most one token.  The scan stops at the first match
+    with no token: at the end of the text, or at a character no token
+    covers, which is a ParseError (an unterminated string when it is a
+    quote).  The list ends with an ``eof`` token.
     """
-    tokens = []
-    m = None
-    # Each scanner match starts where the previous one ended, so the loop
-    # stops at the first character no token covers.
-    for m in iter(pattern.scanner(text).match, None):
-        kind = m.lastgroup
-        if kind not in skip:
-            tokens.append(Token(kind, m.group(), m.start()))
-    end = m.end() if m else 0
+    # Each scanner match starts where the previous one ended, and the last
+    # one ends where the scan stopped.
+    matches = list(iter(pattern.scanner(text).match, None))
+    end = matches[-1].end()
     if end < len(text):
         line, col = _position(text, end)
         if text[end] == '"':
             raise ParseError(line, col, "unterminated string")
         raise ParseError(line, col, f"unexpected character {text[end]!r}")
+    tokens = [Token(kind, m[kind], m.start(kind)) for m in matches if (kind := m.lastgroup)]
     tokens.append(Token("eof", "", end))
     return tokens
 
@@ -75,15 +75,15 @@ def unescape(literal: str) -> str:
 class Parser:
     """A cursor over one text's tokens, and the operator loop.
 
-    A subclass sets ``token_re`` and ``skip`` for the tokenizer, and for
-    ``climb`` the tables ``binary`` (operator text -> ``(precedence,
+    A subclass sets ``token_re`` for the tokenizer, and for ``climb``
+    the tables ``binary`` (operator text -> ``(precedence,
     right-associative, build(left, right))``, loosest binding first) and
     ``prefix`` (operator text -> ``build(operand)``), and ``primary``.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text, self.token_re, self.skip)
+        self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.depth = 0  # depth of the syntax tree parsed last
         self.open = 0  # levels entered and not yet left

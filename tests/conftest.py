@@ -44,6 +44,27 @@ def initial_state(name: str):
     return initialize(load_model(name))
 
 
+def many_untils(count: int) -> str:
+    """``~`` of a balanced disjunction of ``count`` untils, for the hierarchical fixture.
+
+    The tableau stays small (about 8 nodes per until), but a node can wait
+    on any of the ``count`` fairness sets, so the negation's automaton has
+    about ``count**2`` states: 90 602 for 300 untils.
+    """
+
+    def any_of(items):
+        if len(items) == 1:
+            return items[0]
+        mid = len(items) // 2
+        return f"({any_of(items[:mid])}) \\/ ({any_of(items[mid:])})"
+
+    def var(name, i):
+        return f"'HierarchicalTrafficLight | '{name} = {i}"
+
+    untils = [f"({var('Cred', i)}) U ({var('Cyel', i)})" for i in range(count)]
+    return f"~ ({any_of(untils)})"
+
+
 def actors(state):
     """Yield (path, node of ``state.top``, live) for every actor, depth first.
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from de_fixpoint import checker
-from de_fixpoint.buchi import Release, ltl_to_buchi
+from de_fixpoint.buchi import MAX_TABLEAU_NODES, Release, ltl_to_buchi
 from de_fixpoint.checker import check_ltl, eval_on_lasso
-from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
+from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm, StateSpaceExceeded
 from de_fixpoint.events import EMPTY_QUEUE
 from de_fixpoint.executor import step
 from de_fixpoint.formula import (
@@ -42,7 +42,7 @@ from de_fixpoint.state import SystemState, collect_variables
 
 import families
 import ltl_ref
-from conftest import actors, initial_state
+from conftest import actors, initial_state, many_untils
 
 
 def lasso_state(location):
@@ -246,6 +246,13 @@ def test_formula_name_errors_are_loud(hier_graph):
 
 
 # Bounded graphs: the stutter tail is the run's future. ---------------------------
+
+
+def test_automaton_past_the_bound_raises_before_any_search(hier_graph):
+    # The tableau stays far under its bound; the automaton's states do not.
+    with pytest.raises(StateSpaceExceeded) as err:
+        check_ltl(hier_graph, parse_formula(many_untils(350)))
+    assert str(err.value) == f"state space exceeded {MAX_TABLEAU_NODES} automaton states"
 
 
 def test_bounded_check_sees_the_cut_future(flat_state):

@@ -12,7 +12,7 @@ from de_fixpoint.cli import main
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.syntax import MAX_DEPTH
 
-from conftest import model_path, stack_depth
+from conftest import many_untils, model_path, stack_depth
 
 FLAT = model_path("flat_traffic_light.model")
 HIER = model_path("hierarchical_traffic_light.model")
@@ -400,6 +400,14 @@ def test_check_stops_an_automaton_past_the_tableau_bound(capsys):
     assert err == f"error: state space exceeded {MAX_TABLEAU_NODES} tableau nodes\n"
 
 
+def test_check_stops_an_automaton_past_its_state_bound(capsys):
+    # 350 untils: about 2 800 tableau nodes, but more than 100 000
+    # automaton states (one per node and fairness set it waits on).
+    code, out, err = run(capsys, "check", HIER, "--formula", many_untils(350))
+    assert (code, out) == (3, "")
+    assert err == f"error: state space exceeded {MAX_TABLEAU_NODES} automaton states\n"
+
+
 def test_check_state_budget_does_not_bound_the_tableau(capsys):
     # --max-states bounds the graph (63 states) only: this formula's tableau
     # creates hundreds of nodes, as the benchmark's formulas do.
@@ -496,6 +504,28 @@ def test_color_defaults_off_when_not_a_tty(capsys, monkeypatch):
     code, out, _ = run(capsys, "simulate", FLAT, "--until", "1")
     assert code == 0
     assert "\x1b[" not in out
+
+
+def test_the_shared_parser_carries_nothing_from_call_to_call(capsys, monkeypatch):
+    # One process reuses one argparse parser; each call must answer as a
+    # fresh process does, whatever ran before it.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["simulate", CYCLE],  # no --until: a usage error
+        ["simulate", CYCLE, "--until", "10", "--bottom-as-absent"],
+        ["simulate", CYCLE, "--until", "10"],
+        ["--help"],
+        ["--help"],
+    ]
+    codes = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "de_fixpoint.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [2, 0, 3, 0, 0]
 
 
 # Console script. ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
 from de_fixpoint.expr import Binary, IsPresent, Lit, Var
@@ -28,6 +29,7 @@ from de_fixpoint.model import (
     validate,
 )
 from de_fixpoint.network import Network
+from de_fixpoint.parser import parse_model, print_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.state import SystemState
 from de_fixpoint.values import (
@@ -40,7 +42,9 @@ from de_fixpoint.values import (
     TimeVal,
 )
 
-from conftest import actors, load_model
+import families
+from conftest import actors, load_model, model_path
+from normalize_ref import reference_normalize
 
 TRUE = Lit(BoolVal(True))
 
@@ -83,6 +87,45 @@ def test_normalize_is_idempotent_on_fixtures(hier_state, flat_state):
     for state in (hier_state, flat_state):
         once = state.top
         assert normalize(once) == once
+
+
+def assert_normalizes_as_before(text):
+    tree = parse_model(text)
+    printed = print_model(tree)
+    once, before = normalize(tree), reference_normalize(tree)
+    assert once == before
+    assert print_model(once) == print_model(before)
+    assert print_model(tree) == printed
+    assert normalize(once) is once  # nothing left to change, so nothing is rebuilt
+    assert initialize(tree) == initialize(before)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "flat_traffic_light.model",
+        "hierarchical_traffic_light.model",
+        "hierarchical_traffic_light_mutant.model",
+        "causality_cycle.model",
+    ],
+)
+def test_normalize_matches_the_rebuilding_reference_on_fixtures(name):
+    with open(model_path(name), encoding="utf-8") as handle:
+        assert_normalizes_as_before(handle.read())
+
+
+@given(families.MODELS)
+def test_normalize_matches_the_rebuilding_reference_on_generated_models(text):
+    assert_normalizes_as_before(text)
+
+
+def test_normalize_builds_each_node_without_sorting_again(monkeypatch):
+    tree = load_model("hierarchical_traffic_light.model")
+    built = []
+    post_init = ActorNode.__post_init__
+    monkeypatch.setattr(ActorNode, "__post_init__", lambda node: built.append(node) or post_init(node))
+    assert normalize(tree) != tree  # nodes were rebuilt, none through __init__
+    assert built == []
 
 
 def test_modal_controller_mirrors_outputs_as_coupled_pairs(hier_state):
