@@ -99,8 +99,10 @@ def nnf(f: Formula, negated: bool = False) -> Formula:
 
 
 def _until_subformulas(g, acc):
-    if isinstance(g, Until) and g not in acc:
-        acc.append(g)
+    """``acc``, a dict used as an ordered set, with every until in ``g``
+    added in first-appearance order."""
+    if isinstance(g, Until):
+        acc.setdefault(g)
     if isinstance(g, (And, Or, Until, Release)):
         _until_subformulas(g.left, acc)
         _until_subformulas(g.right, acc)
@@ -237,7 +239,7 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
     """
     g = nnf(desugar(f))
     nodes = _tableau(g)
-    untils = _until_subformulas(g, [])
+    untils = list(_until_subformulas(g, {}))
 
     by_id = {n.nid: n for n in nodes}
     edges = {n.nid: [] for n in nodes}

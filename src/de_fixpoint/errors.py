@@ -29,10 +29,6 @@ class ValidationError(EngineError):
         super().__init__("; ".join(self.problems))
 
 
-class UnboundIdentifier(EngineError):
-    """An expression referenced a name that is neither a variable nor a parameter."""
-
-
 class TypeMismatch(EngineError):
     """An operator was applied to values of the wrong kind."""
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import EmptyQueue, NotAtMicrostepBoundary, NotReady
 from .model import PortRef
 from .util import format_rational, time_amount
-from .values import Value, value_key
+from .values import Value
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +44,9 @@ class Event:
     value: Value
 
     def sort_key(self):
-        return (self.target.actor, self.target.port, value_key(self.value))
+        # A batch holds at most one event per target port, so the target
+        # alone orders it.
+        return (self.target.actor, self.target.port)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,25 @@
 Expressions appear in transition guards, transition outputs and variable
 updates.  They read the owning machine's variables, parameters and input
 ports.  Evaluation is strict: reading an unknown port raises, which is why
-the fixed-point engine evaluates nothing before every port it reads
-(`referenced_ports`, collected once per model) is known.
+the fixed-point engine evaluates nothing before every port it reads is
+known.
+
+The grammar is the model parser's: literals, names, ``isPresent`` and
+``value`` of a port, unary ``!`` and ``-``, and the binary operators of
+``_PRECEDENCE``.  :func:`references` walks an expression once for the
+names and ports it reads, and rejects anything outside the grammar;
+``model.validate`` calls it on every expression of a tree, so no tree
+the engine runs on holds an off-grammar node, an unbound name or a
+port that is not an input of its machine.
 
 The engine does not walk expression trees.  :func:`compile_expr` turns
-an expression into a closure over port-status and variable slots once
-per network (Feeley & Lapalme, "Using closures for code generation",
-1987); parameters, being static, are folded in as constants.
-:func:`eval_expr` is the reference the compiled form is tested against:
-both give the same value, or raise the same error with the same message.
+a validated expression into a closure over port-status and variable
+slots once per network (Feeley & Lapalme, "Using closures for code
+generation", 1987); parameters, being static, are folded in as
+constants.  What evaluation can still reject is a value: a mistyped
+operand (``TypeMismatch``), an absent port's value (``AbsentPortRead``)
+or a port not yet known (``UnknownPortRead``).  ``tests/expr_ref.py``
+holds the tree-walking reference the compiled form is tested against.
 """
 
 from __future__ import annotations
@@ -20,14 +30,12 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import AbsentPortRead, TypeMismatch, UnboundIdentifier, UnknownPortRead
+from .errors import AbsentPortRead, TypeMismatch, UnknownPortRead
 from .values import (
     FALSE,
     TRUE,
-    Absent,
     BoolVal,
     IntVal,
-    PortStatus,
     Present,
     TimeVal,
     Unknown,
@@ -78,7 +86,6 @@ class Binary(Expr):
 
 
 _COMPARISONS = {"<", "<=", ">", ">="}
-_ARITHMETIC = {"+", "-", "*"}
 
 
 def _as_bool(v: Value, what: str) -> bool:
@@ -89,51 +96,6 @@ def _as_bool(v: Value, what: str) -> bool:
 
 def _bool(value: bool) -> BoolVal:
     return TRUE if value else FALSE
-
-
-def eval_expr(
-    expr: Expr,
-    variables: Mapping[str, Value],
-    parameters: Mapping[str, Value],
-    ports: Mapping[str, PortStatus],
-) -> Value:
-    """Evaluate an expression.  Variables shadow parameters of the same name."""
-    # Most frequent node kinds first: guards are mostly binary operators
-    # over port tests, variables and literals.
-    if isinstance(expr, Binary):
-        lhs = eval_expr(expr.left, variables, parameters, ports)
-        rhs = eval_expr(expr.right, variables, parameters, ports)
-        return _apply_binary(expr.op, lhs, rhs)
-    if isinstance(expr, IsPresent):
-        status = ports.get(expr.port)
-        if status is None or isinstance(status, Unknown):
-            raise UnknownPortRead(expr.port)
-        return _bool(isinstance(status, Present))
-    if isinstance(expr, Var):
-        if expr.name in variables:
-            return variables[expr.name]
-        if expr.name in parameters:
-            return parameters[expr.name]
-        raise UnboundIdentifier(expr.name)
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, PortValue):
-        status = ports.get(expr.port)
-        if status is None or isinstance(status, Unknown):
-            raise UnknownPortRead(expr.port)
-        if isinstance(status, Absent):
-            raise AbsentPortRead(expr.port)
-        return status.value
-    if isinstance(expr, Unary):
-        v = eval_expr(expr.operand, variables, parameters, ports)
-        if expr.op == "!":
-            return _bool(not _as_bool(v, "'!'"))
-        if expr.op == "-":
-            if isinstance(v, IntVal):
-                return IntVal(-v.value)
-            raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
-        raise TypeMismatch(f"unknown unary operator {expr.op!r}")
-    raise TypeMismatch(f"not an expression: {expr!r}")
 
 
 def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
@@ -159,17 +121,16 @@ def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
         if op == ">":
             return _bool(a > b)
         return _bool(a >= b)
-    if op in _ARITHMETIC:
-        if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
-            a, b = lhs.value, rhs.value
-            return IntVal(a + b if op == "+" else a - b if op == "-" else a * b)
-        if isinstance(lhs, TimeVal) and isinstance(rhs, TimeVal) and op in ("+", "-"):
-            result = lhs.value + rhs.value if op == "+" else lhs.value - rhs.value
-            if result < 0:
-                raise TypeMismatch("time subtraction went negative")
-            return TimeVal(result)
-        raise TypeMismatch(f"cannot apply {op!r} to {lhs!r} and {rhs!r}")
-    raise TypeMismatch(f"unknown operator {op!r}")
+    # What is left is arithmetic: + - *
+    if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
+        a, b = lhs.value, rhs.value
+        return IntVal(a + b if op == "+" else a - b if op == "-" else a * b)
+    if isinstance(lhs, TimeVal) and isinstance(rhs, TimeVal) and op in ("+", "-"):
+        result = lhs.value + rhs.value if op == "+" else lhs.value - rhs.value
+        if result < 0:
+            raise TypeMismatch("time subtraction went negative")
+        return TimeVal(result)
+    raise TypeMismatch(f"cannot apply {op!r} to {lhs!r} and {rhs!r}")
 
 
 # Compilation to closures. ---------------------------------------------------
@@ -178,17 +139,17 @@ def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
 # holds port statuses indexed by port id and ``values`` variable values
 # indexed by slot.  Each operator evaluates both operands, left first, and
 # then takes a fast path for the operand kinds it expects; anything else
-# goes to ``_apply_binary``, so mistyped operands fail exactly as in
-# ``eval_expr``.
+# goes to ``_apply_binary``, which computes the rest or raises
+# ``TypeMismatch``.
 
 
 def compile_expr(expr: Expr, slots: Mapping[str, int], parameters: Mapping[str, Value], ports: Mapping[str, int]):
-    """A closure computing ``expr``, as ``eval_expr`` would.
+    """A closure computing ``expr``, which ``model.validate`` accepted.
 
     ``slots`` maps the machine's variable names to value slots, ``ports``
     its input port names to port ids; ``parameters`` are read now.
-    Variables shadow parameters of the same name.  A name or port that
-    is bound nowhere raises when (and only if) it is evaluated.
+    Variables shadow parameters of the same name.  Validation leaves no
+    name unbound and no port outside ``ports``.
     """
     if isinstance(expr, Binary):
         return _compile_binary(
@@ -197,46 +158,25 @@ def compile_expr(expr: Expr, slots: Mapping[str, int], parameters: Mapping[str, 
             compile_expr(expr.right, slots, parameters, ports),
         )
     if isinstance(expr, IsPresent):
-        return _compile_port(expr.port, ports, value=False)
+        return _compile_port(expr.port, ports[expr.port], value=False)
     if isinstance(expr, PortValue):
-        return _compile_port(expr.port, ports, value=True)
+        return _compile_port(expr.port, ports[expr.port], value=True)
     if isinstance(expr, Var):
-        name = expr.name
-        if name in slots:
-            slot = slots[name]
-            return lambda st, vs: vs[slot]
-        if name in parameters:
-            return _constant(parameters[name])
-
-        def unbound(st, vs):
-            raise UnboundIdentifier(name)
-
-        return unbound
+        slot = slots.get(expr.name)
+        if slot is None:
+            return _constant(parameters[expr.name])
+        return lambda st, vs: vs[slot]
     if isinstance(expr, Lit):
         return _constant(expr.value)
-    if isinstance(expr, Unary):
-        return _compile_unary(expr.op, compile_expr(expr.operand, slots, parameters, ports))
-    text = f"not an expression: {expr!r}"
-
-    def invalid(st, vs):
-        raise TypeMismatch(text)
-
-    return invalid
+    return _compile_unary(expr.op, compile_expr(expr.operand, slots, parameters, ports))
 
 
 def _constant(value: Value):
     return lambda st, vs: value
 
 
-def _compile_port(port: str, ports: Mapping[str, int], value: bool):
+def _compile_port(port: str, pid: int, value: bool):
     """``isPresent(port)``, or ``value(port)`` when ``value``."""
-    pid = ports.get(port)
-    if pid is None:
-        # Not an input of this machine: never known.
-        def unknown(st, vs):
-            raise UnknownPortRead(port)
-
-        return unknown
     if value:
 
         def read(st, vs):
@@ -267,22 +207,14 @@ def _compile_unary(op: str, operand):
             return FALSE if _as_bool(operand(st, vs), "'!'") else TRUE
 
         return negate
-    if op == "-":
 
-        def minus(st, vs):
-            v = operand(st, vs)
-            if isinstance(v, IntVal):
-                return IntVal(-v.value)
-            raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
+    def minus(st, vs):
+        v = operand(st, vs)
+        if isinstance(v, IntVal):
+            return IntVal(-v.value)
+        raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
 
-        return minus
-    text = f"unknown unary operator {op!r}"
-
-    def unknown(st, vs):
-        operand(st, vs)
-        raise TypeMismatch(text)
-
-    return unknown
+    return minus
 
 
 def _compile_binary(op: str, left, right):
@@ -321,60 +253,48 @@ def _compile_binary(op: str, left, right):
             return _apply_binary(op, a, b)
 
         return ordered
-    arithmetic = _INT_ARITHMETIC.get(op)
-    if arithmetic is not None:
+    arithmetic = _INT_ARITHMETIC[op]
 
-        def calculate(st, vs):
-            a = left(st, vs)
-            b = right(st, vs)
-            if a.__class__ is IntVal and b.__class__ is IntVal:
-                return IntVal(arithmetic(a.value, b.value))
-            return _apply_binary(op, a, b)
+    def calculate(st, vs):
+        a = left(st, vs)
+        b = right(st, vs)
+        if a.__class__ is IntVal and b.__class__ is IntVal:
+            return IntVal(arithmetic(a.value, b.value))
+        return _apply_binary(op, a, b)
 
-        return calculate
-
-    def fallback(st, vs):
-        return _apply_binary(op, left(st, vs), right(st, vs))
-
-    return fallback
+    return calculate
 
 
 _ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _INT_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def referenced_ports(expr: Expr) -> frozenset:
-    """All port names an expression reads (via isPresent or value)."""
-    found = set()
-    _walk_ports(expr, found)
-    return frozenset(found)
+def references(expr: Expr) -> tuple:
+    """The names (variables or parameters) and the ports ``expr`` reads,
+    as two sets, in one walk.
 
-
-def _walk_ports(expr: Expr, found: set):
-    if isinstance(expr, (IsPresent, PortValue)):
-        found.add(expr.port)
-    elif isinstance(expr, Unary):
-        _walk_ports(expr.operand, found)
-    elif isinstance(expr, Binary):
-        _walk_ports(expr.left, found)
-        _walk_ports(expr.right, found)
-
-
-def referenced_names(expr: Expr) -> frozenset:
-    """All variable/parameter identifiers an expression reads."""
-    found = set()
-    _walk_names(expr, found)
-    return frozenset(found)
-
-
-def _walk_names(expr: Expr, found: set):
-    if isinstance(expr, Var):
-        found.add(expr.name)
-    elif isinstance(expr, Unary):
-        _walk_names(expr.operand, found)
-    elif isinstance(expr, Binary):
-        _walk_names(expr.left, found)
-        _walk_names(expr.right, found)
+    Raises ValueError, saying what it found, at a node the model grammar
+    cannot produce: an operator outside ``_PRECEDENCE`` and the unary
+    ``!`` and ``-``, or an object that is not an expression.
+    """
+    names, ports = set(), set()
+    pending = [expr]
+    for node in pending:
+        if isinstance(node, Binary):
+            if node.op not in _PRECEDENCE:
+                raise ValueError(f"uses unknown operator {node.op!r}")
+            pending += (node.left, node.right)
+        elif isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, (IsPresent, PortValue)):
+            ports.add(node.port)
+        elif isinstance(node, Unary):
+            if node.op not in ("!", "-"):
+                raise ValueError(f"uses unknown unary operator {node.op!r}")
+            pending.append(node.operand)
+        elif not isinstance(node, Lit):
+            raise ValueError(f"is not an expression: {node!r}")
+    return names, ports
 
 
 # Rendering (shared by the model printer and error messages). ---------------
@@ -396,6 +316,13 @@ _PRECEDENCE = {
 
 
 def expr_text(expr: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
+    """``expr`` in model syntax.
+
+    A transition renders its expressions for its sort key when it is
+    built, before validation can reject anything, so a hand-built
+    expression off the grammar renders too: an unknown binary operator
+    binds loosest, and a non-expression shows as its repr.
+    """
     if isinstance(expr, Lit):
         return literal_text(expr.value)
     if isinstance(expr, Var):
@@ -407,7 +334,7 @@ def expr_text(expr: Expr, parent_prec: int = 0, right_side: bool = False) -> str
     if isinstance(expr, Unary):
         return f"{expr.op}{expr_text(expr.operand, 6)}"
     if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = _PRECEDENCE.get(expr.op, 0)
         text = (
             f"{expr_text(expr.left, prec)} {expr.op} "
             f"{expr_text(expr.right, prec, right_side=True)}"
@@ -415,4 +342,4 @@ def expr_text(expr: Expr, parent_prec: int = 0, right_side: bool = False) -> str
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text
-    raise TypeError(f"not an expression: {expr!r}")
+    return repr(expr)

@@ -125,11 +125,10 @@ def desugar(f: Formula, prefix=()) -> Formula:
 
 def collect_atoms(f: Formula):
     """Every distinct proposition in the formula, in first-appearance order."""
-    seen = []
+    seen = {}  # an ordered set
     def walk(g):
         if isinstance(g, Atom):
-            if g.prop not in seen:
-                seen.append(g.prop)
+            seen.setdefault(g.prop)
         elif isinstance(g, (Not, Always, Eventually)):
             walk(g.operand)
         elif isinstance(g, (And, Or, Implies, Until)):

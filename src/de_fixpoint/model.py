@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NoSuchActor, ValidationError
-from .expr import Expr, expr_text, referenced_names, referenced_ports
+from .expr import Expr, expr_text, references
 from .util import EMPTY_MAP, FrozenMap
 from .values import UNKNOWN, IntVal, PortStatus, StringVal, TimeVal
 
@@ -296,12 +296,17 @@ def _validate_expressions(node: ActorNode, prefix: str, problems) -> None:
     inputs = set(node.port_names(IN))
     outputs = set(node.port_names(OUT))
 
-    def check(expr: Expr, where: str, port_whitelist):
-        for name in referenced_names(expr):
+    def check(expr: Expr, where: str):
+        try:
+            names, ports = references(expr)
+        except ValueError as err:
+            problems.append(f"{prefix}: {where} {err}")
+            return
+        for name in names:
             if name not in bound:
                 problems.append(f"{prefix}: {where} references unbound name '{name}'")
-        for port in referenced_ports(expr):
-            if port not in port_whitelist:
+        for port in ports:
+            if port not in inputs:
                 problems.append(f"{prefix}: {where} reads unknown port '{port}'")
 
     for t in node.transitions:
@@ -310,15 +315,15 @@ def _validate_expressions(node: ActorNode, prefix: str, problems) -> None:
             problems.append(f"{prefix}: {where} leaves unknown location")
         if t.target not in node.locations:
             problems.append(f"{prefix}: {where} enters unknown location")
-        check(t.guard, f"guard of {where}", inputs)
+        check(t.guard, f"guard of {where}")
         for port, expr in t.outputs.items():
             if port not in outputs:
                 problems.append(f"{prefix}: {where} writes unknown output '{port}'")
-            check(expr, f"output of {where}", inputs)
+            check(expr, f"output of {where}")
         for var, expr in t.sets.items():
             if var not in node.variables:
                 problems.append(f"{prefix}: {where} sets unknown variable '{var}'")
-            check(expr, f"update of {where}", inputs)
+            check(expr, f"update of {where}")
 
 
 def _validate_connections(node: ActorNode, prefix: str, problems) -> None:

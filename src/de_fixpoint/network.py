@@ -31,11 +31,13 @@ into slots, :meth:`Network.flat_events` turns Events into port ids, and
 ``SystemState.top`` shows.  A network keeps the tree it was compiled
 from, and no tree refers to a network.
 
-Networks are compiled from normalized trees that ``model.validate``
-accepts (``initialize`` and ``SystemState`` both validate first), so
-compiling looks ports, children, parameters and setter targets up
-without checking them.  A lone state machine compiles unvalidated too
-(see :class:`CompiledTransition`).
+A network is the one front door for trees: it normalizes its tree and
+runs ``model.validate`` on it before compiling anything, so holding a
+network proves its tree valid, and an ill-formed tree raises
+``ValidationError`` with every problem.  ``initialize`` and
+``SystemState`` both build theirs this way.  Compiling then looks
+ports, children, parameters, setter targets and the names and ports of
+every expression up without checking them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import NoSuchActor, NoSuchPort
-from .expr import compile_expr, referenced_ports
+from .expr import compile_expr, references
 from .model import (
     CLOCK,
     COMPOSITE,
@@ -60,7 +62,9 @@ from .model import (
     STATIC_FIELDS,
     ActorNode,
     Port,
+    normalize,
     path_text,
+    validate,
 )
 from .util import FrozenMap
 from .values import UNKNOWN, Present, Unknown
@@ -77,10 +81,7 @@ class CompiledTransition:
     ``reads`` holds the port ids of the inputs the guard reads, and
     ``outputs`` maps an output name to (closure, port ids of the inputs
     it reads).  ``updates`` lists (value slot, variable name, closure) in
-    name order.  In a validated tree every port an expression reads is
-    an input and every variable a transition sets is declared; a tree
-    that is not validated gets None for the slot of an undeclared
-    variable and no id for a port that is not an input.
+    name order.
     """
 
     __slots__ = ("transition", "target", "guard", "reads", "outputs", "updates")
@@ -95,13 +96,13 @@ class CompiledTransition:
             for name, expr in t.outputs.items()
         }
         self.updates = tuple(
-            (slots.get(var), var, compile_expr(expr, slots, parameters, in_ids))
+            (slots[var], var, compile_expr(expr, slots, parameters, in_ids))
             for var, expr in t.sets.items()
         )
 
 
 def _port_ids(expr, in_ids):
-    return tuple(in_ids[n] for n in sorted(referenced_ports(expr)) if n in in_ids)
+    return tuple(in_ids[n] for n in sorted(references(expr)[1]))
 
 
 class FsmInfo:
@@ -220,6 +221,9 @@ class Mode:
 
 class Network:
     def __init__(self, top: ActorNode):
+        """Normalize and validate ``top``, then compile it."""
+        top = normalize(top)
+        validate(top)
         # The tree compiled, which views are rebuilt from (see map_ports).
         self.template = top
         # Actors are numbered breadth first, so a tree's actors come out in

@@ -18,16 +18,16 @@ value slot (see state.py), and its scheduling requests are (ticks,
 microstep, (port id, status)) triples, which ``commit_requests`` folds
 into the state's queue.
 
-``initialize`` validates the model and compiles its network (see
-network.py), which every later state carries.  Every state's network
-comes from a validated tree, so a commit finds each variable it writes
-declared and checks nothing.
+``initialize`` compiles the model's network (see network.py), which
+normalizes and validates the tree first and which every later state
+carries.  Every state's network comes from a validated tree, so a
+commit finds each variable it writes declared and checks nothing.
 """
 
 from __future__ import annotations
 
 from .events import schedule
-from .model import CLOCK, DELAY, FSM, ActorNode, normalize, validate
+from .model import CLOCK, DELAY, FSM, ActorNode
 from .network import Network
 from .state import SystemState, make_state
 from .values import UNKNOWN, Present
@@ -41,10 +41,8 @@ def initialize(top: ActorNode) -> SystemState:
     their values, and each live clock has its first tick scheduled at
     its offset.
     """
-    top = normalize(top)
-    validate(top)
     network = Network(top)
-    locations, values, _ = network.flatten(top)
+    locations, values, _ = network.flatten(network.template)
     locations = list(locations)
     for i, info in network.fsms.items():
         locations[i] = info.init_location

@@ -33,9 +33,9 @@ The actor tree (``top``), the queue with exact rational times
 for printers, tests and library callers.  They are built from the slots
 on first use and kept; the engine never needs them.  A state built from
 a tree and a queue reads both once, as the engine would have built them,
-and keeps neither.  It validates the whole tree first, as ``initialize``
-does, so every state the engine runs on has a network compiled from a
-validated tree.
+and keeps neither.  Its network normalizes and validates the tree, as
+the one ``initialize`` builds does, so every state the engine runs on
+has a network compiled from a validated tree.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .events import EMPTY_QUEUE, EventQueue, queue_view, schedule
-from .model import ActorNode, normalize, validate
+from .model import ActorNode
 from .network import Mode, Network, map_ports, to_ticks
 from .util import time_amount
 
@@ -72,10 +72,11 @@ class SystemState:
     ):
         """The state a tree and a queue describe.
 
-        ``top`` is normalized (see ``model.normalize``), so a state
-        machine with no current location stands in its initial one, and
-        then validated as ``initialize`` validates it: an ill-formed tree
-        raises the same ``ValidationError``, with every problem.  The
+        ``top`` is compiled into a :class:`~network.Network`, which
+        normalizes it (see ``model.normalize``), so a state machine with
+        no current location stands in its initial one, and validates it:
+        an ill-formed tree raises the ``ValidationError`` that
+        ``initialize`` raises, with every problem.  The
         queue is read event by event, as ``EventQueue.add`` would have
         scheduled each: entries come out in tag order, one per tag, and a
         later event for a port replaces an earlier one at the same tag.
@@ -85,8 +86,6 @@ class SystemState:
         multiple of the tree's timebase.  Which actors are enabled
         follows from the locations (``self.enabled``).
         """
-        top = normalize(top)
-        validate(top)
         network = self.network = Network(top)
         self.locations, self.values, self.statuses = network.flatten(network.template)
         self.mode = network.mode(self.locations)

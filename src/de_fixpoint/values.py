@@ -82,19 +82,6 @@ def literal_text(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-def value_key(v: Value):
-    """A total order over values of all kinds (for canonical sorting only)."""
-    if isinstance(v, BoolVal):
-        return (0, v.value)
-    if isinstance(v, IntVal):
-        return (1, v.value)
-    if isinstance(v, TimeVal):
-        return (2, v.value)
-    if isinstance(v, StringVal):
-        return (3, v.value)
-    raise TypeError(f"not a value: {v!r}")
-
-
 class PortStatus:
     """Three-valued knowledge about a port within one iteration."""
 

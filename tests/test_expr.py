@@ -1,4 +1,10 @@
-"""Expression evaluation against ports/variables, and source printing."""
+"""Expression evaluation against ports/variables, and source printing.
+
+Evaluation is tested on the compiled closures, against the reference
+tree walk in ``expr_ref.py``, always in a scope that validation accepts:
+every name bound and every port an input.  Anything else never reaches
+the compiler; the front-door tests at the end check that.
+"""
 
 from fractions import Fraction
 
@@ -10,10 +16,11 @@ from de_fixpoint.errors import (
     AbsentPortRead,
     EngineError,
     TypeMismatch,
-    UnboundIdentifier,
     UnknownPortRead,
+    ValidationError,
 )
 from de_fixpoint.expr import (
+    _PRECEDENCE,
     Binary,
     IsPresent,
     Lit,
@@ -21,11 +28,12 @@ from de_fixpoint.expr import (
     Unary,
     Var,
     compile_expr,
-    eval_expr,
     expr_text,
-    referenced_names,
-    referenced_ports,
+    references,
 )
+from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition
+from de_fixpoint.postfire import initialize
+from de_fixpoint.state import SystemState
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -37,21 +45,27 @@ from de_fixpoint.values import (
 )
 from de_fixpoint.network import Network
 
-from test_parser import EXPRS, LITERALS, NAMES, PORTS, models
+from expr_ref import UnboundIdentifier, eval_expr
+from test_parser import DECLARED, EXPRS, LITERALS, LOCATIONS, NAMES, PORTS
 
 TRUE = Lit(BoolVal(True))
 
 
 def ev(expr, ports=None, variables=None, parameters=None):
-    return eval_expr(expr, variables or {}, parameters or {}, ports or {})
+    """``expr`` compiled and run; the reference must give the same outcome."""
+    args = (expr, variables or {}, parameters or {}, ports or {})
+    assert outcome(lambda: compiled(*args)) == outcome(lambda: eval_expr(*args))
+    return compiled(*args)
 
 
 def test_variables_shadow_parameters():
     e = Var("x")
     assert ev(e, variables={"x": IntVal(1)}, parameters={"x": IntVal(9)}) == IntVal(1)
     assert ev(e, parameters={"x": IntVal(9)}) == IntVal(9)
+    # Only the reference can meet an unbound name: validation keeps it
+    # from the compiler (see the front-door tests).
     with pytest.raises(UnboundIdentifier):
-        ev(e)
+        eval_expr(e, {}, {}, {})
 
 
 def test_is_present_three_cases():
@@ -60,8 +74,6 @@ def test_is_present_three_cases():
     assert ev(e, ports={"P": ABSENT}) == BoolVal(False)
     with pytest.raises(UnknownPortRead):
         ev(e, ports={"P": UNKNOWN})
-    with pytest.raises(UnknownPortRead):
-        ev(e)  # port not in scope at all
 
 
 def test_port_value_reads():
@@ -122,8 +134,13 @@ def test_short_circuit_still_requires_known_operands():
 
 def test_referenced_ports_and_names():
     e = Binary("&&", IsPresent("A"), Binary("<", PortValue("B"), Var("n")))
-    assert referenced_ports(e) == {"A", "B"}
-    assert referenced_names(e) == {"n"}
+    assert references(e) == ({"n"}, {"A", "B"})
+    with pytest.raises(ValueError, match=r"^uses unknown operator '%'$"):
+        references(Binary("&&", TRUE, Binary("%", Var("n"), Var("n"))))
+    with pytest.raises(ValueError, match=r"^uses unknown unary operator '~'$"):
+        references(Unary("~", TRUE))
+    with pytest.raises(ValueError, match=r"^is not an expression: 'n'$"):
+        references(Unary("!", "n"))
 
 
 def test_expr_text_parenthesizes_by_precedence():
@@ -171,12 +188,42 @@ STATUSES = st.one_of(st.just(UNKNOWN), st.just(ABSENT), LITERALS.map(Present))
 ENVIRONMENTS = st.dictionaries(NAMES, LITERALS, max_size=3)
 
 
+@st.composite
+def scopes(draw):
+    """An expression with variables, parameters and port statuses that
+    bind every name and port it reads, as validation demands."""
+    expr = draw(EXPRS)
+    names, ports = references(expr)
+    variables, parameters = draw(ENVIRONMENTS), draw(ENVIRONMENTS)
+    for name in sorted(names - variables.keys() - parameters.keys()):
+        (variables if draw(st.booleans()) else parameters)[name] = draw(LITERALS)
+    statuses = draw(st.dictionaries(PORTS, STATUSES, max_size=2))
+    for port in sorted(ports - statuses.keys()):
+        statuses[port] = draw(STATUSES)
+    return expr, variables, parameters, statuses
+
+
 @settings(max_examples=400)
-@given(EXPRS, ENVIRONMENTS, ENVIRONMENTS, st.dictionaries(PORTS, STATUSES, max_size=2))
-def test_compiled_expression_matches_eval_expr(expr, variables, parameters, ports):
-    want = outcome(lambda: eval_expr(expr, variables, parameters, ports))
-    got = outcome(lambda: compiled(expr, variables, parameters, ports))
+@given(scopes())
+def test_compiled_expression_matches_eval_expr(scope):
+    want = outcome(lambda: eval_expr(*scope))
+    got = outcome(lambda: compiled(*scope))
     assert got == want
+
+
+def lone_machine(guard=TRUE, outputs=None, sets=None):
+    """T holding one machine M, with input P and output Out, whose one
+    transition has this guard, these outputs and these updates."""
+    m = ActorNode(
+        "M",
+        FSM,
+        ports=(Port("P", IN), Port("Out", OUT)),
+        locations=("s", "t"),
+        init_location="s",
+        variables={"v": IntVal(0)},
+        transitions=(Transition("s", "t", guard, outputs or {}, sets or {}),),
+    )
+    return ActorNode("T", COMPOSITE, inner=(m,))
 
 
 @pytest.mark.parametrize(
@@ -194,15 +241,69 @@ def test_compiled_expression_matches_eval_expr(expr, variables, parameters, port
     ],
 )
 def test_compiled_expression_matches_eval_expr_off_the_grammar(expr):
+    # In the grammar but mistyped, an expression compiles and fails or
+    # computes as the reference does.  Off the grammar, it never reaches
+    # the compiler: validation rejects its machine.
+    try:
+        references(expr)
+    except ValueError as err:
+        with pytest.raises(ValidationError) as raised:
+            Network(lone_machine(expr))
+        assert raised.value.problems == (f"T.M: guard of transition s->t {err}",)
+        return
     ports = {"P": Present(IntVal(1))}
     want = outcome(lambda: eval_expr(expr, {}, {}, ports))
     assert outcome(lambda: compiled(expr, {}, {}, ports)) == want
 
 
-@given(models(), STATUSES)
+def exprs(names):
+    """Expressions in the grammar that read only ``names`` and the input In."""
+    leaves = [LITERALS.map(Lit), st.sampled_from([IsPresent("In"), PortValue("In")])]
+    if names:
+        leaves.append(st.sampled_from(names).map(Var))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda inner: st.one_of(
+            st.builds(Unary, st.sampled_from(["!", "-"]), inner),
+            st.builds(Binary, st.sampled_from(sorted(_PRECEDENCE)), inner, inner),
+        ),
+        max_leaves=10,
+    )
+
+
+@st.composite
+def valid_models(draw):
+    """T holding a machine M whose expressions validate: they read M's
+    variables and parameters and its input In, write Out and set M's
+    variables."""
+    variables, parameters = draw(DECLARED), draw(DECLARED)
+    expr = exprs(sorted(variables.keys() | parameters.keys()))
+    updates = st.dictionaries(st.sampled_from(sorted(variables)), expr, max_size=2) if variables else st.just({})
+    transitions = st.builds(
+        Transition,
+        LOCATIONS,
+        LOCATIONS,
+        expr,
+        st.dictionaries(st.just("Out"), expr, max_size=1),
+        updates,
+    )
+    fsm = ActorNode(
+        name="M",
+        kind=FSM,
+        ports=(Port("In", IN), Port("Out", OUT)),
+        locations=("s", "t"),
+        init_location="s",
+        parameters=parameters,
+        variables=variables,
+        transitions=tuple(draw(st.lists(transitions, max_size=3))),
+    )
+    return ActorNode(name="T", kind=COMPOSITE, inner=(fsm,))
+
+
+@given(valid_models(), STATUSES)
 def test_compiled_transitions_match_eval_expr(model, status):
     # The network compiles each transition of the machine M over its own
-    # value slots and input port ids; Out is an output, never readable.
+    # value slots and input port ids.
     network = Network(model)
     m = network.index[("T", "M")]
     node = model.inner[0]
@@ -225,7 +326,44 @@ def test_compiled_transitions_match_eval_expr(model, status):
             )
         assert [var for _, var, _ in entry.updates] == list(t.sets)
         for slot, var, fn in entry.updates:
-            assert slot == network.slots[m].get(var)
+            assert slot == network.slots[m][var]
             assert outcome(lambda: fn(statuses, values)) == outcome(
                 lambda: eval_expr(t.sets[var], node.variables, node.parameters, env)
             )
+
+
+# The front door. ----------------------------------------------------------------
+
+#: What the compiler has no branch for, and the problem validation reports.
+OFF_SCOPE = {
+    "binary-%": (Binary("%", Lit(IntVal(1)), Lit(IntVal(2))), "uses unknown operator '%'"),
+    "unary-~": (Unary("~", TRUE), "uses unknown unary operator '~'"),
+    "str": ("x > 1", "is not an expression: 'x > 1'"),
+    "unbound-name": (Var("ghost"), "references unbound name 'ghost'"),
+    "output-port": (IsPresent("Out"), "reads unknown port 'Out'"),
+}
+DOORS = (Network, initialize, SystemState)
+
+
+def problems_at_each_door(top):
+    """The problems each door's ValidationError lists, one tuple per door."""
+    found = []
+    for door in DOORS:
+        with pytest.raises(ValidationError) as raised:
+            door(top)
+        found.append(raised.value.problems)
+    return found
+
+
+@pytest.mark.parametrize("case", sorted(OFF_SCOPE))
+def test_every_door_rejects_what_the_compiler_cannot_take(case):
+    bad, problem = OFF_SCOPE[case]
+    top = lone_machine(guard=bad, outputs={"Out": bad}, sets={"v": bad})
+    want = tuple(f"T.M: {place} of transition s->t {problem}" for place in ("guard", "output", "update"))
+    assert problems_at_each_door(top) == [want] * len(DOORS)
+
+
+def test_every_door_rejects_an_update_of_an_undeclared_variable():
+    top = lone_machine(sets={"ghost": TRUE})
+    want = ("T.M: transition s->t sets unknown variable 'ghost'",)
+    assert problems_at_each_door(top) == [want] * len(DOORS)

@@ -220,11 +220,14 @@ def machine(*transitions, variables=None):
 
 
 def decide(node, input_statuses):
-    """decide_firing over the machine's compiled transitions: (verdict, transition)."""
-    network = Network(node)
+    """decide_firing over the machine's compiled transitions: (verdict, transition).
+
+    The machine runs alone inside a composite, the smallest valid model.
+    """
+    network = Network(ActorNode("T", COMPOSITE, inner=(node,)))
     statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
-    values = network.flatten(node)[1]
-    verdict, entry = decide_firing(network.fsms[0], node.curr_location, statuses, values)
+    values = network.flatten(network.template)[1]
+    verdict, entry = decide_firing(network.fsms[1], node.curr_location, statuses, values)
     return verdict, (entry.transition if entry is not None else None)
 
 
@@ -280,7 +283,7 @@ def test_guards_read_variables_and_parameters():
 
 def test_non_boolean_guard_rejected_at_decision_time():
     node = machine(Transition("s", "t", Lit(IntVal(3))))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^T\.M: guard of s->t is not boolean$"):
         decide(node, {"In": Present(IntVal(1)), "Aux": ABSENT})
 
 
