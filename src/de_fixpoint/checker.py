@@ -16,27 +16,34 @@ its accepting lasso is the witness, so witnesses name real graph nodes.
 
 Every answer is cross-checked before it is returned.  The system has
 exactly one infinite run (each state has one successor), so the formula
-can also be evaluated directly on that run by fixpoint iteration around
-the lasso — an independent second route.  A counterexample additionally
+can also be evaluated directly on that run — an independent second
+route.  Every position of the lasso's cycle recurs, so the direct
+evaluation needs no fixpoint iteration: an until takes two backward laps
+around the cycle and one over the stem, an always or eventually one look
+at the cycle and one lap over the stem.  A counterexample additionally
 has to follow real graph edges and violate the formula when replayed.
 Disagreement between the routes is a bug and raises immediately rather
 than returning a possibly-wrong verdict.
 
-Atom truth is computed once per graph (``StateGraph.atom_row``) and
-shared by both routes and by every later check on the same graph; the
-routes share nothing past that.  Nodes with the same truth vector over a
-formula's atoms form a valuation class, and the product search asks
-whether an automaton state's guard holds once per (state, class), not
-once per product edge; the compressed and the full search share those
-answers.  Replay does not use the shared truth: it evaluates the
-formula afresh on the witness states and re-executes the run to
-reproduce them.
+Atom truth is computed once per graph (``StateGraph.atom_row``), one row
+per atom in one pass over the nodes, and shared by both routes and by
+every later check on the same graph; the routes share nothing past
+that.  Nodes with the same truth vector over a formula's atoms form a
+valuation class.  The product search works on flat data: a product
+state is one integer, its colour a byte, and the automaton states a
+step may enter form one tuple per (automaton state, class), built from
+a memo that asks whether an automaton state's guard holds once per
+(state, class), not once per product edge; the compressed and the full
+search share those answers.  Replay does not use the shared truth: it
+evaluates each of the formula's atoms afresh on the witness states and
+re-executes the run to reproduce them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import and_, le, not_, or_
 from typing import Optional
 
 from .buchi import BuchiAutomaton, ltl_to_buchi
@@ -85,22 +92,30 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool
     position len(states)-1 loops back to ``cycle_start``.
 
     Works by computing, per subformula, its truth at every position:
-    boolean connectives pointwise, until as a least fixpoint and always
-    as a greatest fixpoint iterated around the loop until stable.  This
-    deliberately shares nothing with the automaton construction beyond
-    ``rows``: when given, a mapping from each atom's proposition to its
-    truth at every position, read instead of evaluating the states.
+    boolean connectives pointwise, until by two backward laps around the
+    cycle and one over the stem, always and eventually by one look at the
+    whole cycle and one lap over the stem.  This deliberately shares
+    nothing with the automaton construction beyond ``rows``: when given,
+    a mapping from each atom's proposition to its truth at every position,
+    read instead of evaluating the states.
     """
     n = len(states)
     if not (0 <= cycle_start < n):
         raise ValueError("cycle start out of range")
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = cycle_start
-    return _table(formula, states, succ, rows)[0]
+    return _table(formula, states, cycle_start, rows)[0]
 
 
-def _table(f, states, succ, rows) -> list:
+def _table(f, states, entry, rows) -> list:
     """The truth of ``f`` at every position of eval_on_lasso's run.
+
+    Truth values are bools, so the connectives map ``operator``
+    functions over them.  Every position of the cycle recurs, so a
+    subformula's truth on the cycle depends only on the cycle.  An until
+    that holds at a position has its witness within one lap: the first
+    backward lap, assuming false past the loop's end, is exact at the
+    cycle's entry, and the second lap, reading that value past the end,
+    is exact everywhere on the cycle; it stops at the first position
+    whose value it keeps.  The stem then reads the entry's value once.
 
     Not a closure: a recursive closure refers to itself, and that cycle
     would keep the run's states, and their network, alive until the
@@ -116,43 +131,47 @@ def _table(f, states, succ, rows) -> list:
             return rows[f.prop]
         return [prop_holds(s, f.prop) for s in states]
     if isinstance(f, Not):
-        return [not v for v in _table(f.operand, states, succ, rows)]
-    if isinstance(f, And):
-        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
-        return [a and b for a, b in zip(left, right)]
-    if isinstance(f, Or):
-        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
-        return [a or b for a, b in zip(left, right)]
-    if isinstance(f, Implies):
-        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
-        return [(not a) or b for a, b in zip(left, right)]
+        return list(map(not_, _table(f.operand, states, entry, rows)))
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _table(f.left, states, entry, rows), _table(f.right, states, entry, rows)
+        # On truth values, a -> b is a <= b.
+        return list(map(_POINTWISE[type(f)], left, right))
     if isinstance(f, Until):
-        left, right = _table(f.left, states, succ, rows), _table(f.right, states, succ, rows)
-        vals = [False] * n  # least fixpoint: start from nowhere
-        changed = True
-        while changed:
-            changed = False
-            for i in reversed(range(n)):
-                v = right[i] or (left[i] and vals[succ[i]])
-                if v != vals[i]:
-                    vals[i] = v
-                    changed = True
+        left, right = _table(f.left, states, entry, rows), _table(f.right, states, entry, rows)
+        vals = [False] * n
+        after = False  # the truth at the successor; nothing past the end yet
+        for i in range(n - 1, entry - 1, -1):
+            after = vals[i] = right[i] or (left[i] and after)
+        # The entry is exact now.  The second lap changes the cycle's
+        # positions from its end back to the first that keeps its value;
+        # every position before that one keeps its value too.
+        for i in range(n - 1, entry - 1, -1):
+            now = right[i] or (left[i] and after)
+            if now == vals[i]:
+                break
+            after = vals[i] = now
+        after = vals[entry]
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = right[i] or (left[i] and after)
+        return vals
+    if isinstance(f, Always):
+        inner = _table(f.operand, states, entry, rows)
+        after = all(inner[entry:])
+        vals = [after] * n
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = inner[i] and after
         return vals
     if isinstance(f, Eventually):
-        return _table(Until(TrueF(), f.operand), states, succ, rows)
-    if isinstance(f, Always):
-        inner = _table(f.operand, states, succ, rows)
-        vals = [True] * n  # greatest fixpoint: start from everywhere
-        changed = True
-        while changed:
-            changed = False
-            for i in reversed(range(n)):
-                v = inner[i] and vals[succ[i]]
-                if v != vals[i]:
-                    vals[i] = v
-                    changed = True
+        inner = _table(f.operand, states, entry, rows)
+        after = any(inner[entry:])
+        vals = [after] * n
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = inner[i] or after
         return vals
     raise TypeError(f"not a formula: {f!r}")
+
+
+_POINTWISE = {And: and_, Or: or_, Implies: le}
 
 
 # Product emptiness via nested depth-first search. ----------------------------
@@ -164,10 +183,11 @@ def _stutter_lasso(classes, cycle_entry: int):
     """The lasso word ``classes`` with each run of equal letters cut to one.
 
     The word is ``classes[:cycle_entry]`` followed by ``classes[cycle_entry:]``
-    repeating.  Runs are collapsed in the stem and in the cycle, a cycle
-    whose last letter equals its first loses the last, and a stem whose
-    last letter equals the cycle's first loses it.  Returns (succ, letters):
-    the short lasso's successor list and the class at each position.
+    repeating; its letters may be anything that compares by equality.
+    Runs are collapsed in the stem and in the cycle, a cycle whose last
+    letter equals its first loses the last, and a stem whose last letter
+    equals the cycle's first loses it.  Returns (succ, letters): the short
+    lasso's successor list and the letter at each position.
     """
     stem = [c for c, _ in groupby(classes[:cycle_entry])]
     cycle = [c for c, _ in groupby(classes[cycle_entry:])]
@@ -187,83 +207,101 @@ def _find_accepting_lasso(succ, classes, ba: BuchiAutomaton, valuations, enters)
     the truth of every atom on class ``c``.  ``enters`` memoizes whether
     an automaton state's guard holds on a class, keyed by (state, class),
     and may be shared between searches over words of the same classes.
-    Returns (prefix, cycle) as lists of product states, or None when the
-    product has no reachable accepting cycle.
-    """
+    Returns (prefix, cycle) as lists of (position, automaton state) pairs,
+    or None when the product has no reachable accepting cycle.
 
-    def can_enter(q, node):
-        key = (q, classes[node])
+    A product state is the integer ``position * nq + q`` for ``nq``
+    automaton states, and its colour a byte.  The automaton states a step
+    out of ``q`` may enter on class ``c`` form one tuple, built from
+    ``enters`` the first time a step needs it.
+    """
+    nq = len(ba.states)
+    accepting = bytearray(nq)
+    for q in ba.accepting:
+        accepting[q] = 1
+    moves = [None] * (len(valuations) * nq)  # class * nq + q -> what q may enter on the class
+
+    def can_enter(q, c):
+        key = (q, c)
         ok = enters.get(key)
         if ok is None:
-            ok = enters[key] = ba.guard_holds(q, valuations[key[1]])
+            ok = enters[key] = ba.guard_holds(q, valuations[c])
         return ok
 
-    def successors(ps):
-        node, q = ps
+    def targets(ps):
+        """(base, automaton states): ``ps``'s successors are base + each state."""
+        node, q = divmod(ps, nq)
         nxt = succ[node]
-        return [(nxt, q2) for q2 in ba.successors[q] if can_enter(q2, nxt)]
+        c = classes[nxt]
+        key = c * nq + q
+        entered = moves[key]
+        if entered is None:
+            entered = moves[key] = tuple(q2 for q2 in ba.successors[q] if can_enter(q2, c))
+        return nxt * nq, entered
 
-    def accepting(ps):
-        return ps[1] in ba.accepting
+    color = bytearray(len(succ) * nq)
+    red = bytearray(len(succ) * nq)
 
-    color = {}
-    red = set()
-
-    initial = [(0, q) for q in ba.initial if can_enter(q, 0)]
+    initial = [q for q in ba.initial if can_enter(q, classes[0])]  # at position 0
     for start in initial:
-        if color.get(start) == _BLUE:
+        if color[start] == _BLUE:
             continue
-        # Blue DFS, iterative; stack frames are (state, successor list, index).
-        stack = [[start, successors(start), 0]]
+        # Blue DFS, iterative.  A frame is (state, base, iterator over the
+        # automaton states its successors enter, whether it is accepting);
+        # the for loop resumes a frame's iterator where its last push left it.
+        base, entered = targets(start)
+        stack = [(start, base, iter(entered), accepting[start])]
         color[start] = _CYAN
-
-        def stack_states():
-            return [frame[0] for frame in stack]
-
         while stack:
-            frame = stack[-1]
-            state, succs, idx = frame
-            if idx < len(succs):
-                frame[2] += 1
-                child = succs[idx]
-                c = color.get(child)
-                if c == _CYAN and (accepting(state) or accepting(child)):
+            state, base, entered, acc = stack[-1]
+            for q2 in entered:
+                child = base + q2
+                c = color[child]
+                if c == _CYAN and (acc or accepting[q2]):
                     # Closing edge straight back into the blue stack.
-                    path = stack_states()
+                    path = [frame[0] for frame in stack]
                     j = path.index(child)
-                    return path[:j], path[j:]
-                if c is None:
+                    return _pairs(path[:j], nq), _pairs(path[j:], nq)
+                if not c:
                     color[child] = _CYAN
-                    stack.append([child, successors(child), 0])
-                continue
-            # Postorder: run the red search from accepting states.
-            if accepting(state):
-                hit = _red_dfs(state, successors, color, red)
-                if hit is not None:
-                    red_path, target = hit
-                    path = stack_states()
-                    j = path.index(target)
-                    # Cycle: blue stack from target up to state, then the red
-                    # detour back to target (its endpoint, excluded).
-                    return path[:j], path[j:] + red_path[1:-1]
-            color[state] = _BLUE
-            stack.pop()
+                    child_base, child_entered = targets(child)
+                    stack.append((child, child_base, iter(child_entered), accepting[q2]))
+                    break
+            else:
+                # Postorder: run the red search from accepting states.
+                if acc:
+                    hit = _red_dfs(state, targets, color, red)
+                    if hit is not None:
+                        red_path, target = hit
+                        path = [frame[0] for frame in stack]
+                        j = path.index(target)
+                        # Cycle: blue stack from target up to state, then the red
+                        # detour back to target (its endpoint, excluded).
+                        return _pairs(path[:j], nq), _pairs(path[j:] + red_path[1:-1], nq)
+                color[state] = _BLUE
+                stack.pop()
     return None
 
 
-def _red_dfs(root, successors, color, red):
+def _pairs(states, nq):
+    return [divmod(ps, nq) for ps in states]
+
+
+def _red_dfs(root, targets, color, red):
     """Depth-first from an accepting state, hunting any state on the blue stack.
 
     Returns (path, target) where path runs root -> ... -> target and target
-    is cyan, or None.  ``red`` persists across calls.
+    is cyan, or None.  ``red`` marks visited states and persists across calls.
     """
     parent = {root: None}
     stack = [root]
-    red.add(root)
+    red[root] = 1
     while stack:
         state = stack.pop()
-        for child in successors(state):
-            if color.get(child) == _CYAN:
+        base, entered = targets(state)
+        for q2 in entered:
+            child = base + q2
+            if color[child] == _CYAN:
                 path = [child]
                 cur = state
                 while cur is not None:
@@ -271,8 +309,8 @@ def _red_dfs(root, successors, color, red):
                     cur = parent[cur]
                 path.reverse()  # root ... state child
                 return path, child
-            if child not in red:
-                red.add(child)
+            if not red[child]:
+                red[child] = 1
                 parent[child] = state
                 stack.append(child)
     return None
@@ -294,23 +332,25 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     # every node: propositions must be evaluable over the whole graph.
     atoms = collect_atoms(f)
     rows = {prop: graph.atom_row(prop) for prop in atoms}
-    # Valuation classes: the distinct truth vectors over the atoms.
-    vectors = zip(*rows.values()) if atoms else [()] * len(graph.nodes)
-    class_ids = {}
-    classes = [class_ids.setdefault(vector, len(class_ids)) for vector in vectors]
-    # The automaton may constrain only a subset of the atoms; valuations
-    # carry them all.
-    valuations = [dict(zip(atoms, vector)) for vector in class_ids]
+    # Each node's truth vector over the atoms.
+    vectors = list(zip(*rows.values())) if atoms else [()] * len(graph.nodes)
 
     ba = ltl_to_buchi(Not(f))
     # Stutter invariance: the compressed product is empty exactly when the
     # full one is.  Only a failing formula searches the full product, whose
     # accepting lasso is the witness.
     entry = graph.cycle_entry()
+    short_succ, letters = _stutter_lasso(vectors, entry)
+    # Valuation classes: the distinct vectors, numbered as they first occur
+    # (the short lasso keeps every one).  The automaton may constrain only
+    # a subset of the atoms; valuations carry them all.
+    class_ids = {vector: c for c, vector in enumerate(dict.fromkeys(letters))}
+    valuations = [dict(zip(atoms, vector)) for vector in class_ids]
     enters = {}
     hit = None
-    short_succ, letters = _stutter_lasso(classes, entry)
-    if _find_accepting_lasso(short_succ, letters, ba, valuations, enters) is not None:
+    short_classes = [class_ids[vector] for vector in letters]
+    if _find_accepting_lasso(short_succ, short_classes, ba, valuations, enters) is not None:
+        classes = list(map(class_ids.__getitem__, vectors))
         hit = _find_accepting_lasso(graph.succ, classes, ba, valuations, enters)
         if hit is None:
             raise AssertionError(
@@ -348,8 +388,11 @@ def _replay(graph: StateGraph, witness: Witness, formula: Formula) -> None:
             raise AssertionError("counterexample does not follow graph edges")
     if graph.succ[ids[-1]] != witness.cycle_ids[0]:
         raise AssertionError("counterexample cycle does not close")
+    # The formula's own rows over the witness states, one per atom however
+    # often the formula reads it; the graph's rows are not consulted.
     states = witness.prefix + witness.cycle
-    if eval_on_lasso(states, len(witness.prefix), formula):
+    rows = {prop: [prop_holds(state, prop) for state in states] for prop in collect_atoms(formula)}
+    if eval_on_lasso(states, len(witness.prefix), formula, rows):
         raise AssertionError("counterexample replay does not violate the formula")
     # Re-execute the run, closing edge included, and demand the very same
     # states, so a reported witness is something a simulation reproduces

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import StateSpaceExceeded
 from .executor import passes_bound, step, ticks_within
-from .props import prop_holds
+from .props import prop_holds, prop_row
 from .state import SystemState
 
 DEFAULT_MAX_STATES = 100_000
@@ -60,13 +60,14 @@ class StateGraph:
     def atom_row(self, prop) -> tuple:
         """Truth of ``prop`` on every node, indexed by node id.
 
-        Computed with ``prop_holds`` on first use and kept; a bad actor
-        path, variable or location raises its error on every call, since
-        a row that fails is not kept.
+        Computed on first use in one pass over the nodes' slots
+        (``prop_row``; the nodes share one network) and kept.  A bad actor
+        path, variable or location raises what ``prop_holds`` raises, on
+        every call, since a row that fails is not kept.
         """
         row = self._rows.get(prop)
         if row is None:
-            row = self._rows[prop] = tuple(prop_holds(state, prop) for state in self.nodes)
+            row = self._rows[prop] = prop_row(self.nodes, prop)
         return row
 
 

@@ -286,7 +286,7 @@ class Network:
         self.coupled = {}  # controller index -> {modal output name: the twin input's id}
         self.modes = {}  # controller locations, one per modal -> Mode
         self.tick_kinds = {}  # ticks -> Tick step kind (filled by the executor)
-        self.prop_readers = {}  # proposition -> compiled reader (filled by props)
+        self.prop_readers = {}  # proposition -> compiled readers (filled by props)
         for i, node in enumerate(nodes):
             self._compile(i, node, self.paths[i])
         # Printing and propositions, in preorder.

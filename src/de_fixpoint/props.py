@@ -6,12 +6,15 @@ never reassigns) and location propositions ("this state machine stands
 in this location"; on a modal actor it asks about the controller).
 Propositions are evaluated against full system snapshots and are the
 only way formulas observe a run.  Each proposition is compiled once per
-network into a reader of the state's location or value slots.
+network into readers of the location or value slots: one of a state, and
+one of a whole list of states, which a state graph uses to compute a
+proposition's truth on every node in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import NoSuchVariable, NotAnFsm
 from .model import MODAL
@@ -62,16 +65,30 @@ class LocProp:
 
 
 def prop_holds(state: SystemState, prop) -> bool:
-    network = state.network
-    reader = network.prop_readers.get(prop)
-    if reader is None:
-        reader = _compile(network, prop)
-        network.prop_readers[prop] = reader
-    return reader(state)
+    return _readers(state.network, prop)[0](state)
+
+
+def prop_row(states, prop) -> tuple:
+    """``prop_holds`` on each of ``states``, in one pass over their slots.
+
+    The states must share one network, as a state graph's nodes do.  The
+    row raises what ``prop_holds`` raises on the first state, or, for a
+    variable proposition naming a missing variable, on the first state
+    whose check reaches that name.
+    """
+    return _readers(states[0].network, prop)[1](states)
+
+
+def _readers(network, prop):
+    readers = network.prop_readers.get(prop)
+    if readers is None:
+        readers = network.prop_readers[prop] = _compile(network, prop)
+    return readers
 
 
 def _compile(network, prop):
-    """A function of a state that decides ``prop``, or raises as it would.
+    """Two functions deciding ``prop``, or raising as it would: one of a
+    state, and one of a list of states that gives the tuple of their truths.
 
     A bad actor path raises here; a bad location or variable raises when
     the reader reaches it, as the check goes name by name.
@@ -89,7 +106,12 @@ def _compile(network, prop):
                 raise NotAnFsm(f"{label} has no locations")
             return actual == location
 
-        return at
+        def row(states):
+            # Which actors have locations is fixed by the network.
+            at(states[0])
+            return tuple([state.locations[i] == location for state in states])
+
+        return at, row
     if isinstance(prop, VarProp):
         slots = network.slots[i]
         parameters = network.nodes_of(network.template)[i].parameters
@@ -112,5 +134,22 @@ def _compile(network, prop):
                     return False
             return True
 
-        return holds
+        read = [(slot, value) for slot, value, _, _ in checks if slot is not None]
+        if read and len(read) == len(checks):
+            # Every name is a variable: one slot reads a value, several a
+            # tuple, to compare at once.
+            get = itemgetter(*(slot for slot, _ in read))
+            want = read[0][1] if len(read) == 1 else tuple(value for _, value in read)
+
+            def row(states):
+                return tuple([get(state.values) == want for state in states])
+
+        else:
+            # A parameter, a missing name or no name at all.  Whether a
+            # state raises depends on the checks before a missing name, so
+            # each state goes through them.
+            def row(states):
+                return tuple([holds(state) for state in states])
+
+        return holds, row
     raise TypeError(f"not a proposition: {prop!r}")

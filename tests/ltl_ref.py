@@ -12,6 +12,11 @@ period past the point of interest.  Searching positions up to
 ``prefix + 2 * period`` and folding every position back to its
 canonical index is therefore exact, with no fixpoint computation.
 
+A second reference, ``eval_fixpoint``, is the evaluation the checker
+used before its lap-based form: per subformula, a truth table over the
+positions, with until as a least and always as a greatest fixpoint,
+swept backwards around the loop until nothing changes.
+
 Also provided: a Büchi-acceptance oracle built on networkx, used to
 check automaton constructions against word membership.
 """
@@ -92,6 +97,57 @@ def eval_word(valuations, loop_start: int, formula, position: int = 0) -> bool:
         return result
 
     return truth(formula, position)
+
+
+def eval_fixpoint(valuations, loop_start: int, formula) -> list:
+    """Truth of ``formula`` at every position of the word u · v^ω, by
+    fixpoint iteration around the lasso (arguments as for ``eval_word``)."""
+    n = len(valuations)
+    assert 0 <= loop_start < n, "the lasso needs a non-empty cycle"
+    succ = [i + 1 for i in range(n)]
+    succ[n - 1] = loop_start
+
+    def table(f):
+        if isinstance(f, TrueF):
+            return [True] * n
+        if isinstance(f, FalseF):
+            return [False] * n
+        if isinstance(f, Atom):
+            return [v[f.prop] for v in valuations]
+        if isinstance(f, Not):
+            return [not v for v in table(f.operand)]
+        if isinstance(f, And):
+            return [a and b for a, b in zip(table(f.left), table(f.right))]
+        if isinstance(f, Or):
+            return [a or b for a, b in zip(table(f.left), table(f.right))]
+        if isinstance(f, Implies):
+            return [(not a) or b for a, b in zip(table(f.left), table(f.right))]
+        if isinstance(f, Until):
+            left, right = table(f.left), table(f.right)
+            return _sweep([False] * n, succ, lambda i, after: right[i] or (left[i] and after))
+        if isinstance(f, Eventually):
+            return table(Until(TrueF(), f.operand))
+        if isinstance(f, Always):
+            inner = table(f.operand)
+            return _sweep([True] * n, succ, lambda i, after: inner[i] and after)
+        if isinstance(f, Scope):
+            raise TypeError("desugar scopes before evaluating")
+        raise TypeError(f"not a formula: {f!r}")
+
+    return table(formula)
+
+
+def _sweep(vals, succ, rule):
+    """Backward sweeps of ``vals[i] = rule(i, vals[succ[i]])`` until stable."""
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(vals))):
+            v = rule(i, vals[succ[i]])
+            if v != vals[i]:
+                vals[i] = v
+                changed = True
+    return vals
 
 
 def buchi_accepts(ba, valuations, loop_start: int) -> bool:

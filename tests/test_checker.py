@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import product
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from de_fixpoint import checker
-from de_fixpoint.buchi import MAX_TABLEAU_NODES, Release, ltl_to_buchi
+from de_fixpoint.buchi import MAX_TABLEAU_NODES, BuchiAutomaton, Release, ltl_to_buchi
 from de_fixpoint.checker import check_ltl, eval_on_lasso
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm, StateSpaceExceeded
 from de_fixpoint.events import EMPTY_QUEUE
@@ -42,6 +43,7 @@ from de_fixpoint.state import SystemState, collect_variables
 
 import families
 import ltl_ref
+import ndfs_ref
 from conftest import actors, initial_state, many_untils
 
 
@@ -188,6 +190,40 @@ def test_replay_steps_through_the_witness_once(mutant_graph, monkeypatch):
     witness = check_ltl(mutant_graph, parse_formula(MUTEX)).witness
     # One step per witness edge, the edge that closes the cycle included.
     assert len(steps) == len(witness.prefix) + len(witness.cycle)
+
+
+def test_replay_evaluates_each_atom_once_per_witness_state(mutant_graph, monkeypatch):
+    # The formula reads `bad` twice; replay builds one row per atom from
+    # the witness states, and the graph's rows never pass through it.
+    bad = "('HierarchicalTrafficLight | ('Pgrn = 1, 'Cgrn = 1))"
+    text = f"[] ({bad} -> ({bad} U 'HierarchicalTrafficLight | 'Cred = 1))"
+    calls = Counter()
+
+    def counting(state, prop):
+        calls[prop] += 1
+        return prop_holds(state, prop)
+
+    monkeypatch.setattr(checker, "prop_holds", counting)
+    witness = check_ltl(replace(mutant_graph), parse_formula(text)).witness
+    length = len(witness.prefix) + len(witness.cycle)
+    assert calls == {prop: length for prop in collect_atoms(fm(text))}
+
+
+@pytest.mark.parametrize("text", HOLDS + FAILS + [MUTEX])
+def test_one_check_asks_each_guard_once_per_valuation_class(hier_graph, mutant_graph, monkeypatch, text):
+    # Both product searches of a failing formula share one memo, so no
+    # (automaton state, valuation class) pair is asked twice in a check.
+    asked = Counter()
+    guard_holds = BuchiAutomaton.guard_holds
+
+    def counting(self, sid, valuation):
+        asked[sid, frozenset(valuation.items())] += 1
+        return guard_holds(self, sid, valuation)
+
+    monkeypatch.setattr(BuchiAutomaton, "guard_holds", counting)
+    graph = mutant_graph if text == MUTEX else hier_graph
+    check_ltl(replace(graph), parse_formula(text))
+    assert asked and max(asked.values()) == 1
 
 
 def test_a_checked_graph_is_freed_with_its_last_reference():
@@ -540,3 +576,80 @@ def test_generated_models_agree_with_reference_and_full_product(data):
     word = [ids.setdefault(tuple(v.values()), len(ids)) for v in vals]
     valuations = [dict(zip(props, key)) for key in ids]
     assert product_verdicts(word, entry, valuations, f) == (expected, expected)
+
+
+# The integer product search and the lap evaluation against their references. --------
+
+
+def searches_sharing_one_memo(search, word, entry, valuations, f):
+    """The compressed and then the full search of ``f``'s negation over a
+    word, sharing one guard memo as check_ltl does, and that memo."""
+    ba = ltl_to_buchi(Not(f))
+    enters = {}
+    short_succ, letters = checker._stutter_lasso(word, entry)
+    succ = list(range(1, len(word))) + [entry]
+    compressed = search(short_succ, letters, ba, valuations, enters)
+    return compressed, search(succ, word, ba, valuations, enters), enters
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "free",
+        "one-letter cycle",
+        "all-equal cycle",
+        "stem ends in the cycle's first letter",
+        "cycle wraps on the stem's last letter",
+    ],
+)
+@given(data=st.data())
+def test_product_search_returns_the_reference_lasso(shape, data):
+    # The very same (prefix, cycle) of (position, automaton state) pairs,
+    # and the same guards asked, as the tuple-and-dict reference search.
+    word, entry = data.draw(lasso_words(shape))
+    f = fm(data.draw(formula_texts(WORD_ATOMS, depth=3)))
+    got = searches_sharing_one_memo(checker._find_accepting_lasso, word, entry, WORD_VALUATIONS, f)
+    want = searches_sharing_one_memo(ndfs_ref.find_accepting_lasso, word, entry, WORD_VALUATIONS, f)
+    assert got == want
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_product_search_returns_the_reference_lasso_on_generated_models(data):
+    graph = generated_graph(data.draw(families.MODELS))
+    atoms = st.lists(st.sampled_from(proposition_atoms(graph)), min_size=1, max_size=3, unique=True)
+    f = fm(data.draw(formula_texts(data.draw(atoms), depth=3)))
+    props = collect_atoms(f)
+    ids = {}
+    word = [ids.setdefault(tuple(prop_holds(s, prop) for prop in props), len(ids)) for s in graph.nodes]
+    valuations = [dict(zip(props, key)) for key in ids]
+    entry = graph.cycle_entry()
+    got = searches_sharing_one_memo(checker._find_accepting_lasso, word, entry, valuations, f)
+    assert got == searches_sharing_one_memo(ndfs_ref.find_accepting_lasso, word, entry, valuations, f)
+
+
+@st.composite
+def evaluation_lassos(draw, where):
+    """A word of class ids and its cycle entry, placed where ``where`` says."""
+    letter = st.integers(0, len(WORD_VALUATIONS) - 1)
+    if where == "n = 1":
+        return [draw(letter)], 0
+    word = draw(st.lists(letter, min_size=1, max_size=12))
+    entry = {"entry 0": 0, "entry n-1": len(word) - 1}.get(where)
+    if entry is None:
+        entry = draw(st.integers(0, len(word) - 1))
+    return word, entry
+
+
+@pytest.mark.parametrize("where", ["entry 0", "entry n-1", "n = 1", "anywhere"])
+@given(data=st.data())
+def test_lap_evaluation_matches_the_references_at_every_position(where, data):
+    word, entry = data.draw(evaluation_lassos(where))
+    f = fm(data.draw(formula_texts(WORD_ATOMS, depth=4)))
+    valuations = [WORD_VALUATIONS[c] for c in word]
+    rows = {prop: [v[prop] for v in valuations] for prop in WORD_PROPS}
+    placeholders = [None] * len(word)  # the rows answer every atom
+    table = checker._table(f, placeholders, entry, rows)
+    assert table == ltl_ref.eval_fixpoint(valuations, entry, f)
+    assert table == [ltl_ref.eval_word(valuations, entry, f, i) for i in range(len(word))]
+    assert eval_on_lasso(placeholders, entry, f, rows) is table[0]

@@ -3,7 +3,7 @@
 import pytest
 
 from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
-from de_fixpoint.props import LocProp, VarProp, prop_holds
+from de_fixpoint.props import LocProp, VarProp, prop_holds, prop_row
 from de_fixpoint.values import BoolVal, IntVal, TimeVal
 from fractions import Fraction
 
@@ -74,6 +74,47 @@ def test_false_prop_on_known_names_is_not_an_error(hier_state):
     assert not prop_holds(hier_state, VarProp(HTL, (("Cred", IntVal(999)),)))
     with pytest.raises(NoSuchVariable):
         prop_holds(hier_state, VarProp(HTL, (("nope", IntVal(0)),)))
+
+
+# A proposition's row over the nodes of a graph. -----------------------------------
+
+CLOCK = HTL + ("Clock",)
+ROW_PROPS = [
+    LocProp(HTL + ("Decision",), "Normal"),
+    LocProp(HTL + ("TrafficLight",), "error"),  # a modal: its controller
+    LocProp(HTL + ("TrafficLight", "error", "ErrorLight"), "Eon"),
+    VarProp(HTL, (("Cred", IntVal(1)),)),
+    VarProp(HTL, (("Pgrn", IntVal(1)), ("Cgrn", IntVal(0)))),
+    VarProp(HTL, (("Cred", IntVal(1)), ("Cred", IntVal(0)))),
+    VarProp(HTL, (("Cred", BoolVal(False)),)),
+    VarProp(CLOCK, (("period", IntVal(1)),)),  # a parameter that holds
+    VarProp(CLOCK, (("period", IntVal(2)),)),  # one that does not
+    VarProp(HTL + ("TrafficLight", "normal", "CarLight"), (("count", IntVal(0)),)),
+]
+
+
+@pytest.mark.parametrize("prop", ROW_PROPS, ids=repr)
+def test_a_row_is_prop_holds_on_every_node(hier_graph, prop):
+    row = prop_row(hier_graph.nodes, prop)
+    assert row == tuple(prop_holds(state, prop) for state in hier_graph.nodes)
+    assert all(truth is True or truth is False for truth in row)
+
+
+def test_a_row_raises_where_prop_holds_would(hier_graph):
+    nodes = hier_graph.nodes
+    # The check reaches the missing name only where Cred is 1, which it
+    # is not on node 0.
+    late = VarProp(HTL, (("Cred", IntVal(1)), ("ghost", IntVal(0))))
+    assert not prop_holds(nodes[0], late)
+    with pytest.raises(NoSuchVariable):
+        prop_row(nodes, late)
+    # A missing name that no node reaches raises nothing, as state by state.
+    never = VarProp(HTL, (("Cred", IntVal(999)), ("ghost", IntVal(0))))
+    assert prop_row(nodes, never) == (False,) * len(nodes)
+    with pytest.raises(NotAnFsm):
+        prop_row(nodes, LocProp(HTL, "anywhere"))
+    with pytest.raises(NoSuchActor):
+        prop_row(nodes, LocProp(HTL + ("Ghost",), "x"))
 
 
 def test_repr_is_reparseable(hier_state):
