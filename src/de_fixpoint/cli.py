@@ -30,6 +30,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .checker import check_ltl
 from .errors import EngineError, ParseError, ValidationError
@@ -39,7 +40,7 @@ from .graph import DEFAULT_MAX_STATES, build_state_graph, search
 from .parser import parse_model, print_model
 from .postfire import initialize
 from .props import prop_holds
-from .state import SystemState, fsm_locations
+from .state import SystemState
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +91,15 @@ def _read_model(path: str):
 
 
 def _state_line(state: SystemState) -> str:
-    locs = ", ".join(f"{path}={loc}" for path, loc in sorted(fsm_locations(state).items()))
-    line = f"t={state.elapsed} m={state.microstep_of_instant}"
+    """The time, microstep and machine locations of a state, machines by path."""
+    network, locations = state.network, state.locations
+    locs = ", ".join(
+        f"{path}={locations[i]}" for i, path in network.sorted_fsm_paths if locations[i] is not None
+    )
+    # str(state.elapsed), without building the Fraction.
+    g = gcd(state.now, network.timebase)
+    ticks, base = state.now // g, network.timebase // g
+    line = f"t={ticks if base == 1 else f'{ticks}/{base}'} m={state.microstep_of_instant}"
     return f"{line}  [{locs}]" if locs else line
 
 
@@ -151,13 +159,12 @@ def _cmd_check(args) -> int:
         print(_green(f"holds ({len(graph.nodes)} states explored)", color))
         return 0
     witness = verdict.witness
-    print(_red(f"fails ({len(graph.nodes)} states explored)", color))
-    print("counterexample prefix:")
-    for node_id, st in zip(witness.prefix_ids, witness.prefix):
-        print(f"  [{node_id}] {_state_line(st)}")
-    print("repeating cycle:")
-    for node_id, st in zip(witness.cycle_ids, witness.cycle):
-        print(f"  [{node_id}] {_state_line(st)}")
+    lines = [_red(f"fails ({len(graph.nodes)} states explored)", color), "counterexample prefix:"]
+    lines += [f"  [{node_id}] {_state_line(st)}" for node_id, st in zip(witness.prefix_ids, witness.prefix)]
+    lines.append("repeating cycle:")
+    lines += [f"  [{node_id}] {_state_line(st)}" for node_id, st in zip(witness.cycle_ids, witness.cycle)]
+    # One write for the whole witness, which can run to hundreds of lines.
+    print("\n".join(lines))
     return 1
 
 

@@ -20,19 +20,33 @@ records every wire once, as a (source port id, sink port id) pair (see
 network.py); in a mode a wire is live when both its ports' actors are.
 The live wires fold into each port's *reach*: the port itself, then
 every live port downstream of it.  Writing a status anywhere (a
-delivered event, the absent fill of a port nothing writes, a machine's
+delivered event, the absent of a port nothing writes, a machine's
 output) sets the port's whole reach at once.  The only rules are the
-state machines, and each runs at least once per instant.
+state machines.
 
-Reaches and rules are static.  They are built from the compiled network
+Everything static about an instant is built from the compiled network
 once per mode, when a state in it first resolves an instant, and kept
-on the mode; a port -> rule index tells the fixed point which rules to
-run again when a port resolves.  They read and write a flat list of
-port statuses indexed by port id, in which an unknown port always holds
-the one UNKNOWN object (``Network.flatten`` sees to that for trees),
-and state machines read their location and variables from the state's
-slots; guards and outputs are compiled closures (see
-expr.compile_expr).
+on the mode (``RuleSet``):
+
+* the start: a status list in which the reach of every port that
+  nothing writes is already ABSENT.  An instant copies it and writes
+  only its events, so it costs what its events touch, not what the
+  model holds;
+* the schedule: rule A feeds rule B when a port in the reach of one of
+  A's outputs is one B reads.  The strongly connected parts of that
+  graph run in topological order, ties going to the deepest actors (a
+  static schedule, as for synchronous block diagrams: Edwards & Lee,
+  SCP 48, 2003).  A rule on no cycle runs once, when everything it
+  reads is settled, and decides once.  Only a cycle iterates, with a
+  worklist confined to it (Bourdoncle, 1993), where decisions may stay
+  partial until its ports resolve.  A rule downstream of a cycle that
+  stalls makes the one partial decision its known inputs allow.
+
+The statuses live in a flat list indexed by port id, in which an
+unknown port always holds the one UNKNOWN object (``Network.flatten``
+sees to that for trees), and state machines read their location and
+variables from the state's slots; guards and outputs are compiled
+closures (see expr.compile_expr).
 
 Every phase takes a system state and nothing else.  The executor runs
 a fresh instant in one call, ``compute_fixpoint(state, events=...)``;
@@ -42,6 +56,7 @@ two stages, from which ``compute_fixpoint(state)`` runs the same body.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -114,6 +129,7 @@ def _frozen_delivery(network: Network, pid: int) -> None:
 
 _UNDECIDED = (None, None)
 _NOFIRE = ("nofire", None)
+_NAMES_NONE = {}  # the outputs a machine that does not fire names; never written
 
 
 def decide_firing(info: FsmInfo, location, st, values):
@@ -131,25 +147,28 @@ def decide_firing(info: FsmInfo, location, st, values):
     reads is one of its inputs, and ``reads`` lists them all.
     """
     outgoing = info.outgoing[location]
-    for entry in outgoing:
-        for pid in entry.reads:
-            if st[pid] is UNKNOWN:
-                # Guards only mention the machine's own inputs, so all
-                # inputs known would imply evaluable; nothing can be
-                # decided yet.
-                return _UNDECIDED
     any_present = False
     all_known = True
     for pid in info.in_pids:
         status = st[pid]
-        if isinstance(status, Present):
-            any_present = True
-        elif status is UNKNOWN:
+        if status is ABSENT:
+            continue
+        if status is UNKNOWN:
             all_known = False
+        elif status.__class__ is Present:
+            any_present = True
+    if not all_known:
+        for entry in outgoing:
+            for pid in entry.reads:
+                if st[pid] is UNKNOWN:
+                    # Guards only mention the machine's own inputs, so all
+                    # inputs known would imply evaluable; nothing can be
+                    # decided yet.
+                    return _UNDECIDED
     trues = []
     for entry in outgoing:
         v = entry.guard(st, values)
-        if not isinstance(v, BoolVal):
+        if v.__class__ is not BoolVal:
             t = entry.transition
             raise ValidationError([f"{info.label}: guard of {t.source}->{t.target} is not boolean"])
         if v.value:
@@ -209,14 +228,17 @@ class _FsmRule:
         kind, entry = verdict
         if kind is None:
             return ()
-        named = entry.outputs if kind == "fire" else {}
+        named = entry.outputs if kind == "fire" else _NAMES_NONE
         out = []
         for name, pid, twin in self.outputs:
             if st[pid] is not UNKNOWN:
                 continue
             if name in named:
                 fn, reads = named[name]
-                if all(st[p] is not UNKNOWN for p in reads):
+                for p in reads:
+                    if st[p] is UNKNOWN:
+                        break
+                else:
                     out.append((pid, Present(fn(st, values))))
             elif twin is not None:
                 status = st[twin]
@@ -225,6 +247,22 @@ class _FsmRule:
             else:
                 out.append((pid, ABSENT))
         return out
+
+
+class _Loop:
+    """Rules that read each other's outputs in one instant: a strongly
+    connected part of a mode's rule graph.  ``dependents`` maps a port id
+    to the positions, among ``rules``, of the rules that read it."""
+
+    __slots__ = ("rules", "dependents")
+
+    def __init__(self, rules):
+        self.rules = rules
+        dependents = {}
+        for k, rule in enumerate(rules):
+            for pid in rule.reads:
+                dependents.setdefault(pid, []).append(k)
+        self.dependents = {pid: tuple(ks) for pid, ks in dependents.items()}
 
 
 @dataclass
@@ -238,32 +276,61 @@ class RuleSet:
     event lands there;
     ``reach``: by port id, for each live port, the port itself and then
     every live port downstream of it (None for frozen ports);
-    ``dependents``: by port id, the indices of the rules that read it.
+    ``start``: by port id, the statuses an instant starts from before its
+    events: ABSENT through the reach of every unwritten port, UNKNOWN
+    elsewhere;
+    ``owner``: by port id, the unwritten port whose reach put ABSENT there
+    in ``start`` (-1 when more than one did; None where none did);
+    ``absent``: how many live ports ``start`` resolves;
+    ``schedule``: the order the rules run in: a rule, which runs once, or
+    a ``_Loop``, settled by a worklist of its own;
+    ``after``: by position in ``schedule``, the positions that read what
+    it writes, which a random schedule must keep after it.
     """
 
     rules: tuple
     ports: tuple
     unwritten: tuple
     reach: list
-    dependents: list
+    start: tuple
+    owner: list
+    absent: int
+    schedule: tuple
+    after: tuple
 
 
 def build_rules(network: Network, mode: Mode) -> RuleSet:
-    """Compile the live region of a mode: its machines' rules and its nets.
+    """Compile the live region of a mode: its machines' rules, its nets,
+    the status an instant starts from, and the order the rules run in.
 
     A wire is live when both its ports' actors are.  Live wires only ever
     move a status along, so they are folded into each port's reach, and
     a write sets a whole net at once; a loop of wires stays unknown.
+
+    Rule A precedes rule B when a port in the reach of one of A's outputs
+    is one B reads (a controller reads its twin inputs too).  The
+    strongly connected parts of that graph run in topological order, and
+    of the parts ready to run, the one holding the earliest rule in
+    deepest-first order goes first.  A part of one rule that does not
+    read its own outputs runs once; any other part is a ``_Loop``.
     """
     live = mode.live
     actor = network.port_actor
     ports = tuple(pid for i in network.preorder if live[i] for pid in network.port_ids[i])
-    # Deeper actors get their turn first; the result does not depend on
-    # this (confluence), it just settles inner models before their parents.
-    rules = sorted(
-        (_FsmRule(i, network) for i in network.preorder if live[i] and network.kinds[i] == FSM),
-        key=lambda r: -r.depth,
-    )
+    # A rule holds nothing that depends on the mode, so a network keeps
+    # one per machine for all its modes.
+    cache = network.fsm_rules
+    rules = []
+    for i in network.preorder:
+        if live[i] and network.kinds[i] == FSM:
+            rule = cache.get(i)
+            if rule is None:
+                rule = cache[i] = _FsmRule(i, network)
+            rules.append(rule)
+    # Deeper actors first: the order that breaks ties in the schedule.  The
+    # result does not depend on it (confluence); it settles inner models
+    # before their parents.
+    rules.sort(key=lambda r: -r.depth)
     downstream = {}
     for src, sink in network.wires:
         if live[actor[src]] and live[actor[sink]]:
@@ -273,18 +340,142 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         written.update(rule.info.out_ids.values())
     reach = [None] * network.size
     for pid in ports:
+        if pid not in downstream:
+            reach[pid] = (pid,)
+            continue
         net = [pid]
         for p in net:
             for q in downstream.get(p, ()):
                 if q not in net:
                     net.append(q)
         reach[pid] = tuple(net)
-    dependents = [[] for _ in range(network.size)]
+    unwritten = tuple(pid for pid in ports if pid not in written)
+    start = [UNKNOWN] * network.size
+    owner = [None] * network.size
+    absent = 0
+    for pid in unwritten:
+        for q in reach[pid]:
+            if owner[q] is None:
+                start[q] = ABSENT
+                owner[q] = pid
+                absent += 1
+            else:
+                owner[q] = -1
+    readers = {}
     for n, rule in enumerate(rules):
         for pid in rule.reads:
-            dependents[pid].append(n)
-    unwritten = tuple(pid for pid in ports if pid not in written)
-    return RuleSet(tuple(rules), ports, unwritten, reach, [tuple(ns) for ns in dependents])
+            readers.setdefault(pid, []).append(n)
+    succ = [
+        sorted({m for pid in rule.info.out_ids.values() for q in reach[pid] for m in readers.get(q, ())})
+        for rule in rules
+    ]
+    schedule, after = _schedule(rules, succ)
+    return RuleSet(tuple(rules), ports, unwritten, reach, tuple(start), owner, absent, schedule, after)
+
+
+def _schedule(rules, succ):
+    """(schedule, after) over ``rules`` with successor lists ``succ``."""
+    parts = _strong_components(succ)
+    part_of = [0] * len(rules)
+    for c, part in enumerate(parts):
+        for n in part:
+            part_of[n] = c
+    later = [set() for _ in parts]
+    waiting = [0] * len(parts)
+    for n, targets in enumerate(succ):
+        for m in targets:
+            a, b = part_of[n], part_of[m]
+            if a != b and b not in later[a]:
+                later[a].add(b)
+                waiting[b] += 1
+    # Each part is a sorted tuple of positions, deepest first, so its
+    # first member is its rank.
+    ready = [(part[0], c) for c, part in enumerate(parts) if not waiting[c]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        order.append(c)
+        for d in later[c]:
+            waiting[d] -= 1
+            if not waiting[d]:
+                heapq.heappush(ready, (parts[d][0], d))
+    position = {c: k for k, c in enumerate(order)}
+    schedule = []
+    for c in order:
+        part = parts[c]
+        if len(part) == 1 and part[0] not in succ[part[0]]:
+            schedule.append(rules[part[0]])
+        else:
+            schedule.append(_Loop(tuple(rules[n] for n in part)))
+    after = tuple(tuple(sorted(position[d] for d in later[c])) for c in order)
+    return tuple(schedule), after
+
+
+def _strong_components(succ):
+    """The strongly connected parts of the graph on 0..len(succ)-1 whose
+    edges are ``succ``, each a sorted tuple (Tarjan's algorithm, without
+    recursion)."""
+    index = [None] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack, parts = [], []
+    count = 0
+    for root in range(len(succ)):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] is None:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    part = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        part.append(w)
+                        if w == v:
+                            break
+                    parts.append(tuple(sorted(part)))
+    return parts
+
+
+def _random_schedule(rule_set: RuleSet, rng):
+    """Another valid order of ``rule_set.schedule``: a topological order
+    with ties broken by ``rng``."""
+    schedule, after = rule_set.schedule, rule_set.after
+    waiting = [0] * len(schedule)
+    for later in after:
+        for k in later:
+            waiting[k] += 1
+    ready = [k for k, count in enumerate(waiting) if not count]
+    order = []
+    while ready:
+        k = ready.pop(rng.randrange(len(ready)))
+        order.append(schedule[k])
+        for d in after[k]:
+            waiting[d] -= 1
+            if not waiting[d]:
+                ready.append(d)
+    return order
 
 
 @dataclass
@@ -302,24 +493,28 @@ class FixpointResult:
 def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
     """Resolve one instant of a system state.
 
-    The instant starts from what is known before the absent fill.
-    Without ``events`` that is the state's port statuses (as prepared by
-    clear_ports and deliver_events).  With them, the instant starts
-    afresh: every port is unknown except the targets of ``events``,
-    (port id, Present(value)) pairs, exactly as clear_ports then
-    deliver_events would leave it.  From either start one body runs.
+    With ``events``, (port id, Present(value)) pairs, the instant starts
+    afresh, as clear_ports then deliver_events would leave it.  Without
+    them it starts from the state's port statuses (as clear_ports and
+    deliver_events prepare them), each known one taken as an event.
+    From either start one body runs.
 
-    Every live port known at the start is written through its reach,
-    and so is ABSENT on every unwritten port still unknown.  Then the
-    machines' rules of the state's mode (built once and kept on the
-    mode) run from a worklist that starts with all of them, deepest
-    actors first; ``rng`` (a random.Random) shuffles that start, and the
-    result must not depend on it.  Each status a rule proposes is
-    written through the port's reach, and every port it resolves queues
-    the rules that read it unless already pending.  A write that finds a
-    port of its reach known with another status raises AssertionError:
-    two drivers disagree.  ``applications`` counts the ports resolved
-    after the start.
+    The instant copies the mode's prebuilt start (``RuleSet.start``, in
+    which the reach of every unwritten port is already ABSENT) and writes
+    each event through its port's reach.  An event may replace an ABSENT
+    of the start only where every unwritten port whose reach put it
+    there has an event of the same status this instant; otherwise the
+    port has two drivers that disagree, and that raises AssertionError,
+    as does a write that finds a port of its reach known with another
+    status.  Then the mode's rules run in the order of its schedule
+    (``RuleSet.schedule``, built once and kept on the mode): a rule on
+    no cycle runs once, after every rule that feeds it, and each
+    ``_Loop`` runs a worklist of its own members until none has anything
+    left to write.  ``rng`` (a random.Random) draws another valid
+    schedule, and another start order inside each loop; the result must
+    not depend on it.  ``applications`` counts the live ports resolved
+    after the events: the live ports, less the live ports an event was
+    delivered to, less the stalled ports.
 
     Unknown ports at quiescence raise CausalityCycle unless
     ``bottom_as_absent``, in which case they are forced absent and any
@@ -332,61 +527,62 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
     rule_set = mode.rules
     if rule_set is None:
         rule_set = mode.rules = build_rules(network, mode)
-    if events is None:
-        st = list(state.statuses)
-        known = [(pid, st[pid]) for pid in rule_set.ports if st[pid] is not UNKNOWN]
-    else:
-        st = [UNKNOWN] * network.size
-        known = []
-        live, actor = mode.live, network.port_actor
-        for pid, status in events:
+    fresh = events is not None
+    if not fresh:
+        # Present statuses first, so that an ABSENT one of them meets is
+        # one the start put there.
+        known = [(pid, status) for pid, status in enumerate(state.statuses) if status is not UNKNOWN]
+        events = sorted(known, key=lambda event: not isinstance(event[1], Present))
+    st = list(rule_set.start)
+    reach, owner = rule_set.reach, rule_set.owner
+    live, actor = mode.live, network.port_actor
+    resolved = rule_set.absent
+    delivered = 0
+    for pid, status in events:
+        if not live[actor[pid]]:
             st[pid] = status
-            if live[actor[pid]]:
-                known.append((pid, status))
-            else:
+            if fresh:
                 _frozen_delivery(network, pid)
-    resolved = len(known)
-    writes = known + [(pid, ABSENT) for pid in rule_set.unwritten if st[pid] is UNKNOWN]
-    rules, reach, dependents = rule_set.rules, rule_set.reach, rule_set.dependents
-    schedule = list(range(len(rules)))
-    if rng is not None:
-        rng.shuffle(schedule)
-    pending = deque(schedule)
-    pop, push = pending.popleft, pending.append
-    queued = [True] * len(rules)
+            continue
+        delivered += 1
+        for q in reach[pid]:
+            old = st[q]
+            if old is UNKNOWN:
+                st[q] = status
+                resolved += 1
+            elif old != status:
+                if old is not ABSENT or not (owner[q] == pid or _drivers_agree(rule_set, q, status, events)):
+                    raise _conflict(network, q)
+                st[q] = status
+
     locations, values = state.locations, state.values
     decided = {}
-    while True:
-        for pid, status in writes:
+    schedule = rule_set.schedule if rng is None else _random_schedule(rule_set, rng)
+    for item in schedule:
+        if item.__class__ is _Loop:
+            resolved += _settle(item, st, locations, values, decided, reach, network, rng)
+            continue
+        for pid, status in item.step(st, locations, values, decided):
             for q in reach[pid]:
                 old = st[q]
                 if old is UNKNOWN:
                     st[q] = status
                     resolved += 1
-                    for d in dependents[q]:
-                        if not queued[d]:
-                            queued[d] = True
-                            push(d)
                 elif old != status:
-                    raise AssertionError(f"port {_key_text(network.keys[q])} driven to two different statuses")
-        if not pending:
-            break
-        n = pop()
-        queued[n] = False
-        writes = rules[n].step(st, locations, values, decided)
+                    raise _conflict(network, q)
 
     # Firing decisions are read off at quiescence, before any fallback:
     # a machine that could not decide did not fire.  Each machine's rule
     # ran after its last input resolved, so its last verdict is final.
     fired = {}
-    for rule in rules:
+    for rule in rule_set.rules:
         kind, entry = decided[rule.index]
         if kind == "fire":
             fired[rule.index] = entry
 
-    applications = resolved - len(known)
-    if resolved < len(rule_set.ports):
-        stalled = [pid for pid in rule_set.ports if st[pid] is UNKNOWN]
+    ports = rule_set.ports
+    if resolved < len(ports):
+        stalled = [pid for pid in ports if st[pid] is UNKNOWN]
         keys = sorted(network.keys[pid] for pid in stalled)
         if not bottom_as_absent:
             raise CausalityCycle([_key_text(k) for k in keys])
@@ -400,4 +596,46 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
         stalled = tuple(keys)
     else:
         stalled = ()
+    applications = len(ports) - delivered - len(stalled)
     return FixpointResult(fired, applications, stalled, _with_statuses(state, tuple(st)))
+
+
+def _drivers_agree(rule_set: RuleSet, q: int, status, events) -> bool:
+    """Whether every unwritten port whose reach covers ``q`` has an event
+    of ``status`` among ``events``, so that none of them drives ABSENT."""
+    given = dict(events)
+    sources = [pid for pid in rule_set.unwritten if q in rule_set.reach[pid]]
+    return bool(sources) and all(given.get(pid) == status for pid in sources)
+
+
+def _conflict(network: Network, q: int) -> AssertionError:
+    return AssertionError(f"port {_key_text(network.keys[q])} driven to two different statuses")
+
+
+def _settle(loop: _Loop, st, locations, values, decided, reach, network, rng) -> int:
+    """Run a loop's rules from a worklist of its own until none of them
+    writes anything; a rule runs again when a port it reads resolves.
+    Returns how many ports resolved."""
+    rules, dependents = loop.rules, loop.dependents
+    start = list(range(len(rules)))
+    if rng is not None:
+        rng.shuffle(start)
+    pending = deque(start)
+    queued = [True] * len(rules)
+    resolved = 0
+    while pending:
+        k = pending.popleft()
+        queued[k] = False
+        for pid, status in rules[k].step(st, locations, values, decided):
+            for q in reach[pid]:
+                old = st[q]
+                if old is UNKNOWN:
+                    st[q] = status
+                    resolved += 1
+                    for d in dependents.get(q, ()):
+                        if not queued[d]:
+                            queued[d] = True
+                            pending.append(d)
+                elif old != status:
+                    raise _conflict(network, q)
+    return resolved

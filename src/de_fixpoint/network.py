@@ -193,8 +193,13 @@ class Mode:
     ``selected``: per modal actor, the child its controller's location
     picks; ``enabled``: every actor but the children not picked;
     ``live``: each actor that is enabled and whose ancestors are;
-    ``committers``: in preorder, the live actors a commit visits;
-    ``rules``: the fixed point's rule set, built by fire.py on first use.
+    ``triggers``: in preorder, one (trigger port id, kind, payload) per
+    live clock, delay and variable setter, which a commit scans for
+    present triggers: a clock's output with its prebuilt request
+    (period, 0, event), a delay's input with (delay, microstep, output
+    port id), a setter's input with the value slot it writes;
+    ``rules``: the fixed point's rule set and schedule, built by fire.py
+    on first use.
     """
 
     def __init__(self, network: "Network", key):
@@ -211,11 +216,21 @@ class Mode:
         for i, flag in enumerate(enabled):
             p = parent[i]
             live.append(flag and (p < 0 or live[p]))
-        self.committers = tuple(
-            (i, network.kinds[i])
-            for i in network.preorder
-            if live[i] and network.kinds[i] in (FSM, CLOCK, DELAY, SETVAR)
-        )
+        triggers = []
+        for i in network.preorder:
+            if not live[i]:
+                continue
+            kind = network.kinds[i]
+            if kind == CLOCK:
+                clock = network.clocks[i]
+                triggers.append((clock.out, CLOCK, (clock.period, 0, (clock.out, clock.emit))))
+            elif kind == DELAY:
+                delay = network.delays[i]
+                triggers.append((delay.inp, DELAY, (delay.delay, delay.microstep, delay.out)))
+            elif kind == SETVAR:
+                pid, slot = network.setters[i]
+                triggers.append((pid, SETVAR, slot))
+        self.triggers = tuple(triggers)
         self.rules = None
 
 
@@ -287,10 +302,13 @@ class Network:
         self.modes = {}  # controller locations, one per modal -> Mode
         self.tick_kinds = {}  # ticks -> Tick step kind (filled by the executor)
         self.prop_readers = {}  # proposition -> compiled readers (filled by props)
+        self.fsm_rules = {}  # state machine index -> its fixed-point rule (filled by fire)
         for i, node in enumerate(nodes):
             self._compile(i, node, self.paths[i])
-        # Printing and propositions, in preorder.
+        # Printing and propositions, in preorder; a state line lists the
+        # machines by path.
         self.fsm_paths = tuple((i, ".".join(self.paths[i])) for i in self.preorder if self.kinds[i] == FSM)
+        self.sorted_fsm_paths = tuple(sorted(self.fsm_paths, key=lambda entry: entry[1]))
         self.variable_groups = tuple(
             (".".join(self.paths[i]), tuple(self.slots[i].items()))
             for i in self.preorder

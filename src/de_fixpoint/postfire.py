@@ -10,24 +10,31 @@ variable-setting actors write into the enclosing composite's store
 (the value slot the network resolved for them; of two setters that
 write one variable in the same iteration, the later in preorder wins).
 Frozen refinements commit nothing.  Which refinements are frozen
-follows from the controllers' locations: a commit that moves a machine
-looks up the mode of the new locations (see ``Network.mode``).
+follows from the controllers' locations: in a model with modal actors,
+a commit that moves a machine looks up the mode of the new locations
+(see ``Network.mode``).
 
-A commit reads and writes a state's slots by actor index, port id and
-value slot (see state.py), and its scheduling requests are (ticks,
-microstep, (port id, status)) triples, which ``commit_requests`` folds
-into the state's queue.
+A commit costs what fired, not what the model holds: it visits only
+the machines in the fixed point's decisions, then scans one flat
+per-mode tuple of (trigger port id, kind, payload) for clocks, delays
+and setters (``Mode.triggers``, in preorder) and acts on the present
+ones.  A clock's request is prebuilt; a delay's is built around the
+status it forwards.  It reads and writes a state's slots by actor
+index, port id and value slot (see state.py), and its scheduling
+requests are (ticks, microstep, (port id, status)) triples, which
+``commit_requests`` folds into the state's queue.
 
 ``initialize`` compiles the model's network (see network.py), which
 normalizes and validates the tree first and which every later state
-carries.  Every state's network comes from a validated tree, so a
+carries, and schedules each live clock's first tick from the same
+trigger tuple.  Every state's network comes from a validated tree, so a
 commit finds each variable it writes declared and checks nothing.
 """
 
 from __future__ import annotations
 
 from .events import schedule
-from .model import CLOCK, DELAY, FSM, ActorNode
+from .model import CLOCK, DELAY, ActorNode
 from .network import Network
 from .state import SystemState, make_state
 from .values import UNKNOWN, Present
@@ -48,10 +55,10 @@ def initialize(top: ActorNode) -> SystemState:
         locations[i] = info.init_location
     mode = network.mode(locations)
     entries = ()
-    for i, kind in mode.committers:
+    for pid, kind, request in mode.triggers:
         if kind == CLOCK:
-            clock = network.clocks[i]
-            entries = schedule(entries, clock.offset, 0, (clock.out, clock.emit), network)
+            offset = network.clocks[network.port_actor[pid]].offset
+            entries = schedule(entries, offset, 0, request[2], network)
     return make_state(network, mode, tuple(locations), values, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
@@ -60,51 +67,49 @@ def postfire(state: SystemState, decisions):
 
     ``state`` must carry the resolved port statuses and ``decisions`` the
     firing machines' compiled transitions by actor index, both as
-    compute_fixpoint produced them.  Machines that fired move and update
-    their variables; live clocks, delays and setters commit.  Slots that
-    do not change are shared with ``state``.  The requests are in actor
-    order; commit them with commit_requests to preserve the deterministic
-    ordering.
+    compute_fixpoint produced them.  The machines in ``decisions`` move
+    and update their variables; no other machine is looked at.  Then
+    one scan over the mode's triggers finds the present ones: a ticked
+    clock reschedules, a delay forwards its input, a setter writes its
+    slot.  Slots that do not change are shared with ``state``.  The
+    requests are in actor order; commit them with commit_requests to
+    preserve the deterministic ordering.
     """
     network, mode = state.network, state.mode
     locations, values, statuses = state.locations, state.values, state.statuses
     new_locations = new_values = None
+    # A machine's updates write its own variables and a setter writes a
+    # composite's, so the machines can go first.
+    for i, entry in decisions.items():
+        if entry.updates:
+            if new_values is None:
+                new_values = list(values)
+            for slot, _, fn in entry.updates:
+                new_values[slot] = fn(statuses, values)
+        if entry.target != locations[i]:
+            if new_locations is None:
+                new_locations = list(locations)
+            new_locations[i] = entry.target
     requests = []
-    for i, kind in mode.committers:
-        if kind == FSM:
-            entry = decisions.get(i)
-            if entry is None:
-                continue
-            if entry.updates:
-                if new_values is None:
-                    new_values = list(values)
-                for slot, _, fn in entry.updates:
-                    new_values[slot] = fn(statuses, values)
-            if entry.target != locations[i]:
-                if new_locations is None:
-                    new_locations = list(locations)
-                new_locations[i] = entry.target
-        elif kind == CLOCK:
-            clock = network.clocks[i]
-            if isinstance(statuses[clock.out], Present):
-                requests.append((clock.period, 0, (clock.out, clock.emit)))
+    for pid, kind, arg in mode.triggers:
+        status = statuses[pid]
+        if status.__class__ is not Present:
+            continue
+        if kind == CLOCK:
+            requests.append(arg)
         elif kind == DELAY:
-            delay = network.delays[i]
-            status = statuses[delay.inp]
-            if isinstance(status, Present):
-                # A zero delay still takes one microstep: strictly later in
-                # superdense time, same timestamp.
-                requests.append((delay.delay, delay.microstep, (delay.out, status)))
+            # A zero delay still takes one microstep: strictly later in
+            # superdense time, same timestamp.
+            delay, microstep, out = arg
+            requests.append((delay, microstep, (out, status)))
         else:
-            pid, slot = network.setters[i]
-            status = statuses[pid]
-            if isinstance(status, Present):
-                if new_values is None:
-                    new_values = list(values)
-                new_values[slot] = status.value
+            if new_values is None:
+                new_values = list(values)
+            new_values[arg] = status.value
     if new_locations is not None:
         locations = tuple(new_locations)
-        mode = network.mode(locations)
+        if network.modals:
+            mode = network.mode(locations)
     nxt = make_state(
         network,
         mode,

@@ -1,4 +1,4 @@
-"""Model text for three synthetic families, and hypothesis strategies over them.
+"""Model text for four synthetic families, and hypothesis strategies over them.
 
 * crossings: pedestrian crossings, each on its own clock.  Car ``i``
   stays red ``red`` ticks and green ``cycle - 2 - red`` ticks; its
@@ -7,6 +7,7 @@
   counter, so every hop costs one microstep.
 * modal: modal actors nested ``depth`` deep, each switching refinements
   on its own counter, so refinements freeze and thaw.
+* feedback: two machines in an instantaneous loop that settles.
 
 Every parameter is explicit: the pinned digests in ``test_golden.py``
 name them, and the strategies draw them.  The expression language has
@@ -123,6 +124,35 @@ def modal(moduli, offset: int) -> str:
     return _document("Nested", body)
 
 
+def feedback(modulus: int, offset: int) -> str:
+    """Two machines in an instantaneous loop that settles.
+
+    A's guard reads only ``Tick``, so A decides as soon as the clock's
+    status is known and sends its count to B within the instant; B
+    answers on A's second input, ``In``, and a setter keeps the answer.
+    The rule graph is the cycle A -> B -> A, which the fixed point must
+    iterate.
+    """
+    body = ["var echo = 0"]
+    body += _block("clock", "Clock", ["period = 1", f"offset = {offset}"])
+    body += _block("fsm", "A", [
+        "input Tick", "input In", "output Out", "var count = 0", "initial run",
+        f"transition run -> run {{ guard isPresent(Tick) && count < {modulus - 1} output Out = count set count = count + 1 }}",
+        f"transition run -> run {{ guard isPresent(Tick) && count == {modulus - 1} output Out = count set count = 0 }}",
+    ])
+    body += _block("fsm", "B", [
+        "input In", "output Out", "initial idle",
+        "transition idle -> idle { guard isPresent(In) output Out = value(In) + 1 }",
+    ])
+    body += _block("setvar", "SetEcho", ['target = "echo"'])
+    body += [
+        "connect Clock.output -> A.Tick",
+        "connect A.Out -> B.In",
+        "connect B.Out -> A.In, SetEcho.input",
+    ]
+    return _document("Feedback", body)
+
+
 # Strategies: small members of each family, so a property runs in seconds.
 
 CROSSINGS = st.builds(
@@ -134,3 +164,6 @@ CROSSINGS = st.builds(
 CHAINS = st.builds(chain, st.integers(1, 5), st.integers(2, 4), st.integers(0, 2))
 MODALS = st.builds(modal, st.lists(st.integers(2, 3), min_size=1, max_size=3), st.integers(0, 1))
 MODELS = st.one_of(CROSSINGS, CHAINS, MODALS)
+# Not among MODELS, so that what MODELS draws, and every pin on it, stays
+# as it is.
+FEEDBACK = st.builds(feedback, st.integers(2, 4), st.integers(0, 2))

@@ -8,10 +8,15 @@ import jsonschema
 import pytest
 
 from de_fixpoint.buchi import MAX_TABLEAU_NODES
-from de_fixpoint.cli import main
+from de_fixpoint.cli import _state_line, main
+from de_fixpoint.executor import step
 from de_fixpoint.formula_parser import parse_formula
+from de_fixpoint.parser import parse_model
+from de_fixpoint.postfire import initialize
+from de_fixpoint.state import fsm_locations
 from de_fixpoint.syntax import MAX_DEPTH
 
+import families
 from conftest import many_untils, model_path, stack_depth
 
 FLAT = model_path("flat_traffic_light.model")
@@ -284,6 +289,21 @@ def test_check_failure_prints_lasso_counterexample(capsys):
     assert "repeating cycle:" in lines
     cycle_at = lines.index("repeating cycle:")
     assert any(line.strip().startswith("[") for line in lines[cycle_at + 1 :])
+
+
+def test_witness_lines_show_time_and_locations_as_before():
+    # A state line shows the exact rational time and the machines sorted by
+    # path, as str(state.elapsed) and sorted(fsm_locations(state)) show
+    # them, without building either per line.  The crossings' half-unit
+    # delays put states at t=k/2.
+    state = initialize(parse_model(families.crossings((2, 3), 4, 0)))
+    seen = set()
+    for _ in range(80):
+        locs = ", ".join(f"{path}={loc}" for path, loc in sorted(fsm_locations(state).items()))
+        assert _state_line(state) == f"t={state.elapsed} m={state.microstep_of_instant}  [{locs}]"
+        seen.add(state.elapsed.denominator)
+        state, _ = step(state)
+    assert seen == {1, 2}
 
 
 def nested(kind, depth):

@@ -4,6 +4,7 @@ import gc
 import logging
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from de_fixpoint.executor import Iteration, step
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.network import Network
-from de_fixpoint.state import SystemState, fsm_locations, make_state
+from de_fixpoint.state import SystemState, collect_variables, fsm_locations, make_state
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -47,6 +48,14 @@ from de_fixpoint.values import (
 import families
 from conftest import actors, initial_state, load_model
 from fixpoint_ref import reference_fixpoint
+
+
+FIXTURES = (
+    "flat_traffic_light.model",
+    "hierarchical_traffic_light.model",
+    "hierarchical_traffic_light_mutant.model",
+    "causality_cycle.model",
+)
 
 
 def pop_due(state):
@@ -113,15 +122,10 @@ def test_fixpoint_confluent_under_shuffled_rule_order(fixture):
             assert fixpoint_signature(shuffled) == baseline
 
 
-@settings(max_examples=30)
-@given(families.MODELS, st.integers(0, 2**32 - 1))
-def test_fixpoint_confluent_on_generated_models(text, seed):
-    # Crossings, zero-delay chains and nested modals, on the flat core: every
-    # instant of a run resolves the same under shuffled rule orders.
-    rng = random.Random(seed)
-    state = initialize(parse_model(text))
+def assert_confluent(state, rng, steps):
+    """Every instant of a run resolves the same under shuffled schedules."""
     instants = 0
-    for _ in range(120):
+    for _ in range(steps):
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
             baseline = fixpoint_signature(compute_fixpoint(state, events=events))
@@ -131,6 +135,14 @@ def test_fixpoint_confluent_on_generated_models(text, seed):
             instants += 1
         state, _ = step(state)
     assert instants >= 10
+
+
+@settings(max_examples=30)
+@given(families.MODELS, st.integers(0, 2**32 - 1))
+def test_fixpoint_confluent_on_generated_models(text, seed):
+    # Crossings, zero-delay chains and nested modals, on the flat core: every
+    # instant of a run resolves the same under shuffled rule orders.
+    assert_confluent(initialize(parse_model(text)), random.Random(seed), 120)
 
 
 @settings(max_examples=20)
@@ -181,15 +193,7 @@ def test_nets_resolve_as_the_copy_rule_reference_on_generated_models(text, seed)
     assert matches_reference(initialize(parse_model(text)), 120, random.Random(seed)) >= 10
 
 
-@pytest.mark.parametrize(
-    "fixture",
-    [
-        "flat_traffic_light.model",
-        "hierarchical_traffic_light.model",
-        "hierarchical_traffic_light_mutant.model",
-        "causality_cycle.model",
-    ],
-)
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_nets_resolve_as_the_copy_rule_reference_on_fixtures(fixture):
     assert matches_reference(initial_state(fixture), 200, random.Random(fixture)) >= 20
 
@@ -393,45 +397,63 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
         init_location="s",
         curr_location="s",
     )
-    def two_clock_top(emit2):
-        mk = lambda name, emit: ActorNode(
+
+    def two_clock_top(emit2, offset2=Fraction(0)):
+        mk = lambda name, emit, offset: ActorNode(
             name,
             CLOCK,
             ports=(Port("output", OUT),),
-            parameters={"period": TimeVal(Fraction(1)), "emit": IntVal(emit), "offset": TimeVal(Fraction(0))},
+            parameters={"period": TimeVal(Fraction(1)), "emit": IntVal(emit), "offset": TimeVal(offset)},
         )
         return ActorNode(
             "Top",
             COMPOSITE,
-            inner=(mk("C1", 1), mk("C2", emit2), fsm),
+            inner=(mk("C1", 1, Fraction(0)), mk("C2", emit2, offset2), fsm),
             connections=(
                 Connection(PortRef(("C1",), "output"), (PortRef(("M",), "In"),)),
                 Connection(PortRef(("C2",), "output"), (PortRef(("M",), "In"),)),
             ),
         )
 
-    def fire_both(top):
+    def unvalidated(build, top):
         # Validation rejects a port with two writers, so the network is
-        # compiled with validation patched out, the one way past it, and
-        # the state is built straight from it.
+        # compiled with validation patched out, the one way past it.
         with monkeypatch.context() as patch:
             patch.setattr(network_module, "validate", lambda top: None)
-            network = Network(top)
+            return build(top)
+
+    def fire_clocks(top, ticking, fused):
+        """Resolve an instant at which the clocks named in ``ticking`` tick,
+        in one call or from the staged start."""
+        network = unvalidated(Network, top)
         locations, values, statuses = network.flatten(network.template)
         state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
-        events = [
-            Event(PortRef(("Top", "C1"), "output"), IntVal(1)),
-            Event(PortRef(("Top", "C2"), "output"), top.child("C2").parameters["emit"]),
-        ]
-        return compute_fixpoint(deliver_events(clear_ports(state), state.network.flat_events(events)))
+        events = network.flat_events(
+            [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
+        )
+        if fused:
+            return compute_fixpoint(state, events=events)
+        return compute_fixpoint(deliver_events(clear_ports(state), events))
 
     with pytest.raises(ValidationError, match=r"^Top: port M\.In has more than one writer$"):
         SystemState(two_clock_top(emit2=1))
-    with pytest.raises(AssertionError, match="driven to two different statuses"):
-        fire_both(two_clock_top(emit2=2))
-    # Identical drives agree, so the race is benign.
-    result = fire_both(two_clock_top(emit2=1))
-    assert resolve(result.state.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
+    for fused in (False, True):
+        with pytest.raises(AssertionError, match="driven to two different statuses"):
+            fire_clocks(two_clock_top(emit2=2), ("C1", "C2"), fused)
+        # Identical drives agree, so the race is benign.
+        result = fire_clocks(two_clock_top(emit2=1), ("C1", "C2"), fused)
+        assert resolve(result.state.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
+        # Clocks at different offsets: where only one ticks, the silent one
+        # still drives absent, and the ticking one may not overwrite that.
+        staggered = two_clock_top(emit2=1, offset2=Fraction(1, 2))
+        for ticking in (("C1",), ("C2",)):
+            with pytest.raises(AssertionError, match="driven to two different statuses"):
+                fire_clocks(staggered, ticking, fused)
+    # The run meets it at its first instant, where only C1 ticks.
+    state = unvalidated(initialize, two_clock_top(emit2=1, offset2=Fraction(1, 2)))
+    assert [len(events) for _, _, events in state.entries] == [1, 1]
+    with pytest.raises(AssertionError, match="port Top.M.In\\(in\\) driven to two different statuses"):
+        step(state)
 
 
 def test_step_matches_manual_fire_pipeline(flat_state):
@@ -572,3 +594,235 @@ def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     # No mode switch: the enabled flags are the same tuple.
     assert nxt.enabled is state.enabled
     assert nxt.statuses != state.statuses
+
+
+# The schedule. ----------------------------------------------------------------
+
+
+def modes_reached(state, steps):
+    """Every mode a run of ``steps`` steps resolves an instant in, with its
+    rule set built (the absent fallback on, so that a cycle does not stop it)."""
+    for _ in range(steps):
+        if not state.entries:
+            break
+        state, _ = step(state, bottom_as_absent=True)
+    return [mode for mode in state.network.modes.values() if mode.rules is not None]
+
+
+def schedule_parts(rule_set):
+    """The schedule as lists of actor indices: one per rule on no cycle, one per loop."""
+    return [
+        [rule.index for rule in item.rules] if isinstance(item, fire._Loop) else [item.index]
+        for item in rule_set.schedule
+    ]
+
+
+def rule_edges(rule_set):
+    """(a, b) by actor index when a port in the reach of one of rule a's
+    outputs is one rule b reads."""
+    edges = set()
+    for a in rule_set.rules:
+        reached = {q for pid in a.info.out_ids.values() for q in rule_set.reach[pid]}
+        for b in rule_set.rules:
+            if reached.intersection(b.reads):
+                edges.add((a.index, b.index))
+    return edges
+
+
+def assert_scheduled(network, mode):
+    """The schedule is a topological order of the rule graph's strongly
+    connected parts, each tie going to the part with the deepest rule."""
+    rule_set = mode.rules
+    live = [i for i in network.preorder if i in network.fsms and mode.live[i]]
+    deepest_first = sorted(live, key=lambda i: -len(network.paths[i]))
+    assert [rule.index for rule in rule_set.rules] == deepest_first
+    rank = {i: n for n, i in enumerate(deepest_first)}
+    parts = schedule_parts(rule_set)
+    assert sorted(i for part in parts for i in part) == sorted(live)
+    where = {i: k for k, part in enumerate(parts) for i in part}
+    edges = rule_edges(rule_set)
+    for a, b in edges:
+        assert where[a] <= where[b]
+    for k, part in enumerate(parts):
+        cyclic = len(part) > 1 or (part[0], part[0]) in edges
+        assert isinstance(rule_set.schedule[k], fire._Loop) == cyclic
+        if len(part) > 1:
+            # Every member reaches every other inside the part.
+            for a in part:
+                seen, frontier = {a}, [a]
+                for x in frontier:
+                    for y in part:
+                        if (x, y) in edges and y not in seen:
+                            seen.add(y)
+                            frontier.append(y)
+                assert seen == set(part)
+        # Of the parts whose feeders have all run, this one holds the
+        # deepest rule.
+        ready = [p for p in parts[k:] if all(where[a] < k for a, b in edges if b in p and a not in p)]
+        assert min(rank[i] for i in part) == min(rank[i] for p in ready for i in p)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_the_schedule_is_a_topological_order_with_deepest_first_ties(fixture):
+    state = initial_state(fixture)
+    modes = modes_reached(state, 200)
+    assert modes
+    for mode in modes:
+        assert_scheduled(state.network, mode)
+
+
+@settings(max_examples=20)
+@given(st.one_of(families.MODELS, families.FEEDBACK))
+def test_the_schedule_is_a_topological_order_on_generated_models(text):
+    state = initialize(parse_model(text))
+    for mode in modes_reached(state, 150):
+        assert_scheduled(state.network, mode)
+
+
+def test_only_a_cycle_of_rules_iterates():
+    # The causality cycle's A <-> B and the feedback family's A <-> B are
+    # the loops; everywhere else every rule runs once.
+    for state, loops in [
+        (initial_state("causality_cycle.model"), [["A", "B"]]),
+        (initialize(parse_model(families.feedback(3, 0))), [["A", "B"]]),
+        (initial_state("hierarchical_traffic_light.model"), []),
+    ]:
+        for mode in modes_reached(state, 100):
+            found = [
+                sorted(state.network.paths[rule.index][-1] for rule in item.rules)
+                for item in mode.rules.schedule
+                if isinstance(item, fire._Loop)
+            ]
+            assert found == loops
+
+
+def decisions_per_instant(state, steps):
+    """For each due instant of a run in an acyclic mode, how often each
+    live machine's firing was decided, by label; and the live machines."""
+    calls = Counter()
+    real = fire.decide_firing
+
+    def counting(info, location, st, values):
+        calls[info.label] += 1
+        return real(info, location, st, values)
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fire, "decide_firing", counting)
+        for _ in range(steps):
+            if not state.entries:
+                break
+            if is_due(state):
+                popped, events = pop_due(state)
+                calls.clear()
+                compute_fixpoint(popped, events=events)
+                rule_set = state.mode.rules
+                if not any(isinstance(item, fire._Loop) for item in rule_set.schedule):
+                    out.append((dict(calls), {rule.info.label for rule in rule_set.rules}))
+            state, _ = step(state)
+    return out
+
+
+def assert_each_machine_decides_once(state, steps, minimum):
+    instants = decisions_per_instant(state, steps)
+    assert len(instants) >= minimum
+    for calls, machines in instants:
+        assert calls == dict.fromkeys(machines, 1)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES[:3])
+def test_each_live_machine_decides_once_per_instant_in_an_acyclic_mode(fixture):
+    assert_each_machine_decides_once(initial_state(fixture), 200, 20)
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_each_live_machine_decides_once_per_instant_on_generated_models(text):
+    assert_each_machine_decides_once(initialize(parse_model(text)), 120, 10)
+
+
+# A loop that resolves. ----------------------------------------------------------
+
+
+@settings(max_examples=10)
+@given(families.FEEDBACK, st.integers(0, 2**32 - 1))
+def test_a_loop_that_resolves_matches_the_copy_rule_reference(text, seed):
+    assert matches_reference(initialize(parse_model(text)), 60, random.Random(seed)) >= 10
+
+
+@settings(max_examples=10)
+@given(families.FEEDBACK, st.integers(0, 2**32 - 1))
+def test_a_loop_that_resolves_is_confluent(text, seed):
+    assert_confluent(initialize(parse_model(text)), random.Random(seed), 60)
+
+
+def test_a_loop_that_resolves_settles_every_port():
+    # Each tick, A fires on its Tick alone, B answers on A's In within the
+    # same instant, and the setter keeps B's answer: nothing stalls.
+    state = initialize(parse_model(families.feedback(3, 0)))
+    network = state.network
+    a, b = network.index[("Feedback", "A")], network.index[("Feedback", "B")]
+    echoes = []
+    for _ in range(12):
+        if is_due(state):
+            popped, events = pop_due(state)
+            result = compute_fixpoint(popped, events=events)
+            assert result.stalled_ports == ()
+            assert set(result.decisions) == {a, b}
+        state, _ = step(state)
+        echoes.append(collect_variables(state)["Feedback"]["echo"])
+    assert {IntVal(1), IntVal(2), IntVal(3)} <= set(echoes)
+
+
+STALLED_LOOP_DOWNSTREAM = """format 1
+
+composite FeedbackLoop {
+  fsm A {
+    input In
+    input Tick
+    output Out
+    initial S
+    location S
+    transition S -> S { guard isPresent(In) output Out = 1 }
+  }
+  fsm B {
+    input In
+    output Out
+    initial S
+    location S
+    transition S -> S { guard isPresent(In) output Out = 1 }
+  }
+  fsm C {
+    input Tick
+    input Loop
+    output Out
+    initial S
+    transition S -> S { guard isPresent(Tick) output Out = value(Loop) }
+  }
+  clock Clock {
+    period = 1
+  }
+  connect A.Out -> B.In, C.Loop
+  connect B.Out -> A.In
+  connect Clock.output -> A.Tick, C.Tick
+}
+"""
+
+
+def test_a_rule_downstream_of_a_stalled_loop_decides_once_and_partially():
+    # C fires on its Tick, but its output reads the loop, which stalls: the
+    # one partial decision C makes leaves C.Out unknown, as the reference's
+    # worklist does.
+    state = initialize(parse_model(STALLED_LOOP_DOWNSTREAM))
+    assert matches_reference(state, 20, random.Random(7)) >= 5
+    popped, events = pop_due(state)
+    result = compute_fixpoint(popped, bottom_as_absent=True, events=events)
+    c = state.network.index[("FeedbackLoop", "C")]
+    assert list(result.decisions) == [c]
+    assert (("FeedbackLoop", "C"), "Out", OUT) in result.stalled_ports
+    labels = []
+    real = fire.decide_firing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fire, "decide_firing", lambda info, *rest: labels.append(info.label) or real(info, *rest))
+        compute_fixpoint(popped, bottom_as_absent=True, events=events)
+    assert labels.count("FeedbackLoop.C") == 1

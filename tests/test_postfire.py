@@ -29,6 +29,7 @@ from de_fixpoint.network import to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
 from de_fixpoint.state import SystemState, collect_variables, fsm_locations
 from de_fixpoint.executor import simulate, step
+from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.parser import parse_model
 from de_fixpoint.values import (
     ABSENT,
@@ -424,3 +425,83 @@ def test_a_normalized_fixture_tree_is_its_initial_state(fixture):
 @given(families.MODELS)
 def test_a_normalized_generated_tree_is_its_initial_state(text):
     assert_a_normalized_tree_is_its_initial_state(text)
+
+
+# What a commit touches. ----------------------------------------------------------
+
+
+class FiredOnly(dict):
+    """A fixed point's decisions that refuse every lookup by key: a commit
+    may walk the machines that fired, and ask about no other."""
+
+    def _refuse(self, *args):
+        raise AssertionError(f"postfire looked up a machine by key: {args}")
+
+    __getitem__ = get = __contains__ = _refuse
+
+
+def expected_commit(network, mode, statuses, decisions):
+    """The requests, value writes and moves of a commit, worked out
+    independently of ``Mode.triggers``: every live clock, delay and
+    setter in preorder, the later of two setters of a variable winning."""
+    requests, writes = [], {}
+    for i in network.preorder:
+        if not mode.live[i]:
+            continue
+        if i in network.clocks:
+            clock = network.clocks[i]
+            if isinstance(statuses[clock.out], Present):
+                requests.append((clock.period, 0, (clock.out, clock.emit)))
+        elif i in network.delays:
+            delay = network.delays[i]
+            status = statuses[delay.inp]
+            if isinstance(status, Present):
+                microstep = 1 if delay.delay == 0 else 0
+                requests.append((delay.delay, microstep, (delay.out, status)))
+        elif i in network.setters:
+            pid, slot = network.setters[i]
+            if isinstance(statuses[pid], Present):
+                writes[slot] = statuses[pid].value
+    moves = {i: entry.target for i, entry in decisions.items()}
+    return requests, writes, moves
+
+
+def assert_commits_only_what_fired(state, steps, minimum):
+    seen = 0
+    for _ in range(steps):
+        if not state.entries:
+            break
+        time, microstep, events = state.entries[0]
+        if (time, microstep) == (0, 0):
+            popped = state.requeued(state.entries[1:], state.now, state.microstep_of_instant)
+            result = compute_fixpoint(popped, events=events)
+            resolved = result.state
+            nxt, requests = postfire(resolved, FiredOnly(result.decisions))
+            want_requests, writes, moves = expected_commit(
+                resolved.network, resolved.mode, resolved.statuses, result.decisions
+            )
+            assert requests == want_requests
+            for i, (before, after) in enumerate(zip(resolved.locations, nxt.locations)):
+                assert after == moves.get(i, before)
+            updated = {slot for entry in result.decisions.values() for slot, _, _ in entry.updates}
+            for slot, (before, after) in enumerate(zip(resolved.values, nxt.values)):
+                if slot in writes:
+                    assert after == writes[slot]
+                elif slot not in updated:
+                    assert after is before
+            seen += 1
+        state, _ = step(state)
+    assert seen >= minimum
+
+
+@pytest.mark.parametrize(
+    "fixture", ["flat_traffic_light.model", "hierarchical_traffic_light.model", "hierarchical_traffic_light_mutant.model"]
+)
+def test_postfire_touches_only_fired_machines_and_present_triggers(fixture):
+    assert_commits_only_what_fired(initial_state(fixture), 200, 20)
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_postfire_touches_only_fired_machines_and_present_triggers_on_generated_models(text):
+    assert_commits_only_what_fired(initialize(parse_model(text)), 120, 10)
