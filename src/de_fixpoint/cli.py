@@ -25,22 +25,26 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
 from fractions import Fraction
-from math import gcd
 
 from .checker import check_ltl
 from .errors import EngineError, ParseError, ValidationError
-from .executor import DEFAULT_MAX_STEPS, simulate, trace_json, trace_step_text
+from .executor import DEFAULT_MAX_STEPS, simulate, trace_json_text, trace_step_text
 from .formula_parser import parse_formula, parse_prop
 from .graph import DEFAULT_MAX_STATES, build_state_graph, search
 from .parser import parse_model, print_model
 from .postfire import initialize
 from .props import prop_holds
 from .state import SystemState
+from .util import ticks_text
+
+# Bound here only for bench/spans.py, which wraps it by this name until the
+# bench reads counters instead (ROADMAP item 1): simulate writes its JSON
+# with trace_json_text and never calls it.
+from .executor import trace_json  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -96,10 +100,7 @@ def _state_line(state: SystemState) -> str:
     locs = ", ".join(
         f"{path}={locations[i]}" for i, path in network.sorted_fsm_paths if locations[i] is not None
     )
-    # str(state.elapsed), without building the Fraction.
-    g = gcd(state.now, network.timebase)
-    ticks, base = state.now // g, network.timebase // g
-    line = f"t={ticks if base == 1 else f'{ticks}/{base}'} m={state.microstep_of_instant}"
+    line = f"t={ticks_text(state.now, network.timebase)} m={state.microstep_of_instant}"
     return f"{line}  [{locs}]" if locs else line
 
 
@@ -115,18 +116,19 @@ def _cmd_simulate(args) -> int:
         bottom_as_absent=args.bottom_as_absent,
     )
     if args.format == "json":
-        print(json.dumps(trace_json(trace), indent=2, sort_keys=True))
+        print(trace_json_text(trace))
         return 0
     color = _use_color()
-    for step in trace.steps:
-        print(trace_step_text(step))
+    lines = [trace_step_text(step) for step in trace.steps]
     if trace.truncated:
-        print(_red(f"stopped: step limit ({args.max_steps}) reached", color))
+        lines.append(_red(f"stopped: step limit ({args.max_steps}) reached", color))
     elif not trace.final.entries:
-        print(_green("stopped: event queue exhausted", color))
+        lines.append(_green("stopped: event queue exhausted", color))
     else:
-        print(_green(f"stopped: time bound {args.until} reached", color))
-    print(f"final: {_state_line(trace.final)}")
+        lines.append(_green(f"stopped: time bound {args.until} reached", color))
+    lines.append(f"final: {_state_line(trace.final)}")
+    # One write for the whole trace, as for a witness.
+    print("\n".join(lines))
     return 0
 
 

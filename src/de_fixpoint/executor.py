@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import floor
 
 from .errors import EmptyQueue
@@ -26,7 +27,7 @@ from .events import advance_microstep, advance_time
 from .fire import compute_fixpoint
 from .postfire import commit_requests, postfire
 from .state import SystemState, collect_variables, fsm_locations
-from .util import rational_json
+from .util import rational_json, ticks_text
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
 # Bound here only for bench/spans.py, which wraps them by these names,
@@ -203,6 +204,78 @@ def trace_json(trace: Trace) -> list:
     return [trace_step_json(ts) for ts in trace.steps]
 
 
+# ``json.dumps`` with ``indent`` set runs CPython's pure-Python encoder, so
+# the CLI writes a trace's JSON text itself: it knows the schema, and
+# joins leaves between fixed indentation strings.  A string leaf goes
+# through the C encoder ``json.dumps`` uses, a number through ``str``.
+
+_string = encode_basestring_ascii
+
+
+def _leaf(value) -> str:
+    """A JSON string, boolean or integer, as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return _string(value)
+    return ("false", "true")[value] if isinstance(value, bool) else str(value)
+
+
+def _time_text(ticks: int, base: int) -> str:
+    """``_leaf(rational_json(Fraction(ticks, base)))``, without the Fraction."""
+    text = ticks_text(ticks, base)
+    return f'"{text}"' if "/" in text else text
+
+
+def _object_text(entries, pad: str) -> str:
+    """A JSON object of ``(key, value text)`` entries, in order; it closes at ``pad``."""
+    if not entries:
+        return "{}"
+    sep = f",\n{pad}  "
+    return f"{{{sep[1:]}{sep.join(f'{_string(k)}: {v}' for k, v in entries)}\n{pad}}}"
+
+
+def _value_text(v) -> str:
+    """``value_json(v)`` as a changed variable's JSON text."""
+    value = value_json(v)
+    return _object_text([("time", _leaf(value["time"]))], " " * 8) if isinstance(value, dict) else _leaf(value)
+
+
+def trace_json_text(trace: Trace) -> str:
+    """``json.dumps(trace_json(trace), indent=2, sort_keys=True)``, written from the steps.
+
+    A step's ``fsmLocations`` object is written once per distinct
+    locations tuple in the trace.
+    """
+    located = {}  # locations tuple -> its fsmLocations text
+    records = []
+    for ts in trace.steps:
+        state = ts.state
+        network, locations = state.network, state.locations
+        fsm = located.get(locations)
+        if fsm is None:
+            fsm = located[locations] = _object_text(
+                [(path, _string(locations[i])) for i, path in network.sorted_fsm_paths if locations[i] is not None],
+                "    ",
+            )
+        changed = [
+            (path, _object_text([(var, _value_text(v)) for var, v in sorted(delta.items())], "      "))
+            for path, delta in sorted(ts.changed_variables.items())
+        ]
+        kind = [(key, _leaf(value)) for key, value in sorted(ts.kind.json().items())]
+        base = network.timebase
+        queue = ",\n      ".join(
+            f"[\n        {_time_text(t, base)},\n        {m},\n        {len(events)}\n      ]"
+            for t, m, events in state.entries
+        )
+        queue = f"[\n      {queue}\n    ]" if queue else "[]"
+        records.append(
+            f'  {{\n    "changedVariables": {_object_text(changed, "    ")},\n'
+            f'    "elapsed": {_time_text(state.now, base)},\n    "fsmLocations": {fsm},\n'
+            f'    "kind": {_object_text(kind, "    ")},\n    "microstep": {state.microstep_of_instant},\n'
+            f'    "queueSummary": {queue}\n  }}'
+        )
+    return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
+
+
 def trace_step_text(ts: TraceStep) -> str:
     state = ts.state
     kind = ts.kind
@@ -212,7 +285,7 @@ def trace_step_text(ts: TraceStep) -> str:
         head = f"microstep +{kind.n}"
     else:
         head = "iteration"
-    parts = [f"t={state.elapsed} m={state.microstep_of_instant} {head}"]
+    parts = [f"t={ticks_text(state.now, state.network.timebase)} m={state.microstep_of_instant} {head}"]
     for path, delta in sorted(ts.changed_variables.items()):
         assigns = ", ".join(f"{k}={literal_text(v)}" for k, v in sorted(delta.items()))
         parts.append(f"    {path}: {assigns}")

@@ -24,52 +24,50 @@ more than ``syntax.MAX_DEPTH`` levels deep is a ParseError.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .formula import _BINARY, _PREFIX, _PREFIX_PREC, Atom, FalseF, Formula, Scope, TrueF
 from .props import LocProp, VarProp
-from .syntax import Parser, unescape
-from .values import BoolVal, IntVal, StringVal, TimeVal
+from .syntax import Lexicon, Parser, unescape
+from .values import FALSE, TRUE, IntVal, StringVal, TimeVal
 
 
 class _FormulaParser(Parser):
     # Whitespace, then one token.
-    token_re = re.compile(
-        r"""
-        \s*
-        (?:
-          (?P<qident>'[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<number>\d+\.\d+|\d+)
-        | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<string>"(?:\\.|[^"\\\n])*")
-        | (?P<op>->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-])
-        )?
+    lexicon = Lexicon(
+        skip=r"\s*",
+        token=r"""
+          '[A-Za-z_][A-Za-z0-9_]*
+        | \d+\.\d+|\d+
+        | [A-Za-z_][A-Za-z0-9_]*
+        | "(?:\\.|[^"\\\n])*"
+        | ->|\[\]|<>|/\\|\\/|[~()|,=.@#:/\-]
         """,
-        re.VERBOSE,
+        word="word",
     )
     binary = {symbol: (prec, right, cls) for cls, (symbol, prec, right) in _BINARY.items()}
     prefix = {symbol: cls for cls, symbol in _PREFIX.items()}
 
     def quoted_name(self, what: str) -> str:
-        return self.take("qident", f"{what} (a quoted name like 'X)").text[1:]
+        return self.take("qident", f"{what} (a quoted name like 'X)")[1:]
 
     def parse_formula(self) -> Formula:
         f = self.climb()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after the formula")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected {self.tokens[self.pos]!r} after the formula")
         return f
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "True":
-            self.next()
+        pos = self.pos
+        text = self.tokens[pos]
+        if text == "True":
+            self.pos = pos + 1
             return TrueF()
-        if tok.text == "False":
-            self.next()
+        if text == "False":
+            self.pos = pos + 1
             return FalseF()
-        if tok.kind == "qident":
+        if self.kinds[pos] == "qident":
             return self._path_form()
         self.expected("a formula")
 
@@ -105,39 +103,41 @@ class _FormulaParser(Parser):
     def _value(self):
         self.accept("#")
         negative = self.accept("-")
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            if "." in tok.text:
+        tokens, kinds, pos = self.tokens, self.kinds, self.pos
+        text, kind = tokens[pos], kinds[pos]
+        if kind == "number":
+            self.pos = pos + 1
+            if "." in text:
                 if negative:
                     self.fail("time values are non-negative")
-                return TimeVal(Fraction(tok.text))
-            if self.accept("/"):
-                denom = self.peek()
-                if denom.kind != "number" or "." in denom.text or int(denom.text) == 0:
+                return TimeVal(Fraction(text))
+            if tokens[pos + 1] == "/":
+                self.pos = pos + 2
+                denom = tokens[pos + 2]
+                if kinds[pos + 2] != "number" or "." in denom or int(denom) == 0:
                     self.fail("rational values are integer/integer")
-                self.next()
+                self.pos = pos + 3
                 if negative:
                     self.fail("time values are non-negative")
-                return TimeVal(Fraction(int(tok.text), int(denom.text)))
-            n = int(tok.text)
+                return TimeVal(Fraction(int(text), int(denom)))
+            n = int(text)
             return IntVal(-n if negative else n)
         if negative:
             self.fail("expected a number after '-'")
-        if tok.text in ("True", "False"):
-            self.next()
-            return BoolVal(tok.text == "True")
-        if tok.kind == "string":
-            self.next()
-            return StringVal(unescape(tok.text))
+        if text == "True" or text == "False":
+            self.pos = pos + 1
+            return TRUE if text == "True" else FALSE
+        if kind == "string":
+            self.pos = pos + 1
+            return StringVal(unescape(text))
         self.expected("a value")
 
     # Bare propositions (for searches). -------------------------------------
 
     def parse_prop(self):
         f = self._path_form()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after the proposition")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected {self.tokens[self.pos]!r} after the proposition")
         if not isinstance(f, Atom):
             self.fail("expected a variable or location proposition, not a scoped formula")
         return f.prop

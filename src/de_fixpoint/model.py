@@ -22,13 +22,14 @@ both, and no tree records either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .errors import NoSuchActor, ValidationError
 from .expr import Expr, expr_text, references
-from .util import EMPTY_MAP, FrozenMap
+from .util import EMPTY_MAP, FrozenMap, sorted_tuple
 from .values import UNKNOWN, IntVal, PortStatus, StringVal, TimeVal
 
 IN = "in"
@@ -89,9 +90,7 @@ class Connection:
     sinks: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sinks", tuple(sorted(self.sinks, key=lambda r: (r.actor, r.port)))
-        )
+        object.__setattr__(self, "sinks", sorted_tuple(self.sinks, _ref_key))
 
 
 @dataclass(frozen=True)
@@ -101,20 +100,10 @@ class Transition:
     guard: Expr
     outputs: FrozenMap = EMPTY_MAP  # port name -> expression
     sets: FrozenMap = EMPTY_MAP  # variable name -> expression
-    # The key of the canonical order, rendered once per transition.
-    sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "outputs", FrozenMap(self.outputs))
-        object.__setattr__(self, "sets", FrozenMap(self.sets))
-        key = (
-            self.source,
-            self.target,
-            expr_text(self.guard),
-            tuple((k, expr_text(v)) for k, v in self.outputs.items()),
-            tuple((k, expr_text(v)) for k, v in self.sets.items()),
-        )
-        object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "outputs", FrozenMap(self.outputs) if self.outputs else EMPTY_MAP)
+        object.__setattr__(self, "sets", FrozenMap(self.sets) if self.sets else EMPTY_MAP)
 
 
 @dataclass(frozen=True)
@@ -137,22 +126,16 @@ class ActorNode:
     refinements: FrozenMap = EMPTY_MAP  # controller location -> inner actor name
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "ports", tuple(sorted(self.ports, key=lambda p: (p.name, p.direction)))
-        )
-        object.__setattr__(self, "parameters", FrozenMap(self.parameters))
-        object.__setattr__(self, "locations", tuple(sorted(self.locations)))
-        object.__setattr__(self, "variables", FrozenMap(self.variables))
-        object.__setattr__(
-            self, "transitions", tuple(sorted(self.transitions, key=lambda t: t.sort_key))
-        )
-        object.__setattr__(self, "inner", tuple(sorted(self.inner, key=lambda a: a.name)))
-        object.__setattr__(
-            self,
-            "connections",
-            tuple(sorted(self.connections, key=lambda c: (c.source.actor, c.source.port))),
-        )
-        object.__setattr__(self, "refinements", FrozenMap(self.refinements))
+        # Fewer than two items are not sorted, and an empty map is EMPTY_MAP.
+        put = object.__setattr__
+        put(self, "ports", sorted_tuple(self.ports, _port_key))
+        put(self, "parameters", FrozenMap(self.parameters) if self.parameters else EMPTY_MAP)
+        put(self, "locations", sorted_tuple(self.locations))
+        put(self, "variables", FrozenMap(self.variables) if self.variables else EMPTY_MAP)
+        put(self, "transitions", _canonical_transitions(self.transitions))
+        put(self, "inner", sorted_tuple(self.inner, _name_key))
+        put(self, "connections", sorted_tuple(self.connections, _source_key))
+        put(self, "refinements", FrozenMap(self.refinements) if self.refinements else EMPTY_MAP)
 
     # Convenience lookups (linear scans; the trees here are small). --------
 
@@ -170,6 +153,35 @@ class ActorNode:
 
     def port_names(self, direction: str) -> tuple:
         return tuple(p.name for p in self.ports if p.direction == direction)
+
+
+_port_key = attrgetter("name", "direction")
+_ref_key = attrgetter("actor", "port")
+_source_key = attrgetter("source.actor", "source.port")
+_name_key = attrgetter("name")
+_ends = attrgetter("source", "target")
+
+
+def _transition_text(t: Transition):
+    return (
+        t.source,
+        t.target,
+        expr_text(t.guard),
+        tuple((k, expr_text(v)) for k, v in t.outputs.items()),
+        tuple((k, expr_text(v)) for k, v in t.sets.items()),
+    )
+
+
+def _canonical_transitions(transitions) -> tuple:
+    """Transitions by source and target, then by their expressions' text.
+
+    The text is rendered only when two transitions join the same two
+    locations, which few machines have.
+    """
+    ordered = sorted_tuple(transitions, _ends)
+    if len(set(map(_ends, ordered))) < len(ordered):
+        ordered = tuple(sorted(ordered, key=_transition_text))
+    return ordered
 
 
 _DYNAMIC_FIELDS = ("ports", "curr_location", "variables", "inner")
@@ -234,7 +246,7 @@ def _normalize(node: ActorNode, wanted=()) -> ActorNode:
         extra = tuple(Port(n, d) for n, d in wanted if (n, d) not in have)
         if extra:
             ports = node.ports + extra
-            changes["ports"] = tuple(sorted(ports, key=lambda p: (p.name, p.direction)))
+            changes["ports"] = sorted_tuple(ports, _port_key)
     if not changes:
         return node
     # ``replace`` would run __post_init__ and sort every field again.

@@ -40,7 +40,6 @@ same tree, and printing is idempotent on any parse result.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import partial
 
@@ -62,8 +61,8 @@ from .model import (
     PortRef,
     Transition,
 )
-from .syntax import Parser, unescape
-from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
+from .syntax import Lexicon, Parser, unescape
+from .values import FALSE, TRUE, IntVal, StringVal, TimeVal, literal_text
 
 _KINDS = {
     "clock": CLOCK,
@@ -83,17 +82,15 @@ _FIXED_PORTS = {
 
 class _ModelParser(Parser):
     # Whitespace and `//` comments, then one token.
-    token_re = re.compile(
-        r"""
-        [ \t\r\n]* (?://[^\n]*[ \t\r\n]*)*
-        (?:
-          (?P<number>\d+\.\d+|\d+)
-        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<string>"(?:\\.|[^"\\\n])*")
-        | (?P<op>->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/])
-        )?
+    lexicon = Lexicon(
+        skip=r"[ \t\r\n]* (?://[^\n]*[ \t\r\n]*)*",
+        token=r"""
+          \d+\.\d+|\d+
+        | [A-Za-z_][A-Za-z0-9_]*
+        | "(?:\\.|[^"\\\n])*"
+        | ->|==|!=|<=|>=|&&|\|\||[{}(),.=<>+\-*!/]
         """,
-        re.VERBOSE,
+        word="ident",
     )
     binary = {op: (prec, False, partial(Binary, op)) for op, prec in _PRECEDENCE.items()}
     prefix = {op: partial(Unary, op) for op in ("!", "-")}
@@ -101,83 +98,85 @@ class _ModelParser(Parser):
     def expected(self, what: str):
         # '/' is a token only for rational literals, so finding it anywhere
         # else (`n / 2`) means a division the language does not have.
-        if self.peek().text == "/":
+        if self.tokens[self.pos] == "/":
             self.fail("'/' only forms rational literals like 3/2")
         super().expected(what)
 
     # Literals. ----------------------------------------------------------
 
     def parse_literal(self):
-        tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            num = self.peek()
-            if num.kind != "number" or "." in num.text:
+        tokens, kinds, pos = self.tokens, self.kinds, self.pos
+        text = tokens[pos]
+        if text == "-":
+            self.pos = pos = pos + 1
+            if kinds[pos] != "number" or "." in tokens[pos]:
                 self.fail("only integer literals may be negative")
-            self.next()
-            return IntVal(-int(num.text))
-        if tok.kind == "number":
-            self.next()
-            if "." in tok.text:
-                return TimeVal(Fraction(tok.text))
-            if self.peek().text == "/" and self.tokens[self.pos + 1].kind == "number":
-                self.next()
-                denom = self.next()
-                if "." in denom.text or int(denom.text) == 0:
-                    self.fail("rational literals are integer/integer", denom)
-                return TimeVal(Fraction(int(tok.text), int(denom.text)))
-            return IntVal(int(tok.text))
-        if tok.text == "true":
-            self.next()
-            return BoolVal(True)
-        if tok.text == "false":
-            self.next()
-            return BoolVal(False)
-        if tok.kind == "string":
-            self.next()
-            return StringVal(unescape(tok.text))
+            self.pos = pos + 1
+            return IntVal(-int(tokens[pos]))
+        kind = kinds[pos]
+        if kind == "number":
+            if "." in text:
+                self.pos = pos + 1
+                return TimeVal(Fraction(text))
+            if tokens[pos + 1] == "/" and kinds[pos + 2] == "number":
+                denom = tokens[pos + 2]
+                if "." in denom or int(denom) == 0:
+                    self.fail("rational literals are integer/integer", pos + 2)
+                self.pos = pos + 3
+                return TimeVal(Fraction(int(text), int(denom)))
+            self.pos = pos + 1
+            return IntVal(int(text))
+        if text == "true" or text == "false":
+            self.pos = pos + 1
+            return TRUE if text == "true" else FALSE
+        if kind == "string":
+            self.pos = pos + 1
+            return StringVal(unescape(text))
         self.expected("a literal")
 
     # Expressions. --------------------------------------------------------
 
     def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind in ("number", "string") or tok.text in ("true", "false"):
-            return Lit(self.parse_literal())
-        if tok.text in ("isPresent", "value"):
-            self.next()
-            self.expect("(")
-            port = self.take("ident", "a port name").text
-            self.expect(")")
-            return IsPresent(port) if tok.text == "isPresent" else PortValue(port)
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.text)
-        self.expected("an expression")
+        pos = self.pos
+        text, kind = self.tokens[pos], self.kinds[pos]
+        if kind == "ident":
+            if text == "isPresent" or text == "value":
+                self.pos = pos + 1
+                self.expect("(")
+                port = self.take("ident", "a port name")
+                self.expect(")")
+                return IsPresent(port) if text == "isPresent" else PortValue(port)
+            if text != "true" and text != "false":
+                self.pos = pos + 1
+                return Var(text)
+        elif kind != "number" and kind != "string":
+            self.expected("an expression")
+        return Lit(self.parse_literal())
 
     # The model grammar. ------------------------------------------------------
 
     def parse_model(self) -> ActorNode:
         self.expect("format")
-        version = self.peek()
-        if version.kind == "eof":
+        kind = self.kinds[self.pos]
+        if kind == "eof":
             self.expected("a format version")
-        if version.kind != "number" or version.text != "1":
-            self.fail(f"unsupported format version {version.text!r}")
-        self.next()
+        if kind != "number" or self.tokens[self.pos] != "1":
+            self.fail(f"unsupported format version {self.tokens[self.pos]!r}")
+        self.pos += 1
         node = self.parse_actor()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after the top-level actor")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected {self.tokens[self.pos]!r} after the top-level actor")
         return node
 
     def parse_actor(self) -> ActorNode:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in _KINDS:
-            if tok.kind == "eof":
+        tokens, kinds = self.tokens, self.kinds
+        kind = _KINDS.get(tokens[self.pos])
+        if kind is None:
+            if kinds[self.pos] == "eof":
                 self.fail("expected an actor block")
             self.fail(f"expected an actor kind (one of {', '.join(sorted(_KINDS))})")
-        kind = _KINDS[self.next().text]
-        name = self.take("ident", "an actor name").text
+        self.pos += 1
+        name = self.take("ident", "an actor name")
         self.expect("{")
 
         ports = list(_FIXED_PORTS.get(kind, ()))
@@ -191,74 +190,65 @@ class _ModelParser(Parser):
         controller = None
         refinements = {}
 
-        while not self.accept("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
+        while (word := tokens[pos := self.pos]) != "}":
+            if kinds[pos] == "eof":
                 self.fail(f"unterminated actor block '{name}'")
-            word = tok.text
-            if word in _KINDS and self.tokens[self.pos + 1].kind == "ident":
-                if kind not in (COMPOSITE, MODAL):
+            if word in _KINDS and kinds[pos + 1] == "ident":
+                if kind != COMPOSITE and kind != MODAL:
                     self.fail(f"a {kind} actor cannot contain inner actors")
                 inner.append(self.parse_actor())
-            elif word in ("input", "output"):
-                self.next()
+                continue
+            self.pos = pos + 1
+            if word == "input" or word == "output":
                 if kind in _FIXED_PORTS:
                     self.fail(f"a {kind} actor's ports are fixed and not declared")
-                pname = self.take("ident", "a port name").text
-                direction = IN if word == "input" else OUT
-                ports.append(Port(pname, direction))
+                ports.append(Port(self.take("ident", "a port name"), IN if word == "input" else OUT))
             elif word == "var":
-                self.next()
-                if kind not in (FSM, COMPOSITE):
+                if kind != FSM and kind != COMPOSITE:
                     self.fail("only state machines and composites hold variables")
-                vname = self.take("ident", "a variable name").text
+                vname = self.take("ident", "a variable name")
                 self.expect("=")
                 variables[vname] = self.parse_literal()
             elif word == "initial":
-                self.next()
                 if kind != FSM:
                     self.fail("'initial' belongs in a state machine")
-                initial = self.take("ident", "a location name").text
+                initial = self.take("ident", "a location name")
                 locations.add(initial)
             elif word == "location":
-                self.next()
                 if kind != FSM:
                     self.fail("'location' belongs in a state machine")
-                locations.add(self.take("ident", "a location name").text)
+                locations.add(self.take("ident", "a location name"))
             elif word == "transition":
                 if kind != FSM:
-                    self.fail("'transition' belongs in a state machine")
+                    self.fail("'transition' belongs in a state machine", pos)
                 transitions.append(self.parse_transition(locations))
             elif word == "controller":
-                self.next()
                 if kind != MODAL:
                     self.fail("'controller' belongs in a modal actor")
-                controller = self.take("ident", "an actor name").text
+                controller = self.take("ident", "an actor name")
             elif word == "refine":
-                self.next()
                 if kind != MODAL:
                     self.fail("'refine' belongs in a modal actor")
-                loc = self.take("ident", "a location name").text
+                loc = self.take("ident", "a location name")
                 self.expect("->")
-                target = self.take("ident", "an actor name").text
+                target = self.take("ident", "an actor name")
                 if loc in refinements:
                     self.fail(f"location '{loc}' refined twice")
                 refinements[loc] = target
             elif word == "connect":
-                self.next()
                 if kind != COMPOSITE:
                     if kind == MODAL:
                         self.fail("modal actors take no explicit connections")
                     self.fail("'connect' belongs in a composite")
                 connections.append(self.parse_connection())
-            elif tok.kind == "ident" and self.tokens[self.pos + 1].text == "=":
-                self.next()
-                self.next()
+            elif kinds[pos] == "ident" and tokens[pos + 1] == "=":
+                self.pos = pos + 2
                 if word in parameters:
-                    self.fail(f"parameter '{word}' set twice", tok)
+                    self.fail(f"parameter '{word}' set twice", pos)
                 parameters[word] = self.parse_literal()
             else:
-                self.fail(f"unexpected {word!r} in a {kind} block")
+                self.fail(f"unexpected {word!r} in a {kind} block", pos)
+        self.pos = pos + 1
 
         return ActorNode(
             name=name,
@@ -276,38 +266,39 @@ class _ModelParser(Parser):
         )
 
     def parse_transition(self, locations: set) -> Transition:
-        self.expect("transition")
-        src = self.take("ident", "a location name").text
+        # The caller has stepped over `transition`.
+        src = self.take("ident", "a location name")
         self.expect("->")
-        dst = self.take("ident", "a location name").text
+        dst = self.take("ident", "a location name")
         locations.update((src, dst))
         self.expect("{")
-        guard = Lit(BoolVal(True))
+        guard = _TRUE
         outputs = {}
         sets = {}
-        while not self.accept("}"):
-            tok = self.peek()
-            if tok.text == "guard":
-                self.next()
+        tokens = self.tokens
+        while (word := tokens[pos := self.pos]) != "}":
+            if word == "guard":
+                self.pos = pos + 1
                 guard = self.climb()
-            elif tok.text == "output":
-                self.next()
-                port = self.take("ident", "a port name").text
+            elif word == "output":
+                self.pos = pos + 1
+                port = self.take("ident", "a port name")
                 self.expect("=")
                 if port in outputs:
-                    self.fail(f"output '{port}' assigned twice", tok)
+                    self.fail(f"output '{port}' assigned twice", pos)
                 outputs[port] = self.climb()
-            elif tok.text == "set":
-                self.next()
-                var = self.take("ident", "a variable name").text
+            elif word == "set":
+                self.pos = pos + 1
+                var = self.take("ident", "a variable name")
                 self.expect("=")
                 if var in sets:
-                    self.fail(f"variable '{var}' set twice", tok)
+                    self.fail(f"variable '{var}' set twice", pos)
                 sets[var] = self.climb()
-            elif tok.kind == "eof":
+            elif self.kinds[pos] == "eof":
                 self.fail("unterminated transition block")
             else:
                 self.expected("guard/output/set")
+        self.pos = pos + 1
         return Transition(src, dst, guard, outputs, sets)
 
     def parse_connection(self) -> Connection:
@@ -319,12 +310,13 @@ class _ModelParser(Parser):
         return Connection(source, tuple(sinks))
 
     def parse_endpoint(self) -> PortRef:
-        actor = self.take("ident", "an actor name (or 'parent')").text
+        actor = self.take("ident", "an actor name (or 'parent')")
         self.expect(".")
-        port = self.take("ident", "a port name").text
-        if actor == "parent":
-            return PortRef(PARENT, port)
-        return PortRef((actor,), port)
+        port = self.take("ident", "a port name")
+        return PortRef(PARENT if actor == "parent" else (actor,), port)
+
+
+_TRUE = Lit(TRUE)
 
 
 def parse_model(text: str) -> ActorNode:

@@ -5,8 +5,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from .errors import NegativeTimer
+
+
+def sorted_tuple(items, key=None) -> tuple:
+    """``tuple(sorted(items, key=key))``, without sorting fewer than two items."""
+    items = tuple(items)
+    return items if len(items) < 2 else tuple(sorted(items, key=key))
 
 
 class FrozenMap(Mapping):
@@ -20,12 +27,13 @@ class FrozenMap(Mapping):
     __slots__ = ("_items", "_dict")
 
     def __init__(self, mapping=()):
-        if isinstance(mapping, FrozenMap):
+        # An exact type test: isinstance against an ABC costs a Python call.
+        if mapping.__class__ is FrozenMap:
             self._items = mapping._items
             self._dict = mapping._dict
             return
         d = dict(mapping)
-        self._items = tuple(sorted(d.items()))
+        self._items = sorted_tuple(d.items())
         self._dict = d
 
     def __getitem__(self, key):
@@ -92,6 +100,12 @@ def format_rational(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def ticks_text(ticks: int, base: int) -> str:
+    """``format_rational(Fraction(ticks, base))``, without building the Fraction."""
+    g = gcd(ticks, base)
+    return str(ticks // g) if g == base else f"{ticks // g}/{base // g}"
 
 
 def rational_json(f: Fraction):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
-from de_fixpoint.expr import Binary, IsPresent, Lit, Var
+from de_fixpoint.expr import Binary, IsPresent, Lit, Var, expr_text
 from de_fixpoint.executor import step
 from de_fixpoint.fire import clear_ports, decide_firing
 from de_fixpoint.model import (
@@ -117,6 +118,34 @@ def test_normalize_matches_the_rebuilding_reference_on_fixtures(name):
 @given(families.MODELS)
 def test_normalize_matches_the_rebuilding_reference_on_generated_models(text):
     assert_normalizes_as_before(text)
+
+
+EXPRS = [TRUE, Var("go"), IsPresent("In"), Binary("&&", IsPresent("In"), Var("go")), Lit(IntVal(1))]
+TRANSITIONS = st.lists(
+    st.builds(
+        Transition,
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(EXPRS),
+        st.dictionaries(st.sampled_from(["O", "P"]), st.sampled_from(EXPRS), max_size=2),
+        st.dictionaries(st.sampled_from(["n", "m"]), st.sampled_from(EXPRS), max_size=2),
+    ),
+    max_size=6,
+)
+
+
+@given(TRANSITIONS.flatmap(lambda ts: st.tuples(st.just(ts), st.permutations(ts))))
+def test_transitions_take_the_canonical_order_in_any_declaration_order(drawn):
+    """By source and target, then by the text of the guard, the outputs and the updates."""
+    transitions, declared = drawn
+
+    def text_key(t):
+        outputs = tuple((k, expr_text(v)) for k, v in t.outputs.items())
+        sets = tuple((k, expr_text(v)) for k, v in t.sets.items())
+        return t.source, t.target, expr_text(t.guard), outputs, sets
+
+    node = ActorNode("M", FSM, transitions=tuple(declared))
+    assert node.transitions == tuple(sorted(transitions, key=text_key))
 
 
 def test_normalize_builds_each_node_without_sorting_again(monkeypatch):

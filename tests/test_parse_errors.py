@@ -126,6 +126,7 @@ FORMULA_ERRORS = [
     ("'T | 'x = -1/2", '1:15: time values are non-negative'),
     ("'T | 'x = 1/0", '1:13: rational values are integer/integer'),
     ("'T | 'x = 1/x", '1:13: rational values are integer/integer'),
+    ("'T | 'x = 1/2.5", '1:13: rational values are integer/integer'),
     ("'T | 'x = 1/", '1:13: rational values are integer/integer'),
     ("'T | 'x = -True", "1:12: expected a number after '-'"),
     ("'T | 'x = ", "1:11: expected a value, found 'end of input'"),

@@ -1,13 +1,13 @@
 """The tokenizer against the reference scanner loop (``tokenize_ref.py``).
 
-Both grammars, on every fixture, generated model texts, the benchmark's
-formulas and propositions, and generated strings that mix tokens with
-characters no token covers: the same ``(kind, text, pos)`` list, or the
-same ParseError line, column and message.
+A grammar's ``Lexicon`` gives a text's token strings and their kinds,
+and the tokens' offsets only on request; zipped, they must be the
+reference's ``(kind, text, pos)`` list.  Both grammars, on every
+fixture, generated model texts, the benchmark's formulas and
+propositions, and generated strings that mix tokens with characters no
+token covers: the same list, or the same ParseError line, column and
+message.
 """
-
-import os
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from de_fixpoint.errors import ParseError
 from de_fixpoint.formula_parser import _FormulaParser
 from de_fixpoint.parser import _ModelParser
-from de_fixpoint.syntax import tokenize
 
-from conftest import MODELS as MODEL_DIR
+from corpus import BENCH_FORMULAS, BENCH_MODELS, FIXTURE_TEXTS, PIECES
 from families import MODELS
 from tokenize_ref import (
     FORMULA_SKIP,
@@ -28,13 +27,9 @@ from tokenize_ref import (
     reference_tokenize,
 )
 
-sys.path.append(os.path.join(os.path.dirname(MODEL_DIR), "bench"))
-
-import workloads  # noqa: E402
-
 GRAMMARS = {
-    "model": (_ModelParser.token_re, MODEL_TOKEN_RE, MODEL_SKIP),
-    "formula": (_FormulaParser.token_re, FORMULA_TOKEN_RE, FORMULA_SKIP),
+    "model": (_ModelParser.lexicon, MODEL_TOKEN_RE, MODEL_SKIP),
+    "formula": (_FormulaParser.lexicon, FORMULA_TOKEN_RE, FORMULA_SKIP),
 }
 
 
@@ -45,37 +40,16 @@ def outcome(tokenizer):
         return ("error", err.line, err.col, err.message)
 
 
+def triples(text, lexicon):
+    """``(kind, text, pos)`` for each token of ``text``, the end of input's included."""
+    tokens, kinds = lexicon.tokenize(text)
+    return list(zip(kinds, tokens, lexicon.offsets(text), strict=True))
+
+
 def assert_same_tokens(text, grammar):
-    pattern, ref_pattern, ref_skip = GRAMMARS[grammar]
-    got = outcome(lambda: [(t.kind, t.text, t.pos) for t in tokenize(text, pattern)])
+    lexicon, ref_pattern, ref_skip = GRAMMARS[grammar]
+    got = outcome(lambda: triples(text, lexicon))
     assert got == outcome(lambda: reference_tokenize(text, ref_pattern, ref_skip))
-
-
-def fixture_texts():
-    """Every model file in ``models/``, by file name."""
-    texts = {}
-    for name in sorted(os.listdir(MODEL_DIR)):
-        if name.endswith(".model"):
-            with open(os.path.join(MODEL_DIR, name), encoding="utf-8") as handle:
-                texts[name] = handle.read()
-    return texts
-
-
-FIXTURE_TEXTS = fixture_texts()
-
-
-def bench_inputs():
-    """The benchmark's model texts and its formula and proposition texts."""
-    fixtures = {name[: -len(".model")]: text for name, text in FIXTURE_TEXTS.items()}
-    models, formulas = {}, set()
-    for name in workloads.WORKLOADS:
-        workload = workloads.make(name, 23, fixtures)
-        models.update(workload.models)
-        formulas.update(r.text for r in workload.requests if r.text)
-    return models, sorted(formulas)
-
-
-BENCH_MODELS, BENCH_FORMULAS = bench_inputs()
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
@@ -99,15 +73,6 @@ def test_bench_formulas_tokenize_as_before():
 @given(MODELS)
 def test_generated_models_tokenize_as_before(text):
     assert_same_tokens(text, "model")
-
-
-PIECES = [
-    "format", "1", "2.5", "3/2", "x_1", "'Top", "->", "==", "<=", "&&", "||",
-    "[]", "<>", "/\\", "\\/", "~", "{", "}", "(", ")", ",", ".", "=", "|", "@",
-    "#", ":", "-", "!", "*", "+", "/", "//", "// note\n", '"s"', '"a\\"b"',
-    " ", "  ", "\t", "\n", "\r\n", "\f", "\v", "\xa0", '"', '"abc\n', "$", "%",
-    "'", "^", "`", "?",
-]  # fmt: skip
 
 
 @settings(max_examples=300)
@@ -135,5 +100,5 @@ def test_any_text_tokenizes_as_before(text):
     ],
 )
 def test_model_tokenizer_errors_keep_their_position(text, error):
-    assert outcome(lambda: tokenize(text, _ModelParser.token_re)) == error
+    assert outcome(lambda: _ModelParser.lexicon.tokenize(text)) == error
     assert_same_tokens(text, "model")
