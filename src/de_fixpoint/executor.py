@@ -71,7 +71,7 @@ def _tick(network, dt: int) -> Tick:
     return tick
 
 
-def step(state: SystemState, bottom_as_absent: bool = False, rng=None):
+def step(state: SystemState, bottom_as_absent: bool = False):
     """Process the head of the queue.  Returns (next state, step kind)."""
     entries = state.entries
     if not entries:
@@ -86,7 +86,7 @@ def step(state: SystemState, bottom_as_absent: bool = False, rng=None):
         return nxt, Microstep(microstep)
     popped = state.requeued(entries[1:], state.now, state.microstep_of_instant)
     # Clear, deliver and resolve in one pass over a flat status table.
-    result = compute_fixpoint(popped, bottom_as_absent=bottom_as_absent, rng=rng, events=events)
+    result = compute_fixpoint(popped, bottom_as_absent=bottom_as_absent, events=events)
     nxt, requests = postfire(result.state, result.decisions)
     return commit_requests(nxt, requests), _ITERATION
 

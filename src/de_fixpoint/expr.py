@@ -22,6 +22,19 @@ constants.  What evaluation can still reject is a value: a mistyped
 operand (``TypeMismatch``), an absent port's value (``AbsentPortRead``)
 or a port not yet known (``UnknownPortRead``).  ``tests/expr_ref.py``
 holds the tree-walking reference the compiled form is tested against.
+
+Some guards are proven unable to raise once their ports are known
+(:func:`guards_cannot_raise`), so that the fixed point may leave a
+machine that nothing reaches unrun.  A proven guard reads no
+``value()``, and it types as boolean over the kinds (value classes) of
+its literals, its machine's parameters and its machine's variables,
+by the rules of ``_apply_binary``, read strictly: both operands of
+``&&`` and ``||`` boolean, ``==`` and ``!=`` over one kind, ordering
+over two integers or two times, ``+ - *`` over two integers, ``+`` over
+two times.  Time subtraction, which raises when it goes negative, is
+never proven.  A variable has its initial value's kind when every
+update of it types to that kind: the greatest such assignment, found by
+dropping a variable's kind until none of them changes.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from .values import (
     BoolVal,
     IntVal,
     Present,
+    StringVal,
     TimeVal,
     Unknown,
     Value,
@@ -267,6 +281,68 @@ def _compile_binary(op: str, left, right):
 
 _ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _INT_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+# Static kinds. ----------------------------------------------------------------
+
+_KINDS = (BoolVal, IntVal, TimeVal, StringVal)
+
+
+def _kind_of_value(value) -> type | None:
+    kind = value.__class__
+    return kind if kind in _KINDS else None
+
+
+def kind_of(expr: Expr, kinds: Mapping[str, type | None]) -> type | None:
+    """The value class ``expr`` evaluates to, with every port it reads
+    known, or None where that is not proven: the expression may raise or
+    give another kind.  ``kinds`` maps each name it may read to its kind
+    (None for a name whose kind is not known)."""
+    if isinstance(expr, Binary):
+        left, right = kind_of(expr.left, kinds), kind_of(expr.right, kinds)
+        if left is None or left is not right:
+            return None
+        op = expr.op
+        if op in ("&&", "||"):
+            return BoolVal if left is BoolVal else None
+        if op in ("==", "!="):
+            return BoolVal
+        if op in _COMPARISONS:
+            return BoolVal if left in (IntVal, TimeVal) else None
+        if left is IntVal:
+            return IntVal
+        return TimeVal if left is TimeVal and op == "+" else None
+    if isinstance(expr, IsPresent):
+        return BoolVal
+    if isinstance(expr, Var):
+        return kinds.get(expr.name)
+    if isinstance(expr, Lit):
+        return _kind_of_value(expr.value)
+    if isinstance(expr, Unary):
+        operand = kind_of(expr.operand, kinds)
+        if expr.op == "!":
+            return BoolVal if operand is BoolVal else None
+        return IntVal if operand is IntVal else None
+    return None  # value(port): any kind, and it raises on an absent port
+
+
+def guards_cannot_raise(transitions, variables: Mapping[str, Value], parameters: Mapping[str, Value]) -> bool:
+    """Whether every guard of a state machine's ``transitions`` is proven
+    to give a boolean without raising, whatever its location, variables
+    and (known) ports, for a machine whose variables start as
+    ``variables`` and whose parameters are ``parameters``."""
+    kinds = {name: _kind_of_value(value) for name, value in parameters.items()}
+    # Variables shadow parameters of the same name.
+    kinds.update((name, _kind_of_value(value)) for name, value in variables.items())
+    updates = [(var, expr) for t in transitions for var, expr in t.sets.items()]
+    changed = True
+    while changed:
+        changed = False
+        for var, expr in updates:
+            if kinds[var] is not None and kind_of(expr, kinds) is not kinds[var]:
+                kinds[var] = None
+                changed = True
+    return all(kind_of(t.guard, kinds) is BoolVal for t in transitions)
 
 
 def references(expr: Expr) -> tuple:

@@ -5,7 +5,8 @@ now, and then resolves ports until nothing changes.  Ports move at most
 once, from unknown to present-with-a-value or absent, and nothing that
 resolves them looks at anything but port statuses (and the state of the
 machine it drives), so the final assignment is independent of the order
-in which it happens (checked by the test suite with randomized orders).
+in which it happens (the test suite checks it against a reference that
+runs every machine under randomized orders, ``tests/fixpoint_ref.py``).
 
 A port left unknown at the fixed point means the model has a genuine
 causality cycle; that is an error unless the caller opts into treating
@@ -40,7 +41,28 @@ on the mode (``RuleSet``):
   reads is settled, and decides once.  Only a cycle iterates, with a
   worklist confined to it (Bourdoncle, 1993), where decisions may stay
   partial until its ports resolve.  A rule downstream of a cycle that
-  stalls makes the one partial decision its known inputs allow.
+  stalls makes the one partial decision its known inputs allow;
+* the plans, one per set of ports an instant's events land on, built
+  on first use (``_plan``).  A machine with no present input cannot
+  fire (as in the DE semantics of Lee & Zheng, EMSOFT 2007, and
+  Ptolemy II's DE director, which fires only the actors that have
+  events), so a plan runs only the machines that read a port in the
+  reach of an event or of a running machine's output, and every
+  machine it cannot leave out; the rest write ABSENT through their
+  outputs' reach in the plan's start.
+
+Leaving a machine out is exact, not an approximation: it happens only
+when the machine would have decided not to fire, raised nothing and
+written ABSENT where nothing else writes.  So a machine is left out
+only when it is on no cycle (a ``_Loop`` and all it feeds always run),
+every port it reads is ABSENT in the plan's start with no event
+reaching it, it has no output coupled to a modal actor's (which relays
+a refinement instead of going absent), nothing else (an unwritten
+port, another machine or an event) writes its outputs' reach, and
+every guard of every location is proven unable to raise
+(``expr.guards_cannot_raise``).  One method, ``_Machine.run``, decides
+and writes for a machine, and plans and loops both call it: an instant
+has one path, whatever its plan holds.
 
 The statuses live in a flat list indexed by port id, in which an
 unknown port always holds the one UNKNOWN object (``Network.flatten``
@@ -63,7 +85,8 @@ from dataclasses import dataclass
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
 from .model import FSM
-from .network import FsmInfo, Mode, Network
+from .expr import guards_cannot_raise
+from .network import Mode, Network
 from .state import SystemState, make_state
 from .values import ABSENT, UNKNOWN, BoolVal, Present
 
@@ -125,151 +148,188 @@ def _frozen_delivery(network: Network, pid: int) -> None:
     log.info("event for %s.%s lands in a frozen refinement; it will drive nothing", ".".join(path), port)
 
 
-# Firing decisions. ----------------------------------------------------------
+# Machines. ------------------------------------------------------------------
 
-_UNDECIDED = (None, None)
-_NOFIRE = ("nofire", None)
 _NAMES_NONE = {}  # the outputs a machine that does not fire names; never written
 
 
-def decide_firing(info: FsmInfo, location, st, values):
-    """Decide whether a state machine fires this iteration.
+class _Machine:
+    """A live state machine as an instant runs it.
 
-    ``st`` holds every port's status by port id and ``values`` every
-    variable's value by slot.  Returns ("fire", transition) with the
-    compiled transition that fires, ("nofire", None), or (None, None)
-    when the decision still depends on ports that are unknown.  Raises
-    NondeterministicFsm when the machine would fire with more than one
-    true guard.  The decision is stable: once it returns a non-None
-    verdict, growing port knowledge can never change it.
+    ``run(st, locations, values, fired, reach)`` decides whether the
+    machine fires and writes what the decision resolves through its
+    outputs' reach, in one call, and returns how many ports it resolved.
+    ``st`` holds every port's status by port id, ``locations`` and
+    ``values`` the state's slots; a firing machine's compiled transition
+    goes into ``fired`` by actor index.  The decision is stable: once made
+    it never changes as port knowledge grows, so a machine in ``fired`` is
+    not decided again, and a machine that ran again (in a ``_Loop``) only
+    writes what has become computable since.
 
-    The machine comes from a validated tree, so every port a guard
-    reads is one of its inputs, and ``reads`` lists them all.
-    """
-    outgoing = info.outgoing[location]
-    any_present = False
-    all_known = True
-    for pid in info.in_pids:
-        status = st[pid]
-        if status is ABSENT:
-            continue
-        if status is UNKNOWN:
-            all_known = False
-        elif status.__class__ is Present:
-            any_present = True
-    if not all_known:
-        for entry in outgoing:
-            for pid in entry.reads:
-                if st[pid] is UNKNOWN:
-                    # Guards only mention the machine's own inputs, so all
-                    # inputs known would imply evaluable; nothing can be
-                    # decided yet.
-                    return _UNDECIDED
-    trues = []
-    for entry in outgoing:
-        v = entry.guard(st, values)
-        if v.__class__ is not BoolVal:
-            t = entry.transition
-            raise ValidationError([f"{info.label}: guard of {t.source}->{t.target} is not boolean"])
-        if v.value:
-            trues.append(entry)
-    if len(trues) >= 2 and any_present:
-        raise NondeterministicFsm(info.label, [(e.transition.source, e.target) for e in trues])
-    if not trues:
-        return _NOFIRE
-    if len(trues) == 1 and any_present:
-        return ("fire", trues[0])
-    if all_known and not any_present:
-        # Every input is known absent: the machine cannot fire.
-        return _NOFIRE
-    return _UNDECIDED
+    The decision.  While a port some guard of the location reads is
+    unknown, nothing is decided; otherwise every guard is evaluated.  A
+    guard that is not boolean raises ValidationError, and two true guards
+    with an input present raise NondeterministicFsm.  One true guard with
+    an input present fires; no true guard, or every input known absent,
+    does not; anything else stays undecided, with the outputs unknown.
 
+    The outputs, once decided: on a firing, each output named by the
+    transition gets the evaluated expression, as soon as every port the
+    expression reads is known, and every other plain output is absent;
+    without a firing, every plain output is absent.  Outputs that double
+    as a modal actor's outputs (the controller's coupled pairs) relay the
+    refinement's value when the transition does not name them, so they
+    copy the twin input port instead of going absent.  A write that finds
+    a port of the reach known with another status raises AssertionError.
 
-# Rules. ---------------------------------------------------------------------
-
-
-class _FsmRule:
-    """Drive a state machine's outputs from its (stable) firing decision.
-
-    ``step(statuses, locations, values, decided)`` returns [(port id,
-    status), ...] for outputs it can resolve now; it proposes only
-    currently-unknown ports, and the same status whenever it runs.
-    ``reads`` lists the ports whose resolution can change what it proposes.
-
-    Until the decision resolves, outputs stay unknown.  Once it does:
-    on a firing, each output named by the transition gets the evaluated
-    expression (as soon as every port the expression reads is known) and
-    every other plain output is absent; without a firing, every plain
-    output is absent.  Outputs that double as a modal actor's outputs
-    (the controller's coupled pairs) are special: when not named by the
-    taken transition they relay the refinement's value, so they copy the
-    twin input port instead of going absent.
-
-    The machine's current location and variables come from the state's
-    slots; the decision, once made, is kept in ``decided`` for the rest
-    of the iteration, since growing port knowledge can no longer change it.
+    ``coupled``: some output relays a refinement's (see above).
+    ``proven``: every guard of every location is proven unable to raise
+    (``expr.guards_cannot_raise``), so that, with every input absent and
+    no coupled output, the machine would decide not to fire, write
+    ABSENT through its outputs' reach and do nothing else.  It is proven
+    the first time a plan could leave the machine out, so that a model
+    whose events reach every machine never pays for the proof.
     """
 
-    def __init__(self, index: int, network: Network):
+    __slots__ = ("info", "index", "depth", "reads", "outgoing", "outputs", "keys", "coupled", "node", "_proven")
+
+    def __init__(self, index: int, network: Network, node):
         info = network.fsms[index]
         self.info = info
         self.index = index
         self.depth = len(network.paths[index])
+        self.reads = info.in_pids
+        self.outgoing = info.outgoing
         twins = network.coupled.get(index, {})
         # (output name, its port id, the twin input's port id when coupled)
         self.outputs = tuple((name, pid, twins.get(name)) for name, pid in info.out_ids.items())
-        self.reads = info.in_pids
+        # For conflict messages: a list, which refers to no network, so
+        # that a network's rules hold no reference cycle.
+        self.keys = network.keys
+        self.coupled = any(twin is not None for _, _, twin in self.outputs)
+        self.node = node
+        self._proven = None
 
-    def step(self, st, locations, values, decided):
+    @property
+    def proven(self) -> bool:
+        if self._proven is None:
+            node = self.node
+            self._proven = guards_cannot_raise(node.transitions, node.variables, node.parameters)
+        return self._proven
+
+    def run(self, st, locations, values, fired, reach) -> int:
         index = self.index
-        verdict = decided.get(index)
-        if verdict is None or verdict[0] is None:
-            verdict = decided[index] = decide_firing(self.info, locations[index], st, values)
-        kind, entry = verdict
-        if kind is None:
-            return ()
-        named = entry.outputs if kind == "fire" else _NAMES_NONE
-        out = []
+        entry = fired.get(index)
+        if entry is None:
+            outgoing = self.outgoing[locations[index]]
+            any_present = False
+            all_known = True
+            for pid in self.reads:
+                status = st[pid]
+                if status is ABSENT:
+                    continue
+                if status is UNKNOWN:
+                    all_known = False
+                elif status.__class__ is Present:
+                    any_present = True
+            if not all_known:
+                for e in outgoing:
+                    for pid in e.reads:
+                        if st[pid] is UNKNOWN:
+                            # Guards only mention the machine's own inputs,
+                            # so all inputs known would imply evaluable.
+                            return 0
+            trues = []
+            for e in outgoing:
+                v = e.guard(st, values)
+                if v.__class__ is not BoolVal:
+                    t = e.transition
+                    raise ValidationError([f"{self.info.label}: guard of {t.source}->{t.target} is not boolean"])
+                if v.value:
+                    trues.append(e)
+            if trues:
+                if any_present:
+                    if len(trues) >= 2:
+                        raise NondeterministicFsm(self.info.label, [(e.transition.source, e.target) for e in trues])
+                    entry = fired[index] = trues[0]
+                elif not all_known:
+                    return 0
+        named = _NAMES_NONE if entry is None else entry.outputs
+        resolved = 0
         for name, pid, twin in self.outputs:
             if st[pid] is not UNKNOWN:
                 continue
             if name in named:
                 fn, reads = named[name]
+                ready = True
                 for p in reads:
                     if st[p] is UNKNOWN:
+                        ready = False
                         break
-                else:
-                    out.append((pid, Present(fn(st, values))))
+                if not ready:
+                    continue
+                status = Present(fn(st, values))
             elif twin is not None:
                 status = st[twin]
-                if status is not UNKNOWN:
-                    out.append((pid, status))
+                if status is UNKNOWN:
+                    continue
             else:
-                out.append((pid, ABSENT))
-        return out
+                status = ABSENT
+            for q in reach[pid]:
+                old = st[q]
+                if old is UNKNOWN:
+                    st[q] = status
+                    resolved += 1
+                elif old != status:
+                    raise _conflict(self.keys, q)
+        return resolved
 
 
 class _Loop:
-    """Rules that read each other's outputs in one instant: a strongly
-    connected part of a mode's rule graph.  ``dependents`` maps a port id
-    to the positions, among ``rules``, of the rules that read it."""
+    """Machines that read each other's outputs in one instant: a strongly
+    connected part of a mode's rule graph, settled by a worklist of its
+    own.  ``feeds`` holds, by position among ``rules``, the positions of
+    the members that read a port in the reach of that member's outputs."""
 
-    __slots__ = ("rules", "dependents")
+    __slots__ = ("rules", "feeds")
 
-    def __init__(self, rules):
+    def __init__(self, rules, reach):
         self.rules = rules
-        dependents = {}
+        readers = {}
         for k, rule in enumerate(rules):
             for pid in rule.reads:
-                dependents.setdefault(pid, []).append(k)
-        self.dependents = {pid: tuple(ks) for pid, ks in dependents.items()}
+                readers.setdefault(pid, []).append(k)
+        self.feeds = tuple(
+            tuple(sorted({d for pid in rule.info.out_ids.values() for q in reach[pid] for d in readers.get(q, ())}))
+            for rule in rules
+        )
+
+    def run(self, st, locations, values, fired, reach) -> int:
+        """Run the members until none of them writes anything; a member
+        runs again when one that feeds it has written.  Returns how many
+        ports resolved."""
+        rules, feeds = self.rules, self.feeds
+        pending = deque(range(len(rules)))
+        queued = [True] * len(rules)
+        resolved = 0
+        while pending:
+            k = pending.popleft()
+            queued[k] = False
+            wrote = rules[k].run(st, locations, values, fired, reach)
+            if wrote:
+                resolved += wrote
+                for d in feeds[k]:
+                    if not queued[d]:
+                        queued[d] = True
+                        pending.append(d)
+        return resolved
 
 
 @dataclass
 class RuleSet:
     """What the fixed point needs of one mode, built once by build_rules.
 
-    ``rules``: one rule per live state machine, deepest actors first;
+    ``rules``: one ``_Machine`` per live state machine, deepest actors first;
     ``ports``: every live port, each of which the fixed point must resolve;
     ``unwritten``: the live ports that no machine writes and no live wire
     feeds (clock and delay outputs, unconnected ports), absent unless an
@@ -284,8 +344,11 @@ class RuleSet:
     ``absent``: how many live ports ``start`` resolves;
     ``schedule``: the order the rules run in: a rule, which runs once, or
     a ``_Loop``, settled by a worklist of its own;
-    ``after``: by position in ``schedule``, the positions that read what
-    it writes, which a random schedule must keep after it.
+    ``quiet``: the rules on no cycle with no coupled output that alone
+    write every port in the reach of their outputs, which an instant may
+    leave unrun if they are ``proven`` (see ``_plan``);
+    ``plans``: by the ports an instant's events land on, the ``_Plan`` it
+    runs, built on first use.
     """
 
     rules: tuple
@@ -296,7 +359,8 @@ class RuleSet:
     owner: list
     absent: int
     schedule: tuple
-    after: tuple
+    quiet: frozenset
+    plans: dict
 
 
 def build_rules(network: Network, mode: Mode) -> RuleSet:
@@ -321,11 +385,14 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     # one per machine for all its modes.
     cache = network.fsm_rules
     rules = []
+    nodes = None
     for i in network.preorder:
         if live[i] and network.kinds[i] == FSM:
             rule = cache.get(i)
             if rule is None:
-                rule = cache[i] = _FsmRule(i, network)
+                if nodes is None:
+                    nodes = network.nodes_of(network.template)
+                rule = cache[i] = _Machine(i, network, nodes[i])
             rules.append(rule)
     # Deeper actors first: the order that breaks ties in the schedule.  The
     # result does not depend on it (confluence); it settles inner models
@@ -369,12 +436,28 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         sorted({m for pid in rule.info.out_ids.values() for q in reach[pid] for m in readers.get(q, ())})
         for rule in rules
     ]
-    schedule, after = _schedule(rules, succ)
-    return RuleSet(tuple(rules), ports, unwritten, reach, tuple(start), owner, absent, schedule, after)
+    schedule = _schedule(rules, succ, reach)
+    # A rule may go unrun only where it alone writes its outputs' reach:
+    # no unwritten port's reach and no other rule's meets it.
+    writer = {}
+    shared = set()
+    for rule in rules:
+        for pid in rule.info.out_ids.values():
+            for q in reach[pid]:
+                if writer.setdefault(q, rule) is not rule or owner[q] is not None:
+                    shared.add(q)
+    quiet = frozenset(
+        item
+        for item in schedule
+        if item.__class__ is _Machine
+        and not item.coupled
+        and shared.isdisjoint(q for pid in item.info.out_ids.values() for q in reach[pid])
+    )
+    return RuleSet(tuple(rules), ports, unwritten, reach, tuple(start), owner, absent, schedule, quiet, {})
 
 
-def _schedule(rules, succ):
-    """(schedule, after) over ``rules`` with successor lists ``succ``."""
+def _schedule(rules, succ, reach):
+    """The schedule over ``rules`` with successor lists ``succ``."""
     parts = _strong_components(succ)
     part_of = [0] * len(rules)
     for c, part in enumerate(parts):
@@ -400,16 +483,14 @@ def _schedule(rules, succ):
             waiting[d] -= 1
             if not waiting[d]:
                 heapq.heappush(ready, (parts[d][0], d))
-    position = {c: k for k, c in enumerate(order)}
     schedule = []
     for c in order:
         part = parts[c]
         if len(part) == 1 and part[0] not in succ[part[0]]:
             schedule.append(rules[part[0]])
         else:
-            schedule.append(_Loop(tuple(rules[n] for n in part)))
-    after = tuple(tuple(sorted(position[d] for d in later[c])) for c in order)
-    return tuple(schedule), after
+            schedule.append(_Loop(tuple(rules[n] for n in part), reach))
+    return tuple(schedule)
 
 
 def _strong_components(succ):
@@ -458,26 +539,6 @@ def _strong_components(succ):
     return parts
 
 
-def _random_schedule(rule_set: RuleSet, rng):
-    """Another valid order of ``rule_set.schedule``: a topological order
-    with ties broken by ``rng``."""
-    schedule, after = rule_set.schedule, rule_set.after
-    waiting = [0] * len(schedule)
-    for later in after:
-        for k in later:
-            waiting[k] += 1
-    ready = [k for k, count in enumerate(waiting) if not count]
-    order = []
-    while ready:
-        k = ready.pop(rng.randrange(len(ready)))
-        order.append(schedule[k])
-        for d in after[k]:
-            waiting[d] -= 1
-            if not waiting[d]:
-                ready.append(d)
-    return order
-
-
 @dataclass
 class FixpointResult:
     """One resolved instant: ``state`` with the resolved port statuses, and
@@ -490,30 +551,86 @@ class FixpointResult:
     state: SystemState
 
 
-def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=None, events=None) -> FixpointResult:
+class _Plan:
+    """What an instant whose events land on a given set of ports runs:
+    ``start``, the statuses it starts from before its events, with
+    ``absent`` live ports resolved, and ``run``, the items of the schedule
+    it runs, in schedule order."""
+
+    __slots__ = ("start", "absent", "run")
+
+    def __init__(self, start, absent, run):
+        self.start = start
+        self.absent = absent
+        self.run = run
+
+
+def _plan(rule_set: RuleSet, pids) -> _Plan:
+    """The plan of an instant whose events land on the ports ``pids``.
+
+    The plan's start is ``rule_set.start`` with each port that only an
+    event's port put ABSENT there back to UNKNOWN, for the event to
+    write, and with the outputs' reach of every rule it leaves out ABSENT.
+    A rule in ``rule_set.quiet`` is left out when every port it reads is
+    ABSENT in the start and no event's reach meets it, no event's reach
+    meets its outputs' reach either, and it is ``proven``.  That is
+    exact: such a rule would decide not to fire without raising, and
+    write ABSENT where nothing else writes.  The schedule is walked in
+    order, so a rule left out can leave the rules it alone feeds out
+    too.  A ``_Loop``, and so every rule it feeds, always runs.
+    """
+    reach, owner = rule_set.reach, rule_set.owner
+    start = list(rule_set.start)
+    absent = rule_set.absent
+    reached = set()
+    for pid in pids:
+        net = reach[pid]
+        if net is None:
+            continue
+        reached.update(net)
+        # Where an event's own port alone put ABSENT, the event replaces it.
+        for q in net:
+            if owner[q] == pid:
+                start[q] = UNKNOWN
+                absent -= 1
+    run = []
+    for item in rule_set.schedule:
+        if item in rule_set.quiet and all(start[p] is ABSENT and p not in reached for p in item.reads):
+            out = [q for pid in item.info.out_ids.values() for q in reach[pid]]
+            if reached.isdisjoint(out) and item.proven:
+                for q in out:
+                    if start[q] is UNKNOWN:
+                        start[q] = ABSENT
+                        absent += 1
+                continue
+        run.append(item)
+    return _Plan(tuple(start), absent, tuple(run))
+
+
+def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=None) -> FixpointResult:
     """Resolve one instant of a system state.
 
-    With ``events``, (port id, Present(value)) pairs, the instant starts
-    afresh, as clear_ports then deliver_events would leave it.  Without
-    them it starts from the state's port statuses (as clear_ports and
-    deliver_events prepare them), each known one taken as an event.
-    From either start one body runs.
+    With ``events``, (port id, Present(value)) pairs sorted by port id,
+    the instant starts afresh, as clear_ports then deliver_events would
+    leave it.  Without them it starts from the state's port statuses (as
+    clear_ports and deliver_events prepare them), each known one taken
+    as an event.  From either start one body runs.
 
-    The instant copies the mode's prebuilt start (``RuleSet.start``, in
-    which the reach of every unwritten port is already ABSENT) and writes
-    each event through its port's reach.  An event may replace an ABSENT
-    of the start only where every unwritten port whose reach put it
-    there has an event of the same status this instant; otherwise the
-    port has two drivers that disagree, and that raises AssertionError,
-    as does a write that finds a port of its reach known with another
-    status.  Then the mode's rules run in the order of its schedule
-    (``RuleSet.schedule``, built once and kept on the mode): a rule on
-    no cycle runs once, after every rule that feeds it, and each
+    The instant looks up the plan for the ports its events land on
+    (``RuleSet.plans``, built by ``_plan`` on first use and kept on the
+    mode), copies the plan's start, in which the reach of every
+    unwritten port without an event and of every rule the plan leaves
+    out is already ABSENT, and writes each event through its port's
+    reach.  An event may replace an ABSENT of the start only where every
+    unwritten port whose reach put it there has an event of the same
+    status this instant;
+    otherwise the port has two drivers that disagree, and that raises
+    AssertionError, as does a write that finds a port of its reach known
+    with another status.  Then the plan's rules run in schedule order: a
+    rule on no cycle runs once, after every rule that feeds it, and each
     ``_Loop`` runs a worklist of its own members until none has anything
-    left to write.  ``rng`` (a random.Random) draws another valid
-    schedule, and another start order inside each loop; the result must
-    not depend on it.  ``applications`` counts the live ports resolved
-    after the events: the live ports, less the live ports an event was
+    left to write.  ``applications`` counts the live ports resolved after
+    the events: the live ports, less the live ports an event was
     delivered to, less the stalled ports.
 
     Unknown ports at quiescence raise CausalityCycle unless
@@ -528,15 +645,21 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
     if rule_set is None:
         rule_set = mode.rules = build_rules(network, mode)
     fresh = events is not None
-    if not fresh:
+    if fresh:
+        key = tuple([pid for pid, _ in events])
+    else:
+        known = [(pid, status) for pid, status in enumerate(state.statuses) if status is not UNKNOWN]
+        key = tuple([pid for pid, _ in known])
         # Present statuses first, so that an ABSENT one of them meets is
         # one the start put there.
-        known = [(pid, status) for pid, status in enumerate(state.statuses) if status is not UNKNOWN]
         events = sorted(known, key=lambda event: not isinstance(event[1], Present))
-    st = list(rule_set.start)
+    plan = rule_set.plans.get(key)
+    if plan is None:
+        plan = rule_set.plans[key] = _plan(rule_set, key)
+    st = list(plan.start)
     reach, owner = rule_set.reach, rule_set.owner
     live, actor = mode.live, network.port_actor
-    resolved = rule_set.absent
+    resolved = plan.absent
     delivered = 0
     for pid, status in events:
         if not live[actor[pid]]:
@@ -552,33 +675,15 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, rng=Non
                 resolved += 1
             elif old != status:
                 if old is not ABSENT or not (owner[q] == pid or _drivers_agree(rule_set, q, status, events)):
-                    raise _conflict(network, q)
+                    raise _conflict(network.keys, q)
                 st[q] = status
 
+    # Firing decisions are read off at quiescence, before any fallback: a
+    # machine that could not decide did not fire.
     locations, values = state.locations, state.values
-    decided = {}
-    schedule = rule_set.schedule if rng is None else _random_schedule(rule_set, rng)
-    for item in schedule:
-        if item.__class__ is _Loop:
-            resolved += _settle(item, st, locations, values, decided, reach, network, rng)
-            continue
-        for pid, status in item.step(st, locations, values, decided):
-            for q in reach[pid]:
-                old = st[q]
-                if old is UNKNOWN:
-                    st[q] = status
-                    resolved += 1
-                elif old != status:
-                    raise _conflict(network, q)
-
-    # Firing decisions are read off at quiescence, before any fallback:
-    # a machine that could not decide did not fire.  Each machine's rule
-    # ran after its last input resolved, so its last verdict is final.
     fired = {}
-    for rule in rule_set.rules:
-        kind, entry = decided[rule.index]
-        if kind == "fire":
-            fired[rule.index] = entry
+    for item in plan.run:
+        resolved += item.run(st, locations, values, fired, reach)
 
     ports = rule_set.ports
     if resolved < len(ports):
@@ -608,34 +713,6 @@ def _drivers_agree(rule_set: RuleSet, q: int, status, events) -> bool:
     return bool(sources) and all(given.get(pid) == status for pid in sources)
 
 
-def _conflict(network: Network, q: int) -> AssertionError:
-    return AssertionError(f"port {_key_text(network.keys[q])} driven to two different statuses")
+def _conflict(keys, q: int) -> AssertionError:
+    return AssertionError(f"port {_key_text(keys[q])} driven to two different statuses")
 
-
-def _settle(loop: _Loop, st, locations, values, decided, reach, network, rng) -> int:
-    """Run a loop's rules from a worklist of its own until none of them
-    writes anything; a rule runs again when a port it reads resolves.
-    Returns how many ports resolved."""
-    rules, dependents = loop.rules, loop.dependents
-    start = list(range(len(rules)))
-    if rng is not None:
-        rng.shuffle(start)
-    pending = deque(start)
-    queued = [True] * len(rules)
-    resolved = 0
-    while pending:
-        k = pending.popleft()
-        queued[k] = False
-        for pid, status in rules[k].step(st, locations, values, decided):
-            for q in reach[pid]:
-                old = st[q]
-                if old is UNKNOWN:
-                    st[q] = status
-                    resolved += 1
-                    for d in dependents.get(q, ()):
-                        if not queued[d]:
-                            queued[d] = True
-                            pending.append(d)
-                elif old != status:
-                    raise _conflict(network, q)
-    return resolved

@@ -198,8 +198,8 @@ class Mode:
     present triggers: a clock's output with its prebuilt request
     (period, 0, event), a delay's input with (delay, microstep, output
     port id), a setter's input with the value slot it writes;
-    ``rules``: the fixed point's rule set and schedule, built by fire.py
-    on first use.
+    ``rules``: the fixed point's rule set, schedule and instant plans,
+    built by fire.py on first use.
     """
 
     def __init__(self, network: "Network", key):

@@ -12,6 +12,10 @@ from de_fixpoint import build_state_graph, initialize, parse_model
 settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None, max_examples=40
 )
+# The same, with more examples, for a longer run of chosen tests:
+# ``pytest --hypothesis-profile thorough tests/test_plans.py``.  Tests
+# that set their own example count keep it.
+settings.register_profile("thorough", settings.get_profile("deterministic"), max_examples=300)
 settings.load_profile("deterministic")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -47,7 +47,7 @@ from de_fixpoint.values import (
 
 import families
 from conftest import actors, initial_state, load_model
-from fixpoint_ref import reference_fixpoint
+from fixpoint_ref import decide_firing, reference_fixpoint
 
 
 FIXTURES = (
@@ -109,6 +109,14 @@ def fixpoint_signature(result):
     return (result.state.statuses, decisions, result.applications, result.stalled_ports)
 
 
+def reference_signature(prepared, rng):
+    """``fixpoint_signature`` of the copy-rule reference's resolution of
+    ``prepared``, under a schedule ``rng`` shuffles."""
+    statuses, fired, applications, stalled = reference_fixpoint(prepared, rng=rng)
+    decisions = sorted((i, entry.transition) for i, entry in fired.items())
+    return (statuses, decisions, applications, stalled)
+
+
 @pytest.mark.parametrize(
     "fixture", ["flat_traffic_light.model", "hierarchical_traffic_light.model"]
 )
@@ -118,20 +126,20 @@ def test_fixpoint_confluent_under_shuffled_rule_order(fixture):
     for prepared, _ in instants:
         baseline = fixpoint_signature(compute_fixpoint(prepared))
         for seed in range(20):
-            shuffled = compute_fixpoint(prepared, rng=random.Random(seed))
-            assert fixpoint_signature(shuffled) == baseline
+            assert reference_signature(prepared, random.Random(seed)) == baseline
 
 
 def assert_confluent(state, rng, steps):
-    """Every instant of a run resolves the same under shuffled schedules."""
+    """Every instant of a run resolves as the copy-rule reference does
+    under shuffled schedules."""
     instants = 0
     for _ in range(steps):
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
             baseline = fixpoint_signature(compute_fixpoint(state, events=events))
+            prepared = staged(state)
             for _ in range(4):
-                assert fixpoint_signature(compute_fixpoint(state, events=events, rng=rng)) == baseline
-            assert step(state, rng=rng) == step(state)
+                assert reference_signature(prepared, rng) == baseline
             instants += 1
         state, _ = step(state)
     assert instants >= 10
@@ -203,8 +211,9 @@ def test_nets_resolve_as_the_copy_rule_reference_on_fixtures(fixture):
 )
 def test_applications_never_exceed_live_port_count(fixture):
     for prepared, live_ports in iteration_instants(initial_state(fixture), max_elapsed=12):
-        result = compute_fixpoint(prepared, rng=random.Random(99))
+        result = compute_fixpoint(prepared)
         assert result.applications <= live_ports
+        assert reference_signature(prepared, random.Random(99))[2] == result.applications
 
 
 def test_all_live_ports_known_at_quiescence(flat_state):
@@ -461,7 +470,7 @@ def test_step_matches_manual_fire_pipeline(flat_state):
     while not is_due(state):
         state, _ = step(state)
     manual = compute_fixpoint(staged(state))
-    stepped, kind = step(state, rng=random.Random(3))
+    stepped, kind = step(state)
     assert isinstance(kind, Iteration)
     expected = {}
     for i, path in state.network.fsm_paths:
@@ -696,38 +705,57 @@ def test_only_a_cycle_of_rules_iterates():
             assert found == loops
 
 
+def plan_of(state, events):
+    """The plan compute_fixpoint runs for an instant of ``state``'s mode
+    whose events are ``events``, once the instant has run."""
+    return state.mode.rules.plans[tuple(pid for pid, _ in events)]
+
+
 def decisions_per_instant(state, steps):
     """For each due instant of a run in an acyclic mode, how often each
-    live machine's firing was decided, by label; and the live machines."""
+    live machine decided, by label; the machines its plan runs; and the
+    instant's popped state and result."""
     calls = Counter()
-    real = fire.decide_firing
+    real = fire._Machine.run
 
-    def counting(info, location, st, values):
-        calls[info.label] += 1
-        return real(info, location, st, values)
+    def counting(machine, *args):
+        calls[machine.info.label] += 1
+        return real(machine, *args)
 
     out = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fire, "decide_firing", counting)
+        patch.setattr(fire._Machine, "run", counting)
         for _ in range(steps):
             if not state.entries:
                 break
             if is_due(state):
                 popped, events = pop_due(state)
                 calls.clear()
-                compute_fixpoint(popped, events=events)
+                result = compute_fixpoint(popped, events=events)
                 rule_set = state.mode.rules
                 if not any(isinstance(item, fire._Loop) for item in rule_set.schedule):
-                    out.append((dict(calls), {rule.info.label for rule in rule_set.rules}))
+                    plan = plan_of(state, events)
+                    out.append((dict(calls), {item.info.label for item in plan.run}, popped, result))
             state, _ = step(state)
     return out
 
 
 def assert_each_machine_decides_once(state, steps, minimum):
+    """Exactly the plan's machines decide, each once per instant, and
+    every live machine left out would have decided not to fire: the
+    reference decision on the resolved statuses says so, and its outputs
+    resolved absent."""
     instants = decisions_per_instant(state, steps)
     assert len(instants) >= minimum
-    for calls, machines in instants:
+    for calls, machines, popped, result in instants:
         assert calls == dict.fromkeys(machines, 1)
+        resolved = result.state
+        for rule in resolved.mode.rules.rules:
+            if rule.info.label in machines:
+                continue
+            verdict = decide_firing(rule.info, popped.locations[rule.index], resolved.statuses, popped.values)
+            assert verdict == ("nofire", None)
+            assert all(resolved.statuses[pid] is ABSENT for pid in rule.info.out_ids.values())
 
 
 @pytest.mark.parametrize("fixture", FIXTURES[:3])
@@ -739,6 +767,18 @@ def test_each_live_machine_decides_once_per_instant_in_an_acyclic_mode(fixture):
 @given(families.MODELS)
 def test_each_live_machine_decides_once_per_instant_on_generated_models(text):
     assert_each_machine_decides_once(initialize(parse_model(text)), 120, 10)
+
+
+def test_an_instant_runs_only_the_machines_its_events_reach():
+    # Two crossings: at t = 1 only Clock1 ticks, and it reaches Car1 alone;
+    # at t = 1/2 only StopWire0 fires, into Ped0.  Every other machine hears
+    # nothing and is left out.
+    state = initialize(parse_model(families.crossings((2, 3), 5, 0)))
+    runs = {popped.elapsed: (calls, machines) for calls, machines, popped, _ in decisions_per_instant(state, 40)}
+    assert runs[Fraction(1)] == ({"Crossings.Car1": 1}, {"Crossings.Car1"})
+    assert runs[Fraction(1, 2)] == ({"Crossings.Ped0": 1}, {"Crossings.Ped0"})
+    # Where both clocks tick, both cars run.
+    assert runs[Fraction(4)] == ({"Crossings.Car0": 1, "Crossings.Car1": 1}, {"Crossings.Car0", "Crossings.Car1"})
 
 
 # A loop that resolves. ----------------------------------------------------------
@@ -821,8 +861,8 @@ def test_a_rule_downstream_of_a_stalled_loop_decides_once_and_partially():
     assert list(result.decisions) == [c]
     assert (("FeedbackLoop", "C"), "Out", OUT) in result.stalled_ports
     labels = []
-    real = fire.decide_firing
+    real = fire._Machine.run
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fire, "decide_firing", lambda info, *rest: labels.append(info.label) or real(info, *rest))
+        patch.setattr(fire._Machine, "run", lambda machine, *rest: labels.append(machine.info.label) or real(machine, *rest))
         compute_fixpoint(popped, bottom_as_absent=True, events=events)
     assert labels.count("FeedbackLoop.C") == 1

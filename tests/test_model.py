@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
 from de_fixpoint.expr import Binary, IsPresent, Lit, Var, expr_text
 from de_fixpoint.executor import step
-from de_fixpoint.fire import clear_ports, decide_firing
+from de_fixpoint import fire
+from de_fixpoint.fire import clear_ports
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -45,6 +46,7 @@ from de_fixpoint.values import (
 
 import families
 from conftest import actors, load_model, model_path
+from fixpoint_ref import decide_firing
 from normalize_ref import reference_normalize
 
 TRUE = Lit(BoolVal(True))
@@ -249,15 +251,35 @@ def machine(*transitions, variables=None):
 
 
 def decide(node, input_statuses):
-    """decide_firing over the machine's compiled transitions: (verdict, transition).
+    """The machine's firing decision, (verdict, transition), as the
+    reference ``decide_firing`` makes it; the engine's ``_Machine.run``
+    must make the same one, or raise the same error.
 
     The machine runs alone inside a composite, the smallest valid model.
     """
     network = Network(ActorNode("T", COMPOSITE, inner=(node,)))
     statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
-    values = network.flatten(network.template)[1]
-    verdict, entry = decide_firing(network.fsms[1], node.curr_location, statuses, values)
-    return verdict, (entry.transition if entry is not None else None)
+    locations, values, _ = network.flatten(network.template)
+    info = network.fsms[1]
+
+    def engine():
+        machine = fire._Machine(1, network, network.nodes_of(network.template)[1])
+        st, fired = list(statuses), {}
+        machine.run(st, locations, values, fired, [(pid,) for pid in range(network.size)])
+        if 1 in fired:
+            return "fire", fired[1].transition
+        return ("nofire", None) if st[info.out_ids["Out"]] is ABSENT else (None, None)
+
+    try:
+        verdict, entry = decide_firing(info, node.curr_location, statuses, values)
+    except Exception as error:
+        with pytest.raises(type(error)) as raised:
+            engine()
+        assert str(raised.value) == str(error)
+        raise
+    want = verdict, (entry.transition if entry is not None else None)
+    assert engine() == want
+    return want
 
 
 def test_decision_waits_for_guard_ports():
