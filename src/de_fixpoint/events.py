@@ -82,14 +82,6 @@ def _merge(events, new: Event, tag):
 class EventQueue:
     entries: tuple = ()  # QueueEntry, strictly increasing (time, microstep)
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def head_tag(self):
-        if not self.entries:
-            raise EmptyQueue()
-        return self.entries[0].tag()
-
     def add(self, time, microstep: int, event: Event) -> "EventQueue":
         """Schedule one event ``time`` from now at the given microstep."""
         time = time_amount(time)

@@ -2,7 +2,8 @@
 
 A step looks at the head of the event queue and does exactly one of
 three things.  If events are due right now (head at time 0, microstep 0)
-it runs a full iteration: clear ports, deliver, fix point, commit.  If
+it runs a full iteration: the fixed point clears the ports, delivers
+the due events and resolves the rest, then postfire commits.  If
 the head is at the current timestamp but a later microstep, it advances
 the microstep counter.  Otherwise it lets time pass up to the head.
 Every step is deterministic, so a run is fully determined by the initial
@@ -31,8 +32,8 @@ from .util import rational_json, ticks_text
 from .values import BoolVal, IntVal, StringVal, TimeVal, literal_text
 
 # Bound here only for bench/spans.py, which wraps them by these names,
-# until the bench reads counters instead (ROADMAP item 3): step fuses
-# both phases into compute_fixpoint and calls neither.
+# until the bench reads counters instead (ROADMAP item 1, stage C): step
+# fuses both stages into compute_fixpoint and calls neither.
 from .fire import clear_ports, deliver_events  # noqa: F401
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -84,10 +85,10 @@ def step(state: SystemState, bottom_as_absent: bool = False):
             advance_microstep(entries, microstep), state.now, state.microstep_of_instant + microstep
         )
         return nxt, Microstep(microstep)
-    popped = state.requeued(entries[1:], state.now, state.microstep_of_instant)
-    # Clear, deliver and resolve in one pass over a flat status table.
-    result = compute_fixpoint(popped, bottom_as_absent=bottom_as_absent, events=events)
-    nxt, requests = postfire(result.state, result.decisions)
+    # Clear, deliver and resolve in one pass over a flat status table; the
+    # commit builds the next state once, with the due batch consumed.
+    result = compute_fixpoint(state, events, bottom_as_absent)
+    nxt, requests = postfire(state, result.statuses, result.decisions)
     return commit_requests(nxt, requests), _ITERATION
 
 

@@ -29,10 +29,6 @@ Everything static about an instant is built from the compiled network
 once per mode, when a state in it first resolves an instant, and kept
 on the mode (``RuleSet``):
 
-* the start: a status list in which the reach of every port that
-  nothing writes is already ABSENT.  An instant copies it and writes
-  only its events, so it costs what its events touch, not what the
-  model holds;
 * the schedule: rule A feeds rule B when a port in the reach of one of
   A's outputs is one B reads.  The strongly connected parts of that
   graph run in topological order, ties going to the deepest actors (a
@@ -43,13 +39,16 @@ on the mode (``RuleSet``):
   partial until its ports resolve.  A rule downstream of a cycle that
   stalls makes the one partial decision its known inputs allow;
 * the plans, one per set of ports an instant's events land on, built
-  on first use (``_plan``).  A machine with no present input cannot
-  fire (as in the DE semantics of Lee & Zheng, EMSOFT 2007, and
-  Ptolemy II's DE director, which fires only the actors that have
-  events), so a plan runs only the machines that read a port in the
-  reach of an event or of a running machine's output, and every
-  machine it cannot leave out; the rest write ABSENT through their
-  outputs' reach in the plan's start.
+  on first use (``_plan``).  A plan's start is a status list in which
+  the reach of every port that nothing writes and no event lands on is
+  already ABSENT; an instant copies it and writes only its events, so
+  it costs what its events touch, not what the model holds.  A machine
+  with no present input cannot fire (as in the DE semantics of Lee &
+  Zheng, EMSOFT 2007, and Ptolemy II's DE director, which fires only
+  the actors that have events), so a plan runs only the machines that
+  read a port in the reach of an event or of a running machine's
+  output, and every machine it cannot leave out; the rest write ABSENT
+  through their outputs' reach in the plan's start.
 
 Leaving a machine out is exact, not an approximation: it happens only
 when the machine would have decided not to fire, raised nothing and
@@ -70,10 +69,11 @@ sees to that for trees), and state machines read their location and
 variables from the state's slots; guards and outputs are compiled
 closures (see expr.compile_expr).
 
-Every phase takes a system state and nothing else.  The executor runs
-a fresh instant in one call, ``compute_fixpoint(state, events=...)``;
-``clear_ports`` then ``deliver_events`` reach the same starting point in
-two stages, from which ``compute_fixpoint(state)`` runs the same body.
+An instant has one entry, ``compute_fixpoint(state, events)``: it
+clears every port, delivers the due events and resolves the rest, and
+returns the statuses and firing decisions for ``postfire`` to commit.
+``clear_ports`` and ``deliver_events`` are the first two of those
+stages on their own; no step calls them (see their comment).
 """
 
 from __future__ import annotations
@@ -118,20 +118,21 @@ def _with_statuses(state: SystemState, statuses) -> SystemState:
     )
 
 
+# The first two stages of an instant on their own.  Bound only for
+# bench/spans.py, which wraps them by name through ``executor``, until
+# the bench reads counters instead (ROADMAP item 1, stage C): no step
+# and no test calls them, since compute_fixpoint clears and delivers
+# for itself.
+
+
 def clear_ports(state: SystemState) -> SystemState:
     """Reset every port (frozen subtrees included) to unknown."""
     return _with_statuses(state, (UNKNOWN,) * state.network.size)
 
 
 def deliver_events(state: SystemState, events) -> SystemState:
-    """Write the values of due events onto their target output ports.
-
-    ``events`` are (port id, Present(value)) pairs, as a queue entry
-    holds them.  Every scheduled event addresses the output port of the
-    actor that produced it (clocks and delays); propagation to readers is
-    the fixed point's job.  Deliveries into frozen subtrees still set the
-    port (the value is genuinely there) but nothing reacts to it.
-    """
+    """Write the (port id, Present(value)) pairs ``events`` onto their
+    ports, and nowhere else."""
     network = state.network
     live = state.mode.live
     actor = network.port_actor
@@ -336,12 +337,6 @@ class RuleSet:
     event lands there;
     ``reach``: by port id, for each live port, the port itself and then
     every live port downstream of it (None for frozen ports);
-    ``start``: by port id, the statuses an instant starts from before its
-    events: ABSENT through the reach of every unwritten port, UNKNOWN
-    elsewhere;
-    ``owner``: by port id, the unwritten port whose reach put ABSENT there
-    in ``start`` (-1 when more than one did; None where none did);
-    ``absent``: how many live ports ``start`` resolves;
     ``schedule``: the order the rules run in: a rule, which runs once, or
     a ``_Loop``, settled by a worklist of its own;
     ``quiet``: the rules on no cycle with no coupled output that alone
@@ -355,9 +350,6 @@ class RuleSet:
     ports: tuple
     unwritten: tuple
     reach: list
-    start: tuple
-    owner: list
-    absent: int
     schedule: tuple
     quiet: frozenset
     plans: dict
@@ -365,7 +357,7 @@ class RuleSet:
 
 def build_rules(network: Network, mode: Mode) -> RuleSet:
     """Compile the live region of a mode: its machines' rules, its nets,
-    the status an instant starts from, and the order the rules run in.
+    and the order the rules run in.
 
     A wire is live when both its ports' actors are.  Live wires only ever
     move a status along, so they are folded into each port's reach, and
@@ -417,17 +409,6 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
                     net.append(q)
         reach[pid] = tuple(net)
     unwritten = tuple(pid for pid in ports if pid not in written)
-    start = [UNKNOWN] * network.size
-    owner = [None] * network.size
-    absent = 0
-    for pid in unwritten:
-        for q in reach[pid]:
-            if owner[q] is None:
-                start[q] = ABSENT
-                owner[q] = pid
-                absent += 1
-            else:
-                owner[q] = -1
     readers = {}
     for n, rule in enumerate(rules):
         for pid in rule.reads:
@@ -439,12 +420,13 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     schedule = _schedule(rules, succ, reach)
     # A rule may go unrun only where it alone writes its outputs' reach:
     # no unwritten port's reach and no other rule's meets it.
+    covered = {q for pid in unwritten for q in reach[pid]}
     writer = {}
     shared = set()
     for rule in rules:
         for pid in rule.info.out_ids.values():
             for q in reach[pid]:
-                if writer.setdefault(q, rule) is not rule or owner[q] is not None:
+                if writer.setdefault(q, rule) is not rule or q in covered:
                     shared.add(q)
     quiet = frozenset(
         item
@@ -453,7 +435,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         and not item.coupled
         and shared.isdisjoint(q for pid in item.info.out_ids.values() for q in reach[pid])
     )
-    return RuleSet(tuple(rules), ports, unwritten, reach, tuple(start), owner, absent, schedule, quiet, {})
+    return RuleSet(tuple(rules), ports, unwritten, reach, schedule, quiet, {})
 
 
 def _schedule(rules, succ, reach):
@@ -541,14 +523,14 @@ def _strong_components(succ):
 
 @dataclass
 class FixpointResult:
-    """One resolved instant: ``state`` with the resolved port statuses, and
-    ``decisions`` mapping each firing machine's actor index to its compiled
-    transition."""
+    """One resolved instant: ``statuses``, every port's status by port id,
+    and ``decisions`` mapping each firing machine's actor index to its
+    compiled transition."""
 
     decisions: dict
     applications: int
     stalled_ports: tuple  # ports that needed the absent fallback, () if none
-    state: SystemState
+    statuses: tuple
 
 
 class _Plan:
@@ -568,31 +550,32 @@ class _Plan:
 def _plan(rule_set: RuleSet, pids) -> _Plan:
     """The plan of an instant whose events land on the ports ``pids``.
 
-    The plan's start is ``rule_set.start`` with each port that only an
-    event's port put ABSENT there back to UNKNOWN, for the event to
-    write, and with the outputs' reach of every rule it leaves out ABSENT.
-    A rule in ``rule_set.quiet`` is left out when every port it reads is
-    ABSENT in the start and no event's reach meets it, no event's reach
-    meets its outputs' reach either, and it is ``proven``.  That is
-    exact: such a rule would decide not to fire without raising, and
-    write ABSENT where nothing else writes.  The schedule is walked in
-    order, so a rule left out can leave the rules it alone feeds out
-    too.  A ``_Loop``, and so every rule it feeds, always runs.
+    The plan's start writes ABSENT through the reach of every unwritten
+    port that has no event, then through the outputs' reach of every
+    rule it leaves out.  A rule in ``rule_set.quiet`` is left out when
+    every port it reads is ABSENT in the start and no event's reach
+    meets it, no event's reach meets its outputs' reach either, and it
+    is ``proven``.  That is exact: such a rule would decide not to fire
+    without raising, and write ABSENT where nothing else writes.  The
+    schedule is walked in order, so a rule left out can leave the rules
+    it alone feeds out too.  A ``_Loop``, and so every rule it feeds,
+    always runs.
     """
-    reach, owner = rule_set.reach, rule_set.owner
-    start = list(rule_set.start)
-    absent = rule_set.absent
+    reach = rule_set.reach
+    start = [UNKNOWN] * len(reach)
+    absent = 0
+    given = set(pids)
+    for pid in rule_set.unwritten:
+        if pid not in given:
+            for q in reach[pid]:
+                if start[q] is UNKNOWN:
+                    start[q] = ABSENT
+                    absent += 1
     reached = set()
     for pid in pids:
         net = reach[pid]
-        if net is None:
-            continue
-        reached.update(net)
-        # Where an event's own port alone put ABSENT, the event replaces it.
-        for q in net:
-            if owner[q] == pid:
-                start[q] = UNKNOWN
-                absent -= 1
+        if net is not None:
+            reached.update(net)
     run = []
     for item in rule_set.schedule:
         if item in rule_set.quiet and all(start[p] is ABSENT and p not in reached for p in item.reads):
@@ -607,27 +590,22 @@ def _plan(rule_set: RuleSet, pids) -> _Plan:
     return _Plan(tuple(start), absent, tuple(run))
 
 
-def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=None) -> FixpointResult:
-    """Resolve one instant of a system state.
+def compute_fixpoint(state: SystemState, events, bottom_as_absent: bool = False) -> FixpointResult:
+    """Resolve the instant at which ``events``, (port id, Present(value))
+    pairs sorted by port id, are due in ``state``.
 
-    With ``events``, (port id, Present(value)) pairs sorted by port id,
-    the instant starts afresh, as clear_ports then deliver_events would
-    leave it.  Without them it starts from the state's port statuses (as
-    clear_ports and deliver_events prepare them), each known one taken
-    as an event.  From either start one body runs.
-
-    The instant looks up the plan for the ports its events land on
-    (``RuleSet.plans``, built by ``_plan`` on first use and kept on the
-    mode), copies the plan's start, in which the reach of every
-    unwritten port without an event and of every rule the plan leaves
-    out is already ABSENT, and writes each event through its port's
-    reach.  An event may replace an ABSENT of the start only where every
-    unwritten port whose reach put it there has an event of the same
-    status this instant;
-    otherwise the port has two drivers that disagree, and that raises
-    AssertionError, as does a write that finds a port of its reach known
-    with another status.  Then the plan's rules run in schedule order: a
-    rule on no cycle runs once, after every rule that feeds it, and each
+    The instant starts with every port unknown; the state's own port
+    statuses play no part.  It looks up the plan for the ports its
+    events land on (``RuleSet.plans``, built by ``_plan`` on first use
+    and kept on the mode), copies the plan's start, in which the reach
+    of every unwritten port without an event and of every rule the plan
+    leaves out is already ABSENT, and writes each event through its
+    port's reach.  A write that finds a port of its reach known with
+    another status means two drivers disagree, and raises
+    AssertionError: an event meeting the ABSENT of a silent second
+    driver, a second event with another value, or a machine's output
+    meeting either.  Then the plan's rules run in schedule order: a rule
+    on no cycle runs once, after every rule that feeds it, and each
     ``_Loop`` runs a worklist of its own members until none has anything
     left to write.  ``applications`` counts the live ports resolved after
     the events: the live ports, less the live ports an event was
@@ -635,8 +613,7 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=
 
     Unknown ports at quiescence raise CausalityCycle unless
     ``bottom_as_absent``, in which case they are forced absent and any
-    still-undecided machine counts as not firing.  Frozen ports keep what
-    they started with: their own statuses, or, for a fresh instant,
+    still-undecided machine counts as not firing.  A frozen port stays
     unknown unless an event was delivered there.
     """
     network = state.network
@@ -644,28 +621,19 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=
     rule_set = mode.rules
     if rule_set is None:
         rule_set = mode.rules = build_rules(network, mode)
-    fresh = events is not None
-    if fresh:
-        key = tuple([pid for pid, _ in events])
-    else:
-        known = [(pid, status) for pid, status in enumerate(state.statuses) if status is not UNKNOWN]
-        key = tuple([pid for pid, _ in known])
-        # Present statuses first, so that an ABSENT one of them meets is
-        # one the start put there.
-        events = sorted(known, key=lambda event: not isinstance(event[1], Present))
+    key = tuple([pid for pid, _ in events])
     plan = rule_set.plans.get(key)
     if plan is None:
         plan = rule_set.plans[key] = _plan(rule_set, key)
     st = list(plan.start)
-    reach, owner = rule_set.reach, rule_set.owner
+    reach = rule_set.reach
     live, actor = mode.live, network.port_actor
     resolved = plan.absent
     delivered = 0
     for pid, status in events:
         if not live[actor[pid]]:
             st[pid] = status
-            if fresh:
-                _frozen_delivery(network, pid)
+            _frozen_delivery(network, pid)
             continue
         delivered += 1
         for q in reach[pid]:
@@ -674,9 +642,7 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=
                 st[q] = status
                 resolved += 1
             elif old != status:
-                if old is not ABSENT or not (owner[q] == pid or _drivers_agree(rule_set, q, status, events)):
-                    raise _conflict(network.keys, q)
-                st[q] = status
+                raise _conflict(network.keys, q)
 
     # Firing decisions are read off at quiescence, before any fallback: a
     # machine that could not decide did not fire.
@@ -702,15 +668,7 @@ def compute_fixpoint(state: SystemState, bottom_as_absent: bool = False, events=
     else:
         stalled = ()
     applications = len(ports) - delivered - len(stalled)
-    return FixpointResult(fired, applications, stalled, _with_statuses(state, tuple(st)))
-
-
-def _drivers_agree(rule_set: RuleSet, q: int, status, events) -> bool:
-    """Whether every unwritten port whose reach covers ``q`` has an event
-    of ``status`` among ``events``, so that none of them drives ABSENT."""
-    given = dict(events)
-    sources = [pid for pid in rule_set.unwritten if q in rule_set.reach[pid]]
-    return bool(sources) and all(given.get(pid) == status for pid in sources)
+    return FixpointResult(fired, applications, stalled, tuple(st))
 
 
 def _conflict(keys, q: int) -> AssertionError:

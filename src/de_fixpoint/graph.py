@@ -13,6 +13,14 @@ node — that is what lets periodic systems close their cycle at all.
 When a time bound is given, identity additionally includes the
 timestamp, so every reported state sits at the time it really occurred;
 the price is a graph that grows with the bound.
+
+Nodes are found by their hash (and, when bounded, their time), and the
+nodes that share one are told apart by equality, in the order they were
+found.  A state's hash skips its port statuses, so states that differ
+only there share a hash.  Keyed by the states themselves, a dict would
+compare them on its own probe path, which can pass one slot twice and
+depends on how the per-process hash values lay out the table; this way
+a build makes the same equality tests in every process.
 """
 
 from __future__ import annotations
@@ -71,10 +79,10 @@ class StateGraph:
         return row
 
 
-def _identity(state: SystemState, bounded: bool):
+def _key(state: SystemState, bounded: bool):
     if bounded:
-        return (state, state.now, state.microstep_of_instant)
-    return state
+        return (hash(state), state.now, state.microstep_of_instant)
+    return hash(state)
 
 
 def build_state_graph(
@@ -94,7 +102,7 @@ def build_state_graph(
     nodes = [initial]
     kinds = []
     succ = []
-    ids = {_identity(initial, bounded): 0}
+    ids = {_key(initial, bounded): [0]}  # key -> the node ids that have it
     while True:
         if len(nodes) > max_states:
             raise StateSpaceExceeded(max_states)
@@ -106,10 +114,16 @@ def build_state_graph(
         nxt, kind = step(state, bottom_as_absent=bottom_as_absent)
         kinds.append(kind)
         # One lookup interns a new state or finds the one that closes the lasso.
-        known = ids.setdefault(_identity(nxt, bounded), len(nodes))
+        same = ids.setdefault(_key(nxt, bounded), [])
+        for known in same:
+            if nodes[known] == nxt:
+                break
+        else:
+            known = len(nodes)
         succ.append(known)
         if known < len(nodes):
             break
+        same.append(known)
         nodes.append(nxt)
 
     return StateGraph(nodes, succ, kinds, bounded, bottom_as_absent)

@@ -22,7 +22,9 @@ ones.  A clock's request is prebuilt; a delay's is built around the
 status it forwards.  It reads and writes a state's slots by actor
 index, port id and value slot (see state.py), and its scheduling
 requests are (ticks, microstep, (port id, status)) triples, which
-``commit_requests`` folds into the state's queue.
+``commit_requests`` folds into the state's queue.  An iteration builds
+at most two states: ``postfire`` builds the next one, and
+``commit_requests`` a second only when there is something to schedule.
 
 ``initialize`` compiles the model's network (see network.py), which
 normalizes and validates the tree first and which every later state
@@ -62,21 +64,24 @@ def initialize(top: ActorNode) -> SystemState:
     return make_state(network, mode, tuple(locations), values, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
-def postfire(state: SystemState, decisions):
+def postfire(state: SystemState, statuses, decisions):
     """Commit one iteration.  Returns (next state, scheduling requests).
 
-    ``state`` must carry the resolved port statuses and ``decisions`` the
-    firing machines' compiled transitions by actor index, both as
-    compute_fixpoint produced them.  The machines in ``decisions`` move
-    and update their variables; no other machine is looked at.  Then
-    one scan over the mode's triggers finds the present ones: a ticked
-    clock reschedules, a delay forwards its input, a setter writes its
-    slot.  Slots that do not change are shared with ``state``.  The
-    requests are in actor order; commit them with commit_requests to
-    preserve the deterministic ordering.
+    ``state`` is the state the iteration ran on, with the batch it
+    delivered at the head of its queue; ``statuses`` (every port's status
+    by port id) and ``decisions`` (the firing machines' compiled
+    transitions by actor index) are what compute_fixpoint resolved.  The
+    next state carries ``statuses`` and the queue without its head
+    entry.  The machines in ``decisions`` move and update their
+    variables; no other machine is looked at.  Then one scan over the
+    mode's triggers finds the present ones: a ticked clock reschedules,
+    a delay forwards its input, a setter writes its slot.  Slots that do
+    not change are shared with ``state``.  The requests are in actor
+    order; commit them with commit_requests to preserve the
+    deterministic ordering.
     """
     network, mode = state.network, state.mode
-    locations, values, statuses = state.locations, state.values, state.statuses
+    locations, values = state.locations, state.values
     new_locations = new_values = None
     # A machine's updates write its own variables and a setter writes a
     # composite's, so the machines can go first.
@@ -116,7 +121,7 @@ def postfire(state: SystemState, decisions):
         locations,
         values if new_values is None else tuple(new_values),
         statuses,
-        state.entries,
+        state.entries[1:],
         state.now,
         state.microstep_of_instant,
     )
@@ -124,7 +129,10 @@ def postfire(state: SystemState, decisions):
 
 
 def commit_requests(state: SystemState, requests) -> SystemState:
-    """Fold a postfire's scheduling requests into the state's queue, in the order given."""
+    """Fold a postfire's scheduling requests into the state's queue, in
+    the order given; ``state`` itself when there are none."""
+    if not requests:
+        return state
     entries = state.entries
     for time, microstep, event in requests:
         entries = schedule(entries, time, microstep, event, state.network)

@@ -13,8 +13,11 @@ map, not from ``Network.wires``; what it shares with the engine is the
 compiled transitions, the port-name format of ``fire._key_text``, port
 ids and the mode's live flags.
 
-``reference_fixpoint(state)`` starts from the state's port statuses,
-as clear_ports and deliver_events prepare them.
+``reference_fixpoint(state, events)`` resolves the instant at which
+``events`` are due in ``state``, as ``fire.compute_fixpoint`` does: it
+clears every port itself, writes each event onto its own port, and
+leaves the rest of the event's net to the copy rules.  Two drivers
+that disagree meet in a copy rule, which raises.
 """
 
 from __future__ import annotations
@@ -220,17 +223,20 @@ def _rules(network, mode):
     return sorted(rules, key=lambda r: -r.depth), ports, unwritten
 
 
-def reference_fixpoint(state, bottom_as_absent=False, rng=None):
+def reference_fixpoint(state, events, bottom_as_absent=False, rng=None):
     """(statuses, {actor index: compiled transition} of the machines that
-    fire, applications, stalled port keys) for the instant ``state``
-    starts; raises CausalityCycle as ``fire.compute_fixpoint`` does."""
+    fire, applications, stalled port keys) for the instant of ``state``
+    at which ``events`` are due; raises CausalityCycle as
+    ``fire.compute_fixpoint`` does."""
     network = state.network
     rules, ports, unwritten = _rules(network, state.mode)
     dependents = [[] for _ in range(network.size)]
     for n, rule in enumerate(rules):
         for pid in rule.reads:
             dependents[pid].append(n)
-    st = list(state.statuses)
+    st = [UNKNOWN] * network.size
+    for pid, status in events:
+        st[pid] = status
     applications = 0
     for pid in unwritten:
         if st[pid] is UNKNOWN:

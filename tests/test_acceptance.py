@@ -52,7 +52,7 @@ from de_fixpoint import (
 )
 from de_fixpoint.cli import main as cli_main
 from de_fixpoint.executor import Iteration
-from de_fixpoint.fire import clear_ports, compute_fixpoint, deliver_events
+from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.formula import collect_atoms, desugar
 from de_fixpoint.postfire import initialize
 from de_fixpoint.state import collect_variables, fsm_locations
@@ -243,16 +243,14 @@ def test_criterion_06_zero_delays_cost_microsteps_not_time():
 
 
 def _fire_instants(name, *, max_elapsed):
-    """[(state with events delivered, live port count)] per whole instant."""
+    """[(state, its due events, live port count)] per whole instant."""
     state = initial_state(name)
     out = []
     while state.entries and state.elapsed <= max_elapsed:
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
-            popped = state.requeued(state.entries[1:], state.now, state.microstep_of_instant)
-            prepared = deliver_events(clear_ports(popped), events)
             live = sum(len(node.ports) for _, node, live in actors(state) if live)
-            out.append((prepared, live))
+            out.append((state, events, live))
         state, _ = step(state)
     return out
 
@@ -273,12 +271,12 @@ def test_criterion_07_fixpoint_confluent_and_bounded():
         for name in FIXTURES:
             instants = _fire_instants(name, max_elapsed=2)
             assert len(instants) >= 3
-            for prepared, live in instants:
-                baseline = compute_fixpoint(prepared)
-                want = (baseline.state.statuses, _decisions(baseline))
+            for state, events, live in instants:
+                baseline = compute_fixpoint(state, events)
+                want = (baseline.statuses, _decisions(baseline))
                 assert baseline.applications <= live
                 for seed in range(100):
-                    statuses, fired, applications, _ = reference_fixpoint(prepared, rng=random.Random(seed))
+                    statuses, fired, applications, _ = reference_fixpoint(state, events, rng=random.Random(seed))
                     assert (statuses, sorted((i, e.transition) for i, e in fired.items())) == want
                     assert applications <= live
 
@@ -330,7 +328,7 @@ def test_criterion_09_frozen_refinement_bit_identical(hier_state):
         state = hier_state
         frozen_steps = 0
         froze_at = thawed_at = None
-        while not state.queue.is_empty() and state.elapsed < 24:
+        while state.entries and state.elapsed < 24:
             before = state
             state, _ = step(state)
             if not normal_enabled(before):

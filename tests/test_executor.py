@@ -1,10 +1,13 @@
 """Deterministic execution: step kinds, superdense time, bounds, traces."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from de_fixpoint import graph as graph_module
+from de_fixpoint import state as state_module
 from de_fixpoint.errors import EmptyQueue
 from de_fixpoint.executor import (
     Iteration,
@@ -16,9 +19,12 @@ from de_fixpoint.executor import (
     trace_step_text,
 )
 from de_fixpoint.parser import parse_model
+from de_fixpoint.graph import build_state_graph
 from de_fixpoint.postfire import initialize
 from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import IntVal
+
+import families
 
 
 def pipeline(delays):
@@ -120,7 +126,7 @@ def test_time_bound_is_inclusive(flat_state):
     # The tick that would land at 4 is not taken, and the queue still
     # holds the future it would have consumed.
     assert not trace.truncated
-    assert not trace.final.queue.is_empty()
+    assert trace.final.queue_summary()
 
 
 def test_fractional_time_bound_stops_between_ticks(flat_state):
@@ -209,3 +215,44 @@ def test_variables_inside_frozen_refinements_stay_visible(hier_state):
     assert "HierarchicalTrafficLight.TrafficLight.normal.CarLight" in fsm_locations(
         state
     )
+
+
+def states_built_per_step(monkeypatch, state, time_bound=None):
+    """{step kind name: Counter of how many states a step of that kind
+    built} over a graph build from ``state``."""
+    built = 0
+    new = state_module._new
+
+    def counting_new(cls):
+        nonlocal built
+        built += 1
+        return new(cls)
+
+    per_kind = {}
+    real_step = graph_module.step
+
+    def counting_step(state, **options):
+        nonlocal built
+        built = 0
+        nxt, kind = real_step(state, **options)
+        per_kind.setdefault(type(kind).__name__, Counter())[built] += 1
+        return nxt, kind
+
+    monkeypatch.setattr(state_module, "_new", counting_new)
+    monkeypatch.setattr(graph_module, "step", counting_step)
+    build_state_graph(state, time_bound)
+    return per_kind
+
+
+def test_an_iteration_builds_at_most_two_states(monkeypatch):
+    # postfire builds the next state, with the due batch consumed, and
+    # commit_requests builds a second only when something is scheduled; a
+    # tick or a microstep requeues the state once.
+    per_kind = states_built_per_step(monkeypatch, initialize(parse_model(families.crossings((3, 7), 6, 0))))
+    assert set(per_kind) == {"Iteration", "Tick"}
+    assert set(per_kind["Iteration"]) == {1, 2}
+    assert set(per_kind["Tick"]) == {1}
+    # The pipeline counts forever, so its graph is cut at a time bound.
+    per_kind = states_built_per_step(monkeypatch, initialize(parse_model(pipeline([0, 0]))), 3)
+    assert set(per_kind["Microstep"]) == {1}
+    assert set(per_kind["Iteration"]) <= {1, 2}

@@ -17,7 +17,7 @@ from de_fixpoint.events import Event, EventQueue, QueueEntry
 from de_fixpoint.expr import Binary, IsPresent, Lit, Unary
 from de_fixpoint import fire
 from de_fixpoint import network as network_module
-from de_fixpoint.fire import build_rules, clear_ports, compute_fixpoint, deliver_events
+from de_fixpoint.fire import build_rules, compute_fixpoint
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -48,6 +48,7 @@ from de_fixpoint.values import (
 import families
 from conftest import actors, initial_state, load_model
 from fixpoint_ref import decide_firing, reference_fixpoint
+from test_plans import outcome
 
 
 FIXTURES = (
@@ -58,32 +59,38 @@ FIXTURES = (
 )
 
 
-def pop_due(state):
-    """(the state with its due batch popped, the batch), as a step pops it."""
-    _, _, events = state.entries[0]
-    return state.requeued(state.entries[1:], state.now, state.microstep_of_instant), events
+def due(state):
+    """The batch at the head of ``state``'s queue, as a step delivers it."""
+    return state.entries[0][2]
 
 
-def staged(state):
-    """The staged reference for a due instant: the due batch popped, every
-    port cleared, then the batch delivered."""
-    popped, events = pop_due(state)
-    return deliver_events(clear_ports(popped), events)
+def with_statuses(state, statuses):
+    """``state`` with the port statuses ``statuses``, to read them off its tree."""
+    return make_state(
+        state.network,
+        state.mode,
+        state.locations,
+        state.values,
+        statuses,
+        state.entries,
+        state.now,
+        state.microstep_of_instant,
+    )
 
 
 def fused_matches_staged(state, steps):
-    """Step ``steps`` times; at every due instant, resolving it in one call
-    must equal resolving the staged reference.  Returns the instants seen."""
+    """Step ``steps`` times; at every due instant, resolving it must equal
+    resolving it from the same state with every port cleared first: an
+    instant reads none of the port statuses the last one left.  Returns
+    the instants seen."""
     seen = 0
     for _ in range(steps):
         if is_due(state):
-            popped, events = pop_due(state)
-            fused = compute_fixpoint(popped, events=events)
-            reference = compute_fixpoint(staged(state))
-            assert fixpoint_signature(fused) == fixpoint_signature(reference)
-            assert fused.state == reference.state
-            assert fused.state.top == reference.state.top
-            assert fused.decisions == reference.decisions
+            events = due(state)
+            fused = compute_fixpoint(state, events)
+            cleared = compute_fixpoint(with_statuses(state, (UNKNOWN,) * state.network.size), events)
+            assert fixpoint_signature(fused) == fixpoint_signature(cleared)
+            assert fused.decisions == cleared.decisions
             seen += 1
         state, _ = step(state)
     return seen
@@ -94,25 +101,26 @@ def is_due(state):
 
 
 def iteration_instants(state, *, max_elapsed):
-    """[(state with events delivered, live port count)] per fire instant."""
+    """[(state, its due events, live port count)] per fire instant."""
     out = []
     while state.entries and state.elapsed <= max_elapsed:
         if is_due(state):
             live_ports = sum(len(node.ports) for _, node, live in actors(state) if live)
-            out.append((staged(state), live_ports))
+            out.append((state, due(state), live_ports))
         state, _ = step(state)
     return out
 
 
 def fixpoint_signature(result):
     decisions = sorted((i, entry.transition) for i, entry in result.decisions.items())
-    return (result.state.statuses, decisions, result.applications, result.stalled_ports)
+    return (result.statuses, decisions, result.applications, result.stalled_ports)
 
 
-def reference_signature(prepared, rng):
+def reference_signature(state, events, rng):
     """``fixpoint_signature`` of the copy-rule reference's resolution of
-    ``prepared``, under a schedule ``rng`` shuffles."""
-    statuses, fired, applications, stalled = reference_fixpoint(prepared, rng=rng)
+    the instant of ``state`` at which ``events`` are due, under a
+    schedule ``rng`` shuffles."""
+    statuses, fired, applications, stalled = reference_fixpoint(state, events, rng=rng)
     decisions = sorted((i, entry.transition) for i, entry in fired.items())
     return (statuses, decisions, applications, stalled)
 
@@ -123,10 +131,10 @@ def reference_signature(prepared, rng):
 def test_fixpoint_confluent_under_shuffled_rule_order(fixture):
     instants = iteration_instants(initial_state(fixture), max_elapsed=8)
     assert len(instants) >= 8
-    for prepared, _ in instants:
-        baseline = fixpoint_signature(compute_fixpoint(prepared))
+    for state, events, _ in instants:
+        baseline = fixpoint_signature(compute_fixpoint(state, events))
         for seed in range(20):
-            assert reference_signature(prepared, random.Random(seed)) == baseline
+            assert reference_signature(state, events, random.Random(seed)) == baseline
 
 
 def assert_confluent(state, rng, steps):
@@ -136,10 +144,9 @@ def assert_confluent(state, rng, steps):
     for _ in range(steps):
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
-            baseline = fixpoint_signature(compute_fixpoint(state, events=events))
-            prepared = staged(state)
+            baseline = fixpoint_signature(compute_fixpoint(state, events))
             for _ in range(4):
-                assert reference_signature(prepared, rng) == baseline
+                assert reference_signature(state, events, rng) == baseline
             instants += 1
         state, _ = step(state)
     assert instants >= 10
@@ -156,40 +163,32 @@ def test_fixpoint_confluent_on_generated_models(text, seed):
 @settings(max_examples=20)
 @given(families.MODELS)
 def test_fused_instant_matches_staged_on_generated_models(text):
-    # A fresh instant in one call resolves exactly as clearing the ports,
-    # delivering the due events and resolving from there.
+    # An instant resolves exactly as it would with every port cleared first.
     assert fused_matches_staged(initialize(parse_model(text)), 120) >= 10
 
 
 def matches_reference(state, steps, rng):
     """Step ``steps`` times (absent fallback on); at every due instant,
-    both starts of compute_fixpoint, with and without bottom_as_absent,
-    must resolve as the copy-rule reference does under a shuffled order.
-    Returns the instants seen."""
+    compute_fixpoint, with and without bottom_as_absent, must resolve as
+    the copy-rule reference does under a shuffled order.  Returns the
+    instants seen."""
     seen = 0
     for _ in range(steps):
         if not state.entries:
             break
         if is_due(state):
-            popped, events = pop_due(state)
-            prepared = staged(state)
+            events = due(state)
             for bottom in (False, True):
-                starts = (
-                    lambda: compute_fixpoint(popped, bottom, events=events),
-                    lambda: compute_fixpoint(prepared, bottom),
-                )
                 try:
-                    expected = reference_fixpoint(prepared, bottom, rng)
+                    expected = reference_fixpoint(state, events, bottom, rng)
                 except CausalityCycle as cycle:
-                    for start in starts:
-                        with pytest.raises(CausalityCycle) as err:
-                            start()
-                        assert err.value.ports == cycle.ports
+                    with pytest.raises(CausalityCycle) as err:
+                        compute_fixpoint(state, events, bottom)
+                    assert err.value.ports == cycle.ports
                     continue
-                for start in starts:
-                    result = start()
-                    got = (result.state.statuses, result.decisions, result.applications, result.stalled_ports)
-                    assert got == expected
+                result = compute_fixpoint(state, events, bottom)
+                got = (result.statuses, result.decisions, result.applications, result.stalled_ports)
+                assert got == expected
             seen += 1
         state, _ = step(state, bottom_as_absent=True)
     return seen
@@ -210,24 +209,24 @@ def test_nets_resolve_as_the_copy_rule_reference_on_fixtures(fixture):
     "fixture", ["flat_traffic_light.model", "hierarchical_traffic_light.model"]
 )
 def test_applications_never_exceed_live_port_count(fixture):
-    for prepared, live_ports in iteration_instants(initial_state(fixture), max_elapsed=12):
-        result = compute_fixpoint(prepared)
+    for state, events, live_ports in iteration_instants(initial_state(fixture), max_elapsed=12):
+        result = compute_fixpoint(state, events)
         assert result.applications <= live_ports
-        assert reference_signature(prepared, random.Random(99))[2] == result.applications
+        assert reference_signature(state, events, random.Random(99))[2] == result.applications
 
 
 def test_all_live_ports_known_at_quiescence(flat_state):
-    for prepared, _ in iteration_instants(flat_state, max_elapsed=5):
-        result = compute_fixpoint(prepared)
+    for state, events, _ in iteration_instants(flat_state, max_elapsed=5):
+        result = compute_fixpoint(state, events)
         assert result.stalled_ports == ()
-        for _, node, live in actors(result.state):
+        for _, node, live in actors(with_statuses(state, result.statuses)):
             assert not live or all(p.status is not UNKNOWN for p in node.ports)
 
 
 def test_unwritten_outputs_default_to_absent(flat_state):
-    prepared, _ = iteration_instants(flat_state, max_elapsed=0)[0]
-    result = compute_fixpoint(prepared)
-    car = resolve(result.state.top, ("FlatTrafficLight", "CarLight"))
+    state, events, _ = iteration_instants(flat_state, max_elapsed=0)[0]
+    result = compute_fixpoint(state, events)
+    car = resolve(with_statuses(state, result.statuses).top, ("FlatTrafficLight", "CarLight"))
     # The initial transition writes the lamp outputs but not the
     # pedestrian go/stop commands; those resolve to absent, not an error.
     assert car.port("Pgo", OUT).status is ABSENT
@@ -245,12 +244,13 @@ def test_frozen_subtree_takes_no_part(hier_state):
     state = due_at(hier_state, 16)
     normal_path = ("HierarchicalTrafficLight", "TrafficLight", "normal")
     assert state.enabled[state.network.actor(normal_path)] is False
-    result = compute_fixpoint(staged(state))
+    result = compute_fixpoint(state, due(state))
     paths = [state.network.paths[i] for i in result.decisions]
     assert all(not path[: len(normal_path)] == normal_path for path in paths)
-    frozen_car = resolve(result.state.top, normal_path + ("CarLight",))
+    top = with_statuses(state, result.statuses).top
+    frozen_car = resolve(top, normal_path + ("CarLight",))
     assert all(p.status is UNKNOWN for p in frozen_car.ports)
-    live_error = resolve(result.state.top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))
+    live_error = resolve(top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))
     assert all(p.status is not UNKNOWN for p in live_error.ports)
 
 
@@ -265,16 +265,14 @@ def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
         IntVal(1),
     )
     with caplog.at_level(logging.INFO, logger="de_fixpoint.fire"):
-        prepared = deliver_events(clear_ports(state), events + state.network.flat_events([stray]))
+        result = compute_fixpoint(state, sorted(events + state.network.flat_events([stray])))
     assert any("frozen refinement" in r.message for r in caplog.records)
-    before = fsm_locations(state)
-    result = compute_fixpoint(prepared)
-    # The value sits on the port but drives nothing; the run is unaffected.
-    delay = resolve(result.state.top, stray.target.actor)
+    # The value sits on the port but drives nothing: no machine inside the
+    # frozen refinement decides.
+    delay = resolve(with_statuses(state, result.statuses).top, stray.target.actor)
     assert delay.port("output", OUT).status == Present(IntVal(1))
-    after = fsm_locations(result.state)
-    frozen = {k: v for k, v in before.items() if "normal" in k}
-    assert {k: v for k, v in after.items() if "normal" in k} == frozen
+    normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
+    assert all(state.network.paths[i][: len(normal)] != normal for i in result.decisions)
 
 
 def test_delivery_to_unknown_target_rejected(flat_state):
@@ -291,9 +289,8 @@ def test_delivery_to_unknown_target_rejected(flat_state):
 
 
 def test_causality_cycle_reports_every_stuck_port(cycle_state):
-    prepared = staged(cycle_state)
     with pytest.raises(CausalityCycle) as err:
-        compute_fixpoint(prepared)
+        compute_fixpoint(cycle_state, due(cycle_state))
     text = str(err.value)
     for port in ("A.In", "A.Out", "B.In", "B.Out"):
         assert port in text
@@ -301,9 +298,9 @@ def test_causality_cycle_reports_every_stuck_port(cycle_state):
 
 
 def test_bottom_as_absent_forces_stuck_ports_after_decisions(cycle_state):
-    result = compute_fixpoint(staged(cycle_state), bottom_as_absent=True)
+    result = compute_fixpoint(cycle_state, due(cycle_state), bottom_as_absent=True)
     assert len(result.stalled_ports) == 4
-    a = resolve(result.state.top, ("FeedbackLoop", "A"))
+    a = resolve(with_statuses(cycle_state, result.statuses).top, ("FeedbackLoop", "A"))
     assert a.port("In", IN).status is ABSENT
     assert a.port("Out", OUT).status is ABSENT
     # Neither machine of the loop fired.
@@ -338,11 +335,10 @@ def test_a_loop_of_wires_through_a_composite_stalls():
     with pytest.raises(CausalityCycle) as err:
         step(state)
     assert err.value.ports == ("Top.M.W(in)", "Top.Sub.i(in)", "Top.Sub.o(out)")
-    popped, events = pop_due(state)
-    result = compute_fixpoint(popped, bottom_as_absent=True, events=events)
+    result = compute_fixpoint(state, due(state), bottom_as_absent=True)
     stuck = ((("Top", "M"), "W", IN), (("Top", "Sub"), "i", IN), (("Top", "Sub"), "o", OUT))
     assert result.stalled_ports == stuck
-    assert all(result.state.statuses[state.network.ids[key]] is ABSENT for key in stuck)
+    assert all(result.statuses[state.network.ids[key]] is ABSENT for key in stuck)
 
 
 def test_decisions_are_read_before_the_absent_fallback():
@@ -391,10 +387,9 @@ def test_decisions_are_read_before_the_absent_fallback():
     )
     tick = Event(PortRef(("Loop", "Clock"), "output"), IntVal(1))
     state = SystemState(top)
-    prepared = deliver_events(clear_ports(state), state.network.flat_events([tick]))
-    result = compute_fixpoint(prepared, bottom_as_absent=True)
+    result = compute_fixpoint(state, state.network.flat_events([tick]), bottom_as_absent=True)
     assert state.network.index[("Loop", "A")] not in result.decisions
-    assert resolve(result.state.top, ("Loop", "A")).port("Out", OUT).status is ABSENT
+    assert resolve(with_statuses(state, result.statuses).top, ("Loop", "A")).port("Out", OUT).status is ABSENT
 
 
 def test_conflicting_drives_are_a_hard_error(monkeypatch):
@@ -431,33 +426,30 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
             patch.setattr(network_module, "validate", lambda top: None)
             return build(top)
 
-    def fire_clocks(top, ticking, fused):
-        """Resolve an instant at which the clocks named in ``ticking`` tick,
-        in one call or from the staged start."""
+    def fire_clocks(top, ticking):
+        """Resolve an instant at which the clocks named in ``ticking`` tick."""
         network = unvalidated(Network, top)
         locations, values, statuses = network.flatten(network.template)
         state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
         events = network.flat_events(
             [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
         )
-        if fused:
-            return compute_fixpoint(state, events=events)
-        return compute_fixpoint(deliver_events(clear_ports(state), events))
+        result = compute_fixpoint(state, events)
+        return with_statuses(state, result.statuses)
 
     with pytest.raises(ValidationError, match=r"^Top: port M\.In has more than one writer$"):
         SystemState(two_clock_top(emit2=1))
-    for fused in (False, True):
+    with pytest.raises(AssertionError, match="driven to two different statuses"):
+        fire_clocks(two_clock_top(emit2=2), ("C1", "C2"))
+    # Identical drives agree, so the race is benign.
+    resolved = fire_clocks(two_clock_top(emit2=1), ("C1", "C2"))
+    assert resolve(resolved.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
+    # Clocks at different offsets: where only one ticks, the silent one
+    # still drives absent, and the ticking one may not overwrite that.
+    staggered = two_clock_top(emit2=1, offset2=Fraction(1, 2))
+    for ticking in (("C1",), ("C2",)):
         with pytest.raises(AssertionError, match="driven to two different statuses"):
-            fire_clocks(two_clock_top(emit2=2), ("C1", "C2"), fused)
-        # Identical drives agree, so the race is benign.
-        result = fire_clocks(two_clock_top(emit2=1), ("C1", "C2"), fused)
-        assert resolve(result.state.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
-        # Clocks at different offsets: where only one ticks, the silent one
-        # still drives absent, and the ticking one may not overwrite that.
-        staggered = two_clock_top(emit2=1, offset2=Fraction(1, 2))
-        for ticking in (("C1",), ("C2",)):
-            with pytest.raises(AssertionError, match="driven to two different statuses"):
-                fire_clocks(staggered, ticking, fused)
+            fire_clocks(staggered, ticking)
     # The run meets it at its first instant, where only C1 ticks.
     state = unvalidated(initialize, two_clock_top(emit2=1, offset2=Fraction(1, 2)))
     assert [len(events) for _, _, events in state.entries] == [1, 1]
@@ -465,11 +457,88 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
         step(state)
 
 
+TWO_CLOCKS_INTO_A_COMPOSITE = """format 1
+
+composite Top {
+  clock C1 {
+    period = 1
+    emit = 1
+  }
+  clock C2 {
+    period = 1
+    emit = %d
+  }
+  composite Sub {
+    input In
+    fsm M {
+      input In
+      output Out
+      initial s
+      transition s -> s { guard isPresent(In) output Out = value(In) }
+    }
+    fsm N {
+      input In
+      initial s
+      transition s -> s { guard isPresent(In) }
+    }
+    connect parent.In -> M.In, N.In
+  }
+  connect C1.output -> Sub.In
+  connect C2.output -> Sub.In
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "emit2, ticking, error",
+    [
+        (1, ("C1", "C2"), None),
+        (2, ("C1", "C2"), "port Top.Sub.In(in) driven to two different statuses"),
+        (1, ("C1",), "port Top.Sub.In(in) driven to two different statuses"),
+        (1, ("C2",), "port Top.Sub.In(in) driven to two different statuses"),
+    ],
+)
+def test_two_drivers_whose_reaches_share_several_ports(monkeypatch, emit2, ticking, error):
+    # Both clocks drive Sub.In, which fans on to M.In and N.In: the two
+    # reaches share three ports.  Where both tick with one value they
+    # agree; with two values, the second event meets the first on Sub.In;
+    # where one ticks alone, the silent one's ABSENT is already there.
+    # Validation rejects the second writer, so it is patched out.
+    monkeypatch.setattr(network_module, "validate", lambda top: None)
+    top = parse_model(TWO_CLOCKS_INTO_A_COMPOSITE % emit2)
+    network = Network(top)
+    locations, values, statuses = network.flatten(network.template)
+    state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
+    events = sorted(
+        network.flat_events(
+            [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
+        )
+    )
+    reach = build_rules(network, state.mode).reach
+    c1, c2 = (set(reach[network.ids[(("Top", name), "output", OUT)]]) for name in ("C1", "C2"))
+    assert len(c1 & c2) == 3
+
+    def engine():
+        result = compute_fixpoint(state, events)
+        return result.statuses, result.decisions, result.applications, result.stalled_ports
+
+    for seed in range(5):
+        expected = outcome(lambda: reference_fixpoint(state, events, rng=random.Random(seed)))
+        assert outcome(engine) == expected
+    if error is None:
+        statuses, decisions, _, _ = expected
+        for key in [(("Top", "Sub"), "In", IN), (("Top", "Sub", "M"), "In", IN), (("Top", "Sub", "N"), "In", IN)]:
+            assert statuses[network.ids[key]] == Present(IntVal(1))
+        assert set(decisions) == {network.index[("Top", "Sub", "M")], network.index[("Top", "Sub", "N")]}
+    else:
+        assert expected == (AssertionError, error)
+
+
 def test_step_matches_manual_fire_pipeline(flat_state):
     state = flat_state
     while not is_due(state):
         state, _ = step(state)
-    manual = compute_fixpoint(staged(state))
+    manual = compute_fixpoint(state, due(state))
     stepped, kind = step(state)
     assert isinstance(kind, Iteration)
     expected = {}
@@ -477,7 +546,7 @@ def test_step_matches_manual_fire_pipeline(flat_state):
         if i in manual.decisions:
             expected[path] = manual.decisions[i].transition.target
         else:
-            expected[path] = manual.state.locations[i]
+            expected[path] = state.locations[i]
     assert fsm_locations(stepped) == expected
 
 
@@ -583,7 +652,7 @@ def test_a_network_is_freed_with_its_last_state():
 
 def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     state = hier_state
-    while not (state.elapsed == 17 and state.queue.head_tag() == (Fraction(0), 0)):
+    while not (state.elapsed == 17 and is_due(state)):
         state, _ = step(state)
     # The normal refinement froze at 15 and its ports were cleared at 16;
     # from then on an iteration has nothing to change in it.
@@ -714,7 +783,7 @@ def plan_of(state, events):
 def decisions_per_instant(state, steps):
     """For each due instant of a run in an acyclic mode, how often each
     live machine decided, by label; the machines its plan runs; and the
-    instant's popped state and result."""
+    instant's state and result."""
     calls = Counter()
     real = fire._Machine.run
 
@@ -729,13 +798,13 @@ def decisions_per_instant(state, steps):
             if not state.entries:
                 break
             if is_due(state):
-                popped, events = pop_due(state)
+                events = due(state)
                 calls.clear()
-                result = compute_fixpoint(popped, events=events)
+                result = compute_fixpoint(state, events)
                 rule_set = state.mode.rules
                 if not any(isinstance(item, fire._Loop) for item in rule_set.schedule):
                     plan = plan_of(state, events)
-                    out.append((dict(calls), {item.info.label for item in plan.run}, popped, result))
+                    out.append((dict(calls), {item.info.label for item in plan.run}, state, result))
             state, _ = step(state)
     return out
 
@@ -747,15 +816,15 @@ def assert_each_machine_decides_once(state, steps, minimum):
     resolved absent."""
     instants = decisions_per_instant(state, steps)
     assert len(instants) >= minimum
-    for calls, machines, popped, result in instants:
+    for calls, machines, state, result in instants:
         assert calls == dict.fromkeys(machines, 1)
-        resolved = result.state
-        for rule in resolved.mode.rules.rules:
+        statuses = result.statuses
+        for rule in state.mode.rules.rules:
             if rule.info.label in machines:
                 continue
-            verdict = decide_firing(rule.info, popped.locations[rule.index], resolved.statuses, popped.values)
+            verdict = decide_firing(rule.info, state.locations[rule.index], statuses, state.values)
             assert verdict == ("nofire", None)
-            assert all(resolved.statuses[pid] is ABSENT for pid in rule.info.out_ids.values())
+            assert all(statuses[pid] is ABSENT for pid in rule.info.out_ids.values())
 
 
 @pytest.mark.parametrize("fixture", FIXTURES[:3])
@@ -774,7 +843,7 @@ def test_an_instant_runs_only_the_machines_its_events_reach():
     # at t = 1/2 only StopWire0 fires, into Ped0.  Every other machine hears
     # nothing and is left out.
     state = initialize(parse_model(families.crossings((2, 3), 5, 0)))
-    runs = {popped.elapsed: (calls, machines) for calls, machines, popped, _ in decisions_per_instant(state, 40)}
+    runs = {at.elapsed: (calls, machines) for calls, machines, at, _ in decisions_per_instant(state, 40)}
     assert runs[Fraction(1)] == ({"Crossings.Car1": 1}, {"Crossings.Car1"})
     assert runs[Fraction(1, 2)] == ({"Crossings.Ped0": 1}, {"Crossings.Ped0"})
     # Where both clocks tick, both cars run.
@@ -805,8 +874,7 @@ def test_a_loop_that_resolves_settles_every_port():
     echoes = []
     for _ in range(12):
         if is_due(state):
-            popped, events = pop_due(state)
-            result = compute_fixpoint(popped, events=events)
+            result = compute_fixpoint(state, due(state))
             assert result.stalled_ports == ()
             assert set(result.decisions) == {a, b}
         state, _ = step(state)
@@ -855,8 +923,8 @@ def test_a_rule_downstream_of_a_stalled_loop_decides_once_and_partially():
     # worklist does.
     state = initialize(parse_model(STALLED_LOOP_DOWNSTREAM))
     assert matches_reference(state, 20, random.Random(7)) >= 5
-    popped, events = pop_due(state)
-    result = compute_fixpoint(popped, bottom_as_absent=True, events=events)
+    events = due(state)
+    result = compute_fixpoint(state, events, bottom_as_absent=True)
     c = state.network.index[("FeedbackLoop", "C")]
     assert list(result.decisions) == [c]
     assert (("FeedbackLoop", "C"), "Out", OUT) in result.stalled_ports
@@ -864,5 +932,5 @@ def test_a_rule_downstream_of_a_stalled_loop_decides_once_and_partially():
     real = fire._Machine.run
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fire._Machine, "run", lambda machine, *rest: labels.append(machine.info.label) or real(machine, *rest))
-        compute_fixpoint(popped, bottom_as_absent=True, events=events)
+        compute_fixpoint(state, events, bottom_as_absent=True)
     assert labels.count("FeedbackLoop.C") == 1

@@ -11,7 +11,7 @@ from de_fixpoint.errors import NondeterministicFsm, NoSuchActor, ValidationError
 from de_fixpoint.expr import Binary, IsPresent, Lit, Var, expr_text
 from de_fixpoint.executor import step
 from de_fixpoint import fire
-from de_fixpoint.fire import clear_ports
+from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.model import (
     CLOCK,
     COMPOSITE,
@@ -33,7 +33,7 @@ from de_fixpoint.model import (
 from de_fixpoint.network import Network
 from de_fixpoint.parser import parse_model, print_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.state import SystemState
+from de_fixpoint.state import SystemState, make_state
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -227,11 +227,20 @@ def test_live_flags_report_frozen_subtrees(hier_state):
 
 
 def test_clear_ports_resets_statuses(hier_state):
+    # An instant clears every port before it delivers its events: it reads
+    # none of the statuses the last one left, and a port it does not
+    # resolve, in a frozen refinement, stays unknown.
     state, _ = step(hier_state)
     assert any(p.status is not UNKNOWN for _, n, _ in actors(state) for p in n.ports)
-    cleared = clear_ports(state)
-    for _, node, _ in actors(cleared):
-        assert all(p.status is UNKNOWN for p in node.ports)
+    network = state.network
+    unknown = (UNKNOWN,) * network.size
+    blank = make_state(
+        network, state.mode, state.locations, state.values, unknown, state.entries, state.now, state.microstep_of_instant
+    )
+    statuses = compute_fixpoint(state, ()).statuses
+    assert statuses == compute_fixpoint(blank, ()).statuses
+    frozen = [pid for i in network.preorder if not state.mode.live[i] for pid in network.port_ids[i]]
+    assert frozen and all(statuses[pid] is UNKNOWN for pid in frozen)
 
 
 # Firing decisions. -----------------------------------------------------------

@@ -24,7 +24,7 @@ from de_fixpoint.errors import CausalityCycle, TypeMismatch, ValidationError
 from de_fixpoint.events import Event, EventQueue, QueueEntry
 from de_fixpoint.executor import step
 from de_fixpoint.expr import Binary, IsPresent, Lit, PortValue, Unary, Var, guards_cannot_raise, kind_of
-from de_fixpoint.fire import clear_ports, compute_fixpoint, deliver_events
+from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.model import PortRef, Transition
 from de_fixpoint.network import CompiledTransition
 from de_fixpoint.state import SystemState, collect_variables
@@ -50,17 +50,16 @@ def outcome(resolve):
         return type(error), str(error)
 
 
-def engine(state, bottom, events=None):
-    result = compute_fixpoint(state, bottom, events=events)
-    return result.state.statuses, result.decisions, result.applications, result.stalled_ports
+def engine(state, events, bottom):
+    result = compute_fixpoint(state, events, bottom)
+    return result.statuses, result.decisions, result.applications, result.stalled_ports
 
 
 def run_as_reference(state, steps, rng, bottom):
     """Step ``state`` up to ``steps`` times, with ``bottom`` as the absent
-    fallback.  At every due instant both starts of compute_fixpoint must
-    resolve as the reference does under an order ``rng`` shuffles, or
-    raise what it raises; a raise must come from the step too, and ends
-    the run.  Returns (due instants seen, (step index, error type,
+    fallback.  At every due instant compute_fixpoint must resolve as the
+    reference does under an order ``rng`` shuffles, or raise what it
+    raises; a raise must come from the step too, and ends the run.  Returns (due instants seen, (step index, error type,
     message) of the raise, or None)."""
     seen = 0
     for k in range(steps):
@@ -69,11 +68,8 @@ def run_as_reference(state, steps, rng, bottom):
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
             seen += 1
-            popped = state.requeued(state.entries[1:], state.now, state.microstep_of_instant)
-            prepared = deliver_events(clear_ports(popped), events)
-            expected = outcome(lambda: reference_fixpoint(prepared, bottom, rng))
-            assert outcome(lambda: engine(popped, bottom, events)) == expected
-            assert outcome(lambda: engine(prepared, bottom)) == expected
+            expected = outcome(lambda: reference_fixpoint(state, events, bottom, rng))
+            assert outcome(lambda: engine(state, events, bottom)) == expected
             if len(expected) == 2:
                 assert outcome(lambda: step(state, bottom)) == expected
                 assert_plans_count_their_starts(state.network)

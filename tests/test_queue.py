@@ -25,8 +25,8 @@ def drain(queue):
     out = []
     elapsed = Fraction(0)
     microstep = 0
-    while not queue.is_empty():
-        t, m = queue.head_tag()
+    while queue.entries:
+        t, m = queue.entries[0].tag()
         if t > 0:
             queue = queue.advance_time(t)
             elapsed += t
@@ -87,7 +87,7 @@ def test_advance_time_is_additive():
     one_hop = queue.advance_time(Fraction(3, 2))
     two_hops = queue.advance_time(Fraction(1, 2)).advance_time(1)
     assert one_hop == two_hops
-    assert one_hop.head_tag() == (Fraction(0), 0)
+    assert one_hop.entries[0].tag() == (Fraction(0), 0)
 
 
 def test_advance_time_zero_is_identity():
@@ -135,8 +135,6 @@ def test_advance_microstep_requires_time_zero_positive_microstep():
 def test_pop_ready_requires_due_head():
     with pytest.raises(EmptyQueue):
         EMPTY_QUEUE.pop_ready()
-    with pytest.raises(EmptyQueue):
-        EMPTY_QUEUE.head_tag()
     queue = EMPTY_QUEUE.add(0, 1, ev("a", "p"))
     with pytest.raises(NotReady):
         queue.pop_ready()
