@@ -9,12 +9,14 @@ Four subcommands:
 
 Exit codes: 0 when the property holds / a matching state is found / the
 command succeeds; 1 when a checked formula fails or a search finds
-nothing; 2 for usage and syntax errors (a formula or expression nested
-more than 100 levels deep included); 3 for semantic errors (causality
-cycles, nondeterministic machines, exhausted state budgets, names a
-formula mentions that the model lacks); 4 for internal errors, which are
-bugs, so that a crash is never read as a verdict; 141 when the output
-pipe closes early.
+nothing; 2 for usage and syntax errors (a time bound that is not a
+non-negative rational, such as `1/0`, and a formula, expression or
+nest of actor blocks more than 100 levels deep included); 3 for
+semantic errors (a model file that cannot be read or is not UTF-8
+text, causality cycles, nondeterministic machines, exhausted state
+budgets, names a formula mentions that the model lacks); 4 for
+internal errors, which are bugs, so that a crash is never read as a
+verdict; 141 when the output pipe closes early.
 
 Results go to stdout, diagnostics to stderr.  `DE_FIXPOINT_COLOR=1`
 forces ANSI color on the human-readable output, `=0` disables it; by
@@ -50,7 +52,11 @@ log = logging.getLogger(__name__)
 
 
 def _time_bound(text: str) -> Fraction:
-    bound = Fraction(text)
+    try:
+        bound = Fraction(text)
+    except ZeroDivisionError:
+        # argparse reports a ValueError as a usage error; `1/0` is one.
+        raise ValueError("zero denominator") from None
     if bound < 0:
         raise ValueError("time bounds are non-negative")
     return bound
@@ -85,12 +91,15 @@ def _red(text: str, color: bool) -> str:
 
 
 def _read_model(path: str):
-    """The model tree in the file at ``path``; an unreadable file is an EngineError."""
+    """The model tree in the file at ``path``; an unreadable file, or one
+    that is not UTF-8 text, is an EngineError."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise EngineError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise EngineError(f"cannot read {path}: not UTF-8 text (byte {err.start})") from err
     return parse_model(text)
 
 

@@ -64,16 +64,16 @@ and writes for a machine, and plans and loops both call it: an instant
 has one path, whatever its plan holds.
 
 The statuses live in a flat list indexed by port id, in which an
-unknown port always holds the one UNKNOWN object (``Network.flatten``
-sees to that for trees), and state machines read their location and
-variables from the state's slots; guards and outputs are compiled
-closures (see expr.compile_expr).
+unknown port always holds the one UNKNOWN object, and state machines
+read their location and variables from the state's slots; guards and
+outputs are compiled closures (see expr.compile_expr).
 
 An instant has one entry, ``compute_fixpoint(state, events)``: it
 clears every port, delivers the due events and resolves the rest, and
 returns the statuses and firing decisions for ``postfire`` to commit.
 ``clear_ports`` and ``deliver_events`` are the first two of those
-stages on their own; no step calls them (see their comment).
+stages on their own, and ``map_ports`` writes a state's slots into the
+template; no step calls any of the three (see their comments).
 """
 
 from __future__ import annotations
@@ -81,18 +81,15 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
-from .model import FSM
+from .model import FSM, ActorNode
 from .expr import guards_cannot_raise
 from .network import Mode, Network
 from .state import SystemState, make_state
+from .util import FrozenMap
 from .values import ABSENT, UNKNOWN, BoolVal, Present
-
-# Bound only for bench/spans.py, which wraps it by this name, until the
-# bench reads counters instead (ROADMAP item 3); no step calls it.
-from .network import map_ports  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -149,6 +146,30 @@ def _frozen_delivery(network: Network, pid: int) -> None:
     log.info("event for %s.%s lands in a frozen refinement; it will drive nothing", ".".join(path), port)
 
 
+# Bound only for bench/spans.py, which wraps it by this name, until the
+# bench reads counters instead (ROADMAP item 1, stage C): no step and no
+# test calls it.
+
+
+def map_ports(network: Network, locations, values) -> ActorNode:
+    """The network's template with ``locations`` and ``values`` written in."""
+    nodes = network.nodes
+    rebuilt = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        change = {}
+        if node.kind == FSM:
+            change["curr_location"] = locations[i]
+        if node.variables:
+            change["variables"] = FrozenMap({name: values[slot] for name, slot in network.slots[i].items()})
+        kids = network.children[i]
+        if kids:
+            # Children have consecutive indices.
+            change["inner"] = tuple(rebuilt[kids[0] : kids[-1] + 1])
+        rebuilt[i] = replace(node, **change)
+    return rebuilt[0]
+
+
 # Machines. ------------------------------------------------------------------
 
 _NAMES_NONE = {}  # the outputs a machine that does not fire names; never written
@@ -194,7 +215,7 @@ class _Machine:
 
     __slots__ = ("info", "index", "depth", "reads", "outgoing", "outputs", "keys", "coupled", "node", "_proven")
 
-    def __init__(self, index: int, network: Network, node):
+    def __init__(self, index: int, network: Network):
         info = network.fsms[index]
         self.info = info
         self.index = index
@@ -208,7 +229,7 @@ class _Machine:
         # that a network's rules hold no reference cycle.
         self.keys = network.keys
         self.coupled = any(twin is not None for _, _, twin in self.outputs)
-        self.node = node
+        self.node = network.nodes[index]
         self._proven = None
 
     @property
@@ -377,14 +398,11 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     # one per machine for all its modes.
     cache = network.fsm_rules
     rules = []
-    nodes = None
     for i in network.preorder:
         if live[i] and network.kinds[i] == FSM:
             rule = cache.get(i)
             if rule is None:
-                if nodes is None:
-                    nodes = network.nodes_of(network.template)
-                rule = cache[i] = _Machine(i, network, nodes[i])
+                rule = cache[i] = _Machine(i, network)
             rules.append(rule)
     # Deeper actors first: the order that breaks ties in the schedule.  The
     # result does not depend on it (confluence); it settles inner models

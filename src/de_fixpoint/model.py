@@ -10,14 +10,14 @@ All nodes are immutable snapshots.  Collections are sorted at
 construction, so two trees describing the same model compare equal no
 matter the declaration order.
 
-A tree is plain data: the model as parsed, and a read-only view of a
-running system.  The engine reads a tree once, compiling its static side
-(see network.py) and keeping the dynamic side (port statuses, locations,
-variables) in flat slots; no tree refers back to what was compiled from
-it.  A tree is built from slots only when a caller reads
-``SystemState.top``.  Which refinements run, and how a modal actor's
-inputs reach its children, follow from the tree; the network derives
-both, and no tree records either.
+A tree is plain data: the model as parsed, and nothing more.  A tree
+holds no run-time state: a port has a name and a direction and no
+status.  The engine reads a tree once, compiling its static side (see
+network.py) and taking its starting locations and variables into flat
+slots; the running system is those slots (see state.py), and no tree is
+built from them.  Which refinements run, and how a modal actor's inputs
+reach its children, follow from the tree; the network derives both, and
+no tree records either.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
-from .errors import NoSuchActor, ValidationError
+from .errors import ValidationError
 from .expr import Expr, expr_text, references
 from .util import EMPTY_MAP, FrozenMap, sorted_tuple
-from .values import UNKNOWN, IntVal, PortStatus, StringVal, TimeVal
+from .values import IntVal, StringVal, TimeVal
 
 IN = "in"
 OUT = "out"
@@ -59,7 +59,6 @@ def path_text(path: ActorPath) -> str:
 class Port:
     name: str
     direction: str  # IN or OUT
-    status: PortStatus = UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -184,23 +183,9 @@ def _canonical_transitions(transitions) -> tuple:
     return ordered
 
 
-_DYNAMIC_FIELDS = ("ports", "curr_location", "variables", "inner")
+_DYNAMIC_FIELDS = ("curr_location", "variables", "inner")
 #: The fields a running model never changes.
 STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
-
-
-def resolve(top: ActorNode, path) -> ActorNode:
-    """Follow an absolute actor path (starting with the top actor's name)."""
-    path = tuple(path)
-    if not path or path[0] != top.name:
-        raise NoSuchActor(path_text(path) if path else "<empty path>")
-    node = top
-    for i, name in enumerate(path[1:], start=2):
-        nxt = node.child(name)
-        if nxt is None:
-            raise NoSuchActor(path_text(path[:i]))
-        node = nxt
-    return node
 
 
 # Normalization. ------------------------------------------------------------

@@ -1,18 +1,19 @@
 """The static side of a model, compiled once.
 
-A tree mixes what never changes while a model runs (actor names and
+A tree holds what never changes while a model runs (actor names and
 kinds, ports, parameters, transitions, connections, refinement maps)
-with what every iteration rewrites (port statuses, locations,
-variables).  A :class:`Network` indexes the static side once: actors
-with their paths, parents and children; every port as an integer id;
-every variable as an integer value slot; every wire, from a composite's
-connections and the wiring a modal actor's port lists imply, as a
-(source port id, sink port id) pair; each state machine's ports and
-compiled transitions; the value slot each variable setter writes; and
-the model's timebase.  Which part of the model runs follows from the
-controllers' locations alone, and no tree records it: :meth:`Network.mode`
-turns them into a :class:`Mode`, once per tuple of locations, which
-every state in that mode shares.
+and the starting values of what iterations rewrite (locations,
+variables); port statuses exist only while a model runs.  A
+:class:`Network` indexes the static side once: actors with their paths,
+parents and children; every port as an integer id; every variable as
+an integer value slot; every wire, from a composite's connections and
+the wiring a modal actor's port lists imply, as a (source port id, sink
+port id) pair; each state machine's ports and compiled transitions; the
+value slot each variable setter writes; and the model's timebase.
+Which part of the model runs follows from the controllers' locations
+alone, and no tree records it: :meth:`Network.mode` turns them into a
+:class:`Mode`, once per tuple of locations, which every state in that
+mode shares.
 
 The timebase is the least common multiple of the denominators of every
 clock period and offset and every delay.  The engine counts time in
@@ -24,12 +25,12 @@ using Ptolemy II*, 2014, DE chapter).
 
 A system state (see state.py) holds its dynamic side as flat tuples
 indexed by actor, port id and value slot, and every engine phase works
-on those.  Trees remain plain input data and a read-only view of a
-state: :meth:`Network.flatten` reads a normalized tree's dynamic side
-into slots, :meth:`Network.flat_events` turns Events into port ids, and
-:func:`map_ports`, the one tree writer, builds the view
-``SystemState.top`` shows.  A network keeps the tree it was compiled
-from, and no tree refers to a network.
+on those.  Trees are input only, and the mapping runs one way:
+:meth:`Network.flatten` reads the template's starting locations and
+variables into slots, and :meth:`Network.flat_events` turns Events into
+port ids.  A network keeps the tree it was compiled from and that
+tree's nodes in index order; no tree refers to a network, and none is
+built from a state.
 
 A network is the one front door for trees: it normalizes its tree and
 runs ``model.validate`` on it before compiling anything, so holding a
@@ -42,7 +43,6 @@ every expression up without checking them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -61,13 +61,11 @@ from .model import (
     SETVAR,
     STATIC_FIELDS,
     ActorNode,
-    Port,
     normalize,
     path_text,
     validate,
 )
-from .util import FrozenMap
-from .values import UNKNOWN, Present, Unknown
+from .values import Present
 
 
 def time_param(value) -> Fraction:
@@ -239,11 +237,10 @@ class Network:
         """Normalize and validate ``top``, then compile it."""
         top = normalize(top)
         validate(top)
-        # The tree compiled, which views are rebuilt from (see map_ports).
+        # The tree compiled; ``nodes`` lists its actors in index order.
         self.template = top
-        # Actors are numbered breadth first, so a tree's actors come out in
-        # index order from one cheap sweep (see nodes_of); ``preorder``
-        # lists them depth first, children in canonical order.
+        # Actors are numbered breadth first; ``preorder`` lists them depth
+        # first, children in canonical order.
         # Ports are numbered actor by actor, each actor's in canonical order,
         # and value slots the same way, each actor's in variable-name order.
         self.paths = []  # actor paths
@@ -257,7 +254,7 @@ class Network:
         self.ids = {}  # port key -> port id
         self.slots = []  # per actor: {variable name: value slot}
         slot_count = 0
-        nodes = []
+        self.nodes = nodes = []
         pending = [(top, (top.name,), -1)]
         for node, path, parent in pending:
             i = len(nodes)
@@ -365,11 +362,10 @@ class Network:
         return tuple(
             (
                 tuple(getattr(node, name) for name in STATIC_FIELDS),
-                tuple((p.name, p.direction) for p in node.ports),
                 tuple(node.variables),
                 self.children[i],
             )
-            for i, node in enumerate(self.nodes_of(self.template))
+            for i, node in enumerate(self.nodes)
         )
 
     def mode(self, locations) -> Mode:
@@ -381,7 +377,9 @@ class Network:
         return mode
 
     def actor(self, path) -> int:
-        """The index of the actor at an absolute path, as ``model.resolve`` finds it."""
+        """The index of the actor at an absolute path (starting with the top
+        actor's name); an unknown path raises NoSuchActor naming its first
+        missing prefix."""
         path = tuple(path)
         i = self.index.get(path)
         if i is not None:
@@ -410,45 +408,9 @@ class Network:
             out[pid] = Present(ev.value)
         return tuple(sorted(out.items()))
 
-    def nodes_of(self, top: ActorNode) -> list:
-        """The actors of a tree with this structure, in index order."""
-        nodes = [top]
-        for node in nodes:
-            nodes.extend(node.inner)
-        return nodes
-
-    def flatten(self, top: ActorNode):
-        """A normalized tree's dynamic side as (locations, values, statuses)."""
-        nodes = self.nodes_of(top)
+    def flatten(self):
+        """The template's dynamic side as (locations, values)."""
+        nodes = self.nodes
         locations = tuple(node.curr_location if node.kind == FSM else None for node in nodes)
-        values = tuple(v for node in nodes for _, v in node.variables.items())
-        statuses = tuple(UNKNOWN if isinstance(p.status, Unknown) else p.status for node in nodes for p in node.ports)
-        return locations, values, statuses
-
-
-def map_ports(network: Network, locations, values, statuses) -> ActorNode:
-    """Write slots into a tree: the one way a tree is built from a state.
-
-    Rebuilds the network's template bottom up, each node with
-    ``dataclasses.replace``.  Ports whose status is the template's are
-    shared with it.
-    """
-    nodes = network.nodes_of(network.template)
-    rebuilt = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        ports = tuple(
-            p if statuses[pid] == p.status else Port(p.name, p.direction, statuses[pid])
-            for p, pid in zip(node.ports, network.port_ids[i])
-        )
-        change = {"ports": ports}
-        if node.kind == FSM:
-            change["curr_location"] = locations[i]
-        if node.variables:
-            change["variables"] = FrozenMap({name: values[slot] for name, slot in network.slots[i].items()})
-        kids = network.children[i]
-        if kids:
-            # Children have consecutive indices.
-            change["inner"] = tuple(rebuilt[kids[0] : kids[-1] + 1])
-        rebuilt[i] = replace(node, **change)
-    return rebuilt[0]
+        values = tuple(v for node in nodes for v in node.variables.values())
+        return locations, values

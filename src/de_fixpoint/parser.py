@@ -31,8 +31,11 @@ number, and a bare integer is an integer.  There is no division: a `/`
 anywhere but inside such a literal is a ParseError.  In expressions
 `||` binds loosest, then `&&`, the comparisons (one level), `+ -`, `*`,
 and the prefix `!` and `-` tightest (``expr._PRECEDENCE``); binary
-operators group to the left.  An expression nested more than ``syntax.MAX_DEPTH``
-levels deep is a ParseError.
+operators group to the left.  An expression nested more than
+``syntax.MAX_DEPTH`` levels deep is a ParseError, and so is an actor
+block nested inside more than ``MAX_DEPTH - 1`` others, so that the
+recursive passes over a tree (normalization, validation, printing) stay
+far from Python's recursion limit.
 
 The printer emits one canonical form: parsing its output reproduces the
 same tree, and printing is idempotent on any parse result.
@@ -61,7 +64,7 @@ from .model import (
     PortRef,
     Transition,
 )
-from .syntax import Lexicon, Parser, unescape
+from .syntax import MAX_DEPTH, Lexicon, Parser, unescape
 from .values import FALSE, TRUE, IntVal, StringVal, TimeVal, literal_text
 
 _KINDS = {
@@ -168,7 +171,10 @@ class _ModelParser(Parser):
             self.fail(f"unexpected {self.tokens[self.pos]!r} after the top-level actor")
         return node
 
-    def parse_actor(self) -> ActorNode:
+    def parse_actor(self, depth: int = 1) -> ActorNode:
+        """One actor block, ``depth`` blocks deep counting itself."""
+        if depth > MAX_DEPTH:
+            self.fail(f"actor blocks nested more than {MAX_DEPTH} levels deep")
         tokens, kinds = self.tokens, self.kinds
         kind = _KINDS.get(tokens[self.pos])
         if kind is None:
@@ -196,7 +202,7 @@ class _ModelParser(Parser):
             if word in _KINDS and kinds[pos + 1] == "ident":
                 if kind != COMPOSITE and kind != MODAL:
                     self.fail(f"a {kind} actor cannot contain inner actors")
-                inner.append(self.parse_actor())
+                inner.append(self.parse_actor(depth + 1))
                 continue
             self.pos = pos + 1
             if word == "input" or word == "output":

@@ -51,7 +51,7 @@ def initialize(top: ActorNode) -> SystemState:
     its offset.
     """
     network = Network(top)
-    locations, values, _ = network.flatten(network.template)
+    locations, values = network.flatten()
     locations = list(locations)
     for i, info in network.fsms.items():
         locations[i] = info.init_location

@@ -114,7 +114,7 @@ def _compile(network, prop):
         return at, row
     if isinstance(prop, VarProp):
         slots = network.slots[i]
-        parameters = network.nodes_of(network.template)[i].parameters
+        parameters = network.nodes[i].parameters
         checks = []  # (value slot or None, wanted value, parameter value or None, missing name)
         for name, value in prop.assignments:
             if name in slots:

@@ -28,14 +28,17 @@ slot but the port statuses: states that differ only there are rare (the
 inputs), equality still tells them apart, and hashing the statuses
 would cost more than the rest together.
 
-The actor tree (``top``), the queue with exact rational times
-(``queue``) and the elapsed time as a rational (``elapsed``) are views
-for printers, tests and library callers.  They are built from the slots
-on first use and kept; the engine never needs them.  A state built from
-a tree and a queue reads both once, as the engine would have built them,
-and keeps neither.  Its network normalizes and validates the tree, as
-the one ``initialize`` builds does, so every state the engine runs on
-has a network compiled from a validated tree.
+A state is slots and nothing else: no actor tree is built from it.
+Callers read it flat, through ``fsm_locations``, ``collect_variables``,
+``statuses[network.ids[key]]`` and the network's template.  The queue
+with exact rational times (``queue``) and the elapsed time as a
+rational (``elapsed``) are views for printers and library callers,
+built from the slots on first use; the engine never needs them.  A
+state built from a tree and a queue reads both once, as the engine
+would have built them, keeps neither, and starts with every port
+unknown.  Its network normalizes and validates the tree, as the one
+``initialize`` builds does, so every state the engine runs on has a
+network compiled from a validated tree.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from fractions import Fraction
 
 from .events import EMPTY_QUEUE, EventQueue, queue_view, schedule
 from .model import ActorNode
-from .network import Mode, Network, map_ports, to_ticks
+from .network import Mode, Network, to_ticks
 from .util import time_amount
+from .values import UNKNOWN
 
 
 class SystemState:
@@ -59,7 +63,6 @@ class SystemState:
         "now",
         "microstep_of_instant",
         "_hash",
-        "_top",
         "_queue",
     )
 
@@ -84,10 +87,12 @@ class SystemState:
         ``NegativeTimer`` and a negative microstep (a queue entry's or
         ``microstep_of_instant``) ``ValueError``.  Every time must be a
         multiple of the tree's timebase.  Which actors are enabled
-        follows from the locations (``self.enabled``).
+        follows from the locations (``self.enabled``), and every port
+        starts unknown.
         """
         network = self.network = Network(top)
-        self.locations, self.values, self.statuses = network.flatten(network.template)
+        self.locations, self.values = network.flatten()
+        self.statuses = (UNKNOWN,) * network.size
         self.mode = network.mode(self.locations)
         entries = ()
         for entry in queue.entries:
@@ -102,14 +107,7 @@ class SystemState:
         if microstep_of_instant < 0:
             raise ValueError("microstep must be non-negative")
         self.microstep_of_instant = microstep_of_instant
-        self._hash = self._top = self._queue = None
-
-    @property
-    def top(self) -> ActorNode:
-        """The actor tree with this state's dynamic side."""
-        if self._top is None:
-            self._top = map_ports(self.network, self.locations, self.values, self.statuses)
-        return self._top
+        self._hash = self._queue = None
 
     @property
     def enabled(self) -> tuple:
@@ -175,7 +173,7 @@ def make_state(network: Network, mode: Mode, locations, values, statuses, entrie
     state.entries = entries
     state.now = now
     state.microstep_of_instant = microstep
-    state._hash = state._top = state._queue = None
+    state._hash = state._queue = None
     return state
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from de_fixpoint import build_state_graph, initialize, parse_model
+from de_fixpoint.errors import NoSuchActor
+from de_fixpoint.model import path_text
 
 # Property tests draw the same examples on every run (no example
 # database, no random seed), so a failure reproduces and the suite's
@@ -69,16 +71,19 @@ def many_untils(count: int) -> str:
     return f"~ ({any_of(untils)})"
 
 
-def actors(state):
-    """Yield (path, node of ``state.top``, live) for every actor, depth first.
-
-    ``live`` is the state's mode's: the actor and all its ancestors are
-    enabled, so frozen refinements and everything beneath them read false.
-    """
-    network = state.network
-    nodes = network.nodes_of(state.top)
-    for i in network.preorder:
-        yield network.paths[i], nodes[i], state.mode.live[i]
+def resolve(top, path):
+    """The node of tree ``top`` at an absolute actor path (starting with the
+    top actor's name); an unknown path raises NoSuchActor naming its first
+    missing prefix, as ``Network.actor`` does."""
+    path = tuple(path)
+    if not path or path[0] != top.name:
+        raise NoSuchActor(path_text(path) if path else "<empty path>")
+    node = top
+    for i, name in enumerate(path[1:], start=2):
+        node = node.child(name)
+        if node is None:
+            raise NoSuchActor(path_text(path[:i]))
+    return node
 
 
 @pytest.fixture(scope="session")

@@ -169,7 +169,7 @@ def _rules(network, mode):
     """(rules deepest first, live ports, unwritten ports) of a mode."""
     live = mode.live
     ids = network.ids
-    nodes = network.nodes_of(network.template)
+    nodes = network.nodes
     ports = [pid for i in network.preorder if live[i] for pid in network.port_ids[i]]
     live_ports = set(ports)
     rules = []

@@ -59,7 +59,7 @@ from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import IntVal
 
 import ltl_ref
-from conftest import actors, initial_state, model_path
+from conftest import initial_state, model_path
 from fixpoint_ref import reference_fixpoint
 
 BUDGET_SECONDS = 10.0
@@ -249,7 +249,8 @@ def _fire_instants(name, *, max_elapsed):
     while state.entries and state.elapsed <= max_elapsed:
         time, microstep, events = state.entries[0]
         if (time, microstep) == (0, 0):
-            live = sum(len(node.ports) for _, node, live in actors(state) if live)
+            network = state.network
+            live = sum(len(network.port_ids[i]) for i in network.preorder if state.mode.live[i])
             out.append((state, events, live))
         state, _ = step(state)
     return out

@@ -44,7 +44,7 @@ from de_fixpoint.state import SystemState, collect_variables
 import families
 import ltl_ref
 import ndfs_ref
-from conftest import actors, initial_state, many_untils
+from conftest import initial_state, many_untils
 
 
 def lasso_state(location):
@@ -541,11 +541,12 @@ def proposition_atoms(graph):
     def actor(path):
         return " . ".join(f"'{name}" for name in path)
 
+    network = graph.nodes[0].network
     atoms = [
-        f"{actor(path)} @ '{location}"
-        for path, node, _ in actors(graph.nodes[0])
-        if node.kind == FSM
-        for location in node.locations
+        f"{actor(network.paths[i])} @ '{location}"
+        for i in network.preorder
+        if network.kinds[i] == FSM
+        for location in network.nodes[i].locations
     ]
     seen = {}
     for state in graph.nodes:

@@ -130,6 +130,18 @@ def test_simulate_rejects_negative_bound(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("simulate", ()), ("search", ("--prop", "'FlatTrafficLight | 'Cred = 1")), ("check", ("--formula", "True"))],
+)
+def test_a_zero_denominator_bound_is_a_usage_error(capsys, command, flags):
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would let
+    # escape main; scripts must not read the crash as a verdict.
+    code, out, err = run(capsys, command, FLAT, *flags, "--until", "1/0")
+    assert code == 2 and out == ""
+    assert "argument --until: invalid" in err
+
+
 def test_simulate_step_limit_is_reported(capsys):
     code, out, _ = run(capsys, "simulate", FLAT, "--until", "50", "--max-steps", "5")
     assert code == 0
@@ -492,6 +504,55 @@ def test_missing_file_is_a_semantic_error(capsys):
         code, _, err = run(capsys, command, "no/such/file.model", *flags)
         assert code == 3
         assert err.startswith("error: cannot read no/such/file.model: "), command
+
+
+def test_a_file_that_is_not_utf8_is_a_semantic_error(capsys, tmp_path):
+    latin = tmp_path / "latin1.model"
+    latin.write_bytes("format 1\ncomposite T { // caf\u00e9\n}\n".encode("latin-1"))
+    code, out, err = run(capsys, "dump", str(latin))
+    assert (code, out) == (3, "")
+    assert err == f"error: cannot read {latin}: not UTF-8 text (byte 29)\n"
+
+
+def nested_blocks(tmp_path, depth):
+    """A model file of ``depth`` actor blocks, each inside the last: composites
+    around one clock, the top one holding a variable."""
+    text = "format 1\n" + "".join(f"composite C{k} {{\n" for k in range(depth - 1))
+    text = text.replace("{\n", "{\nvar x = 0\n", 1) + "clock K { period = 1 }\n" + "}\n" * (depth - 1)
+    path = tmp_path / f"blocks{depth}.model"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+SUBCOMMANDS = (
+    ("dump",),
+    ("simulate", "--until", "2"),
+    ("search", "--prop", "'C0 | 'x = 0"),
+    ("check", "--formula", "[] ('C0 | 'x = 0)"),
+)
+
+
+def test_actor_nesting_limit_is_exact(capsys, tmp_path):
+    deepest = nested_blocks(tmp_path, MAX_DEPTH)
+    for command, *flags in SUBCOMMANDS:
+        code, _, err = run(capsys, command, deepest, *flags)
+        assert (code, err) == (0, ""), command
+    # The 101st block is the clock, on line 103 (a header, the top
+    # block's two lines, then one line per block).
+    too_deep = nested_blocks(tmp_path, MAX_DEPTH + 1)
+    for command, *flags in SUBCOMMANDS:
+        code, out, err = run(capsys, command, too_deep, *flags)
+        assert (code, out) == (2, ""), command
+        assert err == f"syntax error: 103:1: actor blocks nested more than {MAX_DEPTH} levels deep\n"
+
+
+def test_deeply_nested_actor_blocks_are_a_syntax_error(capsys, tmp_path):
+    # Far past the limit, the recursive passes over a tree would overflow
+    # Python's stack if the parser let the model through.
+    deep = nested_blocks(tmp_path, 1500)
+    for command, *flags in SUBCOMMANDS:
+        code, _, err = run(capsys, command, deep, *flags)
+        assert code == 2 and "nested more than" in err, command
 
 
 def test_invalid_model_is_a_semantic_error(capsys, tmp_path):

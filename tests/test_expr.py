@@ -310,7 +310,7 @@ def test_compiled_transitions_match_eval_expr(model, status):
     info = network.fsms[m]
     statuses = [UNKNOWN] * network.size
     statuses[info.in_ids["In"]] = status
-    values = network.flatten(model)[1]
+    values = network.flatten()[1]
     env = {"In": status}
     # By source location, in canonical order: every transition of M, once.
     entries = [e for source in sorted({t.source for t in node.transitions}) for e in info.outgoing[source]]

@@ -30,7 +30,6 @@ from de_fixpoint.model import (
     PortRef,
     Transition,
     normalize,
-    resolve,
 )
 from de_fixpoint.executor import Iteration, step
 from de_fixpoint.parser import parse_model
@@ -46,7 +45,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import actors, initial_state, load_model
+from conftest import initial_state, load_model
 from fixpoint_ref import decide_firing, reference_fixpoint
 from test_plans import outcome
 
@@ -65,7 +64,7 @@ def due(state):
 
 
 def with_statuses(state, statuses):
-    """``state`` with the port statuses ``statuses``, to read them off its tree."""
+    """``state`` with the port statuses ``statuses``."""
     return make_state(
         state.network,
         state.mode,
@@ -105,7 +104,8 @@ def iteration_instants(state, *, max_elapsed):
     out = []
     while state.entries and state.elapsed <= max_elapsed:
         if is_due(state):
-            live_ports = sum(len(node.ports) for _, node, live in actors(state) if live)
+            network = state.network
+            live_ports = sum(len(network.port_ids[i]) for i in network.preorder if state.mode.live[i])
             out.append((state, due(state), live_ports))
         state, _ = step(state)
     return out
@@ -219,19 +219,21 @@ def test_all_live_ports_known_at_quiescence(flat_state):
     for state, events, _ in iteration_instants(flat_state, max_elapsed=5):
         result = compute_fixpoint(state, events)
         assert result.stalled_ports == ()
-        for _, node, live in actors(with_statuses(state, result.statuses)):
-            assert not live or all(p.status is not UNKNOWN for p in node.ports)
+        network = state.network
+        for i in network.preorder:
+            assert not state.mode.live[i] or all(result.statuses[pid] is not UNKNOWN for pid in network.port_ids[i])
 
 
 def test_unwritten_outputs_default_to_absent(flat_state):
     state, events, _ = iteration_instants(flat_state, max_elapsed=0)[0]
     result = compute_fixpoint(state, events)
-    car = resolve(with_statuses(state, result.statuses).top, ("FlatTrafficLight", "CarLight"))
+    car = ("FlatTrafficLight", "CarLight")
+    ids = state.network.ids
     # The initial transition writes the lamp outputs but not the
     # pedestrian go/stop commands; those resolve to absent, not an error.
-    assert car.port("Pgo", OUT).status is ABSENT
-    assert car.port("Pstop", OUT).status is ABSENT
-    assert car.port("Cred", OUT).status == Present(IntVal(1))
+    assert result.statuses[ids[(car, "Pgo", OUT)]] is ABSENT
+    assert result.statuses[ids[(car, "Pstop", OUT)]] is ABSENT
+    assert result.statuses[ids[(car, "Cred", OUT)]] == Present(IntVal(1))
 
 
 def due_at(state, elapsed):
@@ -247,11 +249,11 @@ def test_frozen_subtree_takes_no_part(hier_state):
     result = compute_fixpoint(state, due(state))
     paths = [state.network.paths[i] for i in result.decisions]
     assert all(not path[: len(normal_path)] == normal_path for path in paths)
-    top = with_statuses(state, result.statuses).top
-    frozen_car = resolve(top, normal_path + ("CarLight",))
-    assert all(p.status is UNKNOWN for p in frozen_car.ports)
-    live_error = resolve(top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))
-    assert all(p.status is not UNKNOWN for p in live_error.ports)
+    network = state.network
+    frozen_car = network.port_ids[network.actor(normal_path + ("CarLight",))]
+    assert all(result.statuses[pid] is UNKNOWN for pid in frozen_car)
+    live_error = network.port_ids[network.actor(("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight"))]
+    assert all(result.statuses[pid] is not UNKNOWN for pid in live_error)
 
 
 def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
@@ -269,8 +271,7 @@ def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
     assert any("frozen refinement" in r.message for r in caplog.records)
     # The value sits on the port but drives nothing: no machine inside the
     # frozen refinement decides.
-    delay = resolve(with_statuses(state, result.statuses).top, stray.target.actor)
-    assert delay.port("output", OUT).status == Present(IntVal(1))
+    assert result.statuses[state.network.ids[(stray.target.actor, "output", OUT)]] == Present(IntVal(1))
     normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
     assert all(state.network.paths[i][: len(normal)] != normal for i in result.decisions)
 
@@ -279,10 +280,10 @@ def test_delivery_to_unknown_target_rejected(flat_state):
     # Events become port ids once, where a state is built from a queue.
     bad = Event(PortRef(("FlatTrafficLight", "Ghost"), "output"), IntVal(1))
     with pytest.raises(NoSuchPort):
-        SystemState(flat_state.top, EventQueue((QueueEntry(Fraction(1), 0, (bad,)),)))
+        SystemState(flat_state.network.template, EventQueue((QueueEntry(Fraction(1), 0, (bad,)),)))
     not_output = Event(PortRef(("FlatTrafficLight", "CarLight"), "Sec"), IntVal(1))
     with pytest.raises(NoSuchPort):
-        SystemState(flat_state.top, EventQueue((QueueEntry(Fraction(1), 0, (not_output,)),)))
+        SystemState(flat_state.network.template, EventQueue((QueueEntry(Fraction(1), 0, (not_output,)),)))
 
 
 # Causality cycles. -----------------------------------------------------------
@@ -300,9 +301,9 @@ def test_causality_cycle_reports_every_stuck_port(cycle_state):
 def test_bottom_as_absent_forces_stuck_ports_after_decisions(cycle_state):
     result = compute_fixpoint(cycle_state, due(cycle_state), bottom_as_absent=True)
     assert len(result.stalled_ports) == 4
-    a = resolve(with_statuses(cycle_state, result.statuses).top, ("FeedbackLoop", "A"))
-    assert a.port("In", IN).status is ABSENT
-    assert a.port("Out", OUT).status is ABSENT
+    a, ids = ("FeedbackLoop", "A"), cycle_state.network.ids
+    assert result.statuses[ids[(a, "In", IN)]] is ABSENT
+    assert result.statuses[ids[(a, "Out", OUT)]] is ABSENT
     # Neither machine of the loop fired.
     assert all(cycle_state.network.paths[i][-1] not in ("A", "B") for i in result.decisions)
 
@@ -389,7 +390,7 @@ def test_decisions_are_read_before_the_absent_fallback():
     state = SystemState(top)
     result = compute_fixpoint(state, state.network.flat_events([tick]), bottom_as_absent=True)
     assert state.network.index[("Loop", "A")] not in result.decisions
-    assert resolve(with_statuses(state, result.statuses).top, ("Loop", "A")).port("Out", OUT).status is ABSENT
+    assert result.statuses[state.network.ids[(("Loop", "A"), "Out", OUT)]] is ABSENT
 
 
 def test_conflicting_drives_are_a_hard_error(monkeypatch):
@@ -429,8 +430,8 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
     def fire_clocks(top, ticking):
         """Resolve an instant at which the clocks named in ``ticking`` tick."""
         network = unvalidated(Network, top)
-        locations, values, statuses = network.flatten(network.template)
-        state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
+        locations, values = network.flatten()
+        state = make_state(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
         events = network.flat_events(
             [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
         )
@@ -443,7 +444,7 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
         fire_clocks(two_clock_top(emit2=2), ("C1", "C2"))
     # Identical drives agree, so the race is benign.
     resolved = fire_clocks(two_clock_top(emit2=1), ("C1", "C2"))
-    assert resolve(resolved.top, ("Top", "M")).port("In", IN).status == Present(IntVal(1))
+    assert resolved.statuses[resolved.network.ids[(("Top", "M"), "In", IN)]] == Present(IntVal(1))
     # Clocks at different offsets: where only one ticks, the silent one
     # still drives absent, and the ticking one may not overwrite that.
     staggered = two_clock_top(emit2=1, offset2=Fraction(1, 2))
@@ -507,8 +508,8 @@ def test_two_drivers_whose_reaches_share_several_ports(monkeypatch, emit2, ticki
     monkeypatch.setattr(network_module, "validate", lambda top: None)
     top = parse_model(TWO_CLOCKS_INTO_A_COMPOSITE % emit2)
     network = Network(top)
-    locations, values, statuses = network.flatten(network.template)
-    state = make_state(network, network.mode(locations), locations, values, statuses, (), 0, 0)
+    locations, values = network.flatten()
+    state = make_state(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
     events = sorted(
         network.flat_events(
             [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
@@ -660,15 +661,14 @@ def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
     inside = [i for i, path in enumerate(network.paths) if path[: len(normal)] == normal]
     ports = [pid for i in inside for pid in network.port_ids[i]]
-    frozen = resolve(state.top, normal)
+    slots = [slot for i in inside for slot in network.slots[i].values()]
     assert state.enabled[network.actor(normal)] is False
     assert all(state.statuses[pid] is UNKNOWN for pid in ports)
     nxt, kind = step(state)
     assert isinstance(kind, Iteration)
     assert all(nxt.statuses[pid] is UNKNOWN for pid in ports)
     assert [nxt.locations[i] for i in inside] == [state.locations[i] for i in inside]
-    assert resolve(nxt.top, normal) == frozen
-    assert nxt.top != state.top
+    assert [nxt.values[slot] for slot in slots] == [state.values[slot] for slot in slots]
     # No mode switch: the enabled flags are the same tuple.
     assert nxt.enabled is state.enabled
     assert nxt.statuses != state.statuses

@@ -27,7 +27,7 @@ from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.values import literal_text
 
 import families
-from conftest import actors, model_path
+from conftest import model_path
 
 # A clock feeding three zero-delay hops into a wrapping counter.
 CHAIN3 = """\
@@ -376,10 +376,13 @@ def dump(graph) -> str:
         for path, variables in sorted(collect_variables(state).items()):
             assigns = ", ".join(f"{k}={literal_text(v)}" for k, v in sorted(variables.items()))
             lines.append(f"  vars {path}: {assigns}")
-        for path, node, live in actors(state):
-            ports = " ".join(f"{p.name}/{p.direction}={p.status!r}" for p in node.ports)
-            enabled = state.enabled[state.network.actor(path)]
-            lines.append(f"  {'.'.join(path)} enabled={enabled} live={live} {ports}")
+        network = state.network
+        for i in network.preorder:
+            ports = " ".join(
+                f"{network.keys[pid][1]}/{network.keys[pid][2]}={state.statuses[pid]!r}" for pid in network.port_ids[i]
+            )
+            live = state.mode.live[i]
+            lines.append(f"  {'.'.join(network.paths[i])} enabled={state.enabled[i]} live={live} {ports}")
         lines.append(f"  queue {state.queue.summary()}")
     return "\n".join(lines) + "\n"
 

@@ -170,12 +170,14 @@ def test_frozen_window_keeps_queue_clear_of_stale_events(hier_graph):
 
 
 @pytest.mark.parametrize("model", ["hier", "rational"])
-def test_a_state_and_its_tree_and_queue_describe_each_other(model, hier_state):
+def test_a_state_and_its_queue_describe_each_other(model, hier_state):
+    # A state built from the model's tree and another state's queue, time
+    # and microstep holds that state's flat queue, time and microstep.
     initial = hier_state if model == "hier" else initialize(parse_model(RATIONAL))
     graph = build_state_graph(initial)
     for state in graph.nodes:
-        again = SystemState(state.top, state.queue, state.elapsed, state.microstep_of_instant)
-        assert again == state and hash(again) == hash(state)
+        again = SystemState(state.network.template, state.queue, state.elapsed, state.microstep_of_instant)
+        assert again.entries == state.entries and again.queue == state.queue
         assert (again.now, again.microstep_of_instant) == (state.now, state.microstep_of_instant)
         assert state.queue_summary() == state.queue.summary()
 
@@ -184,9 +186,9 @@ def test_a_state_takes_only_times_on_its_timebase(flat_state):
     clock = PortRef(("FlatTrafficLight", "Clock"), "output")
     off = EMPTY_QUEUE.add(Fraction(1, 3), 0, Event(clock, IntVal(1)))
     with pytest.raises(ValueError):
-        SystemState(flat_state.top, off)
+        SystemState(flat_state.network.template, off)
     with pytest.raises(ValueError):
-        SystemState(flat_state.top, EMPTY_QUEUE, Fraction(5, 2))
+        SystemState(flat_state.network.template, EMPTY_QUEUE, Fraction(5, 2))
 
 
 @settings(max_examples=15)

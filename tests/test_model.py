@@ -27,7 +27,6 @@ from de_fixpoint.model import (
     PortRef,
     Transition,
     normalize,
-    resolve,
     validate,
 )
 from de_fixpoint.network import Network
@@ -45,7 +44,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import actors, load_model, model_path
+from conftest import load_model, model_path, resolve
 from fixpoint_ref import decide_firing
 from normalize_ref import reference_normalize
 
@@ -88,8 +87,8 @@ def test_normalize_seeds_fsm_current_location():
 
 def test_normalize_is_idempotent_on_fixtures(hier_state, flat_state):
     for state in (hier_state, flat_state):
-        once = state.top
-        assert normalize(once) == once
+        once = state.network.template
+        assert normalize(once) is once
 
 
 def assert_normalizes_as_before(text):
@@ -160,7 +159,7 @@ def test_normalize_builds_each_node_without_sorting_again(monkeypatch):
 
 
 def test_modal_controller_mirrors_outputs_as_coupled_pairs(hier_state):
-    modal = resolve(hier_state.top, ("HierarchicalTrafficLight", "TrafficLight"))
+    modal = resolve(hier_state.network.template, ("HierarchicalTrafficLight", "TrafficLight"))
     lights = ("Cgrn", "Cred", "Cyel", "Pgrn", "Pred")
     assert modal.port_names(OUT) == lights
     ctrl = modal.child("Ctrl")
@@ -173,7 +172,7 @@ def test_modal_controller_mirrors_outputs_as_coupled_pairs(hier_state):
 
 
 def test_modal_refinements_carry_the_modal_port_lists(hier_state):
-    modal = resolve(hier_state.top, ("HierarchicalTrafficLight", "TrafficLight"))
+    modal = resolve(hier_state.network.template, ("HierarchicalTrafficLight", "TrafficLight"))
     for refinement in ("normal", "error"):
         child = modal.child(refinement)
         assert set(child.port_names(IN)) == {"Sec", "Error", "Ok"}
@@ -191,36 +190,40 @@ def test_modal_connections_fan_each_input_to_all_children(hier_state):
     ]
     assert [wire for wire in network.wires if wire[0] in inputs] == expected
     # The tree spells none of it out.
-    assert resolve(hier_state.top, path).connections == ()
+    assert resolve(hier_state.network.template, path).connections == ()
 
 
 # Lookup helpers. -------------------------------------------------------------
 
 
 def test_resolve_follows_absolute_paths(hier_state):
-    top = hier_state.top
+    # The network's index finds the node the tree walk finds, and both
+    # name the first missing prefix of an unknown path.
+    network = hier_state.network
+    top = network.template
     assert resolve(top, ("HierarchicalTrafficLight",)) is top
-    deep = resolve(
-        top, ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight")
-    )
+    path = ("HierarchicalTrafficLight", "TrafficLight", "error", "ErrorLight")
+    deep = resolve(top, path)
     assert deep.kind == FSM
-    with pytest.raises(NoSuchActor):
-        resolve(top, ("Nope",))
-    with pytest.raises(NoSuchActor):
-        resolve(top, ("HierarchicalTrafficLight", "Nope"))
-    with pytest.raises(NoSuchActor):
-        resolve(top, ())
+    assert network.nodes[network.actor(path)] is deep
+    for bad in (("Nope",), ("HierarchicalTrafficLight", "Nope", "Deeper"), ()):
+        with pytest.raises(NoSuchActor) as walked:
+            resolve(top, bad)
+        with pytest.raises(NoSuchActor) as indexed:
+            network.actor(bad)
+        assert str(walked.value) == str(indexed.value)
 
 
 def test_live_flags_report_frozen_subtrees(hier_state):
-    paths = {path: live for path, _, live in actors(hier_state)}
+    network = hier_state.network
+    paths = {network.paths[i]: hier_state.mode.live[i] for i in network.preorder}
     tl = ("HierarchicalTrafficLight", "TrafficLight")
     assert paths[tl]
     assert paths[tl + ("normal",)]
     assert paths[tl + ("normal", "CarLight")]
     assert not paths[tl + ("error",)]
     assert not paths[tl + ("error", "ErrorLight")]
-    live_paths = {path for path, _, live in actors(hier_state) if live}
+    live_paths = {network.paths[i] for i in network.preorder if hier_state.mode.live[i]}
     assert tl + ("normal", "CarLight") in live_paths
     assert tl + ("error",) not in live_paths
     assert tl + ("error", "ErrorLight") not in live_paths
@@ -231,7 +234,7 @@ def test_clear_ports_resets_statuses(hier_state):
     # none of the statuses the last one left, and a port it does not
     # resolve, in a frozen refinement, stays unknown.
     state, _ = step(hier_state)
-    assert any(p.status is not UNKNOWN for _, n, _ in actors(state) for p in n.ports)
+    assert any(status is not UNKNOWN for status in state.statuses)
     network = state.network
     unknown = (UNKNOWN,) * network.size
     blank = make_state(
@@ -268,11 +271,11 @@ def decide(node, input_statuses):
     """
     network = Network(ActorNode("T", COMPOSITE, inner=(node,)))
     statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
-    locations, values, _ = network.flatten(network.template)
+    locations, values = network.flatten()
     info = network.fsms[1]
 
     def engine():
-        machine = fire._Machine(1, network, network.nodes_of(network.template)[1])
+        machine = fire._Machine(1, network)
         st, fired = list(statuses), {}
         machine.run(st, locations, values, fired, [(pid,) for pid in range(network.size)])
         if 1 in fired:
@@ -535,7 +538,7 @@ def test_inout_pairs_reserved_for_controllers():
 
 def test_fixture_models_validate(hier_state, flat_state, mutant_state):
     for state in (hier_state, flat_state, mutant_state):
-        validate(state.top)
+        validate(state.network.template)
 
 
 def flat_with(name, edit):
@@ -594,7 +597,7 @@ def test_a_state_validates_its_tree_as_initialize_does(tree, problem):
     assert at_state.value.problems == at_initialize.value.problems
 
 
-def test_derived_trees_hash_like_freshly_built_ones(hier_graph):
+def test_derived_trees_hash_like_freshly_built_ones(hier_state, flat_state, mutant_state):
     def rebuilt(node):
         # Through the constructor: sorts again and caches nothing.
         return ActorNode(
@@ -606,7 +609,10 @@ def test_derived_trees_hash_like_freshly_built_ones(hier_graph):
             inner=tuple(rebuilt(c) for c in node.inner),
         )
 
-    for state in hier_graph.nodes[::7]:
-        fresh = rebuilt(state.top)
-        assert fresh == state.top
-        assert hash(fresh) == hash(state.top)
+    # A network's template is normalized, which rebuilds nodes without
+    # the constructor.
+    for state in (hier_state, flat_state, mutant_state):
+        derived = state.network.template
+        fresh = rebuilt(derived)
+        assert fresh == derived
+        assert hash(fresh) == hash(derived)

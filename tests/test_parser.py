@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from de_fixpoint.errors import ParseError
 from de_fixpoint.expr import _PRECEDENCE, Binary, IsPresent, Lit, PortValue, Unary, Var
-from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition, resolve
+from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition
 from de_fixpoint.parser import parse_model, print_model
 from de_fixpoint.values import BoolVal, IntVal, StringVal, TimeVal
 
-from conftest import load_model, model_path
+from conftest import load_model, model_path, resolve
 
 FIXTURES = [
     "flat_traffic_light.model",

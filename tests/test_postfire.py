@@ -1,6 +1,7 @@
 """Post-iteration commitment: moves, updates, rescheduling, mode switches."""
 
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from de_fixpoint.model import (
     PortRef,
     Transition,
     normalize,
-    resolve,
 )
 from de_fixpoint.network import to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
@@ -42,7 +42,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import MODELS, actors, initial_state
+from conftest import MODELS, initial_state
 
 TRUE = Lit(BoolVal(True))
 
@@ -62,14 +62,28 @@ def test_initialize_validates_and_resets(hier_state):
         locations["HierarchicalTrafficLight.TrafficLight.error.ErrorLight"] == "Einit"
     )
     # The one modal actor's controller picks its mode.
-    modals = [
-        (".".join(path), node.child(node.controller).curr_location)
-        for path, node, _ in actors(hier_state)
-        if node.kind == MODAL
-    ]
+    network = hier_state.network
+    modals = [(".".join(network.paths[info.index]), hier_state.locations[info.controller]) for info in network.modals]
     assert modals == [("HierarchicalTrafficLight.TrafficLight", "normal")]
-    for _, node, _ in actors(hier_state):
-        assert all(p.status is UNKNOWN for p in node.ports)
+    assert all(status is UNKNOWN for status in hier_state.statuses)
+
+
+def edited(tree, path, **fields):
+    """``tree`` with ``fields`` replaced on its node at ``path`` (below the top)."""
+    if not path:
+        return replace(tree, **fields)
+    return replace(tree, inner=tuple(edited(c, path[1:], **fields) if c.name == path[0] else c for c in tree.inner))
+
+
+def mid_run_tree(state):
+    """The tree of ``state``'s model with the state's locations and
+    variables written in by path."""
+    tree = state.network.template
+    for path, location in fsm_locations(state).items():
+        tree = edited(tree, path.split(".")[1:], curr_location=location)
+    for path, variables in collect_variables(state).items():
+        tree = edited(tree, path.split(".")[1:], variables=variables)
+    return tree
 
 
 def test_initialize_resets_a_mid_run_tree(hier_state):
@@ -78,17 +92,18 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
     state = hier_state
     while not state.enabled[error]:
         state, _ = step(state)
-    assert any(p.status is not UNKNOWN for _, n, _ in actors(state) for p in n.ports)
+    assert any(status is not UNKNOWN for status in state.statuses)
+    tree = mid_run_tree(state)
+    assert normalize(tree) != hier_state.network.template
 
-    again = initialize(state.top)
-    for _, node, _ in actors(again):
-        assert all(p.status is UNKNOWN for p in node.ports)
-        if node.kind == FSM:
-            assert node.curr_location == node.init_location
+    again = initialize(tree)
+    assert all(status is UNKNOWN for status in again.statuses)
+    network = again.network
+    assert all(again.locations[i] == info.init_location for i, info in network.fsms.items())
     assert again.enabled[normal] and not again.enabled[error]
     assert collect_variables(again) == collect_variables(state)
     # A frozen refinement stays frozen: initializing again changes nothing.
-    assert initialize(again.top) == again
+    assert initialize(network.template) == again
 
 
 def test_initialize_compiles_the_network_every_step_reuses():
@@ -162,10 +177,14 @@ def test_initialize_honors_custom_emit_and_offset():
 # State-machine commits. --------------------------------------------------------
 
 
-def committed(state, decisions=None):
+def committed(state, ports=None, decisions=None):
     """The state after postfire and commit_requests, and postfire's
-    requests, for an iteration that resolved ``state``'s own port statuses."""
-    nxt, requests = postfire(state, state.statuses, decisions or {})
+    requests, for an iteration that resolved the ports in ``ports``
+    (port key -> status) and left every other port unknown."""
+    statuses = [UNKNOWN] * state.network.size
+    for key, status in (ports or {}).items():
+        statuses[state.network.ids[key]] = status
+    nxt, requests = postfire(state, tuple(statuses), decisions or {})
     return commit_requests(nxt, requests), requests
 
 
@@ -179,7 +198,7 @@ def test_variable_updates_are_simultaneous():
     fsm = ActorNode(
         "M",
         FSM,
-        ports=(Port("In", IN, Present(IntVal(10))),),
+        ports=(Port("In", IN),),
         locations=("s", "t"),
         init_location="s",
         curr_location="s",
@@ -190,7 +209,7 @@ def test_variable_updates_are_simultaneous():
     m = state.network.index[("Top", "M")]
     (entry,) = state.network.fsms[m].outgoing["s"]
     assert entry.transition == transition
-    nxt, requests = committed(state, {m: entry})
+    nxt, requests = committed(state, {(("Top", "M"), "In", IN): Present(IntVal(10))}, {m: entry})
     assert fsm_locations(nxt)["Top.M"] == "t"
     variables = collect_variables(nxt)["Top.M"]
     assert variables["x"] == IntVal(15)  # old y, not the new one
@@ -202,7 +221,7 @@ def test_nofire_commits_nothing():
     fsm = ActorNode(
         "M",
         FSM,
-        ports=(Port("In", IN, ABSENT),),
+        ports=(Port("In", IN),),
         locations=("s", "t"),
         init_location="s",
         curr_location="s",
@@ -210,7 +229,7 @@ def test_nofire_commits_nothing():
         transitions=(Transition("s", "t", TRUE, sets={"x": Lit(IntVal(9))}),),
     )
     # A machine that does not fire has no entry among the decisions.
-    nxt, requests = committed(SystemState(wrap(fsm)))
+    nxt, requests = committed(SystemState(wrap(fsm)), {(("Top", "M"), "In", IN): ABSENT})
     assert fsm_locations(nxt)["Top.M"] == "s"
     assert collect_variables(nxt)["Top.M"]["x"] == IntVal(1)
     assert requests == []
@@ -219,69 +238,77 @@ def test_nofire_commits_nothing():
 # Clocks and delays. -------------------------------------------------------------
 
 
+CLOCK_NODE = ActorNode(
+    "C",
+    CLOCK,
+    ports=(Port("output", OUT),),
+    parameters={
+        "period": TimeVal(Fraction(5, 2)),
+        "offset": TimeVal(Fraction(0)),
+        "emit": IntVal(7),
+    },
+)
+
+
 def clock_with(status):
-    return ActorNode(
-        "C",
-        CLOCK,
-        ports=(Port("output", OUT, status),),
-        parameters={
-            "period": TimeVal(Fraction(5, 2)),
-            "offset": TimeVal(Fraction(0)),
-            "emit": IntVal(7),
-        },
-    )
+    return CLOCK_NODE, {(("Top", "C"), "output", OUT): status}
 
 
-def scheduled(node):
-    """The queue entries committing ``Top``'s postfire leaves, and the requests."""
-    nxt, requests = committed(SystemState(wrap(node)))
+def scheduled(node, ports):
+    """The queue entries committing ``Top``'s postfire leaves, and the
+    requests, when the iteration resolved ``ports``."""
+    nxt, requests = committed(SystemState(wrap(node)), ports)
     return nxt.queue.entries, requests
 
 
 def test_ticked_clock_reschedules_one_period_out():
-    entries, _ = scheduled(clock_with(Present(IntVal(7))))
+    entries, _ = scheduled(*clock_with(Present(IntVal(7))))
     assert entries == (
         QueueEntry(Fraction(5, 2), 0, (Event(PortRef(("Top", "C"), "output"), IntVal(7)),)),
     )
 
 
 def test_silent_clock_does_not_reschedule():
-    assert scheduled(clock_with(ABSENT)) == ((), [])
+    assert scheduled(*clock_with(ABSENT)) == ((), [])
 
 
-def delay_with(amount, status, name="D"):
+def delay(amount, name="D"):
     return ActorNode(
         name,
         DELAY,
-        ports=(Port("input", IN, status), Port("output", OUT, ABSENT)),
+        ports=(Port("input", IN), Port("output", OUT)),
         parameters={"delay": TimeVal(Fraction(amount))},
     )
 
 
+def delay_with(amount, status):
+    return delay(amount), {(("Top", "D"), "input", IN): status, (("Top", "D"), "output", OUT): ABSENT}
+
+
 def test_delay_forwards_its_input_value_after_the_delay():
-    entries, _ = scheduled(delay_with(Fraction(3, 2), Present(StringVal("payload"))))
+    entries, _ = scheduled(*delay_with(Fraction(3, 2), Present(StringVal("payload"))))
     assert entries == (
         QueueEntry(Fraction(3, 2), 0, (Event(PortRef(("Top", "D"), "output"), StringVal("payload")),)),
     )
 
 
 def test_zero_delay_moves_one_microstep_later():
-    entries, _ = scheduled(delay_with(0, Present(IntVal(4))))
+    entries, _ = scheduled(*delay_with(0, Present(IntVal(4))))
     assert entries == (QueueEntry(Fraction(0), 1, (Event(PortRef(("Top", "D"), "output"), IntVal(4)),)),)
 
 
 def test_idle_delay_schedules_nothing():
-    assert scheduled(delay_with(1, ABSENT)) == ((), [])
+    assert scheduled(*delay_with(1, ABSENT)) == ((), [])
 
 
 # Variable setters. ---------------------------------------------------------------
 
 
-def setter(target, status):
+def setter(target):
     return ActorNode(
         "S",
         SETVAR,
-        ports=(Port("input", IN, status),),
+        ports=(Port("input", IN),),
         parameters={"target": StringVal(target)},
     )
 
@@ -290,10 +317,11 @@ def test_setter_writes_nearest_enclosing_composite():
     inner = ActorNode(
         "Inner",
         COMPOSITE,
-        inner=(setter("x", Present(IntVal(42))),),
+        inner=(setter("x"),),
         variables={"x": IntVal(0)},
     )
-    nxt, _ = committed(SystemState(wrap(inner, variables={"x": IntVal(0)})))
+    fed = {(("Top", "Inner", "S"), "input", IN): Present(IntVal(42))}
+    nxt, _ = committed(SystemState(wrap(inner, variables={"x": IntVal(0)})), fed)
     assert collect_variables(nxt)["Top.Inner"]["x"] == IntVal(42)
     assert collect_variables(nxt)["Top"]["x"] == IntVal(0)
 
@@ -303,11 +331,12 @@ def test_setter_refining_a_modal_skips_past_it():
     modal = ActorNode(
         "M",
         MODAL,
-        inner=(ctrl, setter("x", Present(IntVal(9)))),
+        inner=(ctrl, setter("x")),
         controller="Ctrl",
         refinements={"a": "S"},
     )
-    nxt, _ = committed(SystemState(wrap(modal, variables={"x": IntVal(0)})))
+    fed = {(("Top", "M", "S"), "input", IN): Present(IntVal(9))}
+    nxt, _ = committed(SystemState(wrap(modal, variables={"x": IntVal(0)})), fed)
     assert collect_variables(nxt)["Top"]["x"] == IntVal(9)
 
 
@@ -315,11 +344,11 @@ def test_setter_with_undeclared_target_raises():
     # The state validates its tree, so the setter is rejected before it runs.
     message = r"^Top\.S: target variable 'ghost' is not declared by the enclosing composite$"
     with pytest.raises(ValidationError, match=message):
-        SystemState(wrap(setter("ghost", Present(IntVal(1))), variables={"x": IntVal(0)}))
+        SystemState(wrap(setter("ghost"), variables={"x": IntVal(0)}))
 
 
 def test_silent_setter_writes_nothing():
-    nxt, _ = committed(SystemState(wrap(setter("x", ABSENT), variables={"x": IntVal(5)})))
+    nxt, _ = committed(SystemState(wrap(setter("x"), variables={"x": IntVal(5)})), {(("Top", "S"), "input", IN): ABSENT})
     assert collect_variables(nxt)["Top"]["x"] == IntVal(5)
 
 
@@ -335,8 +364,7 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
     assert state.enabled[normal] is True
     assert state.enabled[error] is False
     state, _ = step(state)  # the iteration that carries the Error event
-    modal_after = resolve(state.top, modal_path)
-    assert modal_after.child("Ctrl").curr_location == "error"
+    assert fsm_locations(state)["HierarchicalTrafficLight.TrafficLight.Ctrl"] == "error"
     assert state.enabled[normal] is False
     assert state.enabled[error] is True
     # The machines inside the now-frozen refinement kept their positions.
@@ -351,21 +379,24 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
 
 
 def flags_from_locations(state):
-    """Each actor's enabled flag by path, read off the controllers of the
-    state's tree.
+    """Each actor's enabled flag by path, read off the model's tree and
+    the state's controller locations.
 
     A modal actor's child other than its controller is enabled exactly
     when the controller's location maps to it; every other actor is
     enabled.
     """
+    locations = fsm_locations(state)
     flags = {}
-    for path, node, _ in actors(state):
+    pending = [(state.network.template, (state.network.template.name,))]
+    for node, path in pending:
         flags.setdefault(path, True)
         if node.kind == MODAL:
-            picked = node.refinements.get(node.child(node.controller).curr_location)
+            picked = node.refinements.get(locations[".".join(path + (node.controller,))])
             for child in node.inner:
                 if child.name != node.controller:
                     flags[path + (child.name,)] = child.name == picked
+        pending.extend((child, path + (child.name,)) for child in node.inner)
     return flags
 
 
@@ -386,7 +417,7 @@ def test_enabled_flags_follow_the_controllers_on_generated_models(text):
 
 
 def test_commit_requests_folds_in_given_order():
-    state = SystemState(wrap(delay_with(1, ABSENT, "D1"), delay_with(Fraction(1, 2), ABSENT, "D2")))
+    state = SystemState(wrap(delay(1, "D1"), delay(Fraction(1, 2), "D2")))
     network = state.network
     d1 = Event(PortRef(("Top", "D1"), "output"), IntVal(1))
     d2 = Event(PortRef(("Top", "D2"), "output"), IntVal(2))
@@ -407,7 +438,7 @@ def assert_a_normalized_tree_is_its_initial_state(text):
     for top in (normalize(parse_model(text)), parse_model(text)):
         init = start
         state = SystemState(top, init.queue)
-        assert state == init and state.top == init.top and state.enabled == init.enabled
+        assert state == init and state.enabled == init.enabled
         for _ in range(50):
             if not init.entries:
                 break
