@@ -252,12 +252,13 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
                 edges[pred].append(n.nid)
 
     # Generalized acceptance: one set per until; a node is fair for
-    # (a U b) when it satisfies b or no longer owes (a U b).
+    # (a U b) when it satisfies b or no longer owes (a U b).  The tableau
+    # keeps no true in ``old``: every node satisfies it.
     def fair(node, level):
         if not untils:
             return True
         u = untils[level]
-        return u.right in node.old or u not in node.old
+        return isinstance(u.right, TrueF) or u.right in node.old or u not in node.old
 
     # Counter degeneralization: a state is a node and the fairness set it
     # waits on, and it is accepting when it meets set 0.

@@ -9,41 +9,51 @@ reported as a prefix plus a repeating cycle of actual system states.
 The formula language has no next operator, so every formula is
 stutter-invariant (Peled & Wilke, IPL 1997): a word and the word with
 each run of equal letters cut to one satisfy the same formulas.  The
-verdict is therefore decided on the product with the compressed lasso
-of valuation classes, which is much shorter than the graph.  Only when
-that product has an accepting lasso is the full product searched, and
-its accepting lasso is the witness, so witnesses name real graph nodes.
+verdict is therefore decided on the product with the minimal lasso of
+the run's ω-word over the formula's atoms: the shortest stem and cycle
+that spell that word up to stutter.  An ultimately periodic word has
+exactly one; its cycle is the primitive root of the run's cycle with its
+runs cut to one, and its stem is what is left of the run's stem once
+each letter that equals the cycle's last has rolled into the cycle.  It
+is usually a handful of letters where the graph has hundreds of nodes.
+Only when that product has an accepting lasso is the full product
+searched, and its accepting lasso is the witness, so witnesses name real
+graph nodes.
 
 Every answer is cross-checked before it is returned.  The system has
 exactly one infinite run (each state has one successor), so the formula
 can also be evaluated directly on that run — an independent second
-route.  Every position of the lasso's cycle recurs, so the direct
-evaluation needs no fixpoint iteration: an until takes two backward laps
-around the cycle and one over the stem, an always or eventually one look
-at the cycle and one lap over the stem.  A counterexample additionally
-has to follow real graph edges and violate the formula when replayed.
-Disagreement between the routes is a bug and raises immediately rather
-than returning a possibly-wrong verdict.
+route.  It works on bit rows, one int per subformula whose bit i is the
+truth at position i, and needs no fixpoint iteration: connectives are
+bitwise operations, an until is one carry over the stem and two laps of
+the cycle (Markey & Schnoebelen, "Model checking a path", CONCUR 2003),
+an always or eventually one look at the cycle and one at the stem.  A
+counterexample additionally has to follow real graph edges and violate
+the formula when replayed.  Disagreement between the routes is a bug and
+raises immediately rather than returning a possibly-wrong verdict.
 
-Atom truth is computed once per graph (``StateGraph.atom_row``), one row
-per atom in one pass over the nodes, and shared by both routes and by
-every later check on the same graph; the routes share nothing past
-that.  Nodes with the same truth vector over a formula's atoms form a
-valuation class.  The product search works on flat data: a product
-state is one integer, its colour a byte, and the automaton states a
-step may enter form one tuple per (automaton state, class), built from
-a memo that asks whether an automaton state's guard holds once per
-(state, class), not once per product edge; the compressed and the full
-search share those answers.  Replay does not use the shared truth: it
-evaluates each of the formula's atoms afresh on the witness states and
-re-executes the run to reproduce them.
+Atom truth is computed once per graph (``StateGraph.atom_row``, and the
+same row packed into an int by ``StateGraph.atom_bits``), one row per
+atom in one pass over the nodes, and shared by both routes and by every
+later check on the same graph; the routes share nothing past that.  The
+minimal lasso is built from the packed rows: a run of equal letters ends
+where some atom's row changes, and letters are read only there.  Nodes
+with the same truth vector over a formula's atoms form a valuation
+class; the minimal lasso keeps every class.  The product search works on
+flat data: a product state is one integer, its colour a byte, and the
+automaton states a step may enter form one tuple per (automaton state,
+class), built from a memo that asks whether an automaton state's guard
+holds once per (state, class), not once per product edge; the compressed
+and the full search share those answers.  Replay does not use the
+shared truth: it evaluates each of the formula's atoms afresh on the
+witness states, packs those rows the same way, and re-executes the run
+to reproduce them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import and_, le, not_, or_
+from itertools import compress
 from typing import Optional
 
 from .buchi import BuchiAutomaton, ltl_to_buchi
@@ -64,7 +74,7 @@ from .formula import (
     desugar,
 )
 from .graph import StateGraph, Stutter
-from .props import prop_holds
+from .props import pack_row, prop_holds
 
 
 @dataclass
@@ -91,112 +101,113 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool
     """Truth of ``formula`` at position 0 of the run states[0..] where
     position len(states)-1 loops back to ``cycle_start``.
 
-    Works by computing, per subformula, its truth at every position:
-    boolean connectives pointwise, until by two backward laps around the
-    cycle and one over the stem, always and eventually by one look at the
-    whole cycle and one lap over the stem.  This deliberately shares
-    nothing with the automaton construction beyond ``rows``: when given,
-    a mapping from each atom's proposition to its truth at every position,
-    read instead of evaluating the states.
+    Works by computing, per subformula, its truth at every position at
+    once, as an int whose bit i is position i: boolean connectives
+    bitwise, until by one carry over two laps of the cycle, always and
+    eventually by one look at the cycle and one at the stem's last false
+    or true position.  This deliberately shares nothing with the
+    automaton construction beyond ``rows``: when given, a mapping from
+    each atom's proposition to its truth at every position packed the
+    same way (``pack_row``), read instead of evaluating the states.
     """
     n = len(states)
     if not (0 <= cycle_start < n):
         raise ValueError("cycle start out of range")
-    return _table(formula, states, cycle_start, rows)[0]
+    if rows is None:
+        rows = {prop: pack_row([prop_holds(s, prop) for s in states]) for prop in collect_atoms(formula)}
+    return bool(_truth(formula, n, cycle_start, rows) & 1)
 
 
-def _table(f, states, entry, rows) -> list:
-    """The truth of ``f`` at every position of eval_on_lasso's run.
+def _truth(f, n: int, entry: int, rows) -> int:
+    """The truth of ``f`` at every position of eval_on_lasso's run, bit i
+    for position i.
 
-    Truth values are bools, so the connectives map ``operator``
-    functions over them.  Every position of the cycle recurs, so a
-    subformula's truth on the cycle depends only on the cycle.  An until
-    that holds at a position has its witness within one lap: the first
-    backward lap, assuming false past the loop's end, is exact at the
-    cycle's entry, and the second lap, reading that value past the end,
-    is exact everywhere on the cycle; it stops at the first position
-    whose value it keeps.  The stem then reads the entry's value once.
-
-    Not a closure: a recursive closure refers to itself, and that cycle
-    would keep the run's states, and their network, alive until the
-    cycle collector runs.
+    Every position of the cycle recurs, so a subformula's truth on the
+    cycle depends only on the cycle: an always holds on the stem after its
+    operand's last false position there, if it holds on the whole cycle,
+    and an eventually on the stem up to its operand's last true position,
+    unless it holds on the whole cycle.  An until that holds has its
+    witness within one lap, so it is computed on the word stem, cycle,
+    cycle, assuming false past the end.  With the bits reversed, a
+    position's successor is the bit below it, and adding the seeds (the
+    positions that only propagate, P = L & ~R, whose successor holds R)
+    to P clears exactly the runs of P that start at a seed.
     """
-    n = len(states)
+    full = (1 << n) - 1
     if isinstance(f, TrueF):
-        return [True] * n
+        return full
     if isinstance(f, FalseF):
-        return [False] * n
+        return 0
     if isinstance(f, Atom):
-        if rows is not None:
-            return rows[f.prop]
-        return [prop_holds(s, f.prop) for s in states]
+        return rows[f.prop]
     if isinstance(f, Not):
-        return list(map(not_, _table(f.operand, states, entry, rows)))
-    if isinstance(f, (And, Or, Implies)):
-        left, right = _table(f.left, states, entry, rows), _table(f.right, states, entry, rows)
-        # On truth values, a -> b is a <= b.
-        return list(map(_POINTWISE[type(f)], left, right))
-    if isinstance(f, Until):
-        left, right = _table(f.left, states, entry, rows), _table(f.right, states, entry, rows)
-        vals = [False] * n
-        after = False  # the truth at the successor; nothing past the end yet
-        for i in range(n - 1, entry - 1, -1):
-            after = vals[i] = right[i] or (left[i] and after)
-        # The entry is exact now.  The second lap changes the cycle's
-        # positions from its end back to the first that keeps its value;
-        # every position before that one keeps its value too.
-        for i in range(n - 1, entry - 1, -1):
-            now = right[i] or (left[i] and after)
-            if now == vals[i]:
-                break
-            after = vals[i] = now
-        after = vals[entry]
-        for i in range(entry - 1, -1, -1):
-            after = vals[i] = right[i] or (left[i] and after)
-        return vals
+        return full ^ _truth(f.operand, n, entry, rows)
+    if isinstance(f, (And, Or, Implies, Until)):
+        left, right = _truth(f.left, n, entry, rows), _truth(f.right, n, entry, rows)
+        if isinstance(f, And):
+            return left & right
+        if isinstance(f, Or):
+            return left | right
+        if isinstance(f, Implies):
+            return (full ^ left) | right
+        # The word stem, cycle, cycle, with its bits reversed.
+        width = 2 * n - entry
+        lo = _reversed(left | (left >> entry) << n, width)
+        ro = _reversed(right | (right >> entry) << n, width)
+        propagate = lo & ~ro
+        held = ro | (propagate & ~(propagate + ((ro << 1) & propagate)))
+        return _reversed(held, width) & full
     if isinstance(f, Always):
-        inner = _table(f.operand, states, entry, rows)
-        after = all(inner[entry:])
-        vals = [after] * n
-        for i in range(entry - 1, -1, -1):
-            after = vals[i] = inner[i] and after
-        return vals
+        false = full ^ _truth(f.operand, n, entry, rows)
+        return 0 if false >> entry else full ^ ((1 << false.bit_length()) - 1)
     if isinstance(f, Eventually):
-        inner = _table(f.operand, states, entry, rows)
-        after = any(inner[entry:])
-        vals = [after] * n
-        for i in range(entry - 1, -1, -1):
-            after = vals[i] = inner[i] or after
-        return vals
+        true = _truth(f.operand, n, entry, rows)
+        return full if true >> entry else (1 << true.bit_length()) - 1
     raise TypeError(f"not a formula: {f!r}")
 
 
-_POINTWISE = {And: and_, Or: or_, Implies: le}
+def _reversed(bits: int, width: int) -> int:
+    """``bits`` with bit i moved to bit width - 1 - i."""
+    return int(format(bits, f"0{width}b")[::-1], 2)
 
 
 # Product emptiness via nested depth-first search. ----------------------------
 
 _CYAN, _BLUE = 1, 2
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _stutter_lasso(classes, cycle_entry: int):
-    """The lasso word ``classes`` with each run of equal letters cut to one.
+def _minimal_lasso(rows, bits, n: int, entry: int):
+    """The shortest lasso that spells the word of ``n`` letters, whose
+    cycle starts at ``entry``, up to stutter.
 
-    The word is ``classes[:cycle_entry]`` followed by ``classes[cycle_entry:]``
-    repeating; its letters may be anything that compares by equality.
-    Runs are collapsed in the stem and in the cycle, a cycle whose last
-    letter equals its first loses the last, and a stem whose last letter
-    equals the cycle's first loses it.  Returns (succ, letters): the short
-    lasso's successor list and the letter at each position.
+    The letter at position i is the tuple of ``row[i]`` over ``rows``, and
+    ``bits`` are those rows packed (``pack_row``).  Letters are read only
+    where a run of equal letters ends: at the set bits of the OR over the
+    atoms of ``m ^ (m >> 1)``, which leaves the stem's last run to the
+    cycle's first when they agree, and at position n - 1.  A cycle whose
+    last letter equals its first loses the last; it is then cut to its
+    primitive root, and the stem's last letter rolls into the cycle while
+    it equals the cycle's last.  None of this changes the word the lasso
+    spells.  Returns (stem, cycle), lists of letters.
     """
-    stem = [c for c, _ in groupby(classes[:cycle_entry])]
-    cycle = [c for c, _ in groupby(classes[cycle_entry:])]
+    change = 0
+    for m in bits:
+        change |= m ^ (m >> 1)
+    ends = change | 1 << (n - 1)
+    # One byte per position, 1 where a run ends, to select from each row.
+    select = format(ends, "b")[::-1].encode().translate(_SELECT)
+    letters = list(zip(*[compress(row, select) for row in rows])) or [()]
+    split = (ends & ((1 << entry) - 1)).bit_count()
+    stem, cycle = letters[:split], letters[split:]
     if len(cycle) > 1 and cycle[-1] == cycle[0]:
         cycle.pop()
-    if stem and stem[-1] == cycle[0]:
+    k = len(cycle)
+    del cycle[next(p for p in range(1, k + 1) if k % p == 0 and cycle[p:] == cycle[:-p]) :]
+    while stem and stem[-1] == cycle[-1]:
         stem.pop()
-    succ = list(range(1, len(stem) + len(cycle))) + [len(stem)]
-    return succ, stem + cycle
+        cycle.insert(0, cycle.pop())
+    return stem, cycle
 
 
 def _find_accepting_lasso(succ, classes, ba: BuchiAutomaton, valuations, enters):
@@ -331,26 +342,28 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     # Surface bad actor paths / variables / locations immediately, and on
     # every node: propositions must be evaluable over the whole graph.
     atoms = collect_atoms(f)
-    rows = {prop: graph.atom_row(prop) for prop in atoms}
-    # Each node's truth vector over the atoms.
-    vectors = list(zip(*rows.values())) if atoms else [()] * len(graph.nodes)
+    rows = [graph.atom_row(prop) for prop in atoms]
+    bits = {prop: graph.atom_bits(prop) for prop in atoms}
 
     ba = ltl_to_buchi(Not(f))
-    # Stutter invariance: the compressed product is empty exactly when the
-    # full one is.  Only a failing formula searches the full product, whose
-    # accepting lasso is the witness.
-    entry = graph.cycle_entry()
-    short_succ, letters = _stutter_lasso(vectors, entry)
+    # Stutter invariance: the product with the minimal lasso is empty
+    # exactly when the full one is.  Only a failing formula searches the
+    # full product, whose accepting lasso is the witness.
+    n, entry = len(graph.nodes), graph.cycle_entry()
+    stem, cycle = _minimal_lasso(rows, bits.values(), n, entry)
+    letters = stem + cycle
     # Valuation classes: the distinct vectors, numbered as they first occur
-    # (the short lasso keeps every one).  The automaton may constrain only
-    # a subset of the atoms; valuations carry them all.
+    # (the minimal lasso keeps every one).  The automaton may constrain
+    # only a subset of the atoms; valuations carry them all.
     class_ids = {vector: c for c, vector in enumerate(dict.fromkeys(letters))}
     valuations = [dict(zip(atoms, vector)) for vector in class_ids]
     enters = {}
     hit = None
+    short_succ = list(range(1, len(letters))) + [len(stem)]
     short_classes = [class_ids[vector] for vector in letters]
     if _find_accepting_lasso(short_succ, short_classes, ba, valuations, enters) is not None:
-        classes = list(map(class_ids.__getitem__, vectors))
+        vectors = zip(*rows) if atoms else [()] * n
+        classes = [class_ids[vector] for vector in vectors]
         hit = _find_accepting_lasso(graph.succ, classes, ba, valuations, enters)
         if hit is None:
             raise AssertionError(
@@ -359,7 +372,7 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
             )
 
     # Second route: evaluate the formula directly on the unique run.
-    direct = eval_on_lasso(graph.nodes, entry, f, rows)
+    direct = eval_on_lasso(graph.nodes, entry, f, bits)
     if (hit is None) != direct:
         raise AssertionError(
             "model-checking routes disagree (automaton vs direct evaluation); "
@@ -389,9 +402,10 @@ def _replay(graph: StateGraph, witness: Witness, formula: Formula) -> None:
     if graph.succ[ids[-1]] != witness.cycle_ids[0]:
         raise AssertionError("counterexample cycle does not close")
     # The formula's own rows over the witness states, one per atom however
-    # often the formula reads it; the graph's rows are not consulted.
+    # often the formula reads it, packed as eval_on_lasso reads them; the
+    # graph's rows are not consulted.
     states = witness.prefix + witness.cycle
-    rows = {prop: [prop_holds(state, prop) for state in states] for prop in collect_atoms(formula)}
+    rows = {prop: pack_row([prop_holds(state, prop) for state in states]) for prop in collect_atoms(formula)}
     if eval_on_lasso(states, len(witness.prefix), formula, rows):
         raise AssertionError("counterexample replay does not violate the formula")
     # Re-execute the run, closing edge included, and demand the very same

@@ -17,12 +17,13 @@ the time bound, which ``simulate`` converts to ticks once.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import floor
 
-from .errors import EmptyQueue
+from .errors import EmptyQueue, EngineError
 from .events import advance_microstep, advance_time
 
 from .fire import compute_fixpoint
@@ -240,6 +241,16 @@ def _value_text(v) -> str:
     return _object_text([("time", _leaf(value["time"]))], " " * 8) if isinstance(value, dict) else _leaf(value)
 
 
+def _variable_text(render, path: str, name: str, v) -> str:
+    """``render(v)``, or an EngineError naming the variable when ``v`` is an
+    integer too long for Python to write (``sys.get_int_max_str_digits()``)."""
+    try:
+        return render(v)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise EngineError(f"cannot print {path}.{name}: its value has over {limit} digits") from None
+
+
 def trace_json_text(trace: Trace) -> str:
     """``json.dumps(trace_json(trace), indent=2, sort_keys=True)``, written from the steps.
 
@@ -258,7 +269,7 @@ def trace_json_text(trace: Trace) -> str:
                 "    ",
             )
         changed = [
-            (path, _object_text([(var, _value_text(v)) for var, v in sorted(delta.items())], "      "))
+            (path, _object_text([(k, _variable_text(_value_text, path, k, v)) for k, v in sorted(delta.items())], " " * 6))
             for path, delta in sorted(ts.changed_variables.items())
         ]
         kind = [(key, _leaf(value)) for key, value in sorted(ts.kind.json().items())]
@@ -288,6 +299,6 @@ def trace_step_text(ts: TraceStep) -> str:
         head = "iteration"
     parts = [f"t={ticks_text(state.now, state.network.timebase)} m={state.microstep_of_instant} {head}"]
     for path, delta in sorted(ts.changed_variables.items()):
-        assigns = ", ".join(f"{k}={literal_text(v)}" for k, v in sorted(delta.items()))
+        assigns = ", ".join(f"{k}={_variable_text(literal_text, path, k, v)}" for k, v in sorted(delta.items()))
         parts.append(f"    {path}: {assigns}")
     return "\n".join(parts)

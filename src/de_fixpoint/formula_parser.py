@@ -110,17 +110,16 @@ class _FormulaParser(Parser):
             if "." in text:
                 if negative:
                     self.fail("time values are non-negative")
-                return TimeVal(Fraction(text))
+                return TimeVal(self.number(pos, Fraction))
             if tokens[pos + 1] == "/":
                 self.pos = pos + 2
-                denom = tokens[pos + 2]
-                if kinds[pos + 2] != "number" or "." in denom or int(denom) == 0:
+                if kinds[pos + 2] != "number" or "." in tokens[pos + 2] or not (denom := self.number(pos + 2)):
                     self.fail("rational values are integer/integer")
                 self.pos = pos + 3
                 if negative:
                     self.fail("time values are non-negative")
-                return TimeVal(Fraction(int(text), int(denom)))
-            n = int(text)
+                return TimeVal(Fraction(self.number(pos), denom))
+            n = self.number(pos)
             return IntVal(-n if negative else n)
         if negative:
             self.fail("expected a number after '-'")

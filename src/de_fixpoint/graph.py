@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import StateSpaceExceeded
 from .executor import passes_bound, step, ticks_within
-from .props import prop_holds, prop_row
+from .props import pack_row, prop_holds, prop_row
 from .state import SystemState
 
 DEFAULT_MAX_STATES = 100_000
@@ -59,6 +59,7 @@ class StateGraph:
     bounded: bool
     bottom_as_absent: bool = False
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _bits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def cycle_entry(self) -> int:
         """First node id that lies on the lasso's cycle."""
@@ -77,6 +78,14 @@ class StateGraph:
         if row is None:
             row = self._rows[prop] = prop_row(self.nodes, prop)
         return row
+
+    def atom_bits(self, prop) -> int:
+        """``atom_row(prop)`` packed into an int whose bit i is node i's
+        truth (``pack_row``), once per graph like the row."""
+        bits = self._bits.get(prop)
+        if bits is None:
+            bits = self._bits[prop] = pack_row(self.atom_row(prop))
+        return bits
 
 
 def _key(state: SystemState, bounded: bool):

@@ -115,20 +115,19 @@ class _ModelParser(Parser):
             if kinds[pos] != "number" or "." in tokens[pos]:
                 self.fail("only integer literals may be negative")
             self.pos = pos + 1
-            return IntVal(-int(tokens[pos]))
+            return IntVal(-self.number(pos))
         kind = kinds[pos]
         if kind == "number":
             if "." in text:
                 self.pos = pos + 1
-                return TimeVal(Fraction(text))
+                return TimeVal(self.number(pos, Fraction))
             if tokens[pos + 1] == "/" and kinds[pos + 2] == "number":
-                denom = tokens[pos + 2]
-                if "." in denom or int(denom) == 0:
+                if "." in tokens[pos + 2] or not (denom := self.number(pos + 2)):
                     self.fail("rational literals are integer/integer", pos + 2)
                 self.pos = pos + 3
-                return TimeVal(Fraction(int(text), int(denom)))
+                return TimeVal(Fraction(self.number(pos), denom))
             self.pos = pos + 1
-            return IntVal(int(text))
+            return IntVal(self.number(pos))
         if text == "true" or text == "false":
             self.pos = pos + 1
             return TRUE if text == "true" else FALSE

@@ -68,6 +68,14 @@ def prop_holds(state: SystemState, prop) -> bool:
     return _readers(state.network, prop)[0](state)
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def pack_row(row) -> int:
+    """A non-empty row of truths as an int whose bit i is ``row[i]``."""
+    return int(bytes(row[::-1]).translate(_DIGITS), 2)
+
+
 def prop_row(states, prop) -> tuple:
     """``prop_holds`` on each of ``states``, in one pass over their slots.
 

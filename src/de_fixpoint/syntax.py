@@ -16,6 +16,7 @@ recursion limit on any input within the limit.
 from __future__ import annotations
 
 import re
+import sys
 from operator import itemgetter
 
 from .errors import ParseError
@@ -129,6 +130,18 @@ class Parser:
         """Raise a ParseError at token ``at`` (the next token by default)."""
         offset = self.lexicon.offsets(self.text)[self.pos if at is None else at]
         raise ParseError(*_position(self.text, offset), message)
+
+    def number(self, at: int, kind=int):
+        """The number token ``at`` as ``kind`` (``int`` or ``Fraction``).
+
+        Python converts no longer run of digits than
+        ``sys.get_int_max_str_digits()``; a literal with one is a
+        ParseError at that token.
+        """
+        try:
+            return kind(self.tokens[at])
+        except ValueError:
+            self.fail(f"number literal too long (over {sys.get_int_max_str_digits()} digits)", at)
 
     def expected(self, what: str):
         """Fail at the next token, saying what should have been there."""

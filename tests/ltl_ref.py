@@ -15,13 +15,17 @@ canonical index is therefore exact, with no fixpoint computation.
 A second reference, ``eval_fixpoint``, is the evaluation the checker
 used before its lap-based form: per subformula, a truth table over the
 positions, with until as a least and always as a greatest fixpoint,
-swept backwards around the loop until nothing changes.
+swept backwards around the loop until nothing changes.  A third,
+``eval_laps``, is that lap-based form, which the checker used before it
+evaluated on bit rows: the same tables, filled in exact laps.
 
 Also provided: a Büchi-acceptance oracle built on networkx, used to
 check automaton constructions against word membership.
 """
 
 from __future__ import annotations
+
+from operator import and_, le, or_
 
 import networkx as nx
 
@@ -48,6 +52,15 @@ def eval_word(valuations, loop_start: int, formula, position: int = 0) -> bool:
     begins.  ``formula`` must be scope-free except that Scope nodes with
     pre-resolved atoms are rejected loudly.
     """
+    return _word_truths(valuations, loop_start, formula, [position])[0]
+
+
+def eval_word_everywhere(valuations, loop_start: int, formula) -> list:
+    """``eval_word`` at every position of u · v, sharing one memo."""
+    return _word_truths(valuations, loop_start, formula, range(len(valuations)))
+
+
+def _word_truths(valuations, loop_start, formula, positions) -> list:
     total = len(valuations)
     period = total - loop_start
     assert period > 0, "the lasso needs a non-empty cycle"
@@ -96,7 +109,7 @@ def eval_word(valuations, loop_start: int, formula, position: int = 0) -> bool:
         memo[key] = result
         return result
 
-    return truth(formula, position)
+    return [truth(formula, p) for p in positions]
 
 
 def eval_fixpoint(valuations, loop_start: int, formula) -> list:
@@ -135,6 +148,76 @@ def eval_fixpoint(valuations, loop_start: int, formula) -> list:
         raise TypeError(f"not a formula: {f!r}")
 
     return table(formula)
+
+
+def eval_laps(valuations, loop_start: int, formula) -> list:
+    """Truth of ``formula`` at every position of the word u · v^ω, by
+    exact laps around the lasso (arguments as for ``eval_word``)."""
+    n = len(valuations)
+    assert 0 <= loop_start < n, "the lasso needs a non-empty cycle"
+    return _laps(formula, valuations, loop_start)
+
+
+def _laps(f, valuations, entry) -> list:
+    """The truth of ``f`` at every position, as lists of bools.
+
+    Every position of the cycle recurs, so a subformula's truth on the
+    cycle depends only on the cycle.  An until that holds at a position
+    has its witness within one lap: the first backward lap, assuming
+    false past the loop's end, is exact at the cycle's entry, and the
+    second lap, reading that value past the end, is exact everywhere on
+    the cycle; it stops at the first position whose value it keeps.  The
+    stem then reads the entry's value once.
+    """
+    n = len(valuations)
+    if isinstance(f, TrueF):
+        return [True] * n
+    if isinstance(f, FalseF):
+        return [False] * n
+    if isinstance(f, Atom):
+        return [v[f.prop] for v in valuations]
+    if isinstance(f, Not):
+        return [not v for v in _laps(f.operand, valuations, entry)]
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _laps(f.left, valuations, entry), _laps(f.right, valuations, entry)
+        # On truth values, a -> b is a <= b.
+        op = {And: and_, Or: or_, Implies: le}[type(f)]
+        return list(map(op, left, right))
+    if isinstance(f, Until):
+        left, right = _laps(f.left, valuations, entry), _laps(f.right, valuations, entry)
+        vals = [False] * n
+        after = False  # the truth at the successor; nothing past the end yet
+        for i in range(n - 1, entry - 1, -1):
+            after = vals[i] = right[i] or (left[i] and after)
+        # The entry is exact now.  The second lap changes the cycle's
+        # positions from its end back to the first that keeps its value;
+        # every position before that one keeps its value too.
+        for i in range(n - 1, entry - 1, -1):
+            now = right[i] or (left[i] and after)
+            if now == vals[i]:
+                break
+            after = vals[i] = now
+        after = vals[entry]
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = right[i] or (left[i] and after)
+        return vals
+    if isinstance(f, Always):
+        inner = _laps(f.operand, valuations, entry)
+        after = all(inner[entry:])
+        vals = [after] * n
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = inner[i] and after
+        return vals
+    if isinstance(f, Eventually):
+        inner = _laps(f.operand, valuations, entry)
+        after = any(inner[entry:])
+        vals = [after] * n
+        for i in range(entry - 1, -1, -1):
+            after = vals[i] = inner[i] or after
+        return vals
+    if isinstance(f, Scope):
+        raise TypeError("desugar scopes before evaluating")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _sweep(vals, succ, rule):

@@ -83,6 +83,16 @@ def test_false_accepts_nothing():
         assert not ltl_ref.buchi_accepts(ba, positions, loop)
 
 
+@pytest.mark.parametrize("text", ["<> True", "[] <> True", "'M @ 'a U True", "~ <> [] False"])
+def test_an_until_of_true_is_met_at_once(text):
+    # The tableau keeps no true among a node's obligations, so an until
+    # whose right side is true must count as met where it is owed: under
+    # an always it is owed at every step, and no run would be fair.
+    ba = ltl_to_buchi(parse_formula(text))
+    for positions, loop in all_words(count=10):
+        assert ltl_ref.buchi_accepts(ba, positions, loop), (positions, loop)
+
+
 def test_atom_constrains_only_the_first_position():
     ba = ltl_to_buchi(p)
     yes, loop = word({P: True, Q: False}, {P: False, Q: False}, loop=1)

@@ -38,7 +38,7 @@ from de_fixpoint.graph import build_state_graph
 from de_fixpoint.model import COMPOSITE, FSM, ActorNode
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.props import prop_holds
+from de_fixpoint.props import pack_row, prop_holds
 from de_fixpoint.state import SystemState, collect_variables
 
 import families
@@ -433,10 +433,21 @@ WORD_VALUATIONS = [
 ]
 
 
+def minimal_lasso(word, entry, valuations):
+    """``checker._minimal_lasso`` of a word of class ids, on the rows of its
+    atoms: (succ, letters, stem length), letters as class ids again."""
+    props = list(valuations[0])
+    rows = [tuple(valuations[c][prop] for c in word) for prop in props]
+    stem, cycle = checker._minimal_lasso(rows, map(pack_row, rows), len(word), entry)
+    class_of = {tuple(v.values()): c for c, v in enumerate(valuations)}
+    letters = [class_of[vector] for vector in stem + cycle]
+    return list(range(1, len(letters))) + [len(stem)], letters, len(stem)
+
+
 def product_verdicts(word, entry, valuations, f):
     """(compressed, full): does ``f`` hold by the short and by the full product?"""
     ba = ltl_to_buchi(Not(f))
-    short_succ, letters = checker._stutter_lasso(word, entry)
+    short_succ, letters, _ = minimal_lasso(word, entry, valuations)
     succ = list(range(1, len(word))) + [entry]
     compressed = checker._find_accepting_lasso(short_succ, letters, ba, valuations, {})
     full = checker._find_accepting_lasso(succ, word, ba, valuations, {})
@@ -468,10 +479,15 @@ def lasso_words(draw, shape):
         middle = draw(st.lists(letter.filter(lambda x: x != c), min_size=1, max_size=4))
         stem.append(c)
         cycle = [c, *middle, c]
+    elif shape in ("cycle is a power of a shorter one", "stem ends in the cycle's last letters"):
+        cycle = draw(st.lists(letter, min_size=1, max_size=4)) * draw(st.integers(1, 4))
     else:
         cycle = draw(st.lists(letter, min_size=1, max_size=8))
     if shape == "stem ends in the cycle's first letter":
         stem.append(cycle[0])
+    if shape == "stem ends in the cycle's last letters":
+        # Up to two laps of the cycle roll back out of the stem.
+        stem += (cycle * 2)[-draw(st.integers(1, 2 * len(cycle))) :]
     return stem + cycle, len(stem)
 
 
@@ -483,6 +499,8 @@ def lasso_words(draw, shape):
         "all-equal cycle",
         "stem ends in the cycle's first letter",
         "cycle wraps on the stem's last letter",
+        "cycle is a power of a shorter one",
+        "stem ends in the cycle's last letters",
     ],
 )
 @given(data=st.data())
@@ -490,13 +508,19 @@ def test_compressed_product_agrees_with_full_product_and_reference(shape, data):
     word, entry = data.draw(lasso_words(shape))
     f = fm(data.draw(formula_texts(WORD_ATOMS, depth=3)))
     succ = list(range(1, len(word))) + [entry]
-    short_succ, letters = checker._stutter_lasso(word, entry)
+    short_succ, letters, split = minimal_lasso(word, entry, WORD_VALUATIONS)
     # The short lasso spells the same word up to stutter, and has no
     # stutter left but a one-letter cycle's self-loop.
     want = spelled(succ, word, 3 * len(word))
     assert spelled(short_succ, letters, 3 * len(word))[: len(want)] == want
     assert (short_succ[-1] == len(letters) - 1) == (len(set(word[entry:])) == 1)
     assert all(letters[i] != letters[j] for i, j in enumerate(short_succ) if i != j)
+    # It is the minimal lasso: its cycle has no proper period, and its
+    # stem's last letter is not the cycle's last, so it cannot roll.
+    stem, cycle = letters[:split], letters[split:]
+    k = len(cycle)
+    assert all(cycle[p:] != cycle[:-p] for p in range(1, k) if k % p == 0)
+    assert not stem or stem[-1] != cycle[-1]
     compressed, full = product_verdicts(word, entry, WORD_VALUATIONS, f)
     expected = ltl_ref.eval_word([WORD_VALUATIONS[c] for c in word], entry, f)
     assert compressed == full == expected
@@ -579,7 +603,40 @@ def test_generated_models_agree_with_reference_and_full_product(data):
     assert product_verdicts(word, entry, valuations, f) == (expected, expected)
 
 
-# The integer product search and the lap evaluation against their references. --------
+ONE_NODE = "format 1\ncomposite T {\n  var x = 0\n  fsm M {\n    initial s0\n  }\n}\n"
+
+
+@st.composite
+def graphs_and_atoms(draw, fixtures):
+    """A graph (a fixture's, a generated model's, a bounded or a one-node
+    one) and up to three of its propositions."""
+    source = draw(st.sampled_from(("fixture", "generated", "bounded", "one node")))
+    if source == "generated":
+        graph = generated_graph(draw(families.MODELS))
+    elif source == "one node":
+        graph = generated_graph(ONE_NODE)
+        assert len(graph.nodes) == 1
+    else:
+        graph = draw(st.sampled_from(fixtures[source]))
+    atoms = st.lists(st.sampled_from(proposition_atoms(graph)), min_size=1, max_size=3, unique=True)
+    return graph, [desugar(parse_formula(text)).prop for text in draw(atoms)]
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_atom_bits_are_the_atom_rows_bit_by_bit(flat_graph, hier_graph, mutant_graph, bounded_graphs, data):
+    fixtures = {"fixture": (flat_graph, hier_graph, mutant_graph), "bounded": tuple(bounded_graphs.values())}
+    graph, props = data.draw(graphs_and_atoms(fixtures))
+    fresh = replace(graph)  # bits packed before any row is kept
+    for prop in props:
+        bits = fresh.atom_bits(prop)
+        row = graph.atom_row(prop)
+        assert bits >> len(row) == 0
+        assert [bool(bits >> i & 1) for i in range(len(row))] == list(row)
+        assert fresh.atom_bits(prop) is bits
+
+
+# The integer product search and the bit-row evaluation against their references. ----
 
 
 def searches_sharing_one_memo(search, word, entry, valuations, f):
@@ -587,7 +644,7 @@ def searches_sharing_one_memo(search, word, entry, valuations, f):
     word, sharing one guard memo as check_ltl does, and that memo."""
     ba = ltl_to_buchi(Not(f))
     enters = {}
-    short_succ, letters = checker._stutter_lasso(word, entry)
+    short_succ, letters, _ = minimal_lasso(word, entry, valuations)
     succ = list(range(1, len(word))) + [entry]
     compressed = search(short_succ, letters, ba, valuations, enters)
     return compressed, search(succ, word, ba, valuations, enters), enters
@@ -635,22 +692,70 @@ def evaluation_lassos(draw, where):
     letter = st.integers(0, len(WORD_VALUATIONS) - 1)
     if where == "n = 1":
         return [draw(letter)], 0
-    word = draw(st.lists(letter, min_size=1, max_size=12))
+    longer = {"more than 64 positions": 64, "more than 128 positions": 128}.get(where)
+    if longer is None:
+        word = draw(st.lists(letter, min_size=1, max_size=12))
+    else:
+        # Runs of letters, laid end to end until the word is long enough,
+        # so that untils and always see long stretches.
+        runs = draw(st.lists(st.tuples(letter, st.integers(1, 12)), min_size=1, max_size=12))
+        word = [c for c, length in runs for _ in range(length)]
+        while len(word) <= longer:
+            word += word[draw(st.integers(0, len(word) - 1)) :]
     entry = {"entry 0": 0, "entry n-1": len(word) - 1}.get(where)
     if entry is None:
         entry = draw(st.integers(0, len(word) - 1))
     return word, entry
 
 
-@pytest.mark.parametrize("where", ["entry 0", "entry n-1", "n = 1", "anywhere"])
+@pytest.mark.parametrize(
+    "where",
+    ["entry 0", "entry n-1", "n = 1", "anywhere", "more than 64 positions", "more than 128 positions"],
+)
 @given(data=st.data())
 def test_lap_evaluation_matches_the_references_at_every_position(where, data):
+    # The bit-parallel evaluation against the lap-based lists it replaced,
+    # the fixpoint sweeps and the word semantics, position by position.
     word, entry = data.draw(evaluation_lassos(where))
     f = fm(data.draw(formula_texts(WORD_ATOMS, depth=4)))
     valuations = [WORD_VALUATIONS[c] for c in word]
-    rows = {prop: [v[prop] for v in valuations] for prop in WORD_PROPS}
-    placeholders = [None] * len(word)  # the rows answer every atom
-    table = checker._table(f, placeholders, entry, rows)
+    rows = {prop: pack_row([v[prop] for v in valuations]) for prop in WORD_PROPS}
+    bits = checker._truth(f, len(word), entry, rows)
+    table = [bool(bits >> i & 1) for i in range(len(word))]
+    assert bits >> len(word) == 0
+    assert table == ltl_ref.eval_laps(valuations, entry, f)
     assert table == ltl_ref.eval_fixpoint(valuations, entry, f)
-    assert table == [ltl_ref.eval_word(valuations, entry, f, i) for i in range(len(word))]
+    assert table == ltl_ref.eval_word_everywhere(valuations, entry, f)
+    placeholders = [None] * len(word)  # the rows answer every atom
     assert eval_on_lasso(placeholders, entry, f, rows) is table[0]
+
+
+# Untils, always and eventually straight on the atoms' rows, whose bits
+# are as varied as the word.
+ON_ATOMS = [
+    "'M @ 'a U 'M @ 'b",
+    "~ 'M @ 'a U 'M @ 'b",
+    "'M @ 'a U ~ 'M @ 'b",
+    "('M @ 'a \\/ 'M @ 'b) U ('M @ 'a /\\ 'M @ 'b)",
+    "[] 'M @ 'a",
+    "[] ~ 'M @ 'b",
+    "<> 'M @ 'a",
+    "<> ~ 'M @ 'b",
+]
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["entry 0", "entry n-1", "n = 1", "anywhere", "more than 64 positions", "more than 128 positions"],
+)
+@given(data=st.data())
+def test_temporal_operators_on_atoms_match_the_references_at_every_position(where, data):
+    # An until is one carry: in runs where the left and right rows overlap
+    # a wrong propagate mask carries through them.  Always and eventually
+    # read the stem up to one bit.
+    word, entry = data.draw(evaluation_lassos(where))
+    f = fm(data.draw(st.sampled_from(ON_ATOMS)))
+    valuations = [WORD_VALUATIONS[c] for c in word]
+    rows = {prop: pack_row([v[prop] for v in valuations]) for prop in WORD_PROPS}
+    bits = checker._truth(f, len(word), entry, rows)
+    assert [bool(bits >> i & 1) for i in range(len(word))] == ltl_ref.eval_laps(valuations, entry, f)

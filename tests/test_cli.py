@@ -514,6 +514,62 @@ def test_a_file_that_is_not_utf8_is_a_semantic_error(capsys, tmp_path):
     assert err == f"error: cannot read {latin}: not UTF-8 text (byte 29)\n"
 
 
+# Python (3.11, and patch releases of 3.10 on) converts no longer run of
+# digits than this between int and text; 0 means no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+
+
+@needs_digit_limit
+def test_a_number_literal_past_the_digit_limit_is_a_syntax_error(capsys, tmp_path):
+    big = "9" * (DIGIT_LIMIT + 1)
+    too_long = f"number literal too long (over {DIGIT_LIMIT} digits)"
+    clock = tmp_path / "clock.model"
+    clock.write_text(f"format 1\ncomposite T {{ clock C {{ period = {big} }} }}\n", encoding="utf-8")
+    variable = tmp_path / "variable.model"
+    variable.write_text(f"format 1\ncomposite T {{ var x = {big} }}\n", encoding="utf-8")
+    decimal = tmp_path / "decimal.model"
+    decimal.write_text(f"format 1\ncomposite T {{ clock C {{ period = 1.{big} }} }}\n", encoding="utf-8")
+    for argv, where in (
+        (("dump", str(clock)), "2:34"),
+        (("simulate", str(variable), "--until", "1"), "2:23"),
+        (("check", str(decimal), "--formula", "True"), "2:34"),
+        (("search", FLAT, "--prop", f"'FlatTrafficLight | 'Cred = {big}"), "1:29"),
+        (("check", FLAT, "--formula", f"[] ('FlatTrafficLight | 'Cred = -{big})"), "1:34"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"syntax error: {where}: {too_long}\n"), argv[0]
+
+
+SQUARING = """format 1
+composite T {
+  clock C { period = 1 }
+  fsm M {
+    input In
+    var x = 9
+    initial s
+    transition s -> s { guard isPresent(In) set x = x * x }
+  }
+  connect C.output -> M.In
+}
+"""
+
+
+@needs_digit_limit
+def test_a_variable_past_the_digit_limit_cannot_be_printed(capsys, tmp_path):
+    # x = 9^(2^t) has 7 817 digits at t = 13.
+    model = tmp_path / "squaring.model"
+    model.write_text(SQUARING, encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "simulate", str(model), "--until", "14", "--format", fmt)
+        assert (code, out) == (3, ""), fmt
+        assert err == f"error: cannot print T.M.x: its value has over {DIGIT_LIMIT} digits\n", fmt
+    # A check prints no values: its verdict stands.
+    code, out, err = run(capsys, "check", str(model), "--until", "14", "--formula", "[] 'T . 'M @ 's")
+    assert (code, err) == (0, "")
+    assert out.startswith("holds")
+
+
 def nested_blocks(tmp_path, depth):
     """A model file of ``depth`` actor blocks, each inside the last: composites
     around one clock, the top one holding a variable."""

@@ -7,6 +7,10 @@ alone and mixed).  A change of wording or of the reported position shows
 up here.
 """
 
+import sys
+
+import pytest
+
 from de_fixpoint.errors import ParseError
 from de_fixpoint.formula_parser import parse_formula, parse_prop
 from de_fixpoint.parser import parse_model
@@ -163,6 +167,31 @@ PROP_ERRORS = [
     ('\'T | \'x = "a', '1:11: unterminated string'),
 ]
 
+# Python (3.11, and patch releases of 3.10 on) converts no longer run of
+# digits than sys.get_int_max_str_digits(), 4300 by default: a literal
+# with one is a syntax error at that number, in every form a number takes.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+BIG = "9" * (DIGIT_LIMIT + 1)
+TOO_LONG = f"number literal too long (over {DIGIT_LIMIT} digits)"
+
+BIG_NUMBER_ERRORS = [
+    (parse_model, f"format 1\ncomposite T {{ clock C {{ period = {BIG} }} }}", f"2:34: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ var x = {BIG} }}", f"2:23: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ k = -{BIG} }}", f"2:20: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ k = {BIG}/2 }}", f"2:19: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ k = 1/{BIG} }}", f"2:21: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ k = 1.{BIG} }}", f"2:19: {TOO_LONG}"),
+    (parse_model, f"format 1\ncomposite T {{ k = {BIG}.5 }}", f"2:19: {TOO_LONG}"),
+    (parse_model, guard_model(f"isPresent(In) && 1 < {BIG}"), f"6:52: {TOO_LONG}"),
+    (parse_formula, f"'T | 'x = {BIG}", f"1:11: {TOO_LONG}"),
+    (parse_formula, f"'T | 'x = -{BIG}", f"1:12: {TOO_LONG}"),
+    (parse_formula, f"'T | 'x = {BIG}/2", f"1:11: {TOO_LONG}"),
+    (parse_formula, f"'T | 'x = 1/{BIG}", f"1:13: {TOO_LONG}"),
+    (parse_formula, f"'T | 'x = 0.{BIG}", f"1:11: {TOO_LONG}"),
+    (parse_formula, f"[] ('T | ('x = 1, 'y = {BIG}))", f"1:24: {TOO_LONG}"),
+    (parse_prop, f"'FlatTrafficLight | 'Cred = {BIG}", f"1:29: {TOO_LONG}"),
+]
+
 
 def mismatches(parse, cases):
     found = []
@@ -191,3 +220,9 @@ def test_formula_errors():
 
 def test_prop_errors():
     assert mismatches(parse_prop, PROP_ERRORS) == []
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+def test_numbers_past_the_digit_limit():
+    found = [m for parse, text, message in BIG_NUMBER_ERRORS for m in mismatches(parse, [(text, message)])]
+    assert found == []
