@@ -14,9 +14,9 @@ non-negative rational, such as `1/0`, and a formula, expression or
 nest of actor blocks more than 100 levels deep included); 3 for
 semantic errors (a model file that cannot be read or is not UTF-8
 text, causality cycles, nondeterministic machines, exhausted state
-budgets, names a formula mentions that the model lacks); 4 for
-internal errors, which are bugs, so that a crash is never read as a
-verdict; 141 when the output pipe closes early.
+budgets, actors, variables and locations a formula names that the
+model lacks); 4 for internal errors, which are bugs, so that a crash is
+never read as a verdict; 141 when the output pipe closes early.
 
 Results go to stdout, diagnostics to stderr.  `DE_FIXPOINT_COLOR=1`
 forces ANSI color on the human-readable output, `=0` disables it; by

@@ -42,15 +42,19 @@ class UnknownPortRead(EngineError):
 
 
 class NoSuchActor(EngineError):
-    """An actor path did not resolve."""
+    """An actor path did not resolve; ``path`` is the first missing prefix."""
 
-
-class NoSuchPort(EngineError):
-    """A port reference did not resolve."""
+    def __init__(self, path: str):
+        self.path = path
+        super().__init__(f"no actor {path}")
 
 
 class NoSuchVariable(EngineError):
     """A state proposition referenced a variable the actor does not have."""
+
+
+class NoSuchLocation(EngineError):
+    """A location proposition named a location its state machine does not declare."""
 
 
 class NotAnFsm(EngineError):

@@ -17,11 +17,12 @@ events)`` entries: times are integers in ticks of the model's timebase
 (see network.py), and a batch is a tuple of ``(port id, Present status)``
 pairs sorted by port id.  The functions below work on that form; an
 entry changes only when its time or microstep does.  :class:`EventQueue`
-is the same queue with exact rational times and :class:`Event` objects:
-the view a system state shows its callers (``SystemState.queue``), and
-how a caller describes the queue of a state it builds from a tree
-(``SystemState(top, queue)``, which reads it event by event through
-:func:`schedule`).
+is the same queue with exact rational times and :class:`Event` objects,
+and only a view: the one a system state shows its callers
+(``SystemState.queue``, built by :func:`queue_view`).  No state is built
+from one.  Its methods (``add``, ``advance_time``, ``advance_microstep``
+and ``pop_ready``) are a second queue that no engine phase uses; they
+stay bound for the benchmark's tracer, which wraps them by name.
 """
 
 from __future__ import annotations

@@ -72,8 +72,9 @@ An instant has one entry, ``compute_fixpoint(state, events)``: it
 clears every port, delivers the due events and resolves the rest, and
 returns the statuses and firing decisions for ``postfire`` to commit.
 ``clear_ports`` and ``deliver_events`` are the first two of those
-stages on their own, and ``map_ports`` writes a state's slots into the
-template; no step calls any of the three (see their comments).
+stages on their own, and ``map_ports`` writes a state's variables into
+the template (a tree has no field for a location); no step calls any of
+the three (see their comments).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from .errors import CausalityCycle, NondeterministicFsm, ValidationError
 from .model import FSM, ActorNode
 from .expr import guards_cannot_raise
 from .network import Mode, Network
-from .state import SystemState, make_state
+from .state import SystemState
 from .util import FrozenMap
 from .values import ABSENT, UNKNOWN, BoolVal, Present
 
@@ -103,7 +104,7 @@ def _key_text(key: PortKey) -> str:
 
 
 def _with_statuses(state: SystemState, statuses) -> SystemState:
-    return make_state(
+    return SystemState(
         state.network,
         state.mode,
         state.locations,
@@ -148,18 +149,17 @@ def _frozen_delivery(network: Network, pid: int) -> None:
 
 # Bound only for bench/spans.py, which wraps it by this name, until the
 # bench reads counters instead (ROADMAP item 1, stage C): no step and no
-# test calls it.
+# test calls it.  A tree has no field for a location, so ``locations``
+# is not written anywhere; the signature stays as the bench knows it.
 
 
 def map_ports(network: Network, locations, values) -> ActorNode:
-    """The network's template with ``locations`` and ``values`` written in."""
+    """The network's template with ``values`` written in."""
     nodes = network.nodes
     rebuilt = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
         change = {}
-        if node.kind == FSM:
-            change["curr_location"] = locations[i]
         if node.variables:
             change["variables"] = FrozenMap({name: values[slot] for name, slot in network.slots[i].items()})
         kids = network.children[i]

@@ -12,12 +12,13 @@ matter the declaration order.
 
 A tree is plain data: the model as parsed, and nothing more.  A tree
 holds no run-time state: a port has a name and a direction and no
-status.  The engine reads a tree once, compiling its static side (see
-network.py) and taking its starting locations and variables into flat
-slots; the running system is those slots (see state.py), and no tree is
-built from them.  Which refinements run, and how a modal actor's inputs
-reach its children, follow from the tree; the network derives both, and
-no tree records either.
+status, and a state machine has its initial location and no current
+one.  The engine reads a tree once, compiling its static side (see
+network.py) and taking its initial locations and starting variables
+into flat slots; the running system is those slots (see state.py), and
+no tree is built from them.  Which refinements run, and how a modal
+actor's inputs reach its children, follow from the tree; the network
+derives both, and no tree records either.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class ActorNode:
     # State-machine payload.
     locations: tuple = ()
     init_location: Optional[str] = None
-    curr_location: Optional[str] = None
     variables: FrozenMap = EMPTY_MAP  # state machines and composites
     transitions: tuple = ()
     # Composite / modal payload.
@@ -183,7 +183,7 @@ def _canonical_transitions(transitions) -> tuple:
     return ordered
 
 
-_DYNAMIC_FIELDS = ("curr_location", "variables", "inner")
+_DYNAMIC_FIELDS = ("variables", "inner")
 #: The fields a running model never changes.
 STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMIC_FIELDS)
 
@@ -194,13 +194,13 @@ STATIC_FIELDS = tuple(f.name for f in fields(ActorNode) if f.name not in _DYNAMI
 def normalize(top: ActorNode) -> ActorNode:
     """Fill in defaults and derived structure.  Idempotent.
 
-    Clocks get their default offset/emit parameters, state machines a
-    current location, and the children of modal actors the ports their
-    implied wiring names: the controller mirrors every modal output as
-    an input/output pair (its coupled ports) and sees every modal input,
-    and each refinement carries exactly the modal's ports.  The wiring
-    itself, a modal input fanned out to the controller and every
-    refinement, is the network's to derive (see network.py).
+    Clocks get their default offset/emit parameters, and the children of
+    modal actors the ports their implied wiring names: the controller
+    mirrors every modal output as an input/output pair (its coupled
+    ports) and sees every modal input, and each refinement carries
+    exactly the modal's ports.  The wiring itself, a modal input fanned
+    out to the controller and every refinement, is the network's to
+    derive (see network.py).
     """
     return _normalize(top)
 
@@ -219,9 +219,6 @@ def _normalize(node: ActorNode, wanted=()) -> ActorNode:
         missing = {k: v for k, v in _CLOCK_DEFAULTS.items() if k not in node.parameters}
         if missing:
             changes["parameters"] = FrozenMap({**node.parameters, **missing})
-    elif node.kind == FSM:
-        if node.curr_location is None and node.init_location is not None:
-            changes["curr_location"] = node.init_location
     elif node.kind in (COMPOSITE, MODAL):
         inner = tuple(_normalize(child, _implied_ports(node, child)) for child in node.inner)
         if any(new is not old for new, old in zip(inner, node.inner)):
@@ -412,8 +409,6 @@ def _validate_node(node, path, ancestors, problems, parent_modal=None):
             problems.append(f"{prefix}: state machine has no locations")
         if node.init_location not in node.locations:
             problems.append(f"{prefix}: initial location {node.init_location!r} undeclared")
-        if node.curr_location is not None and node.curr_location not in node.locations:
-            problems.append(f"{prefix}: current location {node.curr_location!r} undeclared")
         _validate_expressions(node, prefix, problems)
     elif node.kind in (COMPOSITE, MODAL):
         names = set()

@@ -26,17 +26,16 @@ using Ptolemy II*, 2014, DE chapter).
 A system state (see state.py) holds its dynamic side as flat tuples
 indexed by actor, port id and value slot, and every engine phase works
 on those.  Trees are input only, and the mapping runs one way:
-:meth:`Network.flatten` reads the template's starting locations and
-variables into slots, and :meth:`Network.flat_events` turns Events into
-port ids.  A network keeps the tree it was compiled from and that
-tree's nodes in index order; no tree refers to a network, and none is
-built from a state.
+:meth:`Network.flatten` reads the template's initial locations and
+starting variables into slots.  A network keeps the tree it was
+compiled from and that tree's nodes in index order; no tree refers to
+a network, and none is built from a state.
 
 A network is the one front door for trees: it normalizes its tree and
 runs ``model.validate`` on it before compiling anything, so holding a
 network proves its tree valid, and an ill-formed tree raises
-``ValidationError`` with every problem.  ``initialize`` and
-``SystemState`` both build theirs this way.  Compiling then looks
+``ValidationError`` with every problem.  ``initialize``, the one way
+into a run, builds its network this way.  Compiling then looks
 ports, children, parameters, setter targets and the names and ports of
 every expression up without checking them.
 """
@@ -47,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NoSuchActor, NoSuchPort
+from .errors import NoSuchActor
 from .expr import compile_expr, references
 from .model import (
     CLOCK,
@@ -391,26 +390,10 @@ class Network:
                 raise NoSuchActor(path_text(path[:k]))
         raise NoSuchActor(path_text(path))
 
-    def flat_events(self, events) -> tuple:
-        """Events as the engine queues them: (port id, Present(value)) pairs
-        sorted by port id, the later of two events for one port kept.
-
-        Every event must target an output port, where it lands.
-        """
-        out = {}
-        for ev in events:
-            target = ev.target
-            if target.actor not in self.index:
-                raise NoSuchPort(repr(target))
-            pid = self.ids.get((target.actor, target.port, OUT))
-            if pid is None:
-                raise NoSuchPort(f"{target!r} is not an output port")
-            out[pid] = Present(ev.value)
-        return tuple(sorted(out.items()))
-
     def flatten(self):
-        """The template's dynamic side as (locations, values)."""
+        """A run's starting slots as (locations, values): each state
+        machine's initial location, and every variable's starting value."""
         nodes = self.nodes
-        locations = tuple(node.curr_location if node.kind == FSM else None for node in nodes)
+        locations = tuple(node.init_location if node.kind == FSM else None for node in nodes)
         values = tuple(v for node in nodes for v in node.variables.values())
         return locations, values

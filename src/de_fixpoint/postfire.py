@@ -26,11 +26,12 @@ requests are (ticks, microstep, (port id, status)) triples, which
 at most two states: ``postfire`` builds the next one, and
 ``commit_requests`` a second only when there is something to schedule.
 
-``initialize`` compiles the model's network (see network.py), which
-normalizes and validates the tree first and which every later state
-carries, and schedules each live clock's first tick from the same
-trigger tuple.  Every state's network comes from a validated tree, so a
-commit finds each variable it writes declared and checks nothing.
+``initialize`` is the one way into a run.  It compiles the model's
+network (see network.py), which normalizes and validates the tree first
+and which every later state carries, takes the starting slots from it,
+and schedules each live clock's first tick from the same trigger tuple.
+Every state's network comes from a validated tree, so a commit finds
+each variable it writes declared and checks nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from .events import schedule
 from .model import CLOCK, DELAY, ActorNode
 from .network import Network
-from .state import SystemState, make_state
+from .state import SystemState
 from .values import UNKNOWN, Present
 
 
@@ -52,16 +53,13 @@ def initialize(top: ActorNode) -> SystemState:
     """
     network = Network(top)
     locations, values = network.flatten()
-    locations = list(locations)
-    for i, info in network.fsms.items():
-        locations[i] = info.init_location
     mode = network.mode(locations)
     entries = ()
     for pid, kind, request in mode.triggers:
         if kind == CLOCK:
             offset = network.clocks[network.port_actor[pid]].offset
             entries = schedule(entries, offset, 0, request[2], network)
-    return make_state(network, mode, tuple(locations), values, (UNKNOWN,) * network.size, entries, 0, 0)
+    return SystemState(network, mode, locations, values, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
 def postfire(state: SystemState, statuses, decisions):
@@ -115,7 +113,7 @@ def postfire(state: SystemState, statuses, decisions):
         locations = tuple(new_locations)
         if network.modals:
             mode = network.mode(locations)
-    nxt = make_state(
+    nxt = SystemState(
         network,
         mode,
         locations,

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import NoSuchVariable, NotAnFsm
-from .model import MODAL
+from .errors import NoSuchLocation, NoSuchVariable, NotAnFsm
+from .model import FSM, MODAL
 from .state import SystemState
 from .util import hash_once
 from .values import BoolVal, literal_text
@@ -98,8 +98,9 @@ def _compile(network, prop):
     """Two functions deciding ``prop``, or raising as it would: one of a
     state, and one of a list of states that gives the tuple of their truths.
 
-    A bad actor path raises here; a bad location or variable raises when
-    the reader reaches it, as the check goes name by name.
+    A bad actor path, or a location its machine does not declare, raises
+    here; an actor with no locations or a bad variable raises when the
+    reader reaches it, as the check goes name by name.
     """
     i = network.actor(prop.actor)
     if isinstance(prop, LocProp):
@@ -107,6 +108,8 @@ def _compile(network, prop):
             i = next(m.controller for m in network.modals if m.index == i)
         location = prop.location
         label = ".".join(prop.actor)
+        if network.kinds[i] == FSM and location not in network.nodes[i].locations:
+            raise NoSuchLocation(f"{'.'.join(network.paths[i])} has no location '{location}'")
 
         def at(state):
             actual = state.locations[i]

@@ -7,7 +7,7 @@ network.py).  It holds, indexed by actor, port id or value slot:
   actors);
 * ``values``: each variable's value;
 * ``mode``: the :class:`~network.Mode` its locations select, with the
-  enabled flags (``state.enabled``), live actors and fixed-point rules;
+  enabled flags (``mode.enabled``), live actors and fixed-point rules;
 * ``statuses``: each port's status as the last iteration left it, stale
   statuses of ports that have not been resolved since included;
 * ``entries``: the pending-event queue, in ticks of the timebase (see
@@ -28,28 +28,25 @@ slot but the port statuses: states that differ only there are rare (the
 inputs), equality still tells them apart, and hashing the statuses
 would cost more than the rest together.
 
-A state is slots and nothing else: no actor tree is built from it.
-Callers read it flat, through ``fsm_locations``, ``collect_variables``,
-``statuses[network.ids[key]]`` and the network's template.  The queue
-with exact rational times (``queue``) and the elapsed time as a
-rational (``elapsed``) are views for printers and library callers,
-built from the slots on first use; the engine never needs them.  A
-state built from a tree and a queue reads both once, as the engine
-would have built them, keeps neither, and starts with every port
-unknown.  Its network normalizes and validates the tree, as the one
-``initialize`` builds does, so every state the engine runs on has a
-network compiled from a validated tree.
+A state is slots and nothing else, and it has one constructor, which
+takes them as they are.  ``initialize`` builds a run's first state (see
+postfire.py), whose network has normalized and validated the model's
+tree, and every later state is built from the one before by an engine
+phase, sharing its network.  No tree is built from a state or describes
+one: callers read it flat, through ``fsm_locations``,
+``collect_variables``, ``statuses[network.ids[key]]`` and the network's
+template.  The queue with exact rational times (``queue``) and the
+elapsed time as a rational (``elapsed``) are views for printers and
+library callers, built from the slots on first use; the engine never
+needs them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .events import EMPTY_QUEUE, EventQueue, queue_view, schedule
-from .model import ActorNode
-from .network import Mode, Network, to_ticks
-from .util import time_amount
-from .values import UNKNOWN
+from .events import EventQueue, queue_view
+from .network import Mode, Network
 
 
 class SystemState:
@@ -66,53 +63,18 @@ class SystemState:
         "_queue",
     )
 
-    def __init__(
-        self,
-        top: ActorNode,
-        queue: EventQueue = EMPTY_QUEUE,
-        elapsed: Fraction = Fraction(0),
-        microstep_of_instant: int = 0,
-    ):
-        """The state a tree and a queue describe.
-
-        ``top`` is compiled into a :class:`~network.Network`, which
-        normalizes it (see ``model.normalize``), so a state machine with
-        no current location stands in its initial one, and validates it:
-        an ill-formed tree raises the ``ValidationError`` that
-        ``initialize`` raises, with every problem.  The
-        queue is read event by event, as ``EventQueue.add`` would have
-        scheduled each: entries come out in tag order, one per tag, and a
-        later event for a port replaces an earlier one at the same tag.
-        A negative time (a queue entry's or ``elapsed``) raises
-        ``NegativeTimer`` and a negative microstep (a queue entry's or
-        ``microstep_of_instant``) ``ValueError``.  Every time must be a
-        multiple of the tree's timebase.  Which actors are enabled
-        follows from the locations (``self.enabled``), and every port
-        starts unknown.
-        """
-        network = self.network = Network(top)
-        self.locations, self.values = network.flatten()
-        self.statuses = (UNKNOWN,) * network.size
-        self.mode = network.mode(self.locations)
-        entries = ()
-        for entry in queue.entries:
-            if entry.microstep < 0:
-                raise ValueError("microstep must be non-negative")
-            time = to_ticks(time_amount(entry.time), network.timebase)
-            for event in entry.events:
-                (flat,) = network.flat_events((event,))
-                entries = schedule(entries, time, entry.microstep, flat, network)
+    def __init__(self, network: Network, mode: Mode, locations, values, statuses, entries, now, microstep):
+        """A state from its slots, as the engine builds them; ``mode`` must be
+        ``network.mode(locations)``."""
+        self.network = network
+        self.mode = mode
+        self.locations = locations
+        self.values = values
+        self.statuses = statuses
         self.entries = entries
-        self.now = to_ticks(time_amount(elapsed), network.timebase)
-        if microstep_of_instant < 0:
-            raise ValueError("microstep must be non-negative")
-        self.microstep_of_instant = microstep_of_instant
+        self.now = now
+        self.microstep_of_instant = microstep
         self._hash = self._queue = None
-
-    @property
-    def enabled(self) -> tuple:
-        """Each actor's enabled flag, as the locations imply it."""
-        return self.mode.enabled
 
     @property
     def queue(self) -> EventQueue:
@@ -128,7 +90,7 @@ class SystemState:
 
     def requeued(self, entries, now: int, microstep: int) -> "SystemState":
         """This state with another queue, time and microstep."""
-        return make_state(
+        return SystemState(
             self.network, self.mode, self.locations, self.values, self.statuses, entries, now, microstep
         )
 
@@ -159,25 +121,6 @@ class SystemState:
             f"SystemState(t={self.elapsed}, m={self.microstep_of_instant}, "
             f"locations={fsm_locations(self)}, queue={self.queue_summary()})"
         )
-
-
-def make_state(network: Network, mode: Mode, locations, values, statuses, entries, now, microstep) -> SystemState:
-    """A state from its slots, as the engine builds them; ``mode`` must be
-    ``network.mode(locations)``."""
-    state = _new(SystemState)
-    state.network = network
-    state.mode = mode
-    state.locations = locations
-    state.values = values
-    state.statuses = statuses
-    state.entries = entries
-    state.now = now
-    state.microstep_of_instant = microstep
-    state._hash = state._queue = None
-    return state
-
-
-_new = object.__new__
 
 
 def collect_variables(state: SystemState) -> dict:

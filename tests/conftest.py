@@ -6,7 +6,11 @@ from hypothesis import settings
 
 from de_fixpoint import build_state_graph, initialize, parse_model
 from de_fixpoint.errors import NoSuchActor
-from de_fixpoint.model import path_text
+from de_fixpoint.events import EMPTY_QUEUE, schedule
+from de_fixpoint.model import OUT, path_text
+from de_fixpoint.network import to_ticks
+from de_fixpoint.state import SystemState
+from de_fixpoint.values import Present
 
 # Property tests draw the same examples on every run (no example
 # database, no random seed), so a failure reproduces and the suite's
@@ -84,6 +88,44 @@ def resolve(top, path):
         if node is None:
             raise NoSuchActor(path_text(path[:i]))
     return node
+
+
+def flat_events(network, events) -> tuple:
+    """Events as the engine queues them: (port id, Present(value)) pairs
+    sorted by port id, the later of two events for one port kept.  Every
+    event targets an output port, where it lands."""
+    out = {}
+    for event in events:
+        out[network.ids[(event.target.actor, event.target.port, OUT)]] = Present(event.value)
+    return tuple(sorted(out.items()))
+
+
+def started(top, locations=None, queue=EMPTY_QUEUE, elapsed=0, microstep=0):
+    """A state of a run of tree ``top``: its machines at ``locations`` (by
+    dotted path, as ``fsm_locations`` gives them; the rest stand in their
+    initial ones), ``queue`` pending, at time ``elapsed`` and microstep
+    ``microstep``, every variable at its starting value and every port
+    unknown.
+
+    It is built as the engine builds states, from ``initialize(top)``'s
+    network and slots, with the queue read event by event through
+    ``events.schedule``, as ``EventQueue.add`` would have built it.  The
+    clocks' first ticks are pending only if ``queue`` holds them.
+    """
+    first = initialize(top)
+    network = first.network
+    slots = list(first.locations)
+    for path, location in (locations or {}).items():
+        slots[network.actor(path.split("."))] = location
+    slots = tuple(slots)
+    entries = ()
+    for entry in queue.entries:
+        time = to_ticks(entry.time, network.timebase)
+        for event in entry.events:
+            (flat,) = flat_events(network, (event,))
+            entries = schedule(entries, time, entry.microstep, flat, network)
+    now = to_ticks(elapsed, network.timebase)
+    return SystemState(network, network.mode(slots), slots, first.values, first.statuses, entries, now, microstep)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,9 @@
 """Reference normalization: the earlier design, which rebuilt nodes.
 
-Every clock and composite, and every state machine that gains a current
-location, is rebuilt through ``dataclasses.replace``, so every tuple is
-sorted again; a modal actor's controller and refinements are rebuilt a
-second time for their implied ports.  ``model.normalize`` builds each
-changed node once; it is tested against this.
+Every clock and composite is rebuilt through ``dataclasses.replace``, so
+every tuple is sorted again; a modal actor's controller and refinements
+are rebuilt a second time for their implied ports.  ``model.normalize``
+builds each changed node once; it is tested against this.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from de_fixpoint.model import CLOCK, COMPOSITE, FSM, IN, MODAL, OUT, ActorNode, Port
+from de_fixpoint.model import CLOCK, COMPOSITE, IN, MODAL, OUT, ActorNode, Port
 from de_fixpoint.util import FrozenMap
 from de_fixpoint.values import IntVal, TimeVal
 
@@ -23,10 +22,6 @@ def reference_normalize(node: ActorNode) -> ActorNode:
         params.setdefault("offset", TimeVal(Fraction(0)))
         params.setdefault("emit", IntVal(1))
         return replace(node, parameters=FrozenMap(params))
-    if node.kind == FSM:
-        if node.curr_location is None and node.init_location is not None:
-            node = replace(node, curr_location=node.init_location)
-        return node
     if node.kind == COMPOSITE:
         return replace(node, inner=tuple(reference_normalize(a) for a in node.inner))
     if node.kind == MODAL:

@@ -324,7 +324,7 @@ def test_criterion_09_frozen_refinement_bit_identical(hier_state):
             return locations, variables
 
         def normal_enabled(state):
-            return state.enabled[state.network.actor(("HierarchicalTrafficLight", "TrafficLight", "normal"))]
+            return state.mode.enabled[state.network.actor(("HierarchicalTrafficLight", "TrafficLight", "normal"))]
 
         state = hier_state
         frozen_steps = 0

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from de_fixpoint import checker
 from de_fixpoint.buchi import MAX_TABLEAU_NODES, BuchiAutomaton, Release, ltl_to_buchi
 from de_fixpoint.checker import check_ltl, eval_on_lasso
-from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm, StateSpaceExceeded
-from de_fixpoint.events import EMPTY_QUEUE
+from de_fixpoint.errors import NoSuchActor, NoSuchLocation, NoSuchVariable, NotAnFsm, StateSpaceExceeded
 from de_fixpoint.executor import step
 from de_fixpoint.formula import (
     Always,
@@ -39,12 +38,12 @@ from de_fixpoint.model import COMPOSITE, FSM, ActorNode
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.props import pack_row, prop_holds
-from de_fixpoint.state import SystemState, collect_variables
+from de_fixpoint.state import collect_variables
 
 import families
 import ltl_ref
 import ndfs_ref
-from conftest import initial_state, many_untils
+from conftest import initial_state, many_untils, started
 
 
 def lasso_state(location):
@@ -53,9 +52,8 @@ def lasso_state(location):
         FSM,
         locations=("a", "b", "c"),
         init_location="a",
-        curr_location=location,
     )
-    return SystemState(ActorNode("Top", COMPOSITE, inner=(fsm,)), EMPTY_QUEUE)
+    return started(ActorNode("Top", COMPOSITE, inner=(fsm,)), locations={"Top.M": location})
 
 
 ABC = [lasso_state("a"), lasso_state("b"), lasso_state("c")]
@@ -322,6 +320,7 @@ GENERATED = {
             ("'Ghost @ 'x", NoSuchActor),
             ("'FlatTrafficLight | 'ghost = 1", NoSuchVariable),
             ("'FlatTrafficLight @ 'x", NotAnFsm),
+            ("'FlatTrafficLight . 'CarLight @ 'Cgren", NoSuchLocation),
         ),
     ),
     "hier": (

@@ -249,6 +249,19 @@ def test_search_unknown_name_is_semantic(capsys):
     assert "error:" in err and "ghost" in err
 
 
+def test_a_missing_actor_or_location_is_semantic(capsys):
+    # A misspelled location is an error, not a proposition that never holds.
+    cases = [
+        (
+            ("check", FLAT, "--formula", "[] ~ ('FlatTrafficLight . 'CarLight @ 'Cgren)"),
+            "error: FlatTrafficLight.CarLight has no location 'Cgren'\n",
+        ),
+        (("search", FLAT, "--prop", "'X @ 'a"), "error: no actor X\n"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (3, "", message)
+
+
 def test_search_bounded_can_miss(capsys):
     prop = "'HierarchicalTrafficLight . 'TrafficLight . 'error . 'ErrorLight @ 'Eon"
     code, _, _ = run(capsys, "search", HIER, "--prop", prop, "--until", "10")

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from de_fixpoint import graph as graph_module
-from de_fixpoint import state as state_module
 from de_fixpoint.errors import EmptyQueue
 from de_fixpoint.executor import (
     Iteration,
@@ -21,7 +20,7 @@ from de_fixpoint.executor import (
 from de_fixpoint.parser import parse_model
 from de_fixpoint.graph import build_state_graph
 from de_fixpoint.postfire import initialize
-from de_fixpoint.state import collect_variables, fsm_locations
+from de_fixpoint.state import SystemState, collect_variables, fsm_locations
 from de_fixpoint.values import IntVal
 
 import families
@@ -221,12 +220,12 @@ def states_built_per_step(monkeypatch, state, time_bound=None):
     """{step kind name: Counter of how many states a step of that kind
     built} over a graph build from ``state``."""
     built = 0
-    new = state_module._new
+    init = SystemState.__init__
 
-    def counting_new(cls):
+    def counting_init(self, *slots):
         nonlocal built
         built += 1
-        return new(cls)
+        init(self, *slots)
 
     per_kind = {}
     real_step = graph_module.step
@@ -238,7 +237,7 @@ def states_built_per_step(monkeypatch, state, time_bound=None):
         per_kind.setdefault(type(kind).__name__, Counter())[built] += 1
         return nxt, kind
 
-    monkeypatch.setattr(state_module, "_new", counting_new)
+    monkeypatch.setattr(SystemState, "__init__", counting_init)
     monkeypatch.setattr(graph_module, "step", counting_step)
     build_state_graph(state, time_bound)
     return per_kind

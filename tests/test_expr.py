@@ -33,7 +33,6 @@ from de_fixpoint.expr import (
 )
 from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition
 from de_fixpoint.postfire import initialize
-from de_fixpoint.state import SystemState
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -342,7 +341,7 @@ OFF_SCOPE = {
     "unbound-name": (Var("ghost"), "references unbound name 'ghost'"),
     "output-port": (IsPresent("Out"), "reads unknown port 'Out'"),
 }
-DOORS = (Network, initialize, SystemState)
+DOORS = (Network, initialize)
 
 
 def problems_at_each_door(top):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from de_fixpoint.errors import CausalityCycle, NoSuchPort, ValidationError
-from de_fixpoint.events import Event, EventQueue, QueueEntry
+from de_fixpoint.errors import CausalityCycle, ValidationError
+from de_fixpoint.events import Event
 from de_fixpoint.expr import Binary, IsPresent, Lit, Unary
 from de_fixpoint import fire
 from de_fixpoint import network as network_module
@@ -35,7 +35,7 @@ from de_fixpoint.executor import Iteration, step
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.network import Network
-from de_fixpoint.state import SystemState, collect_variables, fsm_locations, make_state
+from de_fixpoint.state import SystemState, collect_variables, fsm_locations
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -45,7 +45,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import initial_state, load_model
+from conftest import flat_events, initial_state, load_model, started
 from fixpoint_ref import decide_firing, reference_fixpoint
 from test_plans import outcome
 
@@ -65,7 +65,7 @@ def due(state):
 
 def with_statuses(state, statuses):
     """``state`` with the port statuses ``statuses``."""
-    return make_state(
+    return SystemState(
         state.network,
         state.mode,
         state.locations,
@@ -245,7 +245,7 @@ def due_at(state, elapsed):
 def test_frozen_subtree_takes_no_part(hier_state):
     state = due_at(hier_state, 16)
     normal_path = ("HierarchicalTrafficLight", "TrafficLight", "normal")
-    assert state.enabled[state.network.actor(normal_path)] is False
+    assert state.mode.enabled[state.network.actor(normal_path)] is False
     result = compute_fixpoint(state, due(state))
     paths = [state.network.paths[i] for i in result.decisions]
     assert all(not path[: len(normal_path)] == normal_path for path in paths)
@@ -267,23 +267,13 @@ def test_event_into_frozen_refinement_is_inert(hier_state, caplog):
         IntVal(1),
     )
     with caplog.at_level(logging.INFO, logger="de_fixpoint.fire"):
-        result = compute_fixpoint(state, sorted(events + state.network.flat_events([stray])))
+        result = compute_fixpoint(state, sorted(events + flat_events(state.network, [stray])))
     assert any("frozen refinement" in r.message for r in caplog.records)
     # The value sits on the port but drives nothing: no machine inside the
     # frozen refinement decides.
     assert result.statuses[state.network.ids[(stray.target.actor, "output", OUT)]] == Present(IntVal(1))
     normal = ("HierarchicalTrafficLight", "TrafficLight", "normal")
     assert all(state.network.paths[i][: len(normal)] != normal for i in result.decisions)
-
-
-def test_delivery_to_unknown_target_rejected(flat_state):
-    # Events become port ids once, where a state is built from a queue.
-    bad = Event(PortRef(("FlatTrafficLight", "Ghost"), "output"), IntVal(1))
-    with pytest.raises(NoSuchPort):
-        SystemState(flat_state.network.template, EventQueue((QueueEntry(Fraction(1), 0, (bad,)),)))
-    not_output = Event(PortRef(("FlatTrafficLight", "CarLight"), "Sec"), IntVal(1))
-    with pytest.raises(NoSuchPort):
-        SystemState(flat_state.network.template, EventQueue((QueueEntry(Fraction(1), 0, (not_output,)),)))
 
 
 # Causality cycles. -----------------------------------------------------------
@@ -351,7 +341,6 @@ def test_decisions_are_read_before_the_absent_fallback():
         ports=(Port("Tick", IN), Port("In", IN), Port("Out", OUT)),
         locations=("s", "t"),
         init_location="s",
-        curr_location="s",
         transitions=(
             Transition(
                 "s",
@@ -367,7 +356,6 @@ def test_decisions_are_read_before_the_absent_fallback():
         ports=(Port("In", IN), Port("Out", OUT)),
         locations=("s",),
         init_location="s",
-        curr_location="s",
         transitions=(Transition("s", "s", IsPresent("In"), outputs={"Out": Lit(IntVal(1))}),),
     )
     clock = ActorNode(
@@ -387,8 +375,8 @@ def test_decisions_are_read_before_the_absent_fallback():
         ),
     )
     tick = Event(PortRef(("Loop", "Clock"), "output"), IntVal(1))
-    state = SystemState(top)
-    result = compute_fixpoint(state, state.network.flat_events([tick]), bottom_as_absent=True)
+    state = started(top)
+    result = compute_fixpoint(state, flat_events(state.network, [tick]), bottom_as_absent=True)
     assert state.network.index[("Loop", "A")] not in result.decisions
     assert result.statuses[state.network.ids[(("Loop", "A"), "Out", OUT)]] is ABSENT
 
@@ -400,7 +388,6 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
         ports=(Port("In", IN),),
         locations=("s",),
         init_location="s",
-        curr_location="s",
     )
 
     def two_clock_top(emit2, offset2=Fraction(0)):
@@ -431,15 +418,16 @@ def test_conflicting_drives_are_a_hard_error(monkeypatch):
         """Resolve an instant at which the clocks named in ``ticking`` tick."""
         network = unvalidated(Network, top)
         locations, values = network.flatten()
-        state = make_state(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
-        events = network.flat_events(
+        state = SystemState(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
+        events = flat_events(
+            network,
             [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
         )
         result = compute_fixpoint(state, events)
         return with_statuses(state, result.statuses)
 
     with pytest.raises(ValidationError, match=r"^Top: port M\.In has more than one writer$"):
-        SystemState(two_clock_top(emit2=1))
+        initialize(two_clock_top(emit2=1))
     with pytest.raises(AssertionError, match="driven to two different statuses"):
         fire_clocks(two_clock_top(emit2=2), ("C1", "C2"))
     # Identical drives agree, so the race is benign.
@@ -509,9 +497,10 @@ def test_two_drivers_whose_reaches_share_several_ports(monkeypatch, emit2, ticki
     top = parse_model(TWO_CLOCKS_INTO_A_COMPOSITE % emit2)
     network = Network(top)
     locations, values = network.flatten()
-    state = make_state(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
+    state = SystemState(network, network.mode(locations), locations, values, (UNKNOWN,) * network.size, (), 0, 0)
     events = sorted(
-        network.flat_events(
+        flat_events(
+            network,
             [Event(PortRef(("Top", name), "output"), top.child(name).parameters["emit"]) for name in ticking]
         )
     )
@@ -596,9 +585,9 @@ def one_level_modal(edit):
 
 
 def rejected(top) -> tuple:
-    """The problems ``SystemState(top)`` reports."""
+    """The problems ``initialize(top)`` reports."""
     with pytest.raises(ValidationError) as error:
-        SystemState(top)
+        initialize(top)
     return error.value.problems
 
 
@@ -623,9 +612,10 @@ def test_a_refinement_without_a_modal_port_has_it_completed():
     def edit(modal):
         return replace(modal, inner=tuple(drop_out(c) if c.name == "A" else c for c in modal.inner))
 
-    # A state normalizes its tree, which gives the refinement its port back.
+    # A run's network normalizes its tree, which gives the refinement its
+    # port back.
     top = one_level_modal(edit)
-    assert SystemState(top) == SystemState(normalize(top))
+    assert initialize(top) == initialize(normalize(top))
 
 
 def test_a_connection_naming_a_missing_port_is_rejected_when_compiled():
@@ -662,7 +652,7 @@ def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     inside = [i for i, path in enumerate(network.paths) if path[: len(normal)] == normal]
     ports = [pid for i in inside for pid in network.port_ids[i]]
     slots = [slot for i in inside for slot in network.slots[i].values()]
-    assert state.enabled[network.actor(normal)] is False
+    assert state.mode.enabled[network.actor(normal)] is False
     assert all(state.statuses[pid] is UNKNOWN for pid in ports)
     nxt, kind = step(state)
     assert isinstance(kind, Iteration)
@@ -670,7 +660,7 @@ def test_a_step_shares_the_slots_it_does_not_change(hier_state):
     assert [nxt.locations[i] for i in inside] == [state.locations[i] for i in inside]
     assert [nxt.values[slot] for slot in slots] == [state.values[slot] for slot in slots]
     # No mode switch: the enabled flags are the same tuple.
-    assert nxt.enabled is state.enabled
+    assert nxt.mode.enabled is state.mode.enabled
     assert nxt.statuses != state.statuses
 
 

@@ -382,7 +382,7 @@ def dump(graph) -> str:
                 f"{network.keys[pid][1]}/{network.keys[pid][2]}={state.statuses[pid]!r}" for pid in network.port_ids[i]
             )
             live = state.mode.live[i]
-            lines.append(f"  {'.'.join(network.paths[i])} enabled={state.enabled[i]} live={live} {ports}")
+            lines.append(f"  {'.'.join(network.paths[i])} enabled={state.mode.enabled[i]} live={live} {ports}")
         lines.append(f"  queue {state.queue.summary()}")
     return "\n".join(lines) + "\n"
 

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from de_fixpoint.errors import StateSpaceExceeded
-from de_fixpoint.events import EMPTY_QUEUE, Event
 from de_fixpoint.executor import Iteration, Tick, simulate, step
 from de_fixpoint.graph import Stutter, build_state_graph, search
-from de_fixpoint.model import PortRef
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.props import LocProp, VarProp
@@ -18,7 +16,7 @@ from de_fixpoint.state import SystemState, fsm_locations
 from de_fixpoint.values import IntVal
 
 import families
-from conftest import initial_state
+from conftest import initial_state, started
 from test_golden import RATIONAL
 
 
@@ -171,24 +169,18 @@ def test_frozen_window_keeps_queue_clear_of_stale_events(hier_graph):
 
 @pytest.mark.parametrize("model", ["hier", "rational"])
 def test_a_state_and_its_queue_describe_each_other(model, hier_state):
-    # A state built from the model's tree and another state's queue, time
-    # and microstep holds that state's flat queue, time and microstep.
+    # The queue view at exact times loses nothing: read back event by
+    # event, with the state's time and microstep, into a state of the same
+    # model, it gives the state's flat queue, time and microstep.
     initial = hier_state if model == "hier" else initialize(parse_model(RATIONAL))
     graph = build_state_graph(initial)
     for state in graph.nodes:
-        again = SystemState(state.network.template, state.queue, state.elapsed, state.microstep_of_instant)
+        again = started(
+            state.network.template, queue=state.queue, elapsed=state.elapsed, microstep=state.microstep_of_instant
+        )
         assert again.entries == state.entries and again.queue == state.queue
         assert (again.now, again.microstep_of_instant) == (state.now, state.microstep_of_instant)
         assert state.queue_summary() == state.queue.summary()
-
-
-def test_a_state_takes_only_times_on_its_timebase(flat_state):
-    clock = PortRef(("FlatTrafficLight", "Clock"), "output")
-    off = EMPTY_QUEUE.add(Fraction(1, 3), 0, Event(clock, IntVal(1)))
-    with pytest.raises(ValueError):
-        SystemState(flat_state.network.template, off)
-    with pytest.raises(ValueError):
-        SystemState(flat_state.network.template, EMPTY_QUEUE, Fraction(5, 2))
 
 
 @settings(max_examples=15)

@@ -32,7 +32,7 @@ from de_fixpoint.model import (
 from de_fixpoint.network import Network
 from de_fixpoint.parser import parse_model, print_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.state import SystemState, make_state
+from de_fixpoint.state import SystemState
 from de_fixpoint.values import (
     ABSENT,
     UNKNOWN,
@@ -74,15 +74,6 @@ def test_normalize_fills_clock_defaults():
     explicit = normalize(clock(offset=TimeVal(Fraction(1, 2)), emit=StringVal("tick")))
     assert explicit.parameters["offset"] == TimeVal(Fraction(1, 2))
     assert explicit.parameters["emit"] == StringVal("tick")
-
-
-def test_normalize_seeds_fsm_current_location():
-    fsm = ActorNode("M", FSM, locations=("a", "b"), init_location="a")
-    assert normalize(fsm).curr_location == "a"
-    started = ActorNode(
-        "M", FSM, locations=("a", "b"), init_location="a", curr_location="b"
-    )
-    assert normalize(started).curr_location == "b"
 
 
 def test_normalize_is_idempotent_on_fixtures(hier_state, flat_state):
@@ -237,7 +228,7 @@ def test_clear_ports_resets_statuses(hier_state):
     assert any(status is not UNKNOWN for status in state.statuses)
     network = state.network
     unknown = (UNKNOWN,) * network.size
-    blank = make_state(
+    blank = SystemState(
         network, state.mode, state.locations, state.values, unknown, state.entries, state.now, state.microstep_of_instant
     )
     statuses = compute_fixpoint(state, ()).statuses
@@ -256,7 +247,6 @@ def machine(*transitions, variables=None):
         ports=(Port("In", IN), Port("Aux", IN), Port("Out", OUT)),
         locations=("s", "t"),
         init_location="s",
-        curr_location="s",
         variables=variables or {},
         transitions=transitions,
     )
@@ -283,7 +273,7 @@ def decide(node, input_statuses):
         return ("nofire", None) if st[info.out_ids["Out"]] is ABSENT else (None, None)
 
     try:
-        verdict, entry = decide_firing(info, node.curr_location, statuses, values)
+        verdict, entry = decide_firing(info, node.init_location, statuses, values)
     except Exception as error:
         with pytest.raises(type(error)) as raised:
             engine()
@@ -588,13 +578,14 @@ def second_writer(top):
     ids=["no-period", "string-period", "undeclared-port", "undeclared-initial", "undeclared-target", "two-writers"],
 )
 def test_a_state_validates_its_tree_as_initialize_does(tree, problem):
-    queue = initialize(load_model("flat_traffic_light.model")).queue
+    # ``initialize`` is the one way to a state: it lists every problem that
+    # ``validate`` finds on the normalized tree, before compiling anything.
     with pytest.raises(ValidationError) as at_initialize:
         initialize(tree)
-    with pytest.raises(ValidationError) as at_state:
-        SystemState(tree, queue)
-    assert problem in at_state.value.problems
-    assert at_state.value.problems == at_initialize.value.problems
+    with pytest.raises(ValidationError) as validated:
+        validate(normalize(tree))
+    assert problem in at_initialize.value.problems
+    assert at_initialize.value.problems == validated.value.problems
 
 
 def test_derived_trees_hash_like_freshly_built_ones(hier_state, flat_state, mutant_state):

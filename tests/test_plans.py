@@ -27,11 +27,11 @@ from de_fixpoint.expr import Binary, IsPresent, Lit, PortValue, Unary, Var, guar
 from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.model import PortRef, Transition
 from de_fixpoint.network import CompiledTransition
-from de_fixpoint.state import SystemState, collect_variables
+from de_fixpoint.state import collect_variables
 from de_fixpoint.values import UNKNOWN, BoolVal, IntVal, StringVal, TimeVal
 
 import families
-from conftest import initial_state
+from conftest import initial_state, started
 from fixpoint_ref import reference_fixpoint
 
 FIXTURES = (
@@ -271,7 +271,7 @@ def test_an_event_on_an_output_keeps_its_machine_running():
     # event set it.
     top = initialize(parse_model(beside_a_clock(SHARED_SINK, READER))).network.template
     event = Event(PortRef(("Top", "M"), "Out"), IntVal(7))
-    state = SystemState(top, EventQueue((QueueEntry(Fraction(1), 0, (event,)),)))
+    state = started(top, queue=EventQueue((QueueEntry(Fraction(1), 0, (event,)),)))
     # The clock's first tick, at t = 0, is not in this queue.
     assert raised_in_run(state) is None
     for _ in range(2):

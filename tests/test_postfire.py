@@ -27,7 +27,7 @@ from de_fixpoint.model import (
 )
 from de_fixpoint.network import to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
-from de_fixpoint.state import SystemState, collect_variables, fsm_locations
+from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.executor import simulate, step
 from de_fixpoint.fire import compute_fixpoint
 from de_fixpoint.parser import parse_model
@@ -42,7 +42,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import MODELS, initial_state
+from conftest import MODELS, flat_events, initial_state, started
 
 TRUE = Lit(BoolVal(True))
 
@@ -76,11 +76,9 @@ def edited(tree, path, **fields):
 
 
 def mid_run_tree(state):
-    """The tree of ``state``'s model with the state's locations and
-    variables written in by path."""
+    """The tree of ``state``'s model with the state's variables written in
+    by path."""
     tree = state.network.template
-    for path, location in fsm_locations(state).items():
-        tree = edited(tree, path.split(".")[1:], curr_location=location)
     for path, variables in collect_variables(state).items():
         tree = edited(tree, path.split(".")[1:], variables=variables)
     return tree
@@ -90,7 +88,7 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
     modal_path = ("HierarchicalTrafficLight", "TrafficLight")
     normal, error = (hier_state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
     state = hier_state
-    while not state.enabled[error]:
+    while not state.mode.enabled[error]:
         state, _ = step(state)
     assert any(status is not UNKNOWN for status in state.statuses)
     tree = mid_run_tree(state)
@@ -100,7 +98,7 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
     assert all(status is UNKNOWN for status in again.statuses)
     network = again.network
     assert all(again.locations[i] == info.init_location for i, info in network.fsms.items())
-    assert again.enabled[normal] and not again.enabled[error]
+    assert again.mode.enabled[normal] and not again.mode.enabled[error]
     assert collect_variables(again) == collect_variables(state)
     # A frozen refinement stays frozen: initializing again changes nothing.
     assert initialize(network.template) == again
@@ -126,9 +124,10 @@ def test_initialize_restarts_machines_and_modes():
         ports=(Port("In", IN),),
         locations=("a", "b"),
         init_location="a",
-        curr_location="b",
     )
-    state = initialize(wrap(fsm))
+    running = started(wrap(fsm), locations={"Top.M": "b"})
+    assert fsm_locations(running) == {"Top.M": "b"}
+    state = initialize(running.network.template)
     assert fsm_locations(state) == {"Top.M": "a"}
 
 
@@ -201,11 +200,10 @@ def test_variable_updates_are_simultaneous():
         ports=(Port("In", IN),),
         locations=("s", "t"),
         init_location="s",
-        curr_location="s",
         variables={"x": IntVal(1), "y": IntVal(5)},
         transitions=(transition,),
     )
-    state = SystemState(wrap(fsm))
+    state = started(wrap(fsm))
     m = state.network.index[("Top", "M")]
     (entry,) = state.network.fsms[m].outgoing["s"]
     assert entry.transition == transition
@@ -224,12 +222,11 @@ def test_nofire_commits_nothing():
         ports=(Port("In", IN),),
         locations=("s", "t"),
         init_location="s",
-        curr_location="s",
         variables={"x": IntVal(1)},
         transitions=(Transition("s", "t", TRUE, sets={"x": Lit(IntVal(9))}),),
     )
     # A machine that does not fire has no entry among the decisions.
-    nxt, requests = committed(SystemState(wrap(fsm)), {(("Top", "M"), "In", IN): ABSENT})
+    nxt, requests = committed(started(wrap(fsm)), {(("Top", "M"), "In", IN): ABSENT})
     assert fsm_locations(nxt)["Top.M"] == "s"
     assert collect_variables(nxt)["Top.M"]["x"] == IntVal(1)
     assert requests == []
@@ -257,7 +254,7 @@ def clock_with(status):
 def scheduled(node, ports):
     """The queue entries committing ``Top``'s postfire leaves, and the
     requests, when the iteration resolved ``ports``."""
-    nxt, requests = committed(SystemState(wrap(node)), ports)
+    nxt, requests = committed(started(wrap(node)), ports)
     return nxt.queue.entries, requests
 
 
@@ -321,13 +318,13 @@ def test_setter_writes_nearest_enclosing_composite():
         variables={"x": IntVal(0)},
     )
     fed = {(("Top", "Inner", "S"), "input", IN): Present(IntVal(42))}
-    nxt, _ = committed(SystemState(wrap(inner, variables={"x": IntVal(0)})), fed)
+    nxt, _ = committed(started(wrap(inner, variables={"x": IntVal(0)})), fed)
     assert collect_variables(nxt)["Top.Inner"]["x"] == IntVal(42)
     assert collect_variables(nxt)["Top"]["x"] == IntVal(0)
 
 
 def test_setter_refining_a_modal_skips_past_it():
-    ctrl = ActorNode("Ctrl", FSM, locations=("a",), init_location="a", curr_location="a")
+    ctrl = ActorNode("Ctrl", FSM, locations=("a",), init_location="a")
     modal = ActorNode(
         "M",
         MODAL,
@@ -336,19 +333,20 @@ def test_setter_refining_a_modal_skips_past_it():
         refinements={"a": "S"},
     )
     fed = {(("Top", "M", "S"), "input", IN): Present(IntVal(9))}
-    nxt, _ = committed(SystemState(wrap(modal, variables={"x": IntVal(0)})), fed)
+    nxt, _ = committed(started(wrap(modal, variables={"x": IntVal(0)})), fed)
     assert collect_variables(nxt)["Top"]["x"] == IntVal(9)
 
 
 def test_setter_with_undeclared_target_raises():
-    # The state validates its tree, so the setter is rejected before it runs.
+    # A run's network validates its tree, so the setter is rejected before
+    # it runs.
     message = r"^Top\.S: target variable 'ghost' is not declared by the enclosing composite$"
     with pytest.raises(ValidationError, match=message):
-        SystemState(wrap(setter("ghost"), variables={"x": IntVal(0)}))
+        initialize(wrap(setter("ghost"), variables={"x": IntVal(0)}))
 
 
 def test_silent_setter_writes_nothing():
-    nxt, _ = committed(SystemState(wrap(setter("x"), variables={"x": IntVal(5)})), {(("Top", "S"), "input", IN): ABSENT})
+    nxt, _ = committed(started(wrap(setter("x"), variables={"x": IntVal(5)})), {(("Top", "S"), "input", IN): ABSENT})
     assert collect_variables(nxt)["Top"]["x"] == IntVal(5)
 
 
@@ -361,12 +359,12 @@ def test_mode_switch_takes_effect_next_iteration(hier_state):
         state, _ = step(state)
     modal_path = ("HierarchicalTrafficLight", "TrafficLight")
     normal, error = (state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
-    assert state.enabled[normal] is True
-    assert state.enabled[error] is False
+    assert state.mode.enabled[normal] is True
+    assert state.mode.enabled[error] is False
     state, _ = step(state)  # the iteration that carries the Error event
     assert fsm_locations(state)["HierarchicalTrafficLight.TrafficLight.Ctrl"] == "error"
-    assert state.enabled[normal] is False
-    assert state.enabled[error] is True
+    assert state.mode.enabled[normal] is False
+    assert state.mode.enabled[error] is True
     # The machines inside the now-frozen refinement kept their positions.
     locations = fsm_locations(state)
     assert (
@@ -408,20 +406,20 @@ def test_enabled_flags_follow_the_controllers_on_generated_models(text):
     states = [state] + [ts.state for ts in simulate(state, max_steps=60).steps]
     for state in states:
         flags = flags_from_locations(state)
-        assert [flags[path] for path in network.paths] == list(state.enabled)
+        assert [flags[path] for path in network.paths] == list(state.mode.enabled)
     # Nested modals freeze and thaw refinements within the run.
-    assert len({state.enabled for state in states}) > 1 or not network.modals
+    assert len({state.mode.enabled for state in states}) > 1 or not network.modals
 
 
 # Queue commitment. -------------------------------------------------------------------
 
 
 def test_commit_requests_folds_in_given_order():
-    state = SystemState(wrap(delay(1, "D1"), delay(Fraction(1, 2), "D2")))
+    state = started(wrap(delay(1, "D1"), delay(Fraction(1, 2), "D2")))
     network = state.network
     d1 = Event(PortRef(("Top", "D1"), "output"), IntVal(1))
     d2 = Event(PortRef(("Top", "D2"), "output"), IntVal(2))
-    ((p1, s1),), ((p2, s2),) = network.flat_events([d1]), network.flat_events([d2])
+    ((p1, s1),), ((p2, s2),) = flat_events(network, [d1]), flat_events(network, [d2])
     one, half = to_ticks(1, network.timebase), to_ticks(Fraction(1, 2), network.timebase)
     queued = commit_requests(state, [(one, 0, (p1, s1)), (one, 0, (p2, s2))])
     assert queued.queue.summary() == [(Fraction(1), 0, 2)]
@@ -437,8 +435,8 @@ def assert_a_normalized_tree_is_its_initial_state(text):
     start = initialize(parse_model(text))
     for top in (normalize(parse_model(text)), parse_model(text)):
         init = start
-        state = SystemState(top, init.queue)
-        assert state == init and state.enabled == init.enabled
+        state = started(top, queue=init.queue)
+        assert state == init and state.mode.enabled == init.mode.enabled
         for _ in range(50):
             if not init.entries:
                 break

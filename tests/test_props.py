@@ -2,7 +2,7 @@
 
 import pytest
 
-from de_fixpoint.errors import NoSuchActor, NoSuchVariable, NotAnFsm
+from de_fixpoint.errors import NoSuchActor, NoSuchLocation, NoSuchVariable, NotAnFsm
 from de_fixpoint.props import LocProp, VarProp, prop_holds, prop_row
 from de_fixpoint.values import BoolVal, IntVal, TimeVal
 from fractions import Fraction
@@ -64,6 +64,10 @@ def test_missing_actor_variable_location_raise(hier_state):
         prop_holds(hier_state, LocProp(HTL, "anywhere"))  # composite, no locations
     with pytest.raises(NotAnFsm):
         prop_holds(hier_state, LocProp(HTL + ("Clock",), "tick"))
+    # A location the machine does not declare is an error, not a
+    # proposition that never holds.
+    with pytest.raises(NoSuchLocation, match=r"^HierarchicalTrafficLight\.Decision has no location 'Nowhere'$"):
+        prop_holds(hier_state, LocProp(HTL + ("Decision",), "Nowhere"))
 
 
 def test_kind_mismatched_value_is_just_false(hier_state):
@@ -115,6 +119,9 @@ def test_a_row_raises_where_prop_holds_would(hier_graph):
         prop_row(nodes, LocProp(HTL, "anywhere"))
     with pytest.raises(NoSuchActor):
         prop_row(nodes, LocProp(HTL + ("Ghost",), "x"))
+    # On a modal actor the location is its controller's.
+    with pytest.raises(NoSuchLocation, match=r"^HierarchicalTrafficLight\.TrafficLight\.Ctrl has no location 'nowhere'$"):
+        prop_row(nodes, LocProp(HTL + ("TrafficLight",), "nowhere"))
 
 
 def test_repr_is_reparseable(hier_state):

@@ -6,14 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from de_fixpoint.errors import EmptyQueue, NegativeTimer, NotAtMicrostepBoundary, NotReady
+from de_fixpoint.errors import EmptyQueue, NotAtMicrostepBoundary, NotReady
 from de_fixpoint.events import EMPTY_QUEUE, Event, EventQueue, QueueEntry
 from de_fixpoint.model import PortRef
-from de_fixpoint.postfire import initialize
-from de_fixpoint.state import SystemState
 from de_fixpoint.values import IntVal, StringVal
 
-from conftest import load_model
+from conftest import load_model, started
 
 
 def ev(actor, port, val=0):
@@ -170,7 +168,7 @@ def test_value_kinds_sort_within_batch():
     assert [e.target.port for e in events] == ["p", "q"]
 
 
-# A state built from a hand-made queue. ----------------------------------------
+# The engine's flat queue against this one. -----------------------------------
 
 TOP = "FlatTrafficLight"
 CLOCK = Event(PortRef((TOP, "Clock"), "output"), IntVal(1))
@@ -200,26 +198,11 @@ def test_a_state_reads_a_hand_built_queue_as_add_builds_it(entries, caplog):
         added = [r.getMessage() for r in caplog.records]
         caplog.clear()
         queue = EventQueue(tuple(QueueEntry(Fraction(t), m, events) for t, m, events in entries))
-        state = SystemState(top, queue)
-    # A replaced event is reported as add reports it.
+        state = started(top, queue=queue)
+    # ``started`` reads the queue through ``events.schedule``, the engine's
+    # queue: it orders and merges as add does, and reports a replaced event
+    # as add reports it.
     assert [r.getMessage() for r in caplog.records] == added
-    assert state == SystemState(top, expected)
+    assert state == started(top, queue=expected)
     assert state.queue == expected
     assert state.queue.summary() == state.queue_summary()
-
-
-def test_a_state_rejects_negative_queue_tags():
-    top = load_model("flat_traffic_light.model")
-    with pytest.raises(NegativeTimer):
-        SystemState(top, EventQueue((QueueEntry(Fraction(-1), 0, (CLOCK,)),)))
-    with pytest.raises(ValueError, match="microstep must be non-negative"):
-        SystemState(top, EventQueue((QueueEntry(Fraction(0), -1, (CLOCK,)),)))
-
-
-def test_a_state_rejects_a_negative_time_or_microstep():
-    top = load_model("flat_traffic_light.model")
-    queue = initialize(top).queue
-    with pytest.raises(NegativeTimer):
-        SystemState(top, queue, elapsed=Fraction(-3))
-    with pytest.raises(ValueError, match="microstep must be non-negative"):
-        SystemState(top, queue, microstep_of_instant=-2)
