@@ -32,14 +32,15 @@ counterexample additionally has to follow real graph edges and violate
 the formula when replayed.  Disagreement between the routes is a bug and
 raises immediately rather than returning a possibly-wrong verdict.
 
-Atom truth is computed once per graph (``StateGraph.atom_row``, and the
-same row packed into an int by ``StateGraph.atom_bits``), one row per
-atom in one pass over the nodes, and shared by both routes and by every
-later check on the same graph; the routes share nothing past that.  The
-minimal lasso is built from the packed rows: a run of equal letters ends
-where some atom's row changes, and letters are read only there.  Nodes
-with the same truth vector over a formula's atoms form a valuation
-class; the minimal lasso keeps every class.  The product search works on
+Atom truth is computed once per graph and kept only as a bit row
+(``StateGraph.atom_bits``), one int per atom from one pass over the
+nodes, shared by both routes and by every later check on the same
+graph; the routes share nothing past that.  The minimal lasso is built
+from the bit rows: a run of equal letters ends where some atom's row
+changes, and letters are read only there, from each row's binary digits.
+Nodes with the same truth vector over a formula's atoms form a valuation
+class; the minimal lasso keeps every class, and a failing formula reads
+each node's class from the same digits.  The product search works on
 flat data: a product state is one integer, its colour a byte, and the
 automaton states a step may enter form one tuple per (automaton state,
 class), built from a memo that asks whether an automaton state's guard
@@ -74,7 +75,7 @@ from .formula import (
     desugar,
 )
 from .graph import StateGraph, Stutter
-from .props import pack_row, prop_holds
+from .props import pack_row, prop_holds, prop_row
 
 
 @dataclass
@@ -108,13 +109,14 @@ def eval_on_lasso(states, cycle_start: int, formula: Formula, rows=None) -> bool
     or true position.  This deliberately shares nothing with the
     automaton construction beyond ``rows``: when given, a mapping from
     each atom's proposition to its truth at every position packed the
-    same way (``pack_row``), read instead of evaluating the states.
+    same way (``pack_row``), read instead of evaluating the states with
+    ``prop_row``.
     """
     n = len(states)
     if not (0 <= cycle_start < n):
         raise ValueError("cycle start out of range")
     if rows is None:
-        rows = {prop: pack_row([prop_holds(s, prop) for s in states]) for prop in collect_atoms(formula)}
+        rows = {prop: prop_row(states, prop) for prop in collect_atoms(formula)}
     return bool(_truth(formula, n, cycle_start, rows) & 1)
 
 
@@ -175,29 +177,34 @@ def _reversed(bits: int, width: int) -> int:
 
 _CYAN, _BLUE = 1, 2
 _SELECT = bytes.maketrans(b"01", b"\0\1")
+_TRUTH = {"0": False, "1": True}
 
 
-def _minimal_lasso(rows, bits, n: int, entry: int):
+def _minimal_lasso(bits, n: int, entry: int):
     """The shortest lasso that spells the word of ``n`` letters, whose
     cycle starts at ``entry``, up to stutter.
 
-    The letter at position i is the tuple of ``row[i]`` over ``rows``, and
-    ``bits`` are those rows packed (``pack_row``).  Letters are read only
-    where a run of equal letters ends: at the set bits of the OR over the
-    atoms of ``m ^ (m >> 1)``, which leaves the stem's last run to the
-    cycle's first when they agree, and at position n - 1.  A cycle whose
-    last letter equals its first loses the last; it is then cut to its
-    primitive root, and the stem's last letter rolls into the cycle while
-    it equals the cycle's last.  None of this changes the word the lasso
-    spells.  Returns (stem, cycle), lists of letters.
+    ``bits`` are the atoms' bit rows, and the letter at position i is the
+    tuple of their bits i, each the binary digit "0" or "1".
+    Letters are read only where a run of equal letters ends: at the set
+    bits of the OR over the atoms of ``m ^ (m >> 1)``, which leaves the
+    stem's last run to the cycle's first when they agree, and at position
+    n - 1.  A cycle whose last letter equals its first loses the last; it
+    is then cut to its primitive root, and the stem's last letter rolls
+    into the cycle while it equals the cycle's last.  None of this changes
+    the word the lasso spells.  Returns (stem, cycle), lists of letters.
     """
     change = 0
     for m in bits:
         change |= m ^ (m >> 1)
     ends = change | 1 << (n - 1)
-    # One byte per position, 1 where a run ends, to select from each row.
-    select = format(ends, "b")[::-1].encode().translate(_SELECT)
-    letters = list(zip(*[compress(row, select) for row in rows])) or [()]
+    # One byte per position, 1 where a run ends, to select from each row's
+    # binary digits; both run from position n - 1 down to 0, so the letters
+    # come out last first.
+    width = f"0{n}b"
+    select = format(ends, width).encode().translate(_SELECT)
+    letters = list(zip(*[compress(format(m, width), select) for m in bits])) or [()]
+    letters.reverse()
     split = (ends & ((1 << entry) - 1)).bit_count()
     stem, cycle = letters[:split], letters[split:]
     if len(cycle) > 1 and cycle[-1] == cycle[0]:
@@ -339,10 +346,9 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     run before being returned.
     """
     f = desugar(formula)
-    # Surface bad actor paths / variables / locations immediately, and on
-    # every node: propositions must be evaluable over the whole graph.
+    # A bad actor path, variable or location raises here, when its
+    # proposition compiles, whatever the nodes hold.
     atoms = collect_atoms(f)
-    rows = [graph.atom_row(prop) for prop in atoms]
     bits = {prop: graph.atom_bits(prop) for prop in atoms}
 
     ba = ltl_to_buchi(Not(f))
@@ -350,20 +356,22 @@ def check_ltl(graph: StateGraph, formula: Formula) -> Verdict:
     # exactly when the full one is.  Only a failing formula searches the
     # full product, whose accepting lasso is the witness.
     n, entry = len(graph.nodes), graph.cycle_entry()
-    stem, cycle = _minimal_lasso(rows, bits.values(), n, entry)
+    stem, cycle = _minimal_lasso(bits.values(), n, entry)
     letters = stem + cycle
-    # Valuation classes: the distinct vectors, numbered as they first occur
-    # (the minimal lasso keeps every one).  The automaton may constrain
-    # only a subset of the atoms; valuations carry them all.
+    # Valuation classes: the distinct vectors of digits, numbered as they
+    # first occur (the minimal lasso keeps every one).  The automaton may
+    # constrain only a subset of the atoms; valuations carry them all, as
+    # True and False, since a guard compares each truth with ``is``.
     class_ids = {vector: c for c, vector in enumerate(dict.fromkeys(letters))}
-    valuations = [dict(zip(atoms, vector)) for vector in class_ids]
+    valuations = [dict(zip(atoms, map(_TRUTH.get, vector))) for vector in class_ids]
     enters = {}
     hit = None
     short_succ = list(range(1, len(letters))) + [len(stem)]
     short_classes = [class_ids[vector] for vector in letters]
     if _find_accepting_lasso(short_succ, short_classes, ba, valuations, enters) is not None:
-        vectors = zip(*rows) if atoms else [()] * n
+        vectors = zip(*[format(m, f"0{n}b") for m in bits.values()]) if atoms else [()] * n
         classes = [class_ids[vector] for vector in vectors]
+        classes.reverse()
         hit = _find_accepting_lasso(graph.succ, classes, ba, valuations, enters)
         if hit is None:
             raise AssertionError(

@@ -90,7 +90,7 @@ from .expr import guards_cannot_raise
 from .network import Mode, Network
 from .state import SystemState
 from .util import FrozenMap
-from .values import ABSENT, UNKNOWN, BoolVal, Present
+from .values import ABSENT, LONG_BITS, UNKNOWN, BoolVal, IntVal, Present, check_digits
 
 log = logging.getLogger(__name__)
 
@@ -290,7 +290,10 @@ class _Machine:
                         break
                 if not ready:
                     continue
-                status = Present(fn(st, values))
+                v = fn(st, values)
+                if v.__class__ is IntVal and v.value.bit_length() > LONG_BITS:
+                    check_digits(v.value, f"{self.info.label}.{name}")
+                status = Present(v)
             elif twin is not None:
                 status = st[twin]
                 if status is UNKNOWN:

@@ -21,6 +21,11 @@ only there share a hash.  Keyed by the states themselves, a dict would
 compare them on its own probe path, which can pass one slot twice and
 depends on how the per-process hash values lay out the table; this way
 a build makes the same equality tests in every process.
+
+A graph keeps the truth of each proposition a check has asked about,
+once, as a bit row: an int whose bit i is the truth on node i
+(``StateGraph.atom_bits``).  A search still asks ``prop_holds`` node by
+node, so it stops at the first hit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import StateSpaceExceeded
 from .executor import passes_bound, step, ticks_within
-from .props import pack_row, prop_holds, prop_row
+from .props import prop_holds, prop_row
 from .state import SystemState
 
 DEFAULT_MAX_STATES = 100_000
@@ -58,7 +63,6 @@ class StateGraph:
     kinds: list  # node id -> step kind taken out of it (Stutter on self-loops)
     bounded: bool
     bottom_as_absent: bool = False
-    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _bits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def cycle_entry(self) -> int:
@@ -66,25 +70,17 @@ class StateGraph:
         # The last computed successor points back into the node list.
         return self.succ[len(self.nodes) - 1]
 
-    def atom_row(self, prop) -> tuple:
-        """Truth of ``prop`` on every node, indexed by node id.
-
-        Computed on first use in one pass over the nodes' slots
-        (``prop_row``; the nodes share one network) and kept.  A bad actor
-        path, variable or location raises what ``prop_holds`` raises, on
-        every call, since a row that fails is not kept.
-        """
-        row = self._rows.get(prop)
-        if row is None:
-            row = self._rows[prop] = prop_row(self.nodes, prop)
-        return row
-
     def atom_bits(self, prop) -> int:
-        """``atom_row(prop)`` packed into an int whose bit i is node i's
-        truth (``pack_row``), once per graph like the row."""
+        """Truth of ``prop`` on every node, as an int whose bit i is node
+        i's truth (``prop_row``; the nodes share one network).
+
+        Computed on first use in one pass over the nodes' slots and kept.
+        A bad actor path, variable or location raises what ``prop_holds``
+        raises, on every call, since a row that fails is not kept.
+        """
         bits = self._bits.get(prop)
         if bits is None:
-            bits = self._bits[prop] = pack_row(self.atom_row(prop))
+            bits = self._bits[prop] = prop_row(self.nodes, prop)
         return bits
 
 

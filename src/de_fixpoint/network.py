@@ -107,7 +107,6 @@ class FsmInfo:
 
     def __init__(self, path, node: ActorNode, ids, slots):
         self.label = ".".join(path)
-        self.init_location = node.init_location
         self.in_ids = {n: ids[(path, n, IN)] for n in node.port_names(IN)}
         self.out_ids = {n: ids[(path, n, OUT)] for n in node.port_names(OUT)}
         self.in_pids = tuple(self.in_ids.values())

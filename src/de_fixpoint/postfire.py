@@ -40,7 +40,7 @@ from .events import schedule
 from .model import CLOCK, DELAY, ActorNode
 from .network import Network
 from .state import SystemState
-from .values import UNKNOWN, Present
+from .values import LONG_BITS, UNKNOWN, IntVal, Present, check_digits
 
 
 def initialize(top: ActorNode) -> SystemState:
@@ -87,8 +87,10 @@ def postfire(state: SystemState, statuses, decisions):
         if entry.updates:
             if new_values is None:
                 new_values = list(values)
-            for slot, _, fn in entry.updates:
-                new_values[slot] = fn(statuses, values)
+            for slot, name, fn in entry.updates:
+                v = new_values[slot] = fn(statuses, values)
+                if v.__class__ is IntVal and v.value.bit_length() > LONG_BITS:
+                    check_digits(v.value, f"{network.fsms[i].label}.{name}")
         if entry.target != locations[i]:
             if new_locations is None:
                 new_locations = list(locations)

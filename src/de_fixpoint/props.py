@@ -6,9 +6,14 @@ never reassigns) and location propositions ("this state machine stands
 in this location"; on a modal actor it asks about the controller).
 Propositions are evaluated against full system snapshots and are the
 only way formulas observe a run.  Each proposition is compiled once per
-network into readers of the location or value slots: one of a state, and
-one of a whole list of states, which a state graph uses to compute a
-proposition's truth on every node in one pass.
+network into one reader: the slot it reads in a state's locations, or a
+getter of the slots it reads in a state's values, and the value that
+must be there.  Compiling resolves every name, so a name the model lacks
+raises there, whatever the states hold, and folds parameters in as
+constants.  ``prop_holds`` applies the reader to one state, and
+``prop_row`` to a list of states in one pass, packing their truths into
+an int whose bit i is state i's; a state graph keeps a proposition's
+truth on its nodes only in that form.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class LocProp:
 
 
 def prop_holds(state: SystemState, prop) -> bool:
-    return _readers(state.network, prop)[0](state)
+    at, get, want = _reader(state.network, prop)
+    return (get(state.values) if at is None else state.locations[at]) == want
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -76,91 +82,71 @@ def pack_row(row) -> int:
     return int(bytes(row[::-1]).translate(_DIGITS), 2)
 
 
-def prop_row(states, prop) -> tuple:
-    """``prop_holds`` on each of ``states``, in one pass over their slots.
+def prop_row(states, prop) -> int:
+    """``prop_holds`` on each of ``states``, packed as ``pack_row`` packs.
 
-    The states must share one network, as a state graph's nodes do.  The
-    row raises what ``prop_holds`` raises on the first state, or, for a
-    variable proposition naming a missing variable, on the first state
-    whose check reaches that name.
+    The states must be non-empty and share one network, as a state
+    graph's nodes do.  The row is read from the last state to the first,
+    the order of the digits of a binary numeral.
     """
-    return _readers(states[0].network, prop)[1](states)
+    at, get, want = _reader(states[0].network, prop)
+    if at is None:
+        truths = [get(state.values) == want for state in reversed(states)]
+    else:
+        truths = [state.locations[at] == want for state in reversed(states)]
+    return int(bytes(truths).translate(_DIGITS), 2)
 
 
-def _readers(network, prop):
-    readers = network.prop_readers.get(prop)
-    if readers is None:
-        readers = network.prop_readers[prop] = _compile(network, prop)
-    return readers
+def _reader(network, prop):
+    reader = network.prop_readers.get(prop)
+    if reader is None:
+        reader = network.prop_readers[prop] = _compile(network, prop)
+    return reader
+
+
+_NOTHING = itemgetter(slice(0))  # any tuple -> ()
 
 
 def _compile(network, prop):
-    """Two functions deciding ``prop``, or raising as it would: one of a
-    state, and one of a list of states that gives the tuple of their truths.
+    """``prop`` as (at, get, want).  A location proposition holds on a
+    state exactly when ``state.locations[at] == want``, and a variable
+    proposition, whose ``at`` is None, when ``get(state.values) == want``.
 
-    A bad actor path, or a location its machine does not declare, raises
-    here; an actor with no locations or a bad variable raises when the
-    reader reaches it, as the check goes name by name.
+    ``get`` reads the value slots the proposition names, one value or a
+    tuple of several.  Every name is resolved here, so a bad actor path,
+    an actor with no locations, a location its machine does not declare
+    or a missing variable raises here, whatever the states hold.  A
+    parameter never changes, so it is compared here: one that differs
+    makes the proposition false on every state, and one that agrees
+    drops out.
     """
     i = network.actor(prop.actor)
+    label = ".".join(prop.actor)
     if isinstance(prop, LocProp):
         if network.kinds[i] == MODAL:
             i = next(m.controller for m in network.modals if m.index == i)
-        location = prop.location
-        label = ".".join(prop.actor)
-        if network.kinds[i] == FSM and location not in network.nodes[i].locations:
-            raise NoSuchLocation(f"{'.'.join(network.paths[i])} has no location '{location}'")
-
-        def at(state):
-            actual = state.locations[i]
-            if actual is None:
-                raise NotAnFsm(f"{label} has no locations")
-            return actual == location
-
-        def row(states):
-            # Which actors have locations is fixed by the network.
-            at(states[0])
-            return tuple([state.locations[i] == location for state in states])
-
-        return at, row
+        if network.kinds[i] != FSM:
+            raise NotAnFsm(f"{label} has no locations")
+        if prop.location not in network.nodes[i].locations:
+            raise NoSuchLocation(f"{'.'.join(network.paths[i])} has no location '{prop.location}'")
+        # A subscript, not a getter: the row over a graph's nodes is a
+        # fifth faster.
+        return i, None, prop.location
     if isinstance(prop, VarProp):
-        slots = network.slots[i]
-        parameters = network.nodes[i].parameters
-        checks = []  # (value slot or None, wanted value, parameter value or None, missing name)
+        slots, parameters = network.slots[i], network.nodes[i].parameters
+        read, want, agree = [], [], True
         for name, value in prop.assignments:
             if name in slots:
-                checks.append((slots[name], value, None, None))
+                read.append(slots[name])
+                want.append(value)
             elif name in parameters:
-                checks.append((None, value, parameters[name], None))
+                agree = agree and parameters[name] == value
             else:
-                checks.append((None, value, None, name))
-
-        def holds(state):
-            values = state.values
-            for slot, value, fixed, missing in checks:
-                if missing is not None:
-                    raise NoSuchVariable(f"{'.'.join(prop.actor)} has no variable '{missing}'")
-                actual = fixed if slot is None else values[slot]
-                if actual != value:
-                    return False
-            return True
-
-        read = [(slot, value) for slot, value, _, _ in checks if slot is not None]
-        if read and len(read) == len(checks):
-            # Every name is a variable: one slot reads a value, several a
-            # tuple, to compare at once.
-            get = itemgetter(*(slot for slot, _ in read))
-            want = read[0][1] if len(read) == 1 else tuple(value for _, value in read)
-
-            def row(states):
-                return tuple([get(state.values) == want for state in states])
-
-        else:
-            # A parameter, a missing name or no name at all.  Whether a
-            # state raises depends on the checks before a missing name, so
-            # each state goes through them.
-            def row(states):
-                return tuple([holds(state) for state in states])
-
-        return holds, row
+                raise NoSuchVariable(f"{label} has no variable '{name}'")
+        if not agree or not read:
+            # Constant: every state's values give (), equal to () and not to None.
+            return None, _NOTHING, () if agree else None
+        if len(read) == 1:
+            return None, itemgetter(read[0]), want[0]
+        return None, itemgetter(*read), tuple(want)
     raise TypeError(f"not a proposition: {prop!r}")

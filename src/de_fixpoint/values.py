@@ -7,9 +7,11 @@ grows within one iteration: Unknown -> Present/Absent, never back.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import EngineError
 from .util import format_rational, time_decimal_text
 
 
@@ -61,6 +63,21 @@ class StringVal(Value):
 
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)
+
+# An integer of at most this many bits has at most 603 digits, within the
+# least limit ``sys.set_int_max_str_digits`` accepts (640), so only a
+# longer one needs ``check_digits``.
+LONG_BITS = 2000
+
+
+def check_digits(n: int, what: str) -> None:
+    """Raise EngineError naming ``what`` where ``str(n)`` would raise: when
+    ``n`` has more digits than ``sys.get_int_max_str_digits()`` (0 is no
+    limit).  A value that keeps growing ends here, not at the printer or
+    when memory runs out."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(n) >= 10**limit:
+        raise EngineError(f"{what}: value too long (over {limit} digits)")
 
 
 def literal_text(v: Value) -> str:

@@ -37,7 +37,7 @@ from de_fixpoint.graph import build_state_graph
 from de_fixpoint.model import COMPOSITE, FSM, ActorNode
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
-from de_fixpoint.props import pack_row, prop_holds
+from de_fixpoint.props import pack_row, prop_holds, prop_row
 from de_fixpoint.state import collect_variables
 
 import families
@@ -319,6 +319,7 @@ GENERATED = {
         (
             ("'Ghost @ 'x", NoSuchActor),
             ("'FlatTrafficLight | 'ghost = 1", NoSuchVariable),
+            ("'FlatTrafficLight | ('Cred = 5, 'ghost = 1)", NoSuchVariable),
             ("'FlatTrafficLight @ 'x", NotAnFsm),
             ("'FlatTrafficLight . 'CarLight @ 'Cgren", NoSuchLocation),
         ),
@@ -433,12 +434,13 @@ WORD_VALUATIONS = [
 
 
 def minimal_lasso(word, entry, valuations):
-    """``checker._minimal_lasso`` of a word of class ids, on the rows of its
-    atoms: (succ, letters, stem length), letters as class ids again."""
+    """``checker._minimal_lasso`` of a word of class ids, on the bit rows of
+    its atoms: (succ, letters, stem length), letters (tuples of binary
+    digits) as class ids again."""
     props = list(valuations[0])
-    rows = [tuple(valuations[c][prop] for c in word) for prop in props]
-    stem, cycle = checker._minimal_lasso(rows, map(pack_row, rows), len(word), entry)
-    class_of = {tuple(v.values()): c for c, v in enumerate(valuations)}
+    rows = [pack_row([valuations[c][prop] for c in word]) for prop in props]
+    stem, cycle = checker._minimal_lasso(rows, len(word), entry)
+    class_of = {tuple("01"[truth] for truth in v.values()): c for c, v in enumerate(valuations)}
     letters = [class_of[vector] for vector in stem + cycle]
     return list(range(1, len(letters))) + [len(stem)], letters, len(stem)
 
@@ -626,12 +628,15 @@ def graphs_and_atoms(draw, fixtures):
 def test_atom_bits_are_the_atom_rows_bit_by_bit(flat_graph, hier_graph, mutant_graph, bounded_graphs, data):
     fixtures = {"fixture": (flat_graph, hier_graph, mutant_graph), "bounded": tuple(bounded_graphs.values())}
     graph, props = data.draw(graphs_and_atoms(fixtures))
-    fresh = replace(graph)  # bits packed before any row is kept
+    fresh = replace(graph)  # nothing kept yet
+    nodes = graph.nodes
     for prop in props:
+        # An atom's row is kept once, as prop_row packs it: bit i is its
+        # truth on node i.
         bits = fresh.atom_bits(prop)
-        row = graph.atom_row(prop)
-        assert bits >> len(row) == 0
-        assert [bool(bits >> i & 1) for i in range(len(row))] == list(row)
+        assert bits == prop_row(nodes, prop)
+        assert bits >> len(nodes) == 0
+        assert [bits >> i & 1 == 1 for i in range(len(nodes))] == [prop_holds(state, prop) for state in nodes]
         assert fresh.atom_bits(prop) is bits
 
 

@@ -9,12 +9,14 @@ import pytest
 
 from de_fixpoint.buchi import MAX_TABLEAU_NODES
 from de_fixpoint.cli import _state_line, main
-from de_fixpoint.executor import step
+from de_fixpoint.errors import EngineError
+from de_fixpoint.executor import Trace, TraceStep, step, trace_json_text, trace_step_text
 from de_fixpoint.formula_parser import parse_formula
 from de_fixpoint.parser import parse_model
 from de_fixpoint.postfire import initialize
 from de_fixpoint.state import fsm_locations
 from de_fixpoint.syntax import MAX_DEPTH
+from de_fixpoint.values import IntVal
 
 import families
 from conftest import many_untils, model_path, stack_depth
@@ -260,6 +262,14 @@ def test_a_missing_actor_or_location_is_semantic(capsys):
     ]
     for argv, message in cases:
         assert run(capsys, *argv) == (3, "", message)
+
+
+def test_a_missing_variable_is_semantic_wherever_it_stands(capsys):
+    # After a value that holds on no state, the name is still looked up.
+    prop = "'FlatTrafficLight | ('Cred = 5, 'nosuch = 1)"
+    message = "error: FlatTrafficLight has no variable 'nosuch'\n"
+    assert run(capsys, "search", FLAT, "--prop", prop) == (3, "", message)
+    assert run(capsys, "check", FLAT, "--formula", f"[] ~ ({prop})") == (3, "", message)
 
 
 def test_search_bounded_can_miss(capsys):
@@ -569,18 +579,36 @@ composite T {
 
 
 @needs_digit_limit
-def test_a_variable_past_the_digit_limit_cannot_be_printed(capsys, tmp_path):
-    # x = 9^(2^t) has 7 817 digits at t = 13.
+def test_a_variable_past_the_digit_limit_cannot_be_printed():
+    # The engine stops a value before it grows this long, but a state
+    # built by hand may hold one: the printers name it.
+    state = initialize(parse_model(SQUARING))
+    after, kind = step(state)
+    changed = TraceStep(kind, after, {"T.M": {"x": IntVal(10**DIGIT_LIMIT)}})
+    message = f"^cannot print T\\.M\\.x: its value has over {DIGIT_LIMIT} digits$"
+    with pytest.raises(EngineError, match=message):
+        trace_step_text(changed)
+    with pytest.raises(EngineError, match=message):
+        trace_json_text(Trace(state, [changed]))
+
+
+@needs_digit_limit
+def test_a_value_past_the_digit_limit_is_a_semantic_error(capsys, tmp_path):
+    # x = 9^(2^t) has 7 817 digits at t = 13: the step that computes it
+    # fails, in every subcommand.  A graph reaches it at about 25 states,
+    # well inside a budget of 40, which a value that only grows would
+    # exhaust instead.
     model = tmp_path / "squaring.model"
     model.write_text(SQUARING, encoding="utf-8")
-    for fmt in ("text", "json"):
-        code, out, err = run(capsys, "simulate", str(model), "--until", "14", "--format", fmt)
-        assert (code, out) == (3, ""), fmt
-        assert err == f"error: cannot print T.M.x: its value has over {DIGIT_LIMIT} digits\n", fmt
-    # A check prints no values: its verdict stands.
-    code, out, err = run(capsys, "check", str(model), "--until", "14", "--formula", "[] 'T . 'M @ 's")
-    assert (code, err) == (0, "")
-    assert out.startswith("holds")
+    message = f"error: T.M.x: value too long (over {DIGIT_LIMIT} digits)\n"
+    for argv in (
+        ("simulate", str(model), "--until", "14"),
+        ("simulate", str(model), "--until", "14", "--format", "json"),
+        ("search", str(model), "--prop", "'T . 'M | 'x = 0", "--max-states", "40"),
+        ("check", str(model), "--formula", "[] 'T . 'M @ 's", "--max-states", "40"),
+        ("check", str(model), "--until", "14", "--formula", "[] 'T . 'M @ 's"),
+    ):
+        assert run(capsys, *argv) == (3, "", message), argv
 
 
 def nested_blocks(tmp_path, depth):

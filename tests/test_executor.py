@@ -1,13 +1,14 @@
 """Deterministic execution: step kinds, superdense time, bounds, traces."""
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from de_fixpoint import graph as graph_module
-from de_fixpoint.errors import EmptyQueue
+from de_fixpoint.errors import EmptyQueue, EngineError
 from de_fixpoint.executor import (
     Iteration,
     Microstep,
@@ -255,3 +256,45 @@ def test_an_iteration_builds_at_most_two_states(monkeypatch):
     per_kind = states_built_per_step(monkeypatch, initialize(parse_model(pipeline([0, 0]))), 3)
     assert set(per_kind["Microstep"]) == {1}
     assert set(per_kind["Iteration"]) <= {1, 2}
+
+
+GROWING = """format 1
+composite T {
+  clock C { period = 1 }
+  fsm M {
+    input In
+    output Out
+    var x = 9
+    initial s
+    transition s -> s { guard isPresent(In) %s }
+  }
+  connect C.output -> M.In
+}
+"""
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+@pytest.mark.parametrize(
+    "action, grown, where",
+    [
+        # x = 9^(2^k): x * x passes the default 4 300 digits at k = 12.
+        ("set x = x * x", lambda x: x * x, "T.M.x"),
+        # The output, x^3, passes them first, at k = 11, in the fixed point.
+        ("output Out = x * x * x set x = x * x", lambda x: x * x * x, "T.M.Out"),
+    ],
+    ids=["update", "output"],
+)
+def test_a_value_past_the_digit_limit_fails_the_step_that_computes_it(action, grown, where):
+    limit = sys.get_int_max_str_digits()
+    state = initialize(parse_model(GROWING % action))
+    slot = state.network.slots[state.network.index[("T", "M")]]["x"]
+    seen = [state.values[slot].value]  # x after each step that changed it
+    with pytest.raises(EngineError, match=rf"^{where.replace('.', '[.]')}: value too long \(over {limit} digits\)$"):
+        for _ in range(40):  # a tick and an iteration per squaring: x would reach 9^(2^20)
+            state, _ = step(state)
+            if state.values[slot].value != seen[-1]:
+                seen.append(state.values[slot].value)
+    # The step that raised computed ``grown`` of the last x; every earlier
+    # one computed a value that fits.
+    assert seen == [9 ** 2**k for k in range(len(seen))]
+    assert [abs(grown(x)) >= 10**limit for x in seen] == [False] * (len(seen) - 1) + [True]

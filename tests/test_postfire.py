@@ -97,7 +97,7 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
     again = initialize(tree)
     assert all(status is UNKNOWN for status in again.statuses)
     network = again.network
-    assert all(again.locations[i] == info.init_location for i, info in network.fsms.items())
+    assert all(again.locations[i] == network.nodes[i].init_location for i in network.fsms)
     assert again.mode.enabled[normal] and not again.mode.enabled[error]
     assert collect_variables(again) == collect_variables(state)
     # A frozen refinement stays frozen: initializing again changes nothing.

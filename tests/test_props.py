@@ -1,11 +1,24 @@
 """State propositions: location and variable checks against live states."""
 
-import pytest
+import re
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from de_fixpoint.checker import check_ltl
 from de_fixpoint.errors import NoSuchActor, NoSuchLocation, NoSuchVariable, NotAnFsm
-from de_fixpoint.props import LocProp, VarProp, prop_holds, prop_row
+from de_fixpoint.formula import Always, Atom
+from de_fixpoint.graph import build_state_graph, search
+from de_fixpoint.model import FSM
+from de_fixpoint.parser import parse_model
+from de_fixpoint.postfire import initialize
+from de_fixpoint.props import LocProp, VarProp, pack_row, prop_holds, prop_row
 from de_fixpoint.values import BoolVal, IntVal, TimeVal
 from fractions import Fraction
+
+import families
 
 HTL = ("HierarchicalTrafficLight",)
 
@@ -99,22 +112,24 @@ ROW_PROPS = [
 
 @pytest.mark.parametrize("prop", ROW_PROPS, ids=repr)
 def test_a_row_is_prop_holds_on_every_node(hier_graph, prop):
-    row = prop_row(hier_graph.nodes, prop)
-    assert row == tuple(prop_holds(state, prop) for state in hier_graph.nodes)
-    assert all(truth is True or truth is False for truth in row)
+    nodes = hier_graph.nodes
+    row = prop_row(nodes, prop)
+    assert row == pack_row([prop_holds(state, prop) for state in nodes])
+    assert 0 <= row < 1 << len(nodes)
 
 
 def test_a_row_raises_where_prop_holds_would(hier_graph):
     nodes = hier_graph.nodes
-    # The check reaches the missing name only where Cred is 1, which it
-    # is not on node 0.
-    late = VarProp(HTL, (("Cred", IntVal(1)), ("ghost", IntVal(0))))
-    assert not prop_holds(nodes[0], late)
-    with pytest.raises(NoSuchVariable):
-        prop_row(nodes, late)
-    # A missing name that no node reaches raises nothing, as state by state.
-    never = VarProp(HTL, (("Cred", IntVal(999)), ("ghost", IntVal(0))))
-    assert prop_row(nodes, never) == (False,) * len(nodes)
+    # A missing name raises on every node, and for the row, wherever it
+    # stands: after a name whose value holds on some nodes (Cred = 1) and
+    # after one whose value holds on none (Cred = 999).
+    for first in (IntVal(1), IntVal(999)):
+        late = VarProp(HTL, (("Cred", first), ("ghost", IntVal(0))))
+        for state in nodes:
+            with pytest.raises(NoSuchVariable, match=r"^HierarchicalTrafficLight has no variable 'ghost'$"):
+                prop_holds(state, late)
+        with pytest.raises(NoSuchVariable):
+            prop_row(nodes, late)
     with pytest.raises(NotAnFsm):
         prop_row(nodes, LocProp(HTL, "anywhere"))
     with pytest.raises(NoSuchActor):
@@ -122,6 +137,92 @@ def test_a_row_raises_where_prop_holds_would(hier_graph):
     # On a modal actor the location is its controller's.
     with pytest.raises(NoSuchLocation, match=r"^HierarchicalTrafficLight\.TrafficLight\.Ctrl has no location 'nowhere'$"):
         prop_row(nodes, LocProp(HTL + ("TrafficLight",), "nowhere"))
+
+
+# A missing name is an error wherever it stands: after a name whose value
+# holds on some nodes (Cred = 1), after one whose value holds on none
+# (Pgrn = 999), and after a parameter that holds (period = 1) or not.
+MISSING_AFTER = [
+    (HTL, (("Cred", IntVal(1)), ("Pgrn", IntVal(999)))),
+    (CLOCK, (("period", IntVal(1)),)),
+    (CLOCK, (("period", IntVal(2)),)),
+]
+
+
+def test_a_missing_variable_raises_wherever_it_stands(hier_graph):
+    nodes = hier_graph.nodes
+    for actor, assignments in MISSING_AFTER:
+        message = "^" + re.escape(f"{'.'.join(actor)} has no variable 'ghost'") + "$"
+        for position in range(len(assignments) + 1):
+            listed = list(assignments)
+            listed.insert(position, ("ghost", IntVal(0)))
+            prop = VarProp(actor, listed)
+            for state in nodes:
+                with pytest.raises(NoSuchVariable, match=message):
+                    prop_holds(state, prop)
+            with pytest.raises(NoSuchVariable, match=message):
+                prop_row(nodes, prop)
+            for graph in (hier_graph, replace(hier_graph)):
+                with pytest.raises(NoSuchVariable, match=message):
+                    search(graph, prop)
+                with pytest.raises(NoSuchVariable, match=message):
+                    check_ltl(graph, Always(Atom(prop)))
+
+
+GHOST = "ghost_"  # no generated or fixture model has a name like it
+UNSEEN = IntVal(-12345)  # nor a value
+
+
+def generated_graph(text):
+    return build_state_graph(initialize(parse_model(text)))
+
+
+@st.composite
+def propositions(draw, graph):
+    """A location or variable proposition on one of the graph's actors.
+
+    A location is one its machine declares (a modal actor's controller's
+    for a modal actor).  An assignment list names the actor's variables,
+    its parameters and, now and then, a name it lacks, repeats allowed, and
+    each name a value it takes on the graph, or its parameter value, or one
+    it never takes.
+    """
+    network = graph.nodes[0].network
+    i = draw(st.sampled_from(network.preorder))
+    path, node, slots = network.paths[i], network.nodes[i], network.slots[i]
+    machine = i if network.kinds[i] == FSM else next((m.controller for m in network.modals if m.index == i), None)
+    if machine is not None and draw(st.booleans()):
+        return LocProp(path, draw(st.sampled_from(network.nodes[machine].locations)))
+    values = {name: {state.values[slot] for state in graph.nodes} for name, slot in slots.items()}
+    for name, value in node.parameters.items():
+        values.setdefault(name, {value})
+    values[GHOST] = set()
+    names = sorted(values)
+    assignment = st.sampled_from(names).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(sorted(values[name] | {UNSEEN}, key=repr)))
+    )
+    return VarProp(path, draw(st.lists(assignment, min_size=1, max_size=4)))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_bit_row_is_prop_holds_on_every_node(flat_graph, hier_graph, mutant_graph, data):
+    graph = data.draw(
+        st.one_of(st.sampled_from((flat_graph, hier_graph, mutant_graph)), families.MODELS.map(generated_graph))
+    )
+    prop = data.draw(propositions(graph))
+    nodes = graph.nodes
+    fresh = replace(graph)  # nothing kept yet
+    if isinstance(prop, VarProp) and any(name == GHOST for name, _ in prop.assignments):
+        for state in nodes:
+            with pytest.raises(NoSuchVariable):
+                prop_holds(state, prop)
+        with pytest.raises(NoSuchVariable):
+            fresh.atom_bits(prop)
+        return
+    bits = fresh.atom_bits(prop)
+    assert bits >> len(nodes) == 0
+    assert [bits >> i & 1 == 1 for i in range(len(nodes))] == [prop_holds(state, prop) for state in nodes]
 
 
 def test_repr_is_reparseable(hier_state):

@@ -1,10 +1,11 @@
 """Value kinds, the status lattice, and the shared helpers in util."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from de_fixpoint.errors import NegativeTimer
+from de_fixpoint.errors import EngineError, NegativeTimer
 from de_fixpoint.util import (
     EMPTY_MAP,
     FrozenMap,
@@ -15,11 +16,13 @@ from de_fixpoint.util import (
 )
 from de_fixpoint.values import (
     ABSENT,
+    LONG_BITS,
     BoolVal,
     IntVal,
     Present,
     StringVal,
     TimeVal,
+    check_digits,
     literal_text,
 )
 
@@ -61,6 +64,28 @@ def test_status_lattice():
     assert Present(IntVal(1)) == Present(IntVal(1))
     assert Present(IntVal(1)) != Present(IntVal(2))
     assert Present(IntVal(1)) != ABSENT
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length")
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_check_digits_raises_exactly_where_str_would(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        # The least limit Python accepts is 640, so LONG_BITS bits are short.
+        check_digits(1 << LONG_BITS, "T.M.x")
+        check_digits(-(1 << LONG_BITS), "T.M.x")
+        around = (10 ** (limit or 5000) + d for d in (-1, 0, 1))
+        for n in (m for base in around for m in (base, -base)):
+            try:
+                str(n)
+            except ValueError:
+                with pytest.raises(EngineError, match=rf"^T\.M\.x: value too long \(over {limit} digits\)$"):
+                    check_digits(n, "T.M.x")
+            else:
+                check_digits(n, "T.M.x")
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_time_amount_coerces_and_validates():
