@@ -15,10 +15,10 @@ the engine runs on holds an off-grammar node, an unbound name or a
 port that is not an input of its machine.
 
 The engine does not walk expression trees.  :func:`compile_expr` turns
-a validated expression into a closure over port-status and variable
-slots once per network (Feeley & Lapalme, "Using closures for code
-generation", 1987); parameters, being static, are folded in as
-constants.  What evaluation can still reject is a value: a mistyped
+a validated expression, in one walk, into a closure over port-status
+and variable slots and the ids of the ports it reads, once per network
+(Feeley & Lapalme, "Using closures for code generation", 1987);
+parameters, being static, are folded in as constants.  What evaluation can still reject is a value: a mistyped
 operand (``TypeMismatch``), an absent port's value (``AbsentPortRead``)
 or a port not yet known (``UnknownPortRead``).  ``tests/expr_ref.py``
 holds the tree-walking reference the compiled form is tested against.
@@ -28,13 +28,14 @@ Some guards are proven unable to raise once their ports are known
 machine that nothing reaches unrun.  A proven guard reads no
 ``value()``, and it types as boolean over the kinds (value classes) of
 its literals, its machine's parameters and its machine's variables,
-by the rules of ``_apply_binary``, read strictly: both operands of
-``&&`` and ``||`` boolean, ``==`` and ``!=`` over one kind, ordering
-over two integers or two times, ``+ - *`` over two integers, ``+`` over
-two times.  Time subtraction, which raises when it goes negative, is
-never proven.  A variable has its initial value's kind when every
-update of it types to that kind: the greatest such assignment, found by
-dropping a variable's kind until none of them changes.
+by the operator rules that evaluation reads (``_BINARY`` and
+``_UNARY``): an operator gives the result kind of its row for its
+operands' kind, and ``&&`` and ``||``, read strictly, take two
+booleans.  Time subtraction, which raises when it goes negative, has no
+result kind, so it is never proven.  A variable has its initial value's
+kind when every update of it types to that kind: the greatest such
+assignment, found by dropping a variable's kind until none of them
+changes.
 """
 
 from __future__ import annotations
@@ -99,90 +100,85 @@ class Binary(Expr):
     right: Expr
 
 
-_COMPARISONS = {"<", "<=", ">", ">="}
+# The operator rules. ----------------------------------------------------------
+#
+# One row per operator: its function of the operands' values, the message
+# of the TypeMismatch it raises on operands it does not take, and, by the
+# kind (value class) of the operands it takes, the kind of its result and
+# the wrapper that makes a value of the result.  A binary operator takes
+# two operands of one kind.  The result kind is None where the operator
+# may still raise: a time subtraction that goes negative.  Compilation
+# and ``kind_of`` both read these rows; ``&&`` and ``||`` have none (see
+# ``_compile_logic``).
+
+# Integers first: a closure tests its row's first kind before the others.
+_KINDS = (IntVal, BoolVal, TimeVal, StringVal)
 
 
-def _as_bool(v: Value, what: str) -> bool:
-    if not isinstance(v, BoolVal):
-        raise TypeMismatch(f"{what} needs a boolean, got {v!r}")
-    return v.value
+def _time_difference(value) -> TimeVal:
+    if value < 0:
+        raise TypeMismatch("time subtraction went negative")
+    return TimeVal(value)
 
 
-def _bool(value: bool) -> BoolVal:
-    return TRUE if value else FALSE
+_BOOL = (BoolVal, (FALSE, TRUE).__getitem__)
+_INT = (IntVal, IntVal)
+_EQUALITY = dict.fromkeys(_KINDS, _BOOL)
+_ORDERING = {IntVal: _BOOL, TimeVal: _BOOL}
 
-
-def _apply_binary(op: str, lhs: Value, rhs: Value) -> Value:
-    if op == "&&":
-        return _bool(_as_bool(lhs, "'&&'") and _as_bool(rhs, "'&&'"))
-    if op == "||":
-        return _bool(_as_bool(lhs, "'||'") or _as_bool(rhs, "'||'"))
-    if op in ("==", "!="):
-        if type(lhs) is not type(rhs):
-            raise TypeMismatch(f"cannot compare {lhs!r} with {rhs!r}")
-        return _bool((lhs == rhs) if op == "==" else (lhs != rhs))
-    if op in _COMPARISONS:
-        if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
-            a, b = lhs.value, rhs.value
-        elif isinstance(lhs, TimeVal) and isinstance(rhs, TimeVal):
-            a, b = lhs.value, rhs.value
-        else:
-            raise TypeMismatch(f"cannot order {lhs!r} and {rhs!r}")
-        if op == "<":
-            return _bool(a < b)
-        if op == "<=":
-            return _bool(a <= b)
-        if op == ">":
-            return _bool(a > b)
-        return _bool(a >= b)
-    # What is left is arithmetic: + - *
-    if isinstance(lhs, IntVal) and isinstance(rhs, IntVal):
-        a, b = lhs.value, rhs.value
-        return IntVal(a + b if op == "+" else a - b if op == "-" else a * b)
-    if isinstance(lhs, TimeVal) and isinstance(rhs, TimeVal) and op in ("+", "-"):
-        result = lhs.value + rhs.value if op == "+" else lhs.value - rhs.value
-        if result < 0:
-            raise TypeMismatch("time subtraction went negative")
-        return TimeVal(result)
-    raise TypeMismatch(f"cannot apply {op!r} to {lhs!r} and {rhs!r}")
+_BINARY = {
+    "==": (operator.eq, "cannot compare {!r} with {!r}", _EQUALITY),
+    "!=": (operator.ne, "cannot compare {!r} with {!r}", _EQUALITY),
+    "<": (operator.lt, "cannot order {!r} and {!r}", _ORDERING),
+    "<=": (operator.le, "cannot order {!r} and {!r}", _ORDERING),
+    ">": (operator.gt, "cannot order {!r} and {!r}", _ORDERING),
+    ">=": (operator.ge, "cannot order {!r} and {!r}", _ORDERING),
+    "+": (operator.add, "cannot apply '+' to {!r} and {!r}", {IntVal: _INT, TimeVal: (TimeVal, TimeVal)}),
+    "-": (operator.sub, "cannot apply '-' to {!r} and {!r}", {IntVal: _INT, TimeVal: (None, _time_difference)}),
+    "*": (operator.mul, "cannot apply '*' to {!r} and {!r}", {IntVal: _INT}),
+}
+_UNARY = {
+    "!": (operator.not_, "'!' needs a boolean, got {!r}", {BoolVal: _BOOL}),
+    "-": (operator.neg, "unary '-' needs an integer, got {!r}", {IntVal: _INT}),
+}
 
 
 # Compilation to closures. ---------------------------------------------------
 #
 # A compiled expression is called as ``fn(statuses, values)``: ``statuses``
 # holds port statuses indexed by port id and ``values`` variable values
-# indexed by slot.  Each operator evaluates both operands, left first, and
-# then takes a fast path for the operand kinds it expects; anything else
-# goes to ``_apply_binary``, which computes the rest or raises
-# ``TypeMismatch``.
+# indexed by slot.  Each operator evaluates its operands, left first, and
+# applies its row for their kind, or raises the row's ``TypeMismatch``.
 
 
 def compile_expr(expr: Expr, slots: Mapping[str, int], parameters: Mapping[str, Value], ports: Mapping[str, int]):
-    """A closure computing ``expr``, which ``model.validate`` accepted.
+    """A closure computing ``expr``, which ``model.validate`` accepted, and
+    the ids of the ports it reads, in no particular order, from one walk.
 
     ``slots`` maps the machine's variable names to value slots, ``ports``
     its input port names to port ids; ``parameters`` are read now.
     Variables shadow parameters of the same name.  Validation leaves no
     name unbound and no port outside ``ports``.
     """
-    if isinstance(expr, Binary):
-        return _compile_binary(
-            expr.op,
-            compile_expr(expr.left, slots, parameters, ports),
-            compile_expr(expr.right, slots, parameters, ports),
-        )
-    if isinstance(expr, IsPresent):
-        return _compile_port(expr.port, ports[expr.port], value=False)
-    if isinstance(expr, PortValue):
-        return _compile_port(expr.port, ports[expr.port], value=True)
-    if isinstance(expr, Var):
-        slot = slots.get(expr.name)
-        if slot is None:
-            return _constant(parameters[expr.name])
-        return lambda st, vs: vs[slot]
-    if isinstance(expr, Lit):
-        return _constant(expr.value)
-    return _compile_unary(expr.op, compile_expr(expr.operand, slots, parameters, ports))
+    reads = set()
+
+    def walk(expr):
+        if isinstance(expr, Binary):
+            return _compile_binary(expr.op, walk(expr.left), walk(expr.right))
+        if isinstance(expr, (IsPresent, PortValue)):
+            pid = ports[expr.port]
+            reads.add(pid)
+            return _compile_port(expr.port, pid, value=expr.__class__ is PortValue)
+        if isinstance(expr, Var):
+            slot = slots.get(expr.name)
+            if slot is None:
+                return _constant(parameters[expr.name])
+            return lambda st, vs: vs[slot]
+        if isinstance(expr, Lit):
+            return _constant(expr.value)
+        return _compile_unary(expr.op, walk(expr.operand))
+
+    return walk(expr), tuple(reads)
 
 
 def _constant(value: Value):
@@ -215,77 +211,75 @@ def _compile_port(port: str, pid: int, value: bool):
 
 
 def _compile_unary(op: str, operand):
-    if op == "!":
+    fn, message, rows = _UNARY[op]
 
-        def negate(st, vs):
-            return FALSE if _as_bool(operand(st, vs), "'!'") else TRUE
-
-        return negate
-
-    def minus(st, vs):
+    def unary(st, vs):
         v = operand(st, vs)
-        if isinstance(v, IntVal):
-            return IntVal(-v.value)
-        raise TypeMismatch(f"unary '-' needs an integer, got {v!r}")
+        row = rows.get(v.__class__)
+        if row is None:
+            raise TypeMismatch(message.format(v))
+        return row[1](fn(v.value))
 
-    return minus
+    return unary
 
 
 def _compile_binary(op: str, left, right):
     if op in ("&&", "||"):
-        conjunction = op == "&&"
+        return _compile_logic(op, left, right)
+    fn, message, rows = _BINARY[op]
+    # The row's first kind is tested by identity, before any lookup.
+    first = next(iter(rows))
+    if all(row is _BOOL for row in rows.values()):
+        # A test wraps nothing: its result is one of two singletons.
 
-        def logic(st, vs):
+        def test(st, vs):
             a = left(st, vs)
             b = right(st, vs)
-            if a.__class__ is BoolVal and b.__class__ is BoolVal:
-                if conjunction:
-                    return TRUE if a.value and b.value else FALSE
-                return TRUE if a.value or b.value else FALSE
-            return _apply_binary(op, a, b)
+            if a.__class__ is first and b.__class__ is first or a.__class__ is b.__class__ in rows:
+                return TRUE if fn(a.value, b.value) else FALSE
+            raise TypeMismatch(message.format(a, b))
 
-        return logic
-    if op in ("==", "!="):
-        equal = op == "=="
-
-        def compare(st, vs):
-            a = left(st, vs)
-            b = right(st, vs)
-            if a.__class__ is b.__class__:
-                return TRUE if (a == b) == equal else FALSE
-            return _apply_binary(op, a, b)
-
-        return compare
-    order = _ORDERS.get(op)
-    if order is not None:
-
-        def ordered(st, vs):
-            a = left(st, vs)
-            b = right(st, vs)
-            if a.__class__ is IntVal and b.__class__ is IntVal:
-                return TRUE if order(a.value, b.value) else FALSE
-            return _apply_binary(op, a, b)
-
-        return ordered
-    arithmetic = _INT_ARITHMETIC[op]
+        return test
+    wrap_first = rows[first][1]
 
     def calculate(st, vs):
         a = left(st, vs)
         b = right(st, vs)
-        if a.__class__ is IntVal and b.__class__ is IntVal:
-            return IntVal(arithmetic(a.value, b.value))
-        return _apply_binary(op, a, b)
+        if a.__class__ is first and b.__class__ is first:
+            return wrap_first(fn(a.value, b.value))
+        if a.__class__ is b.__class__ in rows:
+            return rows[a.__class__][1](fn(a.value, b.value))
+        raise TypeMismatch(message.format(a, b))
 
     return calculate
 
 
-_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_INT_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+def _compile_logic(op: str, left, right):
+    """``&&`` or ``||``: both operands are evaluated, left first, and must
+    be boolean, except that a left operand that decides alone (false for
+    ``&&``, true for ``||``) does so whatever the right one's kind."""
+    conjunction = op == "&&"
+    message = f"{op!r} needs a boolean, got {{!r}}"
+
+    def logic(st, vs):
+        a = left(st, vs)
+        b = right(st, vs)
+        if a.__class__ is BoolVal and b.__class__ is BoolVal:
+            if conjunction:
+                return TRUE if a.value and b.value else FALSE
+            return TRUE if a.value or b.value else FALSE
+        if a.__class__ is not BoolVal:
+            raise TypeMismatch(message.format(a))
+        if a.value != conjunction:  # it decides alone
+            return FALSE if conjunction else TRUE
+        raise TypeMismatch(message.format(b))
+
+    return logic
 
 
 # Static kinds. ----------------------------------------------------------------
 
-_KINDS = (BoolVal, IntVal, TimeVal, StringVal)
+_NO_ROW = (None, None)
 
 
 def _kind_of_value(value) -> type | None:
@@ -300,18 +294,11 @@ def kind_of(expr: Expr, kinds: Mapping[str, type | None]) -> type | None:
     (None for a name whose kind is not known)."""
     if isinstance(expr, Binary):
         left, right = kind_of(expr.left, kinds), kind_of(expr.right, kinds)
-        if left is None or left is not right:
+        if left is not right:
             return None
-        op = expr.op
-        if op in ("&&", "||"):
+        if expr.op in ("&&", "||"):
             return BoolVal if left is BoolVal else None
-        if op in ("==", "!="):
-            return BoolVal
-        if op in _COMPARISONS:
-            return BoolVal if left in (IntVal, TimeVal) else None
-        if left is IntVal:
-            return IntVal
-        return TimeVal if left is TimeVal and op == "+" else None
+        return _BINARY[expr.op][2].get(left, _NO_ROW)[0]
     if isinstance(expr, IsPresent):
         return BoolVal
     if isinstance(expr, Var):
@@ -319,10 +306,7 @@ def kind_of(expr: Expr, kinds: Mapping[str, type | None]) -> type | None:
     if isinstance(expr, Lit):
         return _kind_of_value(expr.value)
     if isinstance(expr, Unary):
-        operand = kind_of(expr.operand, kinds)
-        if expr.op == "!":
-            return BoolVal if operand is BoolVal else None
-        return IntVal if operand is IntVal else None
+        return _UNARY[expr.op][2].get(kind_of(expr.operand, kinds), _NO_ROW)[0]
     return None  # value(port): any kind, and it raises on an absent port
 
 
@@ -365,7 +349,7 @@ def references(expr: Expr) -> tuple:
         elif isinstance(node, (IsPresent, PortValue)):
             ports.add(node.port)
         elif isinstance(node, Unary):
-            if node.op not in ("!", "-"):
+            if node.op not in _UNARY:
                 raise ValueError(f"uses unknown unary operator {node.op!r}")
             pending.append(node.operand)
         elif not isinstance(node, Lit):

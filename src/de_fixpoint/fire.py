@@ -318,16 +318,9 @@ class _Loop:
 
     __slots__ = ("rules", "feeds")
 
-    def __init__(self, rules, reach):
+    def __init__(self, rules, feeds):
         self.rules = rules
-        readers = {}
-        for k, rule in enumerate(rules):
-            for pid in rule.reads:
-                readers.setdefault(pid, []).append(k)
-        self.feeds = tuple(
-            tuple(sorted({d for pid in rule.info.out_ids.values() for q in reach[pid] for d in readers.get(q, ())}))
-            for rule in rules
-        )
+        self.feeds = feeds
 
     def run(self, st, locations, values, fired, reach) -> int:
         """Run the members until none of them writes anything; a member
@@ -438,7 +431,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         sorted({m for pid in rule.info.out_ids.values() for q in reach[pid] for m in readers.get(q, ())})
         for rule in rules
     ]
-    schedule = _schedule(rules, succ, reach)
+    schedule = _schedule(rules, succ)
     # A rule may go unrun only where it alone writes its outputs' reach:
     # no unwritten port's reach and no other rule's meets it.
     covered = {q for pid in unwritten for q in reach[pid]}
@@ -459,7 +452,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     return RuleSet(tuple(rules), ports, unwritten, reach, schedule, quiet, {})
 
 
-def _schedule(rules, succ, reach):
+def _schedule(rules, succ):
     """The schedule over ``rules`` with successor lists ``succ``."""
     parts = _strong_components(succ)
     part_of = [0] * len(rules)
@@ -492,7 +485,11 @@ def _schedule(rules, succ, reach):
         if len(part) == 1 and part[0] not in succ[part[0]]:
             schedule.append(rules[part[0]])
         else:
-            schedule.append(_Loop(tuple(rules[n] for n in part), reach))
+            # A part is sorted, as is each successor list, so each
+            # member's feeds are too.
+            at = {n: k for k, n in enumerate(part)}
+            feeds = tuple(tuple(at[m] for m in succ[n] if m in at) for n in part)
+            schedule.append(_Loop(tuple(rules[n] for n in part), feeds))
     return tuple(schedule)
 
 

@@ -273,13 +273,11 @@ def _check_time_param(node, name, problems, prefix, required, positive=False):
         if required:
             problems.append(f"{prefix}: missing parameter '{name}'")
         return
-    if isinstance(value, IntVal):
-        amount = Fraction(value.value)
-    elif isinstance(value, TimeVal):
-        amount = value.value
-    else:
+    if not isinstance(value, (IntVal, TimeVal)):
         problems.append(f"{prefix}: parameter '{name}' must be a time amount")
         return
+    # An integer, or a Fraction: either compares with 0.
+    amount = value.value
     if amount < 0 or (positive and amount == 0):
         bound = "positive" if positive else "non-negative"
         problems.append(f"{prefix}: parameter '{name}' must be {bound}")

@@ -47,7 +47,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import NoSuchActor
-from .expr import compile_expr, references
+from .expr import compile_expr
 from .model import (
     CLOCK,
     COMPOSITE,
@@ -67,18 +67,13 @@ from .model import (
 from .values import Present
 
 
-def time_param(value) -> Fraction:
-    """The exact rational inside a time parameter (an IntVal or a TimeVal)."""
-    return Fraction(value.value)
-
-
 class CompiledTransition:
     """A transition with its guard, outputs and updates compiled to closures.
 
     ``reads`` holds the port ids of the inputs the guard reads, and
     ``outputs`` maps an output name to (closure, port ids of the inputs
-    it reads).  ``updates`` lists (value slot, variable name, closure) in
-    name order.
+    it reads), as ``compile_expr`` gives them.  ``updates`` lists (value
+    slot, variable name, closure) in name order.
     """
 
     __slots__ = ("transition", "target", "guard", "reads", "outputs", "updates")
@@ -86,20 +81,12 @@ class CompiledTransition:
     def __init__(self, t, slots, parameters, in_ids):
         self.transition = t
         self.target = t.target
-        self.guard = compile_expr(t.guard, slots, parameters, in_ids)
-        self.reads = _port_ids(t.guard, in_ids)
-        self.outputs = {
-            name: (compile_expr(expr, slots, parameters, in_ids), _port_ids(expr, in_ids))
-            for name, expr in t.outputs.items()
-        }
+        self.guard, self.reads = compile_expr(t.guard, slots, parameters, in_ids)
+        self.outputs = {name: compile_expr(expr, slots, parameters, in_ids) for name, expr in t.outputs.items()}
         self.updates = tuple(
-            (slots[var], var, compile_expr(expr, slots, parameters, in_ids))
+            (slots[var], var, compile_expr(expr, slots, parameters, in_ids)[0])
             for var, expr in t.sets.items()
         )
-
-
-def _port_ids(expr, in_ids):
-    return tuple(in_ids[n] for n in sorted(references(expr)[1]))
 
 
 class FsmInfo:
@@ -151,8 +138,8 @@ class ClockInfo:
         params = node.parameters
         self.out = ids[(path, "output", OUT)]
         self.emit = Present(params["emit"])
-        self.period = to_ticks(time_param(params["period"]), timebase)
-        self.offset = to_ticks(time_param(params["offset"]), timebase)
+        self.period = to_ticks(params["period"].value, timebase)
+        self.offset = to_ticks(params["offset"].value, timebase)
 
 
 class DelayInfo:
@@ -161,7 +148,7 @@ class DelayInfo:
     def __init__(self, path, node: ActorNode, ids, timebase: int):
         self.inp = ids[(path, "input", IN)]
         self.out = ids[(path, "output", OUT)]
-        self.delay = to_ticks(time_param(node.parameters["delay"]), timebase)
+        self.delay = to_ticks(node.parameters["delay"].value, timebase)
         self.microstep = 1 if self.delay == 0 else 0
 
 
@@ -179,7 +166,7 @@ def _timebase(nodes) -> int:
     for node in nodes:
         names = ("period", "offset") if node.kind == CLOCK else ("delay",) if node.kind == DELAY else ()
         for name in names:
-            base = lcm(base, time_param(node.parameters[name]).denominator)
+            base = lcm(base, node.parameters[name].value.denominator)
     return base
 
 

@@ -6,6 +6,7 @@ every name bound and every port an input.  Anything else never reaches
 the compiler; the front-door tests at the end check that.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from de_fixpoint.errors import (
     ValidationError,
 )
 from de_fixpoint.expr import (
+    _BINARY,
     _PRECEDENCE,
+    _UNARY,
     Binary,
     IsPresent,
     Lit,
@@ -29,12 +32,16 @@ from de_fixpoint.expr import (
     Var,
     compile_expr,
     expr_text,
+    kind_of,
     references,
 )
 from de_fixpoint.model import COMPOSITE, FSM, IN, OUT, ActorNode, Port, Transition
+from de_fixpoint.parser import _ModelParser
 from de_fixpoint.postfire import initialize
+from de_fixpoint.values import TRUE as TRUE_VALUE
 from de_fixpoint.values import (
     ABSENT,
+    FALSE,
     UNKNOWN,
     BoolVal,
     IntVal,
@@ -123,6 +130,60 @@ def test_equality_same_kind():
     assert ev(Binary("!=", Lit(StringVal("a")), Lit(StringVal("b")))) == BoolVal(True)
 
 
+def test_every_operator_but_and_or_has_a_row():
+    # The rows are the operators the model parser builds: every binary
+    # one but && and ||, which have a closure of their own, and every
+    # prefix.
+    assert set(_BINARY) == set(_PRECEDENCE) - {"&&", "||"}
+    assert set(_UNARY) == set(_ModelParser.prefix)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "==", "!="])
+@pytest.mark.parametrize("make", [IntVal, lambda n: TimeVal(Fraction(n, 3))], ids=["int", "time"])
+def test_comparisons_of_integers_and_times(op, make):
+    for a, b in ((1, 2), (2, 2), (2, 1)):
+        want = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq, "!=": operator.ne}[op](a, b)
+        assert ev(Binary(op, Lit(make(a)), Lit(make(b)))) == BoolVal(want)
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (Binary("==", Lit(IntVal(1)), TRUE), "cannot compare 1 with true"),
+        (Binary("!=", Lit(TimeVal(Fraction(1, 2))), Lit(IntVal(1))), "cannot compare 1/2 with 1"),
+        (Binary("<", Lit(StringVal("a")), Lit(StringVal("a"))), 'cannot order "a" and "a"'),
+        (Binary(">=", TRUE, TRUE), "cannot order true and true"),
+        (Binary("*", Lit(TimeVal(Fraction(1, 2))), Lit(TimeVal(Fraction(1, 2)))), "cannot apply '*' to 1/2 and 1/2"),
+        (Binary("+", TRUE, TRUE), "cannot apply '+' to true and true"),
+        (Binary("-", Lit(TimeVal(Fraction(1, 2))), Lit(IntVal(1))), "cannot apply '-' to 1/2 and 1"),
+        (Binary("-", Lit(TimeVal(Fraction(1, 10))), Lit(TimeVal(Fraction(1, 2)))), "time subtraction went negative"),
+        (Unary("!", Lit(IntVal(1))), "'!' needs a boolean, got 1"),
+        (Unary("-", TRUE), "unary '-' needs an integer, got true"),
+        (Unary("-", Lit(TimeVal(Fraction(1, 2)))), "unary '-' needs an integer, got 1/2"),
+        (Binary("&&", TRUE, Lit(IntVal(1))), "'&&' needs a boolean, got 1"),
+        (Binary("||", Lit(IntVal(1)), TRUE), "'||' needs a boolean, got 1"),
+        (Binary("&&", Lit(StringVal("a")), Lit(BoolVal(False))), "'&&' needs a boolean, got \"a\""),
+    ],
+)
+def test_operands_an_operator_does_not_take_raise_what_they_always_did(expr, message):
+    with pytest.raises(TypeMismatch) as raised:
+        ev(expr)
+    assert str(raised.value) == message
+
+
+def test_a_left_operand_that_decides_decides_alone():
+    # false && 1 is false and true || 1 is true: the right operand's kind
+    # is not checked.  Every boolean result is one of the two singletons.
+    one = Lit(IntVal(1))
+    assert ev(Binary("&&", Lit(BoolVal(False)), one)) is FALSE
+    assert ev(Binary("||", Lit(BoolVal(True)), one)) is TRUE_VALUE
+    for op in ("&&", "||"):
+        for a in (False, True):
+            for b in (False, True):
+                got = ev(Binary(op, Lit(BoolVal(a)), Lit(BoolVal(b))))
+                assert got is (TRUE_VALUE if (a and b if op == "&&" else a or b) else FALSE)
+
+
 def test_short_circuit_still_requires_known_operands():
     # Three-valued fixpoint semantics: a guard is only evaluated once
     # every port it mentions is known, so && is strict here.
@@ -172,14 +233,17 @@ def outcome(thunk):
 
 
 def compiled(expr, variables, parameters, ports):
-    """Compile against slots laid out behind unrelated ones, then run."""
+    """Compile against slots laid out behind unrelated ones, then run.
+    The ids compiling gives are those of the ports ``references`` finds,
+    each once."""
     slots = {name: 3 + k for k, name in enumerate(variables)}
     values = (IntVal(-1),) * 3 + tuple(variables.values())
     pids = {name: 2 * k + 1 for k, name in enumerate(ports)}
     statuses = [UNKNOWN] * (2 * len(ports) + 1)
     for name, pid in pids.items():
         statuses[pid] = ports[name]
-    fn = compile_expr(expr, slots, parameters, pids)
+    fn, reads = compile_expr(expr, slots, parameters, pids)
+    assert sorted(reads) == sorted(pids[name] for name in references(expr)[1])
     return fn(statuses, values)
 
 
@@ -208,6 +272,86 @@ def test_compiled_expression_matches_eval_expr(scope):
     want = outcome(lambda: eval_expr(*scope))
     got = outcome(lambda: compiled(*scope))
     assert got == want
+
+
+#: Values of each kind, for names whose kind ``kind_of`` is told.
+VALUES_OF = {
+    BoolVal: st.booleans().map(BoolVal),
+    IntVal: st.integers(-(10**6), 10**6).map(IntVal),
+    TimeVal: st.fractions(0, 1000, max_denominator=40).map(TimeVal),
+    StringVal: st.text(max_size=3).map(StringVal),
+}
+
+
+#: By result kind, the binary operators that give it and the kind of the
+#: operands each takes, as README lists them.  Time subtraction, which
+#: raises when it goes negative, gives no kind.
+RULES = {
+    BoolVal: [(op, kind) for op in ("==", "!=") for kind in VALUES_OF]
+    + [(op, kind) for op in ("<", "<=", ">", ">=") for kind in (IntVal, TimeVal)]
+    + [("&&", BoolVal), ("||", BoolVal)],
+    IntVal: [("+", IntVal), ("-", IntVal), ("*", IntVal)],
+    TimeVal: [("+", TimeVal)],
+    StringVal: [],
+}
+PREFIXES = {BoolVal: ["!"], IntVal: ["-"], TimeVal: [], StringVal: []}
+
+
+@st.composite
+def kinded_exprs(draw):
+    """The kinds of some names, a kind, and two expressions of that kind
+    by ``RULES``, two operators deep.  Their leaves are literals, the
+    names and ``isPresent(P)``, but no ``value()``, which may give any
+    kind."""
+    kinds = draw(st.dictionaries(NAMES, st.sampled_from(list(VALUES_OF)), max_size=3))
+    typed = {}
+    for kind in VALUES_OF:
+        leaves = [VALUES_OF[kind].map(Lit)] + [st.just(Var(name)) for name in sorted(kinds) if kinds[name] is kind]
+        if kind is BoolVal:
+            leaves.append(st.just(IsPresent("P")))
+        typed[kind] = st.one_of(leaves)
+    for _ in range(2):
+        typed = {
+            kind: st.one_of(
+                [typed[kind]]
+                + [st.builds(Binary, st.just(op), typed[operands], typed[operands]) for op, operands in RULES[kind]]
+                + [st.builds(Unary, st.just(op), typed[kind]) for op in PREFIXES[kind]]
+            )
+            for kind in VALUES_OF
+        }
+    kind = draw(st.sampled_from(list(VALUES_OF)))
+    return kinds, kind, draw(typed[kind]), draw(typed[kind])
+
+
+def subexpressions(expr):
+    pending = [expr]
+    for node in pending:
+        if isinstance(node, Binary):
+            pending += (node.left, node.right)
+        elif isinstance(node, Unary):
+            pending.append(node.operand)
+    return pending
+
+
+@given(kinded_exprs(), st.data())
+def test_a_kind_that_kind_of_proves_is_what_evaluation_gives(case, data):
+    # kind_of gives each expression built by README's rules its kind.
+    # Each subexpression of it that kind_of gives a kind K, and each
+    # operator applied to it (and to the other expression of its kind)
+    # that kind_of gives a kind K, evaluates to a K without raising,
+    # whatever values of their kinds the names hold, as variables or as
+    # parameters, and whether P is present or absent.
+    kinds, kind, expr, other = case
+    assert kind_of(expr, kinds) is kind
+    candidates = subexpressions(expr) + [Unary(op, expr) for op in _UNARY] + [Binary(op, expr, other) for op in _PRECEDENCE]
+    proven = [(node, kind_of(node, kinds)) for node in candidates]
+    proven = [(node, proof) for node, proof in proven if proof is not None]
+    for _ in range(3):
+        variables = {name: data.draw(VALUES_OF[of]) for name, of in kinds.items()}
+        parameters = {name: variables.pop(name) for name in sorted(variables) if data.draw(st.booleans())}
+        ports = {"P": data.draw(st.one_of(st.just(ABSENT), LITERALS.map(Present)))}
+        for node, proof in proven:
+            assert compiled(node, variables, parameters, ports).__class__ is proof
 
 
 def lone_machine(guard=TRUE, outputs=None, sets=None):
