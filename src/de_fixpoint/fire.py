@@ -25,9 +25,12 @@ delivered event, the absent of a port nothing writes, a machine's
 output) sets the port's whole reach at once.  The only rules are the
 state machines.
 
-Everything static about an instant is built from the compiled network
-once per mode, when a state in it first resolves an instant, and kept
-on the mode (``RuleSet``):
+Each state machine compiles once per network, into the one rule that
+every mode running it shares (``_Machine``): its label, its ports and
+every location's compiled transitions, built when an instant first
+runs it.  Everything else static about an instant is built from the
+compiled network once per mode, when a state in it first resolves an
+instant, and kept on the mode (``RuleSet``):
 
 * the schedule: rule A feeds rule B when a port in the reach of one of
   A's outputs is one B reads.  The strongly connected parts of that
@@ -85,9 +88,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import CausalityCycle, NondeterministicFsm, ValidationError
-from .model import FSM, ActorNode
+from .model import FSM, IN, OUT, ActorNode
 from .expr import guards_cannot_raise
-from .network import Mode, Network
+from .network import CompiledTransition, Mode, Network
 from .state import SystemState
 from .util import FrozenMap
 from .values import ABSENT, LONG_BITS, UNKNOWN, BoolVal, IntVal, Present, check_digits
@@ -204,6 +207,12 @@ class _Machine:
     copy the twin input port instead of going absent.  A write that finds
     a port of the reach known with another status raises AssertionError.
 
+    The static side, built once per network when an instant first runs
+    the machine (``_machine``): ``label``, its dotted path; ``reads``, its
+    input port ids; ``outputs``, (output name, port id, the twin input's
+    port id when coupled) per output, and ``out_ids``, their port ids;
+    ``outgoing``, each location's compiled transitions in canonical order.
+
     ``coupled``: some output relays a refinement's (see above).
     ``proven``: every guard of every location is proven unable to raise
     (``expr.guards_cannot_raise``), so that, with every input absent and
@@ -213,23 +222,30 @@ class _Machine:
     whose events reach every machine never pays for the proof.
     """
 
-    __slots__ = ("info", "index", "depth", "reads", "outgoing", "outputs", "keys", "coupled", "node", "_proven")
+    __slots__ = (
+        "index", "label", "depth", "reads", "outgoing", "outputs", "out_ids", "keys", "coupled", "node", "_proven"
+    )
 
     def __init__(self, index: int, network: Network):
-        info = network.fsms[index]
-        self.info = info
+        self.node = node = network.nodes[index]
+        path, ids = network.paths[index], network.ids
         self.index = index
-        self.depth = len(network.paths[index])
-        self.reads = info.in_pids
-        self.outgoing = info.outgoing
+        self.label = label = ".".join(path)
+        self.depth = len(path)
+        in_ids = {name: ids[(path, name, IN)] for name in node.port_names(IN)}
+        self.reads = tuple(in_ids.values())
         twins = network.coupled.get(index, {})
-        # (output name, its port id, the twin input's port id when coupled)
-        self.outputs = tuple((name, pid, twins.get(name)) for name, pid in info.out_ids.items())
+        self.outputs = tuple((name, ids[(path, name, OUT)], twins.get(name)) for name in node.port_names(OUT))
+        self.out_ids = tuple(pid for _, pid, _ in self.outputs)
+        env = (label, network.slots[index], node.parameters, in_ids)
+        self.outgoing = {
+            location: tuple(CompiledTransition(t, *env) for t in node.transitions if t.source == location)
+            for location in node.locations
+        }
         # For conflict messages: a list, which refers to no network, so
         # that a network's rules hold no reference cycle.
         self.keys = network.keys
         self.coupled = any(twin is not None for _, _, twin in self.outputs)
-        self.node = network.nodes[index]
         self._proven = None
 
     @property
@@ -266,13 +282,13 @@ class _Machine:
                 v = e.guard(st, values)
                 if v.__class__ is not BoolVal:
                     t = e.transition
-                    raise ValidationError([f"{self.info.label}: guard of {t.source}->{t.target} is not boolean"])
+                    raise ValidationError([f"{self.label}: guard of {t.source}->{t.target} is not boolean"])
                 if v.value:
                     trues.append(e)
             if trues:
                 if any_present:
                     if len(trues) >= 2:
-                        raise NondeterministicFsm(self.info.label, [(e.transition.source, e.target) for e in trues])
+                        raise NondeterministicFsm(self.label, [(e.transition.source, e.target) for e in trues])
                     entry = fired[index] = trues[0]
                 elif not all_known:
                     return 0
@@ -292,7 +308,7 @@ class _Machine:
                     continue
                 v = fn(st, values)
                 if v.__class__ is IntVal and v.value.bit_length() > LONG_BITS:
-                    check_digits(v.value, f"{self.info.label}.{name}")
+                    check_digits(v.value, f"{self.label}.{name}")
                 status = Present(v)
             elif twin is not None:
                 status = st[twin]
@@ -308,6 +324,16 @@ class _Machine:
                 elif old != status:
                     raise _conflict(self.keys, q)
         return resolved
+
+
+def _machine(network: Network, index: int) -> _Machine:
+    """The network's one ``_Machine`` for the state machine at ``index``,
+    built on first use: a rule holds nothing that depends on the mode, so
+    every mode shares it."""
+    rule = network.fsm_rules.get(index)
+    if rule is None:
+        rule = network.fsm_rules[index] = _Machine(index, network)
+    return rule
 
 
 class _Loop:
@@ -390,16 +416,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     live = mode.live
     actor = network.port_actor
     ports = tuple(pid for i in network.preorder if live[i] for pid in network.port_ids[i])
-    # A rule holds nothing that depends on the mode, so a network keeps
-    # one per machine for all its modes.
-    cache = network.fsm_rules
-    rules = []
-    for i in network.preorder:
-        if live[i] and network.kinds[i] == FSM:
-            rule = cache.get(i)
-            if rule is None:
-                rule = cache[i] = _Machine(i, network)
-            rules.append(rule)
+    rules = [_machine(network, i) for i in network.preorder if live[i] and network.kinds[i] == FSM]
     # Deeper actors first: the order that breaks ties in the schedule.  The
     # result does not depend on it (confluence); it settles inner models
     # before their parents.
@@ -410,7 +427,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
             downstream.setdefault(src, []).append(sink)
     written = {sink for sinks in downstream.values() for sink in sinks}
     for rule in rules:
-        written.update(rule.info.out_ids.values())
+        written.update(rule.out_ids)
     reach = [None] * network.size
     for pid in ports:
         if pid not in downstream:
@@ -428,7 +445,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         for pid in rule.reads:
             readers.setdefault(pid, []).append(n)
     succ = [
-        sorted({m for pid in rule.info.out_ids.values() for q in reach[pid] for m in readers.get(q, ())})
+        sorted({m for pid in rule.out_ids for q in reach[pid] for m in readers.get(q, ())})
         for rule in rules
     ]
     schedule = _schedule(rules, succ)
@@ -438,7 +455,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
     writer = {}
     shared = set()
     for rule in rules:
-        for pid in rule.info.out_ids.values():
+        for pid in rule.out_ids:
             for q in reach[pid]:
                 if writer.setdefault(q, rule) is not rule or q in covered:
                     shared.add(q)
@@ -447,7 +464,7 @@ def build_rules(network: Network, mode: Mode) -> RuleSet:
         for item in schedule
         if item.__class__ is _Machine
         and not item.coupled
-        and shared.isdisjoint(q for pid in item.info.out_ids.values() for q in reach[pid])
+        and shared.isdisjoint(q for pid in item.out_ids for q in reach[pid])
     )
     return RuleSet(tuple(rules), ports, unwritten, reach, schedule, quiet, {})
 
@@ -597,7 +614,7 @@ def _plan(rule_set: RuleSet, pids) -> _Plan:
     run = []
     for item in rule_set.schedule:
         if item in rule_set.quiet and all(start[p] is ABSENT and p not in reached for p in item.reads):
-            out = [q for pid in item.info.out_ids.values() for q in reach[pid]]
+            out = [q for pid in item.out_ids for q in reach[pid]]
             if reached.isdisjoint(out) and item.proven:
                 for q in out:
                     if start[q] is UNKNOWN:

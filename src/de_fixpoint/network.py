@@ -8,12 +8,15 @@ variables); port statuses exist only while a model runs.  A
 parents and children; every port as an integer id; every variable as
 an integer value slot; every wire, from a composite's connections and
 the wiring a modal actor's port lists imply, as a (source port id, sink
-port id) pair; each state machine's ports and compiled transitions; the
-value slot each variable setter writes; and the model's timebase.
-Which part of the model runs follows from the controllers' locations
-alone, and no tree records it: :meth:`Network.mode` turns them into a
-:class:`Mode`, once per tuple of locations, which every state in that
-mode shares.
+port id) pair; each clock, delay and variable setter as the one
+trigger a commit acts on (``Network.triggers``, with each clock's first
+tick in ``Network.offsets``); and the model's timebase.  A state
+machine compiles in fire.py, into the one rule an instant runs
+(``fire._Machine``), when an instant first runs it.  Which part of the
+model runs follows from the controllers' locations alone, and no tree
+records it: :meth:`Network.mode` turns them into a :class:`Mode`, once
+per tuple of locations, which every state in that mode shares and
+which selects the live actors' triggers.
 
 The timebase is the least common multiple of the denominators of every
 clock period and offset and every delay.  The engine counts time in
@@ -73,47 +76,21 @@ class CompiledTransition:
     ``reads`` holds the port ids of the inputs the guard reads, and
     ``outputs`` maps an output name to (closure, port ids of the inputs
     it reads), as ``compile_expr`` gives them.  ``updates`` lists (value
-    slot, variable name, closure) in name order.
+    slot, the variable's dotted name ``T.M.x``, closure) in name order;
+    ``label`` is the machine's dotted path.
     """
 
     __slots__ = ("transition", "target", "guard", "reads", "outputs", "updates")
 
-    def __init__(self, t, slots, parameters, in_ids):
+    def __init__(self, t, label, slots, parameters, in_ids):
         self.transition = t
         self.target = t.target
         self.guard, self.reads = compile_expr(t.guard, slots, parameters, in_ids)
         self.outputs = {name: compile_expr(expr, slots, parameters, in_ids) for name, expr in t.outputs.items()}
         self.updates = tuple(
-            (slots[var], var, compile_expr(expr, slots, parameters, in_ids)[0])
+            (slots[var], f"{label}.{var}", compile_expr(expr, slots, parameters, in_ids)[0])
             for var, expr in t.sets.items()
         )
-
-
-class FsmInfo:
-    """A state machine's port ids and compiled transitions."""
-
-    def __init__(self, path, node: ActorNode, ids, slots):
-        self.label = ".".join(path)
-        self.in_ids = {n: ids[(path, n, IN)] for n in node.port_names(IN)}
-        self.out_ids = {n: ids[(path, n, OUT)] for n in node.port_names(OUT)}
-        self.in_pids = tuple(self.in_ids.values())
-        # location -> compiled transitions leaving it, in canonical order
-        self.outgoing = _Outgoing(node.transitions, slots, node.parameters, self.in_ids)
-
-
-class _Outgoing(dict):
-    """Compiled transitions by source location, compiled on first lookup."""
-
-    def __init__(self, transitions, slots, parameters, in_ids):
-        super().__init__()
-        self.transitions = transitions
-        self.env = (slots, parameters, in_ids)
-
-    def __missing__(self, location):
-        entries = self[location] = tuple(
-            CompiledTransition(t, *self.env) for t in self.transitions if t.source == location
-        )
-        return entries
 
 
 class ModalInfo:
@@ -129,27 +106,6 @@ class ModalInfo:
         # the one for the controller's location is enabled.
         self.others = tuple(c for c in children if c != self.controller)
         self.outputs = node.port_names(OUT)
-
-
-class ClockInfo:
-    """A clock's output port, emitted status and times, in ticks."""
-
-    def __init__(self, path, node: ActorNode, ids, timebase: int):
-        params = node.parameters
-        self.out = ids[(path, "output", OUT)]
-        self.emit = Present(params["emit"])
-        self.period = to_ticks(params["period"].value, timebase)
-        self.offset = to_ticks(params["offset"].value, timebase)
-
-
-class DelayInfo:
-    """A delay's ports and delay in ticks; a zero delay costs one microstep."""
-
-    def __init__(self, path, node: ActorNode, ids, timebase: int):
-        self.inp = ids[(path, "input", IN)]
-        self.out = ids[(path, "output", OUT)]
-        self.delay = to_ticks(node.parameters["delay"].value, timebase)
-        self.microstep = 1 if self.delay == 0 else 0
 
 
 def to_ticks(time, timebase: int) -> int:
@@ -176,11 +132,8 @@ class Mode:
     ``selected``: per modal actor, the child its controller's location
     picks; ``enabled``: every actor but the children not picked;
     ``live``: each actor that is enabled and whose ancestors are;
-    ``triggers``: in preorder, one (trigger port id, kind, payload) per
-    live clock, delay and variable setter, which a commit scans for
-    present triggers: a clock's output with its prebuilt request
-    (period, 0, event), a delay's input with (delay, microstep, output
-    port id), a setter's input with the value slot it writes;
+    ``triggers``: the live actors' entries of ``Network.triggers``, in
+    preorder, which a commit scans for present triggers;
     ``rules``: the fixed point's rule set, schedule and instant plans,
     built by fire.py on first use.
     """
@@ -199,21 +152,7 @@ class Mode:
         for i, flag in enumerate(enabled):
             p = parent[i]
             live.append(flag and (p < 0 or live[p]))
-        triggers = []
-        for i in network.preorder:
-            if not live[i]:
-                continue
-            kind = network.kinds[i]
-            if kind == CLOCK:
-                clock = network.clocks[i]
-                triggers.append((clock.out, CLOCK, (clock.period, 0, (clock.out, clock.emit))))
-            elif kind == DELAY:
-                delay = network.delays[i]
-                triggers.append((delay.inp, DELAY, (delay.delay, delay.microstep, delay.out)))
-            elif kind == SETVAR:
-                pid, slot = network.setters[i]
-                triggers.append((pid, SETVAR, slot))
-        self.triggers = tuple(triggers)
+        self.triggers = tuple(trigger for i, trigger in network.triggers if live[i])
         self.rules = None
 
 
@@ -270,12 +209,7 @@ class Network:
             stack.extend(reversed(self.children[i]))
         self.timebase = _timebase(nodes)
 
-        self.fsms = {}  # index -> FsmInfo
-        self.clocks = {}  # index -> ClockInfo
-        self.delays = {}  # index -> DelayInfo
-        # variable-setter index -> (input port id, value slot of its target
-        # in the nearest enclosing composite)
-        self.setters = {}
+        self.offsets = {}  # clock output port id -> its first tick (filled by _trigger)
         # (source port id, sink port id): every connection of a composite,
         # and every modal actor's implied wiring
         self.wires = []
@@ -287,6 +221,9 @@ class Network:
         self.fsm_rules = {}  # state machine index -> its fixed-point rule (filled by fire)
         for i, node in enumerate(nodes):
             self._compile(i, node, self.paths[i])
+        # (actor index, trigger) for each clock, delay and setter, in
+        # preorder; a mode keeps the live ones
+        self.triggers = tuple((i, self._trigger(i)) for i in self.preorder if self.kinds[i] in (CLOCK, DELAY, SETVAR))
         # Printing and propositions, in preorder; a state line lists the
         # machines by path.
         self.fsm_paths = tuple((i, ".".join(self.paths[i])) for i in self.preorder if self.kinds[i] == FSM)
@@ -297,20 +234,30 @@ class Network:
             if self.kinds[i] in (COMPOSITE, FSM) and self.slots[i]
         )
 
+    def _trigger(self, i: int):
+        """The (trigger port id, kind, payload) a clock, delay or setter
+        compiles to: a clock's output with its request (period, 0, (port
+        id, emitted status)), a delay's input with (delay, microstep,
+        output port id), where a zero delay costs one microstep, and a
+        setter's input with the value slot of its target in the nearest
+        enclosing composite.  A clock's first tick goes into ``offsets``."""
+        ids, path, kind = self.ids, self.paths[i], self.kinds[i]
+        params = self.nodes[i].parameters
+        if kind == CLOCK:
+            out = ids[(path, "output", OUT)]
+            self.offsets[out] = to_ticks(params["offset"].value, self.timebase)
+            period = to_ticks(params["period"].value, self.timebase)
+            return out, CLOCK, (period, 0, (out, Present(params["emit"])))
+        if kind == DELAY:
+            delay = to_ticks(params["delay"].value, self.timebase)
+            return ids[(path, "input", IN)], DELAY, (delay, 1 if delay == 0 else 0, ids[(path, "output", OUT)])
+        scope = self.parent[i]
+        while self.kinds[scope] != COMPOSITE:
+            scope = self.parent[scope]
+        return ids[(path, "input", IN)], SETVAR, self.slots[scope][params["target"].value]
+
     def _compile(self, i: int, node: ActorNode, path) -> None:
         ids = self.ids
-        if node.kind == FSM:
-            self.fsms[i] = FsmInfo(path, node, ids, self.slots[i])
-        elif node.kind == CLOCK:
-            self.clocks[i] = ClockInfo(path, node, ids, self.timebase)
-        elif node.kind == DELAY:
-            self.delays[i] = DelayInfo(path, node, ids, self.timebase)
-        elif node.kind == SETVAR:
-            scope = self.parent[i]
-            while self.kinds[scope] != COMPOSITE:
-                scope = self.parent[scope]
-            target = node.parameters["target"].value
-            self.setters[i] = (ids[(path, "input", IN)], self.slots[scope][target])
         if node.kind == COMPOSITE:
             for c in node.connections:
                 source = c.source

@@ -18,8 +18,10 @@ A commit costs what fired, not what the model holds: it visits only
 the machines in the fixed point's decisions, then scans one flat
 per-mode tuple of (trigger port id, kind, payload) for clocks, delays
 and setters (``Mode.triggers``, in preorder) and acts on the present
-ones.  A clock's request is prebuilt; a delay's is built around the
-status it forwards.  It reads and writes a state's slots by actor
+ones.  Each clock, delay and setter compiled to its trigger once, when
+the network was built (``Network.triggers``); a mode only selects the
+live ones.  A clock's request is prebuilt; a delay's is built around
+the status it forwards.  It reads and writes a state's slots by actor
 index, port id and value slot (see state.py), and its scheduling
 requests are (ticks, microstep, (port id, status)) triples, which
 ``commit_requests`` folds into the state's queue.  An iteration builds
@@ -29,7 +31,9 @@ at most two states: ``postfire`` builds the next one, and
 ``initialize`` is the one way into a run.  It compiles the model's
 network (see network.py), which normalizes and validates the tree first
 and which every later state carries, takes the starting slots from it,
-and schedules each live clock's first tick from the same trigger tuple.
+and schedules each live clock's first tick from the same trigger tuple,
+at the offset the network keeps by the clock's output port
+(``Network.offsets``).
 Every state's network comes from a validated tree, so a commit finds
 each variable it writes declared and checks nothing.
 """
@@ -57,8 +61,7 @@ def initialize(top: ActorNode) -> SystemState:
     entries = ()
     for pid, kind, request in mode.triggers:
         if kind == CLOCK:
-            offset = network.clocks[network.port_actor[pid]].offset
-            entries = schedule(entries, offset, 0, request[2], network)
+            entries = schedule(entries, network.offsets[pid], 0, request[2], network)
     return SystemState(network, mode, locations, values, (UNKNOWN,) * network.size, entries, 0, 0)
 
 
@@ -90,7 +93,7 @@ def postfire(state: SystemState, statuses, decisions):
             for slot, name, fn in entry.updates:
                 v = new_values[slot] = fn(statuses, values)
                 if v.__class__ is IntVal and v.value.bit_length() > LONG_BITS:
-                    check_digits(v.value, f"{network.fsms[i].label}.{name}")
+                    check_digits(v.value, name)
         if entry.target != locations[i]:
             if new_locations is None:
                 new_locations = list(locations)

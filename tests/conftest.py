@@ -1,4 +1,5 @@
 import os
+import signal
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import settings
 from de_fixpoint import build_state_graph, initialize, parse_model
 from de_fixpoint.errors import NoSuchActor
 from de_fixpoint.events import EMPTY_QUEUE, schedule
+from de_fixpoint.executor import step
 from de_fixpoint.model import OUT, path_text
 from de_fixpoint.network import to_ticks
 from de_fixpoint.state import SystemState
@@ -24,6 +26,29 @@ settings.register_profile(
 settings.register_profile("thorough", settings.get_profile("deterministic"), max_examples=300)
 settings.load_profile("deterministic")
 
+# Every test's call fails after this many seconds of wall-clock time, so
+# that a test which runs on fails and the suite goes on.  The slowest
+# test takes about 2 s.
+TEST_LIMIT_S = 60
+
+
+def _over_the_limit(signum, frame):
+    pytest.fail(f"test ran past its {TEST_LIMIT_S} s limit", pytrace=False)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _over_the_limit)
+    signal.alarm(TEST_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODELS = os.path.join(ROOT, "models")
 
@@ -32,6 +57,16 @@ MODELS = os.path.join(ROOT, "models")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")))
 )
+
+
+def step_until(state, done, budget=1000):
+    """The first state of the run from ``state`` (itself included) for
+    which ``done`` holds; the test fails if ``budget`` steps find none."""
+    for _ in range(budget):
+        if done(state):
+            return state
+        state, _ = step(state)
+    pytest.fail(f"no state within {budget} steps met the condition")
 
 
 def model_path(name: str) -> str:

@@ -9,8 +9,10 @@ outputs.  Every live machine runs, in every instant.  Rules run from a
 worklist: a rule runs again only when a port it reads resolves, and
 ``rng`` shuffles the initial schedule.  The wiring is read from the
 tree, a modal actor's from its port lists, controller and refinement
-map, not from ``Network.wires``; what it shares with the engine is the
-compiled transitions, the port-name format of ``fire._key_text``, port
+map, not from ``Network.wires``, and each machine's ports from the tree
+and ``Network.ids``; what it shares with the engine is the compiled
+transitions, taken from the engine's machine so that firing decisions
+compare by identity, the port-name format of ``fire._key_text``, port
 ids and the mode's live flags.
 
 ``reference_fixpoint(state, events)`` resolves the instant at which
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 
 from de_fixpoint.errors import CausalityCycle, NondeterministicFsm, ValidationError
-from de_fixpoint.fire import _key_text
+from de_fixpoint.fire import _key_text, _machine
 from de_fixpoint.model import CLOCK, COMPOSITE, DELAY, FSM, IN, MODAL, OUT, PARENT
 from de_fixpoint.values import ABSENT, UNKNOWN, BoolVal, Present
 
@@ -34,7 +36,7 @@ _NOFIRE = ("nofire", None)
 _NAMES_NONE = {}  # the outputs a machine that does not fire names; never written
 
 
-def decide_firing(info, location, st, values):
+def decide_firing(rule, location, st, values):
     """Decide whether a state machine fires this iteration.
 
     ``st`` holds every port's status by port id and ``values`` every
@@ -45,13 +47,14 @@ def decide_firing(info, location, st, values):
     true guard.  The decision is stable: once it returns a non-None
     verdict, growing port knowledge can never change it.
 
-    The machine comes from a validated tree, so every port a guard
-    reads is one of its inputs, and ``reads`` lists them all.
+    ``rule`` is the machine's ``_FsmRule``.  The machine comes from a
+    validated tree, so every port a guard reads is one of its inputs,
+    and ``reads`` lists them all.
     """
-    outgoing = info.outgoing[location]
+    outgoing = rule.outgoing[location]
     any_present = False
     all_known = True
-    for pid in info.in_pids:
+    for pid in rule.reads:
         status = st[pid]
         if status is ABSENT:
             continue
@@ -72,11 +75,11 @@ def decide_firing(info, location, st, values):
         v = entry.guard(st, values)
         if v.__class__ is not BoolVal:
             t = entry.transition
-            raise ValidationError([f"{info.label}: guard of {t.source}->{t.target} is not boolean"])
+            raise ValidationError([f"{rule.label}: guard of {t.source}->{t.target} is not boolean"])
         if v.value:
             trues.append(entry)
     if len(trues) >= 2 and any_present:
-        raise NondeterministicFsm(info.label, [(e.transition.source, e.target) for e in trues])
+        raise NondeterministicFsm(rule.label, [(e.transition.source, e.target) for e in trues])
     if not trues:
         return _NOFIRE
     if len(trues) == 1 and any_present:
@@ -110,20 +113,21 @@ class _FsmRule:
     """
 
     def __init__(self, index: int, network):
-        info = network.fsms[index]
-        self.info = info
+        node, path, ids = network.nodes[index], network.paths[index], network.ids
         self.index = index
-        self.depth = len(network.paths[index])
+        self.label = ".".join(path)
+        self.depth = len(path)
         twins = network.coupled.get(index, {})
         # (output name, its port id, the twin input's port id when coupled)
-        self.outputs = tuple((name, pid, twins.get(name)) for name, pid in info.out_ids.items())
-        self.reads = info.in_pids
+        self.outputs = tuple((name, ids[(path, name, OUT)], twins.get(name)) for name in node.port_names(OUT))
+        self.reads = tuple(ids[(path, name, IN)] for name in node.port_names(IN))
+        self.outgoing = _machine(network, index).outgoing
 
     def step(self, st, locations, values, decided):
         index = self.index
         verdict = decided.get(index)
         if verdict is None or verdict[0] is None:
-            verdict = decided[index] = decide_firing(self.info, locations[index], st, values)
+            verdict = decided[index] = decide_firing(self, locations[index], st, values)
         kind, entry = verdict
         if kind is None:
             return ()
@@ -194,7 +198,7 @@ def _rules(network, mode):
         elif kind == FSM:
             rule = _FsmRule(i, network)
             rules.append(rule)
-            produced.update(rule.info.out_ids.values())
+            produced.update(pid for _, pid, _ in rule.outputs)
         if kind == COMPOSITE:
             for c in node.connections:
                 if c.source.actor == PARENT:

@@ -49,6 +49,7 @@ from de_fixpoint.values import (
     StringVal,
     TimeVal,
 )
+from de_fixpoint.fire import _machine
 from de_fixpoint.network import Network
 
 from expr_ref import UnboundIdentifier, eval_expr
@@ -445,18 +446,18 @@ def valid_models(draw):
 
 @given(valid_models(), STATUSES)
 def test_compiled_transitions_match_eval_expr(model, status):
-    # The network compiles each transition of the machine M over its own
+    # The engine's machine compiles each transition of M over its own
     # value slots and input port ids.
     network = Network(model)
     m = network.index[("T", "M")]
     node = model.inner[0]
-    info = network.fsms[m]
+    machine = _machine(network, m)
     statuses = [UNKNOWN] * network.size
-    statuses[info.in_ids["In"]] = status
+    statuses[network.ids[(("T", "M"), "In", IN)]] = status
     values = network.flatten()[1]
     env = {"In": status}
     # By source location, in canonical order: every transition of M, once.
-    entries = [e for source in sorted({t.source for t in node.transitions}) for e in info.outgoing[source]]
+    entries = [e for source in sorted({t.source for t in node.transitions}) for e in machine.outgoing[source]]
     assert [entry.transition for entry in entries] == list(node.transitions)
     for entry in entries:
         t = entry.transition
@@ -467,8 +468,8 @@ def test_compiled_transitions_match_eval_expr(model, status):
             assert outcome(lambda: fn(statuses, values)) == outcome(
                 lambda: eval_expr(t.outputs[name], node.variables, node.parameters, env)
             )
-        assert [var for _, var, _ in entry.updates] == list(t.sets)
-        for slot, var, fn in entry.updates:
+        assert [name for _, name, _ in entry.updates] == [f"T.M.{var}" for var in t.sets]
+        for (slot, _, fn), var in zip(entry.updates, t.sets):
             assert slot == network.slots[m][var]
             assert outcome(lambda: fn(statuses, values)) == outcome(
                 lambda: eval_expr(t.sets[var], node.variables, node.parameters, env)

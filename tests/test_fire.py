@@ -45,8 +45,8 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import flat_events, initial_state, load_model, started
-from fixpoint_ref import decide_firing, reference_fixpoint
+from conftest import flat_events, initial_state, load_model, started, step_until
+from fixpoint_ref import _FsmRule, decide_firing, reference_fixpoint
 from test_plans import outcome
 
 
@@ -237,9 +237,7 @@ def test_unwritten_outputs_default_to_absent(flat_state):
 
 
 def due_at(state, elapsed):
-    while not (state.elapsed == elapsed and is_due(state)):
-        state, _ = step(state)
-    return state
+    return step_until(state, lambda s: s.elapsed == elapsed and is_due(s))
 
 
 def test_frozen_subtree_takes_no_part(hier_state):
@@ -525,9 +523,7 @@ def test_two_drivers_whose_reaches_share_several_ports(monkeypatch, emit2, ticki
 
 
 def test_step_matches_manual_fire_pipeline(flat_state):
-    state = flat_state
-    while not is_due(state):
-        state, _ = step(state)
+    state = step_until(flat_state, is_due)
     manual = compute_fixpoint(state, due(state))
     stepped, kind = step(state)
     assert isinstance(kind, Iteration)
@@ -642,9 +638,7 @@ def test_a_network_is_freed_with_its_last_state():
 
 
 def test_a_step_shares_the_slots_it_does_not_change(hier_state):
-    state = hier_state
-    while not (state.elapsed == 17 and is_due(state)):
-        state, _ = step(state)
+    state = due_at(hier_state, 17)
     # The normal refinement froze at 15 and its ports were cleared at 16;
     # from then on an iteration has nothing to change in it.
     network = state.network
@@ -690,7 +684,7 @@ def rule_edges(rule_set):
     outputs is one rule b reads."""
     edges = set()
     for a in rule_set.rules:
-        reached = {q for pid in a.info.out_ids.values() for q in rule_set.reach[pid]}
+        reached = {q for pid in a.out_ids for q in rule_set.reach[pid]}
         for b in rule_set.rules:
             if reached.intersection(b.reads):
                 edges.add((a.index, b.index))
@@ -701,7 +695,7 @@ def assert_scheduled(network, mode):
     """The schedule is a topological order of the rule graph's strongly
     connected parts, each tie going to the part with the deepest rule."""
     rule_set = mode.rules
-    live = [i for i in network.preorder if i in network.fsms and mode.live[i]]
+    live = [i for i in network.preorder if network.kinds[i] == FSM and mode.live[i]]
     deepest_first = sorted(live, key=lambda i: -len(network.paths[i]))
     assert [rule.index for rule in rule_set.rules] == deepest_first
     rank = {i: n for n, i in enumerate(deepest_first)}
@@ -778,7 +772,7 @@ def decisions_per_instant(state, steps):
     real = fire._Machine.run
 
     def counting(machine, *args):
-        calls[machine.info.label] += 1
+        calls[machine.label] += 1
         return real(machine, *args)
 
     out = []
@@ -794,7 +788,7 @@ def decisions_per_instant(state, steps):
                 rule_set = state.mode.rules
                 if not any(isinstance(item, fire._Loop) for item in rule_set.schedule):
                     plan = plan_of(state, events)
-                    out.append((dict(calls), {item.info.label for item in plan.run}, state, result))
+                    out.append((dict(calls), {item.label for item in plan.run}, state, result))
             state, _ = step(state)
     return out
 
@@ -810,11 +804,12 @@ def assert_each_machine_decides_once(state, steps, minimum):
         assert calls == dict.fromkeys(machines, 1)
         statuses = result.statuses
         for rule in state.mode.rules.rules:
-            if rule.info.label in machines:
+            if rule.label in machines:
                 continue
-            verdict = decide_firing(rule.info, state.locations[rule.index], statuses, state.values)
+            reference = _FsmRule(rule.index, state.network)
+            verdict = decide_firing(reference, state.locations[rule.index], statuses, state.values)
             assert verdict == ("nofire", None)
-            assert all(statuses[pid] is ABSENT for pid in rule.info.out_ids.values())
+            assert all(statuses[pid] is ABSENT for _, pid, _ in reference.outputs)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES[:3])
@@ -921,6 +916,6 @@ def test_a_rule_downstream_of_a_stalled_loop_decides_once_and_partially():
     labels = []
     real = fire._Machine.run
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fire._Machine, "run", lambda machine, *rest: labels.append(machine.info.label) or real(machine, *rest))
+        patch.setattr(fire._Machine, "run", lambda machine, *rest: labels.append(machine.label) or real(machine, *rest))
         compute_fixpoint(state, events, bottom_as_absent=True)
     assert labels.count("FeedbackLoop.C") == 1

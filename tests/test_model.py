@@ -45,7 +45,7 @@ from de_fixpoint.values import (
 
 import families
 from conftest import load_model, model_path, resolve
-from fixpoint_ref import decide_firing
+from fixpoint_ref import _FsmRule, decide_firing
 from normalize_ref import reference_normalize
 
 TRUE = Lit(BoolVal(True))
@@ -262,18 +262,18 @@ def decide(node, input_statuses):
     network = Network(ActorNode("T", COMPOSITE, inner=(node,)))
     statuses = [input_statuses.get(name, UNKNOWN) for _, name, _ in network.keys]
     locations, values = network.flatten()
-    info = network.fsms[1]
+    out = network.ids[(("T", node.name), "Out", OUT)]
 
     def engine():
-        machine = fire._Machine(1, network)
+        machine = fire._machine(network, 1)
         st, fired = list(statuses), {}
         machine.run(st, locations, values, fired, [(pid,) for pid in range(network.size)])
         if 1 in fired:
             return "fire", fired[1].transition
-        return ("nofire", None) if st[info.out_ids["Out"]] is ABSENT else (None, None)
+        return ("nofire", None) if st[out] is ABSENT else (None, None)
 
     try:
-        verdict, entry = decide_firing(info, node.init_location, statuses, values)
+        verdict, entry = decide_firing(_FsmRule(1, network), node.init_location, statuses, values)
     except Exception as error:
         with pytest.raises(type(error)) as raised:
             engine()
@@ -524,6 +524,112 @@ def test_inout_pairs_reserved_for_controllers():
         init_location="s",
     )
     assert "only allowed on" in problems_of(wrap(plain))
+
+
+def setvar(ports=(Port("input", IN),), name="S", **parameters):
+    return ActorNode(name, SETVAR, ports=ports, parameters=parameters)
+
+
+def linked(source, sink):
+    """A composite of a clock and a machine joined by one connection."""
+    return wrap(clock("K"), machine(), connections=(Connection(source, (sink,)),))
+
+
+def modal_of(controller, refinements):
+    """A modal actor whose inner actors are the clock K and machines Ctrl and R."""
+    ctrl = ActorNode("Ctrl", FSM, locations=("a",), init_location="a")
+    ref = ActorNode("R", FSM, locations=("s",), init_location="s")
+    return wrap(ActorNode("Mode", MODAL, inner=(clock("K"), ctrl, ref), controller=controller, refinements=refinements))
+
+
+@pytest.mark.parametrize(
+    "tree, problems",
+    [
+        (
+            wrap(machine(Transition("gone", "s", IsPresent("In")))),
+            ["Top.M: transition gone->s leaves unknown location"],
+        ),
+        (
+            linked(PortRef((), "Ghost"), PortRef(("M",), "In")),
+            ["Top: connection source parent.Ghost is not an input port"],
+        ),
+        (
+            linked(PortRef(("K",), "nope"), PortRef(("M",), "In")),
+            ["Top: connection source K.nope is not an output port"],
+        ),
+        (
+            linked(PortRef(("K",), "output"), PortRef((), "Ghost")),
+            ["Top: connection sink parent.Ghost is not an output port"],
+        ),
+        (
+            linked(PortRef(("K",), "output"), PortRef(("Ghost",), "In")),
+            ["Top: connection sink names unknown actor Ghost.In"],
+        ),
+        (wrap(clock("9K")), ["Top.9K: invalid actor name '9K'"]),
+        (wrap(ActorNode("X", "gizmo")), ["Top.X: unknown actor kind 'gizmo'"]),
+        (
+            wrap(replace(machine(), ports=(Port("In", "sideways"),))),
+            ["Top.M: port In has invalid direction 'sideways'"],
+        ),
+        (
+            wrap(replace(machine(), ports=(Port("In", IN), Port("In", IN)))),
+            ["Top.M: duplicate port In (in)"],
+        ),
+        (
+            wrap(setvar(ports=(Port("input", IN), Port("more", IN)), target=StringVal("x")), variables={"x": IntVal(0)}),
+            ["Top.S: a variable setter has exactly one input port 'input'"],
+        ),
+        (wrap(setvar(target=IntVal(1))), ["Top.S: missing string parameter 'target'"]),
+        (
+            wrap(replace(machine(), locations=(), init_location=None)),
+            ["Top.M: initial location None undeclared", "Top.M: state machine has no locations"],
+        ),
+        (wrap(clock("K"), clock("K")), ["Top: duplicate inner actor 'K'"]),
+        (
+            modal_of("K", {"s": "R"}),
+            ["Top.Mode: controller 'K' must be a state machine"],
+        ),
+        (
+            modal_of("Ctrl", {"a": "Ctrl"}),
+            [
+                "Top.Mode: inner actor 'K' is neither the controller nor a refinement",
+                "Top.Mode: inner actor 'R' is neither the controller nor a refinement",
+                "Top.Mode: the controller cannot refine a location",
+            ],
+        ),
+        # A setter with no composite above it: the nearest enclosing
+        # composite's variables are None.
+        (
+            setvar(target=StringVal("x")),
+            [
+                "S: target variable 'x' is not declared by the enclosing composite",
+                "S: top-level actor must be a composite",
+            ],
+        ),
+    ],
+    ids=[
+        "unknown-source-location",
+        "source-not-an-input",
+        "source-not-an-output",
+        "sink-not-an-output",
+        "sink-unknown-actor",
+        "invalid-name",
+        "unknown-kind",
+        "invalid-direction",
+        "duplicate-port",
+        "setter-ports",
+        "setter-target-not-a-string",
+        "no-locations",
+        "duplicate-inner-actor",
+        "controller-not-a-machine",
+        "controller-refines",
+        "setter-outside-any-composite",
+    ],
+)
+def test_each_validation_problem_has_its_exact_text(tree, problems):
+    with pytest.raises(ValidationError) as err:
+        validate(tree)
+    assert list(err.value.problems) == problems
 
 
 def test_fixture_models_validate(hier_state, flat_state, mutant_state):

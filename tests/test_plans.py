@@ -12,6 +12,7 @@ the test profile decides it (``thorough`` runs 300 per test).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from de_fixpoint.state import collect_variables
 from de_fixpoint.values import UNKNOWN, BoolVal, IntVal, StringVal, TimeVal
 
 import families
-from conftest import initial_state, started
+from conftest import initial_state, load_model, started
 from fixpoint_ref import reference_fixpoint
 
 FIXTURES = (
@@ -261,7 +262,7 @@ def test_an_output_shared_with_another_machine_keeps_its_machine_running(monkeyp
     monkeypatch.setattr(network_module, "validate", lambda top: None)
     state = initialize(parse_model(TWO_MACHINES_ONE_SINK))
     assert outcome(lambda: step(state)) == (TypeMismatch, "cannot apply '+' to 1 and true")
-    labels = [item.info.label for item in state.mode.rules.schedule]
+    labels = [item.label for item in state.mode.rules.schedule]
     assert labels == ["Top.A", "Top.B", "Top.C", "Top.N"]
 
 
@@ -404,3 +405,30 @@ def test_guard_calls_in_a_graph_build_are_pinned(monkeypatch):
     monkeypatch.setattr(CompiledTransition, "__init__", counted)
     graph = build_state_graph(initialize(parse_model(families.crossings((3, 4), 6, 0))))
     assert (len(graph.nodes), calls) == (109, 95)
+
+
+@pytest.mark.parametrize(
+    "tree, modes",
+    [(parse_model(families.crossings((3, 4), 6, 0)), 1), (load_model("hierarchical_traffic_light.model"), 2)],
+    ids=["crossings", "hierarchical"],
+)
+def test_a_graph_build_compiles_each_transition_of_each_machine_it_runs_once(monkeypatch, tree, modes):
+    # A machine compiles every location's transitions when an instant first
+    # runs it, and every mode shares that machine.
+    compiled = Counter()
+    compile_transition = CompiledTransition.__init__
+
+    def counted(entry, t, label, *rest):
+        compiled[label, id(t)] += 1
+        compile_transition(entry, t, label, *rest)
+
+    monkeypatch.setattr(CompiledTransition, "__init__", counted)
+    state = initialize(tree)
+    build_state_graph(state)
+    network = state.network
+    assert sum(mode.rules is not None for mode in network.modes.values()) == modes
+    machines = network.fsm_rules.values()
+    assert sorted(m.index for m in machines) == sorted(
+        {rule.index for mode in network.modes.values() for rule in mode.rules.rules}
+    )
+    assert compiled == Counter({(m.label, id(t)): 1 for m in machines for t in m.node.transitions})

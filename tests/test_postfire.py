@@ -29,7 +29,7 @@ from de_fixpoint.network import to_ticks
 from de_fixpoint.postfire import commit_requests, initialize, postfire
 from de_fixpoint.state import collect_variables, fsm_locations
 from de_fixpoint.executor import simulate, step
-from de_fixpoint.fire import compute_fixpoint
+from de_fixpoint.fire import _machine, compute_fixpoint
 from de_fixpoint.parser import parse_model
 from de_fixpoint.values import (
     ABSENT,
@@ -42,7 +42,7 @@ from de_fixpoint.values import (
 )
 
 import families
-from conftest import MODELS, flat_events, initial_state, started
+from conftest import MODELS, flat_events, initial_state, started, step_until
 
 TRUE = Lit(BoolVal(True))
 
@@ -87,9 +87,7 @@ def mid_run_tree(state):
 def test_initialize_resets_a_mid_run_tree(hier_state):
     modal_path = ("HierarchicalTrafficLight", "TrafficLight")
     normal, error = (hier_state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
-    state = hier_state
-    while not state.mode.enabled[error]:
-        state, _ = step(state)
+    state = step_until(hier_state, lambda s: s.mode.enabled[error])
     assert any(status is not UNKNOWN for status in state.statuses)
     tree = mid_run_tree(state)
     assert normalize(tree) != hier_state.network.template
@@ -97,7 +95,7 @@ def test_initialize_resets_a_mid_run_tree(hier_state):
     again = initialize(tree)
     assert all(status is UNKNOWN for status in again.statuses)
     network = again.network
-    assert all(again.locations[i] == network.nodes[i].init_location for i in network.fsms)
+    assert all(again.locations[i] == network.nodes[i].init_location for i, _ in network.fsm_paths)
     assert again.mode.enabled[normal] and not again.mode.enabled[error]
     assert collect_variables(again) == collect_variables(state)
     # A frozen refinement stays frozen: initializing again changes nothing.
@@ -205,7 +203,7 @@ def test_variable_updates_are_simultaneous():
     )
     state = started(wrap(fsm))
     m = state.network.index[("Top", "M")]
-    (entry,) = state.network.fsms[m].outgoing["s"]
+    (entry,) = _machine(state.network, m).outgoing["s"]
     assert entry.transition == transition
     nxt, requests = committed(state, {(("Top", "M"), "In", IN): Present(IntVal(10))}, {m: entry})
     assert fsm_locations(nxt)["Top.M"] == "t"
@@ -354,9 +352,7 @@ def test_silent_setter_writes_nothing():
 
 
 def test_mode_switch_takes_effect_next_iteration(hier_state):
-    state = hier_state
-    while not (state.elapsed == 15 and state.entries[0][:2] == (0, 0)):
-        state, _ = step(state)
+    state = step_until(hier_state, lambda s: s.elapsed == 15 and s.entries[0][:2] == (0, 0))
     modal_path = ("HierarchicalTrafficLight", "TrafficLight")
     normal, error = (state.network.actor(modal_path + (name,)) for name in ("normal", "error"))
     assert state.mode.enabled[normal] is True
@@ -471,27 +467,35 @@ class FiredOnly(dict):
 
 
 def expected_commit(network, mode, statuses, decisions):
-    """The requests, value writes and moves of a commit, worked out
-    independently of ``Mode.triggers``: every live clock, delay and
-    setter in preorder, the later of two setters of a variable winning."""
+    """The requests, value writes and moves of a commit, worked out from
+    the tree, independently of ``Mode.triggers`` and ``Network.triggers``:
+    every live clock, delay and setter in preorder, its times through
+    ``to_ticks`` and a setter's target in its nearest enclosing
+    composite, the later of two setters of a variable winning."""
     requests, writes = [], {}
     for i in network.preorder:
         if not mode.live[i]:
             continue
-        if i in network.clocks:
-            clock = network.clocks[i]
-            if isinstance(statuses[clock.out], Present):
-                requests.append((clock.period, 0, (clock.out, clock.emit)))
-        elif i in network.delays:
-            delay = network.delays[i]
-            status = statuses[delay.inp]
+        node, path = network.nodes[i], network.paths[i]
+        params = node.parameters
+        if node.kind == CLOCK:
+            out = network.ids[(path, "output", OUT)]
+            if isinstance(statuses[out], Present):
+                period = to_ticks(params["period"].value, network.timebase)
+                requests.append((period, 0, (out, Present(params["emit"]))))
+        elif node.kind == DELAY:
+            status = statuses[network.ids[(path, "input", IN)]]
             if isinstance(status, Present):
-                microstep = 1 if delay.delay == 0 else 0
-                requests.append((delay.delay, microstep, (delay.out, status)))
-        elif i in network.setters:
-            pid, slot = network.setters[i]
-            if isinstance(statuses[pid], Present):
-                writes[slot] = statuses[pid].value
+                delay = to_ticks(params["delay"].value, network.timebase)
+                microstep = 1 if delay == 0 else 0
+                requests.append((delay, microstep, (network.ids[(path, "output", OUT)], status)))
+        elif node.kind == SETVAR:
+            status = statuses[network.ids[(path, "input", IN)]]
+            if isinstance(status, Present):
+                scope = path[:-1]
+                while network.nodes[network.index[scope]].kind != COMPOSITE:
+                    scope = scope[:-1]
+                writes[network.slots[network.index[scope]][params["target"].value]] = status.value
     moves = {i: entry.target for i, entry in decisions.items()}
     return requests, writes, moves
 
@@ -533,3 +537,36 @@ def test_postfire_touches_only_fired_machines_and_present_triggers(fixture):
 @given(families.MODELS)
 def test_postfire_touches_only_fired_machines_and_present_triggers_on_generated_models(text):
     assert_commits_only_what_fired(initialize(parse_model(text)), 120, 10)
+
+
+# What a mode selects. ------------------------------------------------------------
+
+
+def assert_triggers_are_the_live_ones(state, steps):
+    """Each mode's triggers are the live actors' entries of the network's
+    triggers, which lists every clock, delay and setter in preorder, and
+    are the same objects in every mode."""
+    network = state.network
+    for _ in range(steps):
+        if not state.entries:
+            break
+        state, _ = step(state, bottom_as_absent=True)
+    triggered = [i for i in network.preorder if network.kinds[i] in (CLOCK, DELAY, SETVAR)]
+    assert [i for i, _ in network.triggers] == triggered
+    for mode in network.modes.values():
+        live = [trigger for i, trigger in network.triggers if mode.live[i]]
+        assert len(mode.triggers) == len(live)
+        assert all(ours is theirs for ours, theirs in zip(mode.triggers, live))
+    return len(network.modes)
+
+
+@pytest.mark.parametrize("fixture", sorted(name for name in os.listdir(MODELS) if name.endswith(".model")))
+def test_a_mode_selects_the_live_actors_triggers(fixture):
+    modes = assert_triggers_are_the_live_ones(initial_state(fixture), 100)
+    assert modes == (2 if fixture.startswith("hierarchical") else 1)
+
+
+@settings(max_examples=15)
+@given(families.MODELS)
+def test_a_mode_selects_the_live_actors_triggers_on_generated_models(text):
+    assert_triggers_are_the_live_ones(initialize(parse_model(text)), 120)
